@@ -596,7 +596,14 @@ func runScaleSelfcheck(out io.Writer, tenants, shards int) error {
 
 	// Round latency must stay flat as per-tenant state accumulates: the late
 	// rounds may pay for grown Q-tables but not for any superlinear fleet-wide
-	// bottleneck.
+	// bottleneck. The first rounds of a fresh fleet are no baseline for that:
+	// every tenant of a context still measures the same configuration, so the
+	// fleet's response-surface memo serves them almost for free.
+	for i := 0; i < 2; i++ {
+		if err := f.RunRound(); err != nil {
+			return fmt.Errorf("scale selfcheck: warm-up round %d: %w", i+1, err)
+		}
+	}
 	const rounds = 6
 	durs := make([]float64, rounds)
 	for i := range durs {

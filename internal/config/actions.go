@@ -55,20 +55,28 @@ func Actions(s *Space) []Action {
 // the space, and whether the move was feasible. A move off the lattice edge
 // (increase at Max, decrease at Min) is infeasible and returns c unchanged.
 func (a Action) Apply(s *Space, c Config) (Config, bool) {
+	out := c.Clone()
+	if !a.Feasible(s, c) {
+		return out, false
+	}
+	if a.Dir != Keep {
+		out[a.ParamIndex] += int(a.Dir) * s.defs[a.ParamIndex].Step
+	}
+	return out, true
+}
+
+// Feasible reports whether Apply would succeed from c, without building the
+// successor configuration (no allocation).
+func (a Action) Feasible(s *Space, c Config) bool {
 	if a.Dir == Keep {
-		return c.Clone(), true
+		return true
 	}
 	if a.ParamIndex < 0 || a.ParamIndex >= s.Len() || a.ParamIndex >= len(c) {
-		return c.Clone(), false
+		return false
 	}
-	d := s.Def(a.ParamIndex)
+	d := &s.defs[a.ParamIndex]
 	v := c[a.ParamIndex] + int(a.Dir)*d.Step
-	if v < d.Min || v > d.Max {
-		return c.Clone(), false
-	}
-	out := c.Clone()
-	out[a.ParamIndex] = v
-	return out, true
+	return v >= d.Min && v <= d.Max
 }
 
 // Describe renders the action with its parameter name.

@@ -148,3 +148,45 @@ func TestDirectionString(t *testing.T) {
 		t.Fatal("direction names wrong")
 	}
 }
+
+// TestFeasibleMatchesApply holds Feasible to Apply's verdict — on every
+// shipped space, at lattice corners and interior points, for malformed actions
+// and short configurations — and to its reason for existing: no allocation.
+func TestFeasibleMatchesApply(t *testing.T) {
+	for _, s := range []*Space{Default(), WithAdmission(), WithCapacity()} {
+		acts := append(Actions(s),
+			Action{ParamIndex: -1, Dir: Increase},
+			Action{ParamIndex: s.Len(), Dir: Decrease},
+			Action{ParamIndex: 99, Dir: Keep})
+		low, high := make(Config, s.Len()), make(Config, s.Len())
+		for i, d := range s.Defs() {
+			low[i], high[i] = d.Min, d.Max
+		}
+		cfgs := []Config{s.DefaultConfig(), low, high, low[:s.Len()-1], nil}
+		for seed := 0; seed < 50; seed++ {
+			cfg := make(Config, s.Len())
+			v := seed
+			for i, d := range s.Defs() {
+				v = (v*17 + 3) % d.Levels()
+				cfg[i] = d.Value(v)
+			}
+			cfgs = append(cfgs, cfg)
+		}
+		for _, cfg := range cfgs {
+			for _, a := range acts {
+				if _, ok := a.Apply(s, cfg); a.Feasible(s, cfg) != ok {
+					t.Fatalf("%d-param space, %v from %v: Feasible = %v, Apply ok = %v",
+						s.Len(), a, cfg, !ok, ok)
+				}
+			}
+		}
+		cfg := s.DefaultConfig()
+		if allocs := testing.AllocsPerRun(100, func() {
+			for _, a := range acts {
+				a.Feasible(s, cfg)
+			}
+		}); allocs != 0 {
+			t.Fatalf("Feasible allocates %.1f per sweep, want 0", allocs)
+		}
+	}
+}

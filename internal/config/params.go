@@ -8,6 +8,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -174,17 +175,22 @@ func Table1() []Def {
 type Space struct {
 	defs  []Def
 	index map[Param]int
+	// strides[i] is the mixed-radix weight of parameter i's lattice index:
+	// the product of the level counts of every later parameter (see Ordinal).
+	strides []uint64
 }
 
 // NewSpace builds a space from defs. It returns an error for empty input,
-// duplicate parameters, or malformed lattices.
+// duplicate parameters, malformed lattices, or a lattice with more points
+// than an int can count (States and Ordinal rely on that bound).
 func NewSpace(defs []Def) (*Space, error) {
 	if len(defs) == 0 {
 		return nil, errors.New("config: empty parameter space")
 	}
 	s := &Space{
-		defs:  make([]Def, len(defs)),
-		index: make(map[Param]int, len(defs)),
+		defs:    make([]Def, len(defs)),
+		index:   make(map[Param]int, len(defs)),
+		strides: make([]uint64, len(defs)),
 	}
 	copy(s.defs, defs)
 	for i, d := range s.defs {
@@ -200,6 +206,16 @@ func NewSpace(defs []Def) (*Space, error) {
 			return nil, fmt.Errorf("config: duplicate parameter %s", d.Name)
 		}
 		s.index[d.Param] = i
+	}
+	total := uint64(1)
+	for i := len(s.defs) - 1; i >= 0; i-- {
+		s.strides[i] = total
+		levels := uint64(s.defs[i].Levels())
+		if total > math.MaxInt/levels {
+			return nil, fmt.Errorf("config: lattice of %d parameters has more than %d points",
+				len(s.defs), math.MaxInt)
+		}
+		total *= levels
 	}
 	return s, nil
 }
@@ -276,15 +292,27 @@ func (s *Space) Lookup(param Param) (int, bool) {
 }
 
 // States returns the total number of lattice points (the product of
-// per-parameter level counts). It saturates at math.MaxInt on overflow,
-// which cannot happen for Table 1 (12·11·9·9·12·18·9·9 ≈ 1.2e7).
+// per-parameter level counts; 12·11·9·9·12·18·9·9 ≈ 1.9e8 for Table 1).
+// NewSpace rejects lattices whose count overflows an int.
 func (s *Space) States() int {
-	total := 1
-	for _, d := range s.defs {
-		total *= d.Levels()
-	}
-	return total
+	return int(s.strides[0]) * s.defs[0].Levels()
 }
+
+// Ordinal returns the mixed-radix lattice ordinal of c, Σ index_i·Stride(i):
+// a dense integer identity for lattice points, unique within the space and
+// below States(). c must be on the lattice (Validate).
+func (s *Space) Ordinal(c Config) uint64 {
+	var ord uint64
+	for i, d := range s.defs {
+		ord += uint64((c[i]-d.Min)/d.Step) * s.strides[i]
+	}
+	return ord
+}
+
+// Stride returns the ordinal distance of one lattice step of parameter i: an
+// action increasing (decreasing) parameter i moves Ordinal by +Stride(i)
+// (−Stride(i)).
+func (s *Space) Stride(i int) uint64 { return s.strides[i] }
 
 // DefaultConfig returns the configuration with every parameter at its
 // default, snapped onto the lattice.
@@ -350,15 +378,16 @@ func (c Config) Equal(o Config) bool {
 
 // Key returns a canonical string key for Q-table and cache lookups.
 func (c Config) Key() string {
-	var b strings.Builder
-	b.Grow(len(c) * 4)
+	// Rendered into a stack buffer (the shipped spaces' keys are under 40
+	// bytes), so the returned string is the only allocation.
+	buf := make([]byte, 0, 64)
 	for i, v := range c {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		b.WriteString(strconv.Itoa(v))
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return b.String()
+	return string(buf)
 }
 
 // ParseKey parses a Key back into a configuration.

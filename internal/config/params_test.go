@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -240,5 +241,78 @@ func TestTierAndGroupStrings(t *testing.T) {
 	}
 	if Group(99).String() != "unknown" {
 		t.Fatal("unknown group name")
+	}
+}
+
+// TestOrdinalIsDenseIdentity enumerates a small lattice: ordinals are unique,
+// cover 0..States()-1, and a one-step action moves them by exactly ±Stride.
+func TestOrdinalIsDenseIdentity(t *testing.T) {
+	s := MustSpace([]Def{
+		{Param: MaxClients, Name: "a", Min: 50, Max: 150, Step: 50, Default: 50},
+		{Param: KeepAliveTimeout, Name: "b", Min: 1, Max: 7, Step: 2, Default: 1},
+		{Param: MinSpareServers, Name: "c", Min: -10, Max: 0, Step: 10, Default: 0},
+	})
+	seen := make(map[uint64]string)
+	for a := 50; a <= 150; a += 50 {
+		for b := 1; b <= 7; b += 2 {
+			for c := -10; c <= 0; c += 10 {
+				cfg := Config{a, b, c}
+				ord := s.Ordinal(cfg)
+				if prev, dup := seen[ord]; dup {
+					t.Fatalf("%v and %s share ordinal %d", cfg, prev, ord)
+				}
+				if ord >= uint64(s.States()) {
+					t.Fatalf("%v has ordinal %d, lattice has %d points", cfg, ord, s.States())
+				}
+				seen[ord] = cfg.Key()
+				for _, act := range Actions(s)[1:] {
+					next, ok := act.Apply(s, cfg)
+					if !ok {
+						continue
+					}
+					want := ord + s.Stride(act.ParamIndex)
+					if act.Dir == Decrease {
+						want = ord - s.Stride(act.ParamIndex)
+					}
+					if got := s.Ordinal(next); got != want {
+						t.Fatalf("%v %v: ordinal %d, want %d", cfg, act, got, want)
+					}
+				}
+			}
+		}
+	}
+	if len(seen) != s.States() || s.States() != 3*4*2 {
+		t.Fatalf("%d ordinals over %d states, want 24 of each", len(seen), s.States())
+	}
+	// The shipped spaces: the largest ordinal is the all-max corner.
+	for _, s := range []*Space{Default(), WithAdmission(), WithCapacity()} {
+		top := make(Config, s.Len())
+		for i, d := range s.Defs() {
+			top[i] = d.Max
+		}
+		if got := s.Ordinal(top); got != uint64(s.States()-1) {
+			t.Fatalf("%d-param space: top corner ordinal %d, want States()-1 = %d", s.Len(), got, s.States()-1)
+		}
+		if got := s.Ordinal(s.DefaultConfig()); got == 0 || s.Stride(s.Len()-1) != 1 {
+			t.Fatalf("%d-param space: default ordinal %d, last stride %d", s.Len(), got, s.Stride(s.Len()-1))
+		}
+	}
+}
+
+// TestNewSpaceRejectsOverflowingLattice: ordinals (and States) need the point
+// count to fit an int, so a lattice past that is refused at construction.
+func TestNewSpaceRejectsOverflowingLattice(t *testing.T) {
+	wide := func(n int) []Def {
+		defs := make([]Def, n)
+		for i := range defs {
+			defs[i] = Def{Param: Param(100 + i), Name: fmt.Sprintf("p%d", i), Min: 0, Max: 1<<16 - 1, Step: 1}
+		}
+		return defs
+	}
+	if _, err := NewSpace(wide(1)); err != nil {
+		t.Fatalf("2^16-point lattice rejected: %v", err)
+	}
+	if _, err := NewSpace(wide(4)); err == nil {
+		t.Fatal("2^64-point lattice accepted")
 	}
 }

@@ -694,7 +694,7 @@ func (a *Agent) retrain() (mdp.BatchResult, error) {
 func (a *Agent) feasibleActions(cfg config.Config) []int {
 	out := make([]int, 0, len(a.actions))
 	for i, act := range a.actions {
-		if _, ok := act.Apply(a.space, cfg); ok {
+		if act.Feasible(a.space, cfg) {
 			out = append(out, i)
 		}
 	}

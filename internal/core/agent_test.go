@@ -369,7 +369,7 @@ func TestRegionModel(t *testing.T) {
 	for _, s := range m.States() {
 		for a := 0; a < m.Actions(); a++ {
 			if to, ok := m.Next(s, a); ok {
-				if _, in := m.shape.index[to]; !in {
+				if _, in := m.shape.stateIndex(to); !in {
 					t.Fatalf("transition escapes region: %s -a%d-> %s", s, a, to)
 				}
 			}

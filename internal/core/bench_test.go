@@ -64,3 +64,20 @@ func BenchmarkGroupStateKey(b *testing.B) {
 		p.groupStateKey(cfg)
 	}
 }
+
+// BenchmarkRegionShapeRebuild is the cost an agent pays each time it visits a
+// new state: rebuilding Algorithm 3's retraining region from its sample keys.
+func BenchmarkRegionShapeRebuild(b *testing.B) {
+	space := config.Default()
+	keys, cfgs := benchRegionSamples(space)
+	if n := len(newRegionShape(space, keys, cfgs).states); len(keys) != 33 || n < 300 {
+		b.Fatalf("region has %d samples and %d states; the benchmark is sized for 33 and a few hundred", len(keys), n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sh := newRegionShape(space, keys, cfgs); sh.structErr != nil {
+			b.Fatal(sh.structErr)
+		}
+	}
+}

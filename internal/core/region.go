@@ -22,21 +22,46 @@ type regionShape struct {
 	space   *config.Space
 	actions []config.Action
 	states  []string
-	cfgs    []config.Config // parsed configuration per dense index
-	index   map[string]int  // state key -> dense index
-	// next[s*len(actions)+a] is the dense successor index, or -1 when the
-	// action is infeasible or leaves the region.
-	next []int32
+	// vals holds the parsed configuration of every state back to back:
+	// state s occupies vals[s*space.Len():(s+1)*space.Len()] (see cfg).
+	vals []int
+	// structure carries the transition table (the only copy) and the
+	// feasible-action lists; nil with structErr set for an empty region.
+	structure *mdp.Structure
+	structErr error
 
-	structOnce sync.Once
-	structure  *mdp.Structure
-	structErr  error
+	// index maps state key -> dense index. Only the string-keyed mdp.Model
+	// methods need it — retraining runs on dense indices — so it is built on
+	// first use.
+	indexOnce sync.Once
+	index     map[string]int
 }
 
-// validSampleKeys returns the sample keys that parse and validate against the
-// space, sorted, with their parsed configurations. The sorted order drives
-// the learner's RNG stream, so experiments stay reproducible from their
-// seeds.
+// cfg returns state s's configuration. The slice aliases the shape's storage;
+// callers must not mutate it.
+func (sh *regionShape) cfg(s int) config.Config {
+	n := sh.space.Len()
+	return sh.vals[s*n : (s+1)*n : (s+1)*n]
+}
+
+// stateIndex resolves a state key to its dense index.
+func (sh *regionShape) stateIndex(state string) (int, bool) {
+	sh.indexOnce.Do(func() {
+		sh.index = make(map[string]int, len(sh.states))
+		for s, key := range sh.states {
+			sh.index[key] = s
+		}
+	})
+	s, ok := sh.index[state]
+	return s, ok
+}
+
+// validSampleKeys returns the sample keys that parse, validate against the
+// space and are the canonical rendering of their configuration, sorted, with
+// their parsed configurations. The sorted order drives the learner's RNG
+// stream, so experiments stay reproducible from their seeds. Canonical keys
+// make state identity and lattice-point identity the same thing, which is
+// what lets newRegionShape deduplicate states by ordinal.
 func validSampleKeys(space *config.Space, samples map[string]float64) ([]string, []config.Config) {
 	keys := make([]string, 0, len(samples))
 	for key := range samples {
@@ -47,7 +72,7 @@ func validSampleKeys(space *config.Space, samples map[string]float64) ([]string,
 	cfgs := make([]config.Config, 0, len(keys))
 	for _, key := range keys {
 		cfg, err := config.ParseKey(key)
-		if err != nil || space.Validate(cfg) != nil {
+		if err != nil || space.Validate(cfg) != nil || cfg.Key() != key {
 			continue
 		}
 		valid = append(valid, key)
@@ -57,47 +82,84 @@ func validSampleKeys(space *config.Space, samples map[string]float64) ([]string,
 }
 
 // newRegionShape builds the region skeleton from the valid sample keys (as
-// returned by validSampleKeys: sorted, parsed, validated).
+// returned by validSampleKeys: sorted, parsed, validated, canonical).
+//
+// States are identified by their mixed-radix lattice ordinal while building:
+// a neighbour is ordinal ± Stride(param), so discovery and the transition
+// table are integer arithmetic plus one map probe per (state, action), and a
+// configuration is materialized (copied, its key rendered) once per state.
+// Discovery order is each sample key in sorted order followed by its feasible
+// neighbours in action order; it fixes the dense indices, hence the
+// retraining sweep order and the RNG stream, and must not change.
 func newRegionShape(space *config.Space, keys []string, cfgs []config.Config) *regionShape {
 	actions := config.Actions(space)
-	sh := &regionShape{
-		space:   space,
-		actions: actions,
-		index:   make(map[string]int, len(keys)*len(actions)),
-	}
-	add := func(key string, cfg config.Config) {
-		if _, ok := sh.index[key]; ok {
-			return
+	sh := &regionShape{space: space, actions: actions}
+	// neighbour returns the ordinal a feasible action reaches from ord.
+	neighbour := func(ord uint64, a config.Action) uint64 {
+		switch a.Dir {
+		case config.Increase:
+			return ord + space.Stride(a.ParamIndex)
+		case config.Decrease:
+			return ord - space.Stride(a.ParamIndex)
 		}
-		sh.index[key] = len(sh.states)
-		sh.states = append(sh.states, key)
-		sh.cfgs = append(sh.cfgs, cfg)
+		return ord
 	}
-	for i, key := range keys {
-		add(key, cfgs[i])
-		for _, a := range actions {
-			next, ok := a.Apply(space, cfgs[i])
-			if !ok {
-				continue
-			}
-			add(next.Key(), next)
-		}
-	}
-	sh.next = make([]int32, len(sh.states)*len(actions))
-	for s := range sh.states {
-		cfg := sh.cfgs[s]
-		base := s * len(actions)
+
+	// Discover the states. origin records how each was first reached: from
+	// which sample, by which action. config.Actions lists Keep first, so a
+	// sample discovers itself before any of its neighbours.
+	type origin struct{ sample, action int32 }
+	bound := len(keys) * len(actions)
+	byOrd := make(map[uint64]int32, bound)
+	ords := make([]uint64, 0, bound) // by dense index
+	from := make([]origin, 0, bound)
+	for i, cfg := range cfgs {
+		ord := space.Ordinal(cfg)
 		for ai, a := range actions {
-			sh.next[base+ai] = -1
-			next, ok := a.Apply(space, cfg)
-			if !ok {
+			if !a.Feasible(space, cfg) {
 				continue
 			}
-			if t, in := sh.index[next.Key()]; in {
-				sh.next[base+ai] = int32(t)
+			next := neighbour(ord, a)
+			if _, seen := byOrd[next]; seen {
+				continue
+			}
+			byOrd[next] = int32(len(ords))
+			ords = append(ords, next)
+			from = append(from, origin{sample: int32(i), action: int32(ai)})
+		}
+	}
+
+	// Materialize keys and configurations, now that the count is known.
+	n := space.Len()
+	sh.states = make([]string, len(ords))
+	sh.vals = make([]int, 0, len(ords)*n)
+	for s, o := range from {
+		sh.vals = append(sh.vals, cfgs[o.sample]...)
+		a := actions[o.action]
+		if a.Dir == config.Keep {
+			sh.states[s] = keys[o.sample]
+			continue
+		}
+		cfg := sh.cfg(s)
+		cfg[a.ParamIndex] += int(a.Dir) * space.Def(a.ParamIndex).Step
+		sh.states[s] = cfg.Key()
+	}
+
+	trans := make([]int32, len(ords)*len(actions))
+	for s, ord := range ords {
+		cfg := sh.cfg(s)
+		row := trans[s*len(actions) : (s+1)*len(actions)]
+		for ai, a := range actions {
+			row[ai] = -1
+			if !a.Feasible(space, cfg) {
+				continue
+			}
+			if t, in := byOrd[neighbour(ord, a)]; in {
+				row[ai] = t
 			}
 		}
 	}
+	sh.structure, sh.structErr = mdp.NewStructureFromTransitions(sh.states, len(actions), trans)
 	return sh
 }
 
@@ -114,7 +176,7 @@ func (sh *regionShape) model(samples map[string]float64,
 		if rt, ok := samples[key]; ok {
 			m.rewards[s] = sla - rt
 		} else if predict != nil {
-			m.rewards[s] = sla - predict(sh.cfgs[s])
+			m.rewards[s] = sla - predict(sh.cfg(s))
 		}
 	}
 	return m
@@ -129,8 +191,7 @@ func (sh *regionShape) model(samples map[string]float64,
 // states) while the Seeder generalizes the offline policy everywhere else.
 //
 // The model implements mdp.Structured: the retraining sweeps run on the dense
-// fast path, and the transition/feasibility arrays are built once per shape
-// (cached under structOnce) rather than once per retraining call.
+// fast path, over the transition/feasibility arrays the shape built once.
 type regionModel struct {
 	shape   *regionShape
 	rewards []float64 // by dense index
@@ -153,7 +214,7 @@ func (m *regionModel) States() []string { return m.shape.states }
 func (m *regionModel) Actions() int { return len(m.shape.actions) }
 
 func (m *regionModel) Reward(state string) float64 {
-	s, ok := m.shape.index[state]
+	s, ok := m.shape.stateIndex(state)
 	if !ok {
 		return 0
 	}
@@ -162,31 +223,25 @@ func (m *regionModel) Reward(state string) float64 {
 
 func (m *regionModel) Next(state string, action int) (string, bool) {
 	sh := m.shape
-	s, ok := sh.index[state]
+	s, ok := sh.stateIndex(state)
 	if !ok || action < 0 || action >= len(sh.actions) {
 		return state, false
 	}
-	t := sh.next[s*len(sh.actions)+action]
+	t := sh.structure.Next(s, action)
 	if t < 0 {
 		return state, false
 	}
 	return sh.states[t], true
 }
 
-func (m *regionModel) NextIndex(s, action int) int {
-	return int(m.shape.next[s*len(m.shape.actions)+action])
-}
+func (m *regionModel) NextIndex(s, action int) int { return m.shape.structure.Next(s, action) }
 
 func (m *regionModel) RewardIndex(s int) float64 { return m.rewards[s] }
 
 // Structure exposes the shape's dense transition arrays to mdp.BatchTrain,
-// built once per shape and shared by every model (and agent) using it.
+// shared by every model (and agent) using the shape.
 func (m *regionModel) Structure() (*mdp.Structure, error) {
-	sh := m.shape
-	sh.structOnce.Do(func() {
-		sh.structure, sh.structErr = mdp.NewStructure(m)
-	})
-	return sh.structure, sh.structErr
+	return m.shape.structure, m.shape.structErr
 }
 
 // regionShapeCacheCap bounds the per-policy shape intern cache. Tenants of a

@@ -25,6 +25,7 @@ import (
 	"github.com/rac-project/rac/internal/faults"
 	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/queueing"
+	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
 	"github.com/rac-project/rac/internal/webtier"
@@ -102,6 +103,12 @@ const maxShards = 4096
 // Options.TenantMetricsLimit is zero.
 const defaultTenantMetricsLimit = 512
 
+// surfaceLimit bounds the fleet's analytic response-surface memo. A steady
+// fleet touches a few hundred lattice points per context, but scenario
+// tenants re-key on every client-count change, so a long-lived daemon's key
+// set is unbounded; at ~200 bytes an entry the cap holds the memo near 13 MB.
+const surfaceLimit = 1 << 16
+
 // Validate checks the Options fields, wrapping one sentinel per failure.
 func (o Options) Validate() error {
 	if o.CheckpointEvery < 0 {
@@ -177,6 +184,9 @@ type Fleet struct {
 	ckpts    *CheckpointStore // nil without CheckpointDir
 	registry *PolicyRegistry  // nil without RegistryDir
 	policies *core.PolicyStore
+	// surface memoizes solved analytic points across every tenant: tenants of
+	// one context re-measure the same few hundred configurations each round.
+	surface *surface.Cache
 
 	// shards own the tenants; admin operations that touch agent internals
 	// (forced policy switches, manual checkpoints) ride the owning shard's
@@ -217,6 +227,7 @@ func New(opts Options) (*Fleet, error) {
 		opts:     opts,
 		space:    config.Default(),
 		policies: core.NewPolicyStore(),
+		surface:  surface.NewBounded(opts.Telemetry, surfaceLimit),
 		byName:   make(map[string]*Tenant),
 		trace:    opts.Trace,
 		shards:   make([]*shard, opts.Shards),
@@ -245,6 +256,11 @@ func New(opts Options) (*Fleet, error) {
 // Space returns the configuration space shared by every tenant, registry
 // policy and checkpoint in this fleet.
 func (f *Fleet) Space() *config.Space { return f.space }
+
+// Surface returns the fleet-wide analytic response-surface memo, for
+// Options.NewSystem hooks that build their own system.Analytic
+// (AnalyticOptions.Surface).
+func (f *Fleet) Surface() *surface.Cache { return f.surface }
 
 // Registry returns the shared policy registry (nil when disabled).
 func (f *Fleet) Registry() *PolicyRegistry { return f.registry }
@@ -547,6 +563,7 @@ func (f *Fleet) buildSystem(spec TenantSpec, ctx system.Context, seed uint64) (s
 				Context:    ctx,
 				Seed:       seed,
 				NoiseSigma: spec.NoiseSigma,
+				Surface:    f.surface,
 			})
 		default:
 			err = fmt.Errorf("unknown backend %q", spec.Backend)

@@ -44,19 +44,40 @@ func scaledSpecs(n int) []TenantSpec {
 // log, serialized agent state, and newest checkpoint bytes.
 func runScaledFleet(t *testing.T, procs, shards, tenants, rounds int) (map[string][]byte, map[string][]StepRecord, map[string][]byte, map[string][]byte) {
 	t.Helper()
-	f, err := New(Options{
-		Seed:            1234,
-		Procs:           procs,
-		Shards:          shards,
-		RegistryDir:     t.TempDir(),
-		CheckpointDir:   t.TempDir(),
-		CheckpointEvery: 3,
-		TrainInit:       fastTrain(),
-	})
+	f := newDeterminismFleet(t, Options{Procs: procs, Shards: shards})
+	r := runFleetSpecs(t, f, scaledSpecs(tenants), rounds)
+	return r.statuses, r.logs, r.states, r.cks
+}
+
+// newDeterminismFleet builds the fleet the byte-identity tests run: fixed
+// seed and training schedule, a registry, and checkpoints every third
+// interval; opts supplies what a test varies.
+func newDeterminismFleet(t *testing.T, opts Options) *Fleet {
+	t.Helper()
+	opts.Seed = 1234
+	opts.RegistryDir = t.TempDir()
+	opts.CheckpointDir = t.TempDir()
+	opts.CheckpointEvery = 3
+	opts.TrainInit = fastTrain()
+	f, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := scaledSpecs(tenants)
+	return f
+}
+
+// fleetRun is everything a fleet run leaves behind that must not depend on
+// how it was scheduled or served, per tenant name.
+type fleetRun struct {
+	statuses map[string][]byte // Status() as JSON
+	logs     map[string][]StepRecord
+	states   map[string][]byte // Agent.ExportState()
+	cks      map[string][]byte // newest checkpoint file, raw
+}
+
+// runFleetSpecs admits specs into f, runs the rounds and collects the run.
+func runFleetSpecs(t *testing.T, f *Fleet, specs []TenantSpec, rounds int) fleetRun {
+	t.Helper()
 	for _, sp := range specs {
 		if _, err := f.Admit(sp); err != nil {
 			t.Fatal(err)
@@ -65,19 +86,21 @@ func runScaledFleet(t *testing.T, procs, shards, tenants, rounds int) (map[strin
 	if _, err := f.Run(rounds); err != nil {
 		t.Fatal(err)
 	}
-	statuses := make(map[string][]byte, len(specs))
-	logs := make(map[string][]StepRecord, len(specs))
-	states := make(map[string][]byte, len(specs))
-	cks := make(map[string][]byte, len(specs))
+	r := fleetRun{
+		statuses: make(map[string][]byte, len(specs)),
+		logs:     make(map[string][]StepRecord, len(specs)),
+		states:   make(map[string][]byte, len(specs)),
+		cks:      make(map[string][]byte, len(specs)),
+	}
 	for _, sp := range specs {
 		tn := f.Tenant(sp.Name)
 		st, err := json.Marshal(tn.Status())
 		if err != nil {
 			t.Fatal(err)
 		}
-		statuses[sp.Name] = st
-		logs[sp.Name] = tn.StepLog()
-		states[sp.Name] = exportAgent(t, tn)
+		r.statuses[sp.Name] = st
+		r.logs[sp.Name] = tn.StepLog()
+		r.states[sp.Name] = exportAgent(t, tn)
 		if _, path, err := f.Checkpoints().Latest(sp.Name); err != nil {
 			t.Fatal(err)
 		} else if path != "" {
@@ -85,10 +108,10 @@ func runScaledFleet(t *testing.T, procs, shards, tenants, rounds int) (map[strin
 			if err != nil {
 				t.Fatal(err)
 			}
-			cks[sp.Name] = buf
+			r.cks[sp.Name] = buf
 		}
 	}
-	return statuses, logs, states, cks
+	return r
 }
 
 // TestFleetShardedDeterminism is the production-scale determinism regression:
@@ -356,6 +379,13 @@ func TestTelemetryCardinalityCap(t *testing.T) {
 	}
 	if !strings.Contains(exposition, `rac_fleet_shard_step_seconds_count{shard="`) {
 		t.Error("no per-shard aggregate series for capped tenants")
+	}
+	// The fleet's response-surface memo reports on the same registry: two
+	// unlabeled series, whatever the tenant count.
+	for _, name := range []string{"rac_surface_cache_hits_total", "rac_surface_cache_misses_total"} {
+		if strings.Count(exposition, "\n"+name+" ") != 1 {
+			t.Errorf("exposition does not carry exactly one %s sample", name)
+		}
 	}
 
 	// The regression: exposition size must not scale with tenant count past

@@ -102,38 +102,71 @@ func (st *Structure) States() []string { return st.states }
 // Actions returns the per-state action count.
 func (st *Structure) Actions() int { return st.actions }
 
+// Next returns the index reached by taking action in state s, or a negative
+// value when the action is infeasible there — IndexedModel.NextIndex served
+// from the structure's own table, for models that keep no second copy.
+func (st *Structure) Next(s, action int) int { return int(st.trans[s*st.actions+action]) }
+
 // NewStructure materializes model's transitions and feasible-action lists
 // into a Structure, validating the same closure invariants BatchTrain
 // enforces: every transition stays inside the enumerated states and every
 // state has at least one feasible action.
 func NewStructure(model IndexedModel) (*Structure, error) {
 	states := model.States()
+	actions := model.Actions()
+	trans := make([]int32, len(states)*actions)
+	for s := range states {
+		for a := 0; a < actions; a++ {
+			next := model.NextIndex(s, a)
+			if next >= len(states) {
+				return nil, fmt.Errorf("mdp: state %q action %d leads to index %d outside the model's %d states",
+					states[s], a, next, len(states))
+			}
+			if next < 0 {
+				next = -1
+			}
+			trans[s*actions+a] = int32(next)
+		}
+	}
+	return NewStructureFromTransitions(states, actions, trans)
+}
+
+// NewStructureFromTransitions is NewStructure for a caller that already holds
+// the transition table: trans[s*actions+a] is the index reached by taking a
+// in s, negative when infeasible. The structure takes ownership of states and
+// trans; the same closure invariants are validated.
+func NewStructureFromTransitions(states []string, actions int, trans []int32) (*Structure, error) {
 	n := len(states)
 	if n == 0 {
 		return nil, errors.New("mdp: model has no states")
 	}
-	actions := model.Actions()
+	if len(trans) != n*actions {
+		return nil, fmt.Errorf("mdp: transition table has %d entries, want %d states x %d actions",
+			len(trans), n, actions)
+	}
+	feasible := 0
+	for i, next := range trans {
+		if int(next) >= n {
+			return nil, fmt.Errorf("mdp: state %q action %d leads to index %d outside the model's %d states",
+				states[i/actions], i%actions, next, n)
+		}
+		if next >= 0 {
+			feasible++
+		}
+	}
 	st := &Structure{
 		states:  states,
 		actions: actions,
-		trans:   make([]int32, n*actions),
+		trans:   trans,
 		off:     make([]int32, n+1),
-		feas:    make([]int32, 0, n*actions),
+		feas:    make([]int32, 0, feasible),
 	}
 	for s := 0; s < n; s++ {
 		st.off[s] = int32(len(st.feas))
-		for a := 0; a < actions; a++ {
-			next := model.NextIndex(s, a)
-			if next >= n {
-				return nil, fmt.Errorf("mdp: state %q action %d leads to index %d outside the model's %d states",
-					states[s], a, next, n)
+		for a, next := range trans[s*actions : (s+1)*actions] {
+			if next >= 0 {
+				st.feas = append(st.feas, int32(a))
 			}
-			if next < 0 {
-				st.trans[s*actions+a] = -1
-				continue
-			}
-			st.trans[s*actions+a] = int32(next)
-			st.feas = append(st.feas, int32(a))
 		}
 		if int(st.off[s]) == len(st.feas) {
 			return nil, fmt.Errorf("mdp: state %q has no feasible actions", states[s])

@@ -142,3 +142,69 @@ func TestBatchTrainIndexedRejectsDeadEnds(t *testing.T) {
 		t.Fatal("dead-end indexed model accepted")
 	}
 }
+
+// prebuilt serves a Structure its caller assembled from a raw transition
+// table, the way core's region shapes do, reading NextIndex back through it.
+type prebuilt struct {
+	indexedChain
+	st *Structure
+}
+
+func (p prebuilt) NextIndex(s, action int) int    { return p.st.Next(s, action) }
+func (p prebuilt) Structure() (*Structure, error) { return p.st, nil }
+
+// TestStructureFromTransitions: a caller-supplied table yields the structure
+// NewStructure derives through NextIndex, trains to the same bytes, and is
+// held to the same closure checks.
+func TestStructureFromTransitions(t *testing.T) {
+	chain := indexedChain{chainModel{n: 9, goal: 6}}
+	states, actions := chain.States(), chain.Actions()
+	trans := make([]int32, len(states)*actions)
+	for s := range states {
+		for a := 0; a < actions; a++ {
+			trans[s*actions+a] = int32(chain.NextIndex(s, a))
+		}
+	}
+	st, err := NewStructureFromTransitions(states, actions, trans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range states {
+		for a := 0; a < actions; a++ {
+			if got, want := st.Next(s, a), chain.NextIndex(s, a); got != want {
+				t.Fatalf("Next(%d, %d) = %d, want %d", s, a, got, want)
+			}
+		}
+	}
+
+	train := func(model Model) []byte {
+		t.Helper()
+		q := NewQTable(actions, 0)
+		if _, err := BatchTrain(q, model, DefaultBatchConfig(), sim.NewRNG(42)); err != nil {
+			t.Fatal(err)
+		}
+		return qtableBytes(t, q)
+	}
+	if !bytes.Equal(train(chain), train(prebuilt{chain, st})) {
+		t.Fatal("training over a caller-built structure differs from the derived one")
+	}
+
+	if _, err := NewStructureFromTransitions(nil, actions, nil); err == nil {
+		t.Error("empty state set accepted")
+	}
+	if _, err := NewStructureFromTransitions(states, actions, trans[:len(trans)-1]); err == nil {
+		t.Error("short transition table accepted")
+	}
+	escaping := append([]int32(nil), trans...)
+	escaping[4] = int32(len(states))
+	if _, err := NewStructureFromTransitions(states, actions, escaping); err == nil {
+		t.Error("transition outside the state set accepted")
+	}
+	dead := append([]int32(nil), trans...)
+	for a := 0; a < actions; a++ {
+		dead[2*actions+a] = -1
+	}
+	if _, err := NewStructureFromTransitions(states, actions, dead); err == nil {
+		t.Error("state with no feasible action accepted")
+	}
+}

@@ -12,6 +12,11 @@
 // deduplicated in flight: concurrent requests for one key run the compute
 // function exactly once and share its result, the same singleflight idiom the
 // bench harness uses for whole policies.
+//
+// A cache built with NewBounded holds at most a fixed number of keys: when a
+// new key would exceed the limit the whole map is dropped and refilled on
+// demand. Values are pure functions of their keys, so a flush can cost a
+// recomputation but can never change a result.
 package surface
 
 import (
@@ -26,6 +31,7 @@ import (
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*entry
+	limit   int // most keys held at once; 0 = unbounded
 
 	hits   *telemetry.Counter
 	misses *telemetry.Counter
@@ -40,8 +46,14 @@ type entry struct {
 
 // New builds an empty cache. When reg is non-nil the cache registers
 // rac_surface_cache_hits_total and rac_surface_cache_misses_total on it.
-func New(reg *telemetry.Registry) *Cache {
-	c := &Cache{entries: make(map[string]*entry)}
+func New(reg *telemetry.Registry) *Cache { return NewBounded(reg, 0) }
+
+// NewBounded is New for a long-lived owner whose key set can grow without
+// limit (a daemon whose tenants' workloads drift): the cache never holds more
+// than limit keys, flushing everything when a new key would exceed it. A
+// limit of zero or less means unbounded.
+func NewBounded(reg *telemetry.Registry, limit int) *Cache {
+	c := &Cache{entries: make(map[string]*entry), limit: limit}
 	if reg != nil {
 		c.hits = reg.Counter("rac_surface_cache_hits_total",
 			"Response-surface evaluations served from the memo.", nil)
@@ -72,6 +84,11 @@ func (c *Cache) DoValue(key string, compute func() (any, error)) (any, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
+		if c.limit > 0 && len(c.entries) >= c.limit {
+			// Callers already holding an entry finish on it; only the map
+			// forgets them.
+			c.entries = make(map[string]*entry)
+		}
 		e = &entry{}
 		c.entries[key] = e
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/queueing"
 	"github.com/rac-project/rac/internal/sim"
+	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
 	"github.com/rac-project/rac/internal/webtier"
@@ -25,6 +27,10 @@ type Analytic struct {
 	level    vmenv.Level
 	noise    float64
 	rng      *sim.RNG
+	// surf memoizes solved points across every Analytic sharing it (nil =
+	// solve every Measure); surfPrefix is the space's part of the memo key.
+	surf       *surface.Cache
+	surfPrefix string
 }
 
 // AnalyticOptions configure NewAnalytic.
@@ -42,6 +48,13 @@ type AnalyticOptions struct {
 	Seed uint64
 	// Calibration overrides the physical constants.
 	Calibration *webtier.Calibration
+	// Surface, when non-nil, memoizes the deterministic part of Measure — the
+	// solved (mean RT, throughput) of a (space, configuration, workload,
+	// level) point — so systems sharing one cache solve each point once. The
+	// noise draw stays outside the memo: measurements and ExportState are
+	// byte-identical with or without it. Ignored under a Calibration override,
+	// whose constants the memo key does not carry.
+	Surface *surface.Cache
 }
 
 var (
@@ -67,10 +80,12 @@ func NewAnalytic(opts AnalyticOptions) (*Analytic, error) {
 		ctx = Table2()[0]
 	}
 	cal := webtier.DefaultCalibration()
+	surf := opts.Surface
 	if opts.Calibration != nil {
 		cal = *opts.Calibration
+		surf = nil
 	}
-	return &Analytic{
+	a := &Analytic{
 		space:    space,
 		cal:      cal,
 		cfg:      cfg.Clone(),
@@ -78,7 +93,19 @@ func NewAnalytic(opts AnalyticOptions) (*Analytic, error) {
 		level:    ctx.Level,
 		noise:    opts.NoiseSigma,
 		rng:      sim.NewRNG(opts.Seed),
-	}, nil
+		surf:     surf,
+	}
+	if surf != nil {
+		// ParamsFromConfig reads values by parameter identity, so which
+		// parameter sits at which position is an input of the solve.
+		prefix := []byte("analytic")
+		for _, d := range space.Defs() {
+			prefix = append(prefix, ':')
+			prefix = strconv.AppendInt(prefix, int64(d.Param), 10)
+		}
+		a.surfPrefix = string(prefix)
+	}
+	return a, nil
 }
 
 // Space returns the configuration space.
@@ -107,15 +134,13 @@ func (a *Analytic) Measure(ctx context.Context) (Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
 	}
-	params, err := webtier.ParamsFromConfig(a.space, a.cfg)
+	res, err := a.solve()
 	if err != nil {
 		return Metrics{}, err
 	}
-	res, err := queueing.SolveWebsite(a.cal, params, a.workload, a.level)
-	if err != nil {
-		return Metrics{}, fmt.Errorf("analytic measure: %w", err)
-	}
 	rt := res.MeanRT
+	// The noise draw happens here, after the lookup, whether solve hit the
+	// memo or not: hits and misses consume a.rng identically.
 	if a.noise > 0 {
 		rt *= a.rng.LogNormFloat64(-a.noise*a.noise/2, a.noise)
 	}
@@ -127,6 +152,58 @@ func (a *Analytic) Measure(ctx context.Context) (Metrics, error) {
 		Completed:       int(res.Throughput * interval),
 		IntervalSeconds: interval,
 	}, nil
+}
+
+// solvedPoint is the deterministic part of one measurement: what the memo
+// stores per (space, configuration, workload, level) point.
+type solvedPoint struct {
+	MeanRT     float64
+	Throughput float64
+}
+
+// solve returns the queueing network's solution for the current
+// configuration and context, through the shared memo when one is wired.
+func (a *Analytic) solve() (solvedPoint, error) {
+	if a.surf == nil {
+		return a.solveNow()
+	}
+	// Every input of solveNow is in the key: the space's parameter layout
+	// (prefix), the workload, all three level fields and the configuration.
+	// The calibration is the default one — overrides never reach here.
+	key := make([]byte, 0, 96)
+	key = append(key, a.surfPrefix...)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, int64(a.workload.Mix), 10)
+	key = append(key, '/')
+	key = strconv.AppendInt(key, int64(a.workload.Clients), 10)
+	key = append(key, '|')
+	key = append(key, a.level.Name...)
+	key = append(key, '/')
+	key = strconv.AppendInt(key, int64(a.level.VCPUs), 10)
+	key = append(key, '/')
+	key = strconv.AppendInt(key, int64(a.level.MemoryMB), 10)
+	for _, v := range a.cfg {
+		key = append(key, ',')
+		key = strconv.AppendInt(key, int64(v), 10)
+	}
+	v, err := a.surf.DoValue(string(key), func() (any, error) { return a.solveNow() })
+	if err != nil {
+		return solvedPoint{}, err
+	}
+	return v.(solvedPoint), nil
+}
+
+// solveNow solves the network, unmemoized.
+func (a *Analytic) solveNow() (solvedPoint, error) {
+	params, err := webtier.ParamsFromConfig(a.space, a.cfg)
+	if err != nil {
+		return solvedPoint{}, err
+	}
+	res, err := queueing.SolveWebsite(a.cal, params, a.workload, a.level)
+	if err != nil {
+		return solvedPoint{}, fmt.Errorf("analytic measure: %w", err)
+	}
+	return solvedPoint{MeanRT: res.MeanRT, Throughput: res.Throughput}, nil
 }
 
 // SetWorkload changes the traffic (driver-side context change).

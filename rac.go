@@ -32,6 +32,7 @@ package rac
 import (
 	"context"
 	"io"
+	"sync"
 
 	"github.com/rac-project/rac/internal/bench"
 	"github.com/rac-project/rac/internal/capacity"
@@ -259,9 +260,14 @@ func ConfigFeatures(space *Space) (mdp.Features, int) {
 
 // SystemSampler adapts a System into a policy-initialization Sampler
 // (apply + measure per probed configuration). Offline sampling has no caller
-// to cancel it, so each probe runs under context.Background().
+// to cancel it, so each probe runs under context.Background(). LearnPolicy
+// probes from InitOptions.Procs workers at once and a System is one stateful
+// object, so the sampler runs each apply+measure pair alone.
 func SystemSampler(sys System) Sampler {
+	var mu sync.Mutex
 	return func(cfg Config) (float64, error) {
+		mu.Lock()
+		defer mu.Unlock()
 		if err := sys.Apply(context.Background(), cfg); err != nil {
 			return 0, err
 		}
