@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must pass before a PR lands.
 GO ?= go
 
-.PHONY: check fmt vet vet-faults build test race bench bench-telemetry bench-load bench-train bench-train-smoke bench-fleet bench-fleet-smoke faults-smoke fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke admission-smoke capacity-smoke
+.PHONY: check fmt vet vet-faults build test race loc bench bench-telemetry bench-load bench-train bench-train-smoke bench-fleet bench-fleet-smoke faults-smoke fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke admission-smoke capacity-smoke
 
 check: fmt vet vet-faults build race fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke bench-train-smoke bench-fleet-smoke admission-smoke capacity-smoke
 
@@ -32,6 +32,19 @@ test:
 # at that boundary on loaded machines.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Non-test Go lines, the number ROADMAP aim 2 wants to see going down: one
+# line per internal/ package, then cmd/, benchmark/, examples/ and the root
+# package, then the total. A simplification PR quotes it before and after.
+loc:
+	@total=0; \
+	for d in internal/*/ cmd/ benchmark/ examples/ ./; do \
+		depth=; [ "$$d" = ./ ] && depth="-maxdepth 1"; \
+		n=$$(find "$$d" $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-22s %6d\n' "$${d%/}" "$$n"; \
+		total=$$((total + n)); \
+	done; \
+	printf '%-22s %6d\n' total "$$total"
 
 # Quick benchmark pass over every package: one iteration per benchmark with
 # allocation stats, summarised into BENCH_quick.json via cmd/benchjson. The

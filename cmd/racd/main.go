@@ -9,8 +9,8 @@
 // Q-tables survive the round trip.
 //
 //	racd -config examples/racd_fleet.json
-//	curl http://127.0.0.1:7070/admin/fleet
-//	curl -X POST http://127.0.0.1:7070/admin/fleet/shop-a/pause
+//	curl http://127.0.0.1:7070/admin/v1/fleet
+//	curl -X POST http://127.0.0.1:7070/admin/v1/tenants/shop-a/pause
 //
 // The -selfcheck mode (used by `make fleet-smoke`) runs the whole story in
 // one process against a temporary directory: boot two simulated tenants,
@@ -157,7 +157,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "fleet admin on http://%s/admin/fleet  metrics on http://%s/metrics\n", addr, addr)
+	fmt.Fprintf(out, "fleet admin on http://%s/admin/v1/fleet  metrics on http://%s/metrics\n", addr, addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -286,8 +286,6 @@ func (d *daemon) serve(addr string) (string, error) {
 	mux := http.NewServeMux()
 	fh := d.fleet.Handler()
 	mux.Handle("/admin/v1/", fh)
-	mux.Handle("/admin/fleet", fh)
-	mux.Handle("/admin/fleet/", fh)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := d.tel.WritePrometheus(w); err != nil {
@@ -422,13 +420,13 @@ func runSelfcheck(out io.Writer) error {
 
 	base := "http://" + addr
 	var view rac.FleetView
-	if err := getJSON(base+"/admin/fleet", &view); err != nil {
+	if err := getJSON(base+"/admin/v1/fleet", &view); err != nil {
 		return err
 	}
 	if len(view.Tenants) != 3 || view.Active != 3 {
 		return fmt.Errorf("selfcheck: admin list reported %d tenants, %d active", len(view.Tenants), view.Active)
 	}
-	resp, err := http.Post(base+"/admin/fleet/shop-a/checkpoint", "", nil)
+	resp, err := http.Post(base+"/admin/v1/tenants/shop-a/checkpoint", "", nil)
 	if err != nil {
 		return err
 	}
@@ -501,8 +499,6 @@ func runScaleSelfcheck(out io.Writer, tenants, shards int) error {
 	mux := http.NewServeMux()
 	fh := f.Handler()
 	mux.Handle("/admin/v1/", fh)
-	mux.Handle("/admin/fleet", fh)
-	mux.Handle("/admin/fleet/", fh)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -580,18 +576,6 @@ func runScaleSelfcheck(out io.Writer, tenants, shards int) error {
 	}
 	if owned != tenants {
 		return fmt.Errorf("scale selfcheck: shards own %d tenants, want %d", owned, tenants)
-	}
-
-	// The legacy route must still answer, flagged deprecated.
-	resp, err := http.Get(base + "/admin/fleet")
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-		return fmt.Errorf("scale selfcheck: legacy route status %d, Deprecation %q",
-			resp.StatusCode, resp.Header.Get("Deprecation"))
 	}
 
 	// Round latency must stay flat as per-tenant state accumulates: the late

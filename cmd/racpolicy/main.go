@@ -116,6 +116,9 @@ func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs in
 		return err
 	}
 	fmt.Printf("trained in %.1fs\n", time.Since(start).Seconds())
+	tr, schedule := policy.Training(), core.DefaultOfflineBatch()
+	fmt.Printf("offline RL: sweeps %d/%d converged=%v (final TD error %.4g, threshold %g)\n",
+		tr.Sweeps, schedule.MaxSweeps, tr.Converged, tr.FinalErr, schedule.Theta)
 
 	if out == "" {
 		out = ctx.Name + ".policy.json"

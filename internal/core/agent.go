@@ -309,7 +309,7 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 	r := a.opts.Resilience
 
 	// 1. Issue a reconfiguration action (ε-greedy over feasible actions).
-	feasible := a.feasibleActions(a.cur)
+	feasible := feasibleActions(a.space, a.actions, a.cur)
 	choice := a.learner.SelectAction(a.cur.Key(), feasible)
 	action := a.actions[choice]
 	next, _ := action.Apply(a.space, a.cur)
@@ -676,25 +676,28 @@ func (a *Agent) retrain() (mdp.BatchResult, error) {
 			a.region = newRegionShape(a.space, keys, cfgs)
 		}
 	}
-	model := a.region.model(a.samples, predict, a.opts.SLASeconds)
+	if a.region.structErr != nil {
+		return mdp.BatchResult{}, fmt.Errorf("core: retrain: %w", a.region.structErr)
+	}
+	rewards := a.region.rewards(a.samples, predict, a.opts.SLASeconds)
 	cfg := mdp.BatchConfig{
 		Params:        a.opts.Batch,
 		StepsPerState: a.opts.BatchStepsPerState,
 		MaxSweeps:     a.opts.BatchSweeps,
 		Theta:         a.opts.BatchTheta,
 	}
-	batch, err := mdp.BatchTrain(a.q, model, cfg, a.rng.Split())
+	batch, err := mdp.Train(a.q, a.region.structure, rewards, cfg, a.rng.Split())
 	if err != nil {
 		return mdp.BatchResult{}, fmt.Errorf("core: retrain: %w", err)
 	}
 	return batch, nil
 }
 
-// feasibleActions lists action indices applicable at cfg.
-func (a *Agent) feasibleActions(cfg config.Config) []int {
-	out := make([]int, 0, len(a.actions))
-	for i, act := range a.actions {
-		if act.Feasible(a.space, cfg) {
+// feasibleActions lists the indices of the actions applicable at cfg.
+func feasibleActions(space *config.Space, actions []config.Action, cfg config.Config) []int {
+	out := make([]int, 0, len(actions))
+	for i, act := range actions {
+		if act.Feasible(space, cfg) {
 			out = append(out, i)
 		}
 	}

@@ -344,7 +344,9 @@ func TestRegionModel(t *testing.T) {
 	base := space.DefaultConfig()
 	samples := map[string]float64{base.Key(): 1.0}
 	predict := func(cfg config.Config) float64 { return 2.0 }
-	m := newRegionModel(space, samples, predict, 2.0)
+	keys, cfgs := validSampleKeys(space, samples)
+	sh := newRegionShape(space, keys, cfgs)
+	rewards := sh.rewards(samples, predict, 2.0)
 
 	// Region = sampled state + its one-step neighbours.
 	acts := config.Actions(space)
@@ -354,24 +356,44 @@ func TestRegionModel(t *testing.T) {
 			feasible++
 		}
 	}
-	if len(m.States()) != feasible+1 {
-		t.Fatalf("region has %d states, want %d", len(m.States()), feasible+1)
+	if len(sh.states) != feasible+1 || len(rewards) != len(sh.states) {
+		t.Fatalf("region has %d states and %d rewards, want %d", len(sh.states), len(rewards), feasible+1)
+	}
+	index := make(map[string]int, len(sh.states))
+	for s, key := range sh.states {
+		index[key] = s
 	}
 	// Measured reward beats predicted reward (rt 1.0 vs 2.0, SLA 2).
-	if got := m.Reward(base.Key()); got != 1.0 {
+	if got := rewards[index[base.Key()]]; got != 1.0 {
 		t.Fatalf("measured reward %v", got)
 	}
 	next, _ := acts[1].Apply(space, base)
-	if got := m.Reward(next.Key()); got != 0.0 {
-		t.Fatalf("predicted reward %v", got)
+	if s, in := index[next.Key()]; !in || rewards[s] != 0.0 {
+		t.Fatalf("predicted reward %v (in region: %v)", rewards[s], in)
 	}
-	// Transitions stay closed over the region.
-	for _, s := range m.States() {
-		for a := 0; a < m.Actions(); a++ {
-			if to, ok := m.Next(s, a); ok {
-				if _, in := m.shape.stateIndex(to); !in {
-					t.Fatalf("transition escapes region: %s -a%d-> %s", s, a, to)
-				}
+	// Without a predictor the frontier is SLA-neutral.
+	for s, r := range sh.rewards(samples, nil, 2.0) {
+		want := 0.0
+		if sh.states[s] == base.Key() {
+			want = 1.0
+		}
+		if r != want {
+			t.Fatalf("state %s: reward %v without a predictor, want %v", sh.states[s], r, want)
+		}
+	}
+	// Transitions stay closed over the region, and each lands on the state
+	// the action's configuration renders to.
+	if sh.structErr != nil {
+		t.Fatal(sh.structErr)
+	}
+	for s := range sh.states {
+		for a, act := range acts {
+			to := sh.structure.Next(s, a)
+			if to >= len(sh.states) {
+				t.Fatalf("transition escapes region: %s -a%d-> %d", sh.states[s], a, to)
+			}
+			if want, ok := act.Apply(space, sh.cfg(s)); to >= 0 && (!ok || sh.states[to] != want.Key()) {
+				t.Fatalf("%s -a%d-> %s, want %s (feasible: %v)", sh.states[s], a, sh.states[to], want.Key(), ok)
 			}
 		}
 	}
@@ -380,9 +402,15 @@ func TestRegionModel(t *testing.T) {
 func TestRegionModelSkipsCorruptKeys(t *testing.T) {
 	space := config.Default()
 	samples := map[string]float64{"garbage": 1.0, "1,2": 2.0}
-	m := newRegionModel(space, samples, nil, 2.0)
-	if len(m.States()) != 0 {
-		t.Fatalf("corrupt keys produced %d states", len(m.States()))
+	keys, cfgs := validSampleKeys(space, samples)
+	sh := newRegionShape(space, keys, cfgs)
+	if len(sh.states) != 0 || len(sh.rewards(samples, nil, 2.0)) != 0 {
+		t.Fatalf("corrupt keys produced %d states", len(sh.states))
+	}
+	// An empty region has no structure to train over; retraining must fail
+	// with the structure's error rather than sweep nothing.
+	if sh.structure != nil || sh.structErr == nil {
+		t.Fatalf("empty region: structure %v, err %v; want nil and an error", sh.structure, sh.structErr)
 	}
 }
 

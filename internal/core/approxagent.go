@@ -80,7 +80,7 @@ func (a *ApproxAgent) Step(ctx context.Context) (StepResult, error) {
 	a.iteration++
 
 	if !a.hasPend {
-		choice, err := a.learner.SelectAction(a.cur.Key(), a.feasible(a.cur))
+		choice, err := a.learner.SelectAction(a.cur.Key(), feasibleActions(a.space, a.actions, a.cur))
 		if err != nil {
 			return StepResult{}, fmt.Errorf("core: approx select: %w", err)
 		}
@@ -98,7 +98,7 @@ func (a *ApproxAgent) Step(ctx context.Context) (StepResult, error) {
 	}
 	reward := a.opts.RewardOf(m)
 
-	nextChoice, err := a.learner.SelectAction(next.Key(), a.feasible(next))
+	nextChoice, err := a.learner.SelectAction(next.Key(), feasibleActions(a.space, a.actions, next))
 	if err != nil {
 		return StepResult{}, fmt.Errorf("core: approx select next: %w", err)
 	}
@@ -117,14 +117,4 @@ func (a *ApproxAgent) Step(ctx context.Context) (StepResult, error) {
 	a.cur = next
 	a.pending = nextChoice
 	return res, nil
-}
-
-func (a *ApproxAgent) feasible(cfg config.Config) []int {
-	out := make([]int, 0, len(a.actions))
-	for i, act := range a.actions {
-		if _, ok := act.Apply(a.space, cfg); ok {
-			out = append(out, i)
-		}
-	}
-	return out
 }

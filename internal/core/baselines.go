@@ -220,7 +220,7 @@ func (h *HillClimbAgent) Step(ctx context.Context) (StepResult, error) {
 
 	// Find the next feasible neighbour action.
 	for h.next < len(h.actions) {
-		if _, ok := h.actions[h.next].Apply(h.space, h.cur); ok {
+		if h.actions[h.next].Feasible(h.space, h.cur) {
 			break
 		}
 		h.next++

@@ -4,35 +4,43 @@ import (
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
+	"github.com/rac-project/rac/internal/mdp"
 )
 
-// The group-lattice hot path — model transitions during offline sweeps and
-// state-key resolution during online seeding — must stay allocation-free:
-// every BatchTrain sweep visits every lattice state several times, and the
-// seeder runs inside the agent's per-interval retraining. State keys are
-// interned in the lattice at construction, so nothing below may build a
-// string. Same discipline as the telemetry 0-alloc benchmarks.
+// The group-lattice hot path — the offline training MDP's transition and
+// reward reads, and state-key resolution during online seeding — must stay
+// allocation-free: every training sweep visits every lattice state several
+// times, and the seeder runs inside the agent's per-interval retraining.
+// State keys are interned in the lattice at construction, so nothing below
+// may build a string. Same discipline as the telemetry 0-alloc benchmarks.
 
-func latticeModelForBench(tb testing.TB) (*groupLattice, *groupModel) {
+func latticeModelForBench(tb testing.TB) (*groupLattice, *mdp.Structure, []float64) {
 	tb.Helper()
 	defs, err := groupDefs(config.Default())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	lat := newGroupLattice(defs)
-	return lat, newGroupModel(lat, func(vals []int) float64 { return 1 }, 2)
+	st, rewards, err := lat.trainingMDP(func(vals []int) float64 { return 1 }, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lat, st, rewards
 }
 
+var benchSink int
+
 func TestGroupModelHotPathAllocFree(t *testing.T) {
-	lat, model := latticeModelForBench(t)
-	states := model.States()
+	lat, st, rewards := latticeModelForBench(t)
+	mid := len(st.States()) / 2
 	if allocs := testing.AllocsPerRun(200, func() {
-		for a := 0; a < model.Actions(); a++ {
-			model.Next(states[len(states)/2], a)
+		for a := 0; a < st.Actions(); a++ {
+			if next := st.Next(mid, a); next >= 0 {
+				benchSink += int(rewards[next])
+			}
 		}
-		model.Reward(states[0])
 	}); allocs != 0 {
-		t.Fatalf("groupModel Next/Reward allocate %.1f per run, want 0", allocs)
+		t.Fatalf("group MDP transition/reward reads allocate %.1f per run, want 0", allocs)
 	}
 
 	p := &Policy{defs: lat.defs, lat: lat}
@@ -45,17 +53,17 @@ func TestGroupModelHotPathAllocFree(t *testing.T) {
 }
 
 func BenchmarkGroupModelNext(b *testing.B) {
-	_, model := latticeModelForBench(b)
-	states := model.States()
+	_, st, _ := latticeModelForBench(b)
+	n := len(st.States())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.Next(states[i%len(states)], i%model.Actions())
+		benchSink += st.Next(i%n, i%st.Actions())
 	}
 }
 
 func BenchmarkGroupStateKey(b *testing.B) {
-	lat, _ := latticeModelForBench(b)
+	lat, _, _ := latticeModelForBench(b)
 	p := &Policy{defs: lat.defs, lat: lat}
 	cfg := config.Default().DefaultConfig()
 	b.ReportAllocs()

@@ -51,8 +51,7 @@ type InitOptions struct {
 	// group (paper §4.1 "coarse granularity"); at least 2, default 4.
 	CoarseLevels int
 	// Batch configures the offline RL pass over the group lattice; zero
-	// value uses mdp.DefaultBatchConfig with the paper's offline
-	// hyper-parameters (α=0.1, γ=0.9, ε=0.1).
+	// value uses DefaultOfflineBatch.
 	Batch mdp.BatchConfig
 	// SLASeconds is the reward reference; default 2 s (DefaultOptions).
 	SLASeconds float64
@@ -72,6 +71,17 @@ type InitOptions struct {
 	// Telemetry, when non-nil, receives the parallel pool's instruments
 	// (rac_parallel_*) for the sampling sweep.
 	Telemetry *telemetry.Registry
+}
+
+// DefaultOfflineBatch returns the schedule of the offline RL pass over the
+// group lattice when InitOptions.Batch is zero: mdp.DefaultBatchConfig — the
+// paper's offline hyper-parameters (α=0.1, γ=0.9, ε=0.1) — with a 400-sweep
+// bound and a 0.005 convergence threshold.
+func DefaultOfflineBatch() mdp.BatchConfig {
+	batch := mdp.DefaultBatchConfig()
+	batch.MaxSweeps = 400
+	batch.Theta = 0.005
+	return batch
 }
 
 // LearnPolicy runs the paper's policy-initialization procedure (Algorithm 2)
@@ -232,15 +242,17 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// keeps refreshing, or unvisited states would look artificially poor and
 	// the agent would cling to its visited region.
 	lat := newGroupLattice(defs)
-	model := newGroupModel(lat, predict, sla)
+	structure, rewards, err := lat.trainingMDP(predict, sla)
+	if err != nil {
+		return nil, fmt.Errorf("core: offline training: %w", err)
+	}
 	batch := opts.Batch
 	if batch.MaxSweeps == 0 {
-		batch = mdp.DefaultBatchConfig()
-		batch.MaxSweeps = 400
-		batch.Theta = 0.005
+		batch = DefaultOfflineBatch()
 	}
-	q := mdp.NewQTable(model.Actions(), 0)
-	if _, err := mdp.BatchTrain(q, model, batch, sim.NewRNG(opts.Seed|1)); err != nil {
+	q := mdp.NewQTable(structure.Actions(), 0)
+	training, err := mdp.Train(q, structure, rewards, batch, sim.NewRNG(opts.Seed|1))
+	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}
 
@@ -260,6 +272,7 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 		quad:       quad,
 		sla:        sla,
 		floorRT:    floor,
+		training:   training,
 		intern:     &policyIntern{},
 	}, nil
 }

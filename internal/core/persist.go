@@ -105,6 +105,19 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 		return nil, fmt.Errorf("core: policy Q-table has %d actions, want %d",
 			q.Actions(), 2*len(defs)+1)
 	}
+	// The file comes from outside the program (a registry directory): its
+	// Q-table must hold exactly the group lattice's rows, or seeding would
+	// read states the offline pass never trained.
+	lat := newGroupLattice(defs)
+	if q.Len() != len(lat.keys) {
+		return nil, fmt.Errorf("core: policy Q-table has %d rows, group lattice %d states",
+			q.Len(), len(lat.keys))
+	}
+	for _, key := range lat.keys {
+		if !q.Visited(key) {
+			return nil, fmt.Errorf("core: policy Q-table lacks group state %q", key)
+		}
+	}
 	paramGroup := make([]int, space.Len())
 	for gi, d := range defs {
 		for _, idx := range d.members {
@@ -115,7 +128,7 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 		name:       raw.Name,
 		space:      space,
 		defs:       defs,
-		lat:        newGroupLattice(defs),
+		lat:        lat,
 		paramGroup: paramGroup,
 		q:          q,
 		quad:       quad,

@@ -89,7 +89,7 @@ func groupKey(vals []int) string {
 }
 
 // groupLattice is the enumerated group lattice shared by policies and the
-// offline training model: interned state-key strings plus the flattened-index
+// offline training MDP: interned state-key strings plus the flattened-index
 // geometry (strides, per-group level counts) needed to navigate the lattice
 // without rebuilding key strings per visit. Groups are ordered as in defs;
 // the last group varies fastest, matching the historical enumeration order.
@@ -97,8 +97,7 @@ type groupLattice struct {
 	defs    []groupDef
 	levels  []int
 	strides []int
-	keys    []string       // interned groupKey per flattened index
-	index   map[string]int // inverse of keys
+	keys    []string // interned groupKey per flattened index
 }
 
 func newGroupLattice(defs []groupDef) *groupLattice {
@@ -114,14 +113,11 @@ func newGroupLattice(defs []groupDef) *groupLattice {
 		total *= l.levels[gi]
 	}
 	l.keys = make([]string, total)
-	l.index = make(map[string]int, total)
 	vals := make([]int, len(defs))
 	var rec func(gi, idx int)
 	rec = func(gi, idx int) {
 		if gi == len(defs) {
-			key := groupKey(vals)
-			l.keys[idx] = key
-			l.index[key] = idx
+			l.keys[idx] = groupKey(vals)
 			return
 		}
 		d := defs[gi]
@@ -156,6 +152,9 @@ type Policy struct {
 	sla        float64
 	// floorRT guards against regression extrapolation below zero.
 	floorRT float64
+	// training is how the offline pass that produced q converged; zero for a
+	// policy loaded from disk (it is not persisted).
+	training mdp.BatchResult
 
 	// intern holds the structure memoized across every agent warm-started
 	// from this policy. It lives behind a pointer so a Policy value can be
@@ -301,83 +300,46 @@ func (p *Policy) Recommend() (config.Config, error) {
 // GroupQTable exposes the offline-trained group Q-table (diagnostics).
 func (p *Policy) GroupQTable() *mdp.QTable { return p.q }
 
-// groupModel is the deterministic MDP over the group lattice used for
-// offline training: actions move one group one step; the reward of entering
-// a state is SLA − predictedRT. State keys, rewards and transitions are all
-// precomputed at construction, so the training hot path (Reward/Next, called
-// per state per sweep) rebuilds no strings and allocates nothing.
-type groupModel struct {
-	lat     *groupLattice
-	actions int
-	rewards []float64 // by flattened state index
-	// next[idx*actions+a] is the flattened successor index, or -1 when the
-	// move leaves the lattice.
-	next []int32
-}
+// Training reports how the offline RL pass that trained the group Q-table
+// converged: sweeps run, final TD error, and whether it met its threshold
+// before the sweep bound. It is not persisted — a loaded policy reports the
+// zero value.
+func (p *Policy) Training() mdp.BatchResult { return p.training }
 
-var _ mdp.IndexedModel = (*groupModel)(nil)
-
-func newGroupModel(lat *groupLattice, predict func(vals []int) float64, sla float64) *groupModel {
-	defs := lat.defs
-	m := &groupModel{
-		lat:     lat,
-		actions: 2*len(defs) + 1,
-		rewards: make([]float64, len(lat.keys)),
-		next:    make([]int32, len(lat.keys)*(2*len(defs)+1)),
-	}
+// trainingMDP returns the deterministic MDP over the group lattice used for
+// offline training, in the form mdp.Train takes: actions move one group one
+// step (keep, then increase/decrease per group in defs order; a move leaving
+// the lattice is infeasible), and the reward of entering a state is
+// SLA − predictedRT. The structure keys its states by the lattice's own
+// interned keys and owns the only copy of the transition table.
+func (l *groupLattice) trainingMDP(predict func(vals []int) float64, sla float64) (*mdp.Structure, []float64, error) {
+	defs := l.defs
+	actions := 2*len(defs) + 1
+	rewards := make([]float64, len(l.keys))
+	trans := make([]int32, len(l.keys)*actions)
 	vals := make([]int, len(defs))
-	for idx := range lat.keys {
+	for idx := range l.keys {
 		for gi := range defs {
-			vals[gi] = lat.value(idx, gi)
+			vals[gi] = l.value(idx, gi)
 		}
-		m.rewards[idx] = sla - predict(vals)
-		base := idx * m.actions
-		m.next[base] = int32(idx) // keep
+		rewards[idx] = sla - predict(vals)
+		base := idx * actions
+		trans[base] = int32(idx) // keep
 		for gi, d := range defs {
 			li := (vals[gi] - d.min) / d.step
-			m.next[base+1+2*gi] = -1 // increase
-			m.next[base+2+2*gi] = -1 // decrease
-			if li+1 < lat.levels[gi] {
-				m.next[base+1+2*gi] = int32(idx + lat.strides[gi])
+			trans[base+1+2*gi] = -1 // increase
+			trans[base+2+2*gi] = -1 // decrease
+			if li+1 < l.levels[gi] {
+				trans[base+1+2*gi] = int32(idx + l.strides[gi])
 			}
 			if li > 0 {
-				m.next[base+2+2*gi] = int32(idx - lat.strides[gi])
+				trans[base+2+2*gi] = int32(idx - l.strides[gi])
 			}
 		}
 	}
-	return m
+	st, err := mdp.NewStructureFromTransitions(l.keys, actions, trans)
+	return st, rewards, err
 }
-
-func (m *groupModel) States() []string { return m.lat.keys }
-
-func (m *groupModel) Actions() int { return m.actions }
-
-func (m *groupModel) Reward(state string) float64 {
-	idx, ok := m.lat.index[state]
-	if !ok {
-		return 0
-	}
-	return m.rewards[idx]
-}
-
-func (m *groupModel) Next(state string, action int) (string, bool) {
-	idx, ok := m.lat.index[state]
-	if !ok || action < 0 || action >= m.actions {
-		return state, false
-	}
-	t := m.next[idx*m.actions+action]
-	if t < 0 {
-		return state, false
-	}
-	return m.lat.keys[t], true
-}
-
-// NextIndex and RewardIndex expose the precomputed transition and reward
-// arrays directly, making the model eligible for mdp.BatchTrain's dense SoA
-// fast path (no string keys in the offline training sweep).
-func (m *groupModel) NextIndex(s, action int) int { return int(m.next[s*m.actions+action]) }
-
-func (m *groupModel) RewardIndex(s int) float64 { return m.rewards[s] }
 
 func parseGroupKey(key string, want int) ([]int, error) {
 	parts := strings.Split(key, ",")

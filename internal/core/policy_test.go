@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -59,47 +60,58 @@ func TestGroupModelEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := newGroupModel(newGroupLattice(defs), func(vals []int) float64 { return 1 }, 2)
+	st, rewards, err := newGroupLattice(defs).trainingMDP(func(vals []int) float64 { return 1 }, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := 1
 	for _, d := range defs {
 		want *= d.levels()
 	}
-	if len(model.States()) != want {
-		t.Fatalf("enumerated %d states, want %d", len(model.States()), want)
+	if len(st.States()) != want || len(rewards) != want {
+		t.Fatalf("enumerated %d states and %d rewards, want %d", len(st.States()), len(rewards), want)
 	}
-	if model.Actions() != 2*len(defs)+1 {
-		t.Fatalf("actions = %d", model.Actions())
+	if st.Actions() != 2*len(defs)+1 {
+		t.Fatalf("actions = %d", st.Actions())
 	}
 }
 
 func TestGroupModelTransitions(t *testing.T) {
 	space := config.Default()
 	defs, _ := groupDefs(space)
-	model := newGroupModel(newGroupLattice(defs), func(vals []int) float64 { return 0 }, 2)
+	st, rewards, err := newGroupLattice(defs).trainingMDP(func(vals []int) float64 { return 0 }, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	start := model.States()[0] // all-minimum state
+	const start = 0 // all-minimum state
 	// Keep stays.
-	if next, ok := model.Next(start, 0); !ok || next != start {
+	if next := st.Next(start, 0); next != start {
 		t.Fatal("keep moved")
 	}
 	// Increase group 0 moves one step.
-	next, ok := model.Next(start, 1)
-	if !ok {
+	next := st.Next(start, 1)
+	if next < 0 {
 		t.Fatal("increase infeasible at minimum")
 	}
-	vals, err := parseGroupKey(next, len(defs))
+	vals, err := parseGroupKey(st.States()[next], len(defs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vals[0] != defs[0].min+defs[0].step {
 		t.Fatalf("increase moved to %d", vals[0])
 	}
+	for gi := 1; gi < len(defs); gi++ {
+		if vals[gi] != defs[gi].min {
+			t.Fatalf("increasing group 0 moved group %d to %d", gi, vals[gi])
+		}
+	}
 	// Decrease group 0 at minimum is infeasible.
-	if _, ok := model.Next(start, 2); ok {
+	if st.Next(start, 2) >= 0 {
 		t.Fatal("decrease below minimum allowed")
 	}
 	// Rewards reflect the predictor: SLA − rt.
-	if got := model.Reward(start); got != 2 {
+	if got := rewards[start]; got != 2 {
 		t.Fatalf("reward %v, want 2", got)
 	}
 }
@@ -124,6 +136,10 @@ func TestLearnPolicyAndSeeder(t *testing.T) {
 	}
 	if p.Name() != "test-ctx" {
 		t.Fatalf("name %q", p.Name())
+	}
+	// The offline pass reports how it converged.
+	if tr, bound := p.Training(), mdp.DefaultBatchConfig().MaxSweeps; tr.Sweeps < 1 || tr.Sweeps > bound || tr.FinalErr <= 0 {
+		t.Fatalf("offline training result %+v not populated (sweep bound %d)", tr, bound)
 	}
 
 	// The regression surface must recover the bowl's ordering.
@@ -222,6 +238,9 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	if loaded.Name() != p.Name() || loaded.SLA() != p.SLA() {
 		t.Fatalf("metadata changed: %q/%v", loaded.Name(), loaded.SLA())
 	}
+	if p.Training().Sweeps == 0 || loaded.Training() != (mdp.BatchResult{}) {
+		t.Fatalf("training result: trained %+v, loaded %+v; it is not persisted", p.Training(), loaded.Training())
+	}
 	// Predictions and seeds must survive the round trip exactly.
 	probe := space.DefaultConfig()
 	if got, want := loaded.PredictRT(probe), p.PredictRT(probe); math.Abs(got-want) > 1e-12 {
@@ -264,5 +283,65 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadPolicy(bytes.NewBufferString("{}"), nil); err == nil {
 		t.Fatal("nil space accepted")
+	}
+
+	// A Q-table that is not exactly the group lattice's rows: truncated (a row
+	// Seeder would silently read as zeros) or foreign (a row nothing reads).
+	var saved bytes.Buffer
+	if err := bowlPolicyForPersist(t, space).Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	reencode := func(mutate func(rows map[string]json.RawMessage)) *bytes.Reader {
+		t.Helper()
+		var doc, qtable, rows map[string]json.RawMessage
+		unmarshal := func(from json.RawMessage, into *map[string]json.RawMessage) {
+			if err := json.Unmarshal(from, into); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unmarshal(saved.Bytes(), &doc)
+		unmarshal(doc["qtable"], &qtable)
+		unmarshal(qtable["rows"], &rows)
+		mutate(rows)
+		var err error
+		if qtable["rows"], err = json.Marshal(rows); err != nil {
+			t.Fatal(err)
+		}
+		if doc["qtable"], err = json.Marshal(qtable); err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.NewReader(out)
+	}
+	defs, err := groupDefs(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onLattice := newGroupLattice(defs).keys[0]
+	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
+		if _, ok := rows[onLattice]; !ok {
+			t.Fatalf("saved Q-table has no row %q", onLattice)
+		}
+	}), space); err != nil {
+		t.Fatalf("re-encoded policy rejected: %v", err)
+	}
+	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
+		delete(rows, onLattice)
+	}), space); err == nil {
+		t.Fatal("Q-table missing a lattice row loaded")
+	}
+	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
+		rows["off-lattice"] = rows[onLattice]
+	}), space); err == nil {
+		t.Fatal("Q-table with a row off the lattice loaded")
+	}
+	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
+		rows["off-lattice"] = rows[onLattice]
+		delete(rows, onLattice)
+	}), space); err == nil {
+		t.Fatal("Q-table with a lattice row swapped for a foreign one loaded")
 	}
 }

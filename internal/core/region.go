@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
@@ -18,10 +17,14 @@ import (
 // the retraining calls in between, and interned per policy so tenants tuning
 // the same context share one copy (their early trajectories visit the same
 // states).
+//
+// The full Table 1 lattice has ~1.9·10⁸ states, so sweeping all of it — as a
+// literal reading of Algorithm 1 would — is infeasible for either the paper's
+// testbed or this reproduction; the bounded region keeps retraining O(visited
+// states) while the Seeder generalizes the offline policy everywhere else.
 type regionShape struct {
-	space   *config.Space
-	actions []config.Action
-	states  []string
+	space  *config.Space
+	states []string
 	// vals holds the parsed configuration of every state back to back:
 	// state s occupies vals[s*space.Len():(s+1)*space.Len()] (see cfg).
 	vals []int
@@ -29,12 +32,6 @@ type regionShape struct {
 	// feasible-action lists; nil with structErr set for an empty region.
 	structure *mdp.Structure
 	structErr error
-
-	// index maps state key -> dense index. Only the string-keyed mdp.Model
-	// methods need it — retraining runs on dense indices — so it is built on
-	// first use.
-	indexOnce sync.Once
-	index     map[string]int
 }
 
 // cfg returns state s's configuration. The slice aliases the shape's storage;
@@ -42,18 +39,6 @@ type regionShape struct {
 func (sh *regionShape) cfg(s int) config.Config {
 	n := sh.space.Len()
 	return sh.vals[s*n : (s+1)*n : (s+1)*n]
-}
-
-// stateIndex resolves a state key to its dense index.
-func (sh *regionShape) stateIndex(state string) (int, bool) {
-	sh.indexOnce.Do(func() {
-		sh.index = make(map[string]int, len(sh.states))
-		for s, key := range sh.states {
-			sh.index[key] = s
-		}
-	})
-	s, ok := sh.index[state]
-	return s, ok
 }
 
 // validSampleKeys returns the sample keys that parse, validate against the
@@ -93,7 +78,7 @@ func validSampleKeys(space *config.Space, samples map[string]float64) ([]string,
 // retraining sweep order and the RNG stream, and must not change.
 func newRegionShape(space *config.Space, keys []string, cfgs []config.Config) *regionShape {
 	actions := config.Actions(space)
-	sh := &regionShape{space: space, actions: actions}
+	sh := &regionShape{space: space}
 	// neighbour returns the ordinal a feasible action reaches from ord.
 	neighbour := func(ord uint64, a config.Action) uint64 {
 		switch a.Dir {
@@ -163,85 +148,24 @@ func newRegionShape(space *config.Space, keys []string, cfgs []config.Config) *r
 	return sh
 }
 
-// model binds per-interval rewards to the shape: measurements where
-// available, the policy's regression predictor elsewhere — which is how fresh
-// observations propagate to neighbouring states during batch training (paper
-// §4.2). predict may be nil, in which case frontier states fall back to the
-// SLA-neutral reward 0.
-func (sh *regionShape) model(samples map[string]float64,
-	predict func(config.Config) float64, sla float64) *regionModel {
+// rewards binds one interval's rewards to the shape, by dense index:
+// measurements where available, the policy's regression predictor elsewhere —
+// which is how fresh observations propagate to neighbouring states during
+// batch training (paper §4.2). predict may be nil, in which case frontier
+// states fall back to the SLA-neutral reward 0. The shape's structure plus
+// these rewards is what mdp.Train retrains over.
+func (sh *regionShape) rewards(samples map[string]float64,
+	predict func(config.Config) float64, sla float64) []float64 {
 
-	m := &regionModel{shape: sh, rewards: make([]float64, len(sh.states))}
+	rewards := make([]float64, len(sh.states))
 	for s, key := range sh.states {
 		if rt, ok := samples[key]; ok {
-			m.rewards[s] = sla - rt
+			rewards[s] = sla - rt
 		} else if predict != nil {
-			m.rewards[s] = sla - predict(sh.cfg(s))
+			rewards[s] = sla - predict(sh.cfg(s))
 		}
 	}
-	return m
-}
-
-// regionModel is the bounded configuration MDP the agent retrains over each
-// interval: a shared immutable shape plus this interval's rewards.
-//
-// The full Table 1 lattice has ~1.9·10⁸ states, so sweeping all of it — as a
-// literal reading of Algorithm 1 would — is infeasible for either the paper's
-// testbed or this reproduction; the bounded region keeps retraining O(visited
-// states) while the Seeder generalizes the offline policy everywhere else.
-//
-// The model implements mdp.Structured: the retraining sweeps run on the dense
-// fast path, over the transition/feasibility arrays the shape built once.
-type regionModel struct {
-	shape   *regionShape
-	rewards []float64 // by dense index
-}
-
-var _ mdp.Structured = (*regionModel)(nil)
-
-// newRegionModel builds the region from the measured samples without shape
-// reuse — the single-shot construction used by tests and by agents without a
-// cached shape.
-func newRegionModel(space *config.Space, samples map[string]float64,
-	predict func(config.Config) float64, sla float64) *regionModel {
-
-	keys, cfgs := validSampleKeys(space, samples)
-	return newRegionShape(space, keys, cfgs).model(samples, predict, sla)
-}
-
-func (m *regionModel) States() []string { return m.shape.states }
-
-func (m *regionModel) Actions() int { return len(m.shape.actions) }
-
-func (m *regionModel) Reward(state string) float64 {
-	s, ok := m.shape.stateIndex(state)
-	if !ok {
-		return 0
-	}
-	return m.rewards[s]
-}
-
-func (m *regionModel) Next(state string, action int) (string, bool) {
-	sh := m.shape
-	s, ok := sh.stateIndex(state)
-	if !ok || action < 0 || action >= len(sh.actions) {
-		return state, false
-	}
-	t := sh.structure.Next(s, action)
-	if t < 0 {
-		return state, false
-	}
-	return sh.states[t], true
-}
-
-func (m *regionModel) NextIndex(s, action int) int { return m.shape.structure.Next(s, action) }
-
-func (m *regionModel) RewardIndex(s int) float64 { return m.rewards[s] }
-
-// Structure exposes the shape's dense transition arrays to mdp.BatchTrain,
-// shared by every model (and agent) using the shape.
-func (m *regionModel) Structure() (*mdp.Structure, error) {
-	return m.shape.structure, m.shape.structErr
+	return rewards
 }
 
 // regionShapeCacheCap bounds the per-policy shape intern cache. Tenants of a
@@ -252,7 +176,7 @@ const regionShapeCacheCap = 64
 
 // regionShapeFor returns the canonical shape for the sample-key set, interned
 // on the policy so agents sharing the context share the skeleton (and its
-// cached mdp.Structure). Safe for concurrent use.
+// mdp.Structure). Safe for concurrent use.
 func (p *Policy) regionShapeFor(samples map[string]float64) *regionShape {
 	keys, cfgs := validSampleKeys(p.space, samples)
 	ck := strings.Join(keys, "|")

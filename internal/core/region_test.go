@@ -58,7 +58,7 @@ func newReferenceRegion(space *config.Space, keys []string, cfgs []config.Config
 	return ref
 }
 
-// The reference is an mdp.IndexedModel so mdp.NewStructure can derive the
+// The reference is an mdp.Model so mdp.NewStructure can derive the
 // feasible-action lists from it the way the old lazily-built path did.
 func (r *referenceRegion) States() []string { return r.states }
 func (r *referenceRegion) Actions() int     { return r.actions }
@@ -66,18 +66,6 @@ func (r *referenceRegion) NextIndex(s, a int) int {
 	return int(r.next[s*r.actions+a])
 }
 func (r *referenceRegion) RewardIndex(int) float64 { return 0 }
-func (r *referenceRegion) Reward(string) float64   { return 0 }
-func (r *referenceRegion) Next(state string, a int) (string, bool) {
-	for s, key := range r.states {
-		if key == state {
-			if t := r.NextIndex(s, a); t >= 0 {
-				return r.states[t], true
-			}
-			break
-		}
-	}
-	return state, false
-}
 
 // walkSamples returns the sample table of an n-step random walk from start:
 // the shape of an agent's history, where consecutive samples are lattice
@@ -188,17 +176,13 @@ func compareToReference(t *testing.T, sh *regionShape, ref *referenceRegion) {
 			t.Fatalf("state %d (%s): config %v, want %v", s, ref.states[s], got, want)
 		}
 	}
-	m := &regionModel{shape: sh, rewards: make([]float64, len(sh.states))}
+	if sh.structErr != nil {
+		t.Fatal(sh.structErr)
+	}
 	for s := range ref.states {
 		for a := 0; a < ref.actions; a++ {
-			if got, want := m.NextIndex(s, a), ref.NextIndex(s, a); got != want {
+			if got, want := sh.structure.Next(s, a), ref.NextIndex(s, a); got != want {
 				t.Fatalf("state %d (%s) action %d: next %d, want %d", s, ref.states[s], a, got, want)
-			}
-			gotKey, gotOK := m.Next(ref.states[s], a)
-			wantKey, wantOK := ref.Next(ref.states[s], a)
-			if gotKey != wantKey || gotOK != wantOK {
-				t.Fatalf("state %s action %d: Next = %q, %v; want %q, %v",
-					ref.states[s], a, gotKey, gotOK, wantKey, wantOK)
 			}
 		}
 	}
@@ -208,9 +192,6 @@ func compareToReference(t *testing.T, sh *regionShape, ref *referenceRegion) {
 	want, err := mdp.NewStructure(ref)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sh.structErr != nil {
-		t.Fatal(sh.structErr)
 	}
 	if !reflect.DeepEqual(sh.structure, want) {
 		t.Fatal("mdp.Structure (transitions / feasible-action lists) differs from the reference's")

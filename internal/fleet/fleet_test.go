@@ -345,7 +345,7 @@ func TestFleetAdminHTTP(t *testing.T) {
 		return rec
 	}
 
-	rec := do("GET", "/admin/fleet")
+	rec := do("GET", "/admin/v1/fleet")
 	if rec.Code != 200 {
 		t.Fatalf("list: %d %s", rec.Code, rec.Body)
 	}
@@ -360,25 +360,25 @@ func TestFleetAdminHTTP(t *testing.T) {
 		t.Fatalf("list view policies = %v, want the trained context", view.Policies)
 	}
 
-	rec = do("GET", "/admin/fleet/shop-b")
+	rec = do("GET", "/admin/v1/tenants/shop-b")
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"state":"running"`) {
 		t.Fatalf("status: %d %s", rec.Code, rec.Body)
 	}
-	if rec := do("GET", "/admin/fleet/ghost"); rec.Code != 404 {
+	if rec := do("GET", "/admin/v1/tenants/ghost"); rec.Code != 404 {
 		t.Fatalf("unknown tenant status: %d", rec.Code)
 	}
 
-	if rec := do("POST", "/admin/fleet/shop-b/pause"); rec.Code != 200 {
+	if rec := do("POST", "/admin/v1/tenants/shop-b/pause"); rec.Code != 200 {
 		t.Fatalf("pause: %d %s", rec.Code, rec.Body)
 	}
-	if rec := do("POST", "/admin/fleet/shop-b/pause"); rec.Code != 409 {
+	if rec := do("POST", "/admin/v1/tenants/shop-b/pause"); rec.Code != 409 {
 		t.Fatalf("double pause: %d, want 409", rec.Code)
 	}
-	if rec := do("POST", "/admin/fleet/shop-b/resume"); rec.Code != 200 {
+	if rec := do("POST", "/admin/v1/tenants/shop-b/resume"); rec.Code != 200 {
 		t.Fatalf("resume: %d %s", rec.Code, rec.Body)
 	}
 
-	if rec := do("POST", "/admin/fleet/shop-a/checkpoint"); rec.Code != 200 {
+	if rec := do("POST", "/admin/v1/tenants/shop-a/checkpoint"); rec.Code != 200 {
 		t.Fatalf("checkpoint: %d %s", rec.Code, rec.Body)
 	}
 	if ck, _, err := f.Checkpoints().Latest("shop-a"); err != nil || ck == nil {
@@ -387,26 +387,26 @@ func TestFleetAdminHTTP(t *testing.T) {
 
 	// Force-switch shop-b onto the policy shop-a trained.
 	key := trainer.ContextKey()
-	if rec := do("POST", "/admin/fleet/shop-b/policy?key="+key); rec.Code != 200 {
+	if rec := do("POST", "/admin/v1/tenants/shop-b/policy?key="+key); rec.Code != 200 {
 		t.Fatalf("policy: %d %s", rec.Code, rec.Body)
 	}
 	if p := f.Tenant("shop-b").Agent().Policy(); p == nil || p.Name() != key {
 		t.Fatalf("forced policy = %v, want %q", p, key)
 	}
-	if rec := do("POST", "/admin/fleet/shop-b/policy?key=unknown-ctx"); rec.Code != 404 {
+	if rec := do("POST", "/admin/v1/tenants/shop-b/policy?key=unknown-ctx"); rec.Code != 404 {
 		t.Fatalf("unknown policy: %d, want 404", rec.Code)
 	}
-	if rec := do("POST", "/admin/fleet/shop-b/policy"); rec.Code != 400 {
+	if rec := do("POST", "/admin/v1/tenants/shop-b/policy"); rec.Code != 400 {
 		t.Fatalf("missing key: %d, want 400", rec.Code)
 	}
 
-	if rec := do("POST", "/admin/fleet/shop-b/drain"); rec.Code != 200 {
+	if rec := do("POST", "/admin/v1/tenants/shop-b/drain"); rec.Code != 200 {
 		t.Fatalf("drain: %d %s", rec.Code, rec.Body)
 	}
 	if err := f.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	rec = do("GET", "/admin/fleet/shop-b")
+	rec = do("GET", "/admin/v1/tenants/shop-b")
 	if !strings.Contains(rec.Body.String(), `"state":"stopped"`) {
 		t.Fatalf("drained status: %s", rec.Body)
 	}

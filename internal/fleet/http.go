@@ -66,10 +66,6 @@ const maxPageLimit = 1000
 //
 // Errors are structured JSON bodies {"error": ..., "code": ...}; the code is
 // a stable machine-readable slug mapped from the fleet's error sentinels.
-//
-// The pre-versioning routes under /admin/fleet remain as thin aliases of the
-// v1 handlers. They answer identically but carry a "Deprecation: true" header
-// and a Link to their successor; new clients should use /admin/v1/.
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -84,26 +80,7 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc("POST /admin/v1/tenants/{name}/policy", f.handlePolicy)
 	mux.HandleFunc("GET /admin/v1/shards", f.handleShards)
 
-	// Legacy aliases. The tenant-scoped routes map 1:1; the old list route
-	// returns the full (unpaginated) summary it always did.
-	mux.HandleFunc("GET /admin/fleet", deprecated("/admin/v1/fleet", f.handleFleet))
-	mux.HandleFunc("GET /admin/fleet/{name}", deprecated("/admin/v1/tenants/{name}", f.handleStatus))
-	mux.HandleFunc("POST /admin/fleet/{name}/pause", deprecated("/admin/v1/tenants/{name}/pause", f.lifecycleHandler(f.Pause)))
-	mux.HandleFunc("POST /admin/fleet/{name}/resume", deprecated("/admin/v1/tenants/{name}/resume", f.lifecycleHandler(f.Resume)))
-	mux.HandleFunc("POST /admin/fleet/{name}/drain", deprecated("/admin/v1/tenants/{name}/drain", f.lifecycleHandler(f.Drain)))
-	mux.HandleFunc("POST /admin/fleet/{name}/checkpoint", deprecated("/admin/v1/tenants/{name}/checkpoint", f.lifecycleHandler(f.CheckpointNow)))
-	mux.HandleFunc("POST /admin/fleet/{name}/policy", deprecated("/admin/v1/tenants/{name}/policy", f.handlePolicy))
 	return mux
-}
-
-// deprecated wraps a v1 handler as a legacy alias: identical behavior plus
-// the deprecation headers pointing clients at the successor route.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-		h(w, r)
-	}
 }
 
 // handleFleet serves the fleet summary.

@@ -330,14 +330,11 @@ func TestAdminPaginationAndBulkAdmit(t *testing.T) {
 		t.Errorf("shards own %d tenants, want 8", owned)
 	}
 
-	// Legacy alias answers with the same payload plus deprecation headers.
+	// The pre-versioning routes are retired.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/admin/fleet", nil))
-	if rec.Code != 200 {
-		t.Fatalf("legacy list: status %d", rec.Code)
-	}
-	if rec.Header().Get("Deprecation") != "true" || !strings.Contains(rec.Header().Get("Link"), "/admin/v1/fleet") {
-		t.Errorf("legacy headers Deprecation=%q Link=%q", rec.Header().Get("Deprecation"), rec.Header().Get("Link"))
+	if rec.Code != 404 {
+		t.Errorf("retired /admin/fleet: status %d, want 404", rec.Code)
 	}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/admin/v1/fleet", nil))

@@ -7,20 +7,26 @@ import (
 	"github.com/rac-project/rac/internal/sim"
 )
 
-// Model describes a deterministic MDP over string-keyed states, as induced by
-// a configuration lattice: taking an action in a state leads to exactly one
+// Model describes a deterministic MDP over densely indexed states, as induced
+// by a configuration lattice: taking an action in a state leads to exactly one
 // next state, and the reward of a transition depends on the state it reaches.
+// States are indexed 0..len(States())-1 in States() order; the keys are what
+// the Q-table stores rows under.
+//
+// NextIndex must be closed over the index range: a returned index i must
+// satisfy 0 <= i < len(States()), or be negative for an infeasible action.
 type Model interface {
 	// States enumerates every state key of the model.
 	States() []string
-	// Next returns the state reached by taking action from state, and
-	// whether the action is feasible there. Infeasible actions are skipped
-	// by batch training and must not be selected online.
-	Next(state string, action int) (string, bool)
-	// Reward returns the immediate reward received on entering state.
-	Reward(state string) float64
 	// Actions returns the total number of actions.
 	Actions() int
+	// NextIndex returns the index of the state reached by taking action in
+	// state s, or a negative value when the action is infeasible there.
+	// Infeasible actions are skipped by batch training and must not be
+	// selected online.
+	NextIndex(s, action int) int
+	// RewardIndex returns the immediate reward received on entering state s.
+	RewardIndex(s int) float64
 }
 
 // BatchConfig controls a batch training run (the offline RL process of paper
@@ -59,32 +65,12 @@ type BatchResult struct {
 	Converged bool
 }
 
-// IndexedModel is a Model whose states are densely indexed 0..len(States())-1
-// in States() order, with transitions and rewards addressable by index. Models
-// implementing it get BatchTrain's SoA fast path: the whole training state —
-// Q values, feasible-action lists, transitions, rewards — lives in flat arrays
-// indexed by (state, action), so the inner sweep loop performs no string
-// hashing and no map lookups. The fast path consumes the RNG stream in
-// exactly the same order and applies bit-identical floating-point updates, so
-// the resulting table is byte-for-byte the one the generic path produces.
-//
-// NextIndex must be closed over the index range: a returned index i must
-// satisfy 0 <= i < len(States()), or be negative for an infeasible action.
-type IndexedModel interface {
-	Model
-	// NextIndex returns the index of the state reached by taking action in
-	// state s, or a negative value when the action is infeasible there.
-	NextIndex(s, action int) int
-	// RewardIndex returns the immediate reward received on entering state s.
-	RewardIndex(s int) float64
-}
-
-// Structure is the immutable skeleton of an IndexedModel: its state keys,
-// transition table and flattened feasible-action lists in dense array form.
-// Rewards are deliberately excluded — they change between training calls
-// (measured samples refine them) while the lattice shape does not, so a
-// Structure built once can back every retraining pass over the same region
-// and be shared read-only across agents tuning the same context.
+// Structure is the immutable skeleton of a Model: its state keys, transition
+// table and flattened feasible-action lists in dense array form. Rewards are
+// deliberately excluded — they change between training calls (measured
+// samples refine them) while the lattice shape does not, so a Structure built
+// once can back every retraining pass over the same region and be shared
+// read-only across agents tuning the same context.
 type Structure struct {
 	states  []string
 	actions int
@@ -103,15 +89,14 @@ func (st *Structure) States() []string { return st.states }
 func (st *Structure) Actions() int { return st.actions }
 
 // Next returns the index reached by taking action in state s, or a negative
-// value when the action is infeasible there — IndexedModel.NextIndex served
-// from the structure's own table, for models that keep no second copy.
+// value when the action is infeasible there.
 func (st *Structure) Next(s, action int) int { return int(st.trans[s*st.actions+action]) }
 
 // NewStructure materializes model's transitions and feasible-action lists
-// into a Structure, validating the same closure invariants BatchTrain
-// enforces: every transition stays inside the enumerated states and every
-// state has at least one feasible action.
-func NewStructure(model IndexedModel) (*Structure, error) {
+// into a Structure, validating the closure invariants training relies on:
+// every transition stays inside the enumerated states and every state has at
+// least one feasible action.
+func NewStructure(model Model) (*Structure, error) {
 	states := model.States()
 	actions := model.Actions()
 	trans := make([]int32, len(states)*actions)
@@ -176,30 +161,54 @@ func NewStructureFromTransitions(states []string, actions int, trans []int32) (*
 	return st, nil
 }
 
-// Structured is an IndexedModel that exposes a prebuilt (usually cached and
-// shared) Structure. BatchTrain uses it instead of rebuilding the transition
-// arrays per call — the structure must describe exactly the model's current
-// States()/NextIndex lattice.
-type Structured interface {
-	IndexedModel
-	Structure() (*Structure, error)
-}
-
-// BatchTrain runs Algorithm 1 over the model: repeated sweeps over all
-// states, each starting an ε-greedy trajectory of StepsPerState SARSA
-// updates, until the largest TD error of a sweep drops below Theta or
-// MaxSweeps is exhausted. The table is updated in place. Models implementing
-// IndexedModel are trained on the dense SoA fast path with identical results.
+// BatchTrain is Train for an ad-hoc model: it materializes the model's
+// Structure and rewards, then trains. Callers that retrain over one lattice
+// repeatedly build the Structure once and call Train directly.
 func BatchTrain(table *QTable, model Model, cfg BatchConfig, rng *sim.RNG) (BatchResult, error) {
-	if table == nil {
-		return BatchResult{}, errors.New("mdp: nil table")
-	}
 	if model == nil {
 		return BatchResult{}, errors.New("mdp: nil model")
 	}
-	if table.Actions() != model.Actions() {
-		return BatchResult{}, fmt.Errorf("mdp: table has %d actions, model %d",
-			table.Actions(), model.Actions())
+	st, err := NewStructure(model)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	rewards := make([]float64, len(st.states))
+	for s := range rewards {
+		rewards[s] = model.RewardIndex(s)
+	}
+	return Train(table, st, rewards, cfg, rng)
+}
+
+// Train runs Algorithm 1 over the MDP (st, rewards): repeated sweeps over all
+// states, each starting an ε-greedy trajectory of StepsPerState SARSA updates,
+// until the largest TD error of a sweep drops below Theta or MaxSweeps is
+// exhausted. rewards[s] is the immediate reward received on entering state s.
+// The table is updated in place: every state's row is materialized.
+//
+// All training state is held in flat arrays: q is the Q-table in row-major
+// (state, action) layout seeded exactly as lazy row materialization would seed
+// it; feasible-action lists are flattened into one backing array addressed by
+// per-state offsets, so the sweep loop performs no string hashing, no map
+// lookups and no interface dispatch. Every random draw, comparison and
+// floating-point update mirrors a Learner driven over the string-keyed table
+// (SelectAction, UpdateSARSA) operation for operation — the reference loop in
+// batch_test.go — which is what makes the result byte-identical to it;
+// determinism tests across the repo pin that equivalence.
+func Train(table *QTable, st *Structure, rewards []float64, cfg BatchConfig, rng *sim.RNG) (BatchResult, error) {
+	switch {
+	case table == nil:
+		return BatchResult{}, errors.New("mdp: nil table")
+	case st == nil:
+		return BatchResult{}, errors.New("mdp: nil structure")
+	case rng == nil:
+		return BatchResult{}, errors.New("mdp: nil rng")
+	case table.Actions() != st.actions:
+		return BatchResult{}, fmt.Errorf("mdp: table has %d actions, model %d", table.Actions(), st.actions)
+	case len(rewards) != len(st.states):
+		return BatchResult{}, fmt.Errorf("mdp: %d rewards for %d states", len(rewards), len(st.states))
+	}
+	if err := cfg.Params.Validate(); err != nil {
+		return BatchResult{}, err
 	}
 	if cfg.StepsPerState < 1 {
 		cfg.StepsPerState = 1
@@ -207,114 +216,11 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, rng *sim.RNG) (Batc
 	if cfg.MaxSweeps < 1 {
 		cfg.MaxSweeps = 1
 	}
-	learner, err := NewLearner(table, cfg.Params, rng)
-	if err != nil {
-		return BatchResult{}, err
-	}
-
-	states := model.States()
-	if len(states) == 0 {
-		return BatchResult{}, errors.New("mdp: model has no states")
-	}
-	if im, ok := model.(IndexedModel); ok {
-		return batchTrainIndexed(table, im, cfg, rng, states)
-	}
-	// Precompute feasible action lists per state: the lattice does not change
-	// between sweeps.
-	feasible := make(map[string][]int, len(states))
-	for _, s := range states {
-		acts := make([]int, 0, model.Actions())
-		for a := 0; a < model.Actions(); a++ {
-			if _, ok := model.Next(s, a); ok {
-				acts = append(acts, a)
-			}
-		}
-		if len(acts) == 0 {
-			return BatchResult{}, fmt.Errorf("mdp: state %q has no feasible actions", s)
-		}
-		feasible[s] = acts
-	}
-
-	var res BatchResult
-	for sweep := 0; sweep < cfg.MaxSweeps; sweep++ {
-		var maxErr float64
-		for _, start := range states {
-			state := start
-			action := learner.SelectAction(state, feasible[state])
-			for step := 0; step < cfg.StepsPerState; step++ {
-				next, ok := model.Next(state, action)
-				if !ok {
-					// Defensive: SelectAction only chooses feasible actions.
-					break
-				}
-				nextFeasible, known := feasible[next]
-				if !known {
-					// The model's transition left the enumerated region;
-					// treat the region boundary as absorbing for this
-					// trajectory. Models should keep Next closed over
-					// States(), but a bounded sweep must never panic.
-					break
-				}
-				reward := model.Reward(next)
-				nextAction := learner.SelectAction(next, nextFeasible)
-				if err := learner.UpdateSARSA(state, action, reward, next, nextAction); err > maxErr {
-					maxErr = err
-				}
-				state, action = next, nextAction
-			}
-		}
-		res.Sweeps = sweep + 1
-		res.FinalErr = maxErr
-		if maxErr < cfg.Theta {
-			res.Converged = true
-			return res, nil
-		}
-	}
-	return res, nil
-}
-
-// batchTrainIndexed is BatchTrain's SoA fast path. All training state is held
-// in flat arrays: q is the Q-table in row-major (state, action) layout seeded
-// exactly as lazy row materialization would seed it; feasible-action lists are
-// flattened into one backing array addressed by per-state offsets. Every
-// random draw, comparison and floating-point update mirrors the generic
-// Learner path operation for operation, which is what makes the result
-// byte-identical — determinism tests across the repo pin that equivalence.
-func batchTrainIndexed(table *QTable, model IndexedModel, cfg BatchConfig, rng *sim.RNG, states []string) (BatchResult, error) {
-	n := len(states)
-	actions := model.Actions()
-
-	// Materialize the model's skeleton into flat arrays — transitions by
-	// (state, action) index plus flattened feasible-action lists, ascending
-	// like the generic path — unless the model carries a prebuilt Structure
-	// (cached across retraining calls and shared across agents). The sweep
-	// loop then runs on pure array indexing, with no interface dispatch per
-	// step. Rewards change call to call, so they are read fresh either way.
-	var (
-		st  *Structure
-		err error
-	)
-	if sm, ok := model.(Structured); ok {
-		st, err = sm.Structure()
-	} else {
-		st, err = NewStructure(model)
-	}
-	if err != nil {
-		return BatchResult{}, err
-	}
-	if len(st.states) != n || st.actions != actions {
-		return BatchResult{}, fmt.Errorf("mdp: structure shape %dx%d does not match model %dx%d",
-			len(st.states), st.actions, n, actions)
-	}
+	states, actions, n := st.states, st.actions, len(st.states)
 	trans, off, feas := st.trans, st.off, st.feas
-	rewards := make([]float64, n)
-	for s := 0; s < n; s++ {
-		rewards[s] = model.RewardIndex(s)
-	}
 
 	// Dense Q storage, seeded with the values lazy materialization would
-	// produce: the existing row where one is materialized, else the seeder,
-	// else the constant initial value.
+	// produce: whatever row the table serves for each state.
 	q := make([]float64, n*actions)
 	for s, state := range states {
 		table.snapshotRow(state, q[s*actions:(s+1)*actions])
@@ -409,7 +315,7 @@ func batchTrainIndexed(table *QTable, model IndexedModel, cfg BatchConfig, rng *
 		}
 	}
 
-	// Scatter the trained rows back. The generic path materializes every row
+	// Scatter the trained rows back. The reference loop materializes every row
 	// (each state starts a trajectory), so writing all rows matches it.
 	for s, state := range states {
 		table.setRow(state, q[s*actions:(s+1)*actions])

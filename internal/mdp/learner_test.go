@@ -157,7 +157,8 @@ func TestSetEpsilonClamps(t *testing.T) {
 }
 
 // chainModel is a deterministic 1-D random walk MDP: states 0..n-1, actions
-// left/right/stay, reward peaks at the goal state.
+// stay/right/left, reward peaks at the goal state. These are its string-keyed
+// methods; indexedChain adds the dense ones that make it a Model.
 type chainModel struct {
 	n    int
 	goal int
@@ -205,7 +206,7 @@ func (c chainModel) Reward(state string) float64 {
 }
 
 func TestBatchTrainFindsGoal(t *testing.T) {
-	model := chainModel{n: 9, goal: 6}
+	model := indexedChain{chainModel{n: 9, goal: 6}}
 	q := NewQTable(model.Actions(), 0)
 	res, err := BatchTrain(q, model, DefaultBatchConfig(), sim.NewRNG(3))
 	if err != nil {
@@ -257,7 +258,7 @@ func TestBatchTrainConverges(t *testing.T) {
 	// With ε=0 the trajectories are deterministic, so the per-sweep TD error
 	// must fall below θ. (Under ε-greedy exploration the error stays noisy
 	// and training stops at the sweep bound instead — see Algorithm 1.)
-	model := chainModel{n: 5, goal: 2}
+	model := indexedChain{chainModel{n: 5, goal: 2}}
 	q := NewQTable(model.Actions(), 0)
 	cfg := DefaultBatchConfig()
 	cfg.Params.Epsilon = 0
@@ -273,7 +274,7 @@ func TestBatchTrainConverges(t *testing.T) {
 }
 
 func TestBatchTrainValidation(t *testing.T) {
-	model := chainModel{n: 3, goal: 1}
+	model := indexedChain{chainModel{n: 3, goal: 1}}
 	rng := sim.NewRNG(1)
 	if _, err := BatchTrain(nil, model, DefaultBatchConfig(), rng); err == nil {
 		t.Fatal("nil table accepted")
@@ -286,16 +287,23 @@ func TestBatchTrainValidation(t *testing.T) {
 	}
 }
 
-// deadEndModel has a state with no feasible actions.
-type deadEndModel struct{}
-
-func (deadEndModel) States() []string                { return []string{"dead"} }
-func (deadEndModel) Actions() int                    { return 1 }
-func (deadEndModel) Next(string, int) (string, bool) { return "", false }
-func (deadEndModel) Reward(string) float64           { return 0 }
-
+// TestBatchTrainRejectsDeadEnds: one state without a feasible action is enough
+// to refuse the whole model — a trajectory entering it could not continue.
 func TestBatchTrainRejectsDeadEnds(t *testing.T) {
-	if _, err := BatchTrain(NewQTable(1, 0), deadEndModel{}, DefaultBatchConfig(), sim.NewRNG(1)); err == nil {
-		t.Fatal("dead-end model accepted")
+	model := oneDeadEnd{indexedChain{chainModel{n: 5, goal: 2}}}
+	if _, err := BatchTrain(NewQTable(3, 0), model, DefaultBatchConfig(), sim.NewRNG(1)); err == nil {
+		t.Fatal("model with a dead-end state accepted")
 	}
+}
+
+// oneDeadEnd is a chain whose state 3 has no feasible action.
+type oneDeadEnd struct {
+	indexedChain
+}
+
+func (m oneDeadEnd) NextIndex(s, action int) int {
+	if s == 3 {
+		return -1
+	}
+	return m.indexedChain.NextIndex(s, action)
 }

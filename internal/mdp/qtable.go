@@ -70,112 +70,98 @@ func (q *QTable) SetShared(s *SharedRows) {
 	q.shared = s
 }
 
-// Row returns the mutable Q-value row for state, materializing it on first
-// access from the shared store or seeder (if any) or the constant initial
-// value.
-func (q *QTable) Row(state string) []float64 {
-	row, ok := q.rows[state]
-	if !ok {
-		row = q.freshRow(state)
-		if q.shared != nil {
-			state = q.shared.Intern(state)
-		}
-		q.rows[state] = row
-	}
-	return row
-}
-
-// ReadRow returns a read-only view of the row the table serves for state: the
-// materialized row if present, else the shared store's seeded row without
-// materializing a private copy. Tables without a shared store materialize via
-// Row, preserving the historical read path. Callers must not mutate the
-// returned slice — it may be shared across tables.
-func (q *QTable) ReadRow(state string) []float64 {
+// served returns the row the table serves for state without materializing
+// anything, and whether that row is the table's own materialized one. The
+// read chain, spelled here once: the materialized row, else the shared
+// store's seeded row (a shared store takes precedence over the table's own
+// seeder, which is then never consulted), else the seeder's row, else nil —
+// standing for a row of the constant initial value. Seeded rows of the wrong
+// length count as absent. A row that is not the table's own may be shared or
+// transient; callers must not write through it.
+func (q *QTable) served(state string) (row []float64, own bool) {
 	if row, ok := q.rows[state]; ok {
-		return row
+		return row, true
 	}
 	if q.shared != nil {
-		if row := q.shared.row(state); len(row) == q.actions {
-			return row
-		}
-	}
-	return q.Row(state)
-}
-
-func (q *QTable) freshRow(state string) []float64 {
-	if q.shared != nil {
-		if seeded := q.shared.row(state); len(seeded) == q.actions {
-			row := make([]float64, q.actions)
-			copy(row, seeded)
-			return row
-		}
+		row = q.shared.row(state)
 	} else if q.seeder != nil {
-		if seeded := q.seeder(state); len(seeded) == q.actions {
-			row := make([]float64, q.actions)
-			copy(row, seeded)
-			return row
-		}
+		row = q.seeder(state)
 	}
-	row := make([]float64, q.actions)
-	for i := range row {
-		row[i] = q.initial
+	if len(row) != q.actions {
+		return nil, false
 	}
-	return row
+	return row, false
 }
 
-// snapshotRow copies the row the table would serve for state into dst without
-// materializing it: the existing row if present, else the seeder's values,
-// else the constant initial value. dst must have the table's action count.
-// It is the dense batch trainer's read side.
-func (q *QTable) snapshotRow(state string, dst []float64) {
-	if row, ok := q.rows[state]; ok {
+// fill writes a served row into dst: a copy of row, or the constant initial
+// value when row is nil. dst must have the table's action count.
+func (q *QTable) fill(dst, row []float64) {
+	if row != nil {
 		copy(dst, row)
 		return
-	}
-	if q.shared != nil {
-		if seeded := q.shared.row(state); len(seeded) == q.actions {
-			copy(dst, seeded)
-			return
-		}
-	} else if q.seeder != nil {
-		if seeded := q.seeder(state); len(seeded) == q.actions {
-			copy(dst, seeded)
-			return
-		}
 	}
 	for i := range dst {
 		dst[i] = q.initial
 	}
 }
 
-// setRow materializes state's row directly from values, bypassing the seeder:
-// the dense batch trainer already folded seeded values into its training
-// array, so consulting the seeder again would be wasted work.
-func (q *QTable) setRow(state string, values []float64) {
-	row, ok := q.rows[state]
-	if !ok {
-		row = make([]float64, q.actions)
-		if q.shared != nil {
-			state = q.shared.Intern(state)
-		}
-		q.rows[state] = row
+// materialize installs a private copy of the served row as state's own row,
+// interning the key through the shared store when there is one.
+func (q *QTable) materialize(state string, served []float64) []float64 {
+	row := make([]float64, q.actions)
+	q.fill(row, served)
+	if q.shared != nil {
+		state = q.shared.Intern(state)
 	}
-	copy(row, values)
+	q.rows[state] = row
+	return row
+}
+
+// Row returns the mutable Q-value row for state, materializing it on first
+// access from the row the table serves for it.
+func (q *QTable) Row(state string) []float64 {
+	row, own := q.served(state)
+	if !own {
+		row = q.materialize(state, row)
+	}
+	return row
+}
+
+// ReadRow returns a read-only view of the row the table serves for state: the
+// materialized row if present, else the shared store's seeded row without
+// materializing a private copy. Anything else materializes as Row does,
+// preserving the historical read path of tables without a shared store.
+// Callers must not mutate the returned slice — it may be shared across tables.
+func (q *QTable) ReadRow(state string) []float64 {
+	row, own := q.served(state)
+	if !own && (q.shared == nil || row == nil) {
+		row = q.materialize(state, row)
+	}
+	return row
+}
+
+// snapshotRow copies the row the table serves for state into dst without
+// materializing it — the batch trainer's read side.
+func (q *QTable) snapshotRow(state string, dst []float64) {
+	row, _ := q.served(state)
+	q.fill(dst, row)
+}
+
+// setRow assigns state's row from values — the batch trainer's write side. It
+// bypasses the read chain: the trainer already folded the served values into
+// its training array, so consulting a seeder again would be wasted work.
+func (q *QTable) setRow(state string, values []float64) {
+	if row, ok := q.rows[state]; ok {
+		copy(row, values)
+		return
+	}
+	q.materialize(state, values)
 }
 
 // Get returns Q(state, action) without materializing the row.
 func (q *QTable) Get(state string, action int) float64 {
-	if row, ok := q.rows[state]; ok {
+	if row, _ := q.served(state); row != nil {
 		return row[action]
-	}
-	if q.shared != nil {
-		if seeded := q.shared.row(state); len(seeded) == q.actions {
-			return seeded[action]
-		}
-	} else if q.seeder != nil {
-		if seeded := q.seeder(state); len(seeded) == q.actions {
-			return seeded[action]
-		}
 	}
 	return q.initial
 }
@@ -187,22 +173,11 @@ func (q *QTable) Set(state string, action int, value float64) {
 
 // Best returns the greedy action for state and its value. Ties break toward
 // the lowest action index so greedy policies are deterministic. Unvisited
-// states consult the seeder without materializing a row.
+// states are read without materializing a row.
 func (q *QTable) Best(state string) (int, float64) {
-	row, ok := q.rows[state]
-	if !ok {
-		if q.shared != nil {
-			if seeded := q.shared.row(state); len(seeded) == q.actions {
-				row = seeded
-			}
-		} else if q.seeder != nil {
-			if seeded := q.seeder(state); len(seeded) == q.actions {
-				row = seeded
-			}
-		}
-		if row == nil {
-			return 0, q.initial
-		}
+	row, _ := q.served(state)
+	if row == nil {
+		return 0, q.initial
 	}
 	best, bestV := 0, row[0]
 	for i := 1; i < len(row); i++ {

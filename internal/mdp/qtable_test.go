@@ -3,6 +3,7 @@ package mdp
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -178,5 +179,136 @@ func TestMaxAbsDiff(t *testing.T) {
 	c := NewQTable(3, 0)
 	if !math.IsInf(MaxAbsDiff(a, c), 1) {
 		t.Fatal("different action counts should be +Inf")
+	}
+}
+
+// TestQTableServedChain pins the one read chain — materialized row, else the
+// shared store, else the seeder, else the constant initial value — through
+// every reader built on it: what each reads from each source, that a shared
+// store wins over the table's own seeder (which is then never consulted, even
+// for states the store declines), and which readers materialize a private row.
+func TestQTableServedChain(t *testing.T) {
+	const (
+		state   = "s"
+		initial = 0.5
+	)
+	var (
+		own        = []float64{9, 8, 7}
+		fromShared = []float64{1, 5, 2}
+		fromSeeder = []float64{4, 3, 6}
+		constant   = []float64{initial, initial, initial}
+	)
+	// Every table carries a seeder; seederCalls says whether it was consulted.
+	var seederCalls int
+	newTable := func(shared *SharedRows) *QTable {
+		q := NewQTable(3, initial)
+		q.SetSeeder(func(string) []float64 { seederCalls++; return fromSeeder })
+		q.SetShared(shared)
+		return q
+	}
+	store := func(row []float64) *SharedRows {
+		return NewSharedRows(3, func(string) []float64 { return row })
+	}
+	sources := []struct {
+		name   string
+		build  func() *QTable
+		want   []float64
+		seeder bool // the table's own seeder is what serves the row
+		// readRowCopies: ReadRow has to materialize, because the row is neither
+		// the table's own nor served by a shared store.
+		readRowCopies bool
+	}{
+		{"materialized", func() *QTable {
+			q := newTable(store(fromShared))
+			copy(q.Row(state), own)
+			return q
+		}, own, false, false},
+		{"shared", func() *QTable { return newTable(store(fromShared)) }, fromShared, false, false},
+		{"shared-declines", func() *QTable { return newTable(store(nil)) }, constant, false, true},
+		{"shared-wrong-length", func() *QTable { return newTable(store([]float64{1})) }, constant, false, true},
+		{"seeder", func() *QTable { return newTable(nil) }, fromSeeder, true, true},
+		{"seeder-declines", func() *QTable {
+			q := newTable(nil)
+			q.SetSeeder(func(string) []float64 { seederCalls++; return nil })
+			return q
+		}, constant, true, true},
+		{"none", func() *QTable { return NewQTable(3, initial) }, constant, false, true},
+	}
+	type reader struct {
+		name string
+		read func(q *QTable) []float64
+		// want is what the read returns when the table serves row.
+		want func(row []float64) []float64
+		// copies reports whether the read leaves a private row behind for a
+		// source whose ReadRow would.
+		copies func(readRowCopies bool) bool
+	}
+	whole := func(row []float64) []float64 { return row }
+	never := func(bool) bool { return false }
+	readers := []reader{
+		{"Row", func(q *QTable) []float64 { return q.Row(state) }, whole, func(bool) bool { return true }},
+		{"ReadRow", func(q *QTable) []float64 { return q.ReadRow(state) }, whole, func(c bool) bool { return c }},
+		{"Get", func(q *QTable) []float64 {
+			return []float64{q.Get(state, 0), q.Get(state, 1), q.Get(state, 2)}
+		}, whole, never},
+		{"Best", func(q *QTable) []float64 {
+			a, v := q.Best(state)
+			return []float64{float64(a), v}
+		}, func(row []float64) []float64 {
+			best := 0
+			for a, v := range row {
+				if v > row[best] {
+					best = a
+				}
+			}
+			return []float64{float64(best), row[best]}
+		}, never},
+		{"batch-read", func(q *QTable) []float64 {
+			dst := make([]float64, 3)
+			q.snapshotRow(state, dst)
+			return dst
+		}, whole, never},
+	}
+	for _, src := range sources {
+		for _, rd := range readers {
+			t.Run(src.name+"/"+rd.name, func(t *testing.T) {
+				seederCalls = 0
+				q := src.build()
+				before := q.Len()
+				if got, want := rd.read(q), rd.want(src.want); !slices.Equal(got, want) {
+					t.Fatalf("read %v, want %v", got, want)
+				}
+				if consulted := seederCalls > 0; consulted != src.seeder {
+					t.Errorf("table seeder consulted = %v, want %v", consulted, src.seeder)
+				}
+				wantLen := before
+				if before == 0 && rd.copies(src.readRowCopies) {
+					wantLen = 1
+				}
+				if q.Len() != wantLen {
+					t.Fatalf("%d materialized rows after the read, want %d", q.Len(), wantLen)
+				}
+				if q.Len() == 1 {
+					// A materialized row is private: writing through it must
+					// reach neither the shared store nor the seeder's slice,
+					// and its key is interned where a store exists.
+					q.Row(state)[0] = -1
+					if fromShared[0] != 1 || fromSeeder[0] != 4 {
+						t.Fatal("write through a materialized row reached its source")
+					}
+					if q.shared != nil {
+						q.shared.mu.RLock()
+						_, interned := q.shared.keys[state]
+						q.shared.mu.RUnlock()
+						if !interned {
+							t.Error("materialized key not interned in the shared store")
+						}
+						if row := q.shared.row(state); len(row) > 0 && row[0] != 1 {
+							t.Fatal("write through a materialized row reached the shared store")
+						}
+					}
+				}
+			})
+		}
 	}
 }
