@@ -3,7 +3,16 @@ GO ?= go
 
 .PHONY: check fmt vet vet-faults build test race loc bench bench-telemetry bench-load bench-train bench-train-smoke bench-fleet bench-fleet-smoke faults-smoke fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke admission-smoke capacity-smoke
 
-check: fmt vet vet-faults build race fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke bench-train-smoke bench-fleet-smoke admission-smoke capacity-smoke
+# check runs the gate's targets in order, printing each one's wall time
+# (`== race: 412s`) and stopping at the first failure.
+CHECK_TARGETS = fmt vet vet-faults build race fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke bench-train-smoke bench-fleet-smoke admission-smoke capacity-smoke
+
+check:
+	@for t in $(CHECK_TARGETS); do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$t || exit 1; \
+		echo "== $$t: $$(( $$(date +%s) - start ))s"; \
+	done
 
 # fmt fails (listing the offending files) when anything is not gofmt-clean.
 fmt:

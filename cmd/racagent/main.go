@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -63,7 +62,6 @@ func run(args []string) error {
 		arrival    = fs.String("arrival", "", "open-loop arrival process: poisson (default) or uniform")
 		shards     = fs.Int("shards", 0, "open-loop accounting shards (0 = default; results identical for any value)")
 		inflight   = fs.Int("inflight", 0, "open-loop bound on concurrently outstanding requests (0 = default)")
-		expQueue   = fs.Int("expqueue", 0, "experience-queue depth: 0 retrains inside each interval, n>0 overlaps Q-table retraining with the next interval's wait (-agent rac only; the learned state is identical either way)")
 		admission  = fs.Bool("admission", false, "tune the SLO admission gate too: extend the lattice with AdmitConcurrency and AdmitQueue so Q-learning sets the gate's caps alongside the web-tier knobs")
 		admitConc  = fs.Int("admitconc", 0, "starting AdmitConcurrency (requires -admission; 0 keeps the space default)")
 		admitQueue = fs.Int("admitqueue", 0, "starting AdmitQueue (requires -admission; 0 keeps the space default)")
@@ -217,10 +215,9 @@ func run(args []string) error {
 	// the RAC agent runs its resilience policy (retry with real backoff,
 	// invalid-interval rejection, rollback-to-safe).
 	agentOpts := rac.AgentOptions{
-		Seed:            *seed,
-		Telemetry:       server.Telemetry(),
-		Trace:           trace,
-		ExperienceQueue: *expQueue,
+		Seed:      *seed,
+		Telemetry: server.Telemetry(),
+		Trace:     trace,
 	}
 	if faulty != nil {
 		o := rac.DefaultOptions()
@@ -338,14 +335,6 @@ steps:
 		} else {
 			fmt.Printf("%4d  %11.3f  %8.1f  %s%s\n",
 				step.Iteration, step.MeanRT, step.Throughput, step.Action.Describe(space), marks)
-		}
-	}
-	// A queued agent may still be retraining on its last interval; Close
-	// applies it (and surfaces a deferred learning error) before the summary
-	// and the snapshot read the learned state.
-	if c, ok := tuner.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			return fmt.Errorf("final retrain: %w", err)
 		}
 	}
 	st := server.Stats()

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -46,6 +47,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-agent", "static", "-snapshot", "x.json"}); err == nil {
 		t.Error("-snapshot with a baseline agent accepted")
+	}
+	// The experience queue is gone; the flag must not drift back.
+	if err := run([]string{"-expqueue", "2"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-expqueue: %v, want an unknown-flag error", err)
 	}
 }
 

@@ -47,7 +47,6 @@ func run(args []string) error {
 		simPol = fs.Bool("simpolicy", false, "train initial policies by sampling the simulator (slow) instead of the analytic surface")
 		csvDir = fs.String("csv", "", "also write each figure as CSV into this directory")
 		procs  = fs.Int("procs", 0, "worker goroutines for sweeps and figure generation (0 = all CPUs, 1 = sequential; output is identical either way)")
-		noCch  = fs.Bool("nocache", false, "disable the response-surface memo (A/B timing; figures are identical either way)")
 		scen   = fs.String("faults", "", "render the recovery-under-faults figure for this JSON scenario instead of a paper figure")
 		wlScen = fs.String("scenario", "", "render the workload-adaptation figure for this workload scenario: a library name (diurnal|flashcrowd|mixdrift|ramp|steady) or a JSON file (see examples/scenarios/); -fig diurnal is shorthand for -scenario diurnal")
 	)
@@ -63,7 +62,6 @@ func run(args []string) error {
 		Quick:       *quick,
 		SimSampling: *simPol,
 		Procs:       *procs,
-		NoCache:     *noCch,
 	})
 
 	if *scen != "" {

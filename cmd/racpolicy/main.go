@@ -15,14 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
 	"github.com/rac-project/rac"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/sim"
-	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
 )
 
@@ -42,7 +40,6 @@ func run(args []string) error {
 		coarse  = fs.Int("coarse", 4, "coarse sampling levels per parameter group")
 		seed    = fs.Uint64("seed", 1, "training seed")
 		procs   = fs.Int("procs", 0, "worker goroutines sampling the coarse lattice (0 = all CPUs, 1 = sequential; the saved policy is identical either way)")
-		noCch   = fs.Bool("nocache", false, "disable the sample memo (A/B timing; the saved policy is identical either way)")
 		inspect = fs.String("inspect", "", "inspect a saved policy file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -50,7 +47,7 @@ func run(args []string) error {
 	}
 	switch {
 	case *train != "":
-		return trainPolicy(*train, *out, *backend, *coarse, *seed, *procs, *noCch)
+		return trainPolicy(*train, *out, *backend, *coarse, *seed, *procs)
 	case *inspect != "":
 		return inspectPolicy(*inspect)
 	default:
@@ -58,48 +55,36 @@ func run(args []string) error {
 	}
 }
 
-func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs int, noCache bool) error {
+func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs int) error {
 	ctx, err := system.ContextByName(ctxName)
 	if err != nil {
 		return err
 	}
 	space := config.Default()
-	var memo *surface.Cache
-	if !noCache {
-		memo = surface.New(nil)
-	}
 
 	// Both backends build a fresh system per sampled configuration so the
 	// coarse sweep can fan out: the simulator derives its seed from the
-	// sample's pre-split RNG stream — drawn before the memo lookup and folded
-	// into the key, so a hit consumes the stream exactly like a miss — making
-	// the saved policy independent of -procs, of sampling order, and of
-	// -nocache.
+	// sample's pre-split RNG stream, making the saved policy independent of
+	// -procs and of sampling order.
 	var sampler core.StreamSampler
 	switch backend {
 	case "analytic":
 		sampler = func(cfg config.Config, _ *sim.RNG) (float64, error) {
-			return memo.Do("a|"+cfg.Key(), func() (float64, error) {
-				sys, err := system.NewAnalytic(system.AnalyticOptions{Space: space, Context: ctx})
-				if err != nil {
-					return 0, err
-				}
-				return rac.SystemSampler(sys)(cfg)
-			})
+			sys, err := system.NewAnalytic(system.AnalyticOptions{Space: space, Context: ctx})
+			if err != nil {
+				return 0, err
+			}
+			return rac.SystemSampler(sys)(cfg)
 		}
 	case "sim":
 		sampler = func(cfg config.Config, rng *sim.RNG) (float64, error) {
-			sysSeed := rng.Uint64()
-			key := "s|" + strconv.FormatUint(sysSeed, 10) + "|" + cfg.Key()
-			return memo.Do(key, func() (float64, error) {
-				sys, err := system.NewSimulated(system.SimulatedOptions{
-					Space: space, Context: ctx, Seed: sysSeed,
-				})
-				if err != nil {
-					return 0, err
-				}
-				return rac.SystemSampler(sys)(cfg)
+			sys, err := system.NewSimulated(system.SimulatedOptions{
+				Space: space, Context: ctx, Seed: rng.Uint64(),
 			})
+			if err != nil {
+				return 0, err
+			}
+			return rac.SystemSampler(sys)(cfg)
 		}
 	default:
 		return fmt.Errorf("unknown backend %q", backend)

@@ -24,7 +24,6 @@ import (
 	"github.com/rac-project/rac"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/parallel"
-	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
 	"github.com/rac-project/rac/internal/tpcw"
@@ -53,7 +52,6 @@ func run(args []string) error {
 		cfgStr   = fs.String("config", "", "comma-separated configuration vector (Table 1 order)")
 		telPath  = fs.String("telemetry", "", "dump a telemetry snapshot at exit to this file, or - for stdout")
 		procs    = fs.Int("procs", 0, "worker goroutines for -sweep (0 = all CPUs, 1 = sequential; every point is an independent seeded run, so results are identical either way)")
-		noCch    = fs.Bool("nocache", false, "disable the measurement memo (A/B timing; repeated identical measurements re-simulate, output is identical either way)")
 		scenPath = fs.String("faults", "", "replay this JSON fault scenario against the fixed configuration, printing each interval as measured through the fault layer")
 		nIvals   = fs.Int("intervals", 30, "measurement intervals to run with -faults")
 		wlScen   = fs.String("scenario", "", "replay this workload scenario (library name or JSON file) against the fixed configuration, measuring every scenario interval on the simulator")
@@ -85,9 +83,6 @@ func run(args []string) error {
 	workload := tpcw.Workload{Mix: mix, Clients: *clients}
 
 	tel := newSimTelemetry()
-	if !*noCch {
-		tel.memo = surface.New(tel.reg)
-	}
 	var runErr error
 	switch {
 	case *valDir != "":
@@ -108,14 +103,11 @@ func run(args []string) error {
 }
 
 // simTelemetry instruments the simulator runs so -telemetry snapshots record
-// what was measured. It also carries the measurement memo (nil with
-// -nocache): racsim_measurements_total counts simulations actually run, so
-// memo hits are visible as the gap between it and the cache counters.
+// what was measured.
 type simTelemetry struct {
 	reg          *telemetry.Registry
 	measurements *telemetry.Counter
 	meanRT       *telemetry.Histogram
-	memo         *surface.Cache
 }
 
 func newSimTelemetry() *simTelemetry {
@@ -154,34 +146,25 @@ func (t *simTelemetry) dump(path string) error {
 func measure(space *config.Space, cfg config.Config, w tpcw.Workload, lvl vmenv.Level,
 	seed uint64, warmup, interval float64, tel *simTelemetry) (webtier.Stats, error) {
 
-	// One simulated measurement is a pure function of everything in this key,
-	// so repeated identical requests can be served from the memo.
-	key := fmt.Sprintf("%s|%d|%s|%d|%g|%g|%s", w.Mix, w.Clients, lvl.Name, seed, warmup, interval, cfg.Key())
-	st, err := tel.memo.DoValue(key, func() (any, error) {
-		params, err := webtier.ParamsFromConfig(space, cfg)
-		if err != nil {
-			return webtier.Stats{}, err
-		}
-		model, err := webtier.New(webtier.Options{
-			Params:   &params,
-			Workload: w,
-			AppLevel: lvl,
-			Seed:     seed,
-		})
-		if err != nil {
-			return webtier.Stats{}, err
-		}
-		model.Warmup(warmup)
-		st, err := model.Run(interval)
-		if err == nil {
-			tel.record(st)
-		}
-		return st, err
-	})
-	if st == nil {
+	params, err := webtier.ParamsFromConfig(space, cfg)
+	if err != nil {
 		return webtier.Stats{}, err
 	}
-	return st.(webtier.Stats), err
+	model, err := webtier.New(webtier.Options{
+		Params:   &params,
+		Workload: w,
+		AppLevel: lvl,
+		Seed:     seed,
+	})
+	if err != nil {
+		return webtier.Stats{}, err
+	}
+	model.Warmup(warmup)
+	st, err := model.Run(interval)
+	if err == nil {
+		tel.record(st)
+	}
+	return st, err
 }
 
 func runOnce(space *config.Space, cfg config.Config, w tpcw.Workload, lvl vmenv.Level,

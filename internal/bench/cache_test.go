@@ -8,10 +8,21 @@ import (
 	"github.com/rac-project/rac/internal/system"
 )
 
+// newHarness builds a harness, dropping its surface memo when noCache is set:
+// the uncached reference the cache invariants compare against (a nil
+// *surface.Cache computes every evaluation).
+func newHarness(opts Options, noCache bool) *Harness {
+	h := New(opts)
+	if noCache {
+		h.surf = nil
+	}
+	return h
+}
+
 // cachedStoreBytes is storeBytes with an explicit cache switch.
 func cachedStoreBytes(t *testing.T, seed uint64, procs int, simSampling, noCache bool, contexts []system.Context) [][]byte {
 	t.Helper()
-	h := New(Options{Seed: seed, Quick: true, SimSampling: simSampling, Procs: procs, NoCache: noCache})
+	h := newHarness(Options{Seed: seed, Quick: true, SimSampling: simSampling, Procs: procs}, noCache)
 	store, err := h.Store(contexts...)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +86,7 @@ func TestCachedFigureMatchesUncached(t *testing.T) {
 		t.Skip("figure generation is slow")
 	}
 	render := func(procs int, noCache bool) []byte {
-		h := New(Options{Seed: 23, Quick: true, Procs: procs, NoCache: noCache})
+		h := newHarness(Options{Seed: 23, Quick: true, Procs: procs}, noCache)
 		fig, err := h.Fig04()
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
 
@@ -43,11 +42,6 @@ type Options struct {
 	// runs sequentially. Every unit of work draws from RNG streams split
 	// before dispatch, so results are bit-identical for any value.
 	Procs int
-	// NoCache disables the response-surface memo in front of the analytic
-	// and simulated measure paths. Figures are byte-identical either way
-	// (determinism tests pin it); the switch exists for A/B timing and for
-	// exercising the uncached paths.
-	NoCache bool
 	// Agent hyper-parameters; zero value uses core.DefaultOptions.
 	Agent core.Options
 }
@@ -70,7 +64,9 @@ type Harness struct {
 	mu       sync.Mutex
 	policies map[string]*policyEntry
 
-	// surf memoizes response-surface evaluations (nil when Options.NoCache).
+	// surf memoizes response-surface evaluations: figures that revisit a
+	// (context, configuration) point — across sweeps, seeds and figures —
+	// solve or simulate it once. Tests nil it for the uncached reference.
 	surf *surface.Cache
 
 	tel           *telemetry.Registry
@@ -85,16 +81,12 @@ func New(opts Options) *Harness {
 		opts.Agent = core.DefaultOptions()
 	}
 	tel := telemetry.NewRegistry()
-	var surf *surface.Cache
-	if !opts.NoCache {
-		surf = surface.New(tel)
-	}
 	return &Harness{
 		opts:     opts,
 		space:    config.Default(),
 		cal:      webtier.DefaultCalibration(),
 		policies: make(map[string]*policyEntry),
-		surf:     surf,
+		surf:     surface.New(tel),
 		tel:      tel,
 		policyTrains: tel.Counter("bench_policy_trainings_total",
 			"Initial policies trained (offline Algorithm 2 passes).", nil),
@@ -234,30 +226,14 @@ func surfaceKey(tag byte, ctx system.Context, seed uint64, settle, measure float
 	return string(key)
 }
 
-// analyticRT predicts a configuration's response time from the queueing
-// surface, memoized per (context, configuration).
-func (h *Harness) analyticRT(ctx system.Context, cfg config.Config) (float64, error) {
-	return h.surf.Do(surfaceKey('a', ctx, 0, 0, 0, cfg), func() (float64, error) {
-		params, err := webtier.ParamsFromConfig(h.space, cfg)
-		if err != nil {
-			return 0, err
-		}
-		res, err := queueing.SolveWebsite(h.cal, params, ctx.Workload, ctx.Level)
-		if err != nil {
-			return 0, err
-		}
-		return res.MeanRT, nil
-	})
-}
-
-// analyticBatch is analyticRT over a chunk of configurations: one
+// analyticBatch predicts the response time of a chunk of configurations from
+// the queueing surface, memoized per (context, configuration): one
 // WebsiteSolver's scratch buffers serve the whole chunk, so the sweep's inner
-// MVA loops stop allocating. Each point still goes through the surface memo
-// under the same key analyticRT uses — the solver is bit-identical to
-// SolveWebsite (pinned in queueing's tests), so chunk boundaries and cache
-// state never show in the output. The solver is owned by the calling
-// goroutine; the memo's singleflight runs each compute closure on the
-// goroutine that submitted it, so the scratch is never shared.
+// MVA loops stop allocating. The solver is bit-identical to SolveWebsite
+// (pinned in queueing's tests), so chunk boundaries and cache state never
+// show in the output. The solver is owned by the calling goroutine; the
+// memo's singleflight runs each compute closure on the goroutine that
+// submitted it, so the scratch is never shared.
 func (h *Harness) analyticBatch(ctx system.Context, cfgs []config.Config, out []float64) error {
 	ws := queueing.NewWebsiteSolver()
 	for i, cfg := range cfgs {
@@ -326,14 +302,11 @@ func (h *Harness) policyKey(ctx system.Context, smp sampling) string {
 		key = append(key, '/')
 		key = strconv.AppendFloat(key, smp.measure, 'g', -1, 64)
 	}
-	// Training rewards are SLA-relative, and the surface memo sits under the
-	// sampler: both are harness-level options today, but folding them in now
-	// means a future per-call override can never serve a policy trained
-	// against a different SLA or cache regime.
+	// Training rewards are SLA-relative: a harness-level option today, but
+	// folding it in now means a future per-call override can never serve a
+	// policy trained against a different SLA.
 	key = append(key, "|l"...)
 	key = strconv.AppendFloat(key, h.opts.Agent.SLASeconds, 'g', -1, 64)
-	key = append(key, "|n"...)
-	key = strconv.AppendBool(key, h.opts.NoCache)
 	key = append(key, '|')
 	key = strconv.AppendUint(key, h.opts.Seed, 10)
 	return string(key)
@@ -407,11 +380,8 @@ func (h *Harness) trainPolicy(ctx system.Context, smp sampling) (*core.Policy, e
 			})
 		}
 	} else {
-		sampler = func(cfg config.Config, _ *sim.RNG) (float64, error) {
-			return h.analyticRT(ctx, cfg)
-		}
 		// The analytic surface sweeps in batches so one solver's scratch
-		// serves each chunk; the stream sampler stays as the reference path.
+		// serves each chunk.
 		batch = func(cfgs []config.Config, _ []*sim.RNG, out []float64) error {
 			return h.analyticBatch(ctx, cfgs, out)
 		}
@@ -479,12 +449,6 @@ func (h *Harness) RunSchedule(mk TunerFactory, phases []Phase, salt uint64) ([]c
 	if err != nil {
 		return nil, err
 	}
-	// Agents with an experience queue apply their last retrain at Close; the
-	// deferred close covers error returns, the explicit one below surfaces a
-	// deferred learning error instead of dropping it (Close is idempotent).
-	if c, ok := tuner.(io.Closer); ok {
-		defer c.Close()
-	}
 	var results []core.StepResult
 	for pi, phase := range phases {
 		if pi > 0 {
@@ -501,11 +465,6 @@ func (h *Harness) RunSchedule(mk TunerFactory, phases []Phase, salt uint64) ([]c
 			results = append(results, res)
 		}
 	}
-	if c, ok := tuner.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			return nil, err
-		}
-	}
 	return results, nil
 }
 
@@ -513,47 +472,11 @@ func (h *Harness) RunSchedule(mk TunerFactory, phases []Phase, salt uint64) ([]c
 // configuration with the lowest measured response time in the context — the
 // paper's "best configuration (out of our test cases)".
 func (h *Harness) bestGroupedConfig(ctx system.Context) (config.Config, float64, error) {
-	k := h.coarseLevels()
-	groups := config.GroupMembers(h.space)
-	order := make([]config.Group, 0, len(groups))
-	for _, g := range config.Groups() {
-		if len(groups[g]) > 0 {
-			order = append(order, g)
-		}
-	}
-	coarse := make(map[config.Group][]int, len(order))
-	for _, g := range order {
-		vals, err := config.CoarseValues(h.space, g, k)
-		if err != nil {
-			return nil, 0, err
-		}
-		coarse[g] = vals
-	}
-
-	// Enumerate the sublattice, solve the analytic surface for every point
-	// on the worker pool, then reduce with strict less-than in enumeration
-	// order — ties keep the earliest candidate under any worker count.
-	var cfgs []config.Config
-	assign := make(map[config.Group]int, len(order))
-	var walk func(i int) error
-	walk = func(i int) error {
-		if i == len(order) {
-			cfg, err := config.GroupedConfig(h.space, assign)
-			if err != nil {
-				return err
-			}
-			cfgs = append(cfgs, cfg)
-			return nil
-		}
-		for _, v := range coarse[order[i]] {
-			assign[order[i]] = v
-			if err := walk(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0); err != nil {
+	// Solve the analytic surface for every sublattice point on the worker
+	// pool, then reduce with strict less-than in enumeration order — ties
+	// keep the earliest candidate under any worker count.
+	cfgs, _, err := config.CoarseSublattice(h.space, h.coarseLevels())
+	if err != nil {
 		return nil, 0, err
 	}
 	const chunk = 16

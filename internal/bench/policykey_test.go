@@ -31,7 +31,6 @@ func TestPolicyKeyDistinguishesOptions(t *testing.T) {
 		"context": {opts: base, ctx: ctx2},
 		"seed":    {opts: Options{Seed: 8, Quick: true}, ctx: ctx1},
 		"quick":   {opts: Options{Seed: 7}, ctx: ctx1},
-		"nocache": {opts: Options{Seed: 7, Quick: true, NoCache: true}, ctx: ctx1},
 		"sla": {opts: func() Options {
 			o := Options{Seed: 7, Quick: true}
 			o.Agent = core.DefaultOptions()

@@ -58,6 +58,50 @@ func GroupedConfig(s *Space, values map[Group]int) (Config, error) {
 	return c, nil
 }
 
+// CoarseSublattice enumerates the coarse grouped sublattice that policy
+// initialization samples: every combination of the k CoarseValues of each
+// non-empty group, in Groups() order with the last group varying fastest.
+// cfgs[i] is the GroupedConfig of combination i and values[i] its per-group
+// values in the same group order — the regression's feature vector. Callers
+// index samples, RNG streams and tie-breaks by this order, so it is part of
+// the contract.
+func CoarseSublattice(s *Space, k int) (cfgs []Config, values [][]float64, err error) {
+	members := GroupMembers(s)
+	var (
+		order  []Group
+		coarse [][]int
+	)
+	n := 1
+	for _, g := range Groups() {
+		if len(members[g]) == 0 {
+			continue
+		}
+		vals, err := CoarseValues(s, g, k)
+		if err != nil {
+			return nil, nil, err
+		}
+		order = append(order, g)
+		coarse = append(coarse, vals)
+		n *= k
+	}
+	cfgs = make([]Config, n)
+	values = make([][]float64, n)
+	assign := make(map[Group]int, len(order))
+	for i := range cfgs {
+		values[i] = make([]float64, len(order))
+		// Mixed-radix digits of i, least significant = last group.
+		for gi, rem := len(order)-1, i; gi >= 0; gi, rem = gi-1, rem/k {
+			v := coarse[gi][rem%k]
+			assign[order[gi]] = v
+			values[i][gi] = float64(v)
+		}
+		if cfgs[i], err = GroupedConfig(s, assign); err != nil {
+			return nil, nil, err
+		}
+	}
+	return cfgs, values, nil
+}
+
 // GroupVector projects a configuration onto its per-group mean values, in
 // Groups() order restricted to groups present in the space. It is the feature
 // vector used by the regression predictor during policy initialization.

@@ -90,6 +90,59 @@ func TestGroupedConfigMissingGroup(t *testing.T) {
 	}
 }
 
+// TestCoarseSublatticeOrder pins the enumeration contract against the nested
+// loops it replaced: groups in Groups() order, first group outermost.
+func TestCoarseSublatticeOrder(t *testing.T) {
+	s := Default()
+	const k = 3
+	cfgs, values, err := CoarseSublattice(s, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []Group
+	for _, g := range Groups() {
+		if len(GroupMembers(s)[g]) > 0 {
+			order = append(order, g)
+		}
+	}
+	i := 0
+	assign := make(map[Group]int)
+	var walk func(gi int)
+	walk = func(gi int) {
+		if gi == len(order) {
+			want, err := GroupedConfig(s, assign)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i >= len(cfgs) || !cfgs[i].Equal(want) {
+				t.Fatalf("point %d is not %v", i, want)
+			}
+			for j, g := range order {
+				if values[i][j] != float64(assign[g]) {
+					t.Fatalf("point %d values %v, want group %s = %d", i, values[i], g, assign[g])
+				}
+			}
+			i++
+			return
+		}
+		vals, err := CoarseValues(s, order[gi], k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vals {
+			assign[order[gi]] = v
+			walk(gi + 1)
+		}
+	}
+	walk(0)
+	if i != len(cfgs) || len(values) != len(cfgs) {
+		t.Fatalf("enumerated %d configs and %d value vectors, want %d", len(cfgs), len(values), i)
+	}
+	if _, _, err := CoarseSublattice(s, 1); err == nil {
+		t.Fatal("k=1 accepted")
+	}
+}
+
 func TestGroupVector(t *testing.T) {
 	s := Default()
 	values := map[Group]int{

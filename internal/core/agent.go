@@ -62,6 +62,24 @@ type StepResult struct {
 	RolledBack bool
 }
 
+// measuredStep starts the result of a step that measured m under cfg: every
+// measured field copied from m and the reward priced by RewardOf, so no tuner
+// reports less of the interval than another.
+func (o Options) measuredStep(iteration int, action config.Action, cfg config.Config, m system.Metrics) StepResult {
+	return StepResult{
+		Iteration:     iteration,
+		Action:        action,
+		Config:        cfg,
+		MeanRT:        m.MeanRT,
+		P99RT:         m.P99RT,
+		Throughput:    m.Throughput,
+		Goodput:       m.Goodput,
+		Reward:        o.RewardOf(m),
+		Level:         m.Level,
+		CapacityUnits: m.CapacityUnits,
+	}
+}
+
 // Tuner is a configuration agent driven in discrete iterations. All agents
 // in this package (RAC, static default, trial-and-error, hill climbing)
 // implement it, so the experiment harness runs them interchangeably.
@@ -108,10 +126,6 @@ type Agent struct {
 	slaStreak int
 	sleep     func(time.Duration) // nil = never block (simulated time)
 
-	// queue, when non-nil, runs each interval's record+retrain on a
-	// background learner goroutine (AgentOptions.ExperienceQueue).
-	queue *experienceQueue
-
 	tel   *agentInstruments
 	trace *telemetry.Trace
 }
@@ -122,7 +136,6 @@ type agentInstruments struct {
 	steps      *telemetry.Counter
 	switches   *telemetry.Counter
 	retrains   *telemetry.Counter
-	queued     *telemetry.Counter
 	retries    *telemetry.Counter
 	rollbacks  *telemetry.Counter
 	invalids   *telemetry.Counter
@@ -142,8 +155,6 @@ func newAgentInstruments(reg *telemetry.Registry) *agentInstruments {
 			"Context changes detected: initial-policy switches after s_thr consecutive violations.", nil),
 		retrains: reg.Counter("rac_agent_retrains_total",
 			"Per-interval batch Q-table retraining passes.", nil),
-		queued: reg.Counter("rac_agent_queued_experiences_total",
-			"Measured intervals handed to the experience queue's background learner.", nil),
 		retries: reg.Counter("rac_agent_retries_total",
 			"Transient Apply/Measure failures retried by the resilience policy.", nil),
 		rollbacks: reg.Counter("rac_agent_rollbacks_total",
@@ -192,14 +203,6 @@ type AgentOptions struct {
 	// Resilience.RetryBackoff-driven pacing (live runs pass time.Sleep).
 	// Nil keeps retries instantaneous — right for simulated time.
 	Sleep func(time.Duration)
-	// ExperienceQueue, when positive, bounds a queue between measurement and
-	// learning: Step hands each measured interval to a background learner
-	// goroutine and returns, so the Q-table retraining overlaps the caller's
-	// between-step work (a live agent's wall-clock measurement wait). Updates
-	// apply in step order and every Q-table read waits for the queue to
-	// drain, so the learned state is byte-identical to a synchronous agent's
-	// (zero, the default). Queued agents should be Closed when done.
-	ExperienceQueue int
 }
 
 // NewAgent builds a RAC agent tuning the given system.
@@ -247,9 +250,6 @@ func NewAgent(sys system.System, opts AgentOptions) (*Agent, error) {
 		a.tel.epsilon.Set(o.Online.Epsilon)
 	}
 	a.resetQ()
-	if opts.ExperienceQueue > 0 {
-		a.queue = newExperienceQueue(opts.ExperienceQueue)
-	}
 	return a, nil
 }
 
@@ -277,13 +277,8 @@ func (a *Agent) Policy() *Policy { return a.policy }
 // Config returns the agent's current configuration.
 func (a *Agent) Config() config.Config { return a.cur.Clone() }
 
-// QTable exposes the online Q-table for diagnostics, draining the experience
-// queue first so the table reflects every completed step. A deferred learning
-// error stays queued and surfaces on the next Step or Close.
-func (a *Agent) QTable() *mdp.QTable {
-	_ = a.drainQueue()
-	return a.q
-}
+// QTable exposes the online Q-table for diagnostics.
+func (a *Agent) QTable() *mdp.QTable { return a.q }
 
 // Step performs one iteration of Algorithm 3: issue a reconfiguration action
 // from the current Q-table, measure, detect context changes (switching the
@@ -299,12 +294,6 @@ func (a *Agent) QTable() *mdp.QTable {
 // consecutive bad intervals the agent re-applies the last configuration that
 // satisfied the SLA.
 func (a *Agent) Step(ctx context.Context) (StepResult, error) {
-	// Apply everything the experience queue still holds before reading the
-	// Q-table: action selection must see the previous interval's retrain, or
-	// queued and synchronous agents would diverge.
-	if err := a.drainQueue(); err != nil {
-		return StepResult{}, err
-	}
 	a.iteration++
 	r := a.opts.Resilience
 
@@ -350,22 +339,9 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 		return a.degradedStep(ctx, next, action, attempts, merr), nil
 	}
 
-	rt := m.MeanRT
-	reward := a.opts.RewardOf(m)
-
-	res := StepResult{
-		Iteration:     a.iteration,
-		Action:        action,
-		Config:        next.Clone(),
-		MeanRT:        rt,
-		P99RT:         m.P99RT,
-		Throughput:    m.Throughput,
-		Goodput:       m.Goodput,
-		Reward:        reward,
-		Attempts:      attempts,
-		Level:         m.Level,
-		CapacityUnits: m.CapacityUnits,
-	}
+	res := a.opts.measuredStep(a.iteration, action, next.Clone(), m)
+	res.Attempts = attempts
+	rt, reward := res.MeanRT, res.Reward
 
 	// Resilience: an interval failing the validity checks is reported but not
 	// learned from — no window update, no context detection, no retraining.
@@ -423,10 +399,6 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 		res.PolicyName = a.policy.Name()
 	}
 
-	// Step-level telemetry that does not depend on the retrain outcome is
-	// emitted here; the qDelta gauge and the trace events ride with the
-	// learning itself (learn), so the queued path reports real deltas rather
-	// than zeros.
 	if a.tel != nil {
 		a.tel.steps.Inc()
 		a.tel.epsilon.Set(a.learner.Params().Epsilon)
@@ -446,25 +418,17 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 		Level:      m.Level,
 	}
 
-	// 5. Record the measurement and retrain the Q-table over the region —
-	// inline, or on the experience queue's learner goroutine so the retrain
-	// overlaps the caller's between-step work (skipped entirely when online
-	// learning is disabled).
-	switch {
-	case a.frozen:
-		if a.trace != nil {
-			a.trace.Add(stepEv)
-		}
-	case a.queue == nil:
-		if err := a.learn(next.Key(), rt, stepEv); err != nil {
+	// 5. Record the measurement and retrain the Q-table over the region
+	// (skipped entirely when online learning is disabled).
+	if !a.frozen {
+		qDelta, err := a.learn(next.Key(), rt)
+		if err != nil {
 			return StepResult{}, err
 		}
-	default:
-		key := next.Key()
-		if a.tel != nil {
-			a.tel.queued.Inc()
-		}
-		a.queue.enqueue(func() error { return a.learn(key, rt, stepEv) })
+		stepEv.QDelta = qDelta
+	}
+	if a.trace != nil {
+		a.trace.Add(stepEv)
 	}
 
 	a.cur = next
@@ -616,19 +580,15 @@ func (a *Agent) maybeRollback(ctx context.Context, res *StepResult) {
 }
 
 // learn folds one measured interval into the sample table, retrains the
-// Q-table over the region, and emits the learning-dependent telemetry: the
-// retrain counter and qDelta gauge, the retrain trace event, and the step
-// event itself (whose QDelta is only known here). It runs on the agent's
-// goroutine for synchronous agents and on the experience queue's learner
-// goroutine otherwise; the drain-before-any-Q-read discipline guarantees it
-// never runs concurrently with other access to the Q-table, the sample table
-// or the agent RNG.
-func (a *Agent) learn(key string, rt float64, stepEv telemetry.Event) error {
+// Q-table over the region, and emits the retrain telemetry (counter, qDelta
+// gauge, trace event). It returns the change of the visited state's best
+// Q-value for the step's own trace event.
+func (a *Agent) learn(key string, rt float64) (float64, error) {
 	a.record(key, rt)
 	qBefore := a.q.MaxValue(key)
 	batch, err := a.retrain()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	qDelta := a.q.MaxValue(key) - qBefore
 	if a.tel != nil {
@@ -638,16 +598,14 @@ func (a *Agent) learn(key string, rt float64, stepEv telemetry.Event) error {
 	if a.trace != nil {
 		a.trace.Add(telemetry.Event{
 			Kind:      telemetry.KindRetrain,
-			Iteration: stepEv.Iteration,
+			Iteration: a.iteration,
 			State:     key,
 			QDelta:    qDelta,
 			Sweeps:    batch.Sweeps,
 			Converged: batch.Converged,
 		})
-		stepEv.QDelta = qDelta
-		a.trace.Add(stepEv)
 	}
-	return nil
+	return qDelta, nil
 }
 
 // record folds a measurement into the per-state sample table. A first visit

@@ -96,24 +96,16 @@ func (a *ApproxAgent) Step(ctx context.Context) (StepResult, error) {
 	if err != nil {
 		return StepResult{}, fmt.Errorf("core: approx measure: %w", err)
 	}
-	reward := a.opts.RewardOf(m)
+	res := a.opts.measuredStep(a.iteration, action, next.Clone(), m)
 
 	nextChoice, err := a.learner.SelectAction(next.Key(), feasibleActions(a.space, a.actions, next))
 	if err != nil {
 		return StepResult{}, fmt.Errorf("core: approx select next: %w", err)
 	}
-	if _, err := a.learner.UpdateSARSA(a.cur.Key(), a.pending, reward, next.Key(), nextChoice); err != nil {
+	if _, err := a.learner.UpdateSARSA(a.cur.Key(), a.pending, res.Reward, next.Key(), nextChoice); err != nil {
 		return StepResult{}, fmt.Errorf("core: approx update: %w", err)
 	}
 
-	res := StepResult{
-		Iteration:  a.iteration,
-		Action:     action,
-		Config:     next.Clone(),
-		MeanRT:     m.MeanRT,
-		Throughput: m.Throughput,
-		Reward:     reward,
-	}
 	a.cur = next
 	a.pending = nextChoice
 	return res, nil

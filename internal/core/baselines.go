@@ -41,18 +41,7 @@ func (s *StaticAgent) Step(ctx context.Context) (StepResult, error) {
 	if err != nil {
 		return StepResult{}, err
 	}
-	return StepResult{
-		Iteration:     s.iteration,
-		Action:        config.Action{Dir: config.Keep},
-		Config:        s.sys.Config(),
-		MeanRT:        m.MeanRT,
-		P99RT:         m.P99RT,
-		Throughput:    m.Throughput,
-		Goodput:       m.Goodput,
-		Reward:        s.opts.RewardOf(m),
-		Level:         m.Level,
-		CapacityUnits: m.CapacityUnits,
-	}, nil
+	return s.opts.measuredStep(s.iteration, config.Action{Dir: config.Keep}, s.sys.Config(), m), nil
 }
 
 // TrialAndErrorAgent is the paper's second baseline (§5.2): it mimics a
@@ -125,18 +114,7 @@ func (t *TrialAndErrorAgent) Step(ctx context.Context) (StepResult, error) {
 	case trial[t.param] < oldVal:
 		dir = config.Decrease
 	}
-	res := StepResult{
-		Iteration:     t.iteration,
-		Action:        config.Action{ParamIndex: t.param, Dir: dir},
-		Config:        trial.Clone(),
-		MeanRT:        rt,
-		P99RT:         m.P99RT,
-		Throughput:    m.Throughput,
-		Goodput:       m.Goodput,
-		Reward:        t.opts.RewardOf(m),
-		Level:         m.Level,
-		CapacityUnits: m.CapacityUnits,
-	}
+	res := t.opts.measuredStep(t.iteration, config.Action{ParamIndex: t.param, Dir: dir}, trial.Clone(), m)
 
 	// Advance the schedule: after the last level, fix the best value found
 	// and move to the next parameter (wrapping into a new tuning round).
@@ -204,18 +182,12 @@ func (h *HillClimbAgent) Step(ctx context.Context) (StepResult, error) {
 		if err != nil {
 			return StepResult{}, err
 		}
-		h.baseRT = m
+		h.baseRT = m.MeanRT
 		h.baseSet = true
-		h.bestRT = m
+		h.bestRT = m.MeanRT
 		h.bestCfg = h.cur.Clone()
 		h.next = 1 // skip the global keep action
-		return StepResult{
-			Iteration: h.iteration,
-			Action:    config.Action{Dir: config.Keep},
-			Config:    h.cur.Clone(),
-			MeanRT:    m,
-			Reward:    h.opts.Reward(m),
-		}, nil
+		return h.opts.measuredStep(h.iteration, config.Action{Dir: config.Keep}, h.cur.Clone(), m), nil
 	}
 
 	// Find the next feasible neighbour action.
@@ -241,14 +213,8 @@ func (h *HillClimbAgent) Step(ctx context.Context) (StepResult, error) {
 			return StepResult{}, err
 		}
 		// Refresh the base measurement (the environment may have drifted).
-		h.baseRT = m
-		return StepResult{
-			Iteration: h.iteration,
-			Action:    config.Action{Dir: config.Keep},
-			Config:    h.cur.Clone(),
-			MeanRT:    m,
-			Reward:    h.opts.Reward(m),
-		}, nil
+		h.baseRT = m.MeanRT
+		return h.opts.measuredStep(h.iteration, config.Action{Dir: config.Keep}, h.cur.Clone(), m), nil
 	}
 
 	action := h.actions[h.next]
@@ -258,26 +224,16 @@ func (h *HillClimbAgent) Step(ctx context.Context) (StepResult, error) {
 	if err != nil {
 		return StepResult{}, err
 	}
-	if m < h.bestRT {
-		h.bestRT = m
+	if m.MeanRT < h.bestRT {
+		h.bestRT = m.MeanRT
 		h.bestCfg = trial.Clone()
 	}
-	return StepResult{
-		Iteration: h.iteration,
-		Action:    action,
-		Config:    trial,
-		MeanRT:    m,
-		Reward:    h.opts.Reward(m),
-	}, nil
+	return h.opts.measuredStep(h.iteration, action, trial, m), nil
 }
 
-func (h *HillClimbAgent) measure(ctx context.Context, cfg config.Config) (float64, error) {
+func (h *HillClimbAgent) measure(ctx context.Context, cfg config.Config) (system.Metrics, error) {
 	if err := h.sys.Apply(ctx, cfg); err != nil {
-		return 0, fmt.Errorf("core: hillclimb apply: %w", err)
+		return system.Metrics{}, fmt.Errorf("core: hillclimb apply: %w", err)
 	}
-	m, err := h.sys.Measure(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return m.MeanRT, nil
+	return h.sys.Measure(ctx)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
+	"github.com/rac-project/rac/internal/system"
 )
 
 func TestStaticAgentNeverReconfigures(t *testing.T) {
@@ -266,5 +267,60 @@ func TestStaticAgentRewardTracksMetrics(t *testing.T) {
 	}
 	if res.Throughput != 50 {
 		t.Fatalf("throughput %v not propagated", res.Throughput)
+	}
+}
+
+// fullMetricsSystem reports every measured field on each interval, so a tuner
+// that drops one shows up as a zero in its StepResult.
+type fullMetricsSystem struct{ *bowlSystem }
+
+var fullMetrics = system.Metrics{
+	MeanRT: 1.25, P95RT: 2.5, P99RT: 3.75, Throughput: 42, Goodput: 40,
+	Completed: 5000, IntervalSeconds: 300, Level: "Level-2", CapacityUnits: 2,
+}
+
+func (fullMetricsSystem) Measure(context.Context) (system.Metrics, error) { return fullMetrics, nil }
+
+// TestTunersReportFullMeasurement holds all five tuners to one reporting
+// contract: every measured field of the interval reaches the StepResult, and
+// the reward is the priced one (RewardOf, capacity cost included).
+func TestTunersReportFullMeasurement(t *testing.T) {
+	opts := DefaultOptions()
+	opts.CapacityCost = 0.5
+	wantReward := opts.SLASeconds - fullMetrics.MeanRT - opts.CapacityCost*float64(fullMetrics.CapacityUnits)
+	tuners := map[string]func(system.System) (Tuner, error){
+		"rac":           func(s system.System) (Tuner, error) { return NewAgent(s, AgentOptions{Options: opts, Seed: 3}) },
+		"static":        func(s system.System) (Tuner, error) { return NewStaticAgent(s, opts) },
+		"trialanderror": func(s system.System) (Tuner, error) { return NewTrialAndErrorAgent(s, opts) },
+		"hillclimb":     func(s system.System) (Tuner, error) { return NewHillClimbAgent(s, opts) },
+		"approx":        func(s system.System) (Tuner, error) { return NewApproxAgent(s, opts, 3) },
+	}
+	for name, mk := range tuners {
+		t.Run(name, func(t *testing.T) {
+			tuner, err := mk(fullMetricsSystem{newBowlSystem(bowlTargets)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Long enough for hill climbing to finish a probe cycle, so each
+			// of its three reporting sites runs.
+			for i := 0; i < 24; i++ {
+				res, err := tuner.Step(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := system.Metrics{
+					MeanRT: res.MeanRT, P95RT: fullMetrics.P95RT, P99RT: res.P99RT,
+					Throughput: res.Throughput, Goodput: res.Goodput,
+					Completed: fullMetrics.Completed, IntervalSeconds: fullMetrics.IntervalSeconds,
+					Level: res.Level, CapacityUnits: res.CapacityUnits,
+				}
+				if got != fullMetrics {
+					t.Fatalf("step %d reported %+v, measured %+v", i+1, got, fullMetrics)
+				}
+				if res.Reward != wantReward {
+					t.Fatalf("step %d reward %v, want priced %v", i+1, res.Reward, wantReward)
+				}
+			}
+		})
 	}
 }

@@ -137,43 +137,8 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// the worker pool. Streams are split per configuration before dispatch
 	// (the determinism contract), and xs/ys keep enumeration order, so the
 	// regression input is the same for any worker count.
-	coarse := make([][]int, len(defs))
-	for gi, d := range defs {
-		vals, err := config.CoarseValues(space, d.group, k)
-		if err != nil {
-			return nil, err
-		}
-		coarse[gi] = vals
-	}
-	var (
-		cfgs []config.Config
-		xs   [][]float64
-	)
-	assign := make(map[config.Group]int, len(defs))
-	var walk func(gi int) error
-	walk = func(gi int) error {
-		if gi == len(defs) {
-			cfg, err := config.GroupedConfig(space, assign)
-			if err != nil {
-				return err
-			}
-			vec := make([]float64, len(defs))
-			for i, d := range defs {
-				vec[i] = float64(assign[d.group])
-			}
-			cfgs = append(cfgs, cfg)
-			xs = append(xs, vec)
-			return nil
-		}
-		for _, v := range coarse[gi] {
-			assign[defs[gi].group] = v
-			if err := walk(gi + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0); err != nil {
+	cfgs, xs, err := config.CoarseSublattice(space, k)
+	if err != nil {
 		return nil, err
 	}
 	streams := sim.NewRNG(opts.Seed ^ 0x5a3b9d2e8c71f604).SplitN(len(cfgs))

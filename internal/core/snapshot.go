@@ -62,12 +62,6 @@ type AgentState struct {
 // is the caller's responsibility — the fleet scheduler checkpoints at round
 // barriers, and racagent snapshots after the in-flight interval finishes.
 func (a *Agent) ExportState() (*AgentState, error) {
-	// A queued agent's learned state is only complete once every enqueued
-	// interval has been applied; a deferred retrain error makes the snapshot
-	// unusable, so it surfaces here.
-	if err := a.drainQueue(); err != nil {
-		return nil, fmt.Errorf("core: export: %w", err)
-	}
 	var qbuf bytes.Buffer
 	if err := a.q.Save(&qbuf); err != nil {
 		return nil, fmt.Errorf("core: export qtable: %w", err)
@@ -109,12 +103,6 @@ func (a *Agent) ExportState() (*AgentState, error) {
 func (a *Agent) RestoreState(st *AgentState) error {
 	if st == nil {
 		return errors.New("core: nil agent state")
-	}
-	// Wait for any in-flight retrain before swapping the learned state out
-	// from under it. A deferred learning error is forgotten: the snapshot
-	// replaces the exact state that failed.
-	if a.queue != nil {
-		a.queue.reset()
 	}
 	if st.Version != AgentStateVersion {
 		return fmt.Errorf("core: agent state version %d, want %d", st.Version, AgentStateVersion)
@@ -201,9 +189,6 @@ func (a *Agent) RestoreState(st *AgentState) error {
 // Q-table is re-seeded and the measurement window cleared, exactly as on a
 // detected context change. A nil p clears the policy (cold Q-table).
 func (a *Agent) ForcePolicy(p *Policy) {
-	// The background learner must not retrain into a Q-table that is being
-	// re-seeded; a deferred error stays queued for the next Step to surface.
-	_ = a.drainQueue()
 	oldName := ""
 	if a.policy != nil {
 		oldName = a.policy.Name()

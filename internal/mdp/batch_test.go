@@ -234,7 +234,7 @@ func TestBatchTrainIndexedMatchesGeneric(t *testing.T) {
 	seeded := func(seeder Seeder) func(model) *QTable {
 		return func(m model) *QTable {
 			q := plain(m)
-			q.SetSeeder(seeder)
+			q.SetShared(NewSharedRows(m.Actions(), seeder))
 			return q
 		}
 	}

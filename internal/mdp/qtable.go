@@ -22,14 +22,14 @@ type QTable struct {
 	actions int
 	rows    map[string][]float64
 	initial float64
-	seeder  Seeder
 	shared  *SharedRows
 }
 
-// Seeder produces initial Q-value rows for states the table has never seen.
-// It is how an initialization policy (paper §4.1) primes online learning: the
-// returned slice must have the table's action count, or nil to fall back to
-// the constant initial value. Seeders must be deterministic.
+// Seeder produces initial Q-value rows for states a table has never seen. It
+// is how an initialization policy (paper §4.1) primes online learning, through
+// a SharedRows store: the returned slice must have the table's action count,
+// or nil to fall back to the constant initial value. Seeders must be
+// deterministic.
 type Seeder func(state string) []float64
 
 // NewQTable returns an empty table for the given action count. Unvisited
@@ -52,17 +52,11 @@ func (q *QTable) Actions() int { return q.actions }
 // Len returns the number of materialized state rows.
 func (q *QTable) Len() int { return len(q.rows) }
 
-// SetSeeder installs (or clears, with nil) the initial-row producer. Already
-// materialized rows are unaffected; switching seeders only changes how states
-// visited in the future are primed.
-func (q *QTable) SetSeeder(s Seeder) { q.seeder = s }
-
 // SetShared installs (or clears, with nil) a shared copy-on-write row store.
 // With a store installed the table serves unvisited states from the store's
-// memoized seeded rows (identical values to seeding directly, computed once
-// per store instead of once per table), interns state keys through it, and
-// materializes a private row only on write. A table's shared store takes
-// precedence over its own seeder.
+// memoized seeded rows (computed once per store instead of once per table),
+// interns state keys through it, and materializes a private row only on
+// write. Already materialized rows are unaffected.
 func (q *QTable) SetShared(s *SharedRows) {
 	if s != nil && s.actions != q.actions {
 		panic("mdp: SharedRows action count does not match table")
@@ -73,24 +67,17 @@ func (q *QTable) SetShared(s *SharedRows) {
 // served returns the row the table serves for state without materializing
 // anything, and whether that row is the table's own materialized one. The
 // read chain, spelled here once: the materialized row, else the shared
-// store's seeded row (a shared store takes precedence over the table's own
-// seeder, which is then never consulted), else the seeder's row, else nil —
-// standing for a row of the constant initial value. Seeded rows of the wrong
-// length count as absent. A row that is not the table's own may be shared or
-// transient; callers must not write through it.
+// store's seeded row, else nil — standing for a row of the constant initial
+// value (the store already drops seeded rows of the wrong length). A row that
+// is not the table's own is shared; callers must not write through it.
 func (q *QTable) served(state string) (row []float64, own bool) {
 	if row, ok := q.rows[state]; ok {
 		return row, true
 	}
 	if q.shared != nil {
-		row = q.shared.row(state)
-	} else if q.seeder != nil {
-		row = q.seeder(state)
+		return q.shared.row(state), false
 	}
-	if len(row) != q.actions {
-		return nil, false
-	}
-	return row, false
+	return nil, false
 }
 
 // fill writes a served row into dst: a copy of row, or the constant initial
@@ -129,13 +116,13 @@ func (q *QTable) Row(state string) []float64 {
 
 // ReadRow returns a read-only view of the row the table serves for state: the
 // materialized row if present, else the shared store's seeded row without
-// materializing a private copy. Anything else materializes as Row does,
-// preserving the historical read path of tables without a shared store.
-// Callers must not mutate the returned slice — it may be shared across tables.
+// materializing a private copy. A state neither has materializes at the
+// constant initial value, as Row does. Callers must not mutate the returned
+// slice — it may be shared across tables.
 func (q *QTable) ReadRow(state string) []float64 {
-	row, own := q.served(state)
-	if !own && (q.shared == nil || row == nil) {
-		row = q.materialize(state, row)
+	row, _ := q.served(state)
+	if row == nil {
+		row = q.materialize(state, nil)
 	}
 	return row
 }
@@ -149,7 +136,8 @@ func (q *QTable) snapshotRow(state string, dst []float64) {
 
 // setRow assigns state's row from values — the batch trainer's write side. It
 // bypasses the read chain: the trainer already folded the served values into
-// its training array, so consulting a seeder again would be wasted work.
+// its training array, so consulting the shared store again would be wasted
+// work.
 func (q *QTable) setRow(state string, values []float64) {
 	if row, ok := q.rows[state]; ok {
 		copy(row, values)
@@ -200,11 +188,9 @@ func (q *QTable) Visited(state string) bool {
 	return ok
 }
 
-// Clone returns a deep copy of the table, sharing the seeder and any shared
-// row store.
+// Clone returns a deep copy of the table, sharing any shared row store.
 func (q *QTable) Clone() *QTable {
 	out := NewQTable(q.actions, q.initial)
-	out.seeder = q.seeder
 	out.shared = q.shared
 	for k, row := range q.rows {
 		cp := make([]float64, len(row))

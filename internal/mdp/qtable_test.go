@@ -57,55 +57,6 @@ func TestQTablePanicsOnBadActions(t *testing.T) {
 	NewQTable(0, 0)
 }
 
-func TestQTableSeeder(t *testing.T) {
-	q := NewQTable(2, 0)
-	q.SetSeeder(func(state string) []float64 {
-		if state == "seeded" {
-			return []float64{3, 7}
-		}
-		return nil
-	})
-	// Get without materializing.
-	if got := q.Get("seeded", 1); got != 7 {
-		t.Fatalf("seeded Get = %v", got)
-	}
-	if q.Len() != 0 {
-		t.Fatal("Get materialized a row")
-	}
-	a, v := q.Best("seeded")
-	if a != 1 || v != 7 {
-		t.Fatalf("seeded Best = %d,%v", a, v)
-	}
-	// Row materializes a copy of the seed.
-	row := q.Row("seeded")
-	if row[0] != 3 || row[1] != 7 {
-		t.Fatalf("seeded Row = %v", row)
-	}
-	row[0] = 100
-	if q.Get("seeded", 0) != 100 {
-		t.Fatal("Row is not the live row")
-	}
-	// Fallback for unknown states.
-	if got := q.Get("other", 0); got != 0 {
-		t.Fatalf("unseeded Get = %v", got)
-	}
-	// Wrong-length seeds are ignored.
-	q2 := NewQTable(2, -1)
-	q2.SetSeeder(func(string) []float64 { return []float64{1} })
-	if got := q2.Get("x", 0); got != -1 {
-		t.Fatalf("short seed used: %v", got)
-	}
-}
-
-func TestQTableSeederDoesNotAffectExistingRows(t *testing.T) {
-	q := NewQTable(2, 0)
-	q.Set("s", 0, 9)
-	q.SetSeeder(func(string) []float64 { return []float64{1, 1} })
-	if q.Get("s", 0) != 9 {
-		t.Fatal("seeder overwrote existing row")
-	}
-}
-
 func TestQTableClone(t *testing.T) {
 	q := NewQTable(2, 0)
 	q.Set("s", 0, 1)
@@ -183,10 +134,9 @@ func TestMaxAbsDiff(t *testing.T) {
 }
 
 // TestQTableServedChain pins the one read chain — materialized row, else the
-// shared store, else the seeder, else the constant initial value — through
-// every reader built on it: what each reads from each source, that a shared
-// store wins over the table's own seeder (which is then never consulted, even
-// for states the store declines), and which readers materialize a private row.
+// shared store, else the constant initial value — through every reader built
+// on it: what each reads from each source, and which readers materialize a
+// private row.
 func TestQTableServedChain(t *testing.T) {
 	const (
 		state   = "s"
@@ -195,14 +145,10 @@ func TestQTableServedChain(t *testing.T) {
 	var (
 		own        = []float64{9, 8, 7}
 		fromShared = []float64{1, 5, 2}
-		fromSeeder = []float64{4, 3, 6}
 		constant   = []float64{initial, initial, initial}
 	)
-	// Every table carries a seeder; seederCalls says whether it was consulted.
-	var seederCalls int
 	newTable := func(shared *SharedRows) *QTable {
 		q := NewQTable(3, initial)
-		q.SetSeeder(func(string) []float64 { seederCalls++; return fromSeeder })
 		q.SetShared(shared)
 		return q
 	}
@@ -210,10 +156,9 @@ func TestQTableServedChain(t *testing.T) {
 		return NewSharedRows(3, func(string) []float64 { return row })
 	}
 	sources := []struct {
-		name   string
-		build  func() *QTable
-		want   []float64
-		seeder bool // the table's own seeder is what serves the row
+		name  string
+		build func() *QTable
+		want  []float64
 		// readRowCopies: ReadRow has to materialize, because the row is neither
 		// the table's own nor served by a shared store.
 		readRowCopies bool
@@ -222,17 +167,11 @@ func TestQTableServedChain(t *testing.T) {
 			q := newTable(store(fromShared))
 			copy(q.Row(state), own)
 			return q
-		}, own, false, false},
-		{"shared", func() *QTable { return newTable(store(fromShared)) }, fromShared, false, false},
-		{"shared-declines", func() *QTable { return newTable(store(nil)) }, constant, false, true},
-		{"shared-wrong-length", func() *QTable { return newTable(store([]float64{1})) }, constant, false, true},
-		{"seeder", func() *QTable { return newTable(nil) }, fromSeeder, true, true},
-		{"seeder-declines", func() *QTable {
-			q := newTable(nil)
-			q.SetSeeder(func(string) []float64 { seederCalls++; return nil })
-			return q
-		}, constant, true, true},
-		{"none", func() *QTable { return NewQTable(3, initial) }, constant, false, true},
+		}, own, false},
+		{"shared", func() *QTable { return newTable(store(fromShared)) }, fromShared, false},
+		{"shared-declines", func() *QTable { return newTable(store(nil)) }, constant, true},
+		{"shared-wrong-length", func() *QTable { return newTable(store([]float64{1})) }, constant, true},
+		{"none", func() *QTable { return newTable(nil) }, constant, true},
 	}
 	type reader struct {
 		name string
@@ -272,14 +211,10 @@ func TestQTableServedChain(t *testing.T) {
 	for _, src := range sources {
 		for _, rd := range readers {
 			t.Run(src.name+"/"+rd.name, func(t *testing.T) {
-				seederCalls = 0
 				q := src.build()
 				before := q.Len()
 				if got, want := rd.read(q), rd.want(src.want); !slices.Equal(got, want) {
 					t.Fatalf("read %v, want %v", got, want)
-				}
-				if consulted := seederCalls > 0; consulted != src.seeder {
-					t.Errorf("table seeder consulted = %v, want %v", consulted, src.seeder)
 				}
 				wantLen := before
 				if before == 0 && rd.copies(src.readRowCopies) {
@@ -290,10 +225,10 @@ func TestQTableServedChain(t *testing.T) {
 				}
 				if q.Len() == 1 {
 					// A materialized row is private: writing through it must
-					// reach neither the shared store nor the seeder's slice,
-					// and its key is interned where a store exists.
+					// not reach the shared store, and its key is interned
+					// where a store exists.
 					q.Row(state)[0] = -1
-					if fromShared[0] != 1 || fromSeeder[0] != 4 {
+					if fromShared[0] != 1 {
 						t.Fatal("write through a materialized row reached its source")
 					}
 					if q.shared != nil {

@@ -63,10 +63,14 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 func TestMapFirstErrorCancels(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("boom")
+	// The error is built up front: a first, cold fmt.Errorf inside unit 3
+	// takes tens of microseconds, long enough for the other workers to finish
+	// all 1000 trivial units before the cancellation lands.
+	unitErr := fmt.Errorf("unit 3: %w", boom)
 	_, err := Map(Options{Procs: 4}, 1000, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 3 {
-			return 0, fmt.Errorf("unit %d: %w", i, boom)
+			return 0, unitErr
 		}
 		return i, nil
 	})
