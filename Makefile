@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must pass before a PR lands.
 GO ?= go
 
-.PHONY: check fmt vet vet-faults build test race loc bench bench-telemetry bench-load bench-train bench-train-smoke bench-fleet bench-fleet-smoke faults-smoke fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke admission-smoke capacity-smoke
+.PHONY: check fmt vet vet-faults build test race loc identity bench bench-telemetry bench-load bench-train bench-train-smoke bench-fleet bench-fleet-smoke faults-smoke fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke admission-smoke capacity-smoke
 
 # check runs the gate's targets in order, printing each one's wall time
 # (`== race: 412s`) and stopping at the first failure.
@@ -54,6 +54,35 @@ loc:
 		total=$$((total + n)); \
 	done; \
 	printf '%-22s %6d\n' total "$$total"
+
+# Byte identity against another revision, the protocol a PR that must move
+# nothing observable runs: `make identity REV=HEAD~1` builds racpolicy,
+# racbench and racsim from REV (a `git archive` export under a temp dir —
+# local git only, and nothing is registered in .git) and from the working
+# tree, then compares the SHA-256 of the six Table-2 policies and the sim
+# coarse-2 policy, the four quick figures minus their `(fig in N.Ns)` timing
+# line, and a racsim sweep. Exits non-zero on any difference. Not part of
+# `make check`: it needs a revision to compare against.
+identity:
+	@test -n "$(REV)" || { echo "usage: make identity REV=<rev>"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir -p $$tmp/src $$tmp/rev $$tmp/tree && \
+	git archive $(REV) | tar -x -C $$tmp/src && \
+	(cd $$tmp/src && $(GO) build -o $$tmp/rev/ ./cmd/racpolicy ./cmd/racbench ./cmd/racsim) && \
+	$(GO) build -o $$tmp/tree/ ./cmd/racpolicy ./cmd/racbench ./cmd/racsim && \
+	for side in rev tree; do ( cd $$tmp/$$side && \
+		for n in 1 2 3 4 5 6; do ./racpolicy -train context-$$n -o context-$$n.json >/dev/null || exit 1; done && \
+		./racpolicy -train context-1 -backend sim -coarse 2 -seed 1 -o sim-coarse2.json >/dev/null && \
+		sha256sum *.json > policies.sha256 && \
+		for fig in fig5 fig9 overload flashcrowd-capacity; do \
+			./racbench -fig $$fig -quick | sed '/^  (.* in [0-9.]*s)$$/d' > $$fig.txt || exit 1; \
+		done && \
+		./racsim -sweep MaxClients > sweep.txt ) || exit 1; \
+	done && \
+	for f in policies.sha256 fig5.txt fig9.txt overload.txt flashcrowd-capacity.txt sweep.txt; do \
+		diff -u $$tmp/rev/$$f $$tmp/tree/$$f || { echo "identity: $$f differs from $(REV)"; exit 1; }; \
+	done && \
+	cat $$tmp/tree/policies.sha256 && echo "identity: byte-identical to $(REV)"
 
 # Quick benchmark pass over every package: one iteration per benchmark with
 # allocation stats, summarised into BENCH_quick.json via cmd/benchjson. The

@@ -62,20 +62,15 @@ func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs in
 	}
 	space := config.Default()
 
-	// Both backends build a fresh system per sampled configuration so the
-	// coarse sweep can fan out: the simulator derives its seed from the
-	// sample's pre-split RNG stream, making the saved policy independent of
-	// -procs and of sampling order.
+	// The simulator backend builds a fresh system per sampled configuration
+	// so the coarse sweep can fan out, deriving its seed from the sample's
+	// pre-split RNG stream; the analytic surface is pure. Either way the saved
+	// policy is independent of -procs and of sampling order.
+	opts := core.InitOptions{CoarseLevels: coarse, Seed: seed, Procs: procs}
 	var sampler core.StreamSampler
 	switch backend {
 	case "analytic":
-		sampler = func(cfg config.Config, _ *sim.RNG) (float64, error) {
-			sys, err := system.NewAnalytic(system.AnalyticOptions{Space: space, Context: ctx})
-			if err != nil {
-				return 0, err
-			}
-			return rac.SystemSampler(sys)(cfg)
-		}
+		opts.BatchSampler = system.AnalyticSampler(space, ctx, nil)
 	case "sim":
 		sampler = func(cfg config.Config, rng *sim.RNG) (float64, error) {
 			sys, err := system.NewSimulated(system.SimulatedOptions{
@@ -92,11 +87,7 @@ func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs in
 
 	start := time.Now()
 	fmt.Printf("training policy for %s (%s backend, %d coarse levels)...\n", ctx, backend, coarse)
-	policy, err := core.LearnPolicyStream(ctx.Name, space, sampler, core.InitOptions{
-		CoarseLevels: coarse,
-		Seed:         seed,
-		Procs:        procs,
-	})
+	policy, err := core.LearnPolicyStream(ctx.Name, space, sampler, opts)
 	if err != nil {
 		return err
 	}

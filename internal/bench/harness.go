@@ -13,14 +13,12 @@ import (
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/parallel"
-	"github.com/rac-project/rac/internal/queueing"
 	"github.com/rac-project/rac/internal/sim"
 	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
-	"github.com/rac-project/rac/internal/webtier"
 )
 
 // Options configure a Harness.
@@ -59,7 +57,6 @@ type policyEntry struct {
 type Harness struct {
 	opts  Options
 	space *config.Space
-	cal   webtier.Calibration
 
 	mu       sync.Mutex
 	policies map[string]*policyEntry
@@ -84,7 +81,6 @@ func New(opts Options) *Harness {
 	return &Harness{
 		opts:     opts,
 		space:    config.Default(),
-		cal:      webtier.DefaultCalibration(),
 		policies: make(map[string]*policyEntry),
 		surf:     surface.New(tel),
 		tel:      tel,
@@ -201,12 +197,12 @@ func (h *Harness) measureConfig(ctx system.Context, cfg config.Config, seeds int
 }
 
 // surfaceKey renders the memo key of one surface evaluation. Every input the
-// evaluation depends on is folded in: the backend tag ('a' analytic, 'm'
-// simulated measurement, 'p' simulated policy sample), the full context
-// coordinates (the level name alone would alias contexts that differ only in
-// mix or client count), the measurement seed or salt, the sampling windows
-// and the configuration itself. Built with strconv like policyKey: surface
-// lookups sit on the sweep hot path.
+// evaluation depends on is folded in: the backend tag ('m' simulated
+// measurement, 'p' simulated policy sample; analytic points are keyed by
+// system.AnalyticSampler), the full context coordinates (the level name alone
+// would alias contexts that differ only in mix or client count), the
+// measurement seed or salt, the sampling windows and the configuration itself.
+// Built with strconv like policyKey: surface lookups sit on the sweep hot path.
 func surfaceKey(tag byte, ctx system.Context, seed uint64, settle, measure float64, cfg config.Config) string {
 	key := make([]byte, 0, len(ctx.Level.Name)+len(cfg)*4+48)
 	key = append(key, tag, '|')
@@ -224,36 +220,6 @@ func surfaceKey(tag byte, ctx system.Context, seed uint64, settle, measure float
 	key = append(key, '|')
 	key = append(key, cfg.Key()...)
 	return string(key)
-}
-
-// analyticBatch predicts the response time of a chunk of configurations from
-// the queueing surface, memoized per (context, configuration): one
-// WebsiteSolver's scratch buffers serve the whole chunk, so the sweep's inner
-// MVA loops stop allocating. The solver is bit-identical to SolveWebsite
-// (pinned in queueing's tests), so chunk boundaries and cache state never
-// show in the output. The solver is owned by the calling goroutine; the
-// memo's singleflight runs each compute closure on the goroutine that
-// submitted it, so the scratch is never shared.
-func (h *Harness) analyticBatch(ctx system.Context, cfgs []config.Config, out []float64) error {
-	ws := queueing.NewWebsiteSolver()
-	for i, cfg := range cfgs {
-		rt, err := h.surf.Do(surfaceKey('a', ctx, 0, 0, 0, cfg), func() (float64, error) {
-			params, err := webtier.ParamsFromConfig(h.space, cfg)
-			if err != nil {
-				return 0, err
-			}
-			res, err := ws.Solve(h.cal, params, ctx.Workload, ctx.Level)
-			if err != nil {
-				return 0, err
-			}
-			return res.MeanRT, nil
-		})
-		if err != nil {
-			return fmt.Errorf("bench: analytic %s: %w", cfg.Key(), err)
-		}
-		out[i] = rt
-	}
-	return nil
 }
 
 // policyKey identifies one cached policy training. It must cover every
@@ -382,9 +348,7 @@ func (h *Harness) trainPolicy(ctx system.Context, smp sampling) (*core.Policy, e
 	} else {
 		// The analytic surface sweeps in batches so one solver's scratch
 		// serves each chunk.
-		batch = func(cfgs []config.Config, _ []*sim.RNG, out []float64) error {
-			return h.analyticBatch(ctx, cfgs, out)
-		}
+		batch = system.AnalyticSampler(h.space, ctx, h.surf)
 	}
 
 	p, err := core.LearnPolicyStream(ctx.Name, h.space, sampler, core.InitOptions{
@@ -475,10 +439,15 @@ func (h *Harness) bestGroupedConfig(ctx system.Context) (config.Config, float64,
 	// Solve the analytic surface for every sublattice point on the worker
 	// pool, then reduce with strict less-than in enumeration order — ties
 	// keep the earliest candidate under any worker count.
-	cfgs, _, err := config.CoarseSublattice(h.space, h.coarseLevels())
+	groups, err := h.space.Grouping()
 	if err != nil {
 		return nil, 0, err
 	}
+	cfgs, _, err := groups.Coarse(h.coarseLevels())
+	if err != nil {
+		return nil, 0, err
+	}
+	sample := system.AnalyticSampler(h.space, ctx, h.surf)
 	const chunk = 16
 	rts := make([]float64, len(cfgs))
 	nChunks := (len(cfgs) + chunk - 1) / chunk
@@ -488,7 +457,7 @@ func (h *Harness) bestGroupedConfig(ctx system.Context) (config.Config, float64,
 		if hi > len(cfgs) {
 			hi = len(cfgs)
 		}
-		return h.analyticBatch(ctx, cfgs[lo:hi], rts[lo:hi])
+		return sample(cfgs[lo:hi], nil, rts[lo:hi])
 	}); err != nil {
 		return nil, 0, err
 	}

@@ -51,6 +51,34 @@ func Actions(s *Space) []Action {
 	return acts
 }
 
+// Transitions returns the transition table of the action set restricted to
+// the lattice points ords: entry s*(2·Len()+1)+a is the dense index of the
+// point Actions(s)[a] reaches from ords[s], or −1 when the move leaves the
+// lattice or lands on a point index reports as absent (−1). It is the one
+// place a deterministic configuration MDP's feasibility rule is written.
+func (s *Space) Transitions(ords []uint64, index func(ord uint64) int32) []int32 {
+	actions := 2*len(s.defs) + 1
+	trans := make([]int32, len(ords)*actions)
+	for si, ord := range ords {
+		row := trans[si*actions : (si+1)*actions]
+		row[0] = int32(si) // keep
+		rem := ord
+		for i, d := range s.defs {
+			stride := s.strides[i]
+			level := int(rem / stride)
+			rem %= stride
+			row[1+2*i], row[2+2*i] = -1, -1
+			if level+1 < d.Levels() {
+				row[1+2*i] = index(ord + stride)
+			}
+			if level > 0 {
+				row[2+2*i] = index(ord - stride)
+			}
+		}
+	}
+	return trans
+}
+
 // Apply returns the configuration reached by taking the action from c within
 // the space, and whether the move was feasible. A move off the lattice edge
 // (increase at Max, decrease at Min) is infeasible and returns c unchanged.

@@ -1,6 +1,10 @@
 package config
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // GroupMembers returns, for each group, the list of parameter indices in the
 // space that belong to it. Groups with no members in the space are omitted.
@@ -12,116 +16,155 @@ func GroupMembers(s *Space) map[Group][]int {
 	return members
 }
 
-// CoarseValues returns k representative values for a group, spread evenly
-// over the intersection of its members' ranges. All members of a group share
-// each sampled value (paper §4.1: "parameters in the same group are always
-// given the same value", with "coarse granularity ... during training data
-// collection"). k must be at least 2.
-func CoarseValues(s *Space, g Group, k int) ([]int, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("config: need at least 2 coarse values, got %d", k)
-	}
-	members := GroupMembers(s)[g]
-	if len(members) == 0 {
-		return nil, fmt.Errorf("config: group %s has no members", g)
-	}
-	lo, hi := s.defs[members[0]].Min, s.defs[members[0]].Max
-	for _, i := range members[1:] {
-		if m := s.defs[i].Min; m > lo {
-			lo = m
-		}
-		if m := s.defs[i].Max; m < hi {
-			hi = m
-		}
-	}
-	if hi < lo {
-		return nil, fmt.Errorf("config: group %s member ranges do not overlap", g)
-	}
-	vals := make([]int, k)
-	for j := 0; j < k; j++ {
-		vals[j] = lo + (hi-lo)*j/(k-1)
-	}
-	return vals, nil
+// Grouping is paper §4.1's parameter grouping as a value (Algorithm 2 step 1:
+// "parameters in the same group are always given the same value"): which
+// parameters share a value, and the lattice of those shared values. Groups are
+// numbered in Groups() order, empty groups skipped. Obtain a space's grouping
+// from Space.Grouping; it is immutable.
+type Grouping struct {
+	space *Space
+	// groups is the group lattice, an ordinary Space with one synthetic Def
+	// per group: the intersection of the members' ranges at the finest member
+	// step, its top aligned down to the step grid.
+	groups  *Space
+	members [][]int // parameter indices of each group
+	of      []int   // group number of each parameter
+	// tops is the unaligned top of each group's intersection; coarse sampling
+	// interpolates up to it, the lattice stops at or below it.
+	tops []int
 }
 
-// GroupedConfig builds a full configuration from one value per group,
-// snapping each parameter onto its lattice. Values must be keyed by group.
-func GroupedConfig(s *Space, values map[Group]int) (Config, error) {
-	c := make(Config, s.Len())
-	for i, d := range s.defs {
-		v, ok := values[d.Group]
-		if !ok {
-			return nil, fmt.Errorf("config: missing value for group %s", d.Group)
-		}
-		c[i] = d.Value(d.Index(v))
-	}
-	return c, nil
-}
-
-// CoarseSublattice enumerates the coarse grouped sublattice that policy
-// initialization samples: every combination of the k CoarseValues of each
-// non-empty group, in Groups() order with the last group varying fastest.
-// cfgs[i] is the GroupedConfig of combination i and values[i] its per-group
-// values in the same group order — the regression's feature vector. Callers
-// index samples, RNG streams and tie-breaks by this order, so it is part of
-// the contract.
-func CoarseSublattice(s *Space, k int) (cfgs []Config, values [][]float64, err error) {
-	members := GroupMembers(s)
-	var (
-		order  []Group
-		coarse [][]int
-	)
-	n := 1
-	for _, g := range Groups() {
-		if len(members[g]) == 0 {
+// newGrouping groups the space's parameters by Def.Group.
+func newGrouping(s *Space) (*Grouping, error) {
+	g := &Grouping{space: s, of: make([]int, s.Len())}
+	byGroup := GroupMembers(s)
+	var defs []Def
+	for _, grp := range Groups() {
+		idx := byGroup[grp]
+		if len(idx) == 0 {
 			continue
 		}
-		vals, err := CoarseValues(s, g, k)
-		if err != nil {
-			return nil, nil, err
+		first := s.defs[idx[0]]
+		d := Def{Param: first.Param, Name: grp.String(), Group: grp,
+			Min: first.Min, Max: first.Max, Step: first.Step}
+		for _, i := range idx {
+			m := s.defs[i]
+			d.Min, d.Max, d.Step = max(d.Min, m.Min), min(d.Max, m.Max), min(d.Step, m.Step)
+			g.of[i] = len(defs)
 		}
-		order = append(order, g)
-		coarse = append(coarse, vals)
+		if d.Max < d.Min {
+			return nil, fmt.Errorf("config: group %s member ranges do not overlap", grp)
+		}
+		g.tops = append(g.tops, d.Max)
+		d.Max = d.Min + (d.Max-d.Min)/d.Step*d.Step
+		d.Default = d.Min
+		defs = append(defs, d)
+		g.members = append(g.members, idx)
+	}
+	if len(defs) != len(byGroup) {
+		return nil, errors.New("config: a parameter's group is not one of Groups()")
+	}
+	var err error
+	g.groups, err = NewSpace(defs)
+	return g, err
+}
+
+// Space returns the group lattice: group gi is parameter gi of it, so group
+// states, ordinals and actions are the ordinary Space ones.
+func (g *Grouping) Space() *Space { return g.groups }
+
+// Members returns the indices, in the grouped space, of group gi's
+// parameters. The slice is shared; callers must not mutate it.
+func (g *Grouping) Members(gi int) []int { return g.members[gi] }
+
+// Of returns the group number of parameter i of the grouped space.
+func (g *Grouping) Of(i int) int { return g.of[i] }
+
+// mean is the mean value of group gi's members in c.
+func (g *Grouping) mean(c Config, gi int) float64 {
+	var sum float64
+	for _, i := range g.members[gi] {
+		if i < len(c) {
+			sum += float64(c[i])
+		}
+	}
+	return sum / float64(len(g.members[gi]))
+}
+
+// Means projects a configuration onto its per-group mean values — the feature
+// vector of the regression predictor fitted during policy initialization.
+func (g *Grouping) Means(c Config) []float64 {
+	vec := make([]float64, len(g.members))
+	for gi := range vec {
+		vec[gi] = g.mean(c, gi)
+	}
+	return vec
+}
+
+// Ordinal snaps a configuration onto the group lattice — each group's mean,
+// rounded, then clamped to the nearest lattice value — and returns that
+// point's ordinal in Space(). It does not allocate.
+func (g *Grouping) Ordinal(c Config) uint64 {
+	var ord uint64
+	for gi := range g.members {
+		d := &g.groups.defs[gi]
+		ord += uint64(d.Index(int(math.Round(g.mean(c, gi))))) * g.groups.strides[gi]
+	}
+	return ord
+}
+
+// Expand builds the full configuration that gives every member of group gi
+// the value point[gi], snapping each parameter onto its own lattice.
+func (g *Grouping) Expand(point Config) (Config, error) {
+	if len(point) != len(g.members) {
+		return nil, fmt.Errorf("config: got %d values for %d groups", len(point), len(g.members))
+	}
+	return g.expand(point), nil
+}
+
+func (g *Grouping) expand(point Config) Config {
+	c := make(Config, g.space.Len())
+	for i, d := range g.space.defs {
+		c[i] = d.Value(d.Index(point[g.of[i]]))
+	}
+	return c
+}
+
+// coarseValue returns the j-th of k representative values of group gi, spread
+// evenly over the intersection of its members' ranges (paper §4.1: "coarse
+// granularity ... during training data collection").
+func (g *Grouping) coarseValue(gi, j, k int) int {
+	lo, hi := g.groups.defs[gi].Min, g.tops[gi]
+	return lo + (hi-lo)*j/(k-1)
+}
+
+// Coarse enumerates the coarse grouped sublattice that policy initialization
+// samples: every combination of k coarse values per group, the last group
+// varying fastest. cfgs[i] is the expanded configuration of combination i and
+// values[i] its per-group values — the regression's feature vector. Callers
+// index samples, RNG streams and tie-breaks by this order, so it is part of
+// the contract. k must be at least 2.
+func (g *Grouping) Coarse(k int) (cfgs []Config, values [][]float64, err error) {
+	if k < 2 {
+		return nil, nil, fmt.Errorf("config: need at least 2 coarse values, got %d", k)
+	}
+	n := 1
+	for range g.members {
 		n *= k
 	}
 	cfgs = make([]Config, n)
 	values = make([][]float64, n)
-	assign := make(map[Group]int, len(order))
+	point := make(Config, len(g.members))
 	for i := range cfgs {
-		values[i] = make([]float64, len(order))
+		values[i] = make([]float64, len(point))
 		// Mixed-radix digits of i, least significant = last group.
-		for gi, rem := len(order)-1, i; gi >= 0; gi, rem = gi-1, rem/k {
-			v := coarse[gi][rem%k]
-			assign[order[gi]] = v
-			values[i][gi] = float64(v)
+		for gi, rem := len(point)-1, i; gi >= 0; gi, rem = gi-1, rem/k {
+			point[gi] = g.coarseValue(gi, rem%k, k)
+			values[i][gi] = float64(point[gi])
 		}
-		if cfgs[i], err = GroupedConfig(s, assign); err != nil {
-			return nil, nil, err
-		}
+		cfgs[i] = g.expand(point)
 	}
 	return cfgs, values, nil
-}
-
-// GroupVector projects a configuration onto its per-group mean values, in
-// Groups() order restricted to groups present in the space. It is the feature
-// vector used by the regression predictor during policy initialization.
-func GroupVector(s *Space, c Config) []float64 {
-	members := GroupMembers(s)
-	var vec []float64
-	for _, g := range Groups() {
-		idx := members[g]
-		if len(idx) == 0 {
-			continue
-		}
-		var sum float64
-		for _, i := range idx {
-			if i < len(c) {
-				sum += float64(c[i])
-			}
-		}
-		vec = append(vec, sum/float64(len(idx)))
-	}
-	return vec
 }
 
 // Features returns a quadratic feature basis over the space for use with

@@ -32,14 +32,20 @@ func TestGroupMembersCoversAllParams(t *testing.T) {
 	}
 }
 
-func TestCoarseValues(t *testing.T) {
-	s := Default()
-	vals, err := CoarseValues(s, GroupCapacity, 4)
+func defaultGrouping(t *testing.T) *Grouping {
+	t.Helper()
+	g, err := Default().Grouping()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 4 {
-		t.Fatalf("got %d values", len(vals))
+	return g
+}
+
+func TestCoarseValues(t *testing.T) {
+	g := defaultGrouping(t) // group 0 is capacity
+	vals := make([]int, 4)
+	for j := range vals {
+		vals[j] = g.coarseValue(0, j, 4)
 	}
 	if vals[0] != 50 || vals[3] != 600 {
 		t.Fatalf("capacity coarse values %v", vals)
@@ -52,24 +58,25 @@ func TestCoarseValues(t *testing.T) {
 }
 
 func TestCoarseValuesErrors(t *testing.T) {
-	s := Default()
-	if _, err := CoarseValues(s, GroupCapacity, 1); err == nil {
+	if _, _, err := defaultGrouping(t).Coarse(1); err == nil {
 		t.Fatal("k=1 accepted")
 	}
-	if _, err := CoarseValues(s, Group(99), 3); err == nil {
+	disjoint := MustSpace([]Def{
+		{Param: MaxClients, Name: "a", Group: GroupCapacity, Min: 0, Max: 10, Step: 5},
+		{Param: MaxThreads, Name: "b", Group: GroupCapacity, Min: 20, Max: 30, Step: 5, Default: 20},
+	})
+	if _, err := disjoint.Grouping(); err == nil {
+		t.Fatal("group with disjoint member ranges accepted")
+	}
+	ungrouped := MustSpace([]Def{{Param: MaxClients, Name: "a", Group: Group(99), Min: 0, Max: 10, Step: 5}})
+	if _, err := ungrouped.Grouping(); err == nil {
 		t.Fatal("unknown group accepted")
 	}
 }
 
 func TestGroupedConfig(t *testing.T) {
 	s := Default()
-	values := map[Group]int{
-		GroupCapacity: 300,
-		GroupTimeout:  11,
-		GroupMinSpare: 45,
-		GroupMaxSpare: 55,
-	}
-	cfg, err := GroupedConfig(s, values)
+	cfg, err := defaultGrouping(t).Expand(Config{300, 11, 45, 55})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +91,7 @@ func TestGroupedConfig(t *testing.T) {
 }
 
 func TestGroupedConfigMissingGroup(t *testing.T) {
-	s := Default()
-	if _, err := GroupedConfig(s, map[Group]int{GroupCapacity: 100}); err == nil {
+	if _, err := defaultGrouping(t).Expand(Config{100}); err == nil {
 		t.Fatal("missing groups accepted")
 	}
 }
@@ -93,44 +99,34 @@ func TestGroupedConfigMissingGroup(t *testing.T) {
 // TestCoarseSublatticeOrder pins the enumeration contract against the nested
 // loops it replaced: groups in Groups() order, first group outermost.
 func TestCoarseSublatticeOrder(t *testing.T) {
-	s := Default()
+	g := defaultGrouping(t)
 	const k = 3
-	cfgs, values, err := CoarseSublattice(s, k)
+	cfgs, values, err := g.Coarse(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var order []Group
-	for _, g := range Groups() {
-		if len(GroupMembers(s)[g]) > 0 {
-			order = append(order, g)
-		}
-	}
 	i := 0
-	assign := make(map[Group]int)
+	point := make(Config, g.Space().Len())
 	var walk func(gi int)
 	walk = func(gi int) {
-		if gi == len(order) {
-			want, err := GroupedConfig(s, assign)
+		if gi == len(point) {
+			want, err := g.Expand(point)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if i >= len(cfgs) || !cfgs[i].Equal(want) {
 				t.Fatalf("point %d is not %v", i, want)
 			}
-			for j, g := range order {
-				if values[i][j] != float64(assign[g]) {
-					t.Fatalf("point %d values %v, want group %s = %d", i, values[i], g, assign[g])
+			for j, v := range point {
+				if values[i][j] != float64(v) {
+					t.Fatalf("point %d values %v, want group %d = %d", i, values[i], j, v)
 				}
 			}
 			i++
 			return
 		}
-		vals, err := CoarseValues(s, order[gi], k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range vals {
-			assign[order[gi]] = v
+		for j := 0; j < k; j++ {
+			point[gi] = g.coarseValue(gi, j, k)
 			walk(gi + 1)
 		}
 	}
@@ -138,24 +134,15 @@ func TestCoarseSublatticeOrder(t *testing.T) {
 	if i != len(cfgs) || len(values) != len(cfgs) {
 		t.Fatalf("enumerated %d configs and %d value vectors, want %d", len(cfgs), len(values), i)
 	}
-	if _, _, err := CoarseSublattice(s, 1); err == nil {
-		t.Fatal("k=1 accepted")
-	}
 }
 
 func TestGroupVector(t *testing.T) {
-	s := Default()
-	values := map[Group]int{
-		GroupCapacity: 200,
-		GroupTimeout:  7,
-		GroupMinSpare: 25,
-		GroupMaxSpare: 35,
-	}
-	cfg, err := GroupedConfig(s, values)
+	g := defaultGrouping(t)
+	cfg, err := g.Expand(Config{200, 7, 25, 35})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := GroupVector(s, cfg)
+	vec := g.Means(cfg)
 	if len(vec) != 4 {
 		t.Fatalf("vector length %d", len(vec))
 	}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Tier identifies which tier of the web system a parameter belongs to.
@@ -148,7 +149,7 @@ func (d Def) Index(v int) int {
 // are the standard reconstruction (MaxClients 50..600 etc.) consistent with
 // the Apache/Tomcat defaults named in the text. Step sizes define the online
 // learning lattice; the paper tunes on a finer lattice than it samples during
-// policy initialization, which CoarseValues reproduces.
+// policy initialization, which Grouping.Coarse reproduces.
 func Table1() []Def {
 	return []Def{
 		{Param: MaxClients, Name: "MaxClients", Tier: TierWeb, Group: GroupCapacity,
@@ -178,6 +179,8 @@ type Space struct {
 	// strides[i] is the mixed-radix weight of parameter i's lattice index:
 	// the product of the level counts of every later parameter (see Ordinal).
 	strides []uint64
+	// grouping derives the space's Grouping on first use.
+	grouping func() (*Grouping, error)
 }
 
 // NewSpace builds a space from defs. It returns an error for empty input,
@@ -193,6 +196,7 @@ func NewSpace(defs []Def) (*Space, error) {
 		strides: make([]uint64, len(defs)),
 	}
 	copy(s.defs, defs)
+	s.grouping = sync.OnceValues(func() (*Grouping, error) { return newGrouping(s) })
 	for i, d := range s.defs {
 		if d.Step <= 0 || d.Max < d.Min || (d.Max-d.Min)%d.Step != 0 {
 			return nil, fmt.Errorf("config: malformed lattice for %s [%d,%d] step %d",
@@ -308,6 +312,19 @@ func (s *Space) Ordinal(c Config) uint64 {
 	}
 	return ord
 }
+
+// At fills c with the lattice point whose Ordinal is ord and returns it.
+func (s *Space) At(ord uint64, c Config) Config {
+	for i, d := range s.defs {
+		c[i] = d.Min + int(ord/s.strides[i])*d.Step
+		ord %= s.strides[i]
+	}
+	return c
+}
+
+// Grouping returns the space's parameter grouping by Def.Group, derived on
+// first use. It fails when a group's member ranges share no value.
+func (s *Space) Grouping() (*Grouping, error) { return s.grouping() }
 
 // Stride returns the ordinal distance of one lattice step of parameter i: an
 // action increasing (decreasing) parameter i moves Ordinal by +Stride(i)

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -252,6 +253,24 @@ func TestOrdinalIsDenseIdentity(t *testing.T) {
 		{Param: KeepAliveTimeout, Name: "b", Min: 1, Max: 7, Step: 2, Default: 1},
 		{Param: MinSpareServers, Name: "c", Min: -10, Max: 0, Step: 10, Default: 0},
 	})
+	// The whole lattice as an MDP, and the sub-MDP on its even ordinals: a move
+	// to an absent point is as infeasible as one off the lattice.
+	all := make([]uint64, s.States())
+	for i := range all {
+		all[i] = uint64(i)
+	}
+	whole := s.Transitions(all, func(ord uint64) int32 { return int32(ord) })
+	evens := s.Transitions([]uint64{0, 2, 4}, func(ord uint64) int32 {
+		if ord%2 == 0 && ord <= 4 {
+			return int32(ord / 2)
+		}
+		return -1
+	})
+	// Strides are 8, 2, 1: from ordinal 2 (b one step up) keep stays, b moves
+	// to ordinals 4 and 0, a's increase leaves the subset, c's leaves it too.
+	if want := []int32{1, -1, -1, 2, 0, -1, -1}; !slices.Equal(evens[7:14], want) {
+		t.Fatalf("sub-lattice transitions from ordinal 2: %v, want %v", evens[7:14], want)
+	}
 	seen := make(map[uint64]string)
 	for a := 50; a <= 150; a += 50 {
 		for b := 1; b <= 7; b += 2 {
@@ -265,10 +284,19 @@ func TestOrdinalIsDenseIdentity(t *testing.T) {
 					t.Fatalf("%v has ordinal %d, lattice has %d points", cfg, ord, s.States())
 				}
 				seen[ord] = cfg.Key()
-				for _, act := range Actions(s)[1:] {
+				if got := s.At(ord, make(Config, 3)); !got.Equal(cfg) {
+					t.Fatalf("At(%d) = %v, want %v", ord, got, cfg)
+				}
+				for ai, act := range Actions(s)[1:] {
 					next, ok := act.Apply(s, cfg)
 					if !ok {
+						if whole[int(ord)*len(Actions(s))+1+ai] != -1 {
+							t.Fatalf("%v %v: infeasible move has a transition", cfg, act)
+						}
 						continue
+					}
+					if got := whole[int(ord)*len(Actions(s))+1+ai]; uint64(got) != s.Ordinal(next) {
+						t.Fatalf("%v %v: transition to %d, want %d", cfg, act, got, s.Ordinal(next))
 					}
 					want := ord + s.Stride(act.ParamIndex)
 					if act.Dir == Decrease {

@@ -35,7 +35,8 @@ func newBowlSystem(targets []float64) *bowlSystem {
 }
 
 func (b *bowlSystem) rt(cfg config.Config) float64 {
-	vec := config.GroupVector(b.space, cfg)
+	groups, _ := b.space.Grouping()
+	vec := groups.Means(cfg)
 	rt := 0.2 + b.shift
 	for i, v := range vec {
 		d := (v - b.targets[i]) / 100

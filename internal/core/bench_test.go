@@ -11,27 +11,23 @@ import (
 // reward reads, and state-key resolution during online seeding — must stay
 // allocation-free: every training sweep visits every lattice state several
 // times, and the seeder runs inside the agent's per-interval retraining.
-// State keys are interned in the lattice at construction, so nothing below
+// State keys are interned in the policy at construction, so nothing below
 // may build a string. Same discipline as the telemetry 0-alloc benchmarks.
 
-func latticeModelForBench(tb testing.TB) (*groupLattice, *mdp.Structure, []float64) {
+func latticeModelForBench(tb testing.TB) (*Policy, *mdp.Structure, []float64) {
 	tb.Helper()
-	defs, err := groupDefs(config.Default())
+	p := flatPolicy(tb, config.Default())
+	st, rewards, err := p.trainingMDP()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	lat := newGroupLattice(defs)
-	st, rewards, err := lat.trainingMDP(func(vals []int) float64 { return 1 }, 2)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return lat, st, rewards
+	return p, st, rewards
 }
 
 var benchSink int
 
 func TestGroupModelHotPathAllocFree(t *testing.T) {
-	lat, st, rewards := latticeModelForBench(t)
+	p, st, rewards := latticeModelForBench(t)
 	mid := len(st.States()) / 2
 	if allocs := testing.AllocsPerRun(200, func() {
 		for a := 0; a < st.Actions(); a++ {
@@ -43,7 +39,6 @@ func TestGroupModelHotPathAllocFree(t *testing.T) {
 		t.Fatalf("group MDP transition/reward reads allocate %.1f per run, want 0", allocs)
 	}
 
-	p := &Policy{defs: lat.defs, lat: lat}
 	cfg := config.Default().DefaultConfig()
 	if allocs := testing.AllocsPerRun(200, func() {
 		p.groupStateKey(cfg)
@@ -63,8 +58,7 @@ func BenchmarkGroupModelNext(b *testing.B) {
 }
 
 func BenchmarkGroupStateKey(b *testing.B) {
-	lat, _, _ := latticeModelForBench(b)
-	p := &Policy{defs: lat.defs, lat: lat}
+	p, _, _ := latticeModelForBench(b)
 	cfg := config.Default().DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -128,7 +128,7 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 		return nil, fmt.Errorf("core: non-positive SLA %v", sla)
 	}
 
-	defs, err := groupDefs(space)
+	groups, err := space.Grouping()
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// the worker pool. Streams are split per configuration before dispatch
 	// (the determinism contract), and xs/ys keep enumeration order, so the
 	// regression input is the same for any worker count.
-	cfgs, xs, err := config.CoarseSublattice(space, k)
+	cfgs, xs, err := groups.Coarse(k)
 	if err != nil {
 		return nil, err
 	}
@@ -189,16 +189,15 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	if floor <= 0 {
 		floor = 0.01
 	}
-	predict := func(vals []int) float64 {
-		vec := make([]float64, len(vals))
-		for i, v := range vals {
-			vec[i] = float64(v)
-		}
-		rt := math.Exp(quad.Eval(vec))
-		if rt < floor {
-			rt = floor
-		}
-		return rt
+	p := &Policy{
+		name:    name,
+		space:   space,
+		groups:  groups,
+		keys:    latticeKeys(groups.Space()),
+		quad:    quad,
+		sla:     sla,
+		floorRT: floor,
+		intern:  &policyIntern{},
 	}
 
 	// 4. Offline RL over the group lattice. The offline pass runs many more
@@ -206,8 +205,7 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// the same asymptotic scale (≈ r/(1−γ)) as the values the online agent
 	// keeps refreshing, or unvisited states would look artificially poor and
 	// the agent would cling to its visited region.
-	lat := newGroupLattice(defs)
-	structure, rewards, err := lat.trainingMDP(predict, sla)
+	structure, rewards, err := p.trainingMDP()
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}
@@ -215,31 +213,12 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	if batch.MaxSweeps == 0 {
 		batch = DefaultOfflineBatch()
 	}
-	q := mdp.NewQTable(structure.Actions(), 0)
-	training, err := mdp.Train(q, structure, rewards, batch, sim.NewRNG(opts.Seed|1))
+	p.q = mdp.NewQTable(structure.Actions(), 0)
+	p.training, err = mdp.Train(p.q, structure, rewards, batch, sim.NewRNG(opts.Seed|1))
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}
-
-	paramGroup := make([]int, space.Len())
-	for gi, d := range defs {
-		for _, i := range d.members {
-			paramGroup[i] = gi
-		}
-	}
-	return &Policy{
-		name:       name,
-		space:      space,
-		defs:       defs,
-		lat:        lat,
-		paramGroup: paramGroup,
-		q:          q,
-		quad:       quad,
-		sla:        sla,
-		floorRT:    floor,
-		training:   training,
-		intern:     &policyIntern{},
-	}, nil
+	return p, nil
 }
 
 func minSample(ys []float64) float64 {

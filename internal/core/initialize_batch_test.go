@@ -14,7 +14,8 @@ import (
 // sample's RNG stream, so the test catches a dispatcher that mis-threads
 // streams through chunk boundaries.
 func batchTestSample(space *config.Space, cfg config.Config, rng *sim.RNG) float64 {
-	vec := config.GroupVector(space, cfg)
+	groups, _ := space.Grouping()
+	vec := groups.Means(cfg)
 	rt := 0.3
 	for i, v := range vec {
 		d := (v - 100*float64(i+1)) / 150

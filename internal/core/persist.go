@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
@@ -19,12 +20,12 @@ type policyJSON struct {
 	Name    string           `json:"name"`
 	SLA     float64          `json:"slaSeconds"`
 	FloorRT float64          `json:"floorRtSeconds"`
-	Groups  []groupDefJSON   `json:"groups"`
+	Groups  []groupJSON      `json:"groups"`
 	Coeffs  []float64        `json:"regressionCoeffs"`
 	QTable  *json.RawMessage `json:"qtable"`
 }
 
-type groupDefJSON struct {
+type groupJSON struct {
 	Group   int   `json:"group"`
 	Members []int `json:"members"`
 	Min     int   `json:"min"`
@@ -48,13 +49,13 @@ func (p *Policy) Save(w io.Writer) error {
 		Coeffs:  p.quad.Coeffs(),
 		QTable:  &qbuf,
 	}
-	for _, d := range p.defs {
-		out.Groups = append(out.Groups, groupDefJSON{
-			Group:   int(d.group),
-			Members: d.members,
-			Min:     d.min,
-			Max:     d.max,
-			Step:    d.step,
+	for gi, d := range p.groups.Space().Defs() {
+		out.Groups = append(out.Groups, groupJSON{
+			Group:   int(d.Group),
+			Members: p.groups.Members(gi),
+			Min:     d.Min,
+			Max:     d.Max,
+			Step:    d.Step,
 		})
 	}
 	return json.NewEncoder(w).Encode(out)
@@ -71,20 +72,22 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return nil, fmt.Errorf("core: decode policy: %w", err)
 	}
-	defs, err := groupDefs(space)
+	groups, err := space.Grouping()
 	if err != nil {
 		return nil, err
 	}
+	defs := groups.Space().Defs()
 	if len(defs) != len(raw.Groups) {
 		return nil, fmt.Errorf("core: policy has %d groups, space %d", len(raw.Groups), len(defs))
 	}
 	for i, g := range raw.Groups {
 		d := defs[i]
-		if int(d.group) != g.Group || d.min != g.Min || d.max != g.Max || d.step != g.Step {
+		if int(d.Group) != g.Group || d.Min != g.Min || d.Max != g.Max || d.Step != g.Step {
 			return nil, fmt.Errorf("core: group %d lattice mismatch (policy %+v, space %+v)", i, g, d)
 		}
-		if len(d.members) != len(g.Members) {
-			return nil, fmt.Errorf("core: group %d member mismatch", i)
+		if !slices.Equal(groups.Members(i), g.Members) {
+			return nil, fmt.Errorf("core: group %d member mismatch (policy %v, space %v)",
+				i, g.Members, groups.Members(i))
 		}
 	}
 	if raw.SLA <= 0 {
@@ -108,32 +111,25 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 	// The file comes from outside the program (a registry directory): its
 	// Q-table must hold exactly the group lattice's rows, or seeding would
 	// read states the offline pass never trained.
-	lat := newGroupLattice(defs)
-	if q.Len() != len(lat.keys) {
+	keys := latticeKeys(groups.Space())
+	if q.Len() != len(keys) {
 		return nil, fmt.Errorf("core: policy Q-table has %d rows, group lattice %d states",
-			q.Len(), len(lat.keys))
+			q.Len(), len(keys))
 	}
-	for _, key := range lat.keys {
+	for _, key := range keys {
 		if !q.Visited(key) {
 			return nil, fmt.Errorf("core: policy Q-table lacks group state %q", key)
 		}
 	}
-	paramGroup := make([]int, space.Len())
-	for gi, d := range defs {
-		for _, idx := range d.members {
-			paramGroup[idx] = gi
-		}
-	}
 	return &Policy{
-		name:       raw.Name,
-		space:      space,
-		defs:       defs,
-		lat:        lat,
-		paramGroup: paramGroup,
-		q:          q,
-		quad:       quad,
-		sla:        raw.SLA,
-		floorRT:    raw.FloorRT,
-		intern:     &policyIntern{},
+		name:    raw.Name,
+		space:   space,
+		groups:  groups,
+		keys:    keys,
+		q:       q,
+		quad:    quad,
+		sla:     raw.SLA,
+		floorRT: raw.FloorRT,
+		intern:  &policyIntern{},
 	}, nil
 }

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/rac-project/rac/internal/config"
@@ -13,126 +9,14 @@ import (
 	"github.com/rac-project/rac/internal/regression"
 )
 
-// groupDef is the lattice of one parameter group: the intersection of its
-// members' ranges at the finest member step.
-type groupDef struct {
-	group   config.Group
-	members []int // parameter indices in the space
-	min     int
-	max     int
-	step    int
-}
-
-func (g groupDef) levels() int { return (g.max-g.min)/g.step + 1 }
-
-func (g groupDef) clamp(v int) int {
-	if v <= g.min {
-		return g.min
+// latticeKeys renders the state key of every point of the space, by ordinal.
+func latticeKeys(space *config.Space) []string {
+	keys := make([]string, space.States())
+	point := make(config.Config, space.Len())
+	for ord := range keys {
+		keys[ord] = space.At(uint64(ord), point).Key()
 	}
-	if v >= g.max {
-		return g.max
-	}
-	return g.min + (v-g.min+g.step/2)/g.step*g.step
-}
-
-// groupDefs derives the group lattices of a space, in config.Groups() order.
-func groupDefs(space *config.Space) ([]groupDef, error) {
-	members := config.GroupMembers(space)
-	var defs []groupDef
-	for _, g := range config.Groups() {
-		idx := members[g]
-		if len(idx) == 0 {
-			continue
-		}
-		d := groupDef{
-			group:   g,
-			members: idx,
-			min:     space.Def(idx[0]).Min,
-			max:     space.Def(idx[0]).Max,
-			step:    space.Def(idx[0]).Step,
-		}
-		for _, i := range idx[1:] {
-			pd := space.Def(i)
-			if pd.Min > d.min {
-				d.min = pd.Min
-			}
-			if pd.Max < d.max {
-				d.max = pd.Max
-			}
-			if pd.Step < d.step {
-				d.step = pd.Step
-			}
-		}
-		if d.max < d.min {
-			return nil, fmt.Errorf("core: group %s member ranges do not overlap", g)
-		}
-		// Align the top of the lattice to the step grid.
-		d.max = d.min + (d.max-d.min)/d.step*d.step
-		defs = append(defs, d)
-	}
-	if len(defs) == 0 {
-		return nil, errors.New("core: space has no groups")
-	}
-	return defs, nil
-}
-
-// groupKey renders group lattice values as a state key.
-func groupKey(vals []int) string {
-	var b strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-	return b.String()
-}
-
-// groupLattice is the enumerated group lattice shared by policies and the
-// offline training MDP: interned state-key strings plus the flattened-index
-// geometry (strides, per-group level counts) needed to navigate the lattice
-// without rebuilding key strings per visit. Groups are ordered as in defs;
-// the last group varies fastest, matching the historical enumeration order.
-type groupLattice struct {
-	defs    []groupDef
-	levels  []int
-	strides []int
-	keys    []string // interned groupKey per flattened index
-}
-
-func newGroupLattice(defs []groupDef) *groupLattice {
-	l := &groupLattice{
-		defs:    defs,
-		levels:  make([]int, len(defs)),
-		strides: make([]int, len(defs)),
-	}
-	total := 1
-	for gi := len(defs) - 1; gi >= 0; gi-- {
-		l.levels[gi] = defs[gi].levels()
-		l.strides[gi] = total
-		total *= l.levels[gi]
-	}
-	l.keys = make([]string, total)
-	vals := make([]int, len(defs))
-	var rec func(gi, idx int)
-	rec = func(gi, idx int) {
-		if gi == len(defs) {
-			l.keys[idx] = groupKey(vals)
-			return
-		}
-		d := defs[gi]
-		for li := 0; li < l.levels[gi]; li++ {
-			vals[gi] = d.min + li*d.step
-			rec(gi+1, idx+li*l.strides[gi])
-		}
-	}
-	rec(0, 0)
-	return l
-}
-
-// value returns group gi's lattice value at flattened state index idx.
-func (l *groupLattice) value(idx, gi int) int {
-	return l.defs[gi].min + (idx/l.strides[gi])%l.levels[gi]*l.defs[gi].step
+	return keys
 }
 
 // Policy is an initial configuration policy for one system context: a
@@ -143,13 +27,14 @@ func (l *groupLattice) value(idx, gi int) int {
 type Policy struct {
 	name  string
 	space *config.Space
-	defs  []groupDef
-	lat   *groupLattice
-	// paramGroup maps each parameter index to its position in defs.
-	paramGroup []int
-	q          *mdp.QTable
-	quad       *regression.Quadratic
-	sla        float64
+	// groups is the space's grouping; the offline Q-table's states are the
+	// points of its lattice, and keys holds their interned state keys by
+	// ordinal so resolving a configuration's group state builds no string.
+	groups *config.Grouping
+	keys   []string
+	q      *mdp.QTable
+	quad   *regression.Quadratic
+	sla    float64
 	// floorRT guards against regression extrapolation below zero.
 	floorRT float64
 	// training is how the offline pass that produced q converged; zero for a
@@ -159,7 +44,7 @@ type Policy struct {
 	// intern holds the structure memoized across every agent warm-started
 	// from this policy. It lives behind a pointer so a Policy value can be
 	// copied (renamed store entries do this) without copying locks; copies
-	// share the memo, which is correct — they share q and lat too.
+	// share the memo, which is correct — they share q and keys too.
 	intern *policyIntern
 }
 
@@ -185,53 +70,20 @@ func (p *Policy) SLA() float64 { return p.sla }
 // PredictRT estimates the mean response time of a configuration from the
 // fitted regression surface (a log-space quadratic; see LearnPolicy).
 func (p *Policy) PredictRT(cfg config.Config) float64 {
-	vec := p.groupVector(cfg)
-	rt := math.Exp(p.quad.Eval(vec))
-	if rt < p.floorRT {
-		rt = p.floorRT
-	}
-	return rt
+	return p.predict(p.groups.Means(cfg))
 }
 
-// groupVector projects a configuration onto per-group mean values in defs
-// order.
-func (p *Policy) groupVector(cfg config.Config) []float64 {
-	vec := make([]float64, len(p.defs))
-	for gi, d := range p.defs {
-		var sum float64
-		for _, i := range d.members {
-			if i < len(cfg) {
-				sum += float64(cfg[i])
-			}
-		}
-		vec[gi] = sum / float64(len(d.members))
-	}
-	return vec
+// predict evaluates the regression surface at a vector of group values,
+// floored against extrapolation.
+func (p *Policy) predict(vec []float64) float64 {
+	return math.Max(math.Exp(p.quad.Eval(vec)), p.floorRT)
 }
 
-// groupStateIndex snaps a configuration onto the group lattice and returns
-// its flattened index. It is the allocation-free core of the seeding hot
-// path: the per-group mean, clamp and flatten are all done in registers, and
-// the state-key string is served interned from the lattice.
-func (p *Policy) groupStateIndex(cfg config.Config) int {
-	idx := 0
-	for gi, d := range p.defs {
-		var sum float64
-		for _, i := range d.members {
-			if i < len(cfg) {
-				sum += float64(cfg[i])
-			}
-		}
-		v := d.clamp(int(math.Round(sum / float64(len(d.members)))))
-		idx += (v - d.min) / d.step * p.lat.strides[gi]
-	}
-	return idx
-}
-
-// groupStateKey returns the interned state key of the configuration's group
-// lattice point, without building a string.
+// groupStateKey returns the interned state key of the group lattice point the
+// configuration snaps to, without building a string: the allocation-free core
+// of the seeding hot path.
 func (p *Policy) groupStateKey(cfg config.Config) string {
-	return p.lat.keys[p.groupStateIndex(cfg)]
+	return p.keys[p.groups.Ordinal(cfg)]
 }
 
 // Seeder returns an mdp.Seeder that initializes a full-lattice Q row from
@@ -248,7 +100,7 @@ func (p *Policy) Seeder() mdp.Seeder {
 		row := make([]float64, nActions)
 		row[0] = gRow[0]
 		for i := 0; i < p.space.Len(); i++ {
-			gi := p.paramGroup[i]
+			gi := p.groups.Of(i)
 			row[1+2*i] = gRow[1+2*gi] // increase
 			row[2+2*i] = gRow[2+2*gi] // decrease
 		}
@@ -277,24 +129,20 @@ func (p *Policy) SharedRows() *mdp.SharedRows {
 // enumeration order, so the recommendation is deterministic for a given
 // trained policy.
 func (p *Policy) Recommend() (config.Config, error) {
+	lattice := p.groups.Space()
 	best, bestRT := -1, 0.0
-	vals := make([]int, len(p.defs))
-	vec := make([]float64, len(p.defs))
-	for idx := range p.lat.keys {
-		for gi := range p.defs {
-			vals[gi] = p.lat.value(idx, gi)
-			vec[gi] = float64(vals[gi])
+	point := make(config.Config, lattice.Len())
+	vec := make([]float64, lattice.Len())
+	for ord := range p.keys {
+		for gi, v := range lattice.At(uint64(ord), point) {
+			vec[gi] = float64(v)
 		}
 		rt := math.Exp(p.quad.Eval(vec))
 		if best < 0 || rt < bestRT {
-			best, bestRT = idx, rt
+			best, bestRT = ord, rt
 		}
 	}
-	assign := make(map[config.Group]int, len(p.defs))
-	for gi, d := range p.defs {
-		assign[d.group] = p.lat.value(best, gi)
-	}
-	return config.GroupedConfig(p.space, assign)
+	return p.groups.Expand(lattice.At(uint64(best), point))
 }
 
 // GroupQTable exposes the offline-trained group Q-table (diagnostics).
@@ -306,53 +154,26 @@ func (p *Policy) GroupQTable() *mdp.QTable { return p.q }
 // zero value.
 func (p *Policy) Training() mdp.BatchResult { return p.training }
 
-// trainingMDP returns the deterministic MDP over the group lattice used for
-// offline training, in the form mdp.Train takes: actions move one group one
-// step (keep, then increase/decrease per group in defs order; a move leaving
-// the lattice is infeasible), and the reward of entering a state is
-// SLA − predictedRT. The structure keys its states by the lattice's own
+// trainingMDP returns the deterministic MDP over the whole group lattice used
+// for offline training, in the form mdp.Train takes: states are the lattice's
+// points by ordinal, actions move one group one step (config.Actions of the
+// lattice; a move leaving it is infeasible), and the reward of entering a
+// state is SLA − predictedRT. The structure keys its states by the policy's
 // interned keys and owns the only copy of the transition table.
-func (l *groupLattice) trainingMDP(predict func(vals []int) float64, sla float64) (*mdp.Structure, []float64, error) {
-	defs := l.defs
-	actions := 2*len(defs) + 1
-	rewards := make([]float64, len(l.keys))
-	trans := make([]int32, len(l.keys)*actions)
-	vals := make([]int, len(defs))
-	for idx := range l.keys {
-		for gi := range defs {
-			vals[gi] = l.value(idx, gi)
+func (p *Policy) trainingMDP() (*mdp.Structure, []float64, error) {
+	lattice := p.groups.Space()
+	rewards := make([]float64, len(p.keys))
+	ords := make([]uint64, len(p.keys))
+	point := make(config.Config, lattice.Len())
+	vec := make([]float64, lattice.Len())
+	for ord := range p.keys {
+		ords[ord] = uint64(ord)
+		for gi, v := range lattice.At(uint64(ord), point) {
+			vec[gi] = float64(v)
 		}
-		rewards[idx] = sla - predict(vals)
-		base := idx * actions
-		trans[base] = int32(idx) // keep
-		for gi, d := range defs {
-			li := (vals[gi] - d.min) / d.step
-			trans[base+1+2*gi] = -1 // increase
-			trans[base+2+2*gi] = -1 // decrease
-			if li+1 < l.levels[gi] {
-				trans[base+1+2*gi] = int32(idx + l.strides[gi])
-			}
-			if li > 0 {
-				trans[base+2+2*gi] = int32(idx - l.strides[gi])
-			}
-		}
+		rewards[ord] = p.sla - p.predict(vec)
 	}
-	st, err := mdp.NewStructureFromTransitions(l.keys, actions, trans)
+	trans := lattice.Transitions(ords, func(ord uint64) int32 { return int32(ord) })
+	st, err := mdp.NewStructureFromTransitions(p.keys, 2*lattice.Len()+1, trans)
 	return st, rewards, err
-}
-
-func parseGroupKey(key string, want int) ([]int, error) {
-	parts := strings.Split(key, ",")
-	if len(parts) != want {
-		return nil, fmt.Errorf("core: group key %q has %d fields, want %d", key, len(parts), want)
-	}
-	vals := make([]int, want)
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad group key %q: %w", key, err)
-		}
-		vals[i] = v
-	}
-	return vals, nil
 }

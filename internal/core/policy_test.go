@@ -4,82 +4,98 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/regression"
+	"github.com/rac-project/rac/internal/sim"
 )
 
-func TestGroupDefs(t *testing.T) {
-	space := config.Default()
-	defs, err := groupDefs(space)
+// mustGrouping returns the space's grouping; the test spaces all have one.
+func mustGrouping(tb testing.TB, space *config.Space) *config.Grouping {
+	tb.Helper()
+	groups, err := space.Grouping()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return groups
+}
+
+// flatPolicy is an untrained policy over the space whose regression surface
+// predicts 1 s everywhere, against a 2 s SLA: enough to build the offline
+// training MDP and to resolve group states.
+func flatPolicy(tb testing.TB, space *config.Space) *Policy {
+	tb.Helper()
+	groups := mustGrouping(tb, space)
+	dim := groups.Space().Len()
+	quad, err := regression.QuadraticFromCoeffs(dim, make([]float64, 1+dim+dim*(dim+1)/2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Policy{space: space, groups: groups, keys: latticeKeys(groups.Space()), quad: quad, sla: 2}
+}
+
+func TestGroupDefs(t *testing.T) {
+	defs := mustGrouping(t, config.Default()).Space().Defs()
 	if len(defs) != 4 {
 		t.Fatalf("got %d groups", len(defs))
 	}
-	for _, d := range defs {
-		if d.max < d.min || d.step <= 0 {
-			t.Fatalf("group %s lattice [%d,%d] step %d", d.group, d.min, d.max, d.step)
-		}
-		if (d.max-d.min)%d.step != 0 {
-			t.Fatalf("group %s lattice not aligned", d.group)
-		}
-		if len(d.members) == 0 {
-			t.Fatalf("group %s has no members", d.group)
-		}
-	}
 	// Capacity group intersects MaxClients and MaxThreads: [50,600] step 50.
 	cap := defs[0]
-	if cap.group != config.GroupCapacity || cap.min != 50 || cap.max != 600 || cap.step != 50 {
+	if cap.Group != config.GroupCapacity || cap.Min != 50 || cap.Max != 600 || cap.Step != 50 {
 		t.Fatalf("capacity lattice %+v", cap)
 	}
 	// Timeout group intersects [1,21] at step 2.
 	to := defs[1]
-	if to.group != config.GroupTimeout || to.min != 1 || to.max != 21 || to.step != 2 {
+	if to.Group != config.GroupTimeout || to.Min != 1 || to.Max != 21 || to.Step != 2 {
 		t.Fatalf("timeout lattice %+v", to)
 	}
 }
 
+// TestGroupDefClamp: a configuration off the lattice resolves to the nearest
+// group state, clamped to the group lattice's ends.
 func TestGroupDefClamp(t *testing.T) {
-	d := groupDef{min: 50, max: 600, step: 50}
+	space := config.Default()
+	p := flatPolicy(t, space)
 	tests := []struct{ in, want int }{
 		{0, 50}, {50, 50}, {74, 50}, {76, 100}, {600, 600}, {999, 600},
 	}
 	for _, tt := range tests {
-		if got := d.clamp(tt.in); got != tt.want {
-			t.Errorf("clamp(%d) = %d, want %d", tt.in, got, tt.want)
+		cfg := space.DefaultConfig().With(space, config.MaxClients, tt.in).With(space, config.MaxThreads, tt.in)
+		got, err := config.ParseKey(p.groupStateKey(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != tt.want {
+			t.Errorf("capacity members at %d resolve to group value %d, want %d", tt.in, got[0], tt.want)
 		}
 	}
 }
 
 func TestGroupModelEnumeration(t *testing.T) {
-	space := config.Default()
-	defs, err := groupDefs(space)
+	p := flatPolicy(t, config.Default())
+	st, rewards, err := p.trainingMDP()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, rewards, err := newGroupLattice(defs).trainingMDP(func(vals []int) float64 { return 1 }, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1
-	for _, d := range defs {
-		want *= d.levels()
-	}
+	want := p.groups.Space().States()
 	if len(st.States()) != want || len(rewards) != want {
 		t.Fatalf("enumerated %d states and %d rewards, want %d", len(st.States()), len(rewards), want)
 	}
-	if st.Actions() != 2*len(defs)+1 {
+	if st.Actions() != 2*p.groups.Space().Len()+1 {
 		t.Fatalf("actions = %d", st.Actions())
 	}
 }
 
 func TestGroupModelTransitions(t *testing.T) {
-	space := config.Default()
-	defs, _ := groupDefs(space)
-	st, rewards, err := newGroupLattice(defs).trainingMDP(func(vals []int) float64 { return 0 }, 2)
+	p := flatPolicy(t, config.Default())
+	defs := p.groups.Space().Defs()
+	st, rewards, err := p.trainingMDP()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +110,15 @@ func TestGroupModelTransitions(t *testing.T) {
 	if next < 0 {
 		t.Fatal("increase infeasible at minimum")
 	}
-	vals, err := parseGroupKey(st.States()[next], len(defs))
-	if err != nil {
-		t.Fatal(err)
+	vals, err := config.ParseKey(st.States()[next])
+	if err != nil || len(vals) != len(defs) {
+		t.Fatalf("state key %q: %v", st.States()[next], err)
 	}
-	if vals[0] != defs[0].min+defs[0].step {
+	if vals[0] != defs[0].Min+defs[0].Step {
 		t.Fatalf("increase moved to %d", vals[0])
 	}
 	for gi := 1; gi < len(defs); gi++ {
-		if vals[gi] != defs[gi].min {
+		if vals[gi] != defs[gi].Min {
 			t.Fatalf("increasing group 0 moved group %d to %d", gi, vals[gi])
 		}
 	}
@@ -111,8 +127,8 @@ func TestGroupModelTransitions(t *testing.T) {
 		t.Fatal("decrease below minimum allowed")
 	}
 	// Rewards reflect the predictor: SLA − rt.
-	if got := rewards[start]; got != 2 {
-		t.Fatalf("reward %v, want 2", got)
+	if got := rewards[start]; got != 1 {
+		t.Fatalf("reward %v, want 1", got)
 	}
 }
 
@@ -122,7 +138,7 @@ func TestLearnPolicyAndSeeder(t *testing.T) {
 	// capacity 300, timeout 11, minspare 45, maxspare 55.
 	targets := []float64{300, 11, 45, 55}
 	sampler := func(cfg config.Config) (float64, error) {
-		vec := config.GroupVector(space, cfg)
+		vec := mustGrouping(t, space).Means(cfg)
 		rt := 0.2
 		for i, v := range vec {
 			d := (v - targets[i]) / 100
@@ -143,14 +159,8 @@ func TestLearnPolicyAndSeeder(t *testing.T) {
 	}
 
 	// The regression surface must recover the bowl's ordering.
-	nearOpt, _ := config.GroupedConfig(space, map[config.Group]int{
-		config.GroupCapacity: 300, config.GroupTimeout: 11,
-		config.GroupMinSpare: 45, config.GroupMaxSpare: 55,
-	})
-	far, _ := config.GroupedConfig(space, map[config.Group]int{
-		config.GroupCapacity: 600, config.GroupTimeout: 21,
-		config.GroupMinSpare: 85, config.GroupMaxSpare: 95,
-	})
+	nearOpt, _ := mustGrouping(t, space).Expand(config.Config{300, 11, 45, 55})
+	far, _ := mustGrouping(t, space).Expand(config.Config{600, 21, 85, 95})
 	if p.PredictRT(nearOpt) >= p.PredictRT(far) {
 		t.Fatalf("predictor inverted: near %v, far %v", p.PredictRT(nearOpt), p.PredictRT(far))
 	}
@@ -196,30 +206,18 @@ func TestPolicyPredictRTFloor(t *testing.T) {
 	space := config.Default()
 	// A wildly sloped surface would extrapolate negative; the floor guards.
 	sampler := func(cfg config.Config) (float64, error) {
-		vec := config.GroupVector(space, cfg)
+		vec := mustGrouping(t, space).Means(cfg)
 		return math.Max(0.05, 5-vec[0]/100), nil
 	}
 	p, err := LearnPolicy("floor", space, sampler, InitOptions{CoarseLevels: 3, Seed: 1, Batch: mdp.DefaultBatchConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, corner := range []map[config.Group]int{
-		{config.GroupCapacity: 600, config.GroupTimeout: 21, config.GroupMinSpare: 85, config.GroupMaxSpare: 95},
-		{config.GroupCapacity: 50, config.GroupTimeout: 1, config.GroupMinSpare: 5, config.GroupMaxSpare: 15},
-	} {
-		cfg, _ := config.GroupedConfig(space, corner)
+	for _, corner := range []config.Config{{600, 21, 85, 95}, {50, 1, 5, 15}} {
+		cfg, _ := mustGrouping(t, space).Expand(corner)
 		if p.PredictRT(cfg) <= 0 {
 			t.Fatalf("non-positive prediction at %v", corner)
 		}
-	}
-}
-
-func TestParseGroupKeyErrors(t *testing.T) {
-	if _, err := parseGroupKey("1,2", 3); err == nil {
-		t.Fatal("wrong arity parsed")
-	}
-	if _, err := parseGroupKey("1,x,3", 3); err == nil {
-		t.Fatal("garbage parsed")
 	}
 }
 
@@ -258,7 +256,7 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 func bowlPolicyForPersist(t *testing.T, space *config.Space) *Policy {
 	t.Helper()
 	sampler := func(cfg config.Config) (float64, error) {
-		vec := config.GroupVector(space, cfg)
+		vec := mustGrouping(t, space).Means(cfg)
 		rt := 0.3
 		for i, v := range vec {
 			d := (v - []float64{300, 11, 45, 55}[i]) / 120
@@ -316,11 +314,7 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 		}
 		return bytes.NewReader(out)
 	}
-	defs, err := groupDefs(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onLattice := newGroupLattice(defs).keys[0]
+	onLattice := latticeKeys(mustGrouping(t, space).Space())[0]
 	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
 		if _, ok := rows[onLattice]; !ok {
 			t.Fatalf("saved Q-table has no row %q", onLattice)
@@ -343,5 +337,313 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 		delete(rows, onLattice)
 	}), space); err == nil {
 		t.Fatal("Q-table with a lattice row swapped for a foreign one loaded")
+	}
+
+	// Groups whose members name other parameters than the space's grouping:
+	// the Q-table's action columns would seed the wrong parameters.
+	var doc map[string]json.RawMessage
+	var groups []map[string]json.RawMessage
+	if err := json.Unmarshal(saved.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["groups"], &groups); err != nil {
+		t.Fatal(err)
+	}
+	groups[0]["members"], groups[1]["members"] = groups[1]["members"], groups[0]["members"]
+	var err error
+	if doc["groups"], err = json.Marshal(groups); err != nil {
+		t.Fatal(err)
+	}
+	swapped, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPolicy(bytes.NewReader(swapped), space); err == nil {
+		t.Fatal("policy whose groups 0 and 1 swapped members loaded")
+	}
+}
+
+// The group lattice as internal/core derived it before config.Grouping
+// existed, kept as the test oracle: its own range intersection, its own
+// mixed-radix strides and key rendering, its own hand-rolled transition loop.
+// It is the definition of the group states, their order and their MDP.
+type refGroupDef struct {
+	group          config.Group
+	members        []int
+	min, max, step int
+}
+
+func (g refGroupDef) levels() int { return (g.max-g.min)/g.step + 1 }
+
+func (g refGroupDef) clamp(v int) int {
+	if v <= g.min {
+		return g.min
+	}
+	if v >= g.max {
+		return g.max
+	}
+	return g.min + (v-g.min+g.step/2)/g.step*g.step
+}
+
+// refGroupDefs also returns each group's unaligned intersection top, which the
+// old config.CoarseValues interpolated over.
+func refGroupDefs(space *config.Space) (defs []refGroupDef, rawTops []int) {
+	members := config.GroupMembers(space)
+	for _, g := range config.Groups() {
+		idx := members[g]
+		if len(idx) == 0 {
+			continue
+		}
+		d := refGroupDef{group: g, members: idx,
+			min: space.Def(idx[0]).Min, max: space.Def(idx[0]).Max, step: space.Def(idx[0]).Step}
+		for _, i := range idx[1:] {
+			pd := space.Def(i)
+			if pd.Min > d.min {
+				d.min = pd.Min
+			}
+			if pd.Max < d.max {
+				d.max = pd.Max
+			}
+			if pd.Step < d.step {
+				d.step = pd.Step
+			}
+		}
+		rawTops = append(rawTops, d.max)
+		d.max = d.min + (d.max-d.min)/d.step*d.step
+		defs = append(defs, d)
+	}
+	return defs, rawTops
+}
+
+type refGroupLattice struct {
+	defs    []refGroupDef
+	levels  []int
+	strides []int
+	keys    []string
+}
+
+func newRefGroupLattice(defs []refGroupDef) *refGroupLattice {
+	l := &refGroupLattice{defs: defs, levels: make([]int, len(defs)), strides: make([]int, len(defs))}
+	total := 1
+	for gi := len(defs) - 1; gi >= 0; gi-- {
+		l.levels[gi] = defs[gi].levels()
+		l.strides[gi] = total
+		total *= l.levels[gi]
+	}
+	l.keys = make([]string, total)
+	vals := make([]int, len(defs))
+	var rec func(gi, idx int)
+	rec = func(gi, idx int) {
+		if gi == len(defs) {
+			parts := make([]string, len(vals))
+			for i, v := range vals {
+				parts[i] = strconv.Itoa(v)
+			}
+			l.keys[idx] = strings.Join(parts, ",")
+			return
+		}
+		for li := 0; li < l.levels[gi]; li++ {
+			vals[gi] = defs[gi].min + li*defs[gi].step
+			rec(gi+1, idx+li*l.strides[gi])
+		}
+	}
+	rec(0, 0)
+	return l
+}
+
+func (l *refGroupLattice) value(idx, gi int) int {
+	return l.defs[gi].min + (idx/l.strides[gi])%l.levels[gi]*l.defs[gi].step
+}
+
+func (l *refGroupLattice) vector(cfg config.Config) []float64 {
+	vec := make([]float64, len(l.defs))
+	for gi, d := range l.defs {
+		var sum float64
+		for _, i := range d.members {
+			sum += float64(cfg[i])
+		}
+		vec[gi] = sum / float64(len(d.members))
+	}
+	return vec
+}
+
+func (l *refGroupLattice) stateKey(cfg config.Config) string {
+	idx := 0
+	for gi, v := range l.vector(cfg) {
+		d := l.defs[gi]
+		idx += (d.clamp(int(math.Round(v))) - d.min) / d.step * l.strides[gi]
+	}
+	return l.keys[idx]
+}
+
+func (l *refGroupLattice) trainingMDP(predict func(vals []int) float64, sla float64) (*mdp.Structure, []float64, error) {
+	defs := l.defs
+	actions := 2*len(defs) + 1
+	rewards := make([]float64, len(l.keys))
+	trans := make([]int32, len(l.keys)*actions)
+	vals := make([]int, len(defs))
+	for idx := range l.keys {
+		for gi := range defs {
+			vals[gi] = l.value(idx, gi)
+		}
+		rewards[idx] = sla - predict(vals)
+		base := idx * actions
+		trans[base] = int32(idx) // keep
+		for gi, d := range defs {
+			li := (vals[gi] - d.min) / d.step
+			trans[base+1+2*gi] = -1 // increase
+			trans[base+2+2*gi] = -1 // decrease
+			if li+1 < l.levels[gi] {
+				trans[base+1+2*gi] = int32(idx + l.strides[gi])
+			}
+			if li > 0 {
+				trans[base+2+2*gi] = int32(idx - l.strides[gi])
+			}
+		}
+	}
+	st, err := mdp.NewStructureFromTransitions(slices.Clone(l.keys), actions, trans)
+	return st, rewards, err
+}
+
+// raggedSpace groups parameters whose lattices disagree: different bounds and
+// steps within a group, and a capacity intersection [20,90] at step 30 whose
+// top is off the step grid (the lattice stops at 80, coarse sampling
+// interpolates up to 90).
+func raggedSpace() *config.Space {
+	return config.MustSpace([]config.Def{
+		{Param: config.MaxClients, Name: "a", Group: config.GroupCapacity, Min: 0, Max: 90, Step: 30, Default: 30},
+		{Param: config.KeepAliveTimeout, Name: "c", Group: config.GroupTimeout, Min: 1, Max: 21, Step: 2, Default: 5},
+		{Param: config.MinSpareServers, Name: "e", Group: config.GroupMinSpare, Min: 5, Max: 85, Step: 10, Default: 5},
+		{Param: config.MaxThreads, Name: "b", Group: config.GroupCapacity, Min: 20, Max: 100, Step: 40, Default: 60},
+		{Param: config.SessionTimeout, Name: "d", Group: config.GroupTimeout, Min: 3, Max: 35, Step: 4, Default: 7},
+		{Param: config.CapacityLevel, Name: "f", Group: config.GroupScale, Min: 1, Max: 3, Step: 1, Default: 3},
+	})
+}
+
+// TestGroupingMatchesReference pins everything the policy derives from
+// config.Grouping to the reference above, on every shipped space and a ragged
+// one: group state keys in order, the offline MDP's every transition and
+// reward, the coarse sublattice, group-state resolution and predictions on
+// random lattice configurations, and the recommendation.
+func TestGroupingMatchesReference(t *testing.T) {
+	spaces := map[string]*config.Space{
+		"default":   config.Default(),
+		"admission": config.WithAdmission(),
+		"capacity":  config.WithCapacity(),
+		"ragged":    raggedSpace(),
+	}
+	for name, space := range spaces {
+		t.Run(name, func(t *testing.T) {
+			refDefs, rawTops := refGroupDefs(space)
+			ref := newRefGroupLattice(refDefs)
+			bowl := func(cfg config.Config) (float64, error) {
+				rt := 0.3
+				for gi, v := range ref.vector(cfg) {
+					d := (v - float64(refDefs[gi].min+refDefs[gi].max)/2) / float64(refDefs[gi].max)
+					rt += float64(gi+1) * d * d
+				}
+				return rt, nil
+			}
+			batch := mdp.DefaultBatchConfig()
+			batch.MaxSweeps = 2
+			p, err := LearnPolicy(name, space, bowl, InitOptions{CoarseLevels: 3, Seed: 7, Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if !slices.Equal(p.keys, ref.keys) {
+				t.Fatalf("group state keys differ:\n  got %v…\n want %v…", p.keys[:3], ref.keys[:3])
+			}
+			st, rewards, err := p.trainingMDP()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refPredict := func(vals []int) float64 {
+				vec := make([]float64, len(vals))
+				for i, v := range vals {
+					vec[i] = float64(v)
+				}
+				return math.Max(math.Exp(p.quad.Eval(vec)), p.floorRT)
+			}
+			refSt, refRewards, err := ref.trainingMDP(refPredict, p.sla)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st, refSt) {
+				t.Fatal("offline mdp.Structure (states / transitions / feasible-action lists) differs from the reference's")
+			}
+			if !slices.Equal(rewards, refRewards) {
+				t.Fatal("offline rewards differ from the reference's")
+			}
+
+			// The coarse sublattice: the old CoarseValues interpolated over the
+			// unaligned intersection, the old GroupedConfig snapped per parameter.
+			for k := 2; k <= 4; k++ {
+				cfgs, values, err := p.groups.Coarse(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 1
+				for range refDefs {
+					n *= k
+				}
+				if len(cfgs) != n || len(values) != n {
+					t.Fatalf("k=%d: %d configs, %d value vectors, want %d", k, len(cfgs), len(values), n)
+				}
+				for i := range cfgs {
+					want := make(config.Config, space.Len())
+					for gi, rem := len(refDefs)-1, i; gi >= 0; gi, rem = gi-1, rem/k {
+						d := refDefs[gi]
+						v := d.min + (rawTops[gi]-d.min)*(rem%k)/(k-1)
+						if values[i][gi] != float64(v) {
+							t.Fatalf("k=%d point %d group %d: coarse value %v, want %d", k, i, gi, values[i][gi], v)
+						}
+						for _, pi := range d.members {
+							pd := space.Def(pi)
+							want[pi] = pd.Value(pd.Index(v))
+						}
+					}
+					if !cfgs[i].Equal(want) {
+						t.Fatalf("k=%d point %d: config %v, want %v", k, i, cfgs[i], want)
+					}
+				}
+			}
+
+			rng := sim.NewRNG(0x9a0)
+			for i := 0; i < 1000; i++ {
+				cfg := randomConfig(space, rng)
+				if got, want := p.groupStateKey(cfg), ref.stateKey(cfg); got != want {
+					t.Fatalf("%v: group state %q, want %q", cfg, got, want)
+				}
+				if got, want := p.PredictRT(cfg), math.Max(math.Exp(p.quad.Eval(ref.vector(cfg))), p.floorRT); got != want {
+					t.Fatalf("%v: PredictRT %v, want %v", cfg, got, want)
+				}
+			}
+
+			best, bestRT := -1, 0.0
+			for idx := range ref.keys {
+				vec := make([]float64, len(refDefs))
+				for gi := range refDefs {
+					vec[gi] = float64(ref.value(idx, gi))
+				}
+				if rt := math.Exp(p.quad.Eval(vec)); best < 0 || rt < bestRT {
+					best, bestRT = idx, rt
+				}
+			}
+			want := make(config.Config, space.Len())
+			for gi, d := range refDefs {
+				for _, pi := range d.members {
+					pd := space.Def(pi)
+					want[pi] = pd.Value(pd.Index(ref.value(best, gi)))
+				}
+			}
+			got, err := p.Recommend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("Recommend() = %v, want %v", got, want)
+			}
+		})
 	}
 }

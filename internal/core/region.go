@@ -71,8 +71,10 @@ func validSampleKeys(space *config.Space, samples map[string]float64) ([]string,
 //
 // States are identified by their mixed-radix lattice ordinal while building:
 // a neighbour is ordinal ± Stride(param), so discovery and the transition
-// table are integer arithmetic plus one map probe per (state, action), and a
-// configuration is materialized (copied, its key rendered) once per state.
+// table (Space.Transitions over the discovered ordinals — a move leaving the
+// region is infeasible) are integer arithmetic plus one map probe per (state,
+// action), and a configuration is materialized (copied, its key rendered)
+// once per state.
 // Discovery order is each sample key in sorted order followed by its feasible
 // neighbours in action order; it fixes the dense indices, hence the
 // retraining sweep order and the RNG stream, and must not change.
@@ -130,20 +132,12 @@ func newRegionShape(space *config.Space, keys []string, cfgs []config.Config) *r
 		sh.states[s] = cfg.Key()
 	}
 
-	trans := make([]int32, len(ords)*len(actions))
-	for s, ord := range ords {
-		cfg := sh.cfg(s)
-		row := trans[s*len(actions) : (s+1)*len(actions)]
-		for ai, a := range actions {
-			row[ai] = -1
-			if !a.Feasible(space, cfg) {
-				continue
-			}
-			if t, in := byOrd[neighbour(ord, a)]; in {
-				row[ai] = t
-			}
+	trans := space.Transitions(ords, func(ord uint64) int32 {
+		if t, in := byOrd[ord]; in {
+			return t
 		}
-	}
+		return -1
+	})
 	sh.structure, sh.structErr = mdp.NewStructureFromTransitions(sh.states, len(actions), trans)
 	return sh
 }

@@ -24,11 +24,9 @@ import (
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/faults"
 	"github.com/rac-project/rac/internal/parallel"
-	"github.com/rac-project/rac/internal/queueing"
 	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
-	"github.com/rac-project/rac/internal/webtier"
 	"github.com/rac-project/rac/internal/workload"
 )
 
@@ -675,35 +673,27 @@ func (f *Fleet) contextPolicy(spec TenantSpec, ctx system.Context, key string) (
 // trainPolicy runs the paper's policy initialization for the tenant's context
 // on the analytic queueing surface — fast and deterministic, seeded by the
 // context key so every tenant training the same context produces the same
-// policy bytes.
+// policy bytes. The sweep does not go through the fleet's memo: it solves
+// each coarse grouped point once, and tenants do not measure those points
+// (0 extra hits over 558 lookups in TestFleetAnalyticMemoByteIdentical), so
+// sharing would only add keys and count training as tenant lookups.
 func (f *Fleet) trainPolicy(spec TenantSpec, ctx system.Context, key string) (*core.Policy, error) {
-	cal := webtier.DefaultCalibration()
-	sample := func(cfg config.Config) (float64, error) {
-		params, err := webtier.ParamsFromConfig(f.space, cfg)
-		if err != nil {
-			return 0, err
-		}
-		res, err := queueing.SolveWebsite(cal, params, ctx.Workload, ctx.Level)
-		if err != nil {
-			return 0, err
-		}
-		return res.MeanRT, nil
-	}
 	sla := f.opts.SLASeconds
 	if spec.SLASeconds > 0 {
 		sla = spec.SLASeconds
 	}
 	io := core.InitOptions{
-		SLASeconds: sla,
-		Seed:       deriveSeed(f.opts.Seed, "policy:"+key),
-		Procs:      f.opts.Procs,
-		Telemetry:  f.opts.Telemetry,
+		SLASeconds:   sla,
+		Seed:         deriveSeed(f.opts.Seed, "policy:"+key),
+		Procs:        f.opts.Procs,
+		BatchSampler: system.AnalyticSampler(f.space, ctx, nil),
+		Telemetry:    f.opts.Telemetry,
 	}
 	if f.opts.TrainInit != nil {
 		io.CoarseLevels = f.opts.TrainInit.CoarseLevels
 		io.Batch = f.opts.TrainInit.Batch
 	}
-	return core.LearnPolicy(key, f.space, sample, io)
+	return core.LearnPolicyStream(key, f.space, nil, io)
 }
 
 // restore rebuilds a tenant's live state from a checkpoint: re-apply the

@@ -96,16 +96,43 @@ func NewAnalytic(opts AnalyticOptions) (*Analytic, error) {
 		surf:     surf,
 	}
 	if surf != nil {
-		// ParamsFromConfig reads values by parameter identity, so which
-		// parameter sits at which position is an input of the solve.
-		prefix := []byte("analytic")
-		for _, d := range space.Defs() {
-			prefix = append(prefix, ':')
-			prefix = strconv.AppendInt(prefix, int64(d.Param), 10)
-		}
-		a.surfPrefix = string(prefix)
+		a.surfPrefix = surfacePrefix(space)
 	}
 	return a, nil
+}
+
+// surfacePrefix is the space's part of the memo key. ParamsFromConfig reads
+// values by parameter identity, so which parameter sits at which position is
+// an input of the solve.
+func surfacePrefix(space *config.Space) string {
+	prefix := []byte("analytic")
+	for _, d := range space.Defs() {
+		prefix = append(prefix, ':')
+		prefix = strconv.AppendInt(prefix, int64(d.Param), 10)
+	}
+	return string(prefix)
+}
+
+// AnalyticSampler returns the batch sampler policy initialization
+// (core.InitOptions.BatchSampler) drives over the analytic surface of one
+// context, under the default calibration: noise-free mean response times, one
+// WebsiteSolver's scratch buffers per chunk, each point looked up through
+// surf under the key Analytic.Measure uses — so a trainer and the systems it
+// trains for share solved points. surf may be nil. The sampler is safe for
+// concurrent use and ignores its RNG streams.
+func AnalyticSampler(space *config.Space, ctx Context, surf *surface.Cache) func([]config.Config, []*sim.RNG, []float64) error {
+	cal, prefix := webtier.DefaultCalibration(), surfacePrefix(space)
+	return func(cfgs []config.Config, _ []*sim.RNG, out []float64) error {
+		ws := queueing.NewWebsiteSolver()
+		for i, cfg := range cfgs {
+			pt, err := solvePoint(surf, prefix, ws.Solve, space, cal, cfg, ctx.Workload, ctx.Level)
+			if err != nil {
+				return fmt.Errorf("system: analytic sample %s: %w", cfg.Key(), err)
+			}
+			out[i] = pt.MeanRT
+		}
+		return nil
+	}
 }
 
 // Space returns the configuration space.
@@ -164,46 +191,56 @@ type solvedPoint struct {
 // solve returns the queueing network's solution for the current
 // configuration and context, through the shared memo when one is wired.
 func (a *Analytic) solve() (solvedPoint, error) {
-	if a.surf == nil {
-		return a.solveNow()
+	return solvePoint(a.surf, a.surfPrefix, queueing.SolveWebsite, a.space, a.cal, a.cfg, a.workload, a.level)
+}
+
+// websiteSolve is the signature queueing.SolveWebsite and a held
+// WebsiteSolver's Solve share.
+type websiteSolve func(webtier.Calibration, webtier.Params, tpcw.Workload, vmenv.Level) (queueing.WebsiteResult, error)
+
+// solvePoint solves one (space, configuration, workload, level) point,
+// through the memo when surf is non-nil. Every input of the solve is in the
+// key: the space's parameter layout (prefix), the workload, all three level
+// fields and the configuration. The calibration is not — callers pass a memo
+// only with the default one.
+func solvePoint(surf *surface.Cache, prefix string, solve websiteSolve, space *config.Space,
+	cal webtier.Calibration, cfg config.Config, w tpcw.Workload, level vmenv.Level) (solvedPoint, error) {
+
+	solveNow := func() (solvedPoint, error) {
+		params, err := webtier.ParamsFromConfig(space, cfg)
+		if err != nil {
+			return solvedPoint{}, err
+		}
+		res, err := solve(cal, params, w, level)
+		if err != nil {
+			return solvedPoint{}, fmt.Errorf("analytic measure: %w", err)
+		}
+		return solvedPoint{MeanRT: res.MeanRT, Throughput: res.Throughput}, nil
 	}
-	// Every input of solveNow is in the key: the space's parameter layout
-	// (prefix), the workload, all three level fields and the configuration.
-	// The calibration is the default one — overrides never reach here.
+	if surf == nil {
+		return solveNow()
+	}
 	key := make([]byte, 0, 96)
-	key = append(key, a.surfPrefix...)
+	key = append(key, prefix...)
 	key = append(key, '|')
-	key = strconv.AppendInt(key, int64(a.workload.Mix), 10)
+	key = strconv.AppendInt(key, int64(w.Mix), 10)
 	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(a.workload.Clients), 10)
+	key = strconv.AppendInt(key, int64(w.Clients), 10)
 	key = append(key, '|')
-	key = append(key, a.level.Name...)
+	key = append(key, level.Name...)
 	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(a.level.VCPUs), 10)
+	key = strconv.AppendInt(key, int64(level.VCPUs), 10)
 	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(a.level.MemoryMB), 10)
-	for _, v := range a.cfg {
+	key = strconv.AppendInt(key, int64(level.MemoryMB), 10)
+	for _, v := range cfg {
 		key = append(key, ',')
 		key = strconv.AppendInt(key, int64(v), 10)
 	}
-	v, err := a.surf.DoValue(string(key), func() (any, error) { return a.solveNow() })
+	v, err := surf.DoValue(string(key), func() (any, error) { return solveNow() })
 	if err != nil {
 		return solvedPoint{}, err
 	}
 	return v.(solvedPoint), nil
-}
-
-// solveNow solves the network, unmemoized.
-func (a *Analytic) solveNow() (solvedPoint, error) {
-	params, err := webtier.ParamsFromConfig(a.space, a.cfg)
-	if err != nil {
-		return solvedPoint{}, err
-	}
-	res, err := queueing.SolveWebsite(a.cal, params, a.workload, a.level)
-	if err != nil {
-		return solvedPoint{}, fmt.Errorf("analytic measure: %w", err)
-	}
-	return solvedPoint{MeanRT: res.MeanRT, Throughput: res.Throughput}, nil
 }
 
 // SetWorkload changes the traffic (driver-side context change).
