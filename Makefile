@@ -36,9 +36,11 @@ build:
 test:
 	$(GO) test ./...
 
-# internal/bench alone runs ~10 min under the race detector, right at go
-# test's default -timeout; the explicit budget keeps the gate from flaking
-# at that boundary on loaded machines.
+# The whole pass takes ≈7 min on two cores (`make check`'s timer: race 433 s),
+# internal/bench alone ≈6.5 min of it — it ran ~10-12 min before the
+# simulator's tick was indexed (DESIGN §5l). That is still close enough to go
+# test's default 10 min -timeout that a loaded machine could cross it; the
+# explicit budget keeps the gate from flaking there.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -61,8 +63,13 @@ loc:
 # local git only, and nothing is registered in .git) and from the working
 # tree, then compares the SHA-256 of the six Table-2 policies and the sim
 # coarse-2 policy, the four quick figures minus their `(fig in N.Ns)` timing
-# line, and a racsim sweep. Exits non-zero on any difference. Not part of
-# `make check`: it needs a revision to compare against.
+# line, and four racsim runs picked to reach every path of the simulator's
+# tick: the default MaxClients sweep; a SessionTimeout sweep (session expiry
+# order); a MaxThreads sweep at 3000 clients, whose p95 column reads 33.000 —
+# the 30 s browser timeout plus retransmit delay, i.e. the abandon and
+# SYN-retransmit paths; and the flashcrowd scenario (SetWorkload mid-run).
+# Exits non-zero on any difference. Not part of `make check`: it needs a
+# revision to compare against.
 identity:
 	@test -n "$(REV)" || { echo "usage: make identity REV=<rev>"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -77,9 +84,13 @@ identity:
 		for fig in fig5 fig9 overload flashcrowd-capacity; do \
 			./racbench -fig $$fig -quick | sed '/^  (.* in [0-9.]*s)$$/d' > $$fig.txt || exit 1; \
 		done && \
-		./racsim -sweep MaxClients > sweep.txt ) || exit 1; \
+		./racsim -sweep MaxClients > sweep.txt && \
+		./racsim -sweep SessionTimeout -clients 800 -mix browsing > sweep-session.txt && \
+		./racsim -sweep MaxThreads -clients 3000 -mix shopping > sweep-threads.txt && \
+		./racsim -scenario flashcrowd > scenario-flashcrowd.txt ) || exit 1; \
 	done && \
-	for f in policies.sha256 fig5.txt fig9.txt overload.txt flashcrowd-capacity.txt sweep.txt; do \
+	for f in policies.sha256 fig5.txt fig9.txt overload.txt flashcrowd-capacity.txt \
+			sweep.txt sweep-session.txt sweep-threads.txt scenario-flashcrowd.txt; do \
 		diff -u $$tmp/rev/$$f $$tmp/tree/$$f || { echo "identity: $$f differs from $(REV)"; exit 1; }; \
 	done && \
 	cat $$tmp/tree/policies.sha256 && echo "identity: byte-identical to $(REV)"

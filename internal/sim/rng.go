@@ -1,7 +1,7 @@
 // Package sim provides the deterministic simulation primitives shared by the
 // workload generator and the web-system model: a seedable random number
-// generator with independent derivable streams, a virtual clock, and the
-// probability distributions used by the TPC-W traffic model.
+// generator with independent derivable streams and the probability
+// distributions used by the TPC-W traffic model.
 //
 // All randomness in the repository flows through sim.RNG so that every
 // experiment is reproducible from a single seed.

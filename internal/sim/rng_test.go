@@ -251,25 +251,6 @@ func TestPickDegenerateWeights(t *testing.T) {
 	}
 }
 
-func TestClock(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatal("zero clock not at zero")
-	}
-	c.Advance(1500 * 1e6) // 1.5s in ns
-	if got := c.Seconds(); math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("Seconds() = %v, want 1.5", got)
-	}
-	c.Advance(-5)
-	if got := c.Seconds(); math.Abs(got-1.5) > 1e-9 {
-		t.Fatal("negative Advance changed the clock")
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("Reset did not rewind")
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	rng := NewRNG(99)
 	z := NewZipf(rng, 1.0, 100)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/rac-project/rac/internal/admission"
 	"github.com/rac-project/rac/internal/sim"
@@ -145,6 +147,15 @@ type Model struct {
 
 	clients []client
 
+	// Indexes over clients, maintained at the state transitions (see
+	// CheckInvariants), so a tick visits only the browsers that are due or in
+	// flight instead of walking the population.
+	inFlightSet clientSet // mode == modeInFlight
+	think       timerHeap // thinkUntil of every thinking client
+	keepAlive   timerHeap // connExpires of thinking clients holding a connection
+	sessions    timerHeap // sessionExpires of sessions live at m.now
+	due         []int32   // scratch for popDue, capacity len(clients)
+
 	// FIFO queues of client indices.
 	webQueue queue
 	appQueue queue
@@ -273,12 +284,18 @@ func New(opts Options) (*Model, error) {
 // thinking with staggered timers, pools at their spare minimums, queues
 // empty. Used at construction and when the workload changes.
 func (m *Model) resetPopulation() {
-	m.clients = make([]client, m.workload.Clients)
+	n := m.workload.Clients
+	m.clients = make([]client, n)
+	m.inFlightSet.reset(n)
+	m.think.reset(n)
+	m.keepAlive.reset(n)
+	m.sessions.reset(n)
+	if cap(m.due) < n {
+		m.due = make([]int32, 0, n)
+	}
 	for i := range m.clients {
-		m.clients[i] = client{
-			mode:       modeThinking,
-			thinkUntil: m.now + m.rng.ExpFloat64(tpcw.MeanThinkTimeSeconds),
-		}
+		m.clients[i].mode = modeThinking
+		m.armThink(i, m.now+m.rng.ExpFloat64(tpcw.MeanThinkTimeSeconds))
 	}
 	m.webQueue.reset()
 	m.appQueue.reset()
@@ -469,32 +486,34 @@ func (m *Model) tick() {
 	dt := m.cal.TickSeconds
 	t := m.now
 
-	// 1. Expire idle keep-alive connections (freeing their workers).
-	for i := range m.clients {
-		c := &m.clients[i]
-		if c.mode == modeThinking && c.hasConn && c.connExpires <= t {
-			c.hasConn = false
-			m.conns--
-			m.idleConns--
-		}
+	// 1. Expire idle keep-alive connections (freeing their workers). Expiry
+	// commutes, so heap order will do.
+	m.due = m.keepAlive.popDue(t, m.due[:0])
+	for _, i := range m.due {
+		m.clients[i].hasConn = false
+		m.conns--
+		m.idleConns--
 	}
 
 	// 2. Abandon requests older than the browser timeout, then issue new
-	// requests for clients whose think time elapsed.
+	// requests for clients whose think time elapsed. Both go in ascending
+	// client index: that order fixes the RNG draws, the response-time sample
+	// order and the web queue. Every due thinker is popped before the first is
+	// issued, so one re-armed at exactly t waits for the next tick.
 	if m.cal.RequestTimeoutSec > 0 {
-		for i := range m.clients {
-			c := &m.clients[i]
-			if c.mode == modeInFlight && t-c.started >= m.cal.RequestTimeoutSec {
-				m.abandonRequest(i, t)
+		for w, word := range m.inFlightSet {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				if t-m.clients[i].started >= m.cal.RequestTimeoutSec {
+					m.abandonRequest(i, t)
+				}
 			}
 		}
 	}
-	for i := range m.clients {
-		c := &m.clients[i]
-		if c.mode != modeThinking || c.thinkUntil > t {
-			continue
-		}
-		m.issueRequest(i, t)
+	m.due = m.think.popDue(t, m.due[:0])
+	slices.Sort(m.due)
+	for _, i := range m.due {
+		m.issueRequest(int(i), t)
 	}
 
 	// 3. Pool dynamics.
@@ -506,22 +525,37 @@ func (m *Model) tick() {
 	m.admitWeb()
 
 	// 5. CPU and disk processing.
-	ioFactor := m.dbIOFactor()
+	ioFactor := m.dbIOFactor(m.liveSessions())
 	m.process(dt, t, ioFactor)
 
 	// 6. Gauges.
 	if m.recording {
-		m.gInFlight += float64(m.inFlight)
-		m.gWaiting += float64(m.webQueue.len())
-		m.gUtil += m.appVMUtilNow()
-		m.gWorkers += float64(m.webSpawned)
-		m.gThreads += float64(m.appSpawned)
-		m.gIOFactor += ioFactor
-		m.gaugeTicks++
+		m.sampleGauges(ioFactor)
 	}
 
 	m.deadSession.prune(t)
 	m.now = t + dt
+	// Sessions that are no longer live at the new m.now leave the index, so
+	// liveSessions is exact whenever it is read.
+	m.sessions.popDue(m.now, m.due[:0])
+}
+
+// sampleGauges folds this tick's occupancies into the interval averages.
+func (m *Model) sampleGauges(ioFactor float64) {
+	m.gInFlight += float64(m.inFlight)
+	m.gWaiting += float64(m.webQueue.len())
+	m.gUtil += m.appVMUtilNow()
+	m.gWorkers += float64(m.webSpawned)
+	m.gThreads += float64(m.appSpawned)
+	m.gIOFactor += ioFactor
+	m.gaugeTicks++
+}
+
+// armThink sets when thinking client i next acts (issues, retries or gives
+// up) — the only place thinkUntil is written, so the timer cannot be missed.
+func (m *Model) armThink(i int, until float64) {
+	m.clients[i].thinkUntil = until
+	m.think.set(i, until)
 }
 
 // issueRequest turns a thinking client into a queued request, or bounces it
@@ -559,7 +593,7 @@ func (m *Model) issueRequest(i int, t float64) {
 		}
 		c.retryPending = false
 		c.retries = 0
-		c.thinkUntil = t + m.rng.ExpFloat64(tpcw.MeanThinkTimeSeconds)
+		m.armThink(i, t+m.rng.ExpFloat64(tpcw.MeanThinkTimeSeconds))
 		return
 	}
 
@@ -572,7 +606,7 @@ func (m *Model) issueRequest(i int, t float64) {
 		}
 		c.retries++
 		c.retryPending = true
-		c.thinkUntil = t + delay
+		m.armThink(i, t+delay)
 		if m.recording {
 			m.retransmit++
 		}
@@ -593,7 +627,7 @@ func (m *Model) issueRequest(i int, t float64) {
 		}
 		c.retryPending = false
 		c.retries = 0
-		c.thinkUntil = t + m.rng.ExpFloat64(tpcw.MeanThinkTimeSeconds)
+		m.armThink(i, t+m.rng.ExpFloat64(tpcw.MeanThinkTimeSeconds))
 		return
 	}
 	m.gate.Observe(false)
@@ -606,6 +640,9 @@ func (m *Model) issueRequest(i int, t float64) {
 	c.mode = modeInFlight
 	c.phase = phaseWebWait
 	c.remaining = c.webWork
+	m.think.remove(i)
+	m.keepAlive.remove(i)
+	m.inFlightSet.add(i)
 	m.webQueue.push(i)
 }
 
@@ -720,29 +757,22 @@ func (m *Model) adjustPools(dt float64) {
 // clients that have not expired plus abandoned sessions still within their
 // timeout.
 func (m *Model) liveSessions() int {
-	n := m.deadSession.len()
-	for i := range m.clients {
-		c := &m.clients[i]
-		if c.hasSession && c.sessionExpires > m.now {
-			n++
-		}
-	}
-	return n
+	return m.deadSession.len() + m.sessions.len()
 }
 
 // appVMMemUsedMB returns the committed memory on the app/db VM outside the
-// database buffer cache.
-func (m *Model) appVMMemUsedMB() float64 {
+// database buffer cache, given the number of live server-side sessions.
+func (m *Model) appVMMemUsedMB(sessions int) float64 {
 	return m.cal.AppBaseMemMB +
 		m.cal.ThreadMemMB*float64(m.appSpawned) +
-		m.cal.SessionMemMB*float64(m.liveSessions()) +
+		m.cal.SessionMemMB*float64(sessions) +
 		m.cal.DBConnMemMB*float64(m.dbConns)
 }
 
 // dbIOFactor returns the current cache-miss amplification: the leaner the
 // remaining buffer cache, the more physical I/O each query performs.
-func (m *Model) dbIOFactor() float64 {
-	cache := float64(m.appVM.Level().MemoryMB) - m.appVMMemUsedMB()
+func (m *Model) dbIOFactor(sessions int) float64 {
+	cache := float64(m.appVM.Level().MemoryMB) - m.appVMMemUsedMB(sessions)
 	if cache < m.cal.DBMinCacheMB {
 		cache = m.cal.DBMinCacheMB
 	}
@@ -786,11 +816,22 @@ func (m *Model) appVMUtilNow() float64 {
 	return used / cap2
 }
 
-// process advances every in-service request by one tick of CPU or disk.
+// process advances every in-service request by one tick of CPU or disk, in
+// ascending client index: that order fixes the app/db queue order and the
+// order completions are recorded in.
 func (m *Model) process(dt, t, ioFactor float64) {
-	// Per-job processing rates, computed from tick-start occupancies. A job
-	// can use at most one core.
-	var webRate, appRate, ioRate float64
+	webRate, appRate, ioRate := m.serviceRates(t)
+	for w, word := range m.inFlightSet {
+		for ; word != 0; word &= word - 1 {
+			m.advance(w<<6|bits.TrailingZeros64(word), dt, t, ioFactor, webRate, appRate, ioRate)
+		}
+	}
+}
+
+// serviceRates returns this tick's per-job processing rates, computed from
+// tick-start occupancies, and runs the app/db VM's stall process. A job can
+// use at most one core.
+func (m *Model) serviceRates(t float64) (webRate, appRate, ioRate float64) {
 	if m.webActive > 0 {
 		// The web tier (event-driven static serving) degrades only linearly
 		// with concurrency; the quadratic collapse term applies to the
@@ -826,40 +867,40 @@ func (m *Model) process(dt, t, ioFactor float64) {
 		m.nextStall = m.stallUntil + m.rng.ExpFloat64(m.cal.StallMeanIntervalSec)
 		appRate, ioRate = 0, 0
 	}
+	return webRate, appRate, ioRate
+}
 
-	for i := range m.clients {
-		c := &m.clients[i]
-		if c.mode != modeInFlight {
-			continue
+// advance gives in-flight client i's request one tick of service at the
+// given rates; queued requests wait.
+func (m *Model) advance(i int, dt, t, ioFactor, webRate, appRate, ioRate float64) {
+	c := &m.clients[i]
+	switch c.phase {
+	case phaseWeb:
+		c.remaining -= webRate * dt
+		if c.remaining <= 0 {
+			c.phase = phaseAppWait
+			m.webActive--
+			m.appQueue.push(i)
 		}
-		switch c.phase {
-		case phaseWeb:
-			c.remaining -= webRate * dt
-			if c.remaining <= 0 {
-				c.phase = phaseAppWait
-				m.webActive--
-				m.appQueue.push(i)
-			}
-		case phaseApp:
-			c.remaining -= appRate * dt
-			if c.remaining <= 0 {
-				c.phase = phaseDBWait
-				m.appActive--
-				m.dbQueue.push(i)
-			}
-		case phaseDBCPU:
-			c.remaining -= appRate * dt
-			if c.remaining <= 0 {
-				c.phase = phaseDBIO
-				c.remaining = c.dbIOWork * ioFactor
-				m.dbCPU--
-				m.dbIO++
-			}
-		case phaseDBIO:
-			c.remaining -= ioRate * dt
-			if c.remaining <= 0 {
-				m.completeRequest(i, t+dt)
-			}
+	case phaseApp:
+		c.remaining -= appRate * dt
+		if c.remaining <= 0 {
+			c.phase = phaseDBWait
+			m.appActive--
+			m.dbQueue.push(i)
+		}
+	case phaseDBCPU:
+		c.remaining -= appRate * dt
+		if c.remaining <= 0 {
+			c.phase = phaseDBIO
+			c.remaining = c.dbIOWork * ioFactor
+			m.dbCPU--
+			m.dbIO++
+		}
+	case phaseDBIO:
+		c.remaining -= ioRate * dt
+		if c.remaining <= 0 {
+			m.completeRequest(i, t+dt)
 		}
 	}
 }
@@ -885,6 +926,7 @@ func (m *Model) completeRequest(i int, t float64) {
 
 	c.mode = modeThinking
 	c.phase = phaseNone
+	m.inFlightSet.del(i)
 
 	if m.gen.SessionOver() {
 		// The user leaves: the connection closes, the abandoned session
@@ -895,20 +937,23 @@ func (m *Model) completeRequest(i int, t float64) {
 			m.conns--
 		}
 		c.hasSession = false
+		m.sessions.remove(i)
 		m.deadSession.push(t + timeout)
-		c.thinkUntil = t + m.rng.ExpFloat64(m.cal.LongThinkMeanSec)
+		m.armThink(i, t+m.rng.ExpFloat64(m.cal.LongThinkMeanSec))
 		return
 	}
+	m.sessions.set(i, c.sessionExpires)
 
 	// Keep-alive: the connection stays open (holding its worker) for the
 	// timeout.
 	m.idleConns++
 	c.connExpires = t + m.params.KeepAliveTimeoutSec
+	m.keepAlive.set(i, c.connExpires)
 	think := m.gen.ThinkTime()
 	if m.rng.Bool(m.cal.LongThinkProb) {
 		think = m.rng.ExpFloat64(m.cal.LongThinkMeanSec)
 	}
-	c.thinkUntil = t + think
+	m.armThink(i, t+think)
 }
 
 // abandonRequest gives up on client i's in-flight request at time t: all
@@ -962,7 +1007,8 @@ func (m *Model) abandonRequest(i int, t float64) {
 	c.phase = phaseNone
 	c.retryPending = false
 	c.retries = 0
-	c.thinkUntil = t + m.rng.ExpFloat64(tpcw.MeanThinkTimeSeconds)
+	m.inFlightSet.del(i)
+	m.armThink(i, t+m.rng.ExpFloat64(tpcw.MeanThinkTimeSeconds))
 }
 
 // recordClass folds a response time into its class accumulator.
@@ -1025,12 +1071,15 @@ func (m *Model) AdmissionState() (scale float64, regime admission.Regime, epochs
 }
 
 // CheckInvariants recounts occupancy from client states and compares with the
-// incremental counters, returning an error on any mismatch. Tests call this
-// to guard the bookkeeping.
+// incremental counters and the client indexes, returning an error on any
+// mismatch. Tests call this to guard the bookkeeping.
 func (m *Model) CheckInvariants() error {
 	var inFlight, webActive, appActive, dbCPU, dbIO, threads, dbConns, conns, idleConns, gateHeld int
 	for i := range m.clients {
 		c := &m.clients[i]
+		if err := m.checkIndexed(i); err != nil {
+			return err
+		}
 		if c.hasConn {
 			conns++
 			if c.mode == modeThinking || c.phase == phaseWebWait {
@@ -1097,6 +1146,34 @@ func (m *Model) CheckInvariants() error {
 	}
 	if m.dbConns > m.cal.DBMaxConns {
 		return fmt.Errorf("webtier: dbConns %d > cap %d", m.dbConns, m.cal.DBMaxConns)
+	}
+	for _, h := range []struct {
+		name string
+		heap *timerHeap
+	}{{"think", &m.think}, {"keepAlive", &m.keepAlive}, {"sessions", &m.sessions}} {
+		if err := h.heap.check(); err != nil {
+			return fmt.Errorf("webtier: %s timers: %w", h.name, err)
+		}
+	}
+	return nil
+}
+
+// checkIndexed verifies that client i is in exactly the indexes its state
+// calls for, armed at the deadlines its state holds.
+func (m *Model) checkIndexed(i int) error {
+	c := &m.clients[i]
+	thinking := c.mode == modeThinking
+	if m.inFlightSet.has(i) != (c.mode == modeInFlight) {
+		return fmt.Errorf("webtier: client %d mode %d, in-flight set says %v", i, c.mode, m.inFlightSet.has(i))
+	}
+	if err := m.think.checkClient(i, thinking, c.thinkUntil); err != nil {
+		return fmt.Errorf("webtier: think timers: %w", err)
+	}
+	if err := m.keepAlive.checkClient(i, thinking && c.hasConn, c.connExpires); err != nil {
+		return fmt.Errorf("webtier: keepAlive timers: %w", err)
+	}
+	if err := m.sessions.checkClient(i, c.hasSession && c.sessionExpires > m.now, c.sessionExpires); err != nil {
+		return fmt.Errorf("webtier: sessions timers: %w", err)
 	}
 	return nil
 }
