@@ -63,13 +63,15 @@ loc:
 # local git only, and nothing is registered in .git) and from the working
 # tree, then compares the SHA-256 of the six Table-2 policies and the sim
 # coarse-2 policy, the four quick figures minus their `(fig in N.Ns)` timing
-# line, and four racsim runs picked to reach every path of the simulator's
+# line, and five racsim runs picked to reach every path of the simulator's
 # tick: the default MaxClients sweep; a SessionTimeout sweep (session expiry
 # order); a MaxThreads sweep at 3000 clients, whose p95 column reads 33.000 —
 # the 30 s browser timeout plus retransmit delay, i.e. the abandon and
-# SYN-retransmit paths; and the flashcrowd scenario (SetWorkload mid-run).
-# Exits non-zero on any difference. Not part of `make check`: it needs a
-# revision to compare against.
+# SYN-retransmit paths; the flashcrowd scenario (SetWorkload mid-run); and a
+# fault replay, the one deterministic run whose system goes through
+# rac.BuildSystem (sim plus the fault layer, internal/backend). Exits non-zero
+# on any difference. Not part of `make check`: it needs a revision to compare
+# against.
 identity:
 	@test -n "$(REV)" || { echo "usage: make identity REV=<rev>"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -87,10 +89,11 @@ identity:
 		./racsim -sweep MaxClients > sweep.txt && \
 		./racsim -sweep SessionTimeout -clients 800 -mix browsing > sweep-session.txt && \
 		./racsim -sweep MaxThreads -clients 3000 -mix shopping > sweep-threads.txt && \
-		./racsim -scenario flashcrowd > scenario-flashcrowd.txt ) || exit 1; \
+		./racsim -scenario flashcrowd > scenario-flashcrowd.txt && \
+		./racsim -faults $(CURDIR)/examples/faults_basic.json -warmup 30 -interval 60 > faults.txt ) || exit 1; \
 	done && \
 	for f in policies.sha256 fig5.txt fig9.txt overload.txt flashcrowd-capacity.txt \
-			sweep.txt sweep-session.txt sweep-threads.txt scenario-flashcrowd.txt; do \
+			sweep.txt sweep-session.txt sweep-threads.txt scenario-flashcrowd.txt faults.txt; do \
 		diff -u $$tmp/rev/$$f $$tmp/tree/$$f || { echo "identity: $$f differs from $(REV)"; exit 1; }; \
 	done && \
 	cat $$tmp/tree/policies.sha256 && echo "identity: byte-identical to $(REV)"

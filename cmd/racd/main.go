@@ -165,8 +165,8 @@ func run(args []string, out io.Writer) error {
 	return d.loop(out, sig, *rounds)
 }
 
-// daemon owns the fleet, its observability plumbing, the admin HTTP server
-// and any live backends booted for tenants.
+// daemon owns the fleet, its observability plumbing and the admin HTTP
+// server.
 type daemon struct {
 	cfg   fleetConfig
 	fleet *rac.Fleet
@@ -175,10 +175,6 @@ type daemon struct {
 
 	srv *http.Server
 	ln  net.Listener
-
-	// liveServers are in-process bookstore stacks backing "live" tenants,
-	// shut down with the daemon.
-	liveServers []*rac.LiveServer
 }
 
 func newDaemon(cfg fleetConfig, traceCap int) (*daemon, error) {
@@ -196,63 +192,12 @@ func newDaemon(cfg fleetConfig, traceCap int) (*daemon, error) {
 		StepLog:            cfg.StepLog,
 		Telemetry:          d.tel,
 		Trace:              d.trace,
-		NewSystem:          d.buildLive,
 	})
 	if err != nil {
 		return nil, err
 	}
 	d.fleet = f
 	return d, nil
-}
-
-// buildLive is the fleet's SystemBuilder hook for backend "live": a real
-// in-process three-tier bookstore plus an HTTP load generator, tuned over
-// actual request latencies. Any other backend is declined, falling back to
-// the fleet built-ins ("sim", "analytic").
-func (d *daemon) buildLive(spec rac.TenantSpec, ctx rac.Context, seed uint64) (rac.System, error) {
-	if spec.Backend != "live" {
-		return nil, nil
-	}
-	var interval time.Duration
-	if spec.MeasureSeconds > 0 {
-		interval = time.Duration(spec.MeasureSeconds * float64(time.Second))
-	}
-	load := rac.LoadOptions{
-		Rate:           spec.Rate,
-		ArrivalProcess: rac.LoadArrival(spec.Arrival),
-		Shards:         spec.LoadShards,
-		MaxInFlight:    spec.LoadInFlight,
-	}
-	// A scenario tenant's data plane follows the compiled arrival schedule:
-	// the open-loop engine offers the scenario's time-varying load while the
-	// fleet advances the same scenario one interval per step on the control
-	// side.
-	if spec.Scenario != "" {
-		sc, err := rac.ResolveWorkloadScenario(spec.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		sched, err := rac.CompileWorkload(sc)
-		if err != nil {
-			return nil, err
-		}
-		load.Schedule = sched
-	}
-	// Fault wrapping stays with the fleet (it layers spec.Faults over
-	// whatever this hook returns), so the spec's faults are not passed here.
-	built, err := rac.BuildSystem(rac.SystemSpec{
-		Backend:  "live",
-		Space:    d.fleet.Space(),
-		Context:  ctx,
-		Seed:     seed,
-		Interval: interval,
-		Load:     load,
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.liveServers = append(d.liveServers, built.Server)
-	return built.Live, nil
 }
 
 // admitAll admits every configured tenant, reporting warm starts and
@@ -347,8 +292,8 @@ func (d *daemon) loop(out io.Writer, sig <-chan os.Signal, maxRounds int) error 
 	}
 }
 
-// shutdown drains the fleet — every active tenant gets a final checkpoint —
-// then stops the admin server and any live backends within a bounded drain.
+// shutdown drains the fleet — every active tenant gets a final checkpoint and
+// live tenants' servers stop — then stops the admin server.
 func (d *daemon) shutdown(out io.Writer) error {
 	err := d.fleet.Shutdown()
 	if err != nil {
@@ -362,7 +307,7 @@ func (d *daemon) shutdown(out io.Writer) error {
 	return err
 }
 
-// close releases the HTTP server and live backends (idempotent).
+// close releases the admin HTTP server (idempotent).
 func (d *daemon) close() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -370,10 +315,6 @@ func (d *daemon) close() {
 		_ = d.srv.Shutdown(ctx)
 		d.srv = nil
 	}
-	for _, s := range d.liveServers {
-		_ = s.Shutdown(ctx)
-	}
-	d.liveServers = nil
 }
 
 // runSelfcheck is the fleet smoke behind `make fleet-smoke`: boot two

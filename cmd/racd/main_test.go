@@ -81,6 +81,27 @@ func TestLoadConfigValidation(t *testing.T) {
 	}
 }
 
+// TestExampleConfigLoads keeps the shipped config — one tenant per backend,
+// "live" among them — loadable as the daemon's JSON format.
+func TestExampleConfigLoads(t *testing.T) {
+	cfg, err := loadConfig(filepath.Join("..", "..", "examples", "racd_fleet.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]bool{}
+	for _, sp := range cfg.Tenants {
+		if err := sp.Validate(); err != nil {
+			t.Error(err)
+		}
+		backends[sp.Backend] = true
+	}
+	for _, b := range []string{"sim", "analytic", "live"} {
+		if !backends[b] {
+			t.Errorf("example config has no %s tenant", b)
+		}
+	}
+}
+
 func TestRunFlagErrors(t *testing.T) {
 	if err := run(nil, io.Discard); err == nil || !strings.Contains(err.Error(), "missing -config") {
 		t.Fatalf("config-less run: %v", err)

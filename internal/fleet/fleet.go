@@ -18,11 +18,13 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"time"
 
+	"github.com/rac-project/rac/internal/backend"
 	"github.com/rac-project/rac/internal/capacity"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
-	"github.com/rac-project/rac/internal/faults"
+	"github.com/rac-project/rac/internal/loadgen"
 	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
@@ -30,9 +32,9 @@ import (
 	"github.com/rac-project/rac/internal/workload"
 )
 
-// SystemBuilder constructs the managed system for one tenant. A builder may
-// return (nil, nil) to decline the spec, falling back to the built-in
-// backends ("sim", "analytic"); racd uses this hook to add "live".
+// SystemBuilder constructs the bare managed system for one tenant in place of
+// the built-in backends; the fleet layers the spec's capacity and fault
+// decorators over its result.
 type SystemBuilder func(spec TenantSpec, ctx system.Context, seed uint64) (system.System, error)
 
 // Options configure a Fleet.
@@ -86,7 +88,9 @@ type Options struct {
 	// Trace, when non-nil, receives lifecycle and checkpoint events alongside
 	// the agents' decision events.
 	Trace *telemetry.Trace
-	// NewSystem, when non-nil, is consulted first for every tenant backend.
+	// NewSystem, when non-nil, builds every tenant's backend instead of the
+	// built-in "sim", "analytic" and "live" — a seam for tests and the
+	// benchmark ledger.
 	NewSystem SystemBuilder
 }
 
@@ -357,12 +361,13 @@ func (f *Fleet) Active() int {
 }
 
 // Admit builds, warm-starts and (when a checkpoint exists) restores one
-// tenant, leaving it in StateRunning. The sequence is: resolve the context,
-// build the backend system, adopt a context-matched registry policy (or train
-// and publish one when the spec asks for it), construct the agent, then — if
-// the checkpoint store holds a valid snapshot for this tenant name — restore
-// the agent and system state from it.
-func (f *Fleet) Admit(spec TenantSpec) (*Tenant, error) {
+// tenant, leaving it in StateRunning. The sequence is: resolve the context
+// and scenario, build the backend system, adopt a context-matched registry
+// policy (or train and publish one when the spec asks for it), construct the
+// agent, then — if the checkpoint store holds a valid snapshot for this
+// tenant name — restore the agent and system state from it. An admission
+// that fails after the build shuts a live tenant's server down again.
+func (f *Fleet) Admit(spec TenantSpec) (_ *Tenant, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -387,30 +392,53 @@ func (f *Fleet) Admit(spec TenantSpec) (*Tenant, error) {
 		seed = deriveSeed(f.opts.Seed, spec.Name)
 	}
 
-	sys, capSys, err := f.buildSystem(spec, ctx, seed)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: tenant %s: %w", spec.Name, err)
-	}
-
 	// A scenario tenant carries its own sequencer: one scenario interval per
 	// agent step, applied to the backend before each measurement. Resolving
-	// and compiling here makes a bad scenario an admission error, not a
-	// mid-run failure.
+	// and compiling before the build makes a bad scenario an admission error,
+	// not a mid-run failure, and hands a live tenant's load generator the
+	// same compiled schedule.
+	var sched *workload.Schedule
 	var seq *workload.Sequencer
 	if spec.Scenario != "" {
 		sc, err := workload.Resolve(spec.Scenario)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: tenant %s: %w", spec.Name, err)
 		}
-		sched, err := workload.Compile(sc)
-		if err != nil {
+		if sched, err = workload.Compile(sc); err != nil {
 			return nil, fmt.Errorf("fleet: tenant %s: scenario %s: %w", spec.Name, sc.Name, err)
 		}
+		seq = workload.NewSequencer(sched, sc.Interval())
+	}
+
+	o := core.DefaultOptions()
+	if f.opts.SLASeconds > 0 {
+		o.SLASeconds = f.opts.SLASeconds
+	}
+	if spec.SLASeconds > 0 {
+		o.SLASeconds = spec.SLASeconds
+	}
+	if spec.Faults != "" {
+		o.Resilience = core.DefaultResilience()
+	}
+	if spec.CapacityCost > 0 {
+		o.CapacityCost = spec.CapacityCost
+	}
+
+	built, err := f.buildSystem(spec, ctx, seed, sched, o.SLASeconds)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: tenant %s: %w", spec.Name, err)
+	}
+	defer func() {
+		if err != nil {
+			_ = built.Close(context.Background())
+		}
+	}()
+	sys := built.System
+	if seq != nil {
 		if _, ok := sys.(system.Adjustable); !ok {
 			return nil, fmt.Errorf("fleet: tenant %s: backend %q cannot adjust its workload for scenario %s",
-				spec.Name, spec.Backend, sc.Name)
+				spec.Name, spec.Backend, sched.Scenario().Name)
 		}
-		seq = workload.NewSequencer(sched, sc.Interval())
 	}
 
 	// Pull the tenant's newest valid snapshot first: it decides whether the
@@ -428,19 +456,6 @@ func (f *Fleet) Admit(spec TenantSpec) (*Tenant, error) {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", spec.Name, err)
 	}
 
-	o := core.DefaultOptions()
-	if f.opts.SLASeconds > 0 {
-		o.SLASeconds = f.opts.SLASeconds
-	}
-	if spec.SLASeconds > 0 {
-		o.SLASeconds = spec.SLASeconds
-	}
-	if spec.Faults != "" {
-		o.Resilience = core.DefaultResilience()
-	}
-	if spec.CapacityCost > 0 {
-		o.CapacityCost = spec.CapacityCost
-	}
 	agent, err := core.NewAgent(sys, core.AgentOptions{
 		Options:   o,
 		Policy:    pol,
@@ -459,17 +474,16 @@ func (f *Fleet) Admit(spec TenantSpec) (*Tenant, error) {
 		contextKey:  key,
 		ctx:         ctx,
 		state:       StateStarting,
-		sys:         sys,
+		built:       built,
 		agent:       agent,
 		seq:         seq,
 		shard:       sh,
 		trace:       f.trace,
 		stepLogCap:  f.opts.StepLog,
 		warmStarted: pol != nil && warm,
-		capSys:      capSys,
 	}
-	if capSys != nil {
-		t.capOrdinal = capSys.Ordinal()
+	if built.Capacity != nil {
+		t.capOrdinal = built.Capacity.Ordinal()
 	}
 	if f.tel != nil {
 		t.stepSeconds = f.stepHistogram(sh, spec.Name)
@@ -531,87 +545,52 @@ func (f *Fleet) stepHistogram(sh *shard, name string) *telemetry.Histogram {
 	return sh.stepSeconds
 }
 
-// buildSystem constructs the tenant's backend and wraps it in the capacity
-// decorator and the fault layer as the spec asks — capacity innermost, faults
-// outermost, matching rac.BuildSystem.
-func (f *Fleet) buildSystem(spec TenantSpec, ctx system.Context, seed uint64) (system.System, *capacity.System, error) {
-	var sys system.System
-	var err error
-	if f.opts.NewSystem != nil {
-		if sys, err = f.opts.NewSystem(spec, ctx, seed); err != nil {
-			return nil, nil, err
+// buildSystem translates the tenant spec into a backend.Spec and builds it:
+// through backend.Build, or by wrapping an Options.NewSystem result. sched is
+// the tenant's compiled scenario (nil without one), which a live tenant's
+// open-loop engine follows; sla calibrates the capacity analyzer.
+func (f *Fleet) buildSystem(spec TenantSpec, ctx system.Context, seed uint64, sched *workload.Schedule, sla float64) (*backend.Built, error) {
+	bs := backend.Spec{
+		Backend:          spec.Backend,
+		Space:            f.space,
+		Context:          ctx,
+		Seed:             seed,
+		SettleSeconds:    spec.SettleSeconds,
+		MeasureSeconds:   spec.MeasureSeconds,
+		NoiseSigma:       spec.NoiseSigma,
+		Surface:          f.surface,
+		AdmitConcurrency: spec.AdmitConcurrency,
+		AdmitQueue:       spec.AdmitQueue,
+		AdmitEpoch:       spec.AdmitEpoch,
+		Trace:            f.opts.Trace,
+		Capacity:         spec.Capacity,
+		CapacityInitial:  spec.CapacityInitial,
+		CapacityDelay:    spec.CapacityDelay,
+		CapacityFastPath: true,
+		CapacityAnalyzer: capacity.DefaultConfig(sla),
+		FaultsPath:       spec.Faults,
+		Telemetry:        f.opts.Telemetry,
+	}
+	if spec.Backend == "live" {
+		bs.Interval = time.Duration(spec.MeasureSeconds * float64(time.Second))
+		bs.Load = loadgen.Options{
+			Rate:           spec.Rate,
+			ArrivalProcess: loadgen.Arrival(spec.Arrival),
+			Shards:         spec.LoadShards,
+			MaxInFlight:    spec.LoadInFlight,
+		}
+		if sched != nil { // a nil *Schedule in the interface would select the open loop
+			bs.Load.Schedule = sched
 		}
 	}
-	if sys == nil {
-		switch spec.Backend {
-		case "", "sim":
-			sys, err = system.NewSimulated(system.SimulatedOptions{
-				Space:            f.space,
-				Context:          ctx,
-				Seed:             seed,
-				SettleSeconds:    spec.SettleSeconds,
-				MeasureSeconds:   spec.MeasureSeconds,
-				AdmitConcurrency: spec.AdmitConcurrency,
-				AdmitQueue:       spec.AdmitQueue,
-				AdmitEpoch:       spec.AdmitEpoch,
-			})
-		case "analytic":
-			sys, err = system.NewAnalytic(system.AnalyticOptions{
-				Space:      f.space,
-				Context:    ctx,
-				Seed:       seed,
-				NoiseSigma: spec.NoiseSigma,
-				Surface:    f.surface,
-			})
-		default:
-			err = fmt.Errorf("unknown backend %q", spec.Backend)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+	if f.opts.NewSystem == nil {
+		return backend.Build(bs)
 	}
-	var capSys *capacity.System
-	if spec.Capacity {
-		scalable, ok := sys.(capacity.Scalable)
-		if !ok {
-			return nil, nil, fmt.Errorf("backend %q cannot scale capacity", spec.Backend)
-		}
-		sla := core.DefaultOptions().SLASeconds
-		if f.opts.SLASeconds > 0 {
-			sla = f.opts.SLASeconds
-		}
-		if spec.SLASeconds > 0 {
-			sla = spec.SLASeconds
-		}
-		capSys, err = capacity.Wrap(scalable, capacity.Options{
-			Initial:        spec.CapacityInitial,
-			ProvisionDelay: spec.CapacityDelay,
-			Analyzer:       capacity.DefaultConfig(sla),
-			FastPath:       true,
-			Telemetry:      f.opts.Telemetry,
-			Trace:          f.opts.Trace,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		sys = capSys
+	sys, err := f.opts.NewSystem(spec, ctx, seed)
+	if err != nil {
+		return nil, err
 	}
-	if spec.Faults != "" {
-		sc, err := faults.LoadFile(spec.Faults)
-		if err != nil {
-			return nil, nil, err
-		}
-		sys, err = faults.New(sys, faults.Options{
-			Scenario:  sc,
-			Seed:      seed,
-			Telemetry: f.opts.Telemetry,
-			Trace:     f.opts.Trace,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return sys, capSys, nil
+	return backend.Wrap(sys, bs)
 }
 
 // contextPolicy resolves the tenant's initial policy against the shared
@@ -703,15 +682,15 @@ func (f *Fleet) trainPolicy(spec TenantSpec, ctx system.Context, key string) (*c
 // snapshot left off.
 func (f *Fleet) restore(t *Tenant, ck *Checkpoint, path string) error {
 	cfg := config.Config(append([]int(nil), ck.Agent.Config...))
-	target := t.sys
-	if fs, ok := target.(*faults.System); ok {
-		target = fs.Inner()
+	target := t.built.System
+	if t.built.Faulty != nil {
+		target = t.built.Faulty.Inner()
 	}
 	if err := target.Apply(context.Background(), cfg); err != nil {
 		return fmt.Errorf("re-apply config %s: %w", cfg.Key(), err)
 	}
 	if len(ck.System) > 0 {
-		snap, ok := t.sys.(system.Snapshottable)
+		snap, ok := t.built.System.(system.Snapshottable)
 		if !ok {
 			return fmt.Errorf("checkpoint has system state but backend %q cannot import it", t.spec.Backend)
 		}
@@ -801,14 +780,14 @@ func (f *Fleet) applyPendingPolicies() {
 // Running post-barrier in admission order keeps registry access and trace
 // sequences deterministic at any Procs.
 func (f *Fleet) capacityWarmStart(t *Tenant) error {
-	c := t.capSys
+	c := t.built.Capacity
 	if c == nil || c.Ordinal() == t.capOrdinal {
 		return nil
 	}
 	old := t.capOrdinal
 	t.capOrdinal = c.Ordinal()
 	key := ContextKey(system.Context{Workload: t.ctx.Workload, Level: c.AppLevel()})
-	pol, err := f.lookupPolicyDeferred(key)
+	pol, err := f.lookupPolicy(key, f.deferPolicy)
 	if err != nil {
 		return fmt.Errorf("fleet: tenant %s: warm start after scale: %w", t.spec.Name, err)
 	}
@@ -829,11 +808,12 @@ func (f *Fleet) capacityWarmStart(t *Tenant) error {
 }
 
 // lookupPolicy resolves a context key against the in-memory store first,
-// then the shared registry, caching registry hits in the store. Returns
-// (nil, nil) when no policy exists for the key. Admin-path only: the store
-// add is immediate, which mid-round code must not do — see
-// lookupPolicyDeferred.
-func (f *Fleet) lookupPolicy(key string) (*core.Policy, error) {
+// then the shared registry, and hands a registry hit to join, which adds it
+// to the store. Returns (nil, nil) when no policy exists for the key. The
+// admin path joins immediately (f.policies.Add); in-round shard bookkeeping
+// must join through deferPolicy, so concurrent shards' in-flight store reads
+// never observe a mid-round add.
+func (f *Fleet) lookupPolicy(key string, join func(*core.Policy)) (*core.Policy, error) {
 	if pol := f.policies.ByName(key); pol != nil {
 		return pol, nil
 	}
@@ -844,29 +824,16 @@ func (f *Fleet) lookupPolicy(key string) (*core.Policy, error) {
 	if err != nil || p == nil {
 		return nil, err
 	}
-	f.policies.Add(p)
+	join(p)
 	return p, nil
 }
 
-// lookupPolicyDeferred is lookupPolicy for in-round shard bookkeeping: a
-// registry hit is returned to the caller immediately but joins the shared
-// store only at the round barrier (applyPendingPolicies), so concurrent
-// shards' in-flight store reads never observe a mid-round add.
-func (f *Fleet) lookupPolicyDeferred(key string) (*core.Policy, error) {
-	if pol := f.policies.ByName(key); pol != nil {
-		return pol, nil
-	}
-	if f.registry == nil {
-		return nil, nil
-	}
-	p, err := f.registry.Get(key)
-	if err != nil || p == nil {
-		return nil, err
-	}
+// deferPolicy queues a policy to join the shared store at the round barrier
+// (applyPendingPolicies).
+func (f *Fleet) deferPolicy(p *core.Policy) {
 	f.pendingMu.Lock()
 	f.pending = append(f.pending, p)
 	f.pendingMu.Unlock()
-	return p, nil
 }
 
 // failedNeedsGauge reports (once) that a tenant failed since the gauges were
@@ -906,7 +873,7 @@ func (f *Fleet) checkpoint(t *Tenant, reason string) error {
 		return fmt.Errorf("fleet: checkpoint %s: %w", t.spec.Name, err)
 	}
 	var sysBlob []byte
-	if snap, ok := t.sys.(system.Snapshottable); ok {
+	if snap, ok := t.built.System.(system.Snapshottable); ok {
 		if sysBlob, err = snap.ExportState(); err != nil {
 			return fmt.Errorf("fleet: checkpoint %s: %w", t.spec.Name, err)
 		}
@@ -1051,7 +1018,7 @@ func (f *Fleet) ForcePolicy(name, key string) error {
 	if t == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownTenant, name)
 	}
-	pol, err := f.lookupPolicy(key)
+	pol, err := f.lookupPolicy(key, f.policies.Add)
 	if err != nil {
 		return err
 	}
@@ -1069,8 +1036,10 @@ func (f *Fleet) ForcePolicy(name, key string) error {
 }
 
 // Shutdown drains every active tenant: each gets a final checkpoint (when
-// checkpointing is enabled) and moves to StateStopped. Safe to call multiple
-// times; the daemon runs it on SIGINT/SIGTERM after the current round.
+// checkpointing is enabled) and moves to StateStopped. Then every live
+// tenant's server shuts down, stopped and failed tenants' included. Safe to
+// call multiple times; the daemon runs it on SIGINT/SIGTERM after the current
+// round.
 func (f *Fleet) Shutdown() error {
 	// Cancel before waiting for the round lock: a live tenant mid-interval
 	// aborts its measurement instead of holding the drain for the rest of
@@ -1098,6 +1067,13 @@ func (f *Fleet) Shutdown() error {
 		if err != nil {
 			errs = append(errs, err)
 		}
+	}
+	// A canceled measurement can leave requests in flight; past the bound
+	// the server cuts them, which is no failure of the drain.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, t := range f.Tenants() {
+		_ = t.built.Close(ctx)
 	}
 	return errors.Join(errs...)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/rac-project/rac/internal/backend"
 	"github.com/rac-project/rac/internal/capacity"
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/system"
@@ -46,8 +47,9 @@ type TenantSpec struct {
 	// Name uniquely identifies the tenant within the fleet.
 	Name string `json:"name"`
 	// Backend selects the managed system: "sim" (discrete-event webtier
-	// model), "analytic" (MVA queueing surface), or any value understood by a
-	// custom SystemBuilder (racd adds "live"). Default "sim".
+	// model), "analytic" (MVA queueing surface) or "live" (an in-process
+	// bookstore plus HTTP load generator, shut down with the fleet). Default
+	// "sim".
 	Backend string `json:"backend,omitempty"`
 	// Context is the paper context name ("context-1" … "context-6") the
 	// tenant's system starts in. Default "context-1".
@@ -63,7 +65,8 @@ type TenantSpec struct {
 	// NoiseSigma adds lognormal measurement noise (analytic backend only).
 	NoiseSigma float64 `json:"noiseSigma,omitempty"`
 	// SettleSeconds and MeasureSeconds override the sim backend's virtual
-	// measurement windows when positive (smoke tests shrink them).
+	// measurement windows when positive (smoke tests shrink them); on a
+	// "live" tenant MeasureSeconds is the wall-clock measurement interval.
 	SettleSeconds  float64 `json:"settleSeconds,omitempty"`
 	MeasureSeconds float64 `json:"measureSeconds,omitempty"`
 	// CheckpointEvery overrides the fleet checkpoint cadence (intervals
@@ -74,8 +77,8 @@ type TenantSpec struct {
 	// scenario file path. The scenario advances one scenario interval per
 	// completed agent step; each interval's workload is applied to the
 	// backend before the step measures it, so the agent tunes against the
-	// moving load. For "live" tenants racd additionally compiles the
-	// scenario into the open-loop arrival schedule — size MeasureSeconds so
+	// moving load. A "live" tenant's open-loop load generator additionally
+	// follows the same compiled schedule — size MeasureSeconds so
 	// one wall interval covers one scenario interval (wall seconds × the
 	// 100× time compression = Scenario.IntervalSeconds).
 	Scenario string `json:"scenario,omitempty"`
@@ -195,14 +198,12 @@ type Tenant struct {
 	contextKey string
 	ctx        system.Context // admission context; scales re-key it by level
 	state      State
-	sys        system.System
+	built      *backend.Built // the managed system and its decorators
 	agent      *core.Agent
 	seq        *workload.Sequencer // non-nil when spec.Scenario drives the load
 	shard      *shard              // owning scheduling shard (admin ops ride its mailbox)
 	trace      *telemetry.Trace    // fleet trace; receives per-interval workload events
-
-	capSys     *capacity.System // elastic decorator; nil without spec.Capacity
-	capOrdinal int              // last capacity ordinal the warm-start hook acted on
+	capOrdinal int                 // last capacity ordinal the warm-start hook acted on
 
 	interval    int // completed measurement intervals
 	checkpoints int // snapshots written for this tenant
@@ -242,7 +243,7 @@ func (t *Tenant) State() State {
 func (t *Tenant) Agent() *core.Agent { return t.agent }
 
 // System exposes the tenant's managed system for diagnostics and tests.
-func (t *Tenant) System() system.System { return t.sys }
+func (t *Tenant) System() system.System { return t.built.System }
 
 // Interval returns the number of completed measurement intervals.
 func (t *Tenant) Interval() int {
@@ -275,7 +276,7 @@ func (t *Tenant) Status() TenantStatus {
 	if t.lastErr != nil {
 		st.LastError = t.lastErr.Error()
 	}
-	if c := t.capSys; c != nil {
+	if c := t.built.Capacity; c != nil {
 		st.Level = c.AppLevel().Name
 		st.CapacityUnits = c.TotalCost()
 		st.ScaleUps = c.ScaleUps()
@@ -285,7 +286,7 @@ func (t *Tenant) Status() TenantStatus {
 }
 
 // Capacity exposes the tenant's elastic decorator (nil without capacity).
-func (t *Tenant) Capacity() *capacity.System { return t.capSys }
+func (t *Tenant) Capacity() *capacity.System { return t.built.Capacity }
 
 // StepLog returns a copy of the retained step records, oldest first.
 func (t *Tenant) StepLog() []StepRecord {
@@ -362,7 +363,7 @@ func (t *Tenant) applyScenario() error {
 		return nil
 	}
 	iv := seq.Observe(i)
-	adj, ok := t.sys.(system.Adjustable)
+	adj, ok := t.built.System.(system.Adjustable)
 	if !ok {
 		return fmt.Errorf("fleet: tenant %s: backend %q cannot adjust its workload for scenario %q",
 			t.spec.Name, t.spec.Backend, t.spec.Scenario)

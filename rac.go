@@ -34,6 +34,7 @@ import (
 	"io"
 	"sync"
 
+	"github.com/rac-project/rac/internal/backend"
 	"github.com/rac-project/rac/internal/bench"
 	"github.com/rac-project/rac/internal/capacity"
 	"github.com/rac-project/rac/internal/config"
@@ -376,6 +377,22 @@ func ParamsFromConfig(space *Space, cfg Config) (ServerParams, error) {
 	return webtier.ParamsFromConfig(space, cfg)
 }
 
+// Declarative backends (package internal/backend): one spec covering every
+// backend and decorator — the shared build path behind racagent, racsim and
+// the fleet's tenants.
+type (
+	// SystemSpec declares a system to tune: backend kind, context, seed, the
+	// live stack's address and load, and the capacity and fault layers.
+	SystemSpec = backend.Spec
+	// BuiltSystem is BuildSystem's result: the System to hand to an agent
+	// plus the live server, driver and decorators when configured.
+	BuiltSystem = backend.Built
+)
+
+// BuildSystem constructs a system from one declarative spec. A live
+// backend's server is started; BuiltSystem.Close shuts it down.
+func BuildSystem(spec SystemSpec) (*BuiltSystem, error) { return backend.Build(spec) }
+
 // Experiments.
 type (
 	// Harness regenerates the paper's evaluation figures.
@@ -593,8 +610,9 @@ type (
 	ShardStatus = fleet.ShardStatus
 	// FleetCheckpoint is one tenant's persisted state snapshot.
 	FleetCheckpoint = fleet.Checkpoint
-	// FleetSystemBuilder lets a daemon plug extra backends ("live") into the
-	// fleet's tenant admission.
+	// FleetSystemBuilder replaces the fleet's built-in backends (sim,
+	// analytic, live) for every tenant; the fleet still layers capacity and
+	// faults over its result. Tests and the benchmark ledger use it.
 	FleetSystemBuilder = fleet.SystemBuilder
 	// AgentState is the serializable snapshot of a RAC agent mid-run: both
 	// RNG streams, the Q-table, the retraining window and the SLA bookkeeping.

@@ -3,6 +3,8 @@ package rac_test
 import (
 	"bytes"
 	"context"
+	"net"
+	"path/filepath"
 	"testing"
 
 	"github.com/rac-project/rac"
@@ -178,5 +180,33 @@ func TestConfigFeaturesThroughPublicAPI(t *testing.T) {
 	}
 	if _, err := rac.NewApproxLearner(q, rac.DefaultOptions().Online, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildSystemReleasesLiveServerOnError: a live build that fails after its
+// server started listening — the load options fail validation, or the fault
+// scenario does not load — must shut that server down again.
+func TestBuildSystemReleasesLiveServerOnError(t *testing.T) {
+	for name, spec := range map[string]rac.SystemSpec{
+		"bad load rate":          {Load: rac.LoadOptions{Rate: -1}},
+		"missing fault scenario": {FaultsPath: filepath.Join(t.TempDir(), "absent.json")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close()
+			spec.Backend, spec.Context, spec.Addr = "live", rac.Contexts()[0], addr
+			if _, err := rac.BuildSystem(spec); err == nil {
+				t.Fatal("build succeeded")
+			}
+			ln, err = net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatalf("the failed build left %s bound: %v", addr, err)
+			}
+			ln.Close()
+		})
 	}
 }
