@@ -36,11 +36,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The whole pass takes ≈7 min on two cores (`make check`'s timer: race 433 s),
-# internal/bench alone ≈6.5 min of it — it ran ~10-12 min before the
-# simulator's tick was indexed (DESIGN §5l). That is still close enough to go
-# test's default 10 min -timeout that a loaded machine could cross it; the
-# explicit budget keeps the gate from flaking there.
+# The whole pass takes ≈4.5 min on two cores (`make check`'s timer: race
+# 257 s), internal/bench ≈2.7 min of it — it ran ~10-12 min before the
+# simulator's tick was indexed (DESIGN §5l) and ≈7 min before policy training
+# became a solve (DESIGN §5h). A loaded machine can still stretch it toward
+# go test's default 10 min -timeout; the explicit budget keeps the gate from
+# flaking there.
 race:
 	$(GO) test -race -timeout 30m ./...
 

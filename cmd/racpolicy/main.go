@@ -93,7 +93,7 @@ func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs in
 	}
 	fmt.Printf("trained in %.1fs\n", time.Since(start).Seconds())
 	tr, schedule := policy.Training(), core.DefaultOfflineBatch()
-	fmt.Printf("offline RL: sweeps %d/%d converged=%v (final TD error %.4g, threshold %g)\n",
+	fmt.Printf("offline solve: sweeps %d/%d converged=%v (last sweep's largest change %.4g, threshold %g)\n",
 		tr.Sweeps, schedule.MaxSweeps, tr.Converged, tr.FinalErr, schedule.Theta)
 
 	if out == "" {

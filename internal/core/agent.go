@@ -619,8 +619,9 @@ func (a *Agent) record(key string, rt float64) {
 	}
 }
 
-// retrain runs the per-interval batch training pass (Algorithm 3 step 9) and
-// reports how it converged.
+// retrain runs the per-interval batch training pass (Algorithm 3 step 9) — a
+// Gauss–Seidel solve over the region, seeded from the agent's current rows, so
+// it draws nothing from the agent's RNG — and reports how it converged.
 func (a *Agent) retrain() (mdp.BatchResult, error) {
 	var predict func(config.Config) float64
 	if a.policy != nil {
@@ -639,12 +640,11 @@ func (a *Agent) retrain() (mdp.BatchResult, error) {
 	}
 	rewards := a.region.rewards(a.samples, predict, a.opts.SLASeconds)
 	cfg := mdp.BatchConfig{
-		Params:        a.opts.Batch,
-		StepsPerState: a.opts.BatchStepsPerState,
-		MaxSweeps:     a.opts.BatchSweeps,
-		Theta:         a.opts.BatchTheta,
+		Params:    a.opts.Batch,
+		MaxSweeps: a.opts.BatchSweeps,
+		Theta:     a.opts.BatchTheta,
 	}
-	batch, err := mdp.Train(a.q, a.region.structure, rewards, cfg, a.rng.Split())
+	batch, err := mdp.Solve(a.q, a.region.structure, rewards, cfg)
 	if err != nil {
 		return mdp.BatchResult{}, fmt.Errorf("core: retrain: %w", err)
 	}

@@ -55,8 +55,8 @@ type InitOptions struct {
 	Batch mdp.BatchConfig
 	// SLASeconds is the reward reference; default 2 s (DefaultOptions).
 	SLASeconds float64
-	// Seed drives the offline training exploration and the per-sample RNG
-	// streams handed to a StreamSampler.
+	// Seed drives the per-sample RNG streams handed to a StreamSampler. The
+	// offline pass is a deterministic solve and draws nothing.
 	Seed uint64
 	// Procs bounds the worker goroutines sampling the coarse sublattice.
 	// Zero or negative uses every CPU; 1 samples sequentially. Results are
@@ -75,8 +75,9 @@ type InitOptions struct {
 
 // DefaultOfflineBatch returns the schedule of the offline RL pass over the
 // group lattice when InitOptions.Batch is zero: mdp.DefaultBatchConfig — the
-// paper's offline hyper-parameters (α=0.1, γ=0.9, ε=0.1) — with a 400-sweep
-// bound and a 0.005 convergence threshold.
+// paper's offline hyper-parameters (γ=0.9, ε=0.1) — with a 400-sweep bound and
+// a 0.005 convergence threshold. The solve meets the threshold in about fifteen
+// sweeps on every Table-2 context; the bound is a safety net.
 func DefaultOfflineBatch() mdp.BatchConfig {
 	batch := mdp.DefaultBatchConfig()
 	batch.MaxSweeps = 400
@@ -200,11 +201,11 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 		intern:  &policyIntern{},
 	}
 
-	// 4. Offline RL over the group lattice. The offline pass runs many more
-	// sweeps than the per-interval retraining: seeded Q values must sit on
-	// the same asymptotic scale (≈ r/(1−γ)) as the values the online agent
-	// keeps refreshing, or unvisited states would look artificially poor and
-	// the agent would cling to its visited region.
+	// 4. Offline RL over the group lattice, solved to the fixed point
+	// Algorithm 1's ε-greedy SARSA estimates (mdp.Solve). Seeded Q values
+	// must sit on the same asymptotic scale (≈ r/(1−γ)) as the values the
+	// online agent keeps refreshing, or unvisited states would look
+	// artificially poor and the agent would cling to its visited region.
 	structure, rewards, err := p.trainingMDP()
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
@@ -214,7 +215,7 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 		batch = DefaultOfflineBatch()
 	}
 	p.q = mdp.NewQTable(structure.Actions(), 0)
-	p.training, err = mdp.Train(p.q, structure, rewards, batch, sim.NewRNG(opts.Seed|1))
+	p.training, err = mdp.Solve(p.q, structure, rewards, batch)
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}

@@ -50,9 +50,12 @@ type Options struct {
 
 	// BatchSweeps bounds the per-interval batch retraining sweeps.
 	BatchSweeps int
-	// BatchStepsPerState is the trajectory length per swept state.
+	// BatchStepsPerState was the sampled retraining sweep's trajectory length.
+	// The solver does not use it; it stays only because the benchmark ledger
+	// under benchmark/ still reads it.
 	BatchStepsPerState int
-	// BatchTheta is the retraining convergence threshold.
+	// BatchTheta is the retraining convergence threshold: the largest change
+	// a sweep may make to any Q entry and still count as converged.
 	BatchTheta float64
 
 	// Resilience is the fault-handling policy (retry, invalid-measurement

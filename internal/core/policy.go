@@ -37,7 +37,7 @@ type Policy struct {
 	sla    float64
 	// floorRT guards against regression extrapolation below zero.
 	floorRT float64
-	// training is how the offline pass that produced q converged; zero for a
+	// training is how the offline solve that produced q converged; zero for a
 	// policy loaded from disk (it is not persisted).
 	training mdp.BatchResult
 
@@ -148,14 +148,14 @@ func (p *Policy) Recommend() (config.Config, error) {
 // GroupQTable exposes the offline-trained group Q-table (diagnostics).
 func (p *Policy) GroupQTable() *mdp.QTable { return p.q }
 
-// Training reports how the offline RL pass that trained the group Q-table
-// converged: sweeps run, final TD error, and whether it met its threshold
-// before the sweep bound. It is not persisted — a loaded policy reports the
-// zero value.
+// Training reports how the offline solve that produced the group Q-table
+// converged: sweeps run, the largest change of the last sweep, and whether
+// that met the threshold before the sweep bound. It is not persisted — a
+// loaded policy reports the zero value.
 func (p *Policy) Training() mdp.BatchResult { return p.training }
 
 // trainingMDP returns the deterministic MDP over the whole group lattice used
-// for offline training, in the form mdp.Train takes: states are the lattice's
+// for offline training, in the form mdp.Solve takes: states are the lattice's
 // points by ordinal, actions move one group one step (config.Actions of the
 // lattice; a move leaving it is infeasible), and the reward of entering a
 // state is SLA − predictedRT. The structure keys its states by the policy's

@@ -43,10 +43,10 @@ func (sh *regionShape) cfg(s int) config.Config {
 
 // validSampleKeys returns the sample keys that parse, validate against the
 // space and are the canonical rendering of their configuration, sorted, with
-// their parsed configurations. The sorted order drives the learner's RNG
-// stream, so experiments stay reproducible from their seeds. Canonical keys
-// make state identity and lattice-point identity the same thing, which is
-// what lets newRegionShape deduplicate states by ordinal.
+// their parsed configurations. The sorted order fixes the region's dense
+// indices, hence the solver's sweep order. Canonical keys make state identity
+// and lattice-point identity the same thing, which is what lets
+// newRegionShape deduplicate states by ordinal.
 func validSampleKeys(space *config.Space, samples map[string]float64) ([]string, []config.Config) {
 	keys := make([]string, 0, len(samples))
 	for key := range samples {
@@ -77,7 +77,7 @@ func validSampleKeys(space *config.Space, samples map[string]float64) ([]string,
 // once per state.
 // Discovery order is each sample key in sorted order followed by its feasible
 // neighbours in action order; it fixes the dense indices, hence the
-// retraining sweep order and the RNG stream, and must not change.
+// retraining sweep order, and changing it moves the solve's last bits.
 func newRegionShape(space *config.Space, keys []string, cfgs []config.Config) *regionShape {
 	actions := config.Actions(space)
 	sh := &regionShape{space: space}
@@ -147,7 +147,7 @@ func newRegionShape(space *config.Space, keys []string, cfgs []config.Config) *r
 // which is how fresh observations propagate to neighbouring states during
 // batch training (paper §4.2). predict may be nil, in which case frontier
 // states fall back to the SLA-neutral reward 0. The shape's structure plus
-// these rewards is what mdp.Train retrains over.
+// these rewards is what mdp.Solve retrains over.
 func (sh *regionShape) rewards(samples map[string]float64,
 	predict func(config.Config) float64, sla float64) []float64 {
 

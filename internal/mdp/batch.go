@@ -3,6 +3,7 @@ package mdp
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/rac-project/rac/internal/sim"
 )
@@ -30,25 +31,27 @@ type Model interface {
 }
 
 // BatchConfig controls a batch training run (the offline RL process of paper
-// Algorithm 1 and the per-interval retraining of Algorithm 3).
+// Algorithm 1 and the per-interval retraining of Algorithm 3), which Solve
+// computes rather than samples.
 type BatchConfig struct {
+	// Params supplies γ and ε of the solved equation; α is validated but
+	// unused, since nothing is sampled.
 	Params Params
-	// StepsPerState is the inner trajectory length per sweep (Algorithm 1's
-	// LIMIT).
+	// StepsPerState is the sampled sweep's trajectory length (Algorithm 1's
+	// LIMIT), read only by the SARSA reference loop the tests hold Solve to.
+	// Solve does not use it; it stays in the config because the benchmark
+	// ledger under benchmark/ still sets it.
 	StepsPerState int
 	// MaxSweeps bounds the number of full state sweeps.
 	MaxSweeps int
-	// Theta is the convergence threshold on the largest per-sweep TD error
-	// (Algorithm 1's θ).
+	// Theta is the convergence threshold on the largest change a sweep makes
+	// to any entry (Algorithm 1's θ).
 	Theta float64
 }
 
 // DefaultBatchConfig returns the training schedule used by the experiments:
-// the paper's hyper-parameters, eight-step inner trajectories, and a 0.01
-// convergence threshold. The sweep bound keeps offline training over the
-// ~10⁴-state group lattice in the sub-second range; under ε-greedy
-// exploration the TD error stays stochastic, so the bound — not θ — usually
-// terminates training (see Algorithm 1).
+// the paper's hyper-parameters, a 60-sweep bound and a 0.01 convergence
+// threshold.
 func DefaultBatchConfig() BatchConfig {
 	return BatchConfig{
 		Params:        DefaultOffline(),
@@ -58,7 +61,9 @@ func DefaultBatchConfig() BatchConfig {
 	}
 }
 
-// BatchResult reports how a batch training run converged.
+// BatchResult reports how a batch training run converged: sweeps run, the
+// largest change the last sweep made, and whether that fell below Theta
+// before the sweep bound.
 type BatchResult struct {
 	Sweeps    int
 	FinalErr  float64
@@ -161,10 +166,12 @@ func NewStructureFromTransitions(states []string, actions int, trans []int32) (*
 	return st, nil
 }
 
-// BatchTrain is Train for an ad-hoc model: it materializes the model's
-// Structure and rewards, then trains. Callers that retrain over one lattice
-// repeatedly build the Structure once and call Train directly.
-func BatchTrain(table *QTable, model Model, cfg BatchConfig, rng *sim.RNG) (BatchResult, error) {
+// BatchTrain is Solve for an ad-hoc model: it materializes the model's
+// Structure and rewards, then solves. Callers that retrain over one lattice
+// repeatedly build the Structure once and call Solve directly. The solver
+// draws no random numbers; the rng parameter is ignored and stays only because
+// the benchmark ledger under benchmark/ still passes one.
+func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchResult, error) {
 	if model == nil {
 		return BatchResult{}, errors.New("mdp: nil model")
 	}
@@ -176,32 +183,37 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, rng *sim.RNG) (Batc
 	for s := range rewards {
 		rewards[s] = model.RewardIndex(s)
 	}
-	return Train(table, st, rewards, cfg, rng)
+	return Solve(table, st, rewards, cfg)
 }
 
-// Train runs Algorithm 1 over the MDP (st, rewards): repeated sweeps over all
-// states, each starting an ε-greedy trajectory of StepsPerState SARSA updates,
-// until the largest TD error of a sweep drops below Theta or MaxSweeps is
-// exhausted. rewards[s] is the immediate reward received on entering state s.
-// The table is updated in place: every state's row is materialized.
+// Solve computes, in place, the action values that Algorithm 1's ε-greedy
+// SARSA sweep estimates over the MDP (st, rewards): the fixed point of
 //
-// All training state is held in flat arrays: q is the Q-table in row-major
-// (state, action) layout seeded exactly as lazy row materialization would seed
-// it; feasible-action lists are flattened into one backing array addressed by
-// per-state offsets, so the sweep loop performs no string hashing, no map
-// lookups and no interface dispatch. Every random draw, comparison and
-// floating-point update mirrors a Learner driven over the string-keyed table
-// (SelectAction, UpdateSARSA) operation for operation — the reference loop in
-// batch_test.go — which is what makes the result byte-identical to it;
-// determinism tests across the repo pin that equivalence.
-func Train(table *QTable, st *Structure, rewards []float64, cfg BatchConfig, rng *sim.RNG) (BatchResult, error) {
+//	Q(s,a) = r(s′) + γ·[(1−ε)·max Q(s′,·) + ε·mean Q(s′,·)],   s′ = Next(s,a),
+//
+// with max and mean over the feasible actions of s′ and γ, ε from cfg.Params.
+// That is the expected SARSA target under the ε-greedy behaviour policy — the
+// value the sampled sweep drifts around without settling — not the optimal
+// Q*: the online agent keeps exploring, and values that price exploration in
+// are the ones its retraining keeps refreshing. rewards[s] is the immediate
+// reward received on entering state s.
+//
+// The solve is Gauss–Seidel in place on a dense copy of the table, seeded with
+// the rows the table serves: a state's row is re-evaluated from the newest
+// values of its successors, sweeps alternate index order and reverse order,
+// and the solve stops once a sweep changes no entry by Theta or more, with
+// MaxSweeps as the bound. Each sweep is a γ-contraction in the max norm, so
+// after a sweep whose largest change is below Theta the Bellman residual is
+// below γ·Theta. Only feasible entries are written — infeasible ones keep
+// their seeded value — and every row is materialized. No random number is
+// drawn, so the result depends on the inputs alone. cfg.StepsPerState and
+// cfg.Params.Alpha are not used.
+func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (BatchResult, error) {
 	switch {
 	case table == nil:
 		return BatchResult{}, errors.New("mdp: nil table")
 	case st == nil:
 		return BatchResult{}, errors.New("mdp: nil structure")
-	case rng == nil:
-		return BatchResult{}, errors.New("mdp: nil rng")
 	case table.Actions() != st.actions:
 		return BatchResult{}, fmt.Errorf("mdp: table has %d actions, model %d", table.Actions(), st.actions)
 	case len(rewards) != len(st.states):
@@ -210,102 +222,55 @@ func Train(table *QTable, st *Structure, rewards []float64, cfg BatchConfig, rng
 	if err := cfg.Params.Validate(); err != nil {
 		return BatchResult{}, err
 	}
-	if cfg.StepsPerState < 1 {
-		cfg.StepsPerState = 1
-	}
 	if cfg.MaxSweeps < 1 {
 		cfg.MaxSweeps = 1
 	}
 	states, actions, n := st.states, st.actions, len(st.states)
 	trans, off, feas := st.trans, st.off, st.feas
 
-	// Dense Q storage, seeded with the values lazy materialization would
-	// produce: whatever row the table serves for each state.
 	q := make([]float64, n*actions)
 	for s, state := range states {
 		table.snapshotRow(state, q[s*actions:(s+1)*actions])
 	}
-
-	var (
-		alpha = cfg.Params.Alpha
-		gamma = cfg.Params.Gamma
-		eps   = cfg.Params.Epsilon
-	)
-	// Greedy-action cache: the argmax of each row with strict-greater ties
-	// toward the lowest action index — exactly what Learner.SelectAction's
-	// ascending scan produces. Each SARSA step changes one (state, action)
-	// cell, so the cache is maintained in O(1) per update, with a full row
-	// rescan only when the cached best entry itself decreases (a lower-index
-	// action tied at the new value would then win the scan). This turns the
-	// greedy select from an O(actions) scan into an array load.
-	best := make([]int32, n)
-	bestV := make([]float64, n)
-	rescan := func(s int) {
+	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
+	// backup[s] is what entering s is worth beyond its reward: the expected
+	// value of the ε-greedy choice over s's row.
+	backup := make([]float64, n)
+	expected := func(s int) float64 {
 		allowed := feas[off[s]:off[s+1]]
 		row := q[s*actions : (s+1)*actions]
-		b := allowed[0]
-		bv := row[b]
-		for _, a := range allowed[1:] {
-			if row[a] > bv {
-				b, bv = a, row[a]
+		best, sum := row[allowed[0]], 0.0
+		for _, a := range allowed {
+			v := row[a]
+			sum += v
+			if v > best {
+				best = v
 			}
 		}
-		best[s], bestV[s] = b, bv
+		return (1-eps)*best + eps*sum/float64(len(allowed))
 	}
-	for s := 0; s < n; s++ {
-		rescan(s)
-	}
-	// selectAction replicates Learner.SelectAction on the dense arrays: an
-	// ε draw, then either a uniform feasible pick or the cached row argmax.
-	selectAction := func(s int) int {
-		if rng.Float64() < eps {
-			allowed := feas[off[s]:off[s+1]]
-			return int(allowed[rng.Intn(len(allowed))])
-		}
-		return int(best[s])
+	for s := range backup {
+		backup[s] = expected(s)
 	}
 
 	var res BatchResult
 	for sweep := 0; sweep < cfg.MaxSweeps; sweep++ {
 		var maxErr float64
-		for start := 0; start < n; start++ {
-			state := start
-			action := selectAction(state)
-			for step := 0; step < cfg.StepsPerState; step++ {
-				next := int(trans[state*actions+action])
-				if next < 0 {
-					// Defensive: selectAction only chooses feasible actions.
-					break
-				}
-				reward := rewards[next]
-				nextAction := selectAction(next)
-				// SARSA update, in Learner.UpdateSARSA's operation order.
-				cur := q[state*actions+action]
-				target := reward + gamma*q[next*actions+nextAction]
-				delta := target - cur
-				newV := cur + alpha*delta
-				q[state*actions+action] = newV
-				// Maintain the greedy cache for the dirtied row.
-				switch a32 := int32(action); {
-				case a32 == best[state]:
-					if newV >= bestV[state] {
-						bestV[state] = newV
-					} else {
-						rescan(state)
-					}
-				case newV > bestV[state]:
-					best[state], bestV[state] = a32, newV
-				case newV == bestV[state] && a32 < best[state]:
-					best[state] = a32
-				}
-				if delta < 0 {
-					delta = -delta
-				}
-				if delta > maxErr {
-					maxErr = delta
-				}
-				state, action = next, nextAction
+		for i := 0; i < n; i++ {
+			s := i
+			if sweep%2 == 1 {
+				s = n - 1 - i
 			}
+			row := q[s*actions : (s+1)*actions]
+			for _, a := range feas[off[s]:off[s+1]] {
+				next := trans[s*actions+int(a)]
+				target := rewards[next] + gamma*backup[next]
+				if d := math.Abs(target - row[a]); d > maxErr {
+					maxErr = d
+				}
+				row[a] = target
+			}
+			backup[s] = expected(s)
 		}
 		res.Sweeps = sweep + 1
 		res.FinalErr = maxErr
@@ -315,8 +280,6 @@ func Train(table *QTable, st *Structure, rewards []float64, cfg BatchConfig, rng
 		}
 	}
 
-	// Scatter the trained rows back. The reference loop materializes every row
-	// (each state starts a trajectory), so writing all rows matches it.
 	for s, state := range states {
 		table.setRow(state, q[s*actions:(s+1)*actions])
 	}

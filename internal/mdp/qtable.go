@@ -1,7 +1,7 @@
 // Package mdp implements the tabular reinforcement-learning machinery of the
 // paper: a Q-value table keyed by state strings, temporal-difference updates
-// (paper Algorithm 1), ε-greedy action selection, and batch sweep training
-// over a deterministic model of the configuration MDP.
+// (paper Algorithm 1), ε-greedy action selection, and batch training over a
+// deterministic model of the configuration MDP — solved, not sampled (Solve).
 //
 // The package is independent of web-system specifics: states are opaque
 // string keys and actions are dense indices, so the same learner is reused by

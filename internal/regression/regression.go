@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -110,8 +111,16 @@ func quadraticFeatures(x []float64) []float64 {
 }
 
 // FitQuadratic fits a full quadratic surface to the samples. Each row of xs
-// must have the same dimensionality d, and at least 1 + d + d(d+1)/2 samples
-// are required.
+// must have the same dimensionality d.
+//
+// A dimension sampled at fewer than three distinct values cannot identify its
+// own curvature: with two values a and b, xᵢ² = (a+b)·xᵢ − a·b on every
+// sample, an exact linear combination of the constant and linear features, so
+// any split between them fits equally well and the ridge term picks one
+// arbitrarily. Such a dimension's squared feature is left out of the fit and
+// its coefficient reads 0; the coefficient layout is the same either way. The
+// fit needs at least as many samples as features it keeps — 1 + d + d(d+1)/2
+// when every dimension has three or more values.
 func FitQuadratic(xs [][]float64, ys []float64) (*Quadratic, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return nil, errors.New("regression: x/y length mismatch")
@@ -120,23 +129,68 @@ func FitQuadratic(xs [][]float64, ys []float64) (*Quadratic, error) {
 	if d == 0 {
 		return nil, errors.New("regression: zero-dimensional input")
 	}
-	want := 1 + d + d*(d+1)/2
+	for _, x := range xs {
+		if len(x) != d {
+			return nil, errors.New("regression: ragged input")
+		}
+	}
+	// keep[f] reports whether feature f of quadraticFeatures enters the fit.
+	keep := make([]bool, 1+d+d*(d+1)/2)
+	for f := range keep {
+		keep[f] = true
+	}
+	want := len(keep)
+	for i, f := 0, 1+d; i < d; i, f = i+1, f+d-i {
+		if !distinctAtLeast(xs, i, 3) { // feature f is xᵢ·xᵢ
+			keep[f] = false
+			want--
+		}
+	}
 	if len(xs) < want {
 		return nil, fmt.Errorf("regression: need %d points for %d-dim quadratic, have %d",
 			want, d, len(xs))
 	}
 	design := make([][]float64, len(xs))
-	for i, x := range xs {
-		if len(x) != d {
-			return nil, errors.New("regression: ragged input")
-		}
-		design[i] = quadraticFeatures(x)
+	for r, x := range xs {
+		design[r] = keptFeatures(quadraticFeatures(x), keep)
 	}
-	coeffs, err := leastSquares(design, ys)
+	fitted, err := leastSquares(design, ys)
 	if err != nil {
 		return nil, err
 	}
+	coeffs := make([]float64, len(keep))
+	for f, j := 0, 0; f < len(keep); f++ {
+		if keep[f] {
+			coeffs[f] = fitted[j]
+			j++
+		}
+	}
 	return &Quadratic{dim: d, coeffs: coeffs}, nil
+}
+
+// distinctAtLeast reports whether column i of xs holds at least n distinct
+// values.
+func distinctAtLeast(xs [][]float64, i, n int) bool {
+	seen := make([]float64, 0, n)
+	for _, x := range xs {
+		if !slices.Contains(seen, x[i]) {
+			if seen = append(seen, x[i]); len(seen) >= n {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// keptFeatures compacts feats in place to the entries keep marks.
+func keptFeatures(feats []float64, keep []bool) []float64 {
+	out := feats[:0]
+	for f, v := range feats {
+		if keep[f] {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // QuadraticFromCoeffs rebuilds a quadratic surface from serialized

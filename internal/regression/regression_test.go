@@ -206,3 +206,56 @@ func TestPolyEvalHornerProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuadraticTwoLevelFactorial plants a linear surface with interactions on
+// a two-level full factorial — the coarse-2 sample policy initialization
+// takes — where no dimension's curvature is identifiable. The fit must
+// recover the planted coefficients, read 0 in every squared slot, and predict
+// the untouched midpoint of the design.
+func TestQuadraticTwoLevelFactorial(t *testing.T) {
+	// Feature order: 1, a, b, c, d, then aa ab ac ad bb bc bd cc cd dd.
+	planted := []float64{
+		-1.5, 0.04, -0.02, 0.01, 0.03,
+		0, 0.0004, 0, -0.0002, 0, 0.0003, 0, 0, 0.0001, 0,
+	}
+	lo, hi := []float64{50, 1, 5, 15}, []float64{600, 21, 85, 95}
+	var xs [][]float64
+	var ys []float64
+	for corner := 0; corner < 16; corner++ {
+		x := make([]float64, 4)
+		for i := range x {
+			x[i] = lo[i]
+			if corner>>i&1 == 1 {
+				x[i] = hi[i]
+			}
+		}
+		xs = append(xs, x)
+		ys = append(ys, (&Quadratic{dim: 4, coeffs: planted}).Eval(x))
+	}
+	q, err := FitQuadratic(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range q.Coeffs() {
+		if math.Abs(c-planted[i]) > 1e-6*math.Max(1, math.Abs(planted[i])) {
+			t.Errorf("coefficient %d = %.6g, planted %.6g", i, c, planted[i])
+		}
+	}
+	mid := make([]float64, 4)
+	for i := range mid {
+		mid[i] = (lo[i] + hi[i]) / 2
+	}
+	want := (&Quadratic{dim: 4, coeffs: planted}).Eval(mid)
+	if got := q.Eval(mid); math.Abs(got-want) > 1e-6 {
+		t.Errorf("midpoint prediction %.6g, planted surface %.6g", got, want)
+	}
+
+	// Dropping the unidentifiable squares also lowers the sample count the
+	// fit needs: 1 + 4 + 6 features, not 15.
+	if _, err := FitQuadratic(xs[:11], ys[:11]); err != nil {
+		t.Errorf("11 two-level samples rejected: %v", err)
+	}
+	if _, err := FitQuadratic(xs[:10], ys[:10]); err == nil {
+		t.Error("10 samples accepted for 11 features")
+	}
+}
