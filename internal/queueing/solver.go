@@ -25,10 +25,25 @@ type Solver struct {
 	flat     []float64   // backing storage for marg
 	marg     [][]float64 // per-station marginal queue-length probabilities
 	q        []float64   // approximate-MVA mean queue lengths
+	seen     []float64   // approximate-MVA saved iterate for repeat detection
 	resid    []float64   // per-station residence scratch
 	residOut []float64   // Result.StationResidence backing
 	utilOut  []float64   // Result.StationUtilization backing
+
+	// approxDone, when non-nil, sees every SolveApprox call's inputs, result
+	// and loop exit just before the divergence check. Tests set it.
+	approxDone func(n int, z float64, stations []Station, res Result, end approxEnd)
 }
+
+// approxEnd records how a SolveApprox loop stopped.
+type approxEnd uint8
+
+const (
+	endCapped    approxEnd = iota // ran all maxIter iterations
+	endConverged                  // an iteration moved no occupancy by tol
+	endOrbit                      // q repeated in phase with the cap; stopped there
+	endOrbitTail                  // q repeated; skipped whole periods, ran the rest
+)
 
 // NewSolver returns an empty solver; buffers grow on first use.
 func NewSolver() *Solver { return &Solver{} }
@@ -146,6 +161,12 @@ func (sv *Solver) Solve(n int, z float64, stations []Station) (Result, error) {
 // SolveApprox runs Schweitzer-style approximate MVA on the solver's scratch
 // buffers. It computes exactly what the package-level SolveApprox computes;
 // see the Solver type for the result-aliasing contract.
+//
+// An iteration is a pure function of q (the rate functions must be pure
+// functions of j), so once q repeats bit for bit the rest of the walk to the
+// cap is known: Brent's scheme keeps one saved iterate, refreshed at
+// power-of-two distances, and a repeat with period p skips whole periods. The
+// result is the one the full 2000-iteration walk returns, bit for bit.
 func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, error) {
 	if err := validate(n, z, stations); err != nil {
 		return Result{}, err
@@ -153,11 +174,13 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 
 	k := len(stations)
 	sv.q = grow(sv.q, k)
+	sv.seen = grow(sv.seen, k)
 	sv.resid = grow(sv.resid, k)
-	q, resid := sv.q, sv.resid
+	q, seen, resid := sv.q, sv.seen, sv.resid
 	for i := range q {
 		q[i] = float64(n) / float64(k+1)
 	}
+	copy(seen, q)
 
 	const (
 		maxIter = 2000
@@ -166,7 +189,27 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 	)
 	var x float64
 	scale := float64(n-1) / float64(n)
+	end := endCapped
+	seenAt, span := 0, 1 // seen holds the iterate of iteration seenAt
 	for iter := 0; iter < maxIter; iter++ {
+		if iter > seenAt && sameBits(q, seen) {
+			// The walk is periodic from seenAt on with period p; the cap's
+			// phase is rem iterations short of the cap. No iterate on the
+			// orbit met tol, or the loop would have stopped on it. After a
+			// jump fewer than p iterations remain, so this cannot fire again.
+			p := iter - seenAt
+			rem := (maxIter - iter) % p
+			if rem == 0 {
+				// resid and x from iteration iter−1 are those of the cap's
+				// last iteration, and q is the cap's final iterate.
+				end = endOrbit
+				break
+			}
+			iter, end = maxIter-rem, endOrbitTail
+		} else if iter-seenAt == span {
+			copy(seen, q)
+			seenAt, span = iter, 2*span
+		}
 		var total float64
 		for i, s := range stations {
 			if s.Demand == 0 {
@@ -196,6 +239,7 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 			q[i] += damping * delta
 		}
 		if drift < tol {
+			end = endConverged
 			break
 		}
 	}
@@ -223,10 +267,23 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 			res.StationUtilization[i] = math.Min(1, x*s.Demand/s.rate(at))
 		}
 	}
+	if sv.approxDone != nil {
+		sv.approxDone(n, z, stations, res, end)
+	}
 	if math.IsNaN(res.Throughput) || math.IsInf(res.Throughput, 0) {
 		return Result{}, errors.New("queueing: approximate MVA diverged")
 	}
 	return res, nil
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // WebsiteSolver evaluates the analytic website surface with fully reused

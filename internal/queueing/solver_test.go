@@ -1,9 +1,13 @@
 package queueing
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
 	"github.com/rac-project/rac/internal/webtier"
@@ -51,6 +55,184 @@ func TestSolverMatchesPackageFunctions(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotA, wantA) {
 			t.Fatalf("n=%d: Solver.SolveApprox %+v != SolveApprox %+v", n, gotA, wantA)
+		}
+	}
+}
+
+// referenceSolveApprox is Schweitzer approximate MVA as it was before the
+// solver learned to skip the periodic orbit: every iteration up to the cap is
+// walked. It is the oracle TestSolveApproxMatchesReference holds
+// Solver.SolveApprox to.
+func referenceSolveApprox(n int, z float64, stations []Station) (Result, error) {
+	if err := validate(n, z, stations); err != nil {
+		return Result{}, err
+	}
+
+	k := len(stations)
+	q, resid := make([]float64, k), make([]float64, k)
+	for i := range q {
+		q[i] = float64(n) / float64(k+1)
+	}
+
+	const (
+		maxIter = 2000
+		damping = 0.5
+		tol     = 1e-9
+	)
+	var x float64
+	scale := float64(n-1) / float64(n)
+	for iter := 0; iter < maxIter; iter++ {
+		var total float64
+		for i, s := range stations {
+			if s.Demand == 0 {
+				resid[i] = 0
+				continue
+			}
+			// Evaluate the service rate at the current mean occupancy.
+			at := int(math.Round(q[i])) + 1
+			if at < 1 {
+				at = 1
+			}
+			if at > n {
+				at = n
+			}
+			rate := s.rate(at)
+			resid[i] = s.Demand / rate * (1 + q[i]*scale)
+			total += resid[i]
+		}
+		x = float64(n) / (z + total)
+		var drift float64
+		for i := range stations {
+			want := x * resid[i]
+			delta := want - q[i]
+			if d := math.Abs(delta); d > drift {
+				drift = d
+			}
+			q[i] += damping * delta
+		}
+		if drift < tol {
+			break
+		}
+	}
+
+	res := Result{
+		N:                  n,
+		Throughput:         x,
+		StationResidence:   make([]float64, k),
+		StationUtilization: make([]float64, k),
+	}
+	for i, s := range stations {
+		res.StationResidence[i] = resid[i]
+		res.ResponseTime += resid[i]
+		res.StationUtilization[i] = 0
+		if s.Demand > 0 {
+			at := int(math.Round(q[i])) + 1
+			if at < 1 {
+				at = 1
+			}
+			if at > n {
+				at = n
+			}
+			res.StationUtilization[i] = math.Min(1, x*s.Demand/s.rate(at))
+		}
+	}
+	if math.IsNaN(res.Throughput) || math.IsInf(res.Throughput, 0) {
+		return Result{}, errors.New("queueing: approximate MVA diverged")
+	}
+	return res, nil
+}
+
+// sameResult reports the first field in which got and want differ in their
+// bits, or "" when they are identical.
+func sameResult(got, want Result) string {
+	bits := math.Float64bits
+	switch {
+	case got.N != want.N:
+		return fmt.Sprintf("N %d != %d", got.N, want.N)
+	case bits(got.Throughput) != bits(want.Throughput):
+		return fmt.Sprintf("Throughput %b != %b", got.Throughput, want.Throughput)
+	case bits(got.ResponseTime) != bits(want.ResponseTime):
+		return fmt.Sprintf("ResponseTime %b != %b", got.ResponseTime, want.ResponseTime)
+	case len(got.StationResidence) != len(want.StationResidence) ||
+		len(got.StationUtilization) != len(want.StationUtilization):
+		return "station slice lengths differ"
+	}
+	for i := range want.StationResidence {
+		if bits(got.StationResidence[i]) != bits(want.StationResidence[i]) {
+			return fmt.Sprintf("StationResidence[%d] %b != %b", i, got.StationResidence[i], want.StationResidence[i])
+		}
+		if bits(got.StationUtilization[i]) != bits(want.StationUtilization[i]) {
+			return fmt.Sprintf("StationUtilization[%d] %b != %b", i, got.StationUtilization[i], want.StationUtilization[i])
+		}
+	}
+	return ""
+}
+
+// TestSolveApproxMatchesReference holds the orbit-skipping SolveApprox to the
+// walk-to-the-cap oracle bit for bit, on the website stations of all six
+// Table-2 contexts at every coarse grouped configuration policy training
+// samples, and on solverStations at several populations and station counts.
+// One warm Solver serves every call, so the saved-iterate buffer is reused
+// across shapes. The grid must reach all three early exits.
+func TestSolveApproxMatchesReference(t *testing.T) {
+	ws := NewWebsiteSolver()
+	sv := &ws.sv
+	var ends [endOrbitTail + 1]int
+	sv.approxDone = func(n int, z float64, stations []Station, got Result, end approxEnd) {
+		ends[end]++
+		want, err := referenceSolveApprox(n, z, stations)
+		if err != nil {
+			t.Fatalf("n=%d z=%v: reference: %v", n, z, err)
+		}
+		if diff := sameResult(got, want); diff != "" {
+			t.Fatalf("n=%d z=%v %d stations (exit %d): %s", n, z, len(stations), end, diff)
+		}
+	}
+
+	// The six contexts of system.Table2, which this package cannot import.
+	contexts := []struct {
+		mix   tpcw.Mix
+		level vmenv.Level
+	}{
+		{tpcw.Shopping, vmenv.Level1}, {tpcw.Ordering, vmenv.Level1}, {tpcw.Ordering, vmenv.Level3},
+		{tpcw.Shopping, vmenv.Level2}, {tpcw.Ordering, vmenv.Level2}, {tpcw.Browsing, vmenv.Level1},
+	}
+	space := config.Default()
+	groups, err := space.Grouping()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, _, err := groups.Coarse(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := webtier.DefaultCalibration()
+	for _, c := range contexts {
+		w := tpcw.Workload{Mix: c.mix, Clients: 1100}
+		for _, cfg := range cfgs {
+			p, err := webtier.ParamsFromConfig(space, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ws.Solve(cal, p, w, c.level); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, k := range []int{1, 2, 3} {
+		for _, n := range []int{1, 2, 7, 50, 200, 800, 3000} {
+			if _, err := sv.SolveApprox(n, 12, solverStations()[:k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Logf("exits: capped %d, converged %d, orbit %d, orbit tail %d",
+		ends[endCapped], ends[endConverged], ends[endOrbit], ends[endOrbitTail])
+	for _, e := range []approxEnd{endConverged, endOrbit, endOrbitTail} {
+		if ends[e] == 0 {
+			t.Errorf("no solve ended with exit %d", e)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func benchAnalytic(b *testing.B, surf *surface.Cache) (*Analytic, [2]config.Conf
 
 // BenchmarkAnalyticMeasureMiss is a Measure that has to solve: a one-entry
 // cache and two alternating configurations make every lookup a miss (key
-// build, map insert, exact MVA solve).
+// build, map insert, five approximate-MVA solves in SolveWebsite).
 func BenchmarkAnalyticMeasureMiss(b *testing.B) {
 	sys, cfgs := benchAnalytic(b, surface.NewBounded(nil, 1))
 	bg := context.Background()
