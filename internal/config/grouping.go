@@ -91,14 +91,15 @@ func (g *Grouping) mean(c Config, gi int) float64 {
 	return sum / float64(len(g.members[gi]))
 }
 
-// Means projects a configuration onto its per-group mean values — the feature
-// vector of the regression predictor fitted during policy initialization.
-func (g *Grouping) Means(c Config) []float64 {
-	vec := make([]float64, len(g.members))
-	for gi := range vec {
-		vec[gi] = g.mean(c, gi)
+// AppendMeans projects a configuration onto its per-group mean values — the
+// feature vector of the regression predictor fitted during policy
+// initialization — appending them to dst and returning the extended slice.
+// With room in dst it does not allocate.
+func (g *Grouping) AppendMeans(dst []float64, c Config) []float64 {
+	for gi := range g.members {
+		dst = append(dst, g.mean(c, gi))
 	}
-	return vec
+	return dst
 }
 
 // Ordinal snaps a configuration onto the group lattice — each group's mean,

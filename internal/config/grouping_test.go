@@ -142,7 +142,7 @@ func TestGroupVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := g.Means(cfg)
+	vec := g.AppendMeans(nil, cfg)
 	if len(vec) != 4 {
 		t.Fatalf("vector length %d", len(vec))
 	}

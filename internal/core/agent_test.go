@@ -36,7 +36,7 @@ func newBowlSystem(targets []float64) *bowlSystem {
 
 func (b *bowlSystem) rt(cfg config.Config) float64 {
 	groups, _ := b.space.Grouping()
-	vec := groups.Means(cfg)
+	vec := groups.AppendMeans(nil, cfg)
 	rt := 0.2 + b.shift
 	for i, v := range vec {
 		d := (v - b.targets[i]) / 100

@@ -11,16 +11,13 @@ import (
 // reward reads, and state-key resolution during online seeding — must stay
 // allocation-free: every training sweep visits every lattice state several
 // times, and the seeder runs inside the agent's per-interval retraining.
-// State keys are interned in the policy at construction, so nothing below
-// may build a string. Same discipline as the telemetry 0-alloc benchmarks.
+// State keys are interned in the shared group lattice, so nothing below may
+// build a string. Same discipline as the telemetry 0-alloc benchmarks.
 
 func latticeModelForBench(tb testing.TB) (*Policy, *mdp.Structure, []float64) {
 	tb.Helper()
 	p := flatPolicy(tb, config.Default())
-	st, rewards, err := p.trainingMDP()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	st, rewards := p.trainingMDP()
 	return p, st, rewards
 }
 
@@ -44,6 +41,13 @@ func TestGroupModelHotPathAllocFree(t *testing.T) {
 		p.groupStateKey(cfg)
 	}); allocs != 0 {
 		t.Fatalf("groupStateKey allocates %.1f per run, want 0", allocs)
+	}
+	// PredictRT prices every frontier state of a retraining region and every
+	// candidate of a policy-store match.
+	if allocs := testing.AllocsPerRun(200, func() {
+		benchSink += int(p.PredictRT(cfg))
+	}); allocs != 0 {
+		t.Fatalf("PredictRT allocates %.1f per run, want 0", allocs)
 	}
 }
 

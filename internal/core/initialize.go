@@ -133,6 +133,10 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	if err != nil {
 		return nil, err
 	}
+	lattice, err := groupLattice(groups.Space())
+	if err != nil {
+		return nil, fmt.Errorf("core: offline training: %w", err)
+	}
 
 	// 1–2. Enumerate the coarse grouped sublattice, then sample it through
 	// the worker pool. Streams are split per configuration before dispatch
@@ -194,7 +198,7 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 		name:    name,
 		space:   space,
 		groups:  groups,
-		keys:    latticeKeys(groups.Space()),
+		lattice: lattice,
 		quad:    quad,
 		sla:     sla,
 		floorRT: floor,
@@ -206,10 +210,7 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// must sit on the same asymptotic scale (≈ r/(1−γ)) as the values the
 	// online agent keeps refreshing, or unvisited states would look
 	// artificially poor and the agent would cling to its visited region.
-	structure, rewards, err := p.trainingMDP()
-	if err != nil {
-		return nil, fmt.Errorf("core: offline training: %w", err)
-	}
+	structure, rewards := p.trainingMDP()
 	batch := opts.Batch
 	if batch.MaxSweeps == 0 {
 		batch = DefaultOfflineBatch()

@@ -15,7 +15,7 @@ import (
 // streams through chunk boundaries.
 func batchTestSample(space *config.Space, cfg config.Config, rng *sim.RNG) float64 {
 	groups, _ := space.Grouping()
-	vec := groups.Means(cfg)
+	vec := groups.AppendMeans(nil, cfg)
 	rt := 0.3
 	for i, v := range vec {
 		d := (v - 100*float64(i+1)) / 150

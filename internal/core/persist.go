@@ -111,12 +111,15 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 	// The file comes from outside the program (a registry directory): its
 	// Q-table must hold exactly the group lattice's rows, or seeding would
 	// read states the offline pass never trained.
-	keys := latticeKeys(groups.Space())
-	if q.Len() != len(keys) {
-		return nil, fmt.Errorf("core: policy Q-table has %d rows, group lattice %d states",
-			q.Len(), len(keys))
+	lattice, err := groupLattice(groups.Space())
+	if err != nil {
+		return nil, err
 	}
-	for _, key := range keys {
+	if q.Len() != len(lattice.States()) {
+		return nil, fmt.Errorf("core: policy Q-table has %d rows, group lattice %d states",
+			q.Len(), len(lattice.States()))
+	}
+	for _, key := range lattice.States() {
 		if !q.Visited(key) {
 			return nil, fmt.Errorf("core: policy Q-table lacks group state %q", key)
 		}
@@ -125,7 +128,7 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 		name:    raw.Name,
 		space:   space,
 		groups:  groups,
-		keys:    keys,
+		lattice: lattice,
 		q:       q,
 		quad:    quad,
 		sla:     raw.SLA,

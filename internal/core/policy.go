@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -9,14 +10,65 @@ import (
 	"github.com/rac-project/rac/internal/regression"
 )
 
-// latticeKeys renders the state key of every point of the space, by ordinal.
-func latticeKeys(space *config.Space) []string {
-	keys := make([]string, space.States())
-	point := make(config.Config, space.Len())
-	for ord := range keys {
-		keys[ord] = space.At(uint64(ord), point).Key()
+// groupLatticeCap bounds groupLattices. A process trains over a handful of
+// lattice shapes; a new shape that would exceed the cap drops the memo first
+// (a structure is a pure function of its shape, so a drop costs a rebuild,
+// never a different byte).
+const groupLatticeCap = 16
+
+// groupLattices memoizes the offline-training MDP of the group lattice shapes
+// in use, by latticeShape, each built on first use. Its values are immutable
+// and depend on the key alone, so sharing them across callers is unobservable
+// except in time.
+var groupLattices struct {
+	sync.Mutex
+	m map[string]func() (*mdp.Structure, error)
+}
+
+// groupLattice returns the deterministic MDP over the whole group lattice that
+// offline training solves, in the form mdp.Solve takes: states are the
+// lattice's points by ordinal, keyed by their configuration keys, and actions
+// move one group one step (config.Actions of the lattice; a move leaving it is
+// infeasible). It depends on the lattice's per-group ranges alone, so it is
+// built once per shape and shared read-only by every policy over one — the
+// ones LearnPolicyStream trains and the ones LoadPolicy reads. Rewards are
+// per policy (trainingMDP).
+func groupLattice(lattice *config.Space) (*mdp.Structure, error) {
+	shape := latticeShape(lattice)
+	groupLattices.Lock()
+	build, ok := groupLattices.m[shape]
+	if !ok {
+		build = sync.OnceValues(func() (*mdp.Structure, error) { return newGroupLattice(lattice) })
+		if groupLattices.m == nil || len(groupLattices.m) >= groupLatticeCap {
+			groupLattices.m = make(map[string]func() (*mdp.Structure, error))
+		}
+		groupLattices.m[shape] = build
 	}
-	return keys
+	groupLattices.Unlock()
+	return build()
+}
+
+// latticeShape identifies a lattice by what its keys and transitions depend
+// on: each parameter's Min, Max and Step.
+func latticeShape(lattice *config.Space) string {
+	var b []byte
+	for i := 0; i < lattice.Len(); i++ {
+		d := lattice.Def(i)
+		b = fmt.Appendf(b, "%d:%d:%d,", d.Min, d.Max, d.Step)
+	}
+	return string(b)
+}
+
+func newGroupLattice(lattice *config.Space) (*mdp.Structure, error) {
+	keys := make([]string, lattice.States())
+	ords := make([]uint64, len(keys))
+	point := make(config.Config, lattice.Len())
+	for ord := range keys {
+		ords[ord] = uint64(ord)
+		keys[ord] = lattice.At(uint64(ord), point).Key()
+	}
+	trans := lattice.Transitions(ords, func(ord uint64) int32 { return int32(ord) })
+	return mdp.NewStructureFromTransitions(keys, 2*lattice.Len()+1, trans)
 }
 
 // Policy is an initial configuration policy for one system context: a
@@ -28,13 +80,14 @@ type Policy struct {
 	name  string
 	space *config.Space
 	// groups is the space's grouping; the offline Q-table's states are the
-	// points of its lattice, and keys holds their interned state keys by
-	// ordinal so resolving a configuration's group state builds no string.
-	groups *config.Grouping
-	keys   []string
-	q      *mdp.QTable
-	quad   *regression.Quadratic
-	sla    float64
+	// points of its lattice. lattice is that lattice's shared training MDP
+	// (groupLattice), whose state keys by ordinal let resolving a
+	// configuration's group state build no string.
+	groups  *config.Grouping
+	lattice *mdp.Structure
+	q       *mdp.QTable
+	quad    *regression.Quadratic
+	sla     float64
 	// floorRT guards against regression extrapolation below zero.
 	floorRT float64
 	// training is how the offline solve that produced q converged; zero for a
@@ -44,7 +97,7 @@ type Policy struct {
 	// intern holds the structure memoized across every agent warm-started
 	// from this policy. It lives behind a pointer so a Policy value can be
 	// copied (renamed store entries do this) without copying locks; copies
-	// share the memo, which is correct — they share q and keys too.
+	// share the memo, which is correct — they share q and lattice too.
 	intern *policyIntern
 }
 
@@ -68,13 +121,16 @@ func (p *Policy) Space() *config.Space { return p.space }
 func (p *Policy) SLA() float64 { return p.sla }
 
 // PredictRT estimates the mean response time of a configuration from the
-// fitted regression surface (a log-space quadratic; see LearnPolicy).
+// fitted regression surface (a log-space quadratic; see LearnPolicy). It does
+// not allocate: the group values live on the stack, not in shared scratch,
+// because one Policy is read concurrently by every agent warm-started from it.
 func (p *Policy) PredictRT(cfg config.Config) float64 {
-	return p.predict(p.groups.Means(cfg))
+	var buf [8]float64
+	return p.predict(p.groups.AppendMeans(buf[:0], cfg))
 }
 
 // predict evaluates the regression surface at a vector of group values,
-// floored against extrapolation.
+// floored against extrapolation. It does not allocate.
 func (p *Policy) predict(vec []float64) float64 {
 	return math.Max(math.Exp(p.quad.Eval(vec)), p.floorRT)
 }
@@ -83,7 +139,7 @@ func (p *Policy) predict(vec []float64) float64 {
 // configuration snaps to, without building a string: the allocation-free core
 // of the seeding hot path.
 func (p *Policy) groupStateKey(cfg config.Config) string {
-	return p.keys[p.groups.Ordinal(cfg)]
+	return p.lattice.States()[p.groups.Ordinal(cfg)]
 }
 
 // Seeder returns an mdp.Seeder that initializes a full-lattice Q row from
@@ -133,7 +189,7 @@ func (p *Policy) Recommend() (config.Config, error) {
 	best, bestRT := -1, 0.0
 	point := make(config.Config, lattice.Len())
 	vec := make([]float64, lattice.Len())
-	for ord := range p.keys {
+	for ord := range p.lattice.States() {
 		for gi, v := range lattice.At(uint64(ord), point) {
 			vec[gi] = float64(v)
 		}
@@ -154,26 +210,19 @@ func (p *Policy) GroupQTable() *mdp.QTable { return p.q }
 // loaded policy reports the zero value.
 func (p *Policy) Training() mdp.BatchResult { return p.training }
 
-// trainingMDP returns the deterministic MDP over the whole group lattice used
-// for offline training, in the form mdp.Solve takes: states are the lattice's
-// points by ordinal, actions move one group one step (config.Actions of the
-// lattice; a move leaving it is infeasible), and the reward of entering a
-// state is SLA − predictedRT. The structure keys its states by the policy's
-// interned keys and owns the only copy of the transition table.
-func (p *Policy) trainingMDP() (*mdp.Structure, []float64, error) {
+// trainingMDP returns the offline training MDP in the form mdp.Solve takes:
+// the shared group lattice (groupLattice) and the reward of entering each of
+// its states, SLA − predictedRT.
+func (p *Policy) trainingMDP() (*mdp.Structure, []float64) {
 	lattice := p.groups.Space()
-	rewards := make([]float64, len(p.keys))
-	ords := make([]uint64, len(p.keys))
+	rewards := make([]float64, len(p.lattice.States()))
 	point := make(config.Config, lattice.Len())
 	vec := make([]float64, lattice.Len())
-	for ord := range p.keys {
-		ords[ord] = uint64(ord)
+	for ord := range rewards {
 		for gi, v := range lattice.At(uint64(ord), point) {
 			vec[gi] = float64(v)
 		}
 		rewards[ord] = p.sla - p.predict(vec)
 	}
-	trans := lattice.Transitions(ords, func(ord uint64) int32 { return int32(ord) })
-	st, err := mdp.NewStructureFromTransitions(p.keys, 2*lattice.Len()+1, trans)
-	return st, rewards, err
+	return p.lattice, rewards
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
@@ -37,7 +38,11 @@ func flatPolicy(tb testing.TB, space *config.Space) *Policy {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &Policy{space: space, groups: groups, keys: latticeKeys(groups.Space()), quad: quad, sla: 2}
+	lattice, err := groupLattice(groups.Space())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Policy{space: space, groups: groups, lattice: lattice, quad: quad, sla: 2}
 }
 
 func TestGroupDefs(t *testing.T) {
@@ -79,10 +84,7 @@ func TestGroupDefClamp(t *testing.T) {
 
 func TestGroupModelEnumeration(t *testing.T) {
 	p := flatPolicy(t, config.Default())
-	st, rewards, err := p.trainingMDP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, rewards := p.trainingMDP()
 	want := p.groups.Space().States()
 	if len(st.States()) != want || len(rewards) != want {
 		t.Fatalf("enumerated %d states and %d rewards, want %d", len(st.States()), len(rewards), want)
@@ -92,13 +94,70 @@ func TestGroupModelEnumeration(t *testing.T) {
 	}
 }
 
-func TestGroupModelTransitions(t *testing.T) {
-	p := flatPolicy(t, config.Default())
-	defs := p.groups.Space().Defs()
-	st, rewards, err := p.trainingMDP()
+// TestGroupLatticeShared: the offline MDP is built once per lattice shape —
+// policies trained over two separately constructed default spaces, and one
+// loaded back from disk, read the same structure — and a different shape gets
+// its own.
+func TestGroupLatticeShared(t *testing.T) {
+	flat := func(cfg config.Config) (float64, error) { return 1, nil }
+	batch := mdp.DefaultBatchConfig()
+	batch.MaxSweeps = 1
+	var trained []*Policy
+	for _, space := range []*config.Space{config.Default(), config.Default()} {
+		p, err := LearnPolicy("shared", space, flat, InitOptions{CoarseLevels: 3, Batch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trained = append(trained, p)
+	}
+	var saved bytes.Buffer
+	if err := trained[0].Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadPolicy(&saved, config.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if trained[0].lattice != trained[1].lattice || loaded.lattice != trained[0].lattice {
+		t.Fatal("policies over equal group lattices built separate training MDPs")
+	}
+	if other := flatPolicy(t, config.WithCapacity()); other.lattice == trained[0].lattice {
+		t.Fatal("a different group lattice shares the default one's training MDP")
+	}
+
+	// First use from many goroutines at once, on a shape no other test builds:
+	// one structure, built once.
+	odd := []config.Def{
+		{Param: config.MaxClients, Name: "a", Group: config.GroupCapacity, Min: 7, Max: 70, Step: 7, Default: 7},
+		{Param: config.KeepAliveTimeout, Name: "b", Group: config.GroupTimeout, Min: 3, Max: 33, Step: 3, Default: 3},
+	}
+	got := make([]*mdp.Structure, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			groups, err := config.MustSpace(odd).Grouping()
+			if err == nil {
+				got[i], err = groupLattice(groups.Space())
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, st := range got[1:] {
+		if st != got[0] {
+			t.Fatal("concurrent first uses of one lattice shape built separate structures")
+		}
+	}
+}
+
+func TestGroupModelTransitions(t *testing.T) {
+	p := flatPolicy(t, config.Default())
+	defs := p.groups.Space().Defs()
+	st, rewards := p.trainingMDP()
 
 	const start = 0 // all-minimum state
 	// Keep stays.
@@ -138,7 +197,7 @@ func TestLearnPolicyAndSeeder(t *testing.T) {
 	// capacity 300, timeout 11, minspare 45, maxspare 55.
 	targets := []float64{300, 11, 45, 55}
 	sampler := func(cfg config.Config) (float64, error) {
-		vec := mustGrouping(t, space).Means(cfg)
+		vec := mustGrouping(t, space).AppendMeans(nil, cfg)
 		rt := 0.2
 		for i, v := range vec {
 			d := (v - targets[i]) / 100
@@ -206,7 +265,7 @@ func TestPolicyPredictRTFloor(t *testing.T) {
 	space := config.Default()
 	// A wildly sloped surface would extrapolate negative; the floor guards.
 	sampler := func(cfg config.Config) (float64, error) {
-		vec := mustGrouping(t, space).Means(cfg)
+		vec := mustGrouping(t, space).AppendMeans(nil, cfg)
 		return math.Max(0.05, 5-vec[0]/100), nil
 	}
 	p, err := LearnPolicy("floor", space, sampler, InitOptions{CoarseLevels: 3, Seed: 1, Batch: mdp.DefaultBatchConfig()})
@@ -256,7 +315,7 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 func bowlPolicyForPersist(t *testing.T, space *config.Space) *Policy {
 	t.Helper()
 	sampler := func(cfg config.Config) (float64, error) {
-		vec := mustGrouping(t, space).Means(cfg)
+		vec := mustGrouping(t, space).AppendMeans(nil, cfg)
 		rt := 0.3
 		for i, v := range vec {
 			d := (v - []float64{300, 11, 45, 55}[i]) / 120
@@ -314,7 +373,7 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 		}
 		return bytes.NewReader(out)
 	}
-	onLattice := latticeKeys(mustGrouping(t, space).Space())[0]
+	onLattice := flatPolicy(t, space).lattice.States()[0]
 	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
 		if _, ok := rows[onLattice]; !ok {
 			t.Fatalf("saved Q-table has no row %q", onLattice)
@@ -551,13 +610,10 @@ func TestGroupingMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if !slices.Equal(p.keys, ref.keys) {
-				t.Fatalf("group state keys differ:\n  got %v…\n want %v…", p.keys[:3], ref.keys[:3])
+			if keys := p.lattice.States(); !slices.Equal(keys, ref.keys) {
+				t.Fatalf("group state keys differ:\n  got %v…\n want %v…", keys[:3], ref.keys[:3])
 			}
-			st, rewards, err := p.trainingMDP()
-			if err != nil {
-				t.Fatal(err)
-			}
+			st, rewards := p.trainingMDP()
 			refPredict := func(vals []int) float64 {
 				vec := make([]float64, len(vals))
 				for i, v := range vals {

@@ -80,10 +80,12 @@ type Structure struct {
 	states  []string
 	actions int
 	// trans[s*actions+a] is the index reached by taking a in s, or -1 when
-	// infeasible. feas[off[s]:off[s+1]] lists s's feasible actions ascending.
+	// infeasible. feas[off[s]:off[s+1]] lists s's feasible actions ascending
+	// and succ[off[s]:off[s+1]] the states they reach, entry for entry.
 	trans []int32
 	off   []int32
 	feas  []int32
+	succ  []int32
 }
 
 // States returns the model's state keys in index order. The slice is shared;
@@ -124,7 +126,9 @@ func NewStructure(model Model) (*Structure, error) {
 // NewStructureFromTransitions is NewStructure for a caller that already holds
 // the transition table: trans[s*actions+a] is the index reached by taking a
 // in s, negative when infeasible. The structure takes ownership of states and
-// trans; the same closure invariants are validated.
+// trans; the same closure invariants are validated, and the state keys must be
+// distinct — Solve works on the table's own rows by index, so two indices with
+// one key would alias one row.
 func NewStructureFromTransitions(states []string, actions int, trans []int32) (*Structure, error) {
 	n := len(states)
 	if n == 0 {
@@ -133,6 +137,13 @@ func NewStructureFromTransitions(states []string, actions int, trans []int32) (*
 	if len(trans) != n*actions {
 		return nil, fmt.Errorf("mdp: transition table has %d entries, want %d states x %d actions",
 			len(trans), n, actions)
+	}
+	seen := make(map[string]struct{}, n)
+	for _, state := range states {
+		if _, dup := seen[state]; dup {
+			return nil, fmt.Errorf("mdp: state %q is listed twice", state)
+		}
+		seen[state] = struct{}{}
 	}
 	feasible := 0
 	for i, next := range trans {
@@ -150,12 +161,14 @@ func NewStructureFromTransitions(states []string, actions int, trans []int32) (*
 		trans:   trans,
 		off:     make([]int32, n+1),
 		feas:    make([]int32, 0, feasible),
+		succ:    make([]int32, 0, feasible),
 	}
 	for s := 0; s < n; s++ {
 		st.off[s] = int32(len(st.feas))
 		for a, next := range trans[s*actions : (s+1)*actions] {
 			if next >= 0 {
 				st.feas = append(st.feas, int32(a))
+				st.succ = append(st.succ, next)
 			}
 		}
 		if int(st.off[s]) == len(st.feas) {
@@ -198,14 +211,14 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 // are the ones its retraining keeps refreshing. rewards[s] is the immediate
 // reward received on entering state s.
 //
-// The solve is Gauss–Seidel in place on a dense copy of the table, seeded with
-// the rows the table serves: a state's row is re-evaluated from the newest
-// values of its successors, sweeps alternate index order and reverse order,
-// and the solve stops once a sweep changes no entry by Theta or more, with
-// MaxSweeps as the bound. Each sweep is a γ-contraction in the max norm, so
-// after a sweep whose largest change is below Theta the Bellman residual is
-// below γ·Theta. Only feasible entries are written — infeasible ones keep
-// their seeded value — and every row is materialized. No random number is
+// The solve is Gauss–Seidel in place on the table's own rows: every state's
+// row is materialized first, seeded with the row the table serves, then a
+// state's row is re-evaluated from the newest values of its successors, sweeps
+// alternate index order and reverse order, and the solve stops once a sweep
+// changes no entry by Theta or more, with MaxSweeps as the bound. Each sweep
+// is a γ-contraction in the max norm, so after a sweep whose largest change is
+// below Theta the Bellman residual is below γ·Theta. Only feasible entries are
+// written — infeasible ones keep their seeded value. No random number is
 // drawn, so the result depends on the inputs alone. cfg.StepsPerState and
 // cfg.Params.Alpha are not used.
 func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (BatchResult, error) {
@@ -225,20 +238,20 @@ func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (Ba
 	if cfg.MaxSweeps < 1 {
 		cfg.MaxSweeps = 1
 	}
-	states, actions, n := st.states, st.actions, len(st.states)
-	trans, off, feas := st.trans, st.off, st.feas
-
-	q := make([]float64, n*actions)
-	for s, state := range states {
-		table.snapshotRow(state, q[s*actions:(s+1)*actions])
-	}
+	n, off, feas, succ := len(st.states), st.off, st.feas, st.succ
+	rows := table.materializeAll(st.states)
 	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
-	// backup[s] is what entering s is worth beyond its reward: the expected
-	// value of the ε-greedy choice over s's row.
-	backup := make([]float64, n)
-	expected := func(s int) float64 {
-		allowed := feas[off[s]:off[s+1]]
-		row := q[s*actions : (s+1)*actions]
+	// val[s] is what entering s is worth: r(s) + γ·backup(s), where backup is
+	// the expected value of the ε-greedy choice over s's row, given its max and
+	// sum over the feasible actions (k of them). It is refreshed whenever s's
+	// row is, so every target below is one load.
+	value := func(s int, best, sum float64, k int) float64 {
+		backup := float64((1-eps)*best + eps*sum/float64(k))
+		return rewards[s] + gamma*backup
+	}
+	val := make([]float64, n)
+	for s := range val {
+		row, allowed := rows[s], feas[off[s]:off[s+1]]
 		best, sum := row[allowed[0]], 0.0
 		for _, a := range allowed {
 			v := row[a]
@@ -247,10 +260,7 @@ func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (Ba
 				best = v
 			}
 		}
-		return (1-eps)*best + eps*sum/float64(len(allowed))
-	}
-	for s := range backup {
-		backup[s] = expected(s)
+		val[s] = value(s, best, sum, len(allowed))
 	}
 
 	var res BatchResult
@@ -261,16 +271,20 @@ func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (Ba
 			if sweep%2 == 1 {
 				s = n - 1 - i
 			}
-			row := q[s*actions : (s+1)*actions]
-			for _, a := range feas[off[s]:off[s+1]] {
-				next := trans[s*actions+int(a)]
-				target := rewards[next] + gamma*backup[next]
+			row, lo, hi := rows[s], off[s], off[s+1]
+			var best, sum float64
+			for k := lo; k < hi; k++ {
+				a, target := feas[k], val[succ[k]]
 				if d := math.Abs(target - row[a]); d > maxErr {
 					maxErr = d
 				}
 				row[a] = target
+				sum += target
+				if k == lo || target > best {
+					best = target
+				}
 			}
-			backup[s] = expected(s)
+			val[s] = value(s, best, sum, int(hi-lo))
 		}
 		res.Sweeps = sweep + 1
 		res.FinalErr = maxErr
@@ -278,10 +292,6 @@ func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (Ba
 			res.Converged = true
 			break
 		}
-	}
-
-	for s, state := range states {
-		table.setRow(state, q[s*actions:(s+1)*actions])
 	}
 	return res, nil
 }

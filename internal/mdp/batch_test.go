@@ -2,6 +2,7 @@ package mdp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -85,6 +86,103 @@ func referenceBatchTrain(table *QTable, model stringModel, cfg BatchConfig, rng 
 		}
 	}
 	return res, nil
+}
+
+// solveReference is Solve as it was before it worked in place: Gauss–Seidel
+// on a dense copy of the served rows, written back into the table at the end.
+// It is the oracle TestSolveMatchesReference holds Solve to, kept verbatim.
+func solveReference(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (BatchResult, error) {
+	switch {
+	case table == nil:
+		return BatchResult{}, errors.New("mdp: nil table")
+	case st == nil:
+		return BatchResult{}, errors.New("mdp: nil structure")
+	case table.Actions() != st.actions:
+		return BatchResult{}, fmt.Errorf("mdp: table has %d actions, model %d", table.Actions(), st.actions)
+	case len(rewards) != len(st.states):
+		return BatchResult{}, fmt.Errorf("mdp: %d rewards for %d states", len(rewards), len(st.states))
+	}
+	if err := cfg.Params.Validate(); err != nil {
+		return BatchResult{}, err
+	}
+	if cfg.MaxSweeps < 1 {
+		cfg.MaxSweeps = 1
+	}
+	states, actions, n := st.states, st.actions, len(st.states)
+	trans, off, feas := st.trans, st.off, st.feas
+
+	q := make([]float64, n*actions)
+	for s, state := range states {
+		table.snapshotRow(state, q[s*actions:(s+1)*actions])
+	}
+	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
+	// backup[s] is what entering s is worth beyond its reward: the expected
+	// value of the ε-greedy choice over s's row.
+	backup := make([]float64, n)
+	expected := func(s int) float64 {
+		allowed := feas[off[s]:off[s+1]]
+		row := q[s*actions : (s+1)*actions]
+		best, sum := row[allowed[0]], 0.0
+		for _, a := range allowed {
+			v := row[a]
+			sum += v
+			if v > best {
+				best = v
+			}
+		}
+		return (1-eps)*best + eps*sum/float64(len(allowed))
+	}
+	for s := range backup {
+		backup[s] = expected(s)
+	}
+
+	var res BatchResult
+	for sweep := 0; sweep < cfg.MaxSweeps; sweep++ {
+		var maxErr float64
+		for i := 0; i < n; i++ {
+			s := i
+			if sweep%2 == 1 {
+				s = n - 1 - i
+			}
+			row := q[s*actions : (s+1)*actions]
+			for _, a := range feas[off[s]:off[s+1]] {
+				next := trans[s*actions+int(a)]
+				target := rewards[next] + gamma*backup[next]
+				if d := math.Abs(target - row[a]); d > maxErr {
+					maxErr = d
+				}
+				row[a] = target
+			}
+			backup[s] = expected(s)
+		}
+		res.Sweeps = sweep + 1
+		res.FinalErr = maxErr
+		if maxErr < cfg.Theta {
+			res.Converged = true
+			break
+		}
+	}
+
+	for s, state := range states {
+		table.setRow(state, q[s*actions:(s+1)*actions])
+	}
+	return res, nil
+}
+
+// snapshotRow copies the row the table serves for state into dst without
+// materializing it — solveReference's read side.
+func (q *QTable) snapshotRow(state string, dst []float64) {
+	row, _ := q.served(state)
+	q.fill(dst, row)
+}
+
+// setRow assigns state's row from values — solveReference's write side.
+func (q *QTable) setRow(state string, values []float64) {
+	if row, ok := q.rows[state]; ok {
+		copy(row, values)
+		return
+	}
+	q.materialize(state, values)
 }
 
 // indexedChain gives chainModel the dense-index transitions of a Model; the
@@ -682,4 +780,201 @@ func BenchmarkSolveGroupLattice(b *testing.B) {
 			}
 		}
 	})
+}
+
+// sameTable reports the first difference between two tables — materialized
+// states, initial value, any entry's bits — or "" when they are identical.
+func sameTable(got, want *QTable) string {
+	if got.actions != want.actions || math.Float64bits(got.initial) != math.Float64bits(want.initial) {
+		return fmt.Sprintf("tables differ in shape: %d actions initial %v, want %d actions initial %v",
+			got.actions, got.initial, want.actions, want.initial)
+	}
+	if g, w := got.States(), want.States(); !slices.Equal(g, w) {
+		return fmt.Sprintf("materialized states %v, want %v", g, w)
+	}
+	for state, w := range want.rows {
+		for a, v := range got.rows[state] {
+			if math.Float64bits(v) != math.Float64bits(w[a]) {
+				return fmt.Sprintf("Q(%s, %d) = %v, want %v", state, a, v, w[a])
+			}
+		}
+	}
+	return ""
+}
+
+// checkSolveMatchesReference runs Solve and solveReference on two tables
+// build returns and requires the same BatchResult and bit-identical tables,
+// infeasible entries included. Solve runs first; when build hands both tables
+// one shared store, a write through its seeded rows would show as a mismatch.
+// Solve must also materialize exactly the structure's states beside the ones
+// the table already held.
+func checkSolveMatchesReference(t *testing.T, st *Structure, rewards []float64, cfg BatchConfig, build func() (*QTable, *QTable)) {
+	t.Helper()
+	got, want := build()
+	held := got.States()
+	gotRes, err := Solve(got, st, rewards, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := solveReference(want, st, rewards, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRes != wantRes {
+		t.Fatalf("Solve %+v, reference %+v", gotRes, wantRes)
+	}
+	if diff := sameTable(got, want); diff != "" {
+		t.Fatal(diff)
+	}
+	materialized := append(slices.Clone(held), st.States()...)
+	slices.Sort(materialized)
+	if states := got.States(); !slices.Equal(states, slices.Compact(materialized)) {
+		t.Fatalf("Solve left %d materialized rows, want the %d held plus the structure's %d states",
+			len(states), len(held), len(st.States()))
+	}
+}
+
+// TestSolveMatchesReference holds the in-place solve to solveReference, the
+// dense-copy solve it replaced, bit for bit: on the offline MDP of every
+// Table-2 context (from an empty table at the offline schedule, and from a
+// shared seeded store over a partially materialized table, stopped before
+// convergence), and on random structures — feasible-action counts from one to
+// all, self-loops, seeded rows a store serves or declines, rows the table
+// already owns, rows outside the structure, sweep bounds and thresholds on
+// either side of convergence.
+func TestSolveMatchesReference(t *testing.T) {
+	seedRow := func(rng *sim.RNG, actions int) []float64 {
+		row := make([]float64, actions)
+		for a := range row {
+			row[a] = rng.NormFloat64(0, 10)
+		}
+		return row
+	}
+	// partial returns a table builder over st: a shared store seeding from
+	// seeded (nil: no store), one table pair sharing it, and every k-th state
+	// plus one state outside the structure materialized beforehand.
+	partial := func(st *Structure, initial float64, seeded Seeder, k int, seed uint64) func() (*QTable, *QTable) {
+		return func() (*QTable, *QTable) {
+			var store *SharedRows
+			if seeded != nil {
+				store = NewSharedRows(st.Actions(), seeded)
+			}
+			pair := [2]*QTable{}
+			for i := range pair {
+				rng := sim.NewRNG(seed)
+				q := NewQTable(st.Actions(), initial)
+				q.SetShared(store)
+				for s := 0; k > 0 && s < len(st.States()); s += k {
+					copy(q.Row(st.States()[s]), seedRow(rng, st.Actions()))
+				}
+				copy(q.Row("outside the structure"), seedRow(rng, st.Actions()))
+				pair[i] = q
+			}
+			return pair[0], pair[1]
+		}
+	}
+
+	for _, ctx := range system.Table2() {
+		st, rewards := table2Lattice(t, ctx)
+		t.Run(ctx.Name+"/empty", func(t *testing.T) {
+			checkSolveMatchesReference(t, st, rewards, offlineSchedule(), func() (*QTable, *QTable) {
+				return NewQTable(st.Actions(), 0), NewQTable(st.Actions(), 0)
+			})
+		})
+		t.Run(ctx.Name+"/shared-partial", func(t *testing.T) {
+			seeder := func(state string) []float64 {
+				if len(state)%5 == 0 {
+					return nil // declined: served at the initial value
+				}
+				return seedRow(sim.NewRNG(uint64(len(state))*31+uint64(state[0])), st.Actions())
+			}
+			cfg := offlineSchedule()
+			cfg.MaxSweeps = 4
+			checkSolveMatchesReference(t, st, rewards, cfg, partial(st, -3, seeder, 7, 11))
+		})
+	}
+
+	rng := sim.NewRNG(29)
+	for c := 0; c < 200; c++ {
+		n, actions := 1+rng.Intn(40), 1+rng.Intn(7)
+		states := make([]string, n)
+		for s, p := range rng.Perm(n) {
+			states[s] = "s" + strconv.Itoa(p)
+		}
+		trans := make([]int32, n*actions)
+		for s := 0; s < n; s++ {
+			row := trans[s*actions : (s+1)*actions]
+			for a := range row {
+				row[a] = -1
+				if rng.Bool(0.6) {
+					row[a] = int32(rng.Intn(n))
+				}
+			}
+			if !slices.ContainsFunc(row, func(next int32) bool { return next >= 0 }) {
+				row[rng.Intn(actions)] = int32(rng.Intn(n))
+			}
+		}
+		st, err := NewStructureFromTransitions(states, actions, trans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewards := make([]float64, n)
+		for s := range rewards {
+			rewards[s] = rng.NormFloat64(0, 5)
+		}
+		cfg := DefaultBatchConfig()
+		cfg.Params.Gamma, cfg.Params.Epsilon = 0.99*rng.Float64(), rng.Float64()
+		cfg.MaxSweeps, cfg.Theta = rng.Intn(40), math.Pow(10, -6*rng.Float64())
+		var seeder Seeder
+		if rng.Bool(0.5) {
+			seed := rng.Uint64()
+			seeder = func(state string) []float64 {
+				r := sim.NewRNG(seed ^ uint64(len(state))<<8 ^ uint64(state[len(state)-1]))
+				switch r.Intn(4) {
+				case 0:
+					return nil
+				case 1:
+					return make([]float64, actions+1) // wrong length: declined
+				}
+				return seedRow(r, actions)
+			}
+		}
+		t.Run(fmt.Sprintf("random-%d", c), func(t *testing.T) {
+			checkSolveMatchesReference(t, st, rewards, cfg, partial(st, rng.NormFloat64(0, 3), seeder, rng.Intn(4), rng.Uint64()))
+		})
+	}
+}
+
+// TestStructureRejectsDuplicateStates: two indices with one key would alias one
+// row of the table Solve works on in place, so neither constructor accepts a
+// repeated key.
+func TestStructureRejectsDuplicateStates(t *testing.T) {
+	chain := indexedChain{chainModel{n: 6, goal: 2}}
+	states, actions := chain.States(), chain.Actions()
+	trans := make([]int32, len(states)*actions)
+	for s := range states {
+		for a := 0; a < actions; a++ {
+			trans[s*actions+a] = int32(chain.NextIndex(s, a))
+		}
+	}
+	dup := slices.Clone(states)
+	dup[4] = dup[1]
+	if _, err := NewStructureFromTransitions(dup, actions, trans); err == nil {
+		t.Error("NewStructureFromTransitions accepted a repeated state key")
+	}
+	if _, err := NewStructure(duplicateChain{chain}); err == nil {
+		t.Error("NewStructure accepted a model listing a state twice")
+	}
+	if _, err := NewStructureFromTransitions(states, actions, trans); err != nil {
+		t.Fatalf("distinct keys rejected: %v", err)
+	}
+}
+
+// duplicateChain lists its last state under its first state's key.
+type duplicateChain struct{ indexedChain }
+
+func (c duplicateChain) States() []string {
+	states := c.indexedChain.States()
+	states[len(states)-1] = states[0]
+	return states
 }

@@ -127,23 +127,41 @@ func (q *QTable) ReadRow(state string) []float64 {
 	return row
 }
 
-// snapshotRow copies the row the table serves for state into dst without
-// materializing it — the batch trainer's read side.
-func (q *QTable) snapshotRow(state string, dst []float64) {
-	row, _ := q.served(state)
-	q.fill(dst, row)
-}
-
-// setRow assigns state's row from values — the batch trainer's write side. It
-// bypasses the read chain: the trainer already folded the served values into
-// its training array, so consulting the shared store again would be wasted
-// work.
-func (q *QTable) setRow(state string, values []float64) {
-	if row, ok := q.rows[state]; ok {
-		copy(row, values)
-		return
+// materializeAll returns the table's own row for each of states, by index,
+// materializing the ones it does not own yet as Row would — a copy of the
+// served row, the key interned through the shared store — but with every new
+// row cut from one backing array, and an empty table's map presized for them.
+// It is the solver's view of the table: one lookup per state, then indices.
+// The states must be distinct, or two indices would share a row.
+func (q *QTable) materializeAll(states []string) [][]float64 {
+	rows := make([][]float64, len(states))
+	var missing []int32 // indices of states without an own row; rows holds the served one
+	for s, state := range states {
+		row, own := q.served(state)
+		rows[s] = row
+		if !own {
+			missing = append(missing, int32(s))
+		}
 	}
-	q.materialize(state, values)
+	if len(missing) == 0 {
+		return rows
+	}
+	if len(q.rows) == 0 {
+		q.rows = make(map[string][]float64, len(missing))
+	}
+	a := q.actions
+	backing := make([]float64, len(missing)*a)
+	for k, s := range missing {
+		row := backing[k*a : (k+1)*a : (k+1)*a]
+		q.fill(row, rows[s])
+		state := states[s]
+		if q.shared != nil {
+			state = q.shared.Intern(state)
+		}
+		q.rows[state] = row
+		rows[s] = row
+	}
+	return rows
 }
 
 // Get returns Q(state, action) without materializing the row.

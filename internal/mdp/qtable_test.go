@@ -202,11 +202,10 @@ func TestQTableServedChain(t *testing.T) {
 			}
 			return []float64{float64(best), row[best]}
 		}, never},
+		// The solver's read side: it materializes, as Row does.
 		{"batch-read", func(q *QTable) []float64 {
-			dst := make([]float64, 3)
-			q.snapshotRow(state, dst)
-			return dst
-		}, whole, never},
+			return q.materializeAll([]string{state})[0]
+		}, whole, func(bool) bool { return true }},
 	}
 	for _, src := range sources {
 		for _, rd := range readers {

@@ -26,6 +26,13 @@ type Station struct {
 	// Rate returns the relative service rate with j jobs present (j >= 1);
 	// the absolute completion rate is Rate(j)/Demand. A nil Rate means a
 	// fixed-rate (single-server) station, i.e. Rate(j) = 1.
+	//
+	// Rate must be a pure function of j for the duration of one solve: the
+	// same j returns the same bits however often, and in whatever order, it
+	// is called. The solvers rely on it to call Rate fewer times than they
+	// need its value — SolveApprox remembers recent rates and skips whole
+	// periods of a repeating iteration. State a Rate reads may change between
+	// solves, never during one.
 	Rate func(j int) float64
 }
 

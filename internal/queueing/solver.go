@@ -26,6 +26,7 @@ type Solver struct {
 	marg     [][]float64 // per-station marginal queue-length probabilities
 	q        []float64   // approximate-MVA mean queue lengths
 	seen     []float64   // approximate-MVA saved iterate for repeat detection
+	rates    []rateMemo  // approximate-MVA per-station rates by occupancy
 	resid    []float64   // per-station residence scratch
 	residOut []float64   // Result.StationResidence backing
 	utilOut  []float64   // Result.StationUtilization backing
@@ -44,6 +45,33 @@ const (
 	endOrbit                      // q repeated in phase with the cap; stopped there
 	endOrbitTail                  // q repeated; skipped whole periods, ran the rest
 )
+
+// rateMemo remembers the last two (occupancy, rate) pairs one station's rate
+// function returned during a SolveApprox call, most recent first. Approximate
+// MVA evaluates each rate at a rounded occupancy that rarely moves, and on a
+// periodic orbit flips between two neighbouring values, so two entries catch
+// nearly every call. Occupancies start at 1, so j == 0 marks an empty entry.
+type rateMemo struct {
+	j    [2]int
+	rate [2]float64
+}
+
+// at returns s.rate(j), evaluating the rate function only on a miss. Reusing
+// a value is exact because a Rate is a pure function of j (see Station.Rate).
+func (m *rateMemo) at(s *Station, j int) float64 {
+	switch j {
+	case m.j[0]:
+		return m.rate[0]
+	case m.j[1]:
+		m.j[0], m.j[1] = m.j[1], m.j[0]
+		m.rate[0], m.rate[1] = m.rate[1], m.rate[0]
+		return m.rate[0]
+	}
+	r := s.rate(j)
+	m.j[1], m.rate[1] = m.j[0], m.rate[0]
+	m.j[0], m.rate[0] = j, r
+	return r
+}
 
 // NewSolver returns an empty solver; buffers grow on first use.
 func NewSolver() *Solver { return &Solver{} }
@@ -166,7 +194,10 @@ func (sv *Solver) Solve(n int, z float64, stations []Station) (Result, error) {
 // functions of j), so once q repeats bit for bit the rest of the walk to the
 // cap is known: Brent's scheme keeps one saved iterate, refreshed at
 // power-of-two distances, and a repeat with period p skips whole periods. The
-// result is the one the full 2000-iteration walk returns, bit for bit.
+// result is the one the full 2000-iteration walk returns, bit for bit. The
+// same purity lets each station's last two rates be reused (rateMemo); the
+// memo is emptied on entry, since the rate functions may read state that
+// changes between calls.
 func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, error) {
 	if err := validate(n, z, stations); err != nil {
 		return Result{}, err
@@ -176,11 +207,15 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 	sv.q = grow(sv.q, k)
 	sv.seen = grow(sv.seen, k)
 	sv.resid = grow(sv.resid, k)
-	q, seen, resid := sv.q, sv.seen, sv.resid
+	if cap(sv.rates) < k {
+		sv.rates = make([]rateMemo, k)
+	}
+	q, seen, resid, rates := sv.q, sv.seen, sv.resid, sv.rates[:k]
 	for i := range q {
 		q[i] = float64(n) / float64(k+1)
 	}
 	copy(seen, q)
+	clear(rates)
 
 	const (
 		maxIter = 2000
@@ -211,7 +246,8 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 			seenAt, span = iter, 2*span
 		}
 		var total float64
-		for i, s := range stations {
+		for i := range stations {
+			s := &stations[i]
 			if s.Demand == 0 {
 				resid[i] = 0
 				continue
@@ -224,7 +260,7 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 			if at > n {
 				at = n
 			}
-			rate := s.rate(at)
+			rate := rates[i].at(s, at)
 			resid[i] = s.Demand / rate * (1 + q[i]*scale)
 			total += resid[i]
 		}
@@ -252,7 +288,8 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 		StationResidence:   sv.residOut,
 		StationUtilization: sv.utilOut,
 	}
-	for i, s := range stations {
+	for i := range stations {
+		s := &stations[i]
 		res.StationResidence[i] = resid[i]
 		res.ResponseTime += resid[i]
 		res.StationUtilization[i] = 0
@@ -264,7 +301,7 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 			if at > n {
 				at = n
 			}
-			res.StationUtilization[i] = math.Min(1, x*s.Demand/s.rate(at))
+			res.StationUtilization[i] = math.Min(1, x*s.Demand/rates[i].at(s, at))
 		}
 	}
 	if sv.approxDone != nil {
@@ -316,7 +353,7 @@ func NewWebsiteSolver() *WebsiteSolver {
 			if j > ws.maxClients {
 				j = ws.maxClients
 			}
-			return float64(ws.cal.WebVCPUs) * efficiency(ws.cal, j, ws.cal.WebVCPUs) / ws.thrash * boundedBy(j, ws.cal.WebVCPUs)
+			return float64(ws.cal.WebVCPUs) * efficiency(&ws.cal, j, ws.cal.WebVCPUs) / ws.thrash * boundedBy(j, ws.cal.WebVCPUs)
 		},
 	}
 	ws.stations[1] = Station{
@@ -325,7 +362,7 @@ func NewWebsiteSolver() *WebsiteSolver {
 			if j > ws.maxThreads {
 				j = ws.maxThreads
 			}
-			return ws.level.CPUCapacity() * efficiency(ws.cal, j, ws.level.VCPUs) * boundedBy(j, ws.level.VCPUs)
+			return ws.level.CPUCapacity() * efficiency(&ws.cal, j, ws.level.VCPUs) * boundedBy(j, ws.level.VCPUs)
 		},
 	}
 	ws.stations[2] = Station{

@@ -49,8 +49,10 @@ func boundedBy(j, cores int) float64 {
 	return 1
 }
 
-// efficiency mirrors webtier's context-switch model.
-func efficiency(cal webtier.Calibration, active, vcpus int) float64 {
+// efficiency mirrors webtier's context-switch model. It takes the calibration
+// by pointer: the rate closures call it on every rate evaluation, and copying
+// the whole Calibration each time was most of their cost.
+func efficiency(cal *webtier.Calibration, active, vcpus int) float64 {
 	excess := float64(active - vcpus)
 	if excess <= 0 {
 		return 1

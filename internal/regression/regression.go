@@ -220,15 +220,25 @@ func (q *Quadratic) Coeffs() []float64 {
 	return out
 }
 
-// Eval evaluates the surface at x. It panics if len(x) != Dim().
+// Eval evaluates the surface at x. It panics if len(x) != Dim(). It walks the
+// features in quadraticFeatures order without building them, so it allocates
+// nothing and sums the same products in the same order, bit for bit.
 func (q *Quadratic) Eval(x []float64) float64 {
 	if len(x) != q.dim {
 		panic("regression: Quadratic.Eval dimension mismatch")
 	}
-	feats := quadraticFeatures(x)
+	c := q.coeffs
 	var y float64
-	for i, f := range feats {
-		y += q.coeffs[i] * f
+	y += c[0] // the constant feature, added to +0 like every other term
+	for i, xi := range x {
+		y += c[1+i] * xi
+	}
+	f := 1 + len(x)
+	for i, xi := range x {
+		for _, xj := range x[i:] {
+			y += c[f] * float64(xi*xj)
+			f++
+		}
 	}
 	return y
 }

@@ -259,3 +259,44 @@ func TestQuadraticTwoLevelFactorial(t *testing.T) {
 		t.Error("10 samples accepted for 11 features")
 	}
 }
+
+// TestQuadraticEvalMatchesFeatureSum holds Eval to the dot product of the
+// coefficients with the materialized feature vector, summed in feature order,
+// bit for bit — including a −0 constant, which the sum starting from +0 turns
+// into +0 — and checks it allocates nothing.
+func TestQuadraticEvalMatchesFeatureSum(t *testing.T) {
+	featureSum := func(q *Quadratic, x []float64) float64 {
+		var y float64
+		for i, f := range quadraticFeatures(x) {
+			y += q.coeffs[i] * f
+		}
+		return y
+	}
+	check := func(seed [16]float64, dim uint8) bool {
+		d := 1 + int(dim)%5
+		coeffs := make([]float64, 1+d+d*(d+1)/2)
+		for i := range coeffs {
+			coeffs[i] = seed[i%len(seed)] * float64(i+1) / 7
+		}
+		x := make([]float64, d)
+		for i := range x {
+			x[i] = seed[(i+5)%len(seed)] - float64(i)
+		}
+		q := &Quadratic{dim: d, coeffs: coeffs}
+		return math.Float64bits(q.Eval(x)) == math.Float64bits(featureSum(q, x))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+
+	negZero := &Quadratic{dim: 1, coeffs: []float64{math.Copysign(0, -1), 0, 0}}
+	if got := negZero.Eval([]float64{0}); math.Signbit(got) {
+		t.Errorf("−0 constant evaluates to %v, the feature sum to +0", got)
+	}
+
+	q := &Quadratic{dim: 4, coeffs: make([]float64, 15)}
+	x := []float64{50, 1, 5, 15}
+	if allocs := testing.AllocsPerRun(100, func() { q.Eval(x) }); allocs != 0 {
+		t.Fatalf("Eval allocates %.1f per call, want 0", allocs)
+	}
+}
