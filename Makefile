@@ -36,11 +36,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The whole pass takes ≈4.2 min on two cores (`make check`'s timer: race
-# 252 s), internal/bench ≈2.7 min of it (159 s; 164 s before approximate MVA
-# skipped its periodic orbit — the package's time is the simulator's, not the
-# solver's) — it ran ~10-12 min before the simulator's tick was indexed
-# (DESIGN §5l) and ≈7 min before policy training became a solve (DESIGN §5h).
+# The whole pass takes ≈3.6 min on two cores (`make check`'s timer: race
+# 218 s; 252 s before the calendar tick, DESIGN §5l): internal/bench 93 s
+# (159 s before — the package's time is the simulator's, not the solver's),
+# internal/webtier 87 s (its differential grid against the scanning tick is
+# 55 s of that), fleet 48 s, core 18 s. It ran ~10-12 min before the
+# simulator's tick was indexed and ≈7 min before policy training became a
+# solve (DESIGN §5h).
 # A loaded machine can still stretch it toward
 # go test's default 10 min -timeout; the explicit budget keeps the gate from
 # flaking there.

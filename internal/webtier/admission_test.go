@@ -85,6 +85,56 @@ func TestGateWideOpenMatchesUngated(t *testing.T) {
 	}
 }
 
+// TestArrivalsBalanceGateHeld pins the per-interval accounting identity
+// behind Stats.Arrivals: a request admitted past the gate has either left it
+// (completed or abandoned) or is still held, so
+//
+//	Arrivals − Rejected − (Completed − giveUps) == gateHeld(end) − gateHeld(start).
+//
+// Completed also counts the retrying browsers that gave up before reaching
+// the gate, which Arrivals never saw: that is how an interval can report
+// fewer arrivals than completions.
+func TestArrivalsBalanceGateHeld(t *testing.T) {
+	p := DefaultParams()
+	// Caps above the listen backlog, so the gate both rejects and lets the
+	// web queue fill.
+	p.AdmitConcurrency, p.AdmitQueue = 120, 60
+	m, err := New(Options{
+		Calibration: fastCal(),
+		Params:      &p,
+		Workload:    tpcw.Workload{Mix: tpcw.Shopping, Clients: 1100},
+		AppLevel:    vmenv.Level2,
+		Seed:        3,
+		AdmitEpoch:  50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Warmup(30)
+	var giveUps, rejected int
+	for interval, maxClients := range []int{150, 5, 5, 150, 600, 5} {
+		// Five workers fill the listen backlog: SYN retransmits, then give-ups.
+		p.MaxClients = maxClients
+		if err := m.Configure(p); err != nil {
+			t.Fatal(err)
+		}
+		held := m.gateHeld
+		st, err := m.Run(45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := st.Arrivals-st.Rejected-(st.Completed-m.giveUps), m.gateHeld-held; got != want {
+			t.Fatalf("interval %d: arrivals %d − rejected %d − (completed %d − give-ups %d) = %d, gate held %d → %d",
+				interval, st.Arrivals, st.Rejected, st.Completed, m.giveUps, got, held, m.gateHeld)
+		}
+		giveUps += m.giveUps
+		rejected += st.Rejected
+	}
+	if giveUps == 0 || rejected == 0 {
+		t.Fatalf("premise broken: %d give-ups, %d rejections", giveUps, rejected)
+	}
+}
+
 func TestGateEpochAdaptsUnderOverload(t *testing.T) {
 	m := gatedModel(t, 600, 5, 2, 200, 13)
 	m.Warmup(60)

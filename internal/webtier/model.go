@@ -51,9 +51,8 @@ type client struct {
 	hasSession     bool
 	sessionExpires float64
 
-	// Current request.
+	// Current request. The work left in the current phase is Model.remaining.
 	phase     phase
-	remaining float64
 	webWork   float64
 	appWork   float64
 	dbCPUWork float64
@@ -65,6 +64,10 @@ type client struct {
 	retryPending bool
 	retries      int
 }
+
+// classSlots sizes the per-class accumulators, which are indexed by
+// tpcw.Class (1-based).
+const classSlots = int(tpcw.ClassAdmin) + 1
 
 // Stats summarize one measurement interval of the simulated system.
 type Stats struct {
@@ -146,15 +149,29 @@ type Model struct {
 	nextStall  float64
 
 	clients []client
+	// remaining[i] is the work left in client i's current service phase,
+	// kept apart from clients so a service sweep touches 8 bytes per request.
+	remaining []float64
 
 	// Indexes over clients, maintained at the state transitions (see
 	// CheckInvariants), so a tick visits only the browsers that are due or in
-	// flight instead of walking the population.
+	// service instead of walking the population.
 	inFlightSet clientSet // mode == modeInFlight
-	think       timerHeap // thinkUntil of every thinking client
-	keepAlive   timerHeap // connExpires of thinking clients holding a connection
-	sessions    timerHeap // sessionExpires of sessions live at m.now
+	inWeb       clientSet // phase == phaseWeb
+	inApp       clientSet // phase == phaseApp
+	inDBCPU     clientSet // phase == phaseDBCPU
+	inDBIO      clientSet // phase == phaseDBIO
+	think       calendar  // thinkUntil of every thinking client
+	keepAlive   calendar  // connExpires of thinking clients holding a connection
+	sessions    calendar  // sessionExpires of sessions live at m.now
 	due         []int32   // scratch for popDue, capacity len(clients)
+	// oldest is a lower bound on the start time of every in-flight request,
+	// lowered at issue and recounted exactly by the timeout pass, which runs
+	// only when a request can have timed out (abandonTimedOut).
+	oldest float64
+
+	// ioMemo caches dbIOFactor's math.Pow by cache size.
+	ioMemo ioMemo
 
 	// FIFO queues of client indices.
 	webQueue queue
@@ -187,9 +204,12 @@ type Model struct {
 	timeouts   int
 	rejected   int
 	arrivals   int
+	// giveUps counts retrying browsers that gave up before reaching the
+	// gate: recorded in rts and timeouts, but never in arrivals.
+	giveUps    int
 	rts        []float64
-	classRT    map[tpcw.Class]*stats.Running
-	classRej   map[tpcw.Class]int
+	classRT    [classSlots]stats.Running
+	classRej   [classSlots]int
 	recStart   float64
 	gInFlight  float64
 	gWaiting   float64
@@ -286,10 +306,14 @@ func New(opts Options) (*Model, error) {
 func (m *Model) resetPopulation() {
 	n := m.workload.Clients
 	m.clients = make([]client, n)
-	m.inFlightSet.reset(n)
-	m.think.reset(n)
-	m.keepAlive.reset(n)
-	m.sessions.reset(n)
+	m.remaining = make([]float64, n)
+	for _, s := range []*clientSet{&m.inFlightSet, &m.inWeb, &m.inApp, &m.inDBCPU, &m.inDBIO} {
+		s.reset(n)
+	}
+	for _, c := range []*calendar{&m.think, &m.keepAlive, &m.sessions} {
+		c.reset(n, m.cal.TickSeconds, m.now)
+	}
+	m.oldest = math.Inf(1)
 	if cap(m.due) < n {
 		m.due = make([]int32, 0, n)
 	}
@@ -404,9 +428,10 @@ func (m *Model) startRecording() {
 	m.timeouts = 0
 	m.rejected = 0
 	m.arrivals = 0
+	m.giveUps = 0
 	m.rts = m.rts[:0]
-	m.classRT = make(map[tpcw.Class]*stats.Running)
-	m.classRej = make(map[tpcw.Class]int)
+	m.classRT = [classSlots]stats.Running{}
+	m.classRej = [classSlots]int{}
 	m.recStart = m.now
 	m.gInFlight, m.gWaiting, m.gUtil = 0, 0, 0
 	m.gWorkers, m.gThreads, m.gIOFactor = 0, 0, 0
@@ -424,16 +449,16 @@ func (m *Model) stopRecording() Stats {
 		Rejected:    m.rejected,
 		Arrivals:    m.arrivals,
 	}
-	if len(m.classRT) > 0 || len(m.classRej) > 0 {
-		s.PerClass = make(map[tpcw.Class]ClassStats, len(m.classRT)+len(m.classRej))
-		for class, run := range m.classRT {
-			s.PerClass[class] = ClassStats{Completed: run.Count(), MeanRT: run.Mean()}
+	// PerClass holds exactly the classes with a completion or a rejection.
+	for class := range classSlots {
+		run, rej := &m.classRT[class], m.classRej[class]
+		if run.Count() == 0 && rej == 0 {
+			continue
 		}
-		for class, n := range m.classRej {
-			cs := s.PerClass[class]
-			cs.Rejected = n
-			s.PerClass[class] = cs
+		if s.PerClass == nil {
+			s.PerClass = make(map[tpcw.Class]ClassStats)
 		}
+		s.PerClass[tpcw.Class(class)] = ClassStats{Completed: run.Count(), MeanRT: run.Mean(), Rejected: rej}
 	}
 	s.GoodCompleted = s.Completed
 	if m.slo > 0 {
@@ -487,7 +512,7 @@ func (m *Model) tick() {
 	t := m.now
 
 	// 1. Expire idle keep-alive connections (freeing their workers). Expiry
-	// commutes, so heap order will do.
+	// commutes, so calendar order will do.
 	m.due = m.keepAlive.popDue(t, m.due[:0])
 	for _, i := range m.due {
 		m.clients[i].hasConn = false
@@ -500,15 +525,8 @@ func (m *Model) tick() {
 	// client index: that order fixes the RNG draws, the response-time sample
 	// order and the web queue. Every due thinker is popped before the first is
 	// issued, so one re-armed at exactly t waits for the next tick.
-	if m.cal.RequestTimeoutSec > 0 {
-		for w, word := range m.inFlightSet {
-			for ; word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				if t-m.clients[i].started >= m.cal.RequestTimeoutSec {
-					m.abandonRequest(i, t)
-				}
-			}
-		}
+	if m.cal.RequestTimeoutSec > 0 && t-m.oldest >= m.cal.RequestTimeoutSec {
+		m.abandonTimedOut(t)
 	}
 	m.due = m.think.popDue(t, m.due[:0])
 	slices.Sort(m.due)
@@ -538,6 +556,26 @@ func (m *Model) tick() {
 	// Sessions that are no longer live at the new m.now leave the index, so
 	// liveSessions is exact whenever it is read.
 	m.sessions.popDue(m.now, m.due[:0])
+}
+
+// abandonTimedOut abandons, in ascending client index, every in-flight
+// request at least RequestTimeoutSec old, and recounts m.oldest exactly over
+// the survivors. The tick calls it only when t-m.oldest reaches the timeout:
+// float subtraction is monotone in its second operand, so started >= oldest
+// implies t-started <= t-oldest, and no request can have timed out before.
+func (m *Model) abandonTimedOut(t float64) {
+	oldest := math.Inf(1)
+	for w, word := range m.inFlightSet {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if started := m.clients[i].started; t-started >= m.cal.RequestTimeoutSec {
+				m.abandonRequest(i, t)
+			} else if started < oldest {
+				oldest = started
+			}
+		}
+	}
+	m.oldest = oldest
 }
 
 // sampleGauges folds this tick's occupancies into the interval averages.
@@ -590,6 +628,7 @@ func (m *Model) issueRequest(i int, t float64) {
 			m.rts = append(m.rts, t-c.started)
 			m.recordClass(c.class, t-c.started)
 			m.timeouts++
+			m.giveUps++
 		}
 		c.retryPending = false
 		c.retries = 0
@@ -639,7 +678,10 @@ func (m *Model) issueRequest(i int, t float64) {
 	c.retryPending = false
 	c.mode = modeInFlight
 	c.phase = phaseWebWait
-	c.remaining = c.webWork
+	m.remaining[i] = c.webWork
+	if c.started < m.oldest {
+		m.oldest = c.started
+	}
 	m.think.remove(i)
 	m.keepAlive.remove(i)
 	m.inFlightSet.add(i)
@@ -661,6 +703,7 @@ func (m *Model) admitWeb() {
 			continue // stale entry: the request was abandoned
 		}
 		c.phase = phaseWeb
+		m.inWeb.add(i)
 		m.inFlight++
 		m.webActive++
 		if c.hasConn {
@@ -683,7 +726,8 @@ func (m *Model) admitApp() {
 			continue // stale entry: the request was abandoned
 		}
 		c.phase = phaseApp
-		c.remaining = c.appWork
+		m.inApp.add(i)
+		m.remaining[i] = c.appWork
 		m.threads++
 		m.appActive++
 	}
@@ -698,7 +742,8 @@ func (m *Model) admitDB() {
 			continue // stale entry: the request was abandoned
 		}
 		c.phase = phaseDBCPU
-		c.remaining = c.dbCPUWork
+		m.inDBCPU.add(i)
+		m.remaining[i] = c.dbCPUWork
 		m.dbConns++
 		m.dbCPU++
 	}
@@ -776,7 +821,26 @@ func (m *Model) dbIOFactor(sessions int) float64 {
 	if cache < m.cal.DBMinCacheMB {
 		cache = m.cal.DBMinCacheMB
 	}
-	return math.Pow(m.cal.DBRefCacheMB/cache, m.cal.DBIOExponent)
+	key := math.Float64bits(cache)
+	s := key * 0x9e3779b97f4a7c15 >> (64 - ioMemoBits)
+	e := &m.ioMemo
+	if !e.ok[s] || e.key[s] != key {
+		e.key[s], e.val[s], e.ok[s] = key, math.Pow(m.cal.DBRefCacheMB/cache, m.cal.DBIOExponent), true
+	}
+	return e.val[s]
+}
+
+// ioMemoBits sizes dbIOFactor's memo: 1<<ioMemoBits direct-mapped slots.
+const ioMemoBits = 8
+
+// ioMemo remembers dbIOFactor's math.Pow by the float bits of the clamped
+// cache size, in a slot picked by a multiplicative hash of those bits. The
+// model's Calibration never changes, so the factor is a pure function of the
+// cache size and a hit returns the bits a fresh Pow would.
+type ioMemo struct {
+	key [1 << ioMemoBits]uint64
+	val [1 << ioMemoBits]float64
+	ok  [1 << ioMemoBits]bool
 }
 
 // webThrash returns the web-VM memory overcommit penalty multiplier.
@@ -816,14 +880,33 @@ func (m *Model) appVMUtilNow() float64 {
 	return used / cap2
 }
 
-// process advances every in-service request by one tick of CPU or disk, in
-// ascending client index: that order fixes the app/db queue order and the
-// order completions are recorded in.
+// process advances every in-service request by one tick of CPU or disk, one
+// service phase at a time, each in ascending client index. That is the
+// single ascending pass over all in-flight requests, regrouped: rates and
+// ioFactor are fixed for the tick, a request changes only its own state, and
+// each order-sensitive effect comes from one phase alone — completions (RNG
+// draws, response-time samples) from DBIO, dbQueue pushes from App, appQueue
+// pushes from Web — so each keeps its ascending order. DBIO goes before
+// DBCPU so a request that enters DBIO this tick is not advanced twice.
 func (m *Model) process(dt, t, ioFactor float64) {
 	webRate, appRate, ioRate := m.serviceRates(t)
-	for w, word := range m.inFlightSet {
+	done := t + dt
+	m.sweep(m.inDBIO, phaseDBIO, ioRate*dt, done, ioFactor)
+	m.sweep(m.inDBCPU, phaseDBCPU, appRate*dt, done, ioFactor)
+	m.sweep(m.inApp, phaseApp, appRate*dt, done, ioFactor)
+	m.sweep(m.inWeb, phaseWeb, webRate*dt, done, ioFactor)
+}
+
+// sweep gives every request in set, all in phase p, work d of service, and
+// ends the phase of each that runs out of work.
+func (m *Model) sweep(set clientSet, p phase, d, done, ioFactor float64) {
+	for w, word := range set {
 		for ; word != 0; word &= word - 1 {
-			m.advance(w<<6|bits.TrailingZeros64(word), dt, t, ioFactor, webRate, appRate, ioRate)
+			i := w<<6 | bits.TrailingZeros64(word)
+			m.remaining[i] -= d
+			if m.remaining[i] <= 0 {
+				m.finishPhase(i, p, done, ioFactor)
+			}
 		}
 	}
 }
@@ -870,38 +953,30 @@ func (m *Model) serviceRates(t float64) (webRate, appRate, ioRate float64) {
 	return webRate, appRate, ioRate
 }
 
-// advance gives in-flight client i's request one tick of service at the
-// given rates; queued requests wait.
-func (m *Model) advance(i int, dt, t, ioFactor, webRate, appRate, ioRate float64) {
+// finishPhase moves client i's request on from service phase p, whose work
+// ran out in the tick ending at done.
+func (m *Model) finishPhase(i int, p phase, done, ioFactor float64) {
 	c := &m.clients[i]
-	switch c.phase {
+	switch p {
 	case phaseWeb:
-		c.remaining -= webRate * dt
-		if c.remaining <= 0 {
-			c.phase = phaseAppWait
-			m.webActive--
-			m.appQueue.push(i)
-		}
+		c.phase = phaseAppWait
+		m.inWeb.del(i)
+		m.webActive--
+		m.appQueue.push(i)
 	case phaseApp:
-		c.remaining -= appRate * dt
-		if c.remaining <= 0 {
-			c.phase = phaseDBWait
-			m.appActive--
-			m.dbQueue.push(i)
-		}
+		c.phase = phaseDBWait
+		m.inApp.del(i)
+		m.appActive--
+		m.dbQueue.push(i)
 	case phaseDBCPU:
-		c.remaining -= appRate * dt
-		if c.remaining <= 0 {
-			c.phase = phaseDBIO
-			c.remaining = c.dbIOWork * ioFactor
-			m.dbCPU--
-			m.dbIO++
-		}
+		c.phase = phaseDBIO
+		m.inDBCPU.del(i)
+		m.inDBIO.add(i)
+		m.remaining[i] = c.dbIOWork * ioFactor
+		m.dbCPU--
+		m.dbIO++
 	case phaseDBIO:
-		c.remaining -= ioRate * dt
-		if c.remaining <= 0 {
-			m.completeRequest(i, t+dt)
-		}
+		m.completeRequest(i, done)
 	}
 }
 
@@ -913,6 +988,7 @@ func (m *Model) completeRequest(i int, t float64) {
 		m.recordClass(c.class, t-c.started)
 	}
 	// Release resources.
+	m.inDBIO.del(i)
 	m.dbIO--
 	m.dbConns--
 	m.threads--
@@ -965,11 +1041,13 @@ func (m *Model) abandonRequest(i int, t float64) {
 	case phaseWebWait:
 		// Not yet admitted: only the (lazily skipped) queue entry is held.
 	case phaseWeb:
+		m.inWeb.del(i)
 		m.webActive--
 		m.inFlight--
 	case phaseAppWait:
 		m.inFlight--
 	case phaseApp:
+		m.inApp.del(i)
 		m.appActive--
 		m.threads--
 		m.inFlight--
@@ -977,11 +1055,13 @@ func (m *Model) abandonRequest(i int, t float64) {
 		m.threads--
 		m.inFlight--
 	case phaseDBCPU:
+		m.inDBCPU.del(i)
 		m.dbCPU--
 		m.dbConns--
 		m.threads--
 		m.inFlight--
 	case phaseDBIO:
+		m.inDBIO.del(i)
 		m.dbIO--
 		m.dbConns--
 		m.threads--
@@ -1013,12 +1093,7 @@ func (m *Model) abandonRequest(i int, t float64) {
 
 // recordClass folds a response time into its class accumulator.
 func (m *Model) recordClass(class tpcw.Class, rt float64) {
-	run, ok := m.classRT[class]
-	if !ok {
-		run = &stats.Running{}
-		m.classRT[class] = run
-	}
-	run.Add(rt)
+	m.classRT[class].Add(rt)
 }
 
 // Snapshot exposes internal occupancy counters for tests and diagnostics.
@@ -1147,24 +1222,36 @@ func (m *Model) CheckInvariants() error {
 	if m.dbConns > m.cal.DBMaxConns {
 		return fmt.Errorf("webtier: dbConns %d > cap %d", m.dbConns, m.cal.DBMaxConns)
 	}
-	for _, h := range []struct {
+	for _, c := range []struct {
 		name string
-		heap *timerHeap
+		cal  *calendar
 	}{{"think", &m.think}, {"keepAlive", &m.keepAlive}, {"sessions", &m.sessions}} {
-		if err := h.heap.check(); err != nil {
-			return fmt.Errorf("webtier: %s timers: %w", h.name, err)
+		if err := c.cal.check(); err != nil {
+			return fmt.Errorf("webtier: %s timers: %w", c.name, err)
 		}
 	}
 	return nil
 }
 
 // checkIndexed verifies that client i is in exactly the indexes its state
-// calls for, armed at the deadlines its state holds.
+// calls for, armed at the deadlines its state holds, and that the timeout
+// pass's oldest bound covers its request.
 func (m *Model) checkIndexed(i int) error {
 	c := &m.clients[i]
-	thinking := c.mode == modeThinking
-	if m.inFlightSet.has(i) != (c.mode == modeInFlight) {
+	thinking, inFlight := c.mode == modeThinking, c.mode == modeInFlight
+	if m.inFlightSet.has(i) != inFlight {
 		return fmt.Errorf("webtier: client %d mode %d, in-flight set says %v", i, c.mode, m.inFlightSet.has(i))
+	}
+	for _, s := range [...]struct {
+		p   phase
+		set clientSet
+	}{{phaseWeb, m.inWeb}, {phaseApp, m.inApp}, {phaseDBCPU, m.inDBCPU}, {phaseDBIO, m.inDBIO}} {
+		if want := inFlight && c.phase == s.p; s.set.has(i) != want {
+			return fmt.Errorf("webtier: client %d in phase %d, phase-%d set says %v", i, c.phase, s.p, !want)
+		}
+	}
+	if inFlight && c.started < m.oldest {
+		return fmt.Errorf("webtier: client %d started at %v, before the oldest bound %v", i, c.started, m.oldest)
 	}
 	if err := m.think.checkClient(i, thinking, c.thinkUntil); err != nil {
 		return fmt.Errorf("webtier: think timers: %w", err)

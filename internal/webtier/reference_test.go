@@ -12,9 +12,12 @@ import (
 
 // referenceTick is the tick as it stood before the client indexes: the same
 // Model and the same transitions (issueRequest, completeRequest,
-// abandonRequest, admit*, adjustPools, advance), but the clients that are due
-// are found by walking m.clients in index order and live sessions are counted
-// by scan. It never reads the indexes; the transitions go on writing them.
+// abandonRequest, admit*, adjustPools, finishPhase), but the clients that are
+// due are found by walking m.clients in index order, every in-flight request
+// is checked against the browser timeout and advanced in one ascending pass
+// (advance), live sessions are counted by scan and the buffer-cache factor is
+// computed afresh. It never reads the indexes; the transitions go on writing
+// them.
 func referenceTick(m *Model) {
 	dt := m.cal.TickSeconds
 	t := m.now
@@ -50,7 +53,7 @@ func referenceTick(m *Model) {
 	m.admitApp()
 	m.admitWeb()
 
-	ioFactor := m.dbIOFactor(referenceLiveSessions(m))
+	ioFactor := referenceIOFactor(m, referenceLiveSessions(m))
 	webRate, appRate, ioRate := m.serviceRates(t)
 	for i := range m.clients {
 		if m.clients[i].mode == modeInFlight {
@@ -64,6 +67,32 @@ func referenceTick(m *Model) {
 
 	m.deadSession.prune(t)
 	m.now = t + dt
+}
+
+// advance gives in-flight client i's request one tick of service at the
+// rate of its phase; queued requests wait.
+func (m *Model) advance(i int, dt, t, ioFactor, webRate, appRate, ioRate float64) {
+	var rate float64
+	switch m.clients[i].phase {
+	case phaseWeb:
+		rate = webRate
+	case phaseApp, phaseDBCPU:
+		rate = appRate
+	case phaseDBIO:
+		rate = ioRate
+	default:
+		return
+	}
+	m.remaining[i] -= rate * dt
+	if m.remaining[i] <= 0 {
+		m.finishPhase(i, m.clients[i].phase, t+dt, ioFactor)
+	}
+}
+
+// referenceIOFactor is dbIOFactor without its memo.
+func referenceIOFactor(m *Model, sessions int) float64 {
+	cache := math.Max(float64(m.appVM.Level().MemoryMB)-m.appVMMemUsedMB(sessions), m.cal.DBMinCacheMB)
+	return math.Pow(m.cal.DBRefCacheMB/cache, m.cal.DBIOExponent)
 }
 
 // referenceLiveSessions counts server-side session objects by scan: sessions
@@ -161,6 +190,11 @@ func (tw *twins) compare() {
 		}
 		fail("population %d, reference %d", len(got.clients), len(ref.clients))
 	}
+	for i, r := range ref.remaining {
+		if math.Float64bits(got.remaining[i]) != math.Float64bits(r) {
+			fail("client %d has %v work left, reference %v", i, got.remaining[i], r)
+		}
+	}
 	want := ref.Snapshot()
 	want.Sessions = referenceLiveSessions(ref)
 	if snap := got.Snapshot(); snap != want {
@@ -196,20 +230,26 @@ type variant struct {
 	name  string
 	epoch int // Options.AdmitEpoch
 	edit  func(*Params)
+	cal   func(*Calibration) // nil keeps the grid's calibration
 }
 
 // referenceVariants are picked so that each reaches a path the indexes touch.
 var referenceVariants = []variant{
-	{"default", 0, func(*Params) {}},
+	{"default", 0, func(*Params) {}, nil},
 	// Five workers: the listen backlog of 64 fills (SYN retransmits) and the
 	// 30 s browser timeout abandons queued and retrying requests.
-	{"maxclients5", 0, func(p *Params) { p.MaxClients = 5 }},
-	{"keepalive0", 0, func(p *Params) { p.KeepAliveTimeoutSec = 0 }},
-	{"keepalive1", 0, func(p *Params) { p.KeepAliveTimeoutSec = 1 }},
-	{"keepalive21", 0, func(p *Params) { p.KeepAliveTimeoutSec = 21 }},
-	{"session1", 0, func(p *Params) { p.SessionTimeoutMin = 1 }},
-	{"session35", 0, func(p *Params) { p.SessionTimeoutMin = 35 }},
-	{"gate", 50, func(p *Params) { p.AdmitConcurrency, p.AdmitQueue = 40, 20 }},
+	{"maxclients5", 0, func(p *Params) { p.MaxClients = 5 }, nil},
+	{"keepalive0", 0, func(p *Params) { p.KeepAliveTimeoutSec = 0 }, nil},
+	{"keepalive1", 0, func(p *Params) { p.KeepAliveTimeoutSec = 1 }, nil},
+	{"keepalive21", 0, func(p *Params) { p.KeepAliveTimeoutSec = 21 }, nil},
+	{"session1", 0, func(p *Params) { p.SessionTimeoutMin = 1 }, nil},
+	{"session35", 0, func(p *Params) { p.SessionTimeoutMin = 35 }, nil},
+	{"gate", 50, func(p *Params) { p.AdmitConcurrency, p.AdmitQueue = 40, 20 }, nil},
+	// A 1.5 s browser timeout: the timeout pass's skip and its scan (with
+	// the recount of the oldest bound) toggle nearly every tick.
+	{"timeout1.5", 0, func(*Params) {}, func(c *Calibration) { c.RequestTimeoutSec = 1.5 }},
+	// No browser timeout: the pass never runs.
+	{"timeout0", 0, func(*Params) {}, func(c *Calibration) { c.RequestTimeoutSec = 0 }},
 }
 
 // TestTickMatchesReference drives twin models from one seed — the indexed
@@ -226,8 +266,8 @@ func TestTickMatchesReference(t *testing.T) {
 	// A 200 ms slice makes several browsers due in most ticks, which is what
 	// the ordering rules are about, and covers the virtual minutes the
 	// timeouts need in fewer ticks.
-	cal := DefaultCalibration()
-	cal.TickSeconds = 0.2
+	grid := DefaultCalibration()
+	grid.TickSeconds = 0.2
 	levels := vmenv.Levels()
 	for _, clients := range populations {
 		for mi, mix := range tpcw.Mixes() {
@@ -235,6 +275,10 @@ func TestTickMatchesReference(t *testing.T) {
 				for vi, v := range referenceVariants {
 					params := DefaultParams()
 					v.edit(&params)
+					cal := grid
+					if v.cal != nil {
+						v.cal(&cal)
+					}
 					name := fmt.Sprintf("%d/%v/%s/%s", clients, mix, level.Name, v.name)
 					tw := newTwins(t, name, Options{
 						Calibration: &cal,
