@@ -113,10 +113,9 @@ type Agent struct {
 	violations int
 	iteration  int
 
-	// region caches the retraining region's skeleton between intervals; it is
-	// invalidated when a new state is measured or the policy switches (the
-	// shape depends only on the sample-key set).
-	region *regionShape
+	// region is the retraining region, grown in place as states are first
+	// measured; nil until the first retrain over a fresh Q-table.
+	region *region
 
 	// Resilience state: the last configuration that satisfied the SLA, the
 	// last believable response time (carried into degraded intervals), and
@@ -302,7 +301,7 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 	choice := a.learner.SelectAction(a.cur.Key(), feasible)
 	action := a.actions[choice]
 	next, _ := action.Apply(a.space, a.cur)
-	applyTries, err := a.attempt(ctx, "apply", next.Key(), func() error { return a.sys.Apply(ctx, next) })
+	applyTries, err := a.attempt(ctx, "apply", next, func() error { return a.sys.Apply(ctx, next) })
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return StepResult{}, cerr
@@ -318,7 +317,7 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 
 	// 2. Measure the new configuration.
 	var m system.Metrics
-	measureTries, merr := a.attempt(ctx, "measure", next.Key(), func() error {
+	measureTries, merr := a.attempt(ctx, "measure", next, func() error {
 		var e error
 		m, e = a.sys.Measure(ctx)
 		return e
@@ -352,6 +351,7 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 			return a.finishInvalid(ctx, res, next), nil
 		}
 	}
+	key := next.Key()
 
 	// 3. Context-change detection against the recent average.
 	if a.window.Len() >= 3 {
@@ -387,7 +387,7 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 				a.trace.Add(telemetry.Event{
 					Kind:      telemetry.KindPolicySwitch,
 					Iteration: a.iteration,
-					State:     next.Key(),
+					State:     key,
 					MeanRT:    rt,
 					Policy:    p.Name(),
 					Detail:    oldName + " -> " + p.Name(),
@@ -405,30 +405,29 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 		a.tel.violations.Set(float64(a.violations))
 		a.tel.reward.Set(reward)
 	}
-	stepEv := telemetry.Event{
-		Kind:       telemetry.KindStep,
-		Iteration:  a.iteration,
-		State:      next.Key(),
-		Action:     action.Describe(a.space),
-		MeanRT:     rt,
-		Reward:     reward,
-		Epsilon:    a.learner.Params().Epsilon,
-		Violations: a.violations,
-		Policy:     res.PolicyName,
-		Level:      m.Level,
-	}
 
 	// 5. Record the measurement and retrain the Q-table over the region
 	// (skipped entirely when online learning is disabled).
+	var qDelta float64
 	if !a.frozen {
-		qDelta, err := a.learn(next.Key(), rt)
-		if err != nil {
+		if qDelta, err = a.learn(key, rt); err != nil {
 			return StepResult{}, err
 		}
-		stepEv.QDelta = qDelta
 	}
 	if a.trace != nil {
-		a.trace.Add(stepEv)
+		a.trace.Add(telemetry.Event{
+			Kind:       telemetry.KindStep,
+			Iteration:  a.iteration,
+			State:      key,
+			Action:     action.Describe(a.space),
+			MeanRT:     rt,
+			Reward:     reward,
+			Epsilon:    a.learner.Params().Epsilon,
+			Violations: a.violations,
+			Policy:     res.PolicyName,
+			Level:      m.Level,
+			QDelta:     qDelta,
+		})
 	}
 
 	a.cur = next
@@ -452,8 +451,10 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 // many tries it took and the final error. With resilience disabled (or
 // MaxAttempts 1) fn runs exactly once, preserving the pre-resilience step
 // byte for byte. Only transient failures are retried — and never once ctx is
-// canceled, so a drain is not mistaken for a flaky system.
-func (a *Agent) attempt(ctx context.Context, op, state string, fn func() error) (int, error) {
+// canceled, so a drain is not mistaken for a flaky system. state, the
+// configuration fn acts on, labels a retry's trace event and is rendered only
+// then.
+func (a *Agent) attempt(ctx context.Context, op string, state config.Config, fn func() error) (int, error) {
 	maxTries := a.opts.Resilience.MaxAttempts
 	if maxTries < 1 {
 		maxTries = 1
@@ -474,7 +475,7 @@ func (a *Agent) attempt(ctx context.Context, op, state string, fn func() error) 
 			a.trace.Add(telemetry.Event{
 				Kind:      telemetry.KindRetry,
 				Iteration: a.iteration,
-				State:     state,
+				State:     state.Key(),
 				Attempts:  tries,
 				Detail:    op + ": " + err.Error(),
 			})
@@ -560,7 +561,7 @@ func (a *Agent) maybeRollback(ctx context.Context, res *StepResult) {
 	if a.lastGood.Equal(a.cur) {
 		return // already at the safest known point
 	}
-	if _, err := a.attempt(ctx, "rollback", a.lastGood.Key(), func() error { return a.sys.Apply(ctx, a.lastGood) }); err != nil {
+	if _, err := a.attempt(ctx, "rollback", a.lastGood, func() error { return a.sys.Apply(ctx, a.lastGood) }); err != nil {
 		return
 	}
 	a.cur = a.lastGood.Clone()
@@ -609,46 +610,39 @@ func (a *Agent) learn(key string, rt float64) (float64, error) {
 }
 
 // record folds a measurement into the per-state sample table. A first visit
-// to a state grows the retraining region, so the cached shape is dropped.
+// to a state grows the retraining region.
 func (a *Agent) record(key string, rt float64) {
 	if old, ok := a.samples[key]; ok {
 		a.samples[key] = 0.5*old + 0.5*rt
-	} else {
-		a.samples[key] = rt
-		a.region = nil
+		return
+	}
+	a.samples[key] = rt
+	if a.region != nil {
+		a.region.add(key)
 	}
 }
 
 // retrain runs the per-interval batch training pass (Algorithm 3 step 9) — a
 // Gauss–Seidel solve over the region, seeded from the agent's current rows, so
-// it draws nothing from the agent's RNG — and reports how it converged.
+// it draws nothing from the agent's RNG — and reports how it converged. The
+// first retrain over a fresh Q-table builds the region from the sample table.
 func (a *Agent) retrain() (mdp.BatchResult, error) {
-	var predict func(config.Config) float64
-	if a.policy != nil {
-		predict = a.policy.PredictRT
-	}
 	if a.region == nil {
-		if a.policy != nil && a.policy.Space() == a.space {
-			a.region = a.policy.regionShapeFor(a.samples)
-		} else {
-			keys, cfgs := validSampleKeys(a.space, a.samples)
-			a.region = newRegionShape(a.space, keys, cfgs)
+		var predict func(config.Config) float64
+		if a.policy != nil {
+			predict = a.policy.PredictRT
 		}
+		a.region = newRegion(a.space, a.q, predict, a.opts.SLASeconds, a.samples)
 	}
-	if a.region.structErr != nil {
-		return mdp.BatchResult{}, fmt.Errorf("core: retrain: %w", a.region.structErr)
-	}
-	rewards := a.region.rewards(a.samples, predict, a.opts.SLASeconds)
-	cfg := mdp.BatchConfig{
+	batch, err := a.region.solve(a.samples, mdp.BatchConfig{
 		Params:    a.opts.Batch,
 		MaxSweeps: a.opts.BatchSweeps,
 		Theta:     a.opts.BatchTheta,
-	}
-	batch, err := mdp.Solve(a.q, a.region.structure, rewards, cfg)
+	})
 	if err != nil {
-		return mdp.BatchResult{}, fmt.Errorf("core: retrain: %w", err)
+		err = fmt.Errorf("core: retrain: %w", err)
 	}
-	return batch, nil
+	return batch, err
 }
 
 // feasibleActions lists the indices of the actions applicable at cfg.

@@ -72,7 +72,7 @@ var (
 	bowlPolicyCache = map[string]*Policy{}
 )
 
-func bowlPolicy(t *testing.T, targets []float64, name string) *Policy {
+func bowlPolicy(t testing.TB, targets []float64, name string) *Policy {
 	t.Helper()
 	key := fmt.Sprint(name, targets)
 	bowlPolicyMu.Lock()

@@ -5,6 +5,7 @@ import (
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/sim"
 )
 
 // The group-lattice hot path — the offline training MDP's transition and
@@ -71,19 +72,58 @@ func BenchmarkGroupStateKey(b *testing.B) {
 	}
 }
 
-// BenchmarkRegionShapeRebuild is the cost an agent pays each time it visits a
-// new state: rebuilding Algorithm 3's retraining region from its sample keys.
-func BenchmarkRegionShapeRebuild(b *testing.B) {
+// BenchmarkRegionInsert is the cost an agent pays when it measures a new
+// state: growing the retraining region of a 33-interval history (33 samples,
+// a few hundred states) by its 34th sample and laying it out again.
+func BenchmarkRegionInsert(b *testing.B) {
 	space := config.Default()
-	keys, cfgs := benchRegionSamples(space)
-	if n := len(newRegionShape(space, keys, cfgs).states); len(keys) != 33 || n < 300 {
-		b.Fatalf("region has %d samples and %d states; the benchmark is sized for 33 and a few hundred", len(keys), n)
+	trail := walkTrail(space, space.DefaultConfig(), 34, sim.NewRNG(33))
+	last := trail[len(trail)-1]
+	before, after := make(map[string]float64), make(map[string]float64)
+	for _, key := range trail {
+		after[key] = 1
+		if key != last {
+			before[key] = 1
+		}
+	}
+	actions := len(config.Actions(space))
+	grown := func() *region {
+		r := newRegion(space, mdp.NewQTable(actions, 0), nil, 2, before)
+		if err := r.bind(before); err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+	if r := grown(); len(r.samples) != 33 || len(r.rows) < 300 {
+		b.Fatalf("region has %d samples and %d states; the benchmark is sized for 33 and a few hundred",
+			len(r.samples), len(r.rows))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sh := newRegionShape(space, keys, cfgs); sh.structErr != nil {
-			b.Fatal(sh.structErr)
+		b.StopTimer()
+		r := grown()
+		b.StartTimer()
+		r.add(last)
+		if err := r.bind(after); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAgentRetrain is a warm-started agent's retrain (Algorithm 3 step
+// 9) after 33 intervals, in the steady state: the revisited state's sample
+// moves and no state joins the region.
+func BenchmarkAgentRetrain(b *testing.B) {
+	a := steppedAgent(b, 33)
+	key := a.cur.Key()
+	rts := [2]float64{0.4, 1.6}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.record(key, rts[i%2])
+		if _, err := a.retrain(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -216,7 +216,7 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 		batch = DefaultOfflineBatch()
 	}
 	p.q = mdp.NewQTable(structure.Actions(), 0)
-	p.training, err = mdp.Solve(p.q, structure, rewards, batch)
+	p.training, err = mdp.Solve(p.q.OwnRows(structure.States()), structure, rewards, nil, batch)
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,12 +16,12 @@ import (
 // not serialized; loading requires the same space the policy was trained on
 // (validated structurally via the group lattices).
 type policyJSON struct {
-	Name    string           `json:"name"`
-	SLA     float64          `json:"slaSeconds"`
-	FloorRT float64          `json:"floorRtSeconds"`
-	Groups  []groupJSON      `json:"groups"`
-	Coeffs  []float64        `json:"regressionCoeffs"`
-	QTable  *json.RawMessage `json:"qtable"`
+	Name    string          `json:"name"`
+	SLA     float64         `json:"slaSeconds"`
+	FloorRT float64         `json:"floorRtSeconds"`
+	Groups  []groupJSON     `json:"groups"`
+	Coeffs  []float64       `json:"regressionCoeffs"`
+	QTable  *mdp.QTableJSON `json:"qtable"`
 }
 
 type groupJSON struct {
@@ -37,17 +36,18 @@ type groupJSON struct {
 // Q-table and the regression surface, so a saved policy restores without
 // re-sampling the system.
 func (p *Policy) Save(w io.Writer) error {
-	var buf bytes.Buffer
-	if err := p.q.Save(&buf); err != nil {
-		return fmt.Errorf("core: save qtable: %w", err)
-	}
-	qbuf := json.RawMessage(buf.Bytes())
+	return json.NewEncoder(w).Encode(p.document())
+}
+
+// document is the policy's serialized form. The Q-table is one of its fields,
+// so one encoder pass writes the whole file.
+func (p *Policy) document() policyJSON {
 	out := policyJSON{
 		Name:    p.name,
 		SLA:     p.sla,
 		FloorRT: p.floorRT,
 		Coeffs:  p.quad.Coeffs(),
-		QTable:  &qbuf,
+		QTable:  p.q.JSON(),
 	}
 	for gi, d := range p.groups.Space().Defs() {
 		out.Groups = append(out.Groups, groupJSON{
@@ -58,7 +58,7 @@ func (p *Policy) Save(w io.Writer) error {
 			Step:    d.Step,
 		})
 	}
-	return json.NewEncoder(w).Encode(out)
+	return out
 }
 
 // LoadPolicy reads a policy previously written by Save, binding it to the
@@ -100,7 +100,7 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 	if raw.QTable == nil {
 		return nil, errors.New("core: policy lacks a Q-table")
 	}
-	q, err := mdp.LoadQTable(bytes.NewReader(*raw.QTable))
+	q, err := raw.QTable.Table()
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,188 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"testing"
+
+	"github.com/rac-project/rac/internal/config"
+	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/sim"
+)
+
+// rawPolicyJSON and rawAgentState are the documents Policy.Save and
+// AgentState.Save wrote before the Q-table became a field of the document:
+// the table written on its own by mdp.QTable.Save and embedded as a
+// json.RawMessage, which the encoder scanned again and compacted, and read
+// back by decoding the RawMessage and then LoadQTable. The qtable field
+// shadows the embedded document's and, like it, comes last, so the field
+// order is the one the old documents had. TestSaveLoadMatchesRawMessagePath
+// holds the one-pass path to them byte for byte.
+type rawPolicyJSON struct {
+	policyJSON
+	QTable *json.RawMessage `json:"qtable"`
+}
+
+type rawAgentState struct {
+	AgentState
+	QTable json.RawMessage `json:"qtable"`
+}
+
+// rawQTable is what the RawMessage path embedded: QTable.Save's output.
+func rawQTable(t *testing.T, q *mdp.QTable) json.RawMessage {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := q.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// encode is one json.Encoder pass over v, as both Save methods make.
+func encode(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// randomValue spans the magnitudes and forms a Q-value's JSON rendering takes:
+// exact integers, zero, negative zero, and mantissas from 1e-20 to 1e20.
+func randomValue(rng *sim.RNG) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return float64(rng.Intn(2001) - 1000)
+	case 1:
+		return 0
+	case 2:
+		return math.Copysign(0, -1)
+	}
+	return rng.NormFloat64(0, 1) * math.Pow(10, float64(rng.Intn(41)-20))
+}
+
+// randomTable fills keys' rows of a fresh table with random values.
+func randomTable(rng *sim.RNG, actions int, keys []string) *mdp.QTable {
+	q := mdp.NewQTable(actions, randomValue(rng))
+	for _, key := range keys {
+		row := q.Row(key)
+		for a := range row {
+			row[a] = randomValue(rng)
+		}
+	}
+	return q
+}
+
+// randomKey is a state key, now and then with characters the encoder escapes.
+func randomKey(rng *sim.RNG, space *config.Space) string {
+	key := randomConfig(space, rng).Key()
+	if rng.Intn(4) == 0 {
+		key += []string{"<", ">", "&", " ", "\"", "\\", "é"}[rng.Intn(7)]
+	}
+	return key
+}
+
+// TestSaveLoadMatchesRawMessagePath: Policy.Save and AgentState.Save, which
+// encode the Q-table as a field of the document in one pass, write the bytes
+// the RawMessage path wrote, and LoadPolicy and LoadAgentState, which decode
+// it in the same pass, read back the tables and fields that path read — for
+// random tables and random agent states.
+func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
+	space := config.Default()
+	actions := len(config.Actions(space))
+	rng := sim.NewRNG(0x5a7e)
+	p := bowlPolicyForPersist(t, space)
+	trained := p.q
+
+	for i := 0; i < 3; i++ {
+		p.q = randomTable(rng, trained.Actions(), trained.States())
+		var got bytes.Buffer
+		if err := p.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		raw := rawQTable(t, p.q)
+		want := encode(t, rawPolicyJSON{policyJSON: p.document(), QTable: &raw})
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("policy %d: one-pass Save differs from the RawMessage path:\n%s\nvs\n%s", i, got.Bytes(), want)
+		}
+		loaded, err := LoadPolicy(bytes.NewReader(want), space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old rawPolicyJSON
+		if err := json.Unmarshal(want, &old); err != nil {
+			t.Fatal(err)
+		}
+		oldQ, err := mdp.LoadQTable(bytes.NewReader(*old.QTable))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rawQTable(t, loaded.q), rawQTable(t, oldQ)) {
+			t.Fatalf("policy %d: LoadPolicy reads a different table than the RawMessage path", i)
+		}
+	}
+	p.q = trained
+
+	for i := 0; i < 24; i++ {
+		keys := make([]string, rng.Intn(40))
+		for k := range keys {
+			keys[k] = randomKey(rng, space)
+		}
+		st := &AgentState{
+			Version:    AgentStateVersion,
+			Iteration:  rng.Intn(1000),
+			Config:     randomConfig(space, rng),
+			Samples:    map[string]float64{},
+			Violations: rng.Intn(4),
+			LastRT:     randomValue(rng),
+			AgentRNG:   rng.Uint64(),
+			LearnerRNG: rng.Uint64(),
+		}
+		for _, key := range keys[:len(keys)/2] {
+			st.Samples[key] = randomValue(rng)
+		}
+		for k := rng.Intn(5); k > 0; k-- {
+			st.Window = append(st.Window, randomValue(rng))
+		}
+		if rng.Intn(2) == 0 {
+			st.PolicyName, st.LastGood = "ctx<1>", randomConfig(space, rng)
+		}
+		q := randomTable(rng, actions, keys)
+		st.QTable = q.JSON()
+
+		var got bytes.Buffer
+		if err := st.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		want := encode(t, rawAgentState{AgentState: *st, QTable: rawQTable(t, q)})
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("state %d: one-pass Save differs from the RawMessage path:\n%s\nvs\n%s", i, got.Bytes(), want)
+		}
+		loaded, err := LoadAgentState(bytes.NewReader(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old rawAgentState
+		if err := json.Unmarshal(want, &old); err != nil {
+			t.Fatal(err)
+		}
+		oldQ, err := mdp.LoadQTable(bytes.NewReader(old.QTable))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newQ, err := loaded.QTable.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rawQTable(t, newQ), rawQTable(t, oldQ)) {
+			t.Fatalf("state %d: LoadAgentState reads a different table than the RawMessage path", i)
+		}
+		loaded.QTable, old.AgentState.QTable = nil, nil
+		if !reflect.DeepEqual(*loaded, old.AgentState) {
+			t.Fatalf("state %d: LoadAgentState reads %+v, the RawMessage path %+v", i, *loaded, old.AgentState)
+		}
+	}
+}

@@ -102,13 +102,10 @@ type Policy struct {
 }
 
 // policyIntern is the per-policy shared-structure memo: the copy-on-write
-// seeded row store (built on first SharedRows call) and interned retraining
-// region skeletons keyed by sample-key set (see regionShapeFor).
+// seeded row store, built on the first SharedRows call.
 type policyIntern struct {
 	sharedOnce sync.Once
 	shared     *mdp.SharedRows
-	shapeMu    sync.Mutex
-	shapes     map[string]*regionShape
 }
 
 // Name returns the policy's label (usually the context it was trained for).

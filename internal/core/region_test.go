@@ -1,14 +1,137 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
 	"github.com/rac-project/rac/internal/sim"
 )
+
+// regionShape is the immutable retraining-region skeleton the agent rebuilt
+// from its whole sample-key set each time it measured a new state, before the
+// region grew in place: every sample plus its one-action frontier, densely
+// indexed in discovery order. It is the oracle TestRegionMatchesReference
+// holds the growing region to, and TestRegionShapeMatchesReference holds it in
+// turn to the string-keyed referenceRegion.
+type regionShape struct {
+	space  *config.Space
+	states []string
+	// vals holds the parsed configuration of every state back to back:
+	// state s occupies vals[s*space.Len():(s+1)*space.Len()] (see cfg).
+	vals []int
+	// structure carries the transition table and the feasible-action lists;
+	// nil with structErr set for an empty region.
+	structure *mdp.Structure
+	structErr error
+}
+
+// cfg returns state s's configuration. The slice aliases the shape's storage.
+func (sh *regionShape) cfg(s int) config.Config {
+	n := sh.space.Len()
+	return sh.vals[s*n : (s+1)*n : (s+1)*n]
+}
+
+// validSampleKeys returns the sample keys that parse, validate against the
+// space and are the canonical rendering of their configuration, sorted, with
+// their parsed configurations.
+func validSampleKeys(space *config.Space, samples map[string]float64) ([]string, []config.Config) {
+	keys := make([]string, 0, len(samples))
+	for key := range samples {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	valid := keys[:0]
+	cfgs := make([]config.Config, 0, len(keys))
+	for _, key := range keys {
+		cfg, err := config.ParseKey(key)
+		if err != nil || space.Validate(cfg) != nil || cfg.Key() != key {
+			continue
+		}
+		valid = append(valid, key)
+		cfgs = append(cfgs, cfg)
+	}
+	return valid, cfgs
+}
+
+// newRegionShape builds the region skeleton from the valid sample keys by
+// lattice ordinal: discovery is each sample key in sorted order followed by
+// its feasible neighbours in action order, and the transition table is
+// Space.Transitions over the discovered ordinals.
+func newRegionShape(space *config.Space, keys []string, cfgs []config.Config) *regionShape {
+	actions := config.Actions(space)
+	sh := &regionShape{space: space}
+	neighbour := func(ord uint64, a config.Action) uint64 {
+		switch a.Dir {
+		case config.Increase:
+			return ord + space.Stride(a.ParamIndex)
+		case config.Decrease:
+			return ord - space.Stride(a.ParamIndex)
+		}
+		return ord
+	}
+	type origin struct{ sample, action int32 }
+	bound := len(keys) * len(actions)
+	byOrd := make(map[uint64]int32, bound)
+	ords := make([]uint64, 0, bound)
+	from := make([]origin, 0, bound)
+	for i, cfg := range cfgs {
+		ord := space.Ordinal(cfg)
+		for ai, a := range actions {
+			if !a.Feasible(space, cfg) {
+				continue
+			}
+			next := neighbour(ord, a)
+			if _, seen := byOrd[next]; seen {
+				continue
+			}
+			byOrd[next] = int32(len(ords))
+			ords = append(ords, next)
+			from = append(from, origin{sample: int32(i), action: int32(ai)})
+		}
+	}
+	n := space.Len()
+	sh.states = make([]string, len(ords))
+	sh.vals = make([]int, 0, len(ords)*n)
+	for s, o := range from {
+		sh.vals = append(sh.vals, cfgs[o.sample]...)
+		a := actions[o.action]
+		if a.Dir == config.Keep {
+			sh.states[s] = keys[o.sample]
+			continue
+		}
+		cfg := sh.cfg(s)
+		cfg[a.ParamIndex] += int(a.Dir) * space.Def(a.ParamIndex).Step
+		sh.states[s] = cfg.Key()
+	}
+	trans := space.Transitions(ords, func(ord uint64) int32 {
+		if t, in := byOrd[ord]; in {
+			return t
+		}
+		return -1
+	})
+	sh.structure, sh.structErr = mdp.NewStructureFromTransitions(sh.states, len(actions), trans)
+	return sh
+}
+
+// rewards binds one interval's rewards to the shape, by dense index:
+// measurements where available, predict elsewhere (nil: the SLA-neutral 0).
+func (sh *regionShape) rewards(samples map[string]float64, predict func(config.Config) float64, sla float64) []float64 {
+	rewards := make([]float64, len(sh.states))
+	for s, key := range sh.states {
+		if rt, ok := samples[key]; ok {
+			rewards[s] = sla - rt
+		} else if predict != nil {
+			rewards[s] = sla - predict(sh.cfg(s))
+		}
+	}
+	return rewards
+}
 
 // referenceRegion is the string-keyed region builder newRegionShape replaced,
 // kept as the test oracle: states are identified by their rendered key, every
@@ -67,18 +190,30 @@ func (r *referenceRegion) NextIndex(s, a int) int {
 }
 func (r *referenceRegion) RewardIndex(int) float64 { return 0 }
 
-// walkSamples returns the sample table of an n-step random walk from start:
-// the shape of an agent's history, where consecutive samples are lattice
-// neighbours and their frontiers overlap heavily.
-func walkSamples(space *config.Space, start config.Config, n int, rng *sim.RNG) map[string]float64 {
+// walkTrail returns the keys an n-state random walk from start visits, in
+// visit order with repeats: the shape of an agent's measurement history.
+func walkTrail(space *config.Space, start config.Config, n int, rng *sim.RNG) []string {
 	actions := config.Actions(space)
-	samples := map[string]float64{start.Key(): 1}
+	trail := []string{start.Key()}
+	seen := map[string]bool{start.Key(): true}
 	cur := start
-	for len(samples) < n {
+	for len(seen) < n {
 		if next, ok := actions[rng.Intn(len(actions))].Apply(space, cur); ok {
 			cur = next
-			samples[cur.Key()] = 1
+			trail = append(trail, cur.Key())
+			seen[cur.Key()] = true
 		}
+	}
+	return trail
+}
+
+// walkSamples returns the sample table of an n-state random walk from start:
+// consecutive samples are lattice neighbours and their frontiers overlap
+// heavily.
+func walkSamples(space *config.Space, start config.Config, n int, rng *sim.RNG) map[string]float64 {
+	samples := make(map[string]float64)
+	for _, key := range walkTrail(space, start, n, rng) {
+		samples[key] = 1
 	}
 	return samples
 }
@@ -104,6 +239,15 @@ func randomConfig(space *config.Space, rng *sim.RNG) config.Config {
 	return cfg
 }
 
+// shippedSpaces are the configuration spaces the repository ships.
+func shippedSpaces() map[string]*config.Space {
+	return map[string]*config.Space{
+		"default":   config.Default(),
+		"admission": config.WithAdmission(),
+		"capacity":  config.WithCapacity(),
+	}
+}
+
 // TestRegionShapeMatchesReference pins the ordinal-indexed builder to the
 // string-keyed one it replaced: same states in the same order, same parsed
 // configurations, same transition for every (state, action), same
@@ -111,12 +255,7 @@ func randomConfig(space *config.Space, rng *sim.RNG) config.Config {
 // hit the lattice edges, a lone sample, overlapping frontiers and keys that
 // must be skipped.
 func TestRegionShapeMatchesReference(t *testing.T) {
-	spaces := map[string]*config.Space{
-		"default":   config.Default(),
-		"admission": config.WithAdmission(),
-		"capacity":  config.WithCapacity(),
-	}
-	for name, space := range spaces {
+	for name, space := range shippedSpaces() {
 		rng := sim.NewRNG(0x5ea1)
 		def := space.DefaultConfig()
 		low, high := cornerConfig(space, false), cornerConfig(space, true)
@@ -198,10 +337,197 @@ func compareToReference(t *testing.T, sh *regionShape, ref *referenceRegion) {
 	}
 }
 
-// benchRegionSamples is the sample set of a 33-interval agent history (the
-// fleet-steady workload's length): 33 distinct measured states, 389 region
-// states.
-func benchRegionSamples(space *config.Space) ([]string, []config.Config) {
-	samples := walkSamples(space, space.DefaultConfig(), 33, sim.NewRNG(33))
-	return validSampleKeys(space, samples)
+// fakePredict stands in for Policy.PredictRT: deterministic and different at
+// neighbouring states, so a prior bound to the wrong state shows.
+func fakePredict(cfg config.Config) float64 {
+	var sum int
+	for i, v := range cfg {
+		sum += (i + 3) * v
+	}
+	return float64(sum%97) / 32
+}
+
+// fakeSeeder stands in for Policy.Seeder: a deterministic row per key, so a
+// row materialized for the wrong state shows.
+func fakeSeeder(actions int) mdp.Seeder {
+	return func(state string) []float64 {
+		var h uint32
+		for _, c := range state {
+			h = h*31 + uint32(c)
+		}
+		row := make([]float64, actions)
+		for a := range row {
+			row[a] = float64((h>>a)%13) - 6
+		}
+		return row
+	}
+}
+
+// TestRegionMatchesReference holds the growing region to newRegionShape, the
+// rebuild-from-scratch builder it replaced, after every sample insert: the
+// same states in the same order, the same mdp.Structure, the same rewards
+// (measurement where sampled, prediction elsewhere) and sample indices, and
+// every row the region holds is the table's own. A table retrained through
+// the region every interval ends byte-identical to one retrained over the
+// rebuilt shape, and a region rebuilt from the final sample table — what
+// RestoreState leaves — equals the grown one. The trails cover every shipped
+// space: random walks from the default and both lattice corners, repeated
+// keys, scattered states, and corrupt keys among valid ones.
+func TestRegionMatchesReference(t *testing.T) {
+	for name, space := range shippedSpaces() {
+		rng := sim.NewRNG(0x9e61)
+		def := space.DefaultConfig()
+		low, high := cornerConfig(space, false), cornerConfig(space, true)
+		var scattered, corrupt []string
+		for i := 0; i < 12; i++ {
+			key := randomConfig(space, rng).Key()
+			scattered = append(scattered, key, key)
+		}
+		for _, key := range walkTrail(space, def, 8, rng) {
+			corrupt = append(corrupt, "garbage", key, "", "1,2", "0"+key, "+"+key)
+		}
+		trails := map[string][]string{
+			"walk-default": walkTrail(space, def, 30, rng),
+			"walk-low":     walkTrail(space, low, 20, rng),
+			"walk-high":    walkTrail(space, high, 20, rng),
+			"corners":      {low.Key(), high.Key(), low.Key(), def.Key()},
+			"scattered":    scattered,
+			"corrupt":      corrupt,
+		}
+		for tname, trail := range trails {
+			t.Run(name+"/"+tname, func(t *testing.T) { checkRegionTrail(t, space, trail) })
+		}
+	}
+}
+
+// checkRegionTrail measures trail the way an agent does — each key folded
+// into the sample table, a first visit growing the region, a retrain every
+// interval — beside a table retrained over a shape rebuilt from the sample
+// keys every interval, the path the region replaced.
+func checkRegionTrail(t *testing.T, space *config.Space, trail []string) {
+	t.Helper()
+	const sla = 2.0
+	actions := len(config.Actions(space))
+	store := mdp.NewSharedRows(actions, fakeSeeder(actions))
+	grown, rebuilt := mdp.NewQTable(actions, 0.25), mdp.NewQTable(actions, 0.25)
+	grown.SetShared(store)
+	rebuilt.SetShared(store)
+	cfg := mdp.BatchConfig{Params: mdp.DefaultOnline(), MaxSweeps: 12, Theta: 0.01}
+	samples := make(map[string]float64)
+	r := newRegion(space, grown, fakePredict, sla, samples)
+	for i, key := range trail {
+		rt := 0.2 + float64(i%9)*0.3
+		if old, ok := samples[key]; ok {
+			samples[key] = 0.5*old + 0.5*rt
+		} else {
+			samples[key] = rt
+			r.add(key)
+		}
+		sh := compareRegion(t, r, grown, samples)
+		if sh.structErr != nil {
+			continue
+		}
+		got, err := mdp.Solve(r.rows, r.structure, r.rewards, r.val, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mdp.Solve(rebuilt.OwnRows(sh.states), sh.structure, sh.rewards(samples, fakePredict, sla), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("interval %d: solve %+v over the region, %+v over the rebuilt shape", i, got, want)
+		}
+	}
+	var g, w bytes.Buffer
+	if err := grown.Save(&g); err != nil {
+		t.Fatal(err)
+	}
+	if err := rebuilt.Save(&w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatal("the table retrained through the region differs from the one retrained over rebuilt shapes")
+	}
+	compareRegion(t, newRegion(space, grown, fakePredict, sla, samples), grown, samples)
+}
+
+// compareRegion binds samples to r — laying it out first if a sample joined —
+// and requires it to equal the shape rebuilt from the sample keys, which it
+// returns.
+func compareRegion(t *testing.T, r *region, q *mdp.QTable, samples map[string]float64) *regionShape {
+	t.Helper()
+	keys, cfgs := validSampleKeys(r.space, samples)
+	sh := newRegionShape(r.space, keys, cfgs)
+	err := r.bind(samples)
+	if sh.structErr != nil {
+		if err == nil || r.structure != nil {
+			t.Fatalf("empty region: structure %v, err %v; want nil and an error", r.structure, err)
+		}
+		return sh
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(r.structure.States(), sh.states) {
+		t.Fatalf("state order differs:\n  got %v\n want %v", r.structure.States(), sh.states)
+	}
+	if !reflect.DeepEqual(r.structure, sh.structure) {
+		t.Fatal("mdp.Structure (transitions / feasible-action lists) differs from the rebuilt shape's")
+	}
+	if want := sh.rewards(samples, r.predict, r.sla); !slices.Equal(r.rewards, want) {
+		t.Fatalf("rewards differ:\n  got %v\n want %v", r.rewards, want)
+	}
+	if !slices.Equal(r.samples, keys) {
+		t.Fatalf("samples %v, want %v", r.samples, keys)
+	}
+	for i, key := range r.samples {
+		if got := sh.states[r.sampleIdx[i]]; got != key {
+			t.Fatalf("sample %s indexes state %s", key, got)
+		}
+	}
+	for s, state := range sh.states {
+		if !q.Visited(state) || &r.rows[s][0] != &q.Row(state)[0] {
+			t.Fatalf("state %s: the region's row is not the table's own", state)
+		}
+	}
+	if len(r.val) != len(sh.states) {
+		t.Fatalf("solve scratch holds %d values for %d states", len(r.val), len(sh.states))
+	}
+	return sh
+}
+
+// steppedAgent returns an agent warm-started from the bowl policy after steps
+// intervals on the bowl system.
+func steppedAgent(tb testing.TB, steps int) *Agent {
+	tb.Helper()
+	a, err := NewAgent(newBowlSystem(bowlTargets), AgentOptions{Policy: bowlPolicy(tb, bowlTargets, "stepped"), Seed: 9})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < steps; i++ {
+		if _, err := a.Step(context.Background()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return a
+}
+
+// TestRetrainAllocFree: a retrain that measures no new state binds the
+// interval's rewards and solves over the rows the region holds, allocating
+// nothing.
+func TestRetrainAllocFree(t *testing.T) {
+	a := steppedAgent(t, 20)
+	key := a.cur.Key()
+	rts := [2]float64{0.4, 1.6}
+	i := 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		i++
+		a.record(key, rts[i%2])
+		if _, err := a.retrain(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a retrain without a new state allocates %.1f times, want 0", allocs)
+	}
 }

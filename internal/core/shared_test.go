@@ -73,8 +73,8 @@ func TestAgentsSharePolicyStructureWithoutCrosstalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.QTable) >= len(stA.QTable) {
-		t.Errorf("fresh agent snapshot carries %d qtable bytes, learner %d — deltas are not sparse",
-			len(st.QTable), len(stA.QTable))
+	if len(st.QTable.Rows) >= len(stA.QTable.Rows) {
+		t.Errorf("fresh agent snapshot carries %d qtable rows, learner %d — deltas are not sparse",
+			len(st.QTable.Rows), len(stA.QTable.Rows))
 	}
 }

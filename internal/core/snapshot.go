@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
@@ -52,8 +52,9 @@ type AgentState struct {
 	// AgentRNG and LearnerRNG are the two exploration streams mid-sequence.
 	AgentRNG   uint64 `json:"agent_rng"`
 	LearnerRNG uint64 `json:"learner_rng"`
-	// QTable is the serialized online Q-table (mdp.QTable.Save).
-	QTable json.RawMessage `json:"qtable"`
+	// QTable is the online Q-table in its serialized form (mdp.QTable.JSON),
+	// encoded and decoded in the same pass as the rest of the snapshot.
+	QTable *mdp.QTableJSON `json:"qtable"`
 }
 
 // ExportState captures the agent's complete resumable state. The returned
@@ -62,25 +63,18 @@ type AgentState struct {
 // is the caller's responsibility — the fleet scheduler checkpoints at round
 // barriers, and racagent snapshots after the in-flight interval finishes.
 func (a *Agent) ExportState() (*AgentState, error) {
-	var qbuf bytes.Buffer
-	if err := a.q.Save(&qbuf); err != nil {
-		return nil, fmt.Errorf("core: export qtable: %w", err)
-	}
 	st := &AgentState{
 		Version:    AgentStateVersion,
 		Iteration:  a.iteration,
 		Config:     a.cur.Clone(),
-		Samples:    make(map[string]float64, len(a.samples)),
+		Samples:    maps.Clone(a.samples),
 		Window:     a.window.Values(),
 		Violations: a.violations,
 		LastRT:     a.lastRT,
 		SLAStreak:  a.slaStreak,
 		AgentRNG:   a.rng.State(),
 		LearnerRNG: a.learner.RNG().State(),
-		QTable:     json.RawMessage(qbuf.Bytes()),
-	}
-	for k, v := range a.samples {
-		st.Samples[k] = v
+		QTable:     a.q.Clone().JSON(),
 	}
 	if a.policy != nil {
 		st.PolicyName = a.policy.Name()
@@ -140,7 +134,7 @@ func (a *Agent) RestoreState(st *AgentState) error {
 	if st.QTable == nil {
 		return errors.New("core: snapshot lacks a Q-table")
 	}
-	q, err := mdp.LoadQTable(bytes.NewReader(st.QTable))
+	q, err := st.QTable.Table()
 	if err != nil {
 		return fmt.Errorf("core: restore qtable: %w", err)
 	}
@@ -164,9 +158,7 @@ func (a *Agent) RestoreState(st *AgentState) error {
 	a.iteration = st.Iteration
 	a.cur = cur.Clone()
 	a.samples = make(map[string]float64, len(st.Samples))
-	for k, v := range st.Samples {
-		a.samples[k] = v
-	}
+	maps.Copy(a.samples, st.Samples)
 	a.window.Reset()
 	for _, v := range st.Window {
 		a.window.Add(v)

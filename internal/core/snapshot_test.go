@@ -3,9 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
 
+	"github.com/rac-project/rac/internal/mdp"
 	"github.com/rac-project/rac/internal/system"
 )
 
@@ -236,7 +236,7 @@ func TestAgentRestoreRejectsBadSnapshots(t *testing.T) {
 	}
 
 	bad = *good
-	bad.QTable = json.RawMessage(`{"actions":3,"initial":0,"rows":{}}`)
+	bad.QTable = &mdp.QTableJSON{Actions: 3, Rows: map[string][]float64{}}
 	if err := a.RestoreState(&bad); err == nil {
 		t.Error("wrong action count accepted")
 	}

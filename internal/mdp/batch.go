@@ -185,18 +185,24 @@ func NewStructureFromTransitions(states []string, actions int, trans []int32) (*
 // draws no random numbers; the rng parameter is ignored and stays only because
 // the benchmark ledger under benchmark/ still passes one.
 func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchResult, error) {
-	if model == nil {
+	switch {
+	case table == nil:
+		return BatchResult{}, errors.New("mdp: nil table")
+	case model == nil:
 		return BatchResult{}, errors.New("mdp: nil model")
 	}
 	st, err := NewStructure(model)
 	if err != nil {
 		return BatchResult{}, err
 	}
+	if table.Actions() != st.actions {
+		return BatchResult{}, fmt.Errorf("mdp: table has %d actions, model %d", table.Actions(), st.actions)
+	}
 	rewards := make([]float64, len(st.states))
 	for s := range rewards {
 		rewards[s] = model.RewardIndex(s)
 	}
-	return Solve(table, st, rewards, cfg)
+	return Solve(table.OwnRows(st.states), st, rewards, nil, cfg)
 }
 
 // Solve computes, in place, the action values that Algorithm 1's ε-greedy
@@ -211,26 +217,32 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 // are the ones its retraining keeps refreshing. rewards[s] is the immediate
 // reward received on entering state s.
 //
-// The solve is Gauss–Seidel in place on the table's own rows: every state's
-// row is materialized first, seeded with the row the table serves, then a
-// state's row is re-evaluated from the newest values of its successors, sweeps
-// alternate index order and reverse order, and the solve stops once a sweep
-// changes no entry by Theta or more, with MaxSweeps as the bound. Each sweep
-// is a γ-contraction in the max norm, so after a sweep whose largest change is
-// below Theta the Bellman residual is below γ·Theta. Only feasible entries are
-// written — infeasible ones keep their seeded value. No random number is
-// drawn, so the result depends on the inputs alone. cfg.StepsPerState and
-// cfg.Params.Alpha are not used.
-func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (BatchResult, error) {
+// rows[s] is state s's row, solved in place from the values it holds: a
+// table's own rows bound by QTable.OwnRows (offline training, BatchTrain), or
+// the rows an agent's retraining region holds across intervals. The solve is
+// Gauss–Seidel: a state's row is re-evaluated from the newest values of its
+// successors, sweeps alternate index order and reverse order, and the solve
+// stops once a sweep changes no entry by Theta or more, with MaxSweeps as the
+// bound. Each sweep is a γ-contraction in the max norm, so after a sweep whose
+// largest change is below Theta the Bellman residual is below γ·Theta. Only
+// feasible entries are written — infeasible ones keep their value. val is
+// scratch for one value per state, overwritten; Solve allocates its own when
+// val is shorter. No random number is drawn, so the result depends on the
+// inputs alone. cfg.StepsPerState and cfg.Params.Alpha are not used.
+func Solve(rows [][]float64, st *Structure, rewards, val []float64, cfg BatchConfig) (BatchResult, error) {
 	switch {
-	case table == nil:
-		return BatchResult{}, errors.New("mdp: nil table")
 	case st == nil:
 		return BatchResult{}, errors.New("mdp: nil structure")
-	case table.Actions() != st.actions:
-		return BatchResult{}, fmt.Errorf("mdp: table has %d actions, model %d", table.Actions(), st.actions)
+	case len(rows) != len(st.states):
+		return BatchResult{}, fmt.Errorf("mdp: %d rows for %d states", len(rows), len(st.states))
 	case len(rewards) != len(st.states):
 		return BatchResult{}, fmt.Errorf("mdp: %d rewards for %d states", len(rewards), len(st.states))
+	}
+	for s, row := range rows {
+		if len(row) != st.actions {
+			return BatchResult{}, fmt.Errorf("mdp: state %q has a row of %d actions, model %d",
+				st.states[s], len(row), st.actions)
+		}
 	}
 	if err := cfg.Params.Validate(); err != nil {
 		return BatchResult{}, err
@@ -239,7 +251,6 @@ func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (Ba
 		cfg.MaxSweeps = 1
 	}
 	n, off, feas, succ := len(st.states), st.off, st.feas, st.succ
-	rows := table.materializeAll(st.states)
 	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
 	// val[s] is what entering s is worth: r(s) + γ·backup(s), where backup is
 	// the expected value of the ε-greedy choice over s's row, given its max and
@@ -249,7 +260,10 @@ func Solve(table *QTable, st *Structure, rewards []float64, cfg BatchConfig) (Ba
 		backup := float64((1-eps)*best + eps*sum/float64(k))
 		return rewards[s] + gamma*backup
 	}
-	val := make([]float64, n)
+	if len(val) < n {
+		val = make([]float64, n)
+	}
+	val = val[:n]
 	for s := range val {
 		row, allowed := rows[s], feas[off[s]:off[s+1]]
 		best, sum := row[allowed[0]], 0.0

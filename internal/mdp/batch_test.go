@@ -185,6 +185,12 @@ func (q *QTable) setRow(state string, values []float64) {
 	q.materialize(state, values)
 }
 
+// solveTable is Solve over the table's own rows, bound the way BatchTrain and
+// the offline trainer bind them.
+func solveTable(q *QTable, st *Structure, rewards []float64, cfg BatchConfig) (BatchResult, error) {
+	return Solve(q.OwnRows(st.States()), st, rewards, nil, cfg)
+}
+
 // indexedChain gives chainModel the dense-index transitions of a Model; the
 // embedded string methods are what the reference trainer walks.
 type indexedChain struct {
@@ -528,7 +534,7 @@ func TestStructureFromTransitions(t *testing.T) {
 	for s := range rewards {
 		rewards[s] = chain.RewardIndex(s)
 	}
-	if _, err := Solve(direct, st, rewards, DefaultBatchConfig()); err != nil {
+	if _, err := solveTable(direct, st, rewards, DefaultBatchConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(qtableBytes(t, derived), qtableBytes(t, direct)) {
@@ -570,33 +576,52 @@ func TestSolveValidation(t *testing.T) {
 		mutate(&cfg.Params)
 		return cfg
 	}
+	rowsOf := func(actions int) [][]float64 {
+		rows := make([][]float64, len(st.States()))
+		for s := range rows {
+			rows[s] = make([]float64, actions)
+		}
+		return rows
+	}
+	rows := rowsOf(3)
 	cases := []struct {
 		name    string
-		table   *QTable
+		rows    [][]float64
 		st      *Structure
 		rewards []float64
 		cfg     BatchConfig
 	}{
-		{"nil table", nil, st, rewards, good},
-		{"nil structure", NewQTable(3, 0), nil, rewards, good},
-		{"short rewards", NewQTable(3, 0), st, rewards[:len(rewards)-1], good},
-		{"long rewards", NewQTable(3, 0), st, append(rewards, 0), good},
-		{"action-count mismatch", NewQTable(2, 0), st, rewards, good},
-		{"zero alpha", NewQTable(3, 0), st, rewards, bad(func(p *Params) { p.Alpha = 0 })},
-		{"gamma one", NewQTable(3, 0), st, rewards, bad(func(p *Params) { p.Gamma = 1 })},
-		{"negative epsilon", NewQTable(3, 0), st, rewards, bad(func(p *Params) { p.Epsilon = -0.1 })},
+		{"nil rows", nil, st, rewards, good},
+		{"nil structure", rows, nil, rewards, good},
+		{"short rows", rows[:len(rows)-1], st, rewards, good},
+		{"short rewards", rows, st, rewards[:len(rewards)-1], good},
+		{"long rewards", rows, st, append(rewards, 0), good},
+		{"action-count mismatch", rowsOf(2), st, rewards, good},
+		{"zero alpha", rows, st, rewards, bad(func(p *Params) { p.Alpha = 0 })},
+		{"gamma one", rows, st, rewards, bad(func(p *Params) { p.Gamma = 1 })},
+		{"negative epsilon", rows, st, rewards, bad(func(p *Params) { p.Epsilon = -0.1 })},
 	}
 	for _, tc := range cases {
-		if _, err := Solve(tc.table, tc.st, tc.rewards, tc.cfg); err == nil {
+		if _, err := Solve(tc.rows, tc.st, tc.rewards, nil, tc.cfg); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
-		if tc.table != nil && tc.table.Len() != 0 {
-			t.Errorf("%s: rejected call materialized %d rows", tc.name, tc.table.Len())
+	}
+	for _, row := range rows {
+		if slices.ContainsFunc(row, func(v float64) bool { return v != 0 }) {
+			t.Fatalf("a rejected call wrote a row: %v", row)
+		}
+	}
+	// BatchTrain checks the table it binds before materializing any row.
+	for name, q := range map[string]*QTable{"nil table": nil, "action-count mismatch": NewQTable(2, 0)} {
+		if _, err := BatchTrain(q, chain, good, nil); err == nil {
+			t.Errorf("BatchTrain: %s accepted", name)
+		}
+		if q != nil && q.Len() != 0 {
+			t.Errorf("BatchTrain: %s: rejected call materialized %d rows", name, q.Len())
 		}
 	}
 	// A non-positive sweep bound is clamped to one, not rejected.
-	q := NewQTable(3, 0)
-	res, err := Solve(q, st, rewards, BatchConfig{Params: DefaultOffline()})
+	res, err := Solve(rows, st, rewards, nil, BatchConfig{Params: DefaultOffline()})
 	if err != nil || res.Sweeps != 1 {
 		t.Fatalf("zero schedule: %+v, %v; want one sweep", res, err)
 	}
@@ -620,7 +645,7 @@ func TestSolveBellmanResidual(t *testing.T) {
 	var first *QTable
 	for _, initial := range []float64{0, -50, 30} {
 		q := NewQTable(grid.Actions(), initial)
-		res, err := Solve(q, st, rewards, cfg)
+		res, err := solveTable(q, st, rewards, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -714,7 +739,7 @@ func TestSolveTable2GroupLattices(t *testing.T) {
 	for _, ctx := range system.Table2() {
 		st, rewards := table2Lattice(t, ctx)
 		q := NewQTable(st.Actions(), 0)
-		res, err := Solve(q, st, rewards, cfg)
+		res, err := solveTable(q, st, rewards, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -767,7 +792,7 @@ func BenchmarkSolveGroupLattice(b *testing.B) {
 	cfg := offlineSchedule()
 	b.Run("solve", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Solve(NewQTable(st.Actions(), 0), st, rewards, cfg); err != nil {
+			if _, err := solveTable(NewQTable(st.Actions(), 0), st, rewards, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -812,7 +837,7 @@ func checkSolveMatchesReference(t *testing.T, st *Structure, rewards []float64, 
 	t.Helper()
 	got, want := build()
 	held := got.States()
-	gotRes, err := Solve(got, st, rewards, cfg)
+	gotRes, err := solveTable(got, st, rewards, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,18 +72,6 @@ func (l *Learner) RNG() *sim.RNG { return l.rng }
 // Params returns the hyper-parameters.
 func (l *Learner) Params() Params { return l.params }
 
-// SetEpsilon adjusts the exploration rate (used when switching between batch
-// training and online decision making, paper §5.5).
-func (l *Learner) SetEpsilon(eps float64) {
-	if eps < 0 {
-		eps = 0
-	}
-	if eps > 1 {
-		eps = 1
-	}
-	l.params.Epsilon = eps
-}
-
 // SelectAction picks an action for state with ε-greedy exploration over the
 // allowed action indices. Allowed must be non-empty.
 func (l *Learner) SelectAction(state string, allowed []int) int {
@@ -112,22 +100,6 @@ func (l *Learner) SelectAction(state string, allowed []int) int {
 func (l *Learner) UpdateSARSA(state string, action int, reward float64, next string, nextAction int) float64 {
 	cur := l.table.Get(state, action)
 	target := reward + l.params.Gamma*l.table.Get(next, nextAction)
-	delta := target - cur
-	l.table.Set(state, action, cur+l.params.Alpha*delta)
-	if delta < 0 {
-		return -delta
-	}
-	return delta
-}
-
-// UpdateQ applies the off-policy Q-learning update
-//
-//	Q(s,a) += α [ r + γ max_a' Q(s',a') − Q(s,a) ]
-//
-// and returns the absolute TD error.
-func (l *Learner) UpdateQ(state string, action int, reward float64, next string) float64 {
-	cur := l.table.Get(state, action)
-	target := reward + l.params.Gamma*l.table.MaxValue(next)
 	delta := target - cur
 	l.table.Set(state, action, cur+l.params.Alpha*delta)
 	if delta < 0 {

@@ -305,3 +305,33 @@ func (m oneDeadEnd) NextIndex(s, action int) int {
 	}
 	return m.indexedChain.NextIndex(s, action)
 }
+
+// SetEpsilon adjusts the exploration rate (paper §5.5 switches it between
+// batch training and online decision making). Only the tests change it: the
+// agent's rate is fixed by its options.
+func (l *Learner) SetEpsilon(eps float64) {
+	if eps < 0 {
+		eps = 0
+	}
+	if eps > 1 {
+		eps = 1
+	}
+	l.params.Epsilon = eps
+}
+
+// UpdateQ applies the off-policy Q-learning update
+//
+//	Q(s,a) += α [ r + γ max_a' Q(s',a') − Q(s,a) ]
+//
+// and returns the absolute TD error. The agent plans with mdp.Solve, so only
+// the tests run the off-policy update.
+func (l *Learner) UpdateQ(state string, action int, reward float64, next string) float64 {
+	cur := l.table.Get(state, action)
+	target := reward + l.params.Gamma*l.table.MaxValue(next)
+	delta := target - cur
+	l.table.Set(state, action, cur+l.params.Alpha*delta)
+	if delta < 0 {
+		return -delta
+	}
+	return delta
+}

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 )
 
@@ -127,13 +126,13 @@ func (q *QTable) ReadRow(state string) []float64 {
 	return row
 }
 
-// materializeAll returns the table's own row for each of states, by index,
+// OwnRows returns the table's own row for each of states, by index,
 // materializing the ones it does not own yet as Row would — a copy of the
 // served row, the key interned through the shared store — but with every new
 // row cut from one backing array, and an empty table's map presized for them.
-// It is the solver's view of the table: one lookup per state, then indices.
-// The states must be distinct, or two indices would share a row.
-func (q *QTable) materializeAll(states []string) [][]float64 {
+// It binds a table to Solve: one lookup per state, then indices. The states
+// must be distinct, or two indices would share a row.
+func (q *QTable) OwnRows(states []string) [][]float64 {
 	rows := make([][]float64, len(states))
 	var missing []int32 // indices of states without an own row; rows holds the served one
 	for s, state := range states {
@@ -210,10 +209,20 @@ func (q *QTable) Visited(state string) bool {
 func (q *QTable) Clone() *QTable {
 	out := NewQTable(q.actions, q.initial)
 	out.shared = q.shared
-	for k, row := range q.rows {
-		cp := make([]float64, len(row))
+	out.rows = copyRows(q.rows, q.actions)
+	return out
+}
+
+// copyRows returns a deep copy of rows, each of actions entries, with every
+// row cut from one backing array.
+func copyRows(rows map[string][]float64, actions int) map[string][]float64 {
+	out := make(map[string][]float64, len(rows))
+	backing := make([]float64, len(rows)*actions)
+	for k, row := range rows {
+		cp := backing[:actions:actions]
+		backing = backing[actions:]
 		copy(cp, row)
-		out.rows[k] = cp
+		out[k] = cp
 	}
 	return out
 }
@@ -228,69 +237,48 @@ func (q *QTable) States() []string {
 	return keys
 }
 
-// qtableJSON is the serialized form of a QTable.
-type qtableJSON struct {
+// QTableJSON is the serialized form of a QTable: what Save writes and
+// LoadQTable reads. A document embedding a table (a policy, an agent
+// snapshot) carries it as a field, so one encoder pass writes the whole
+// document and one decoder pass reads it.
+type QTableJSON struct {
 	Actions int                  `json:"actions"`
 	Initial float64              `json:"initial"`
 	Rows    map[string][]float64 `json:"rows"`
 }
 
+// JSON returns the table's serialized form. It shares the table's rows, so
+// encode it before the table is written again.
+func (q *QTable) JSON() *QTableJSON {
+	return &QTableJSON{Actions: q.actions, Initial: q.initial, Rows: q.rows}
+}
+
+// Table validates a decoded form and returns the table it describes, sharing
+// no storage with it.
+func (d *QTableJSON) Table() (*QTable, error) {
+	if d.Actions < 1 {
+		return nil, fmt.Errorf("mdp: qtable with %d actions", d.Actions)
+	}
+	for k, row := range d.Rows {
+		if len(row) != d.Actions {
+			return nil, fmt.Errorf("mdp: state %q has %d actions, want %d", k, len(row), d.Actions)
+		}
+	}
+	q := NewQTable(d.Actions, d.Initial)
+	q.rows = copyRows(d.Rows, d.Actions)
+	return q, nil
+}
+
 // Save writes the table as JSON.
 func (q *QTable) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(qtableJSON{Actions: q.actions, Initial: q.initial, Rows: q.rows})
+	return json.NewEncoder(w).Encode(q.JSON())
 }
 
 // LoadQTable reads a table previously written by Save.
 func LoadQTable(r io.Reader) (*QTable, error) {
-	var raw qtableJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+	var d QTableJSON
+	if err := json.NewDecoder(r).Decode(&d); err != nil {
 		return nil, fmt.Errorf("mdp: decode qtable: %w", err)
 	}
-	if raw.Actions < 1 {
-		return nil, fmt.Errorf("mdp: qtable with %d actions", raw.Actions)
-	}
-	q := NewQTable(raw.Actions, raw.Initial)
-	for k, row := range raw.Rows {
-		if len(row) != raw.Actions {
-			return nil, fmt.Errorf("mdp: state %q has %d actions, want %d", k, len(row), raw.Actions)
-		}
-		q.rows[k] = row
-	}
-	return q, nil
-}
-
-// MaxAbsDiff returns the largest absolute per-entry difference between two
-// tables over the union of their states. Tables with different action counts
-// return +Inf.
-func MaxAbsDiff(a, b *QTable) float64 {
-	if a.actions != b.actions {
-		return math.Inf(1)
-	}
-	var max float64
-	seen := make(map[string]bool, len(a.rows))
-	for k, row := range a.rows {
-		seen[k] = true
-		other, ok := b.rows[k]
-		for i, v := range row {
-			var ov float64 = b.initial
-			if ok {
-				ov = other[i]
-			}
-			if d := math.Abs(v - ov); d > max {
-				max = d
-			}
-		}
-	}
-	for k, row := range b.rows {
-		if seen[k] {
-			continue
-		}
-		for _, v := range row {
-			if d := math.Abs(v - a.initial); d > max {
-				max = d
-			}
-		}
-	}
-	return max
+	return d.Table()
 }

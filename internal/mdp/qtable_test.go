@@ -202,9 +202,9 @@ func TestQTableServedChain(t *testing.T) {
 			}
 			return []float64{float64(best), row[best]}
 		}, never},
-		// The solver's read side: it materializes, as Row does.
+		// The solver's binding, OwnRows: it materializes, as Row does.
 		{"batch-read", func(q *QTable) []float64 {
-			return q.materializeAll([]string{state})[0]
+			return q.OwnRows([]string{state})[0]
 		}, whole, func(bool) bool { return true }},
 	}
 	for _, src := range sources {
@@ -245,4 +245,39 @@ func TestQTableServedChain(t *testing.T) {
 			})
 		}
 	}
+}
+
+// MaxAbsDiff returns the largest absolute per-entry difference between two
+// tables over the union of their states. Tables with different action counts
+// return +Inf. Only the tests compare tables this way.
+func MaxAbsDiff(a, b *QTable) float64 {
+	if a.actions != b.actions {
+		return math.Inf(1)
+	}
+	var max float64
+	seen := make(map[string]bool, len(a.rows))
+	for k, row := range a.rows {
+		seen[k] = true
+		other, ok := b.rows[k]
+		for i, v := range row {
+			var ov float64 = b.initial
+			if ok {
+				ov = other[i]
+			}
+			if d := math.Abs(v - ov); d > max {
+				max = d
+			}
+		}
+	}
+	for k, row := range b.rows {
+		if seen[k] {
+			continue
+		}
+		for _, v := range row {
+			if d := math.Abs(v - a.initial); d > max {
+				max = d
+			}
+		}
+	}
+	return max
 }
