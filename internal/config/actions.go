@@ -1,6 +1,9 @@
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Direction is the per-parameter reconfiguration move of the paper's action
 // set: increase, decrease or keep.
@@ -51,16 +54,18 @@ func Actions(s *Space) []Action {
 	return acts
 }
 
-// Transitions returns the transition table of the action set restricted to
-// the lattice points ords: entry s*(2·Len()+1)+a is the dense index of the
-// point Actions(s)[a] reaches from ords[s], or −1 when the move leaves the
-// lattice or lands on a point index reports as absent (−1). It is the one
-// place a deterministic configuration MDP's feasibility rule is written.
-func (s *Space) Transitions(ords []uint64, index func(ord uint64) int32) []int32 {
+// Transitions appends to dst the transition table of the action set
+// restricted to the lattice points ords: entry s*(2·Len()+1)+a of the
+// appended part is the dense index of the point Actions(s)[a] reaches from
+// ords[s], or −1 when the move leaves the lattice or lands on a point index
+// reports as absent (−1). It is the one place a deterministic configuration
+// MDP's feasibility rule is written.
+func (s *Space) Transitions(dst []int32, ords []uint64, index func(ord uint64) int32) []int32 {
 	actions := 2*len(s.defs) + 1
-	trans := make([]int32, len(ords)*actions)
+	base := len(dst)
+	dst = slices.Grow(dst, len(ords)*actions)[:base+len(ords)*actions]
 	for si, ord := range ords {
-		row := trans[si*actions : (si+1)*actions]
+		row := dst[base+si*actions : base+(si+1)*actions]
 		row[0] = int32(si) // keep
 		rem := ord
 		for i, d := range s.defs {
@@ -76,7 +81,7 @@ func (s *Space) Transitions(ords []uint64, index func(ord uint64) int32) []int32
 			}
 		}
 	}
-	return trans
+	return dst
 }
 
 // Apply returns the configuration reached by taking the action from c within

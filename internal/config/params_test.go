@@ -259,17 +259,22 @@ func TestOrdinalIsDenseIdentity(t *testing.T) {
 	for i := range all {
 		all[i] = uint64(i)
 	}
-	whole := s.Transitions(all, func(ord uint64) int32 { return int32(ord) })
-	evens := s.Transitions([]uint64{0, 2, 4}, func(ord uint64) int32 {
+	whole := s.Transitions(nil, all, func(ord uint64) int32 { return int32(ord) })
+	evenIndex := func(ord uint64) int32 {
 		if ord%2 == 0 && ord <= 4 {
 			return int32(ord / 2)
 		}
 		return -1
-	})
+	}
+	evens := s.Transitions(nil, []uint64{0, 2, 4}, evenIndex)
 	// Strides are 8, 2, 1: from ordinal 2 (b one step up) keep stays, b moves
 	// to ordinals 4 and 0, a's increase leaves the subset, c's leaves it too.
 	if want := []int32{1, -1, -1, 2, 0, -1, -1}; !slices.Equal(evens[7:14], want) {
 		t.Fatalf("sub-lattice transitions from ordinal 2: %v, want %v", evens[7:14], want)
+	}
+	// Appending keeps what dst held and adds the same table an empty dst gets.
+	if both := s.Transitions(slices.Clone(whole), []uint64{0, 2, 4}, evenIndex); !slices.Equal(both, append(slices.Clone(whole), evens...)) {
+		t.Fatal("transitions appended to a table differ from the table followed by the ones built alone")
 	}
 	seen := make(map[uint64]string)
 	for a := 50; a <= 150; a += 50 {

@@ -74,7 +74,7 @@ func BenchmarkGroupStateKey(b *testing.B) {
 
 // BenchmarkRegionInsert is the cost an agent pays when it measures a new
 // state: growing the retraining region of a 33-interval history (33 samples,
-// a few hundred states) by its 34th sample and laying it out again.
+// a few hundred states) by its 34th sample and compiling it again.
 func BenchmarkRegionInsert(b *testing.B) {
 	space := config.Default()
 	trail := walkTrail(space, space.DefaultConfig(), 34, sim.NewRNG(33))

@@ -67,7 +67,7 @@ func newGroupLattice(lattice *config.Space) (*mdp.Structure, error) {
 		ords[ord] = uint64(ord)
 		keys[ord] = lattice.At(uint64(ord), point).Key()
 	}
-	trans := lattice.Transitions(ords, func(ord uint64) int32 { return int32(ord) })
+	trans := lattice.Transitions(nil, ords, func(ord uint64) int32 { return int32(ord) })
 	return mdp.NewStructureFromTransitions(keys, 2*lattice.Len()+1, trans)
 }
 

@@ -15,17 +15,19 @@ import (
 //
 // A region belongs to one agent and its Q-table, and grows in place: a first
 // visit to a state joins the state and whichever of its neighbours the region
-// lacks, and only a joining state renders its key, calls the predictor for
-// its reward prior, takes its transitions from Space.Transitions and (at the
-// next layout) materializes its row. States are identified by lattice
-// ordinal; the lattice is symmetric, so a joining state also completes its
-// neighbours' reverse edges, and no held state's transitions are recomputed.
+// lacks. A joining state takes the next index and keeps it for as long as the
+// region lives; only it renders its key, calls the predictor for its reward
+// prior, appends its transitions from Space.Transitions and (at the next
+// bind) materializes its row. States are identified by lattice ordinal; the
+// lattice is symmetric, so a joining state also completes its neighbours'
+// reverse edges, and no held state's transitions are recomputed.
 //
-// The solve sees the states densely indexed in discovery order — each sample
-// key in sorted order followed by its feasible neighbours in action order
-// (Keep first, so a sample discovers itself). That is the Gauss–Seidel sweep
-// order, and changing it moves the solve's last bits, so the region is laid
-// out again whenever a sample joins.
+// The solve sweeps the states in discovery order — each sample key in sorted
+// order followed by its feasible neighbours in action order (Keep first, so a
+// sample discovers itself). That is the Gauss–Seidel sweep order, and
+// changing it moves the solve's last bits, so when a sample joins the region
+// recomputes the order and recompiles the structure's feasible-action lists
+// around it; no state moves.
 type region struct {
 	space   *config.Space
 	actions []config.Action
@@ -41,31 +43,32 @@ type region struct {
 	ords      []uint64
 	ordIdx    []int32
 
-	// The layout, by dense index: the structure (nil until a sample is valid)
-	// and its transition table, each state's own table row, the reward of
-	// entering it — measured where sampled, the prior elsewhere — and the
-	// solve's scratch.
-	structure *mdp.Structure
-	trans     []int32
+	// By state index: the structure, grown in place and compiled when a
+	// sample joins; each state's own table row, materialized at the first
+	// bind after it joins; the reward of entering it — measured where
+	// sampled, the prior elsewhere — and the solve's scratch.
+	structure *mdp.GrowingStructure
 	rows      [][]float64
 	rewards   []float64
 	val       []float64
 
-	// States that joined since the last layout, indexed on from len(rows):
-	// key, reward prior and transitions (−1: infeasible or outside the
-	// region). stale reports that a sample joined.
-	newKeys    []string
-	newRewards []float64
-	newNext    []int32
-	stale      bool
+	// Scratch reused across joins and compiles: a neighbour's configuration
+	// and a joining state's transitions; and the discovery order, which the
+	// structure keeps as its sweep order.
+	cfg   config.Config
+	next  []int32
+	order []int32
+	stale bool // a sample joined since the last compile
 }
 
 // newRegion returns the region of samples over the agent's table q.
 func newRegion(space *config.Space, q *mdp.QTable, predict func(config.Config) float64, sla float64,
 	samples map[string]float64) *region {
-	r := &region{space: space, actions: config.Actions(space), q: q, predict: predict, sla: sla, stale: true}
+	actions := config.Actions(space)
+	r := &region{space: space, actions: actions, q: q, predict: predict, sla: sla,
+		structure: mdp.NewGrowingStructure(len(actions)), cfg: make(config.Config, space.Len()), stale: true}
 	for key := range samples {
-		r.add(key) // the layout does not depend on the order states join in
+		r.add(key) // the sweep order does not depend on the order states join in
 	}
 	return r
 }
@@ -85,7 +88,7 @@ func (r *region) add(key string) {
 	}
 	r.samples = slices.Insert(r.samples, i, key)
 	r.sampleIdx = slices.Insert(r.sampleIdx, i, r.join(r.space.Ordinal(cfg), key, cfg))
-	next := make(config.Config, len(cfg))
+	next := r.cfg
 	for _, act := range r.actions[1:] {
 		if !act.Feasible(r.space, cfg) {
 			continue
@@ -112,14 +115,13 @@ func inverse(a int) int { return (a - 1) ^ 1 + 1 }
 
 // join returns the state at lattice ordinal ord, adding it when the region
 // lacks it: its key (cfg's rendering unless key is given), reward prior and
-// transitions.
+// transitions, with its neighbours' edges back to it.
 func (r *region) join(ord uint64, key string, cfg config.Config) int32 {
 	j, held := slices.BinarySearch(r.ords, ord)
 	if held {
 		return r.ordIdx[j]
 	}
-	n0, actions := len(r.rows), len(r.actions)
-	idx := int32(n0 + len(r.newKeys))
+	idx := int32(len(r.rewards))
 	r.ords = slices.Insert(r.ords, j, ord)
 	r.ordIdx = slices.Insert(r.ordIdx, j, idx)
 	if key == "" {
@@ -129,96 +131,50 @@ func (r *region) join(ord uint64, key string, cfg config.Config) int32 {
 	if r.predict != nil {
 		prior = r.sla - r.predict(cfg)
 	}
-	r.newKeys = append(r.newKeys, key)
-	r.newRewards = append(r.newRewards, prior)
-	next := r.space.Transitions([]uint64{ord}, r.index)
-	next[0] = idx // Transitions numbers Keep by position in its argument
-	for a := 1; a < actions; a++ {
-		if p := int(next[a]) - n0; p >= 0 { // a neighbour that joined since the last layout
-			r.newNext[p*actions+inverse(a)] = idx
+	r.rewards = append(r.rewards, prior)
+	r.next = r.space.Transitions(r.next[:0], []uint64{ord}, r.index)
+	r.next[0] = idx // Transitions numbers Keep by position in its argument
+	r.structure.Append(key, r.next)
+	for a, to := range r.next[1:] {
+		if to >= 0 {
+			r.structure.Link(int(to), inverse(a+1), idx)
 		}
 	}
-	r.newNext = append(r.newNext, next...)
 	return idx
 }
 
-// layout indexes the region densely in discovery order, moving every held
-// state's key, row, reward and transitions to its new index and materializing
-// the rows of the states that joined since the last layout.
-func (r *region) layout() error {
-	actions, n0 := len(r.actions), len(r.rows)
-	n := n0 + len(r.newKeys)
-	// Link the laid-out states to the states that joined: the lattice is
-	// symmetric, so those edges are the new states' own, reversed. The table
-	// patched is the outgoing structure's, which this layout replaces.
-	for k := range r.newKeys {
-		for a := 1; a < actions; a++ {
-			if to := r.newNext[k*actions+a]; to >= 0 && int(to) < n0 {
-				r.trans[int(to)*actions+inverse(a)] = int32(n0 + k)
-			}
-		}
-	}
-	// next returns state s's transitions by current index.
-	next := func(s int32) []int32 {
-		if k := int(s) - n0; k >= 0 {
-			return r.newNext[k*actions : (k+1)*actions]
-		}
-		return r.trans[int(s)*actions : (int(s)+1)*actions]
-	}
-
-	dense := make([]int32, n)
-	for s := range dense {
-		dense[s] = -1
-	}
-	order := make([]int32, 0, n)
+// compile recomputes the discovery order, recompiles the structure around it
+// and materializes the rows of the states that joined since the last compile.
+func (r *region) compile() error {
+	st, n := r.structure, len(r.rewards)
+	// The solve's scratch is free until the solve: it marks the states found.
+	r.val = slices.Grow(r.val[:0], n)[:n]
+	clear(r.val)
+	r.order = r.order[:0]
 	for _, s := range r.sampleIdx {
-		for _, to := range next(s) {
-			if to >= 0 && dense[to] < 0 {
-				dense[to] = int32(len(order))
-				order = append(order, to)
+		for a := range r.actions {
+			if to := st.Next(int(s), a); to >= 0 && r.val[to] == 0 {
+				r.val[to] = 1
+				r.order = append(r.order, int32(to))
 			}
 		}
 	}
-
-	fresh := r.q.OwnRows(r.newKeys)
-	states := make([]string, n)
-	trans := make([]int32, n*actions)
-	rows := make([][]float64, n)
-	rewards := make([]float64, n)
-	for d, s := range order {
-		if k := int(s) - n0; k >= 0 {
-			states[d], rows[d], rewards[d] = r.newKeys[k], fresh[k], r.newRewards[k]
-		} else {
-			states[d], rows[d], rewards[d] = r.structure.States()[s], r.rows[s], r.rewards[s]
-		}
-		for a, to := range next(s) {
-			if to >= 0 {
-				to = dense[to]
-			}
-			trans[d*actions+a] = to
-		}
+	if len(r.order) != n {
+		panic("core: the region's discovery order misses a state")
 	}
-	st, err := mdp.NewStructureFromTransitions(states, actions, trans)
-	if err != nil {
+	if err := st.Compile(r.order); err != nil {
 		return err // no valid sample yet
 	}
-	for i, s := range r.sampleIdx {
-		r.sampleIdx[i] = dense[s]
-	}
-	for i, s := range r.ordIdx {
-		r.ordIdx[i] = dense[s]
-	}
-	r.structure, r.trans, r.rows, r.rewards = st, trans, rows, rewards
-	r.val = slices.Grow(r.val[:0], n)[:n]
-	r.newKeys, r.newRewards, r.newNext, r.stale = nil, nil, nil, false
+	r.rows = append(r.rows, r.q.OwnRows(st.States()[len(r.rows):])...)
+	r.stale = false
 	return nil
 }
 
-// bind lays the region out if a sample joined since the last layout, then
+// bind compiles the region if a sample joined since the last compile, then
 // writes the interval's measurements over the sample states' rewards.
 func (r *region) bind(samples map[string]float64) error {
 	if r.stale {
-		if err := r.layout(); err != nil {
+		if err := r.compile(); err != nil {
 			return err
 		}
 	}
@@ -229,10 +185,10 @@ func (r *region) bind(samples map[string]float64) error {
 }
 
 // solve retrains the agent's rows over the region with the interval's
-// rewards: mdp.Solve on the rows the region holds.
+// rewards: mdp.Solve on the rows the region holds, in discovery order.
 func (r *region) solve(samples map[string]float64, cfg mdp.BatchConfig) (mdp.BatchResult, error) {
 	if err := r.bind(samples); err != nil {
 		return mdp.BatchResult{}, err
 	}
-	return mdp.Solve(r.rows, r.structure, r.rewards, r.val, cfg)
+	return mdp.Solve(r.rows, &r.structure.Structure, r.rewards, r.val, cfg)
 }

@@ -109,7 +109,7 @@ func newRegionShape(space *config.Space, keys []string, cfgs []config.Config) *r
 		cfg[a.ParamIndex] += int(a.Dir) * space.Def(a.ParamIndex).Step
 		sh.states[s] = cfg.Key()
 	}
-	trans := space.Transitions(ords, func(ord uint64) int32 {
+	trans := space.Transitions(nil, ords, func(ord uint64) int32 {
 		if t, in := byOrd[ord]; in {
 			return t
 		}
@@ -364,15 +364,15 @@ func fakeSeeder(actions int) mdp.Seeder {
 }
 
 // TestRegionMatchesReference holds the growing region to newRegionShape, the
-// rebuild-from-scratch builder it replaced, after every sample insert: the
-// same states in the same order, the same mdp.Structure, the same rewards
-// (measurement where sampled, prediction elsewhere) and sample indices, and
-// every row the region holds is the table's own. A table retrained through
-// the region every interval ends byte-identical to one retrained over the
-// rebuilt shape, and a region rebuilt from the final sample table — what
-// RestoreState leaves — equals the grown one. The trails cover every shipped
-// space: random walks from the default and both lattice corners, repeated
-// keys, scattered states, and corrupt keys among valid ones.
+// rebuild-from-scratch builder it replaced, after every sample insert: mapped
+// through its sweep order, the region has the same states, the same
+// mdp.Structure, the same rewards (measurement where sampled, prediction
+// elsewhere) and sample indices, and every row it holds is the table's own. A
+// table retrained through the region every interval ends byte-identical to one
+// retrained over the rebuilt shape, and a region rebuilt from the final sample
+// table — what RestoreState leaves — equals the grown one. The trails cover
+// every shipped space: random walks from the default and both lattice
+// corners, repeated keys, scattered states, and corrupt keys among valid ones.
 func TestRegionMatchesReference(t *testing.T) {
 	for name, space := range shippedSpaces() {
 		rng := sim.NewRNG(0x9e61)
@@ -427,7 +427,7 @@ func checkRegionTrail(t *testing.T, space *config.Space, trail []string) {
 		if sh.structErr != nil {
 			continue
 		}
-		got, err := mdp.Solve(r.rows, r.structure, r.rewards, r.val, cfg)
+		got, err := mdp.Solve(r.rows, &r.structure.Structure, r.rewards, r.val, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,43 +452,71 @@ func checkRegionTrail(t *testing.T, space *config.Space, trail []string) {
 	compareRegion(t, newRegion(space, grown, fakePredict, sla, samples), grown, samples)
 }
 
-// compareRegion binds samples to r — laying it out first if a sample joined —
-// and requires it to equal the shape rebuilt from the sample keys, which it
-// returns.
+// compareRegion binds samples to r — compiling it first if a sample joined —
+// and requires it, mapped through its sweep order, to equal the shape rebuilt
+// from the sample keys, which it returns.
 func compareRegion(t *testing.T, r *region, q *mdp.QTable, samples map[string]float64) *regionShape {
 	t.Helper()
 	keys, cfgs := validSampleKeys(r.space, samples)
 	sh := newRegionShape(r.space, keys, cfgs)
 	err := r.bind(samples)
 	if sh.structErr != nil {
-		if err == nil || r.structure != nil {
-			t.Fatalf("empty region: structure %v, err %v; want nil and an error", r.structure, err)
+		if err == nil {
+			t.Fatal("an empty region bound without an error")
 		}
 		return sh
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(r.structure.States(), sh.states) {
-		t.Fatalf("state order differs:\n  got %v\n want %v", r.structure.States(), sh.states)
+	// Position d of the sweep holds state order[d] (the structure sweeps the
+	// region's order); pos inverts it.
+	st, order, actions := r.structure, r.order, len(r.actions)
+	if len(order) != len(sh.states) || len(st.States()) != len(sh.states) {
+		t.Fatalf("the region holds %d states and sweeps %d, want %d", len(st.States()), len(order), len(sh.states))
 	}
-	if !reflect.DeepEqual(r.structure, sh.structure) {
-		t.Fatal("mdp.Structure (transitions / feasible-action lists) differs from the rebuilt shape's")
+	pos := make([]int, len(order))
+	states := make([]string, len(order))
+	for d, s := range order {
+		pos[s], states[d] = d, st.States()[s]
 	}
-	if want := sh.rewards(samples, r.predict, r.sla); !slices.Equal(r.rewards, want) {
-		t.Fatalf("rewards differ:\n  got %v\n want %v", r.rewards, want)
+	if !slices.Equal(states, sh.states) {
+		t.Fatalf("sweep order differs:\n  got %v\n want %v", states, sh.states)
+	}
+	trans := make([]int32, len(order)*actions)
+	for d, s := range order {
+		for a := 0; a < actions; a++ {
+			to := st.Next(int(s), a)
+			if to >= 0 {
+				to = pos[to]
+			}
+			trans[d*actions+a] = int32(to)
+		}
+	}
+	swept, err := mdp.NewStructureFromTransitions(states, actions, trans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(swept, sh.structure) {
+		t.Fatal("mdp.Structure (transitions / feasible-action lists) in sweep order differs from the rebuilt shape's")
+	}
+	want := sh.rewards(samples, r.predict, r.sla)
+	for d, s := range order {
+		if got := r.rewards[s]; got != want[d] {
+			t.Fatalf("state %s: reward %v, want %v", states[d], got, want[d])
+		}
 	}
 	if !slices.Equal(r.samples, keys) {
 		t.Fatalf("samples %v, want %v", r.samples, keys)
 	}
 	for i, key := range r.samples {
-		if got := sh.states[r.sampleIdx[i]]; got != key {
+		if got := st.States()[r.sampleIdx[i]]; got != key {
 			t.Fatalf("sample %s indexes state %s", key, got)
 		}
 	}
-	for s, state := range sh.states {
-		if !q.Visited(state) || &r.rows[s][0] != &q.Row(state)[0] {
-			t.Fatalf("state %s: the region's row is not the table's own", state)
+	for d, s := range order {
+		if !q.Visited(states[d]) || &r.rows[s][0] != &q.Row(states[d])[0] {
+			t.Fatalf("state %s: the region's row is not the table's own", states[d])
 		}
 	}
 	if len(r.val) != len(sh.states) {
@@ -530,4 +558,60 @@ func TestRetrainAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("a retrain without a new state allocates %.1f times, want 0", allocs)
 	}
+}
+
+// TestFirstVisitAllocs: a first visit allocates only for what is new — the
+// sample key's parse, the joining neighbours' keys, the joining states' rows
+// (one OwnRows call) — plus amortized growth of the region's buffers. Nothing is copied
+// or re-derived per held state, so the count does not grow with the region.
+func TestFirstVisitAllocs(t *testing.T) {
+	space := config.Default()
+	var fresh []string
+	seen := make(map[string]bool)
+	for _, key := range walkTrail(space, space.DefaultConfig(), 200, sim.NewRNG(41)) {
+		if !seen[key] {
+			seen[key] = true
+			fresh = append(fresh, key)
+		}
+	}
+	samples := make(map[string]float64, len(fresh))
+	for _, key := range fresh[:40] {
+		samples[key] = 1
+	}
+	r := newRegion(space, mdp.NewQTable(len(config.Actions(space)), 0), fakePredict, 2, samples)
+	for _, key := range fresh {
+		samples[key] = 1 // bind reads only the region's samples
+	}
+	if err := r.bind(samples); err != nil {
+		t.Fatal(err)
+	}
+	visits := fresh[40:]
+	ords := make([]uint64, len(visits))
+	for k, key := range visits {
+		cfg, err := config.ParseKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ords[k] = space.Ordinal(cfg)
+	}
+	held, i, sampleJoins := len(r.rewards), 0, 0
+	allocs := testing.AllocsPerRun(len(visits)-1, func() {
+		if r.index(ords[i]) < 0 {
+			sampleJoins++ // joins under the key it was measured by
+		}
+		r.add(visits[i])
+		i++
+		if err := r.bind(samples); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Per visit: 3 to parse and check the sample key, one key per joining
+	// neighbour, 3 in OwnRows, and at most 2 amortized for buffer growth.
+	neighbours := float64(len(r.rewards)-held-sampleJoins) / float64(i)
+	if bound := 3 + neighbours + 3 + 2; allocs > bound {
+		t.Fatalf("a first visit allocates %.1f times (%.1f joining neighbours on average), want at most %.1f",
+			allocs, neighbours, bound)
+	}
+	t.Logf("%.1f allocations per first visit, %.1f joining neighbours on average, region of %d states",
+		allocs, neighbours, len(r.rewards))
 }

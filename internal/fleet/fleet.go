@@ -156,11 +156,20 @@ type fleetInstruments struct {
 	checkpoints *telemetry.Counter
 	restores    *telemetry.Counter
 	warmStarts  *telemetry.Counter
+	// tenants counts the admitted tenants in each lifecycle state; every
+	// state change moves one tenant between two gauges (move).
+	tenants map[State]*telemetry.Gauge
 }
 
 func newFleetInstruments(reg *telemetry.Registry) *fleetInstruments {
+	tenants := make(map[State]*telemetry.Gauge, len(States()))
+	for _, s := range States() {
+		tenants[s] = reg.Gauge("rac_fleet_tenants", "Tenants currently in each lifecycle state.",
+			telemetry.Labels{"state": string(s)})
+	}
 	return &fleetInstruments{
-		reg: reg,
+		tenants: tenants,
+		reg:     reg,
 		rounds: reg.Counter("rac_fleet_rounds_total",
 			"Barrier-synchronized scheduling rounds the fleet has run.", nil),
 		checkpoints: reg.Counter("rac_fleet_checkpoints_total",
@@ -170,6 +179,18 @@ func newFleetInstruments(reg *telemetry.Registry) *fleetInstruments {
 		warmStarts: reg.Counter("rac_fleet_warm_starts_total",
 			"Tenants warm-started from a context-matched registry policy.", nil),
 	}
+}
+
+// move counts one tenant out of state from (none when from is empty) and into
+// state to. It is a no-op without telemetry.
+func (fi *fleetInstruments) move(from, to State) {
+	if fi == nil {
+		return
+	}
+	if from != "" {
+		fi.tenants[from].Add(-1)
+	}
+	fi.tenants[to].Add(1)
 }
 
 // stepBuckets resolve per-tenant step latency: simulated steps are
@@ -481,6 +502,7 @@ func (f *Fleet) Admit(spec TenantSpec) (_ *Tenant, err error) {
 		trace:       f.trace,
 		stepLogCap:  f.opts.StepLog,
 		warmStarted: pol != nil && warm,
+		tel:         f.tel,
 	}
 	if built.Capacity != nil {
 		t.capOrdinal = built.Capacity.Ordinal()
@@ -516,6 +538,7 @@ func (f *Fleet) Admit(spec TenantSpec) (_ *Tenant, err error) {
 	f.tenants = append(f.tenants, t)
 	f.byName[spec.Name] = t
 	f.mu.Unlock()
+	f.tel.move("", StateStarting)
 	sh.add(t)
 
 	f.transition(t, StateRunning, "admitted")
@@ -836,18 +859,6 @@ func (f *Fleet) deferPolicy(p *core.Policy) {
 	f.pendingMu.Unlock()
 }
 
-// failedNeedsGauge reports (once) that a tenant failed since the gauges were
-// last refreshed, so the state gauge converges without a transition call.
-func (t *Tenant) failedNeedsGauge() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state == StateFailed && !t.failedSeen {
-		t.failedSeen = true
-		return true
-	}
-	return false
-}
-
 // Run executes up to rounds scheduling rounds, stopping early when no tenant
 // can make progress. It returns the number of rounds run and the first
 // checkpoint error encountered (the loop keeps going past checkpoint errors).
@@ -958,7 +969,7 @@ func (f *Fleet) setState(name string, to State, detail string, from ...State) er
 		t.mu.Unlock()
 		return fmt.Errorf("%w: tenant %s is %s, cannot move to %s", ErrBadTransition, name, cur, to)
 	}
-	t.state = to
+	t.setStateLocked(to)
 	t.mu.Unlock()
 	f.noteTransition(t.spec.Name, cur, to, detail)
 	return nil
@@ -969,42 +980,24 @@ func (f *Fleet) setState(name string, to State, detail string, from ...State) er
 func (f *Fleet) transition(t *Tenant, to State, detail string) {
 	t.mu.Lock()
 	from := t.state
-	t.state = to
+	t.setStateLocked(to)
 	t.mu.Unlock()
 	f.noteTransition(t.spec.Name, from, to, detail)
 }
 
-// noteTransition emits the lifecycle trace event and refreshes the state
-// gauges after any FSM move.
+// noteTransition emits the lifecycle trace event of an FSM move.
 func (f *Fleet) noteTransition(name string, from, to State, detail string) {
 	f.traceEvent(telemetry.Event{
 		Kind:   telemetry.KindLifecycle,
 		Tenant: name,
 		Detail: fmt.Sprintf("%s -> %s (%s)", from, to, detail),
 	})
-	f.updateGauges()
 }
 
 // traceEvent adds ev to the fleet trace when one is wired.
 func (f *Fleet) traceEvent(ev telemetry.Event) {
 	if f.trace != nil {
 		f.trace.Add(ev)
-	}
-}
-
-// updateGauges recomputes the per-state tenant gauge family.
-func (f *Fleet) updateGauges() {
-	if f.tel == nil {
-		return
-	}
-	counts := make(map[State]int, 6)
-	for _, t := range f.Tenants() {
-		counts[t.State()]++
-	}
-	for _, s := range States() {
-		f.tel.reg.Gauge("rac_fleet_tenants",
-			"Tenants currently in each lifecycle state.",
-			telemetry.Labels{"state": string(s)}).Set(float64(counts[s]))
 	}
 }
 

@@ -2,14 +2,19 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/sim"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
 	"github.com/rac-project/rac/internal/vmenv"
@@ -571,5 +576,136 @@ func TestFleetCapacityTenant(t *testing.T) {
 	}
 	if st = tn.Status(); st.Level != lvl.Name {
 		t.Fatalf("status level %q after scale, want %q", st.Level, lvl.Name)
+	}
+}
+
+// doomedSystem is an analytic system whose measurements fail: its tenant
+// fails on its first step.
+type doomedSystem struct{ system.System }
+
+func (doomedSystem) Measure(context.Context) (system.Metrics, error) {
+	return system.Metrics{}, errors.New("doomed: measurement failed")
+}
+
+// TestFleetStateGaugesMatchRescan: the per-state tenant gauges move with every
+// state change instead of being recounted, so after each operation of a random
+// admit / pause / resume / drain / round sequence — tenants failing in rounds
+// included — and after shutdown they equal a count over every tenant's state.
+func TestFleetStateGaugesMatchRescan(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var f *Fleet
+	f, err := New(Options{Seed: 3, Procs: 2, Shards: 3, Telemetry: reg,
+		NewSystem: func(spec TenantSpec, ctx system.Context, seed uint64) (system.System, error) {
+			sys, err := system.NewAnalytic(system.AnalyticOptions{
+				Space: f.Space(), Context: ctx, Seed: seed, NoiseSigma: spec.NoiseSigma})
+			if err != nil || !strings.HasPrefix(spec.Name, "doomed") {
+				return sys, err
+			}
+			return doomedSystem{sys}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(op string) {
+		t.Helper()
+		want := make(map[State]float64)
+		for _, tn := range f.Tenants() {
+			want[tn.State()]++
+		}
+		for _, s := range States() {
+			if got := reg.Gauge("rac_fleet_tenants", "", telemetry.Labels{"state": string(s)}).Value(); got != want[s] {
+				t.Fatalf("after %s: rac_fleet_tenants{state=%q} = %v, a rescan counts %v", op, s, got, want[s])
+			}
+		}
+	}
+	check("New")
+	rng := sim.NewRNG(17)
+	var names []string
+	pick := func() string { return names[rng.Intn(len(names))] }
+	for i := 0; i < 80; i++ {
+		var op string
+		switch k := rng.Intn(6); {
+		case k == 0 || len(names) == 0:
+			name := fmt.Sprintf("shop-%d", len(names))
+			if rng.Bool(0.15) {
+				name = "doomed-" + name
+			}
+			if _, err := f.Admit(analyticSpec(name)); err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+			op = "admit " + name
+		case k == 1:
+			op = "pause " + pick()
+			_ = f.Pause(op[len("pause "):])
+		case k == 2:
+			op = "resume " + pick()
+			_ = f.Resume(op[len("resume "):])
+		case k == 3:
+			op = "drain " + pick()
+			_ = f.Drain(op[len("drain "):])
+		default:
+			op = "round"
+			_ = f.RunRound()
+		}
+		check(op)
+	}
+	if err := f.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	check("Shutdown")
+	failed := reg.Gauge("rac_fleet_tenants", "", telemetry.Labels{"state": string(StateFailed)}).Value()
+	stopped := reg.Gauge("rac_fleet_tenants", "", telemetry.Labels{"state": string(StateStopped)}).Value()
+	if failed == 0 || stopped == 0 {
+		t.Fatalf("the sequence ended with %v failed and %v stopped tenants; it is meant to reach both", failed, stopped)
+	}
+}
+
+// TestFleetTransitionTouchesNoOtherTenant: an admission or an admin move
+// counts the tenant it moves and reads no other tenant's state, so its cost
+// does not grow with the fleet — it completes while every other tenant's lock
+// is held.
+func TestFleetTransitionTouchesNoOtherTenant(t *testing.T) {
+	f, err := New(Options{Seed: 4, Procs: 1, Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []*Tenant
+	for i := 0; i < 3; i++ {
+		tn, err := f.Admit(analyticSpec(fmt.Sprintf("held-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, tn)
+	}
+	target, err := f.Admit(analyticSpec("target"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range held {
+		tn.mu.Lock()
+	}
+	done := make(chan error, 1)
+	go func() {
+		if _, err := f.Admit(analyticSpec("late")); err != nil {
+			done <- err
+			return
+		}
+		if err := f.Pause(target.Name()); err != nil {
+			done <- err
+			return
+		}
+		done <- f.Drain(target.Name())
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("an admission or admin move waited on another tenant's lock")
+	}
+	for _, tn := range held {
+		tn.mu.Unlock()
 	}
 }

@@ -164,10 +164,6 @@ func (s *shard) runRound(f *Fleet) []error {
 				}
 			}
 			f.transition(t, StateStopped, "drained")
-		case StateFailed:
-			if t.failedNeedsGauge() {
-				f.updateGauges()
-			}
 		}
 		s.drainMailbox()
 	}

@@ -209,7 +209,6 @@ type Tenant struct {
 	checkpoints int // snapshots written for this tenant
 	warmStarted bool
 	restored    bool
-	failedSeen  bool // failure already reflected in the state gauges
 	lastStep    core.StepResult
 	lastErr     error
 
@@ -217,6 +216,7 @@ type Tenant struct {
 	stepLogCap int
 
 	stepSeconds *telemetry.Histogram // per-tenant step latency; nil without telemetry
+	tel         *fleetInstruments    // the fleet's state gauges; nil without telemetry
 }
 
 // Spec returns the tenant's admission spec.
@@ -231,6 +231,13 @@ func (t *Tenant) Name() string { return t.spec.Name }
 
 // ContextKey returns the registry key of the tenant's admission context.
 func (t *Tenant) ContextKey() string { return t.contextKey }
+
+// setStateLocked moves the tenant to state to, and between the fleet's
+// per-state gauges. Call with t.mu held; every state change goes through it.
+func (t *Tenant) setStateLocked(to State) {
+	t.tel.move(t.state, to)
+	t.state = to
+}
 
 // State returns the current lifecycle state.
 func (t *Tenant) State() State {
@@ -307,7 +314,7 @@ func (t *Tenant) step(ctx context.Context) {
 	if err := t.applyScenario(); err != nil {
 		t.mu.Lock()
 		t.lastErr = err
-		t.state = StateFailed
+		t.setStateLocked(StateFailed)
 		t.mu.Unlock()
 		return
 	}
@@ -326,7 +333,7 @@ func (t *Tenant) step(ctx context.Context) {
 			return
 		}
 		t.lastErr = err
-		t.state = StateFailed
+		t.setStateLocked(StateFailed)
 		return
 	}
 	t.interval++

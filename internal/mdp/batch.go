@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/rac-project/rac/internal/sim"
 )
@@ -70,12 +71,14 @@ type BatchResult struct {
 	Converged bool
 }
 
-// Structure is the immutable skeleton of a Model: its state keys, transition
-// table and flattened feasible-action lists in dense array form. Rewards are
+// Structure is the skeleton of a Model: its state keys, transition table and
+// flattened feasible-action lists in dense array form. Rewards are
 // deliberately excluded — they change between training calls (measured
-// samples refine them) while the lattice shape does not, so a Structure built
-// once can back every retraining pass over the same region and be shared
-// read-only across agents tuning the same context.
+// samples refine them) while the lattice shape does not, so one Structure can
+// back every retraining pass over the same region. A Structure built whole
+// (NewStructure, NewStructureFromTransitions) is immutable and may be shared
+// read-only across agents tuning the same context; only a GrowingStructure
+// changes, and only it has a sweep order.
 type Structure struct {
 	states  []string
 	actions int
@@ -86,6 +89,9 @@ type Structure struct {
 	off   []int32
 	feas  []int32
 	succ  []int32
+	// order is a growing structure's sweep order, every index once; nil
+	// sweeps in index order.
+	order []int32
 }
 
 // States returns the model's state keys in index order. The slice is shared;
@@ -130,15 +136,11 @@ func NewStructure(model Model) (*Structure, error) {
 // distinct — Solve works on the table's own rows by index, so two indices with
 // one key would alias one row.
 func NewStructureFromTransitions(states []string, actions int, trans []int32) (*Structure, error) {
-	n := len(states)
-	if n == 0 {
-		return nil, errors.New("mdp: model has no states")
-	}
-	if len(trans) != n*actions {
+	if len(trans) != len(states)*actions {
 		return nil, fmt.Errorf("mdp: transition table has %d entries, want %d states x %d actions",
-			len(trans), n, actions)
+			len(trans), len(states), actions)
 	}
-	seen := make(map[string]struct{}, n)
+	seen := make(map[string]struct{}, len(states))
 	for _, state := range states {
 		if _, dup := seen[state]; dup {
 			return nil, fmt.Errorf("mdp: state %q is listed twice", state)
@@ -146,37 +148,94 @@ func NewStructureFromTransitions(states []string, actions int, trans []int32) (*
 		seen[state] = struct{}{}
 	}
 	feasible := 0
-	for i, next := range trans {
-		if int(next) >= n {
-			return nil, fmt.Errorf("mdp: state %q action %d leads to index %d outside the model's %d states",
-				states[i/actions], i%actions, next, n)
-		}
+	for _, next := range trans {
 		if next >= 0 {
 			feasible++
 		}
 	}
-	st := &Structure{
-		states:  states,
-		actions: actions,
-		trans:   trans,
-		off:     make([]int32, n+1),
-		feas:    make([]int32, 0, feasible),
-		succ:    make([]int32, 0, feasible),
+	st := &Structure{states: states, actions: actions, trans: trans,
+		off: make([]int32, 0, len(states)+1), feas: make([]int32, 0, feasible), succ: make([]int32, 0, feasible)}
+	if err := st.compile(); err != nil {
+		return nil, err
 	}
+	return st, nil
+}
+
+// GrowingStructure is a Structure one owner grows in place — Append, Link,
+// then Compile before Solve takes &g.Structure. It takes the keys'
+// distinctness on trust: the owner identifies states more cheaply.
+type GrowingStructure struct{ Structure }
+
+// NewGrowingStructure returns an empty structure of the given action count.
+func NewGrowingStructure(actions int) *GrowingStructure {
+	return &GrowingStructure{Structure{actions: actions}}
+}
+
+// Append adds state with transitions next, one per action, and returns its
+// index. next is copied; an entry may name the state being appended. The
+// feasible-action lists and the sweep order are stale until Compile.
+func (g *GrowingStructure) Append(state string, next []int32) int32 {
+	if len(next) != g.actions {
+		panic("mdp: Append with a row of the wrong width")
+	}
+	g.states = append(g.states, state)
+	g.trans = append(g.trans, next...)
+	return int32(len(g.states) - 1)
+}
+
+// Link sets the transition of action a in state s to index to (negative:
+// infeasible). The feasible-action lists are stale until Compile.
+func (g *GrowingStructure) Link(s, a int, to int32) { g.trans[s*g.actions+a] = to }
+
+// Compile recompiles the feasible-action lists in place, validating what
+// NewStructure does, and installs order — every index once, kept rather than
+// copied — as the sweep order. After an error only a successful Compile makes
+// the structure solvable again.
+func (g *GrowingStructure) Compile(order []int32) error {
+	n := len(g.states)
+	if len(order) != n {
+		return fmt.Errorf("mdp: sweep order lists %d states, want %d", len(order), n)
+	}
+	// off is rebuilt by compile, so it serves as the seen-marks first.
+	g.off = slices.Grow(g.off[:0], n+1)[:n+1]
+	clear(g.off)
+	for _, s := range order {
+		if s < 0 || int(s) >= n || g.off[s] != 0 {
+			return fmt.Errorf("mdp: sweep order lists state %d out of range or twice", s)
+		}
+		g.off[s] = 1
+	}
+	g.order = order
+	return g.compile()
+}
+
+// compile rebuilds the feasible-action lists from the transition table, in
+// place, and validates the closure invariants: every transition stays inside
+// the states and every state has a feasible action.
+func (st *Structure) compile() error {
+	n, actions := len(st.states), st.actions
+	if n == 0 {
+		return errors.New("mdp: model has no states")
+	}
+	st.off, st.feas, st.succ = st.off[:0], st.feas[:0], st.succ[:0]
 	for s := 0; s < n; s++ {
-		st.off[s] = int32(len(st.feas))
-		for a, next := range trans[s*actions : (s+1)*actions] {
+		st.off = append(st.off, int32(len(st.feas)))
+		for a, next := range st.trans[s*actions : (s+1)*actions] {
+			if int(next) >= n {
+				return fmt.Errorf("mdp: state %q action %d leads to index %d outside the model's %d states",
+					st.states[s], a, next, n)
+			}
 			if next >= 0 {
 				st.feas = append(st.feas, int32(a))
 				st.succ = append(st.succ, next)
 			}
 		}
 		if int(st.off[s]) == len(st.feas) {
-			return nil, fmt.Errorf("mdp: state %q has no feasible actions", states[s])
+			return fmt.Errorf("mdp: state %q has no feasible actions", st.states[s])
 		}
 	}
-	st.off[n] = int32(len(st.feas))
-	return st, nil
+	st.off = append(st.off, int32(len(st.feas)))
+	return nil
 }
 
 // BatchTrain is Solve for an ad-hoc model: it materializes the model's
@@ -221,11 +280,12 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 // table's own rows bound by QTable.OwnRows (offline training, BatchTrain), or
 // the rows an agent's retraining region holds across intervals. The solve is
 // Gauss–Seidel: a state's row is re-evaluated from the newest values of its
-// successors, sweeps alternate index order and reverse order, and the solve
-// stops once a sweep changes no entry by Theta or more, with MaxSweeps as the
-// bound. Each sweep is a γ-contraction in the max norm, so after a sweep whose
-// largest change is below Theta the Bellman residual is below γ·Theta. Only
-// feasible entries are written — infeasible ones keep their value. val is
+// successors, sweeps alternate the structure's order (index order unless it
+// grew with one) and its reverse, and the solve stops once a sweep changes no
+// entry by Theta or more, with MaxSweeps as the bound. Each sweep is a
+// γ-contraction in the max norm, so after a sweep whose largest change is
+// below Theta the Bellman residual is below γ·Theta. Only feasible entries
+// are written — infeasible ones keep their value. val is
 // scratch for one value per state, overwritten; Solve allocates its own when
 // val is shorter. No random number is drawn, so the result depends on the
 // inputs alone. cfg.StepsPerState and cfg.Params.Alpha are not used.
@@ -276,6 +336,9 @@ func Solve(rows [][]float64, st *Structure, rewards, val []float64, cfg BatchCon
 		}
 		val[s] = value(s, best, sum, len(allowed))
 	}
+	if st.order != nil {
+		return st.solveInOrder(rows, rewards, val, cfg), nil
+	}
 
 	var res BatchResult
 	for sweep := 0; sweep < cfg.MaxSweeps; sweep++ {
@@ -308,4 +371,47 @@ func Solve(rows [][]float64, st *Structure, rewards, val []float64, cfg BatchCon
 		}
 	}
 	return res, nil
+}
+
+// solveInOrder is Solve's sweep loop for a structure with a sweep order, once
+// val holds every state's value: each sweep takes the states in order, then
+// in reverse. It is a separate function so that the index-order loop every
+// offline training runs carries no per-state order load.
+func (st *Structure) solveInOrder(rows [][]float64, rewards, val []float64, cfg BatchConfig) BatchResult {
+	order, off, feas, succ := st.order, st.off, st.feas, st.succ
+	n := len(order)
+	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
+	var res BatchResult
+	for sweep := 0; sweep < cfg.MaxSweeps; sweep++ {
+		var maxErr float64
+		for i := 0; i < n; i++ {
+			p := i
+			if sweep%2 == 1 {
+				p = n - 1 - i
+			}
+			s := int(order[p])
+			row, lo, hi := rows[s], off[s], off[s+1]
+			var best, sum float64
+			for k := lo; k < hi; k++ {
+				a, target := feas[k], val[succ[k]]
+				if d := math.Abs(target - row[a]); d > maxErr {
+					maxErr = d
+				}
+				row[a] = target
+				sum += target
+				if k == lo || target > best {
+					best = target
+				}
+			}
+			backup := float64((1-eps)*best + eps*sum/float64(hi-lo)) // Solve's value, inline
+			val[s] = rewards[s] + gamma*backup
+		}
+		res.Sweeps = sweep + 1
+		res.FinalErr = maxErr
+		if maxErr < cfg.Theta {
+			res.Converged = true
+			break
+		}
+	}
+	return res
 }

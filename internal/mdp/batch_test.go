@@ -715,7 +715,7 @@ func table2Lattice(tb testing.TB, ctx system.Context) (*Structure, []float64) {
 		}
 		rewards[ord] = 2 - math.Max(math.Exp(quad.Eval(vec)), floor)
 	}
-	trans := lattice.Transitions(ords, func(ord uint64) int32 { return int32(ord) })
+	trans := lattice.Transitions(nil, ords, func(ord uint64) int32 { return int32(ord) })
 	st, err := NewStructureFromTransitions(keys, 2*lattice.Len()+1, trans)
 	if err != nil {
 		tb.Fatal(err)
@@ -926,19 +926,7 @@ func TestSolveMatchesReference(t *testing.T) {
 		for s, p := range rng.Perm(n) {
 			states[s] = "s" + strconv.Itoa(p)
 		}
-		trans := make([]int32, n*actions)
-		for s := 0; s < n; s++ {
-			row := trans[s*actions : (s+1)*actions]
-			for a := range row {
-				row[a] = -1
-				if rng.Bool(0.6) {
-					row[a] = int32(rng.Intn(n))
-				}
-			}
-			if !slices.ContainsFunc(row, func(next int32) bool { return next >= 0 }) {
-				row[rng.Intn(actions)] = int32(rng.Intn(n))
-			}
-		}
+		trans := randomTransitions(rng, n, actions)
 		st, err := NewStructureFromTransitions(states, actions, trans)
 		if err != nil {
 			t.Fatal(err)
@@ -964,9 +952,198 @@ func TestSolveMatchesReference(t *testing.T) {
 				return seedRow(r, actions)
 			}
 		}
+		build := partial(st, rng.NormFloat64(0, 3), seeder, rng.Intn(4), rng.Uint64())
+		order := rng.Perm(n)
 		t.Run(fmt.Sprintf("random-%d", c), func(t *testing.T) {
-			checkSolveMatchesReference(t, st, rewards, cfg, partial(st, rng.NormFloat64(0, 3), seeder, rng.Intn(4), rng.Uint64()))
+			checkSolveMatchesReference(t, st, rewards, cfg, build)
+			checkOrderedSolveMatchesReference(t, st, rewards, cfg, order, build)
 		})
+	}
+}
+
+// randomTransitions returns a random n-state transition table: each entry
+// feasible with probability 0.6 and then uniform over the states, self-loops
+// included, and every state with at least one feasible action.
+func randomTransitions(rng *sim.RNG, n, actions int) []int32 {
+	trans := make([]int32, n*actions)
+	for s := 0; s < n; s++ {
+		row := trans[s*actions : (s+1)*actions]
+		for a := range row {
+			row[a] = -1
+			if rng.Bool(0.6) {
+				row[a] = int32(rng.Intn(n))
+			}
+		}
+		if !slices.ContainsFunc(row, func(next int32) bool { return next >= 0 }) {
+			row[rng.Intn(actions)] = int32(rng.Intn(n))
+		}
+	}
+	return trans
+}
+
+// permuted returns st relabelled so that index d is st's state order[d], and
+// rewards to match: index order over the result is order over st.
+func permuted(t *testing.T, st *Structure, rewards []float64, order []int32) (*Structure, []float64) {
+	t.Helper()
+	n, actions := len(st.states), st.actions
+	pos := make([]int32, n)
+	for d, s := range order {
+		pos[s] = int32(d)
+	}
+	states, trans, perm := make([]string, n), make([]int32, n*actions), make([]float64, n)
+	for d, s := range order {
+		states[d], perm[d] = st.states[s], rewards[s]
+		for a := 0; a < actions; a++ {
+			if to := st.trans[int(s)*actions+a]; to >= 0 {
+				trans[d*actions+a] = pos[to]
+			} else {
+				trans[d*actions+a] = -1
+			}
+		}
+	}
+	out, err := NewStructureFromTransitions(states, actions, trans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, perm
+}
+
+// grownWhole returns st grown in place — every state appended in index order
+// with its whole row — and compiled with sweep order order.
+func grownWhole(t *testing.T, st *Structure, order []int32) *Structure {
+	t.Helper()
+	g := NewGrowingStructure(st.actions)
+	for s, state := range st.states {
+		g.Append(state, st.trans[s*st.actions:(s+1)*st.actions])
+	}
+	if err := g.Compile(order); err != nil {
+		t.Fatal(err)
+	}
+	return &g.Structure
+}
+
+// checkOrderedSolveMatchesReference holds Solve over st grown with sweep order
+// order to solveReference over st permuted into that order: the same
+// BatchResult and bit-identical tables.
+func checkOrderedSolveMatchesReference(t *testing.T, st *Structure, rewards []float64, cfg BatchConfig, perm []int,
+	build func() (*QTable, *QTable)) {
+	t.Helper()
+	order := make([]int32, len(perm))
+	for d, s := range perm {
+		order[d] = int32(s)
+	}
+	got, want := build()
+	gotRes, err := solveTable(got, grownWhole(t, st, order), rewards, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pst, prewards := permuted(t, st, rewards, order)
+	wantRes, err := solveReference(want, pst, prewards, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRes != wantRes {
+		t.Fatalf("Solve in order %v: %+v, reference over the permuted structure %+v", order, gotRes, wantRes)
+	}
+	if diff := sameTable(got, want); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
+// TestGrowingStructureMatchesWhole: a structure grown in place — states
+// appended in a random join order with the edges to states already held,
+// edges from held states linked as their targets join, Compile at random
+// points of the growth — equals NewStructureFromTransitions on the same table
+// relabelled in join order, at every Compile and at the end, on 200 random
+// tables. Compile rejects an order that is not a permutation of the states,
+// and a structure built whole has no order.
+func TestGrowingStructureMatchesWhole(t *testing.T) {
+	rng := sim.NewRNG(43)
+	for c := 0; c < 200; c++ {
+		n, actions := 1+rng.Intn(40), 1+rng.Intn(7)
+		trans := randomTransitions(rng, n, actions)
+		join := rng.Perm(n) // grown index g is state join[g]
+		at := make([]int32, n)
+		for s := range at {
+			at[s] = -1
+		}
+		g := NewGrowingStructure(actions)
+		next := make([]int32, actions)
+		for k, s := range join {
+			at[s] = int32(k)
+			for a := range next {
+				next[a] = -1
+				if to := trans[s*actions+a]; to >= 0 {
+					next[a] = at[to]
+				}
+			}
+			if idx := g.Append("s"+strconv.Itoa(s), next); idx != int32(k) {
+				t.Fatalf("case %d: Append returned %d for the %d-th state", c, idx, k)
+			}
+			for _, h := range join[:k] {
+				for a := 0; a < actions; a++ {
+					if trans[h*actions+a] == int32(s) {
+						g.Link(int(at[h]), a, int32(k))
+					}
+				}
+			}
+			if k < n-1 && !rng.Bool(0.3) {
+				continue
+			}
+			// The whole table restricted to the states joined so far, in join
+			// order: what the grown structure must equal.
+			m := k + 1
+			states, part := make([]string, m), make([]int32, m*actions)
+			for d, s := range join[:m] {
+				states[d] = "s" + strconv.Itoa(s)
+				for a := 0; a < actions; a++ {
+					part[d*actions+a] = -1
+					if to := trans[s*actions+a]; to >= 0 && at[to] >= 0 {
+						part[d*actions+a] = at[to]
+					}
+				}
+			}
+			order := make([]int32, m)
+			for d, p := range rng.Perm(m) {
+				order[d] = int32(p)
+			}
+			want, wantErr := NewStructureFromTransitions(states, actions, part)
+			gotErr := g.Compile(order)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("case %d after %d joins: Compile error %v, whole build error %v", c, m, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if !slices.Equal(g.states, want.states) || !slices.Equal(g.trans, want.trans) ||
+				!slices.Equal(g.off, want.off) || !slices.Equal(g.feas, want.feas) || !slices.Equal(g.succ, want.succ) {
+				t.Fatalf("case %d after %d joins: the grown structure differs from the whole build", c, m)
+			}
+			if !slices.Equal(g.order, order) {
+				t.Fatalf("case %d: order %v, want %v", c, g.order, order)
+			}
+		}
+	}
+
+	chain := indexedChain{chainModel{n: 4, goal: 2}}
+	whole, err := NewStructure(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &GrowingStructure{*grownWhole(t, whole, []int32{3, 1, 0, 2})}
+	for name, order := range map[string][]int32{
+		"short":     {3, 1, 0},
+		"long":      {3, 1, 0, 2, 2},
+		"repeated":  {3, 1, 1, 2},
+		"negative":  {3, 1, -1, 2},
+		"too large": {3, 1, 4, 2},
+	} {
+		if err := g.Compile(order); err == nil {
+			t.Errorf("Compile accepted a %s order %v", name, order)
+		}
+	}
+	if whole.order != nil {
+		t.Error("a structure built whole has a sweep order")
 	}
 }
 

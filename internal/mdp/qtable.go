@@ -134,7 +134,7 @@ func (q *QTable) ReadRow(state string) []float64 {
 // must be distinct, or two indices would share a row.
 func (q *QTable) OwnRows(states []string) [][]float64 {
 	rows := make([][]float64, len(states))
-	var missing []int32 // indices of states without an own row; rows holds the served one
+	missing := make([]int32, 0, len(states)) // indices of states without an own row; rows holds the served one
 	for s, state := range states {
 		row, own := q.served(state)
 		rows[s] = row
