@@ -131,7 +131,12 @@ func inspectPolicy(path string) error {
 	}
 	fmt.Printf("policy:   %s\n", policy.Name())
 	fmt.Printf("SLA:      %.2fs\n", policy.SLA())
-	fmt.Printf("q-states: %d\n", policy.GroupQTable().Len())
+	// A loaded policy holds one Q row per group-lattice state.
+	groups, err := space.Grouping()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("q-states: %d\n", groups.Space().States())
 
 	def := space.DefaultConfig()
 	fmt.Printf("predicted rt at defaults: %.3fs\n", policy.PredictRT(def))

@@ -1,28 +1,34 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/sim"
+	"github.com/rac-project/rac/internal/system"
 )
 
 // The group-lattice hot path — the offline training MDP's transition and
-// reward reads, and state-key resolution during online seeding — must stay
+// reward reads, and the group row read during online seeding — must stay
 // allocation-free: every training sweep visits every lattice state several
 // times, and the seeder runs inside the agent's per-interval retraining.
-// State keys are interned in the shared group lattice, so nothing below may
-// build a string. Same discipline as the telemetry 0-alloc benchmarks.
+// Group rows are addressed by lattice ordinal, so nothing below may build a
+// string. Same discipline as the telemetry 0-alloc benchmarks.
 
 func latticeModelForBench(tb testing.TB) (*Policy, *mdp.Structure, []float64) {
 	tb.Helper()
 	p := flatPolicy(tb, config.Default())
-	st, rewards := p.trainingMDP()
+	st, rewards := p.trainingMDP(parallel.Options{Procs: 1})
 	return p, st, rewards
 }
 
-var benchSink int
+var (
+	benchSink int
+	benchRow  []float64
+)
 
 func TestGroupModelHotPathAllocFree(t *testing.T) {
 	p, st, rewards := latticeModelForBench(t)
@@ -37,11 +43,13 @@ func TestGroupModelHotPathAllocFree(t *testing.T) {
 		t.Fatalf("group MDP transition/reward reads allocate %.1f per run, want 0", allocs)
 	}
 
+	// The seeder reads a configuration's group row straight out of the slab.
+	p.q = make([]float64, len(st.States())*st.Actions())
 	cfg := config.Default().DefaultConfig()
 	if allocs := testing.AllocsPerRun(200, func() {
-		p.groupStateKey(cfg)
+		benchRow = p.groupRow(cfg)
 	}); allocs != 0 {
-		t.Fatalf("groupStateKey allocates %.1f per run, want 0", allocs)
+		t.Fatalf("the seeder's group row read allocates %.1f per run, want 0", allocs)
 	}
 	// PredictRT prices every frontier state of a retraining region and every
 	// candidate of a policy-store match.
@@ -59,16 +67,6 @@ func BenchmarkGroupModelNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink += st.Next(i%n, i%st.Actions())
-	}
-}
-
-func BenchmarkGroupStateKey(b *testing.B) {
-	p, _, _ := latticeModelForBench(b)
-	cfg := config.Default().DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.groupStateKey(cfg)
 	}
 }
 
@@ -125,5 +123,31 @@ func BenchmarkAgentRetrain(b *testing.B) {
 		if _, err := a.retrain(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLearnPolicy is one policy of the train-cold workload: Algorithm 2
+// for Table 2's context-1 over the analytic surface at full fidelity — the
+// coarse sweep through system.AnalyticSampler, the regression fit, the reward
+// pass and the offline solve — at one and two workers.
+func BenchmarkLearnPolicy(b *testing.B) {
+	space := config.Default()
+	ctx, err := system.ContextByName("context-1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			opts := InitOptions{Procs: procs, BatchSampler: system.AnalyticSampler(space, ctx, nil)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := LearnPolicyStream(ctx.Name, space, nil, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchRow = p.q
+			}
+		})
 	}
 }

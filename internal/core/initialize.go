@@ -58,9 +58,10 @@ type InitOptions struct {
 	// Seed drives the per-sample RNG streams handed to a StreamSampler. The
 	// offline pass is a deterministic solve and draws nothing.
 	Seed uint64
-	// Procs bounds the worker goroutines sampling the coarse sublattice.
-	// Zero or negative uses every CPU; 1 samples sequentially. Results are
-	// identical for every value when the sampler honors its contract.
+	// Procs bounds the worker goroutines sampling the coarse sublattice and
+	// pricing the group lattice's rewards. Zero or negative uses every CPU; 1
+	// runs sequentially. Results are identical for every value when the
+	// sampler honors its contract.
 	Procs int
 	// BatchSampler, when non-nil, replaces the per-configuration sampler for
 	// the coarse sweep: the sublattice is split into contiguous chunks
@@ -210,13 +211,19 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// must sit on the same asymptotic scale (≈ r/(1−γ)) as the values the
 	// online agent keeps refreshing, or unvisited states would look
 	// artificially poor and the agent would cling to its visited region.
-	structure, rewards := p.trainingMDP()
+	// The Q-values start at zero and are solved in place in the policy's
+	// slab, each state's row bound by ordinal.
+	structure, rewards := p.trainingMDP(parallel.Options{Procs: opts.Procs})
 	batch := opts.Batch
 	if batch.MaxSweeps == 0 {
 		batch = DefaultOfflineBatch()
 	}
-	p.q = mdp.NewQTable(structure.Actions(), 0)
-	p.training, err = mdp.Solve(p.q.OwnRows(structure.States()), structure, rewards, nil, batch)
+	p.q = make([]float64, len(rewards)*structure.Actions())
+	rows := make([][]float64, len(rewards))
+	for ord := range rows {
+		rows[ord] = p.rowAt(ord)
+	}
+	p.training, err = mdp.Solve(rows, structure, rewards, nil, batch)
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
+	"github.com/rac-project/rac/internal/mdp"
 	"github.com/rac-project/rac/internal/sim"
+	"github.com/rac-project/rac/internal/system"
 )
 
 // batchTestSample is a synthetic surface that consumes one draw from the
@@ -90,5 +92,43 @@ func TestLearnPolicyBatchErrors(t *testing.T) {
 
 	if _, err := LearnPolicyStream("x", space, nil, InitOptions{CoarseLevels: 3}); err == nil {
 		t.Fatal("nil sampler and nil batch sampler accepted")
+	}
+}
+
+// TestLearnPolicyProcsInvariant: the whole of Algorithm 2 — the coarse sweep,
+// the reward pass split into one ordinal range per worker, and the solve into
+// the slab — saves the same bytes and converges the same way at any worker
+// count, on two Table-2 contexts over the analytic surface.
+func TestLearnPolicyProcsInvariant(t *testing.T) {
+	space := config.Default()
+	for _, name := range []string{"context-1", "context-3"} {
+		ctx, err := system.ContextByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		var wantTraining mdp.BatchResult
+		for _, procs := range []int{1, 2, 7} {
+			p, err := LearnPolicyStream(name, space, nil, InitOptions{
+				Procs: procs, BatchSampler: system.AnalyticSampler(space, ctx, nil),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := p.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				want, wantTraining = buf.Bytes(), p.Training()
+				continue
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s: policy trained at Procs=%d saves different bytes than at Procs=1", name, procs)
+			}
+			if p.Training() != wantTraining {
+				t.Errorf("%s: Procs=%d training %+v, Procs=1 %+v", name, procs, p.Training(), wantTraining)
+			}
+		}
 	}
 }

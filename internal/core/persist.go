@@ -40,14 +40,21 @@ func (p *Policy) Save(w io.Writer) error {
 }
 
 // document is the policy's serialized form. The Q-table is one of its fields,
-// so one encoder pass writes the whole file.
+// so one encoder pass writes the whole file. Its rows are the slab's, keyed by
+// the shared lattice's state keys — the only place the group Q-table is
+// addressed by string — in a map built per call.
 func (p *Policy) document() policyJSON {
+	keys := p.lattice.States()
+	rows := make(map[string][]float64, len(keys))
+	for ord, key := range keys {
+		rows[key] = p.rowAt(ord)
+	}
 	out := policyJSON{
 		Name:    p.name,
 		SLA:     p.sla,
 		FloorRT: p.floorRT,
 		Coeffs:  p.quad.Coeffs(),
-		QTable:  p.q.JSON(),
+		QTable:  &mdp.QTableJSON{Actions: p.lattice.Actions(), Rows: rows},
 	}
 	for gi, d := range p.groups.Space().Defs() {
 		out.Groups = append(out.Groups, groupJSON{
@@ -100,29 +107,34 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 	if raw.QTable == nil {
 		return nil, errors.New("core: policy lacks a Q-table")
 	}
-	q, err := raw.QTable.Table()
-	if err != nil {
-		return nil, err
-	}
-	if q.Actions() != 2*len(defs)+1 {
-		return nil, fmt.Errorf("core: policy Q-table has %d actions, want %d",
-			q.Actions(), 2*len(defs)+1)
+	a := raw.QTable.Actions
+	if a != 2*len(defs)+1 {
+		return nil, fmt.Errorf("core: policy Q-table has %d actions, want %d", a, 2*len(defs)+1)
 	}
 	// The file comes from outside the program (a registry directory): its
 	// Q-table must hold exactly the group lattice's rows, or seeding would
-	// read states the offline pass never trained.
+	// read states the offline pass never trained. Each row is copied into the
+	// slab at its state's ordinal. The table's initial value is not kept: a
+	// table holding every state never serves it.
 	lattice, err := groupLattice(groups.Space())
 	if err != nil {
 		return nil, err
 	}
-	if q.Len() != len(lattice.States()) {
+	keys := lattice.States()
+	if len(raw.QTable.Rows) != len(keys) {
 		return nil, fmt.Errorf("core: policy Q-table has %d rows, group lattice %d states",
-			q.Len(), len(lattice.States()))
+			len(raw.QTable.Rows), len(keys))
 	}
-	for _, key := range lattice.States() {
-		if !q.Visited(key) {
+	q := make([]float64, len(keys)*a)
+	for ord, key := range keys {
+		row, ok := raw.QTable.Rows[key]
+		if !ok {
 			return nil, fmt.Errorf("core: policy Q-table lacks group state %q", key)
 		}
+		if len(row) != a {
+			return nil, fmt.Errorf("core: policy Q-table state %q has %d actions, want %d", key, len(row), a)
+		}
+		copy(q[ord*a:], row)
 	}
 	return &Policy{
 		name:    raw.Name,

@@ -76,6 +76,17 @@ func randomTable(rng *sim.RNG, actions int, keys []string) *mdp.QTable {
 	return q
 }
 
+// policyTable is the policy's group Q-values as the string-keyed table a
+// policy held before they moved into the ordinal slab: each lattice state's
+// row under its key, initial value zero.
+func policyTable(p *Policy) *mdp.QTable {
+	q := mdp.NewQTable(p.lattice.Actions(), 0)
+	for ord, key := range p.lattice.States() {
+		copy(q.Row(key), p.rowAt(ord))
+	}
+	return q
+}
+
 // randomKey is a state key, now and then with characters the encoder escapes.
 func randomKey(rng *sim.RNG, space *config.Space) string {
 	key := randomConfig(space, rng).Key()
@@ -98,12 +109,15 @@ func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 	trained := p.q
 
 	for i := 0; i < 3; i++ {
-		p.q = randomTable(rng, trained.Actions(), trained.States())
+		p.q = make([]float64, len(trained))
+		for k := range p.q {
+			p.q[k] = randomValue(rng)
+		}
 		var got bytes.Buffer
 		if err := p.Save(&got); err != nil {
 			t.Fatal(err)
 		}
-		raw := rawQTable(t, p.q)
+		raw := rawQTable(t, policyTable(p))
 		want := encode(t, rawPolicyJSON{policyJSON: p.document(), QTable: &raw})
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("policy %d: one-pass Save differs from the RawMessage path:\n%s\nvs\n%s", i, got.Bytes(), want)
@@ -120,7 +134,7 @@ func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(rawQTable(t, loaded.q), rawQTable(t, oldQ)) {
+		if !bytes.Equal(rawQTable(t, policyTable(loaded)), rawQTable(t, oldQ)) {
 			t.Fatalf("policy %d: LoadPolicy reads a different table than the RawMessage path", i)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/regression"
 )
 
@@ -81,13 +82,17 @@ type Policy struct {
 	space *config.Space
 	// groups is the space's grouping; the offline Q-table's states are the
 	// points of its lattice. lattice is that lattice's shared training MDP
-	// (groupLattice), whose state keys by ordinal let resolving a
-	// configuration's group state build no string.
+	// (groupLattice), whose state keys by ordinal name the rows only in a
+	// saved policy.
 	groups  *config.Grouping
 	lattice *mdp.Structure
-	q       *mdp.QTable
-	quad    *regression.Quadratic
-	sla     float64
+	// q is the offline group Q-table as one slab: a row of lattice.Actions()
+	// values per group-lattice state, by ordinal (rowAt). It is dense by
+	// construction — offline training solves every lattice state — so rows
+	// are addressed by arithmetic, never by key.
+	q    []float64
+	quad *regression.Quadratic
+	sla  float64
 	// floorRT guards against regression extrapolation below zero.
 	floorRT float64
 	// training is how the offline solve that produced q converged; zero for a
@@ -132,11 +137,17 @@ func (p *Policy) predict(vec []float64) float64 {
 	return math.Max(math.Exp(p.quad.Eval(vec)), p.floorRT)
 }
 
-// groupStateKey returns the interned state key of the group lattice point the
-// configuration snaps to, without building a string: the allocation-free core
-// of the seeding hot path.
-func (p *Policy) groupStateKey(cfg config.Config) string {
-	return p.lattice.States()[p.groups.Ordinal(cfg)]
+// groupRow returns the offline Q row of the group lattice point the
+// configuration snaps to, a read-only view into the slab: the
+// allocation-free core of the seeding hot path.
+func (p *Policy) groupRow(cfg config.Config) []float64 {
+	return p.rowAt(int(p.groups.Ordinal(cfg)))
+}
+
+// rowAt returns group-lattice state ord's row of the slab.
+func (p *Policy) rowAt(ord int) []float64 {
+	a := p.lattice.Actions()
+	return p.q[ord*a : (ord+1)*a : (ord+1)*a]
 }
 
 // Seeder returns an mdp.Seeder that initializes a full-lattice Q row from
@@ -149,7 +160,7 @@ func (p *Policy) Seeder() mdp.Seeder {
 		if err != nil || len(cfg) != p.space.Len() {
 			return nil
 		}
-		gRow := p.q.Row(p.groupStateKey(cfg))
+		gRow := p.groupRow(cfg)
 		row := make([]float64, nActions)
 		row[0] = gRow[0]
 		for i := 0; i < p.space.Len(); i++ {
@@ -198,9 +209,6 @@ func (p *Policy) Recommend() (config.Config, error) {
 	return p.groups.Expand(lattice.At(uint64(best), point))
 }
 
-// GroupQTable exposes the offline-trained group Q-table (diagnostics).
-func (p *Policy) GroupQTable() *mdp.QTable { return p.q }
-
 // Training reports how the offline solve that produced the group Q-table
 // converged: sweeps run, the largest change of the last sweep, and whether
 // that met the threshold before the sweep bound. It is not persisted — a
@@ -209,17 +217,24 @@ func (p *Policy) Training() mdp.BatchResult { return p.training }
 
 // trainingMDP returns the offline training MDP in the form mdp.Solve takes:
 // the shared group lattice (groupLattice) and the reward of entering each of
-// its states, SLA − predictedRT.
-func (p *Policy) trainingMDP() (*mdp.Structure, []float64) {
+// its states, SLA − predictedRT. The rewards are computed on the worker pool:
+// the states are split into one contiguous ordinal range per worker of popts,
+// each with its own scratch, and a reward depends on its ordinal alone, so the
+// slice is the same for any worker count.
+func (p *Policy) trainingMDP(popts parallel.Options) (*mdp.Structure, []float64) {
 	lattice := p.groups.Space()
 	rewards := make([]float64, len(p.lattice.States()))
-	point := make(config.Config, lattice.Len())
-	vec := make([]float64, lattice.Len())
-	for ord := range rewards {
-		for gi, v := range lattice.At(uint64(ord), point) {
-			vec[gi] = float64(v)
+	chunks := popts.Workers(len(rewards))
+	_ = parallel.ForEach(popts, chunks, func(c int) error { // returns only the work's errors, and this work has none
+		point := make(config.Config, lattice.Len())
+		vec := make([]float64, lattice.Len())
+		for ord := c * len(rewards) / chunks; ord < (c+1)*len(rewards)/chunks; ord++ {
+			for gi, v := range lattice.At(uint64(ord), point) {
+				vec[gi] = float64(v)
+			}
+			rewards[ord] = p.sla - p.predict(vec)
 		}
-		rewards[ord] = p.sla - p.predict(vec)
-	}
+		return nil
+	})
 	return p.lattice, rewards
 }

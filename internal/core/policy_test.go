@@ -13,6 +13,7 @@ import (
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/regression"
 	"github.com/rac-project/rac/internal/sim"
 )
@@ -72,7 +73,7 @@ func TestGroupDefClamp(t *testing.T) {
 	}
 	for _, tt := range tests {
 		cfg := space.DefaultConfig().With(space, config.MaxClients, tt.in).With(space, config.MaxThreads, tt.in)
-		got, err := config.ParseKey(p.groupStateKey(cfg))
+		got, err := config.ParseKey(p.lattice.States()[p.groups.Ordinal(cfg)])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestGroupDefClamp(t *testing.T) {
 
 func TestGroupModelEnumeration(t *testing.T) {
 	p := flatPolicy(t, config.Default())
-	st, rewards := p.trainingMDP()
+	st, rewards := p.trainingMDP(parallel.Options{Procs: 1})
 	want := p.groups.Space().States()
 	if len(st.States()) != want || len(rewards) != want {
 		t.Fatalf("enumerated %d states and %d rewards, want %d", len(st.States()), len(rewards), want)
@@ -157,7 +158,7 @@ func TestGroupLatticeShared(t *testing.T) {
 func TestGroupModelTransitions(t *testing.T) {
 	p := flatPolicy(t, config.Default())
 	defs := p.groups.Space().Defs()
-	st, rewards := p.trainingMDP()
+	st, rewards := p.trainingMDP(parallel.Options{Procs: 1})
 
 	const start = 0 // all-minimum state
 	// Keep stays.
@@ -350,28 +351,7 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 	}
 	reencode := func(mutate func(rows map[string]json.RawMessage)) *bytes.Reader {
 		t.Helper()
-		var doc, qtable, rows map[string]json.RawMessage
-		unmarshal := func(from json.RawMessage, into *map[string]json.RawMessage) {
-			if err := json.Unmarshal(from, into); err != nil {
-				t.Fatal(err)
-			}
-		}
-		unmarshal(saved.Bytes(), &doc)
-		unmarshal(doc["qtable"], &qtable)
-		unmarshal(qtable["rows"], &rows)
-		mutate(rows)
-		var err error
-		if qtable["rows"], err = json.Marshal(rows); err != nil {
-			t.Fatal(err)
-		}
-		if doc["qtable"], err = json.Marshal(qtable); err != nil {
-			t.Fatal(err)
-		}
-		out, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bytes.NewReader(out)
+		return bytes.NewReader(reencodeQTable(t, saved.Bytes(), func(_, rows map[string]json.RawMessage) { mutate(rows) }))
 	}
 	onLattice := flatPolicy(t, space).lattice.States()[0]
 	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
@@ -397,6 +377,16 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 	}), space); err == nil {
 		t.Fatal("Q-table with a lattice row swapped for a foreign one loaded")
 	}
+	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
+		rows[onLattice] = json.RawMessage("[1,2,3,4,5,6,7,8]")
+	}), space); err == nil {
+		t.Fatal("Q-table with a row of 8 actions loaded")
+	}
+	if _, err := LoadPolicy(bytes.NewReader(reencodeQTable(t, saved.Bytes(), func(qtable, _ map[string]json.RawMessage) {
+		qtable["actions"] = json.RawMessage("0")
+	})), space); err == nil {
+		t.Fatal("Q-table of 0 actions loaded")
+	}
 
 	// Groups whose members name other parameters than the space's grouping:
 	// the Q-table's action columns would seed the wrong parameters.
@@ -420,6 +410,87 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 	if _, err := LoadPolicy(bytes.NewReader(swapped), space); err == nil {
 		t.Fatal("policy whose groups 0 and 1 swapped members loaded")
 	}
+}
+
+// reencodeQTable decodes a saved policy down to its Q-table's fields and rows,
+// lets mutate edit them, and encodes the document again.
+func reencodeQTable(tb testing.TB, saved []byte, mutate func(qtable, rows map[string]json.RawMessage)) []byte {
+	tb.Helper()
+	var doc, qtable, rows map[string]json.RawMessage
+	unmarshal := func(from json.RawMessage, into *map[string]json.RawMessage) {
+		if err := json.Unmarshal(from, into); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	unmarshal(saved, &doc)
+	unmarshal(doc["qtable"], &qtable)
+	unmarshal(qtable["rows"], &rows)
+	mutate(qtable, rows)
+	var err error
+	if qtable["rows"], err = json.Marshal(rows); err != nil {
+		tb.Fatal(err)
+	}
+	if doc["qtable"], err = json.Marshal(qtable); err != nil {
+		tb.Fatal(err)
+	}
+	out, err := json.Marshal(doc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// FuzzLoadPolicy holds LoadPolicy, which reads files from outside the program,
+// to two properties: it never panics, and a policy it accepts saves to bytes
+// that load again and save identically. The seeds are a coarse-2 policy's
+// Save bytes, five damaged copies and a document without a Q-table; they run
+// under plain go test.
+func FuzzLoadPolicy(f *testing.F) {
+	space := config.Default()
+	flat := func(config.Config) (float64, error) { return 1, nil }
+	batch := mdp.DefaultBatchConfig()
+	batch.MaxSweeps = 2
+	p, err := LearnPolicy("fuzz", space, flat, InitOptions{CoarseLevels: 2, Batch: batch})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := p.Save(&saved); err != nil {
+		f.Fatal(err)
+	}
+	key := p.lattice.States()[0]
+	f.Add(saved.Bytes())
+	for _, mutate := range []func(qtable, rows map[string]json.RawMessage){
+		func(_, rows map[string]json.RawMessage) { delete(rows, key) },
+		func(_, rows map[string]json.RawMessage) { rows["off-lattice"] = rows[key] },
+		func(_, rows map[string]json.RawMessage) { rows[key] = json.RawMessage("[1,2,3,4,5,6,7,8]") },
+		func(qtable, _ map[string]json.RawMessage) { qtable["actions"] = json.RawMessage("0") },
+	} {
+		f.Add(reencodeQTable(f, saved.Bytes(), mutate))
+	}
+	f.Add(saved.Bytes()[:saved.Len()/2])
+	f.Add([]byte(`{"name":"x","slaSeconds":2,"groups":[]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadPolicy(bytes.NewReader(data), space)
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := p.Save(&first); err != nil {
+			t.Fatalf("accepted policy does not save: %v", err)
+		}
+		again, err := LoadPolicy(bytes.NewReader(first.Bytes()), space)
+		if err != nil {
+			t.Fatalf("saved policy does not load: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("a loaded policy saves differently after one more load")
+		}
+	})
 }
 
 // The group lattice as internal/core derived it before config.Grouping
@@ -613,7 +684,7 @@ func TestGroupingMatchesReference(t *testing.T) {
 			if keys := p.lattice.States(); !slices.Equal(keys, ref.keys) {
 				t.Fatalf("group state keys differ:\n  got %v…\n want %v…", keys[:3], ref.keys[:3])
 			}
-			st, rewards := p.trainingMDP()
+			st, rewards := p.trainingMDP(parallel.Options{Procs: 3})
 			refPredict := func(vals []int) float64 {
 				vec := make([]float64, len(vals))
 				for i, v := range vals {
@@ -668,7 +739,7 @@ func TestGroupingMatchesReference(t *testing.T) {
 			rng := sim.NewRNG(0x9a0)
 			for i := 0; i < 1000; i++ {
 				cfg := randomConfig(space, rng)
-				if got, want := p.groupStateKey(cfg), ref.stateKey(cfg); got != want {
+				if got, want := p.lattice.States()[p.groups.Ordinal(cfg)], ref.stateKey(cfg); got != want {
 					t.Fatalf("%v: group state %q, want %q", cfg, got, want)
 				}
 				if got, want := p.PredictRT(cfg), math.Max(math.Exp(p.quad.Eval(ref.vector(cfg))), p.floorRT); got != want {

@@ -276,9 +276,10 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 // are the ones its retraining keeps refreshing. rewards[s] is the immediate
 // reward received on entering state s.
 //
-// rows[s] is state s's row, solved in place from the values it holds: a
-// table's own rows bound by QTable.OwnRows (offline training, BatchTrain), or
-// the rows an agent's retraining region holds across intervals. The solve is
+// rows[s] is state s's row, solved in place from the values it holds: the
+// rows of a policy's Q-value slab (offline training), a table's own rows bound
+// by QTable.OwnRows (BatchTrain), or the rows an agent's retraining region
+// holds across intervals. The solve is
 // Gauss–Seidel: a state's row is re-evaluated from the newest values of its
 // successors, sweeps alternate the structure's order (index order unless it
 // grew with one) and its reverse, and the solve stops once a sweep changes no

@@ -63,8 +63,11 @@ func (o Options) instruments() *instruments {
 	}
 }
 
-// workers resolves Options.Procs against the unit count.
-func (o Options) workers(n int) int {
+// Workers returns the number of worker goroutines a call over n units runs:
+// Options.Procs resolved against the CPU count and clamped to n. A caller
+// that splits its work into one contiguous range per worker passes it as the
+// unit count.
+func (o Options) Workers(n int) int {
 	p := o.Procs
 	if p <= 0 {
 		p = runtime.NumCPU()
@@ -85,7 +88,7 @@ func Map[T any](opts Options, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, nil
 	}
 	out := make([]T, n)
-	procs := opts.workers(n)
+	procs := opts.Workers(n)
 	ins := opts.instruments()
 	start := time.Now()
 	if ins != nil {

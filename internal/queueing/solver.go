@@ -47,30 +47,63 @@ const (
 )
 
 // rateMemo remembers the last two (occupancy, rate) pairs one station's rate
-// function returned during a SolveApprox call, most recent first. Approximate
-// MVA evaluates each rate at a rounded occupancy that rarely moves, and on a
-// periodic orbit flips between two neighbouring values, so two entries catch
-// nearly every call. Occupancies start at 1, so j == 0 marks an empty entry.
+// function returned during a SolveApprox call, with the station's Demand/rate
+// beside each rate. Approximate MVA evaluates each rate at a rounded occupancy
+// that rarely moves, and on a periodic orbit flips between two neighbouring
+// values, so two entries catch nearly every call. A hit reads its slot in
+// place; a miss overwrites the older of the two. Occupancies start at 1, so
+// j == 0 marks an empty entry.
 type rateMemo struct {
-	j    [2]int
-	rate [2]float64
+	j              [2]int
+	rate           [2]float64
+	demandOverRate [2]float64
+	older          int // the slot the next miss overwrites
 }
 
-// at returns s.rate(j), evaluating the rate function only on a miss. Reusing
-// a value is exact because a Rate is a pure function of j (see Station.Rate).
-func (m *rateMemo) at(s *Station, j int) float64 {
-	switch j {
-	case m.j[0]:
-		return m.rate[0]
-	case m.j[1]:
-		m.j[0], m.j[1] = m.j[1], m.j[0]
-		m.rate[0], m.rate[1] = m.rate[1], m.rate[0]
-		return m.rate[0]
+// at returns the memo slot holding s.rate(j) and s.Demand/s.rate(j),
+// evaluating the rate function only on a miss. Reusing a value is exact
+// because a Rate is a pure function of j (see Station.Rate) and Demand is
+// fixed for the call.
+func (m *rateMemo) at(s *Station, j int) int {
+	if j == m.j[0] {
+		return 0
 	}
+	if j == m.j[1] {
+		return 1
+	}
+	return m.miss(s, j)
+}
+
+// miss evaluates s.rate(j) into the older slot and returns that slot; kept
+// out of at so the hits inline.
+func (m *rateMemo) miss(s *Station, j int) int {
+	k := m.older
 	r := s.rate(j)
-	m.j[1], m.rate[1] = m.j[0], m.rate[0]
-	m.j[0], m.rate[0] = j, r
-	return r
+	m.j[k], m.rate[k], m.demandOverRate[k] = j, r, s.Demand/r
+	m.older = 1 - k
+	return k
+}
+
+// occupancy is the job count approximate MVA evaluates a station's rate at:
+// its mean queue length q rounded half away from zero, plus one, clamped to
+// [1, n]. For q ≥ 0 the rounding equals math.Round without its bit
+// manipulation: int(q) truncates to ⌊q⌋, q − ⌊q⌋ is exact, and a fraction of
+// one half or more rounds up. Every q SolveApprox passes is ≥ 0 (it starts at
+// n/(k+1) and a damped step never goes below half of it); NaN and ±Inf end in
+// the clamp at 1, as under math.Round.
+func occupancy(q float64, n int) int {
+	at := int(q)
+	if q-float64(at) >= 0.5 {
+		at++
+	}
+	at++
+	if at < 1 {
+		at = 1
+	}
+	if at > n {
+		at = n
+	}
+	return at
 }
 
 // NewSolver returns an empty solver; buffers grow on first use.
@@ -197,7 +230,7 @@ func (sv *Solver) Solve(n int, z float64, stations []Station) (Result, error) {
 // result is the one the full 2000-iteration walk returns, bit for bit. The
 // same purity lets each station's last two rates be reused (rateMemo); the
 // memo is emptied on entry, since the rate functions may read state that
-// changes between calls.
+// changes between calls, and so may Demand.
 func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, error) {
 	if err := validate(n, z, stations); err != nil {
 		return Result{}, err
@@ -252,16 +285,11 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 				resid[i] = 0
 				continue
 			}
-			// Evaluate the service rate at the current mean occupancy.
-			at := int(math.Round(q[i])) + 1
-			if at < 1 {
-				at = 1
-			}
-			if at > n {
-				at = n
-			}
-			rate := rates[i].at(s, at)
-			resid[i] = s.Demand / rate * (1 + q[i]*scale)
+			// Evaluate the service rate at the current mean occupancy. The
+			// memo's Demand/rate is the division this expression evaluates
+			// first, so the product is the same bits.
+			m := &rates[i]
+			resid[i] = m.demandOverRate[m.at(s, occupancy(q[i], n))] * (1 + q[i]*scale)
 			total += resid[i]
 		}
 		x = float64(n) / (z + total)
@@ -294,14 +322,8 @@ func (sv *Solver) SolveApprox(n int, z float64, stations []Station) (Result, err
 		res.ResponseTime += resid[i]
 		res.StationUtilization[i] = 0
 		if s.Demand > 0 {
-			at := int(math.Round(q[i])) + 1
-			if at < 1 {
-				at = 1
-			}
-			if at > n {
-				at = n
-			}
-			res.StationUtilization[i] = math.Min(1, x*s.Demand/rates[i].at(s, at))
+			m := &rates[i]
+			res.StationUtilization[i] = math.Min(1, x*s.Demand/m.rate[m.at(s, occupancy(q[i], n))])
 		}
 	}
 	if sv.approxDone != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
@@ -350,6 +351,61 @@ func BenchmarkWebsiteSolverSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ws.Solve(cal, p, w, vmenv.Level1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestOccupancyMatchesRound holds the divide-free rounding SolveApprox
+// evaluates rates at to int(math.Round(q)), after the [1, n] clamp both end
+// in: on halves, on the largest double below one half (which q+0.5 would
+// round up), near 2⁵², and on the non-finite values a diverging solve feeds it.
+func TestOccupancyMatchesRound(t *testing.T) {
+	const n = 1 << 60
+	clamp := func(at int) int { return min(max(at, 1), n) }
+	for _, q := range []float64{
+		0, 0.5, 0.49999999999999994, 1.5, 2.5, 1<<52 - 0.5, math.NaN(), math.Inf(1),
+		0.25, 1, 2.4999999999999996, 7.75, 1100,
+	} {
+		if got, want := occupancy(q, n), clamp(int(math.Round(q))+1); got != want {
+			t.Errorf("occupancy(%v) = %d, want %d", q, got, want)
+		}
+	}
+	for _, tt := range []struct{ q, n, want int }{{0, 1, 1}, {5, 3, 3}} {
+		if got := occupancy(float64(tt.q), tt.n); got != tt.want {
+			t.Errorf("occupancy(%d, n=%d) = %d, want %d", tt.q, tt.n, got, tt.want)
+		}
+	}
+}
+
+// TestRateMemo: an access pattern that alternates over three occupancies
+// reads back the rate function's values and Demand/rate, and calls the rate
+// function exactly once per miss of a two-slot memo that overwrites its older
+// slot.
+func TestRateMemo(t *testing.T) {
+	calls := 0
+	s := &Station{Demand: 0.3, Rate: func(j int) float64 {
+		calls++
+		return 1.5 * float64(j)
+	}}
+	var m rateMemo
+	var held []int // the memo's occupancies, oldest first
+	misses := 0
+	for step, j := range []int{1, 2, 1, 2, 3, 2, 3, 1, 1, 3, 2, 1, 3, 3, 2} {
+		hit := slices.Contains(held, j)
+		if !hit {
+			misses++
+			held = append(held, j)
+			if len(held) > 2 {
+				held = held[1:]
+			}
+		}
+		k := m.at(s, j)
+		if want := 1.5 * float64(j); m.rate[k] != want || m.demandOverRate[k] != s.Demand/want {
+			t.Fatalf("step %d: at(%d) reads rate %v and Demand/rate %v, want %v and %v",
+				step, j, m.rate[k], m.demandOverRate[k], want, s.Demand/want)
+		}
+		if calls != misses {
+			t.Fatalf("step %d: %d rate calls after %d misses", step, calls, misses)
 		}
 	}
 }
