@@ -1,11 +1,11 @@
 # Tier-1 gate: everything `make check` runs must pass before a PR lands.
 GO ?= go
 
-.PHONY: check fmt vet vet-faults build test race loc identity bench bench-telemetry bench-load bench-train bench-train-smoke bench-fleet bench-fleet-smoke faults-smoke fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke admission-smoke capacity-smoke
+.PHONY: check fmt vet vet-faults build test race fuzz loc identity bench bench-telemetry bench-load bench-train bench-train-smoke bench-fleet bench-fleet-smoke faults-smoke fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke admission-smoke capacity-smoke
 
 # check runs the gate's targets in order, printing each one's wall time
 # (`== race: 412s`) and stopping at the first failure.
-CHECK_TARGETS = fmt vet vet-faults build race fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke bench-train-smoke bench-fleet-smoke admission-smoke capacity-smoke
+CHECK_TARGETS = fmt vet vet-faults build race fuzz fleet-smoke fleet-scale-smoke loadgen-smoke workload-smoke bench-train-smoke bench-fleet-smoke admission-smoke capacity-smoke
 
 check:
 	@for t in $(CHECK_TARGETS); do \
@@ -42,12 +42,27 @@ test:
 # internal/webtier 87 s (its differential grid against the scanning tick is
 # 55 s of that), fleet 48 s, core 18 s. It ran ~10-12 min before the
 # simulator's tick was indexed and ≈7 min before policy training became a
-# solve (DESIGN §5h).
+# solve (DESIGN §5h). `make check` runs `fuzz` right after it, ≈25 s more.
 # A loaded machine can still stretch it toward
 # go test's default 10 min -timeout; the explicit budget keeps the gate from
 # flaking there.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# fuzz runs every Fuzz* target in the tree (FuzzLoadPolicy and
+# FuzzRestoreAgentState today) for a fixed 10 s each — ≈25 s in all beside
+# race's 218 s, the rest being compilation. Plain `go test` already runs each
+# target's seeds; this mutates past them. Minimizing a new input is capped at
+# 1 s: at go's 60 s default, shrinking one kilobyte-sized snapshot byte by
+# byte would eat the whole budget. A failing input lands in the package's
+# testdata/fuzz/ (git-ignored).
+fuzz:
+	@grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' . | sort | \
+	while IFS=: read -r file fn; do \
+		name=$${fn#func }; pkg=./$$(dirname "$${file#./}"); \
+		echo "fuzz $$name ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s -fuzzminimizetime 1s "$$pkg" || exit 1; \
+	done
 
 # Non-test Go lines, the number ROADMAP aim 2 wants to see going down: one
 # line per internal/ package, then cmd/, benchmark/, examples/ and the root

@@ -209,7 +209,7 @@ func BenchmarkPolicyInitialization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sampler := func(cfg config.Config) (float64, error) {
+	sampler := func(cfg config.Config, _ *sim.RNG) (float64, error) {
 		if err := analytic.Apply(context.Background(), cfg); err != nil {
 			return 0, err
 		}
@@ -221,7 +221,7 @@ func BenchmarkPolicyInitialization(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LearnPolicy("bench", space, sampler, core.InitOptions{Seed: uint64(i)}); err != nil {
+		if _, err := core.LearnPolicyStream("bench", space, sampler, core.InitOptions{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

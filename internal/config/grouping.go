@@ -167,30 +167,3 @@ func (g *Grouping) Coarse(k int) (cfgs []Config, values [][]float64, err error) 
 	}
 	return cfgs, values, nil
 }
-
-// Features returns a quadratic feature basis over the space for use with
-// linear value-function approximation (the paper's §7 future-work
-// direction): a bias term, each parameter normalized to [0,1], and its
-// square. States that fail to parse yield the bias-only vector.
-func Features(s *Space) (func(stateKey string) []float64, int) {
-	dim := 1 + 2*s.Len()
-	defs := s.Defs()
-	return func(stateKey string) []float64 {
-		out := make([]float64, dim)
-		out[0] = 1
-		cfg, err := ParseKey(stateKey)
-		if err != nil || len(cfg) != len(defs) {
-			return out
-		}
-		for i, d := range defs {
-			span := float64(d.Max - d.Min)
-			x := 0.0
-			if span > 0 {
-				x = float64(cfg[i]-d.Min) / span
-			}
-			out[1+2*i] = x
-			out[2+2*i] = x * x
-		}
-		return out
-	}, dim
-}

@@ -151,34 +151,3 @@ func TestGroupVector(t *testing.T) {
 		t.Fatalf("capacity mean %v", vec[0])
 	}
 }
-
-func TestFeatures(t *testing.T) {
-	s := Default()
-	feats, dim := Features(s)
-	if dim != 1+2*s.Len() {
-		t.Fatalf("dim = %d", dim)
-	}
-	min := make(Config, s.Len())
-	max := make(Config, s.Len())
-	for i, d := range s.Defs() {
-		min[i], max[i] = d.Min, d.Max
-	}
-	fMin := feats(min.Key())
-	fMax := feats(max.Key())
-	if len(fMin) != dim || fMin[0] != 1 {
-		t.Fatalf("bad bias/dim: %v", fMin)
-	}
-	for i := 0; i < s.Len(); i++ {
-		if fMin[1+2*i] != 0 || fMin[2+2*i] != 0 {
-			t.Fatalf("min features not zero: %v", fMin)
-		}
-		if fMax[1+2*i] != 1 || fMax[2+2*i] != 1 {
-			t.Fatalf("max features not one: %v", fMax)
-		}
-	}
-	// Garbage states get the bias-only vector.
-	g := feats("garbage")
-	if g[0] != 1 || g[1] != 0 {
-		t.Fatalf("garbage features %v", g)
-	}
-}

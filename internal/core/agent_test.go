@@ -83,7 +83,7 @@ func bowlPolicy(t testing.TB, targets []float64, name string) *Policy {
 	space := config.Default()
 	ref := newBowlSystem(targets)
 	sampler := func(cfg config.Config) (float64, error) { return ref.rt(cfg), nil }
-	p, err := LearnPolicy(name, space, sampler, InitOptions{CoarseLevels: 4, Seed: 5})
+	p, err := learnPolicy(name, space, sampler, InitOptions{CoarseLevels: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,17 +516,19 @@ func TestAgentDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestThroughputReward checks that the reward is the paper's response-time
+// signal whatever the measured throughput: SLA − MeanRT, for RewardOf and
+// for an agent's step alike.
 func TestThroughputReward(t *testing.T) {
 	o := DefaultOptions()
 	m := system.Metrics{MeanRT: 0.5, Throughput: 80}
 	if got := o.RewardOf(m); got != o.SLASeconds-0.5 {
 		t.Fatalf("default reward %v", got)
 	}
-	o.ThroughputSLA = 70
-	if got := o.RewardOf(m); got != 10 {
-		t.Fatalf("throughput reward %v, want 10", got)
+	m.Throughput = 8000
+	if got := o.RewardOf(m); got != o.SLASeconds-0.5 {
+		t.Fatalf("reward %v moved with throughput", got)
 	}
-	// An agent driven by throughput reward still runs.
 	sys := newBowlSystem(bowlTargets)
 	agent, err := NewAgent(sys, AgentOptions{Options: o, Seed: 5})
 	if err != nil {
@@ -536,8 +538,8 @@ func TestThroughputReward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reward != res.Throughput-70 {
-		t.Fatalf("step reward %v, throughput %v", res.Reward, res.Throughput)
+	if res.Reward != o.SLASeconds-res.MeanRT {
+		t.Fatalf("step reward %v, mean RT %v", res.Reward, res.MeanRT)
 	}
 }
 
@@ -585,12 +587,6 @@ func TestRewardOfCapacityCost(t *testing.T) {
 	m.CapacityUnits = 0
 	if got := o.RewardOf(m); got != o.SLASeconds-0.5 {
 		t.Fatalf("untracked-capacity reward %v", got)
-	}
-	// The price also applies to the throughput signal.
-	o.ThroughputSLA = 70
-	m = system.Metrics{Throughput: 80, Completed: 100, CapacityUnits: 2}
-	if got := o.RewardOf(m); got != 10-0.25*2 {
-		t.Fatalf("throughput cost-priced reward %v", got)
 	}
 	// Negative prices are rejected.
 	o = DefaultOptions()

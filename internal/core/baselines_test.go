@@ -143,77 +143,6 @@ func TestBaselineValidation(t *testing.T) {
 	}
 }
 
-func TestApproxAgentLearnsOnBowl(t *testing.T) {
-	sys := newBowlSystem(bowlTargets)
-	agent, err := NewApproxAgent(sys, Options{}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := sys.rt(sys.Config())
-	var early, late float64
-	for i := 0; i < 120; i++ {
-		res, err := agent.Step(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Iteration != i+1 {
-			t.Fatalf("iteration %d", res.Iteration)
-		}
-		if i < 30 {
-			early += res.MeanRT
-		}
-		if i >= 90 {
-			late += res.MeanRT
-		}
-	}
-	early, late = early/30, late/30
-	// Without any initialization the approximator learns more slowly than
-	// the seeded tabular agent, but it must trend downhill and end below
-	// the static default's response time.
-	if late >= start {
-		t.Fatalf("approx agent did not improve on the default: %v vs %v", late, start)
-	}
-	if late > early+0.05 {
-		t.Fatalf("approx agent regressed: early %v late %v", early, late)
-	}
-}
-
-func TestApproxAgentValidation(t *testing.T) {
-	if _, err := NewApproxAgent(nil, Options{}, 1); err == nil {
-		t.Fatal("nil system accepted")
-	}
-	bad := DefaultOptions()
-	bad.SLASeconds = 0
-	if _, err := NewApproxAgent(newBowlSystem(bowlTargets), bad, 1); err == nil {
-		t.Fatal("bad options accepted")
-	}
-}
-
-func TestApproxAgentMovesOneStep(t *testing.T) {
-	sys := newBowlSystem(bowlTargets)
-	agent, err := NewApproxAgent(sys, Options{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := sys.Config()
-	for i := 0; i < 20; i++ {
-		res, err := agent.Step(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffs := 0
-		for j := range res.Config {
-			if res.Config[j] != prev[j] {
-				diffs++
-			}
-		}
-		if diffs > 1 {
-			t.Fatalf("step %d changed %d parameters", i, diffs)
-		}
-		prev = res.Config
-	}
-}
-
 func TestTrialAndErrorWrapsIntoNewRound(t *testing.T) {
 	sys := newBowlSystem(bowlTargets)
 	agent, err := NewTrialAndErrorAgent(sys, Options{})
@@ -281,7 +210,7 @@ var fullMetrics = system.Metrics{
 
 func (fullMetricsSystem) Measure(context.Context) (system.Metrics, error) { return fullMetrics, nil }
 
-// TestTunersReportFullMeasurement holds all five tuners to one reporting
+// TestTunersReportFullMeasurement holds all four tuners to one reporting
 // contract: every measured field of the interval reaches the StepResult, and
 // the reward is the priced one (RewardOf, capacity cost included).
 func TestTunersReportFullMeasurement(t *testing.T) {
@@ -293,7 +222,6 @@ func TestTunersReportFullMeasurement(t *testing.T) {
 		"static":        func(s system.System) (Tuner, error) { return NewStaticAgent(s, opts) },
 		"trialanderror": func(s system.System) (Tuner, error) { return NewTrialAndErrorAgent(s, opts) },
 		"hillclimb":     func(s system.System) (Tuner, error) { return NewHillClimbAgent(s, opts) },
-		"approx":        func(s system.System) (Tuner, error) { return NewApproxAgent(s, opts, 3) },
 	}
 	for name, mk := range tuners {
 		t.Run(name, func(t *testing.T) {

@@ -13,21 +13,14 @@ import (
 	"github.com/rac-project/rac/internal/telemetry"
 )
 
-// Sampler measures the mean response time of one configuration. Policy
-// initialization drives it over the coarse grouped sublattice; it is usually
-// backed by system.System (apply + measure) or, for fast approximate
-// policies, by the analytic queueing model. With InitOptions.Procs beyond 1
-// the sampler is called from multiple goroutines and must be safe for
-// concurrent use; stateful samplers should use StreamSampler instead.
-type Sampler func(cfg config.Config) (float64, error)
-
 // StreamSampler measures one configuration using a dedicated RNG stream.
 // Streams are split from the initialization seed before any sampling is
 // dispatched (one per coarse configuration, in enumeration order), so a
 // sampler that derives all of its randomness — simulator seeds included —
 // from the supplied stream produces bit-identical results for any
-// InitOptions.Procs, including 1. The function must not touch shared mutable
-// state when Procs exceeds 1.
+// InitOptions.Procs, including 1. LearnPolicyStream runs it as a BatchSampler
+// over chunks of one, so each configuration is its own unit on the worker
+// pool; it must not touch shared mutable state when Procs exceeds 1.
 type StreamSampler func(cfg config.Config, rng *sim.RNG) (float64, error)
 
 // BatchSampler measures a contiguous chunk of coarse configurations in one
@@ -41,17 +34,18 @@ type StreamSampler func(cfg config.Config, rng *sim.RNG) (float64, error)
 type BatchSampler func(cfgs []config.Config, streams []*sim.RNG, out []float64) error
 
 // batchChunkSize is the number of coarse configurations handed to one
-// BatchSampler call. Small enough that even a quick-mode sweep (3^G points)
-// fans out across workers, large enough to amortize per-chunk solver setup.
+// InitOptions.BatchSampler call. Small enough that even a quick-mode sweep
+// (3^G points) fans out across workers, large enough to amortize per-chunk
+// solver setup.
 const batchChunkSize = 16
 
-// InitOptions configure LearnPolicy.
+// InitOptions configure LearnPolicyStream.
 type InitOptions struct {
 	// CoarseLevels is the number of coarse sample values per parameter
 	// group (paper §4.1 "coarse granularity"); at least 2, default 4.
 	CoarseLevels int
-	// Batch configures the offline RL pass over the group lattice; zero
-	// value uses DefaultOfflineBatch.
+	// Batch configures the offline RL pass over the group lattice. The zero
+	// value uses DefaultOfflineBatch; any other value needs MaxSweeps ≥ 1.
 	Batch mdp.BatchConfig
 	// SLASeconds is the reward reference; default 2 s (DefaultOptions).
 	SLASeconds float64
@@ -63,11 +57,10 @@ type InitOptions struct {
 	// runs sequentially. Results are identical for every value when the
 	// sampler honors its contract.
 	Procs int
-	// BatchSampler, when non-nil, replaces the per-configuration sampler for
-	// the coarse sweep: the sublattice is split into contiguous chunks
-	// dispatched on the worker pool, one BatchSampler call per chunk. It must
-	// be bit-identical to the StreamSampler (see the type's contract); the
-	// per-configuration sampler may then be nil.
+	// BatchSampler, when non-nil, samples the coarse sweep in contiguous
+	// chunks of batchChunkSize configurations, one call per chunk on the
+	// worker pool. It is the alternative to LearnPolicyStream's
+	// StreamSampler argument, which must then be nil.
 	BatchSampler BatchSampler
 	// Telemetry, when non-nil, receives the parallel pool's instruments
 	// (rac_parallel_*) for the sampling sweep.
@@ -86,34 +79,39 @@ func DefaultOfflineBatch() mdp.BatchConfig {
 	return batch
 }
 
-// LearnPolicy runs the paper's policy-initialization procedure (Algorithm 2)
-// for one system context:
+// LearnPolicyStream runs the paper's policy-initialization procedure
+// (Algorithm 2) for one system context:
 //
 //  1. group parameters with similar characteristics,
 //  2. sample the performance of coarse grouped configurations,
 //  3. fit a polynomial regression predicting unvisited configurations,
 //  4. train an initial Q-table offline over the group lattice.
 //
-// The sampler is invoked once per coarse grouped configuration
-// (CoarseLevels^G calls), concurrently when opts.Procs allows.
-func LearnPolicy(name string, space *config.Space, sample Sampler, opts InitOptions) (*Policy, error) {
-	if sample == nil {
-		return nil, errors.New("core: nil sampler")
-	}
-	return LearnPolicyStream(name, space, func(cfg config.Config, _ *sim.RNG) (float64, error) {
-		return sample(cfg)
-	}, opts)
-}
-
-// LearnPolicyStream is LearnPolicy for samplers that consume randomness: each
-// coarse configuration is measured with its own pre-split RNG stream, making
-// the sweep's output independent of opts.Procs and of sampling order.
+// Exactly one of sample and opts.BatchSampler measures the coarse
+// sublattice (CoarseLevels^G configurations), each configuration with its own
+// pre-split RNG stream, so the policy is independent of opts.Procs and of
+// sampling order.
 func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, opts InitOptions) (*Policy, error) {
 	if space == nil {
 		return nil, errors.New("core: nil space")
 	}
-	if sample == nil && opts.BatchSampler == nil {
+	batch, chunk := opts.BatchSampler, batchChunkSize
+	switch {
+	case sample != nil && batch != nil:
+		return nil, errors.New("core: both a StreamSampler and InitOptions.BatchSampler")
+	case sample != nil:
+		batch, chunk = func(cfgs []config.Config, streams []*sim.RNG, out []float64) (err error) {
+			out[0], err = sample(cfgs[0], streams[0])
+			return err
+		}, 1
+	case batch == nil:
 		return nil, errors.New("core: nil sampler")
+	}
+	offline := opts.Batch
+	if offline == (mdp.BatchConfig{}) {
+		offline = DefaultOfflineBatch()
+	} else if offline.MaxSweeps < 1 {
+		return nil, fmt.Errorf("core: offline schedule needs MaxSweeps >= 1, got %d", offline.MaxSweeps)
 	}
 	k := opts.CoarseLevels
 	if k == 0 {
@@ -139,42 +137,25 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}
 
-	// 1–2. Enumerate the coarse grouped sublattice, then sample it through
-	// the worker pool. Streams are split per configuration before dispatch
-	// (the determinism contract), and xs/ys keep enumeration order, so the
-	// regression input is the same for any worker count.
+	// 1–2. Enumerate the coarse grouped sublattice, then sample it in chunks
+	// on the worker pool. Streams are split per configuration before dispatch
+	// (the determinism contract), and workers write disjoint sub-slices of
+	// ys, so the regression input is in enumeration order for any worker
+	// count and chunk scheduling.
 	cfgs, xs, err := groups.Coarse(k)
 	if err != nil {
 		return nil, err
 	}
 	streams := sim.NewRNG(opts.Seed ^ 0x5a3b9d2e8c71f604).SplitN(len(cfgs))
-	popts := parallel.Options{Procs: opts.Procs, Telemetry: opts.Telemetry}
-	var ys []float64
-	if opts.BatchSampler != nil {
-		// Chunked dispatch: workers write disjoint sub-slices of ys, so the
-		// result layout is enumeration order regardless of chunk scheduling.
-		ys = make([]float64, len(cfgs))
-		nChunks := (len(cfgs) + batchChunkSize - 1) / batchChunkSize
-		err = parallel.ForEach(popts, nChunks, func(c int) error {
-			lo := c * batchChunkSize
-			hi := lo + batchChunkSize
-			if hi > len(cfgs) {
-				hi = len(cfgs)
-			}
-			if err := opts.BatchSampler(cfgs[lo:hi], streams[lo:hi], ys[lo:hi]); err != nil {
-				return fmt.Errorf("core: sample chunk [%d,%d): %w", lo, hi, err)
-			}
-			return nil
-		})
-	} else {
-		ys, err = parallel.Map(popts, len(cfgs), func(i int) (float64, error) {
-			rt, err := sample(cfgs[i], streams[i])
-			if err != nil {
-				return 0, fmt.Errorf("core: sample %s: %w", cfgs[i].Key(), err)
-			}
-			return rt, nil
-		})
-	}
+	ys := make([]float64, len(cfgs))
+	nChunks := (len(cfgs) + chunk - 1) / chunk
+	err = parallel.ForEach(parallel.Options{Procs: opts.Procs, Telemetry: opts.Telemetry}, nChunks, func(c int) error {
+		lo, hi := c*chunk, min((c+1)*chunk, len(cfgs))
+		if err := batch(cfgs[lo:hi], streams[lo:hi], ys[lo:hi]); err != nil {
+			return fmt.Errorf("core: sample chunk [%d,%d) from %s: %w", lo, hi, cfgs[lo].Key(), err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -214,16 +195,12 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// The Q-values start at zero and are solved in place in the policy's
 	// slab, each state's row bound by ordinal.
 	structure, rewards := p.trainingMDP(parallel.Options{Procs: opts.Procs})
-	batch := opts.Batch
-	if batch.MaxSweeps == 0 {
-		batch = DefaultOfflineBatch()
-	}
 	p.q = make([]float64, len(rewards)*structure.Actions())
 	rows := make([][]float64, len(rewards))
 	for ord := range rows {
 		rows[ord] = p.rowAt(ord)
 	}
-	p.training, err = mdp.Solve(rows, structure, rewards, nil, batch)
+	p.training, err = mdp.Solve(rows, structure, rewards, nil, offline)
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}

@@ -27,6 +27,17 @@ func batchTestSample(space *config.Space, cfg config.Config, rng *sim.RNG) float
 	return rt + float64(rng.Uint64()%97)/1e4
 }
 
+// learnPolicy trains through LearnPolicyStream with a sampler that draws no
+// randomness, the shape of most tests' synthetic surfaces. A nil sample stays
+// nil, so the nil-sampler check is reachable.
+func learnPolicy(name string, space *config.Space, sample func(config.Config) (float64, error), opts InitOptions) (*Policy, error) {
+	var stream StreamSampler
+	if sample != nil {
+		stream = func(cfg config.Config, _ *sim.RNG) (float64, error) { return sample(cfg) }
+	}
+	return LearnPolicyStream(name, space, stream, opts)
+}
+
 func learnedPolicyBytes(t *testing.T, space *config.Space, batch bool, procs int) []byte {
 	t.Helper()
 	opts := InitOptions{CoarseLevels: 3, Seed: 11, Procs: procs}
@@ -72,8 +83,8 @@ func TestLearnPolicyBatchMatchesStream(t *testing.T) {
 }
 
 // TestLearnPolicyBatchErrors covers the batch dispatcher's error paths: a
-// failing chunk surfaces with its range, and a batch sampler alone (nil
-// per-configuration sampler) is accepted.
+// failing chunk surfaces with its range, neither sampler is rejected, and so
+// are both at once.
 func TestLearnPolicyBatchErrors(t *testing.T) {
 	space := config.Default()
 	boom := errors.New("boom")
@@ -92,6 +103,20 @@ func TestLearnPolicyBatchErrors(t *testing.T) {
 
 	if _, err := LearnPolicyStream("x", space, nil, InitOptions{CoarseLevels: 3}); err == nil {
 		t.Fatal("nil sampler and nil batch sampler accepted")
+	}
+
+	flat := func(config.Config, *sim.RNG) (float64, error) { return 1, nil }
+	_, err = LearnPolicyStream("x", space, flat, InitOptions{
+		CoarseLevels: 3,
+		BatchSampler: func(_ []config.Config, _ []*sim.RNG, out []float64) error {
+			for i := range out {
+				out[i] = 1
+			}
+			return nil
+		},
+	})
+	if err == nil {
+		t.Fatal("a StreamSampler and a BatchSampler both accepted")
 	}
 }
 

@@ -25,12 +25,6 @@ type Options struct {
 	// agreement; the immediate reward is SLASeconds − measuredRT (§3.2).
 	SLASeconds float64
 
-	// ThroughputSLA switches the reward signal to throughput when positive:
-	// r = measuredThroughput − ThroughputSLA (requests/second). The paper
-	// names both response time and throughput as admissible application-level
-	// signals (§3.1); response time is the default.
-	ThroughputSLA float64
-
 	// Online are the online learning parameters (paper: α=0.1, γ=0.9,
 	// ε=0.05).
 	Online mdp.Params
@@ -129,10 +123,8 @@ func (o Options) Reward(meanRT float64) float64 {
 	return o.SLASeconds - meanRT
 }
 
-// RewardOf computes the immediate reward from a full measurement, honoring
-// the configured signal (response time by default, throughput when
-// ThroughputSLA is set) and subtracting the capacity price when
-// CapacityCost is set.
+// RewardOf computes the immediate reward from a full measurement: the paper's
+// response-time reward, less the capacity price when CapacityCost is set.
 //
 // An interval that completed nothing while the admission gate healthily
 // turned arrivals away (Completed == 0, Rejected > 0, no errors) carries no
@@ -143,16 +135,11 @@ func (o Options) Reward(meanRT float64) float64 {
 // reward falls back to the neutral SLA point (zero base reward), matching the
 // degraded-interval convention.
 func (o Options) RewardOf(m system.Metrics) float64 {
-	var r float64
-	if o.ThroughputSLA > 0 {
-		r = m.Throughput - o.ThroughputSLA
-	} else {
-		rt := m.MeanRT
-		if m.Completed == 0 && m.Rejected > 0 && m.Errors == 0 {
-			rt = o.SLASeconds
-		}
-		r = o.Reward(rt)
+	rt := m.MeanRT
+	if m.Completed == 0 && m.Rejected > 0 && m.Errors == 0 {
+		rt = o.SLASeconds
 	}
+	r := o.Reward(rt)
 	if o.CapacityCost > 0 && m.CapacityUnits > 0 {
 		r -= o.CapacityCost * float64(m.CapacityUnits)
 	}

@@ -105,7 +105,7 @@ func TestGroupLatticeShared(t *testing.T) {
 	batch.MaxSweeps = 1
 	var trained []*Policy
 	for _, space := range []*config.Space{config.Default(), config.Default()} {
-		p, err := LearnPolicy("shared", space, flat, InitOptions{CoarseLevels: 3, Batch: batch})
+		p, err := learnPolicy("shared", space, flat, InitOptions{CoarseLevels: 3, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestLearnPolicyAndSeeder(t *testing.T) {
 		}
 		return rt, nil
 	}
-	p, err := LearnPolicy("test-ctx", space, sampler, InitOptions{CoarseLevels: 4, Seed: 3, Batch: mdp.DefaultBatchConfig()})
+	p, err := learnPolicy("test-ctx", space, sampler, InitOptions{CoarseLevels: 4, Seed: 3, Batch: mdp.DefaultBatchConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,17 +248,27 @@ func TestLearnPolicyAndSeeder(t *testing.T) {
 func TestLearnPolicyValidation(t *testing.T) {
 	space := config.Default()
 	ok := func(config.Config) (float64, error) { return 1, nil }
-	if _, err := LearnPolicy("x", nil, ok, InitOptions{}); err == nil {
+	if _, err := learnPolicy("x", nil, ok, InitOptions{}); err == nil {
 		t.Fatal("nil space accepted")
 	}
-	if _, err := LearnPolicy("x", space, nil, InitOptions{}); err == nil {
+	if _, err := learnPolicy("x", space, nil, InitOptions{}); err == nil {
 		t.Fatal("nil sampler accepted")
 	}
-	if _, err := LearnPolicy("x", space, ok, InitOptions{CoarseLevels: 1}); err == nil {
+	if _, err := learnPolicy("x", space, ok, InitOptions{CoarseLevels: 1}); err == nil {
 		t.Fatal("one coarse level accepted")
 	}
-	if _, err := LearnPolicy("x", space, ok, InitOptions{SLASeconds: -1}); err == nil {
+	if _, err := learnPolicy("x", space, ok, InitOptions{SLASeconds: -1}); err == nil {
 		t.Fatal("negative SLA accepted")
+	}
+	// Only the zero schedule means "default"; a set one keeps its values and
+	// must bound the sweeps.
+	if _, err := learnPolicy("x", space, ok, InitOptions{CoarseLevels: 2, Batch: mdp.BatchConfig{}}); err != nil {
+		t.Fatalf("zero offline schedule rejected: %v", err)
+	}
+	noSweeps := DefaultOfflineBatch()
+	noSweeps.MaxSweeps = 0
+	if _, err := learnPolicy("x", space, ok, InitOptions{Batch: noSweeps}); err == nil {
+		t.Fatal("offline schedule with MaxSweeps 0 accepted")
 	}
 }
 
@@ -269,7 +279,7 @@ func TestPolicyPredictRTFloor(t *testing.T) {
 		vec := mustGrouping(t, space).AppendMeans(nil, cfg)
 		return math.Max(0.05, 5-vec[0]/100), nil
 	}
-	p, err := LearnPolicy("floor", space, sampler, InitOptions{CoarseLevels: 3, Seed: 1, Batch: mdp.DefaultBatchConfig()})
+	p, err := learnPolicy("floor", space, sampler, InitOptions{CoarseLevels: 3, Seed: 1, Batch: mdp.DefaultBatchConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +334,7 @@ func bowlPolicyForPersist(t *testing.T, space *config.Space) *Policy {
 		}
 		return rt, nil
 	}
-	p, err := LearnPolicy("persist", space, sampler, InitOptions{CoarseLevels: 3, Seed: 9, Batch: mdp.DefaultBatchConfig()})
+	p, err := learnPolicy("persist", space, sampler, InitOptions{CoarseLevels: 3, Seed: 9, Batch: mdp.DefaultBatchConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +460,7 @@ func FuzzLoadPolicy(f *testing.F) {
 	flat := func(config.Config) (float64, error) { return 1, nil }
 	batch := mdp.DefaultBatchConfig()
 	batch.MaxSweeps = 2
-	p, err := LearnPolicy("fuzz", space, flat, InitOptions{CoarseLevels: 2, Batch: batch})
+	p, err := learnPolicy("fuzz", space, flat, InitOptions{CoarseLevels: 2, Batch: batch})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -676,7 +686,7 @@ func TestGroupingMatchesReference(t *testing.T) {
 			}
 			batch := mdp.DefaultBatchConfig()
 			batch.MaxSweeps = 2
-			p, err := LearnPolicy(name, space, bowl, InitOptions{CoarseLevels: 3, Seed: 7, Batch: batch})
+			p, err := learnPolicy(name, space, bowl, InitOptions{CoarseLevels: 3, Seed: 7, Batch: batch})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -276,3 +276,78 @@ func TestForcePolicySwitchesImmediately(t *testing.T) {
 		t.Fatal("ForcePolicy(nil) did not clear the policy")
 	}
 }
+
+// FuzzRestoreAgentState feeds arbitrary bytes through the checkpoint path a
+// restarted agent takes: LoadAgentState, RestoreState on a bowl-system agent
+// bound to a trained policy, then two Steps. No input may panic, a rejected
+// snapshot must leave the agent able to step, and a snapshot that restores
+// must export again exactly as it decoded. The seeds are a real mid-run
+// export and single-field mutations of it.
+func FuzzRestoreAgentState(f *testing.F) {
+	policy := bowlPolicy(f, bowlTargets, "fuzz-restore")
+	newAgent := func(tb testing.TB) *Agent {
+		a, err := NewAgent(newBowlSystem(bowlTargets), AgentOptions{Policy: policy, Seed: 5})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return a
+	}
+	a := newAgent(f)
+	for i := 0; i < 8; i++ {
+		if _, err := a.Step(context.Background()); err != nil {
+			f.Fatal(err)
+		}
+	}
+	good, err := a.ExportState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	encode := func(st AgentState) []byte {
+		var buf bytes.Buffer
+		if err := st.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	saved := encode(*good)
+	f.Add(saved)
+	for _, mutate := range []func(st *AgentState){
+		func(st *AgentState) { st.Version++ },
+		func(st *AgentState) { st.Config = st.Config[:2] },
+		func(st *AgentState) { st.Config = make([]int, len(st.Config)) },
+		func(st *AgentState) { st.PolicyName = "never-trained" },
+		func(st *AgentState) { st.Window = make([]float64, 64) },
+		func(st *AgentState) { st.Samples = map[string]float64{"not-a-key": 1} },
+		func(st *AgentState) { st.QTable = nil },
+		func(st *AgentState) {
+			st.QTable = &mdp.QTableJSON{Actions: 3, Rows: map[string][]float64{"not-a-key": {1, 2, 3}}}
+		},
+	} {
+		st := *good
+		mutate(&st)
+		f.Add(encode(st))
+	}
+	f.Add(saved[:len(saved)/2])
+	f.Add([]byte(`{}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a := newAgent(t)
+		st, err := LoadAgentState(bytes.NewReader(data))
+		if err == nil {
+			if err := a.RestoreState(st); err == nil {
+				var want bytes.Buffer
+				if err := st.Save(&want); err != nil {
+					t.Fatal(err)
+				}
+				if got := exportJSON(t, a); !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("restored snapshot exports differently:\n%s\nvs\n%s", got, want.Bytes())
+				}
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := a.Step(context.Background()); err != nil {
+				t.Fatalf("step %d after restore attempt: %v", i, err)
+			}
+		}
+	})
+}

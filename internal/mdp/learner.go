@@ -40,7 +40,11 @@ func DefaultOffline() Params { return Params{Alpha: 0.1, Gamma: 0.9, Epsilon: 0.
 // (α=0.1, γ=0.9, ε=0.05).
 func DefaultOnline() Params { return Params{Alpha: 0.1, Gamma: 0.9, Epsilon: 0.05} }
 
-// Learner performs temporal-difference updates on a Q-table.
+// Learner is the online agent's ε-greedy action selector over a Q-table,
+// drawing from an RNG stream that agent checkpoints capture. Its
+// temporal-difference update (UpdateSARSA) trains nothing in the agent or in
+// offline policy training, which both run Solve; it serves the benchmark
+// ledger's update probe and the sampled SARSA oracle in the tests.
 type Learner struct {
 	table  *QTable
 	params Params
@@ -60,9 +64,6 @@ func NewLearner(table *QTable, params Params, rng *sim.RNG) (*Learner, error) {
 	}
 	return &Learner{table: table, params: params, rng: rng}, nil
 }
-
-// Table returns the underlying Q-table.
-func (l *Learner) Table() *QTable { return l.table }
 
 // RNG exposes the learner's exploration stream so agent checkpoints can
 // capture and restore it; resuming with the same stream state replays the

@@ -1,11 +1,15 @@
 // Package mdp implements the tabular reinforcement-learning machinery of the
-// paper: a Q-value table keyed by state strings, temporal-difference updates
-// (paper Algorithm 1), ε-greedy action selection, and batch training over a
-// deterministic model of the configuration MDP — solved, not sampled (Solve).
+// paper: a Q-value table keyed by state strings, ε-greedy action selection,
+// and batch training over a deterministic model of the configuration MDP —
+// the fixed point paper Algorithm 1's ε-greedy SARSA estimates, solved rather
+// than sampled (Solve).
 //
 // The package is independent of web-system specifics: states are opaque
-// string keys and actions are dense indices, so the same learner is reused by
-// the offline policy-initialization pass and the online agent.
+// string keys and actions are dense indices. Online, the agent's Learner
+// selects actions ε-greedily over its Q-table; offline policy training and the
+// agent's per-interval retraining both run Solve. The TD update
+// (Learner.UpdateSARSA) remains only for the benchmark ledger's update probe
+// and the sampled SARSA oracle the tests hold Solve to.
 package mdp
 
 import (

@@ -191,19 +191,8 @@ type (
 	PolicyStore = core.PolicyStore
 	// InitOptions configure LearnPolicy.
 	InitOptions = core.InitOptions
-	// Sampler measures one configuration during policy initialization.
-	Sampler = core.Sampler
-	// StreamSampler measures one configuration with a dedicated pre-split
-	// RNG stream, so InitOptions.Procs can fan the coarse sweep out without
-	// changing results.
-	StreamSampler = core.StreamSampler
 	// RLParams are the tabular-learning hyper-parameters (α, γ, ε).
 	RLParams = mdp.Params
-	// LinearQ is a linear value-function approximator — the paper's §7
-	// future-work alternative to the tabular Q-table.
-	LinearQ = mdp.LinearQ
-	// ApproxLearner performs gradient SARSA on a LinearQ.
-	ApproxLearner = mdp.ApproxLearner
 	// Resilience is the agent's fault-handling policy: retry/backoff,
 	// invalid-measurement rejection, and rollback-to-safe.
 	Resilience = core.Resilience
@@ -219,18 +208,20 @@ func DefaultResilience() Resilience { return core.DefaultResilience() }
 // NewAgent builds a RAC agent tuning the given system.
 func NewAgent(sys System, opts AgentOptions) (*Agent, error) { return core.NewAgent(sys, opts) }
 
+// Sampler measures the mean response time of one configuration during policy
+// initialization. With InitOptions.Procs beyond 1 it is called from several
+// goroutines at once and must be safe for concurrent use.
+type Sampler func(cfg Config) (float64, error)
+
 // LearnPolicy runs policy initialization (paper Algorithm 2) for one system
 // context: coarse grouped sampling, polynomial-regression prediction, and
 // offline RL over the group lattice.
 func LearnPolicy(name string, space *Space, sample Sampler, opts InitOptions) (*Policy, error) {
-	return core.LearnPolicy(name, space, sample, opts)
-}
-
-// LearnPolicyStream is LearnPolicy for samplers that consume randomness:
-// each coarse configuration is measured with its own RNG stream split before
-// dispatch, so opts.Procs parallelism cannot change the trained policy.
-func LearnPolicyStream(name string, space *Space, sample StreamSampler, opts InitOptions) (*Policy, error) {
-	return core.LearnPolicyStream(name, space, sample, opts)
+	var stream core.StreamSampler
+	if sample != nil {
+		stream = func(cfg Config, _ *sim.RNG) (float64, error) { return sample(cfg) }
+	}
+	return core.LearnPolicyStream(name, space, stream, opts)
 }
 
 // NewPolicyStore builds a store of initial policies.
@@ -239,25 +230,6 @@ func NewPolicyStore(policies ...*Policy) *PolicyStore { return core.NewPolicySto
 // LoadPolicy reads a policy previously written with Policy.Save, binding it
 // to the configuration space it was trained on.
 func LoadPolicy(r io.Reader, space *Space) (*Policy, error) { return core.LoadPolicy(r, space) }
-
-// NewLinearQ builds a linear action-value approximator over the feature
-// basis returned by ConfigFeatures (or any custom extractor).
-func NewLinearQ(features mdp.Features, dim, actions int) (*LinearQ, error) {
-	return mdp.NewLinearQ(features, dim, actions)
-}
-
-// NewApproxLearner wraps a LinearQ with gradient SARSA updates.
-func NewApproxLearner(q *LinearQ, params RLParams, seed uint64) (*ApproxLearner, error) {
-	return mdp.NewApproxLearner(q, params, sim.NewRNG(seed|1))
-}
-
-// ConfigFeatures returns a quadratic feature basis over the configuration
-// space (bias, normalized values, squares) and its dimensionality, for use
-// with NewLinearQ.
-func ConfigFeatures(space *Space) (mdp.Features, int) {
-	f, dim := config.Features(space)
-	return f, dim
-}
 
 // SystemSampler adapts a System into a policy-initialization Sampler
 // (apply + measure per probed configuration). Offline sampling has no caller
@@ -297,13 +269,6 @@ func NewTrialAndErrorAgent(sys System, opts Options) (Tuner, error) {
 // the paper's two baselines).
 func NewHillClimbAgent(sys System, opts Options) (Tuner, error) {
 	return core.NewHillClimbAgent(sys, opts)
-}
-
-// NewApproxAgent builds the function-approximation variant of the RAC agent
-// (the paper's §7 future-work direction): online SARSA over per-action
-// linear models of the configuration features instead of a tabular Q-table.
-func NewApproxAgent(sys System, opts Options, seed uint64) (Tuner, error) {
-	return core.NewApproxAgent(sys, opts, seed)
 }
 
 // Live stack.

@@ -106,36 +106,6 @@ func TestContextControlsThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestApproxAgentThroughPublicAPI(t *testing.T) {
-	ctx, err := rac.ContextByName("context-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx.Workload.Clients = 120
-	sys, err := rac.NewSimulatedSystem(rac.SimulatedOptions{
-		Context:        ctx,
-		Seed:           2,
-		SettleSeconds:  5,
-		MeasureSeconds: 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := rac.NewApproxAgent(sys, rac.DefaultOptions(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		res, err := agent.Step(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MeanRT <= 0 {
-			t.Fatalf("step %+v", res)
-		}
-	}
-}
-
 func TestPolicyPersistenceThroughPublicAPI(t *testing.T) {
 	space := rac.DefaultSpace()
 	ctx, err := rac.ContextByName("context-1")
@@ -162,24 +132,6 @@ func TestPolicyPersistenceThroughPublicAPI(t *testing.T) {
 	probe := space.DefaultConfig()
 	if loaded.PredictRT(probe) != policy.PredictRT(probe) {
 		t.Fatal("prediction changed across save/load")
-	}
-}
-
-func TestConfigFeaturesThroughPublicAPI(t *testing.T) {
-	space := rac.DefaultSpace()
-	feats, dim := rac.ConfigFeatures(space)
-	if dim != 1+2*space.Len() {
-		t.Fatalf("dim %d", dim)
-	}
-	q, err := rac.NewLinearQ(feats, dim, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Dim() != dim {
-		t.Fatal("dim mismatch")
-	}
-	if _, err := rac.NewApproxLearner(q, rac.DefaultOptions().Online, 1); err != nil {
-		t.Fatal(err)
 	}
 }
 
