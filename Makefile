@@ -52,7 +52,9 @@ race:
 # fuzz runs every Fuzz* target in the tree (FuzzLoadPolicy and
 # FuzzRestoreAgentState today) for a fixed 10 s each — ≈25 s in all beside
 # race's 218 s, the rest being compilation. Plain `go test` already runs each
-# target's seeds; this mutates past them. Minimizing a new input is capped at
+# target's seeds; this mutates past them. FuzzLoadPolicy seeds from a
+# four-parameter space's 2.4 kB policy: 15 000–50 000 executions per 10 s
+# on two cores, where its 1.5 MB default-space seeds managed 24. Minimizing a new input is capped at
 # 1 s: at go's 60 s default, shrinking one kilobyte-sized snapshot byte by
 # byte would eat the whole budget. A failing input lands in the package's
 # testdata/fuzz/ (git-ignored).
@@ -134,9 +136,10 @@ bench-telemetry:
 	$(GO) test -run xxx -bench . -benchmem ./internal/telemetry/
 
 # The data-plane acceptance benchmark: sustained throughput of the seed
-# closed-loop browser driver versus the sharded open-loop engine against the
-# same live stack, summarised into BENCH_load.json (compare the req/s
-# metrics). Same two-step form as `make bench`.
+# closed-loop browser driver versus the open-loop engine (128 pacing
+# workers, one accounting) against the same live stack, summarised into
+# BENCH_load.json (compare the req/s metrics). Same two-step form as
+# `make bench`.
 bench-load:
 	@$(GO) test -run xxx -bench Sustained -benchtime 5x ./internal/loadgen/ > BENCH_load.txt || \
 		{ cat BENCH_load.txt; rm -f BENCH_load.txt; exit 1; }
@@ -167,8 +170,9 @@ bench-train-smoke:
 		rm -f BENCH_train_smoke.txt || { rm -f BENCH_train_smoke.txt; exit 1; }
 
 # One-iteration smoke of both load-generator benchmarks: catches a data-plane
-# regression (engine deadlock, accounting panic) without the full bench-load
-# run, so it is cheap enough for `make check`.
+# regression (engine deadlock, accounting panic, a worker missing from the
+# in-flight bound) without the full bench-load run, so it is cheap enough for
+# `make check`.
 loadgen-smoke:
 	$(GO) test -run xxx -bench Sustained -benchtime 1x ./internal/loadgen/
 

@@ -60,7 +60,6 @@ func run(args []string) error {
 		rate       = fs.Float64("rate", 0, "open-loop offered load in paper-scale req/s (>0 implies -open; 0 keeps the closed loop)")
 		scenario   = fs.String("scenario", "", "drive a time-varying workload scenario: a library name (diurnal|flashcrowd|mixdrift|ramp|steady) or a JSON file (see examples/scenarios/)")
 		arrival    = fs.String("arrival", "", "open-loop arrival process: poisson (default) or uniform")
-		shards     = fs.Int("shards", 0, "open-loop accounting shards (0 = default; results identical for any value)")
 		inflight   = fs.Int("inflight", 0, "open-loop bound on concurrently outstanding requests (0 = default)")
 		admission  = fs.Bool("admission", false, "tune the SLO admission gate too: extend the lattice with AdmitConcurrency and AdmitQueue so Q-learning sets the gate's caps alongside the web-tier knobs")
 		admitConc  = fs.Int("admitconc", 0, "starting AdmitConcurrency (requires -admission; 0 keeps the space default)")
@@ -156,7 +155,6 @@ func run(args []string) error {
 	load := rac.LoadOptions{
 		Rate:           *rate,
 		ArrivalProcess: rac.LoadArrival(*arrival),
-		Shards:         *shards,
 		MaxInFlight:    *inflight,
 	}
 	// Each wall-clock interval covers interval×TimeScale scenario seconds;
@@ -181,7 +179,6 @@ func run(args []string) error {
 		Trace:            trace,
 		Capacity:         *capacityOn,
 		CapacityDelay:    *capDelay,
-		CapacityFastPath: *capacityOn,
 		CapacityAnalyzer: rac.DefaultCapacityConfig(rac.DefaultOptions().SLASeconds),
 		FaultsPath:       *faultsPath,
 	})

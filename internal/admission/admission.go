@@ -10,17 +10,14 @@
 // an epoch counter, and at each epoch boundary (a fixed request count, never
 // wall clock) the controller compares the epoch's rejection rate against its
 // thresholds and rescales the effective caps. Driving decisions off request
-// counts keeps the simulated system byte-identical at any -procs or shard
-// count. Gate wraps a Controller with a mutex and per-class occupancy
-// tracking for the live concurrent HTTP server, where many goroutines race
-// through Enter/release.
+// counts keeps the simulated system byte-identical at any -procs. Gate wraps
+// a Controller with a mutex and an occupancy count for the live concurrent
+// HTTP server, where many goroutines race through Enter/release.
 package admission
 
 import (
 	"fmt"
 	"math"
-
-	"github.com/rac-project/rac/internal/tpcw"
 )
 
 // Params are the gate's configured caps. Both zero disables the gate
@@ -32,10 +29,6 @@ type Params struct {
 	// (the web tier's admission queue). A request arriving with the queue
 	// full is fast-rejected with 503 before touching the web tier.
 	MaxQueue int
-	// ClassLimits, when non-nil, additionally caps the gate occupancy of
-	// individual interaction classes (0 or absent = no per-class cap). The
-	// global caps always apply on top.
-	ClassLimits map[tpcw.Class]int
 }
 
 // Enabled reports whether the gate does anything at all.
@@ -52,45 +45,33 @@ func (p Params) Validate() error {
 	if p.MaxQueue < 0 {
 		return fmt.Errorf("admission: negative queue cap %d", p.MaxQueue)
 	}
-	for class, limit := range p.ClassLimits {
-		if limit < 0 {
-			return fmt.Errorf("admission: negative cap %d for class %s", limit, class)
-		}
-	}
 	return nil
 }
+
+// The epoch loop's calibration: an epoch whose rejection rate exceeds
+// highThreshold spreads (the cap scale drops one scaleStep toward minScale),
+// one below lowThreshold exploits (the scale rises one scaleStep toward
+// maxScale), and anything between holds.
+const (
+	lowThreshold  = 0.02
+	highThreshold = 0.10
+	scaleStep     = 0.1
+	minScale      = 0.5
+	maxScale      = 1.5
+)
 
 // EpochConfig tunes the epoch-adaptive loop. The zero value disables it: the
 // configured caps apply unscaled forever.
 type EpochConfig struct {
 	// Size is the epoch length in gate outcomes (admits + rejects). Every
 	// Size outcomes the controller reads its rejection rate and moves the
-	// cap scale one Step. Counts, not wall clock, so replays are exact.
+	// cap scale one step. Counts, not wall clock, so replays are exact.
 	Size int
-	// LowThreshold is the rejection rate below which the gate has headroom:
-	// the exploit regime scales the caps up toward MaxScale.
-	LowThreshold float64
-	// HighThreshold is the rejection rate above which the system is
-	// overloaded: the spread regime scales the caps down toward MinScale.
-	HighThreshold float64
-	// Step is the scale adjustment per epoch decision.
-	Step float64
-	// MinScale and MaxScale clamp the cap scale.
-	MinScale, MaxScale float64
 }
 
 // DefaultEpoch returns the epoch loop used by the experiments: ~1000-request
-// epochs, exploit below 2% rejections, spread above 10%.
-func DefaultEpoch() EpochConfig {
-	return EpochConfig{
-		Size:          1000,
-		LowThreshold:  0.02,
-		HighThreshold: 0.10,
-		Step:          0.1,
-		MinScale:      0.5,
-		MaxScale:      1.5,
-	}
-}
+// epochs.
+func DefaultEpoch() EpochConfig { return EpochConfig{Size: 1000} }
 
 // EpochWith returns DefaultEpoch with the given epoch size (0 keeps 1000).
 func EpochWith(size int) EpochConfig {
@@ -109,28 +90,15 @@ func (e EpochConfig) Validate() error {
 	if e.Size < 0 {
 		return fmt.Errorf("admission: negative epoch size %d", e.Size)
 	}
-	if !e.Enabled() {
-		return nil
-	}
-	if e.LowThreshold < 0 || e.HighThreshold < e.LowThreshold {
-		return fmt.Errorf("admission: epoch thresholds low=%g high=%g out of order",
-			e.LowThreshold, e.HighThreshold)
-	}
-	if e.Step <= 0 {
-		return fmt.Errorf("admission: non-positive epoch step %g", e.Step)
-	}
-	if e.MinScale <= 0 || e.MaxScale < e.MinScale {
-		return fmt.Errorf("admission: epoch scale range [%g,%g] invalid", e.MinScale, e.MaxScale)
-	}
 	return nil
 }
 
 // Regime is the epoch loop's current stance.
 type Regime int
 
-// The regimes: Hold between the thresholds, Exploit below LowThreshold
+// The regimes: Hold between the thresholds, Exploit below lowThreshold
 // (open the gate — rejections are wasted capacity), Spread above
-// HighThreshold (tighten the gate — protect the latency of admitted work).
+// highThreshold (tighten the gate — protect the latency of admitted work).
 const (
 	RegimeHold Regime = iota
 	RegimeExploit
@@ -226,21 +194,11 @@ func (c *Controller) Capacity() int {
 	return conc + queue
 }
 
-// Admit decides one arrival given the caller's current gate occupancy (and
-// the arrival's class occupancy, when per-class caps are configured). It does
-// not count the outcome — callers report it through Observe so shed or
+// Admit decides one arrival given the caller's current gate occupancy. It
+// does not count the outcome — callers report it through Observe so shed or
 // abandoned arrivals can be excluded.
-func (c *Controller) Admit(occupancy, classOccupancy int, class tpcw.Class) bool {
-	if !c.params.Enabled() {
-		return true
-	}
-	if occupancy >= c.Capacity() {
-		return false
-	}
-	if limit, ok := c.params.ClassLimits[class]; ok && limit > 0 && classOccupancy >= scaled(limit, c.scale) {
-		return false
-	}
-	return true
+func (c *Controller) Admit(occupancy int) bool {
+	return !c.params.Enabled() || occupancy < c.Capacity()
 }
 
 // Observe counts one gate outcome and, at an epoch boundary, applies the
@@ -261,12 +219,12 @@ func (c *Controller) Observe(rejected bool) (Decision, bool) {
 	c.count, c.rejected = 0, 0
 	c.epochs++
 	switch {
-	case rate > c.epoch.HighThreshold:
+	case rate > highThreshold:
 		c.regime = RegimeSpread
-		c.scale = math.Max(c.epoch.MinScale, c.scale-c.epoch.Step)
-	case rate < c.epoch.LowThreshold:
+		c.scale = math.Max(minScale, c.scale-scaleStep)
+	case rate < lowThreshold:
 		c.regime = RegimeExploit
-		c.scale = math.Min(c.epoch.MaxScale, c.scale+c.epoch.Step)
+		c.scale = math.Min(maxScale, c.scale+scaleStep)
 	default:
 		c.regime = RegimeHold
 	}

@@ -14,9 +14,6 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{MaxQueue: -1}).Validate(); err == nil {
 		t.Error("negative queue cap accepted")
 	}
-	if err := (Params{ClassLimits: map[tpcw.Class]int{tpcw.ClassHome: -2}}).Validate(); err == nil {
-		t.Error("negative class cap accepted")
-	}
 	if err := (Params{MaxConcurrent: 100, MaxQueue: 50}).Validate(); err != nil {
 		t.Errorf("valid params rejected: %v", err)
 	}
@@ -29,17 +26,8 @@ func TestEpochValidate(t *testing.T) {
 	if err := DefaultEpoch().Validate(); err != nil {
 		t.Fatalf("default epoch invalid: %v", err)
 	}
-	bad := []EpochConfig{
-		{Size: -1},
-		{Size: 10, LowThreshold: 0.2, HighThreshold: 0.1, Step: 0.1, MinScale: 0.5, MaxScale: 1.5},
-		{Size: 10, LowThreshold: 0.02, HighThreshold: 0.1, Step: 0, MinScale: 0.5, MaxScale: 1.5},
-		{Size: 10, LowThreshold: 0.02, HighThreshold: 0.1, Step: 0.1, MinScale: 0, MaxScale: 1.5},
-		{Size: 10, LowThreshold: 0.02, HighThreshold: 0.1, Step: 0.1, MinScale: 2, MaxScale: 1},
-	}
-	for i, e := range bad {
-		if err := e.Validate(); err == nil {
-			t.Errorf("case %d: invalid epoch config accepted: %+v", i, e)
-		}
+	if err := (EpochConfig{Size: -1}).Validate(); err == nil {
+		t.Error("negative epoch size accepted")
 	}
 }
 
@@ -51,7 +39,7 @@ func TestControllerDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5000; i++ {
-		if !c.Admit(1_000_000, 1_000_000, tpcw.ClassHome) {
+		if !c.Admit(1_000_000) {
 			t.Fatal("disabled gate rejected")
 		}
 		if _, decided := c.Observe(false); decided {
@@ -63,9 +51,7 @@ func TestControllerDisabled(t *testing.T) {
 // TestControllerRegimes drives the epoch loop through spread and exploit and
 // checks the scale walks as specified.
 func TestControllerRegimes(t *testing.T) {
-	epoch := EpochConfig{Size: 10, LowThreshold: 0.02, HighThreshold: 0.10,
-		Step: 0.1, MinScale: 0.5, MaxScale: 1.5}
-	c, err := NewController(Params{MaxConcurrent: 100, MaxQueue: 50}, epoch)
+	c, err := NewController(Params{MaxConcurrent: 100, MaxQueue: 50}, EpochWith(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,23 +89,23 @@ func TestControllerRegimes(t *testing.T) {
 		t.Fatalf("mid epoch: got %+v, want hold at scale 1", dec)
 	}
 
-	// Scale clamps at MinScale under sustained overload…
+	// Scale clamps at minScale under sustained overload…
 	for e := 0; e < 20; e++ {
 		for i := 0; i < 10; i++ {
 			dec, _ = c.Observe(true)
 		}
 	}
-	if dec.Scale != epoch.MinScale {
-		t.Fatalf("sustained overload scale = %g, want clamp at %g", dec.Scale, epoch.MinScale)
+	if dec.Scale != minScale {
+		t.Fatalf("sustained overload scale = %g, want clamp at %g", dec.Scale, minScale)
 	}
-	// …and at MaxScale under sustained headroom.
+	// …and at maxScale under sustained headroom.
 	for e := 0; e < 20; e++ {
 		for i := 0; i < 10; i++ {
 			dec, _ = c.Observe(false)
 		}
 	}
-	if dec.Scale != epoch.MaxScale {
-		t.Fatalf("sustained headroom scale = %g, want clamp at %g", dec.Scale, epoch.MaxScale)
+	if dec.Scale != maxScale {
+		t.Fatalf("sustained headroom scale = %g, want clamp at %g", dec.Scale, maxScale)
 	}
 }
 
@@ -155,31 +141,17 @@ func TestControllerDeterminism(t *testing.T) {
 	}
 }
 
-// TestControllerAdmit covers the cap arithmetic, including per-class limits.
+// TestControllerAdmit covers the cap arithmetic.
 func TestControllerAdmit(t *testing.T) {
-	c, err := NewController(Params{
-		MaxConcurrent: 4,
-		MaxQueue:      2,
-		ClassLimits:   map[tpcw.Class]int{tpcw.ClassBuyConfirm: 2},
-	}, EpochConfig{})
+	c, err := NewController(Params{MaxConcurrent: 4, MaxQueue: 2}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Admit(5, 0, tpcw.ClassHome) {
+	if !c.Admit(5) {
 		t.Error("occupancy below capacity rejected")
 	}
-	if c.Admit(6, 0, tpcw.ClassHome) {
+	if c.Admit(6) {
 		t.Error("occupancy at capacity admitted")
-	}
-	if !c.Admit(3, 1, tpcw.ClassBuyConfirm) {
-		t.Error("class below its cap rejected")
-	}
-	if c.Admit(3, 2, tpcw.ClassBuyConfirm) {
-		t.Error("class at its cap admitted")
-	}
-	// Classes without a limit are bounded only by the global caps.
-	if !c.Admit(3, 100, tpcw.ClassSearch) {
-		t.Error("unlimited class rejected on class occupancy")
 	}
 }
 

@@ -7,15 +7,14 @@ import (
 )
 
 // Gate is the live server's concurrent front door: a Controller behind a
-// mutex, tracking total and per-class occupancy. The hot path is one short
-// critical section per request boundary (Enter and the returned release), so
-// rejected requests cost a lock acquisition and nothing else — the fast
-// 503 path the web tier's semaphore wait cannot provide.
+// mutex, tracking its occupancy. The hot path is one short critical section
+// per request boundary (Enter and the returned release), so rejected requests
+// cost a lock acquisition and nothing else — the fast 503 path the web tier's
+// semaphore wait cannot provide.
 type Gate struct {
 	mu        sync.Mutex
 	ctrl      *Controller
 	occupancy int
-	byClass   map[tpcw.Class]int
 
 	admitted int64
 	rejected int64
@@ -31,7 +30,7 @@ func NewGate(params Params, epoch EpochConfig) (*Gate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Gate{ctrl: ctrl, byClass: make(map[tpcw.Class]int)}, nil
+	return &Gate{ctrl: ctrl}, nil
 }
 
 // OnDecision registers a callback invoked for every epoch decision. Call
@@ -62,17 +61,17 @@ func (g *Gate) Enabled() bool {
 // function the caller must invoke exactly once when the request finishes
 // (any path — success, error, panic-deferred). When rejected it returns
 // ok=false and a nil release; the caller answers 503 and goes no deeper.
+// The gate caps total occupancy only, so class does not enter the decision;
+// the parameter stays so that existing callers keep compiling.
 func (g *Gate) Enter(class tpcw.Class) (release func(), ok bool) {
 	g.mu.Lock()
 	// Occupancy is tracked even while the gate is disabled, so enabling the
 	// caps mid-flight (a live reconfiguration) starts from a true count.
-	admit := !g.ctrl.Params().Enabled() ||
-		g.ctrl.Admit(g.occupancy, g.byClass[class], class)
+	admit := g.ctrl.Admit(g.occupancy)
 	var dec Decision
 	var decided bool
 	if admit {
 		g.occupancy++
-		g.byClass[class]++
 		g.admitted++
 		dec, decided = g.ctrl.Observe(false)
 	} else {
@@ -92,7 +91,6 @@ func (g *Gate) Enter(class tpcw.Class) (release func(), ok bool) {
 		once.Do(func() {
 			g.mu.Lock()
 			g.occupancy--
-			g.byClass[class]--
 			g.mu.Unlock()
 		})
 	}, true

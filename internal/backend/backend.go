@@ -73,10 +73,10 @@ type Spec struct {
 
 	// Capacity wraps the backend in the elastic capacity decorator, making
 	// the VM level an actuator: lattice CapacityLevel moves (config.WithCapacity)
-	// become scale requests, and with CapacityFastPath the saturation
-	// analyzer scales between the agent's retrains. The decorator sits under
-	// the fault layer, so injected faults disturb the capacity controller
-	// exactly as they disturb the agent.
+	// become scale requests, and the saturation analyzer scales between the
+	// agent's retrains (the fast path). The decorator sits under the fault
+	// layer, so injected faults disturb the capacity controller exactly as
+	// they disturb the agent.
 	Capacity bool
 	// CapacityInitial is the starting capacity ordinal (1 = Level-3 … 3 =
 	// Level-1); 0 starts at the backend's Context level.
@@ -84,8 +84,6 @@ type Spec struct {
 	// CapacityDelay is the scale-up provisioning delay in measurement
 	// intervals (scale-downs always apply on the next interval).
 	CapacityDelay int
-	// CapacityFastPath enables analyzer-driven scaling between retrains.
-	CapacityFastPath bool
 	// CapacityAnalyzer calibrates saturation detection; the zero value uses
 	// capacity.DefaultConfig(2.0).
 	CapacityAnalyzer capacity.Config
@@ -248,7 +246,7 @@ func Wrap(base system.System, spec Spec) (*Built, error) {
 			Initial:        spec.CapacityInitial,
 			ProvisionDelay: spec.CapacityDelay,
 			Analyzer:       spec.CapacityAnalyzer,
-			FastPath:       spec.CapacityFastPath,
+			FastPath:       true,
 			Telemetry:      spec.Telemetry,
 			Trace:          spec.Trace,
 		})

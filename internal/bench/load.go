@@ -52,7 +52,6 @@ func (h *Harness) FigLoad() (*Figure, error) {
 			Workload:    tpcw.Workload{Mix: tpcw.Shopping, Clients: 1},
 			Seed:        h.opts.Seed ^ (0x10AD + uint64(i)),
 			Rate:        rate,
-			Shards:      8,
 			MaxInFlight: 128,
 		})
 		if err == nil {
@@ -76,7 +75,7 @@ func (h *Harness) FigLoad() (*Figure, error) {
 	}
 	fig.Series = []Series{completed, shed}
 	fig.Notes = append(fig.Notes,
-		"open-loop engine: Poisson arrivals, 8 shards, 128 in-flight bound",
+		"open-loop engine: Poisson arrivals, 128 in-flight bound",
 		fmt.Sprintf("wall-clock interval %v per point (x%g time scale)", interval, float64(httpd.TimeScale)))
 	return fig, nil
 }

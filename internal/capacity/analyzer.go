@@ -28,33 +28,27 @@ type Config struct {
 	// SLASeconds is the latency reference: p99 (or mean, when p99 is
 	// untracked) beyond it counts as a latency breach.
 	SLASeconds float64
-	// SaturationRatio is the completed/offered knee: a window whose
-	// completion ratio falls below it — arrivals outpacing completions — is a
-	// saturation candidate.
-	SaturationRatio float64
-	// HeadroomRatio is the completion ratio at or above which the system is
-	// considered to be serving everything offered.
-	HeadroomRatio float64
-	// HeadroomRT is the fraction of SLASeconds the latency must stay under
-	// for a headroom verdict: serving everything slowly is not headroom.
-	HeadroomRT float64
 	// Cooldown suppresses further scale verdicts for this many observations
 	// after one fires, giving the previous decision time to take effect.
 	Cooldown int
 }
 
+// The analyzer's fixed thresholds. saturationRatio is the completed/offered
+// knee: a window whose completion ratio falls below it — arrivals outpacing
+// completions — is a saturation candidate. headroomRatio is the completion
+// ratio at or above which the system is considered to be serving everything
+// offered, and headroomRT the fraction of SLASeconds the latency must stay
+// under for a headroom verdict: serving everything slowly is not headroom.
+const (
+	saturationRatio = 0.90
+	headroomRatio   = 0.98
+	headroomRT      = 0.5
+)
+
 // DefaultConfig returns the analyzer calibration used by the experiments: a
-// three-interval window, saturation below 90% completion, headroom above 98%
-// completion with latency under half the SLA, and a two-interval cooldown.
+// three-interval window and a two-interval cooldown.
 func DefaultConfig(slaSeconds float64) Config {
-	return Config{
-		Window:          3,
-		SLASeconds:      slaSeconds,
-		SaturationRatio: 0.90,
-		HeadroomRatio:   0.98,
-		HeadroomRT:      0.5,
-		Cooldown:        2,
-	}
+	return Config{Window: 3, SLASeconds: slaSeconds, Cooldown: 2}
 }
 
 // Validate checks the calibration.
@@ -64,15 +58,6 @@ func (c Config) Validate() error {
 	}
 	if c.SLASeconds <= 0 {
 		return fmt.Errorf("capacity: non-positive SLA %v", c.SLASeconds)
-	}
-	if c.SaturationRatio <= 0 || c.SaturationRatio > 1 {
-		return fmt.Errorf("capacity: saturation ratio %v outside (0,1]", c.SaturationRatio)
-	}
-	if c.HeadroomRatio < c.SaturationRatio || c.HeadroomRatio > 1 {
-		return fmt.Errorf("capacity: headroom ratio %v outside [%v,1]", c.HeadroomRatio, c.SaturationRatio)
-	}
-	if c.HeadroomRT <= 0 || c.HeadroomRT > 1 {
-		return fmt.Errorf("capacity: headroom RT fraction %v outside (0,1]", c.HeadroomRT)
 	}
 	if c.Cooldown < 0 {
 		return fmt.Errorf("capacity: negative cooldown %d", c.Cooldown)
@@ -247,9 +232,9 @@ func (a *Analyzer) verdict(d Decision) (Verdict, string) {
 	// completed curve has bent — corroborated by at least one distress
 	// signal (rejections, growing backlog, or a latency breach) so a
 	// low-demand window with sparse counts cannot trip it.
-	if d.CompletionRatio < a.cfg.SaturationRatio && (rejected > 0 || d.BacklogTrend > 0 || breach) {
+	if d.CompletionRatio < saturationRatio && (rejected > 0 || d.BacklogTrend > 0 || breach) {
 		return VerdictSaturated, fmt.Sprintf("completion ratio %.2f below knee %.2f",
-			d.CompletionRatio, a.cfg.SaturationRatio)
+			d.CompletionRatio, saturationRatio)
 	}
 	// Latency-only detection: the latency signal over the SLA with the
 	// backlog not draining. When the producer tracks no arrivals (window-wide
@@ -264,8 +249,8 @@ func (a *Analyzer) verdict(d Decision) (Verdict, string) {
 	// decides demand coverage — per-interval backlog fluctuates around zero
 	// at steady state (in-flight requests straddle interval edges), so it is
 	// deliberately not a headroom condition.
-	if d.CompletionRatio >= a.cfg.HeadroomRatio && rejected == 0 {
-		limit := a.cfg.HeadroomRT * a.cfg.SLASeconds
+	if d.CompletionRatio >= headroomRatio && rejected == 0 {
+		limit := headroomRT * a.cfg.SLASeconds
 		calm := true
 		for _, o := range a.window {
 			if o.latency() > limit {

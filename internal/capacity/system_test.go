@@ -90,10 +90,9 @@ func TestFastPathScalesUpUnderSaturation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var scales [][2]int
 	sys, err := Wrap(newSim(t, nil, 1400), Options{
-		Initial:  1,
-		FastPath: true,
-		Analyzer: Config{Window: 2, SLASeconds: 2.0, SaturationRatio: 0.9,
-			HeadroomRatio: 0.98, HeadroomRT: 0.5, Cooldown: 0},
+		Initial:   1,
+		FastPath:  true,
+		Analyzer:  Config{Window: 2, SLASeconds: 2.0, Cooldown: 0},
 		Telemetry: reg,
 		Trace:     trace,
 		OnScale:   func(o, n int) { scales = append(scales, [2]int{o, n}) },
@@ -132,9 +131,8 @@ func TestFastPathScalesUpUnderSaturation(t *testing.T) {
 
 func TestFastPathDisabledHolds(t *testing.T) {
 	sys, err := Wrap(newSim(t, nil, 1400), Options{
-		Initial: 1,
-		Analyzer: Config{Window: 2, SLASeconds: 2.0, SaturationRatio: 0.9,
-			HeadroomRatio: 0.98, HeadroomRT: 0.5, Cooldown: 0},
+		Initial:  1,
+		Analyzer: Config{Window: 2, SLASeconds: 2.0, Cooldown: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +160,7 @@ func TestApplyUnchangedLatticeKeepsFastPathScale(t *testing.T) {
 		Initial:        1,
 		ProvisionDelay: 1,
 		FastPath:       true,
-		Analyzer: Config{Window: 2, SLASeconds: 2.0, SaturationRatio: 0.9,
-			HeadroomRatio: 0.98, HeadroomRT: 0.5, Cooldown: 0},
+		Analyzer:       Config{Window: 2, SLASeconds: 2.0, Cooldown: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +264,7 @@ func TestDecoratorDeterminism(t *testing.T) {
 			Initial:        1,
 			ProvisionDelay: 1,
 			FastPath:       true,
-			Analyzer: Config{Window: 2, SLASeconds: 2.0, SaturationRatio: 0.9,
-				HeadroomRatio: 0.98, HeadroomRT: 0.5, Cooldown: 1},
+			Analyzer:       Config{Window: 2, SLASeconds: 2.0, Cooldown: 1},
 		})
 		if err != nil {
 			t.Fatal(err)

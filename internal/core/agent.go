@@ -151,7 +151,7 @@ func newAgentInstruments(reg *telemetry.Registry) *agentInstruments {
 		steps: reg.Counter("rac_agent_steps_total",
 			"Tuning iterations the agent has run (paper Algorithm 3).", nil),
 		switches: reg.Counter("rac_agent_policy_switches_total",
-			"Context changes detected: initial-policy switches after s_thr consecutive violations.", nil),
+			"Initial-policy switches: context changes detected after s_thr consecutive violations, plus forced switches.", nil),
 		retrains: reg.Counter("rac_agent_retrains_total",
 			"Per-interval batch Q-table retraining passes.", nil),
 		retries: reg.Counter("rac_agent_retries_total",
@@ -368,31 +368,8 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 	// 4. Policy switching.
 	if a.violations >= a.opts.SwitchThreshold && a.store != nil && a.store.Len() > 0 {
 		if p, err := a.store.Match(next, rt); err == nil && p != nil {
-			oldName := ""
-			if a.policy != nil {
-				oldName = a.policy.Name()
-			}
-			a.policy = p
-			a.resetQ()
-			// Context changed: previous measurements describe the old
-			// context.
-			a.samples = make(map[string]float64)
-			a.window.Reset()
-			a.violations = 0
+			a.switchPolicy(p, telemetry.Event{State: key, MeanRT: rt})
 			res.Switched = true
-			if a.tel != nil {
-				a.tel.switches.Inc()
-			}
-			if a.trace != nil {
-				a.trace.Add(telemetry.Event{
-					Kind:      telemetry.KindPolicySwitch,
-					Iteration: a.iteration,
-					State:     key,
-					MeanRT:    rt,
-					Policy:    p.Name(),
-					Detail:    oldName + " -> " + p.Name(),
-				})
-			}
 		}
 	}
 	if a.policy != nil {

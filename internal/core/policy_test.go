@@ -450,56 +450,94 @@ func reencodeQTable(tb testing.TB, saved []byte, mutate func(qtable, rows map[st
 	return out
 }
 
-// FuzzLoadPolicy holds LoadPolicy, which reads files from outside the program,
-// to two properties: it never panics, and a policy it accepts saves to bytes
-// that load again and save identically. The seeds are a coarse-2 policy's
-// Save bytes, five damaged copies and a document without a Q-table; they run
-// under plain go test.
-func FuzzLoadPolicy(f *testing.F) {
-	space := config.Default()
+// fuzzSpace is a four-parameter, two-group space whose coarse-2 policy
+// saves to a document of a few kilobytes, small enough for the fuzzer to
+// mutate hundreds of times a second.
+func fuzzSpace() *config.Space {
+	return config.MustSpace([]config.Def{
+		{Param: config.MaxClients, Name: "a", Group: config.GroupCapacity, Min: 50, Max: 250, Step: 50, Default: 150},
+		{Param: config.MaxThreads, Name: "b", Group: config.GroupCapacity, Min: 50, Max: 250, Step: 50, Default: 150},
+		{Param: config.KeepAliveTimeout, Name: "c", Group: config.GroupTimeout, Min: 1, Max: 21, Step: 5, Default: 6},
+		{Param: config.SessionTimeout, Name: "d", Group: config.GroupTimeout, Min: 1, Max: 21, Step: 5, Default: 6},
+	})
+}
+
+// trainFlat trains a coarse-2 policy over a flat surface in two sweeps and
+// returns it with its Save bytes.
+func trainFlat(tb testing.TB, space *config.Space) (*Policy, []byte) {
+	tb.Helper()
 	flat := func(config.Config) (float64, error) { return 1, nil }
 	batch := mdp.DefaultBatchConfig()
 	batch.MaxSweeps = 2
 	p, err := learnPolicy("fuzz", space, flat, InitOptions{CoarseLevels: 2, Batch: batch})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	var saved bytes.Buffer
 	if err := p.Save(&saved); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
+	return p, saved.Bytes()
+}
+
+// checkLoadRoundTrip holds a policy LoadPolicy accepted to saving bytes that
+// load again and save identically. It reports whether data loaded.
+func checkLoadRoundTrip(t *testing.T, data []byte, space *config.Space) bool {
+	t.Helper()
+	p, err := LoadPolicy(bytes.NewReader(data), space)
+	if err != nil {
+		return false
+	}
+	var first, second bytes.Buffer
+	if err := p.Save(&first); err != nil {
+		t.Fatalf("accepted policy does not save: %v", err)
+	}
+	again, err := LoadPolicy(bytes.NewReader(first.Bytes()), space)
+	if err != nil {
+		t.Fatalf("saved policy does not load: %v", err)
+	}
+	if err := again.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("a loaded policy saves differently after one more load")
+	}
+	return true
+}
+
+// TestLoadDefaultSpacePolicy is FuzzLoadPolicy's property on one full
+// default-space document, too large to be worth mutating.
+func TestLoadDefaultSpacePolicy(t *testing.T) {
+	space := config.Default()
+	_, saved := trainFlat(t, space)
+	if !checkLoadRoundTrip(t, saved, space) {
+		t.Fatal("a saved default-space policy does not load")
+	}
+}
+
+// FuzzLoadPolicy holds LoadPolicy, which reads files from outside the program,
+// to two properties: it never panics, and a policy it accepts saves to bytes
+// that load again and save identically. The seeds are a coarse-2 policy's
+// Save bytes over fuzzSpace, five damaged copies and a document without a
+// Q-table; they run under plain go test.
+func FuzzLoadPolicy(f *testing.F) {
+	space := fuzzSpace()
+	p, saved := trainFlat(f, space)
 	key := p.lattice.States()[0]
-	f.Add(saved.Bytes())
+	f.Add(saved)
 	for _, mutate := range []func(qtable, rows map[string]json.RawMessage){
 		func(_, rows map[string]json.RawMessage) { delete(rows, key) },
 		func(_, rows map[string]json.RawMessage) { rows["off-lattice"] = rows[key] },
 		func(_, rows map[string]json.RawMessage) { rows[key] = json.RawMessage("[1,2,3,4,5,6,7,8]") },
 		func(qtable, _ map[string]json.RawMessage) { qtable["actions"] = json.RawMessage("0") },
 	} {
-		f.Add(reencodeQTable(f, saved.Bytes(), mutate))
+		f.Add(reencodeQTable(f, saved, mutate))
 	}
-	f.Add(saved.Bytes()[:saved.Len()/2])
+	f.Add(saved[:len(saved)/2])
 	f.Add([]byte(`{"name":"x","slaSeconds":2,"groups":[]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := LoadPolicy(bytes.NewReader(data), space)
-		if err != nil {
-			return
-		}
-		var first, second bytes.Buffer
-		if err := p.Save(&first); err != nil {
-			t.Fatalf("accepted policy does not save: %v", err)
-		}
-		again, err := LoadPolicy(bytes.NewReader(first.Bytes()), space)
-		if err != nil {
-			t.Fatalf("saved policy does not load: %v", err)
-		}
-		if err := again.Save(&second); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatal("a loaded policy saves differently after one more load")
-		}
+		checkLoadRoundTrip(t, data, space)
 	})
 }
 

@@ -181,29 +181,37 @@ func (a *Agent) RestoreState(st *AgentState) error {
 // Q-table is re-seeded and the measurement window cleared, exactly as on a
 // detected context change. A nil p clears the policy (cold Q-table).
 func (a *Agent) ForcePolicy(p *Policy) {
-	oldName := ""
+	a.switchPolicy(p, telemetry.Event{Detail: "forced: "})
+}
+
+// switchPolicy makes p the initial policy, on a detected context change or a
+// forced one: the Q-table is re-seeded and the samples, window and violation
+// counter cleared, since they describe the old context. It counts the switch,
+// zeroes the violations gauge and traces ev, completed with the switch's
+// iteration, the new policy and "old -> new" appended to ev.Detail.
+func (a *Agent) switchPolicy(p *Policy, ev telemetry.Event) {
+	oldName, newName := "", ""
 	if a.policy != nil {
 		oldName = a.policy.Name()
+	}
+	if p != nil {
+		newName = p.Name()
 	}
 	a.policy = p
 	a.resetQ()
 	a.samples = make(map[string]float64)
 	a.window.Reset()
 	a.violations = 0
-	newName := ""
-	if p != nil {
-		newName = p.Name()
-	}
 	if a.tel != nil {
 		a.tel.switches.Inc()
+		a.tel.violations.Set(0)
 	}
 	if a.trace != nil {
-		a.trace.Add(telemetry.Event{
-			Kind:      telemetry.KindPolicySwitch,
-			Iteration: a.iteration,
-			Policy:    newName,
-			Detail:    "forced: " + oldName + " -> " + newName,
-		})
+		ev.Kind = telemetry.KindPolicySwitch
+		ev.Iteration = a.iteration
+		ev.Policy = newName
+		ev.Detail += oldName + " -> " + newName
+		a.trace.Add(ev)
 	}
 }
 

@@ -102,3 +102,39 @@ func TestAgentTracesPolicySwitch(t *testing.T) {
 		t.Errorf("switch event = %+v, want policy ctx-B, detail ctx-A -> ctx-B", ev)
 	}
 }
+
+// TestForcePolicyResetsViolationsGauge checks a forced switch publishes the
+// violation counter it zeroes, so the gauge does not show the pre-switch
+// count until the next Step, and traces the switch as "forced: old -> new".
+func TestForcePolicyResetsViolationsGauge(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	trace := telemetry.NewTrace(16)
+	a, err := NewAgent(newBowlSystem(bowlTargets), AgentOptions{Seed: 3, Telemetry: reg, Trace: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := a.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Violations = 3
+	if err := a.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	gauge := reg.Gauge("rac_agent_consecutive_violations", "", nil)
+	if got := gauge.Value(); got != 3 {
+		t.Fatalf("gauge after restore = %v, want 3", got)
+	}
+	a.ForcePolicy(bowlPolicy(t, bowlTargets, "forced"))
+	if got := gauge.Value(); got != 0 {
+		t.Errorf("gauge after ForcePolicy = %v, want 0", got)
+	}
+	if got := reg.Counter("rac_agent_policy_switches_total", "", nil).Value(); got != 1 {
+		t.Errorf("switch counter = %d, want 1", got)
+	}
+	events := trace.Snapshot()
+	if len(events) != 1 || events[0].Kind != telemetry.KindPolicySwitch ||
+		events[0].Policy != "forced" || events[0].Detail != "forced:  -> forced" {
+		t.Errorf("trace = %+v, want one forced switch event", events)
+	}
+}

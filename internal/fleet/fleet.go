@@ -589,7 +589,6 @@ func (f *Fleet) buildSystem(spec TenantSpec, ctx system.Context, seed uint64, sc
 		Capacity:         spec.Capacity,
 		CapacityInitial:  spec.CapacityInitial,
 		CapacityDelay:    spec.CapacityDelay,
-		CapacityFastPath: true,
 		CapacityAnalyzer: capacity.DefaultConfig(sla),
 		FaultsPath:       spec.Faults,
 		Telemetry:        f.opts.Telemetry,
@@ -599,7 +598,6 @@ func (f *Fleet) buildSystem(spec TenantSpec, ctx system.Context, seed uint64, sc
 		bs.Load = loadgen.Options{
 			Rate:           spec.Rate,
 			ArrivalProcess: loadgen.Arrival(spec.Arrival),
-			Shards:         spec.LoadShards,
 			MaxInFlight:    spec.LoadInFlight,
 		}
 		if sched != nil { // a nil *Schedule in the interface would select the open loop

@@ -89,9 +89,8 @@ type TenantSpec struct {
 	// Arrival selects the open-loop arrival process ("poisson" or "uniform";
 	// empty means poisson).
 	Arrival string `json:"arrival,omitempty"`
-	// LoadShards and LoadInFlight tune the open-loop engine's accounting
-	// shards and admission bound (0 = engine defaults).
-	LoadShards   int `json:"loadShards,omitempty"`
+	// LoadInFlight bounds the open-loop engine's concurrently outstanding
+	// requests (0 = engine default).
 	LoadInFlight int `json:"loadInFlight,omitempty"`
 	// AdmitConcurrency and AdmitQueue set the SLO admission gate's caps on a
 	// "sim" tenant whose configuration space does not already include the

@@ -20,11 +20,16 @@ type arrival struct {
 	class tpcw.Class
 }
 
+// shedGrace is how far behind schedule an arrival may start before the
+// engine sheds it (wall clock): one paper-scale second under the 100×
+// compression.
+const shedGrace = 10 * time.Millisecond
+
 // buildSchedule lays out the whole interval's offered load up front, from a
-// single RNG stream consumed sequentially. Everything downstream — sharding,
-// worker count, GOMAXPROCS — only decides who executes each slot, never what
-// the slots are, which is what makes an open-loop run byte-identical at any
-// shard count.
+// single RNG stream consumed sequentially. Everything downstream — worker
+// count, GOMAXPROCS — only decides who executes each slot, never what the
+// slots are, which is what makes an open-loop run byte-identical at any
+// in-flight bound.
 func buildSchedule(o Options, rate float64, mix tpcw.Mix, duration time.Duration) []arrival {
 	wallSeconds := duration.Seconds()
 	n := int(rate*wallSeconds*httpd.TimeScale + 0.5)
@@ -66,10 +71,11 @@ func buildSchedule(o Options, rate float64, mix tpcw.Mix, duration time.Duration
 	return sched
 }
 
-// shardAcct is one shard's accounting: a latency histogram for completed
+// acct is one interval's accounting: a latency histogram for completed
 // requests plus error/shed/rejected counters. Workers touch only atomics here
-// — the per-request hot path neither locks nor allocates.
-type shardAcct struct {
+// (the histogram shards itself by GOMAXPROCS) — the per-request hot path
+// neither locks nor allocates.
+type acct struct {
 	hist *telemetry.Histogram
 	errs atomic.Int64
 	shed atomic.Int64
@@ -100,26 +106,15 @@ func (d *Driver) takeWindow(rate float64, mix tpcw.Mix, duration time.Duration) 
 }
 
 // runOpen drives the open-loop engine for one interval: pre-built schedule,
-// S shards × W pacing workers (bounded in-flight = S·W, each worker owns at
-// most one outstanding request), pooled keep-alive connections, per-shard
-// accounting merged at interval close.
+// MaxInFlight pacing workers (each owns at most one outstanding request),
+// pooled keep-alive connections, one shared accounting.
 func (d *Driver) runOpen(ctx context.Context, duration time.Duration, mix tpcw.Mix, rate float64) (Result, error) {
 	o := d.opts
 	sched := d.takeWindow(rate, mix, duration)
 	if d.offered != nil {
 		d.offered.Add(int64(len(sched)))
 	}
-
-	nShards := o.Shards
-	perShard := o.MaxInFlight / nShards
-	if perShard < 1 {
-		perShard = 1
-	}
-
-	shards := make([]*shardAcct, nShards)
-	for i := range shards {
-		shards[i] = &shardAcct{hist: telemetry.NewHistogram(nil)}
-	}
+	ac := &acct{hist: telemetry.NewHistogram(nil)}
 
 	transport := &http.Transport{
 		MaxIdleConns:        2 * o.MaxInFlight,
@@ -131,45 +126,32 @@ func (d *Driver) runOpen(ctx context.Context, duration time.Duration, mix tpcw.M
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	for si := 0; si < nShards; si++ {
-		for w := 0; w < perShard; w++ {
-			wg.Add(1)
-			go func(si, w int) {
-				defer wg.Done()
-				d.openWorker(ctx, client, sched, shards[si], si, nShards, w, perShard, start)
-			}(si, w)
-		}
+	for w := 0; w < o.MaxInFlight; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			d.openWorker(ctx, client, sched, ac, w, start)
+		}(w)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err // canceled interval: partial data is meaningless
 	}
 
-	merged := shards[0].hist.Snapshot()
-	var nErr, nShed, nRej int64
-	nErr = shards[0].errs.Load()
-	nShed = shards[0].shed.Load()
-	nRej = shards[0].rej.Load()
-	for _, sh := range shards[1:] {
-		merged.Merge(sh.hist.Snapshot())
-		nErr += sh.errs.Load()
-		nShed += sh.shed.Load()
-		nRej += sh.rej.Load()
-	}
-
+	snap := ac.hist.Snapshot()
 	res := Result{
-		Completed: int(merged.Count),
-		Errors:    int(nErr),
+		Completed: int(snap.Count),
+		Errors:    int(ac.errs.Load()),
 		Offered:   len(sched),
-		Shed:      int(nShed),
-		Rejected:  int(nRej),
+		Shed:      int(ac.shed.Load()),
+		Rejected:  int(ac.rej.Load()),
 	}
-	if merged.Count > 0 {
-		res.MeanRT = merged.Sum / float64(merged.Count)
-		res.P95RT = merged.Quantile(0.95)
+	if snap.Count > 0 {
+		res.MeanRT = snap.Sum / float64(snap.Count)
+		res.P95RT = snap.Quantile(0.95)
 	}
 	if paperSeconds := duration.Seconds() * httpd.TimeScale; paperSeconds > 0 {
-		res.Throughput = float64(merged.Count) / paperSeconds
+		res.Throughput = float64(snap.Count) / paperSeconds
 		// The interval's actually-offered rate, so schedule-driven drift is
 		// visible per interval, not just the static Rate option.
 		res.OfferedRate = float64(len(sched)) / paperSeconds
@@ -177,32 +159,26 @@ func (d *Driver) runOpen(ctx context.Context, duration time.Duration, mix tpcw.M
 	return res, nil
 }
 
-// openWorker executes its fixed subsequence of the schedule: shard si owns
-// global indices k ≡ si (mod nShards), and within the shard worker w owns
-// shard-local indices j ≡ w (mod perShard). The assignment is a pure
-// function of the indices, so which goroutine runs a slot never changes what
-// the slot does.
+// openWorker executes its fixed subsequence of the schedule: worker w owns
+// indices k ≡ w (mod MaxInFlight). The assignment is a pure function of the
+// indices, so which goroutine runs a slot never changes what the slot does.
 func (d *Driver) openWorker(ctx context.Context, client *http.Client, sched []arrival,
-	acct *shardAcct, si, nShards, w, perShard int, start time.Time) {
+	ac *acct, w int, start time.Time) {
 	var timer *time.Timer
-	for j := w; ; j += perShard {
-		k := j*nShards + si
-		if k >= len(sched) {
-			return
-		}
+	for k := w; k < len(sched); k += d.opts.MaxInFlight {
 		a := sched[k]
 
 		if d.exec != nil {
 			// Test hook: pure function of the arrival, no pacing, no HTTP —
-			// exercises exactly the sharded accounting path.
+			// exercises exactly the accounting path.
 			rt, status := d.exec(k, a.class)
 			switch status {
 			case reqError:
-				acct.errs.Add(1)
+				ac.errs.Add(1)
 			case reqRejected:
-				acct.rej.Add(1)
+				ac.rej.Add(1)
 			default:
-				acct.hist.Observe(rt)
+				ac.hist.Observe(rt)
 			}
 			continue
 		}
@@ -221,12 +197,12 @@ func (d *Driver) openWorker(ctx context.Context, client *http.Client, sched []ar
 				return
 			case <-timer.C:
 			}
-		} else if -wait > d.opts.ShedGrace {
+		} else if -wait > shedGrace {
 			// Too far behind schedule (the previous request on this worker
 			// overstayed, or the whole engine is saturated): count the
 			// arrival as shed instead of issuing it late and polluting the
 			// latency distribution with self-inflicted queueing.
-			acct.shed.Add(1)
+			ac.shed.Add(1)
 			if d.shed != nil {
 				d.shed.Inc()
 			}
@@ -246,14 +222,14 @@ func (d *Driver) openWorker(ctx context.Context, client *http.Client, sched []ar
 		}
 		switch status {
 		case reqOK:
-			acct.hist.Observe(time.Since(t0).Seconds() * httpd.TimeScale)
+			ac.hist.Observe(time.Since(t0).Seconds() * httpd.TimeScale)
 		case reqRejected:
-			acct.rej.Add(1)
+			ac.rej.Add(1)
 			if d.rejected != nil {
 				d.rejected.Inc()
 			}
 		default:
-			acct.errs.Add(1)
+			ac.errs.Add(1)
 			if d.errored != nil {
 				d.errored.Inc()
 			}

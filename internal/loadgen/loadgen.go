@@ -3,10 +3,10 @@
 // think with mix-weighted interaction classes and per-browser cookie jars —
 // so concurrency equals the emulated population. The open loop (Options.Rate
 // > 0) offers load on a fixed arrival schedule regardless of how fast the
-// system answers: a sharded worker engine paces Poisson or uniform arrivals
-// from one deterministic schedule, accounts every response into per-shard
-// latency histograms without allocating, and sheds arrivals it cannot admit
-// on time instead of silently delaying them (no coordinated omission). Both
+// system answers: MaxInFlight workers pace Poisson or uniform arrivals from
+// one deterministic schedule, account every response into one latency
+// histogram without allocating, and shed arrivals they cannot issue on time
+// instead of silently delaying them (no coordinated omission). Both
 // modes run on the same compressed time scale as package httpd.
 package loadgen
 
@@ -72,7 +72,7 @@ type Driver struct {
 
 	// exec, when non-nil, replaces the HTTP request + pacing of the
 	// open-loop engine with a pure function of the arrival (tests use it to
-	// make the sharded accounting path fully deterministic).
+	// make the accounting path fully deterministic).
 	exec func(k int, class tpcw.Class) (rt float64, status reqStatus)
 
 	// Optional instruments (see SetTelemetry); nil when unwired.
@@ -105,7 +105,7 @@ func New(opts Options) (*Driver, error) {
 		rate: o.Rate, sched: o.Schedule}
 	if d.sched != nil {
 		// One sequential arrival stream for the whole run: every interval's
-		// window draws from it front to back, so a replay at any shard count
+		// window draws from it front to back, so a replay at any in-flight bound
 		// — or from a trace recorded with the same seed — is byte-identical.
 		d.schedRNG = workload.ScheduleRNG(o.Seed)
 	}

@@ -30,7 +30,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"bad workload", func(o *Options) { o.Workload = tpcw.Workload{} }, ErrBadWorkload},
 		{"negative rate", func(o *Options) { o.Rate = -1 }, ErrBadRate},
 		{"bad arrival", func(o *Options) { o.ArrivalProcess = "bursty" }, ErrBadArrival},
-		{"negative shards", func(o *Options) { o.Shards = -1 }, ErrBadShards},
 		{"negative inflight", func(o *Options) { o.MaxInFlight = -2 }, ErrBadInFlight},
 		{"negative timeout", func(o *Options) { o.Timeout = -time.Second }, ErrBadTimeout},
 	}
@@ -51,25 +50,14 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := d.Options()
-	if o.Shards != 4 || o.MaxInFlight != 64 {
-		t.Fatalf("shards/inflight defaults: %d/%d", o.Shards, o.MaxInFlight)
+	if o.MaxInFlight != 64 {
+		t.Fatalf("inflight default: %d", o.MaxInFlight)
 	}
 	if o.ArrivalProcess != ArrivalPoisson {
 		t.Fatalf("arrival default: %q", o.ArrivalProcess)
 	}
-	if o.Timeout != 5*time.Second || o.ShedGrace != 10*time.Millisecond {
-		t.Fatalf("timeout/grace defaults: %v/%v", o.Timeout, o.ShedGrace)
-	}
-	// An in-flight bound below the shard count is raised, not rejected.
-	o2 := validOptions()
-	o2.Shards = 8
-	o2.MaxInFlight = 2
-	d2, err := New(o2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d2.Options().MaxInFlight; got != 8 {
-		t.Fatalf("MaxInFlight not raised to shard count: %d", got)
+	if o.Timeout != 5*time.Second {
+		t.Fatalf("timeout default: %v", o.Timeout)
 	}
 }
 
@@ -117,15 +105,14 @@ func TestBuildSchedule(t *testing.T) {
 }
 
 // openLoopRun drives the open-loop engine through the pure exec hook — no
-// pacing, no HTTP — so the sharded accounting path can be checked for exact
+// pacing, no HTTP — so the accounting path can be checked for exact
 // determinism. Latencies are dyadic rationals: every float sum is exact, so
-// the result cannot depend on which shard or goroutine summed what.
-func openLoopRun(t *testing.T, shards, inFlight int) Result {
+// the result cannot depend on which goroutine summed what.
+func openLoopRun(t *testing.T, inFlight int) Result {
 	t.Helper()
 	o := validOptions()
 	o.Seed = 42
 	o.Rate = 50 // 50·2·100 = 10000 slots
-	o.Shards = shards
 	o.MaxInFlight = inFlight
 	d, err := New(o)
 	if err != nil {
@@ -148,8 +135,10 @@ func openLoopRun(t *testing.T, shards, inFlight int) Result {
 	return res
 }
 
+// TestOpenLoopShardInvariance holds an interval's Result byte-identical at
+// any in-flight bound: the workers only partition one fixed schedule.
 func TestOpenLoopShardInvariance(t *testing.T) {
-	base := openLoopRun(t, 1, 1)
+	base := openLoopRun(t, 1)
 	if base.Offered != 10000 {
 		t.Fatalf("offered %d, want 10000", base.Offered)
 	}
@@ -162,18 +151,49 @@ func TestOpenLoopShardInvariance(t *testing.T) {
 	if base.Completed+base.Errors+base.Rejected != base.Offered {
 		t.Fatalf("accounting identity broken: %+v", base)
 	}
-	for _, tc := range []struct{ shards, inFlight int }{
-		{1, 8}, {2, 6}, {4, 64}, {8, 64}, {16, 16},
-	} {
-		got := openLoopRun(t, tc.shards, tc.inFlight)
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("shards=%d inflight=%d: %+v != baseline %+v",
-				tc.shards, tc.inFlight, got, base)
+	for _, inFlight := range []int{6, 8, 16, 64, 128} {
+		if got := openLoopRun(t, inFlight); !reflect.DeepEqual(got, base) {
+			t.Fatalf("inflight=%d: %+v != baseline %+v", inFlight, got, base)
 		}
 	}
 }
 
-// TestOpenLoopAccountingRace hammers the sharded accounting concurrently; its
+// TestOpenLoopInFlightBound checks the engine never has more than
+// MaxInFlight requests outstanding, and that it uses the whole bound: every
+// worker owns one slot at a time, so a saturated run reaches it exactly.
+func TestOpenLoopInFlightBound(t *testing.T) {
+	for _, inFlight := range []int{1, 6, 64} {
+		o := validOptions()
+		o.Seed = 5
+		o.Rate = 2 // 2·0.5·100 = 100 slots
+		o.MaxInFlight = inFlight
+		d, err := New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur, peak atomic.Int64
+		d.exec = func(int, tpcw.Class) (float64, reqStatus) {
+			n := cur.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			cur.Add(-1)
+			return 1, reqOK
+		}
+		if _, err := d.Run(context.Background(), 500*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		got := peak.Load()
+		if got > int64(inFlight) {
+			t.Fatalf("inflight=%d: peak %d outstanding", inFlight, got)
+		}
+		if inFlight == 6 && got != 6 {
+			t.Fatalf("inflight=6: peak %d, want the bound reached", got)
+		}
+	}
+}
+
+// TestOpenLoopAccountingRace hammers the shared accounting concurrently; its
 // value is under `go test -race`, where any unsynchronized counter or
 // histogram write in the hot path fails the run.
 func TestOpenLoopAccountingRace(t *testing.T) {
@@ -182,7 +202,7 @@ func TestOpenLoopAccountingRace(t *testing.T) {
 		i := i
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			res := openLoopRun(t, 8, 64)
+			res := openLoopRun(t, 64)
 			if res.Completed+res.Errors+res.Rejected != res.Offered {
 				t.Fatalf("run %d lost slots: %+v", i, res)
 			}
@@ -202,8 +222,7 @@ func TestOpenLoopBackpressureSheds(t *testing.T) {
 	o := validOptions()
 	o.BaseURL = srv.URL
 	o.Seed = 7
-	o.Rate = 4 // 4·0.5·100 = 200 arrivals in 0.5 s wall = 400 req/s offered
-	o.Shards = 2
+	o.Rate = 4        // 4·0.5·100 = 200 arrivals in 0.5 s wall = 400 req/s offered
 	o.MaxInFlight = 4 // capacity ≈ 4/20ms = 200 req/s — half the offered load
 	d, err := New(o)
 	if err != nil {
@@ -341,7 +360,6 @@ func BenchmarkOpenLoopSustained(b *testing.B) {
 		Workload:    tpcw.Workload{Mix: tpcw.Shopping, Clients: 20},
 		Seed:        3,
 		Rate:        40, // paper req/s → 40·TimeScale = 4000 wall req/s offered
-		Shards:      8,
 		MaxInFlight: 128,
 	})
 }

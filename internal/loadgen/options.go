@@ -21,8 +21,6 @@ var (
 	ErrBadRate = errors.New("loadgen: invalid rate")
 	// ErrBadArrival marks an unknown arrival process.
 	ErrBadArrival = errors.New("loadgen: invalid arrival process")
-	// ErrBadShards marks a negative shard count.
-	ErrBadShards = errors.New("loadgen: invalid shard count")
 	// ErrBadInFlight marks a negative in-flight bound.
 	ErrBadInFlight = errors.New("loadgen: invalid in-flight bound")
 	// ErrBadTimeout marks a negative per-request timeout.
@@ -81,20 +79,11 @@ type Options struct {
 	Schedule workload.Source
 	// ArrivalProcess spaces the open-loop arrivals; empty means Poisson.
 	ArrivalProcess Arrival
-	// Shards is the number of independent accounting shards (own latency
-	// histogram, own counters) the open-loop engine fans out over. More
-	// shards cut contention at high rates; results are byte-identical for
-	// any value. Zero means 4.
-	Shards int
-	// MaxInFlight bounds concurrently outstanding requests across all
-	// shards — the engine's admission control. Arrivals that cannot be
-	// issued within ShedGrace of their scheduled time are counted as shed
-	// rather than silently delayed. Zero means 64.
+	// MaxInFlight bounds concurrently outstanding requests — the engine's
+	// admission control: it runs exactly this many pacing workers. Arrivals
+	// that cannot be issued within shedGrace of their scheduled time are
+	// counted as shed rather than silently delayed. Zero means 64.
 	MaxInFlight int
-	// ShedGrace is how far behind schedule an arrival may start before the
-	// engine sheds it (wall clock). Zero means 10ms — one paper-scale
-	// second under the 100× compression.
-	ShedGrace time.Duration
 	// Timeout bounds one request (wall clock). Zero means 5s, matching the
 	// closed-loop browsers.
 	Timeout time.Duration
@@ -122,32 +111,17 @@ func (o Options) withDefaults() (Options, error) {
 		return o, err
 	}
 	o.ArrivalProcess = arr
-	if o.Shards < 0 {
-		return o, fmt.Errorf("%w: %d", ErrBadShards, o.Shards)
-	}
-	if o.Shards == 0 {
-		o.Shards = 4
-	}
 	if o.MaxInFlight < 0 {
 		return o, fmt.Errorf("%w: %d", ErrBadInFlight, o.MaxInFlight)
 	}
 	if o.MaxInFlight == 0 {
 		o.MaxInFlight = 64
 	}
-	if o.MaxInFlight < o.Shards {
-		o.MaxInFlight = o.Shards // at least one worker per shard
-	}
 	if o.Timeout < 0 {
 		return o, fmt.Errorf("%w: %v", ErrBadTimeout, o.Timeout)
 	}
 	if o.Timeout == 0 {
 		o.Timeout = 5 * time.Second
-	}
-	if o.ShedGrace < 0 {
-		return o, fmt.Errorf("%w: negative shed grace %v", ErrBadTimeout, o.ShedGrace)
-	}
-	if o.ShedGrace == 0 {
-		o.ShedGrace = 10 * time.Millisecond
 	}
 	return o, nil
 }

@@ -41,12 +41,11 @@ func varyingScenario(t testing.TB) *workload.Schedule {
 // scheduleRun drives the open-loop engine through exec-hook intervals of a
 // workload schedule, returning one Result per interval. Dyadic-rational
 // latencies keep every float sum exact (see openLoopRun).
-func scheduleRun(t testing.TB, src workload.Source, shards, inFlight int) []Result {
+func scheduleRun(t testing.TB, src workload.Source, inFlight int) []Result {
 	t.Helper()
 	o := validOptions()
 	o.Seed = 42
 	o.Schedule = src
-	o.Shards = shards
 	o.MaxInFlight = inFlight
 	d, err := New(o)
 	if err != nil {
@@ -75,10 +74,10 @@ func scheduleRun(t testing.TB, src workload.Source, shards, inFlight int) []Resu
 
 // TestScheduleShardInvariance is the time-varying analogue of
 // TestOpenLoopShardInvariance: under a diurnal + spike schedule the interval
-// results must stay byte-identical for any shard/worker fan-out, because the
-// arrivals come from one sequential stream the shards only partition.
+// results must stay byte-identical for any in-flight bound, because the
+// arrivals come from one sequential stream the workers only partition.
 func TestScheduleShardInvariance(t *testing.T) {
-	base := scheduleRun(t, varyingScenario(t), 1, 1)
+	base := scheduleRun(t, varyingScenario(t), 1)
 	if base[0].Offered == 0 || base[3].Offered == 0 {
 		t.Fatalf("degenerate baseline %+v", base)
 	}
@@ -87,13 +86,10 @@ func TestScheduleShardInvariance(t *testing.T) {
 	if base[3].Offered < base[1].Offered {
 		t.Fatalf("schedule not time-varying: %+v", base)
 	}
-	for _, tc := range []struct{ shards, inFlight int }{
-		{1, 8}, {2, 6}, {4, 64}, {8, 64}, {16, 16},
-	} {
-		got := scheduleRun(t, varyingScenario(t), tc.shards, tc.inFlight)
+	for _, inFlight := range []int{6, 8, 16, 64, 128} {
+		got := scheduleRun(t, varyingScenario(t), inFlight)
 		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("shards=%d inflight=%d: %+v != baseline %+v",
-				tc.shards, tc.inFlight, got, base)
+			t.Fatalf("inflight=%d: %+v != baseline %+v", inFlight, got, base)
 		}
 	}
 }
@@ -101,10 +97,10 @@ func TestScheduleShardInvariance(t *testing.T) {
 // TestScheduleTraceRoundTrip records the arrivals a schedule-driven run
 // offers, then replays the trace through a fresh driver: every interval's
 // Result — and therefore the system.Metrics sequence a live system would
-// report — must be identical to the original run's.
+// report — must be identical to the original run's, at any in-flight bound.
 func TestScheduleTraceRoundTrip(t *testing.T) {
 	src := varyingScenario(t)
-	direct := scheduleRun(t, src, 4, 16)
+	direct := scheduleRun(t, src, 16)
 
 	// Record with the driver's seed and window size: 4 × 1 s wall intervals
 	// = 4 × 100 scenario seconds.
@@ -112,15 +108,12 @@ func TestScheduleTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := scheduleRun(t, tr, 4, 16)
-	if !reflect.DeepEqual(replayed, direct) {
-		t.Fatalf("trace replay diverged:\n%+v\nvs\n%+v", replayed, direct)
-	}
-
-	// And a replay of the replay (fresh driver, same trace) is stable too.
-	again := scheduleRun(t, tr, 16, 64)
-	if !reflect.DeepEqual(again, direct) {
-		t.Fatalf("second replay diverged:\n%+v\nvs\n%+v", again, direct)
+	// Every replay is a fresh driver over the same trace.
+	for _, inFlight := range []int{1, 6, 8, 16, 64, 128} {
+		replayed := scheduleRun(t, tr, inFlight)
+		if !reflect.DeepEqual(replayed, direct) {
+			t.Fatalf("inflight=%d: trace replay diverged:\n%+v\nvs\n%+v", inFlight, replayed, direct)
+		}
 	}
 }
 

@@ -46,14 +46,11 @@ type AnalyticOptions struct {
 	NoiseSigma float64
 	// Seed drives the noise stream.
 	Seed uint64
-	// Calibration overrides the physical constants.
-	Calibration *webtier.Calibration
 	// Surface, when non-nil, memoizes the deterministic part of Measure — the
 	// solved (mean RT, throughput) of a (space, configuration, workload,
 	// level) point — so systems sharing one cache solve each point once. The
 	// noise draw stays outside the memo: measurements and ExportState are
-	// byte-identical with or without it. Ignored under a Calibration override,
-	// whose constants the memo key does not carry.
+	// byte-identical with or without it.
 	Surface *surface.Cache
 }
 
@@ -79,23 +76,17 @@ func NewAnalytic(opts AnalyticOptions) (*Analytic, error) {
 	if ctx.Workload.Clients == 0 {
 		ctx = Table2()[0]
 	}
-	cal := webtier.DefaultCalibration()
-	surf := opts.Surface
-	if opts.Calibration != nil {
-		cal = *opts.Calibration
-		surf = nil
-	}
 	a := &Analytic{
 		space:    space,
-		cal:      cal,
+		cal:      webtier.DefaultCalibration(),
 		cfg:      cfg.Clone(),
 		workload: ctx.Workload,
 		level:    ctx.Level,
 		noise:    opts.NoiseSigma,
 		rng:      sim.NewRNG(opts.Seed),
-		surf:     surf,
+		surf:     opts.Surface,
 	}
-	if surf != nil {
+	if a.surf != nil {
 		a.surfPrefix = surfacePrefix(space)
 	}
 	return a, nil

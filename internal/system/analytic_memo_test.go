@@ -11,7 +11,6 @@ import (
 	"github.com/rac-project/rac/internal/telemetry"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
-	"github.com/rac-project/rac/internal/webtier"
 )
 
 // TestAnalyticMemoMatchesUnmemoized drives a memoized and an un-memoized
@@ -106,8 +105,8 @@ func TestAnalyticMemoMatchesUnmemoized(t *testing.T) {
 }
 
 // TestAnalyticMemoKeySeparatesInputs checks the inputs of the solve that are
-// not the configuration: systems that differ in space layout, level fields or
-// calibration must not read each other's points.
+// not the configuration: systems that differ in space layout or level fields
+// must not read each other's points.
 func TestAnalyticMemoKeySeparatesInputs(t *testing.T) {
 	memo := surface.New(nil)
 	ctx := smallContext(tpcw.Shopping, vmenv.Level1)
@@ -131,9 +130,6 @@ func TestAnalyticMemoKeySeparatesInputs(t *testing.T) {
 	defs[0], defs[4] = defs[4], defs[0]
 	swapped := config.MustSpace(defs)
 	initial := config.Default().DefaultConfig()
-	// A calibration override must bypass the cache entirely.
-	slow := webtier.DefaultCalibration()
-	slow.CtxSwitchCoeff *= 50
 
 	cases := map[string]AnalyticOptions{
 		"base":        {Context: ctx},
@@ -152,14 +148,6 @@ func TestAnalyticMemoKeySeparatesInputs(t *testing.T) {
 	}
 	if memo.Len() != len(cases) {
 		t.Errorf("memo holds %d keys for %d distinct solves", memo.Len(), len(cases))
-	}
-	before := memo.Len()
-	want := measure(AnalyticOptions{Context: ctx, Calibration: &slow})
-	if got := measure(AnalyticOptions{Context: ctx, Calibration: &slow, Surface: memo}); got != want {
-		t.Errorf("calibrated system measured %v with a cache wired, %v without", got, want)
-	}
-	if memo.Len() != before {
-		t.Error("a calibration override wrote to the shared memo")
 	}
 }
 

@@ -42,8 +42,6 @@ type SimulatedOptions struct {
 	Context Context
 	// Seed drives the simulation.
 	Seed uint64
-	// Calibration overrides the physical constants.
-	Calibration *webtier.Calibration
 	// SettleSeconds and MeasureSeconds override the measurement windows
 	// when positive.
 	SettleSeconds  float64
@@ -93,13 +91,12 @@ func NewSimulated(opts SimulatedOptions) (*Simulated, error) {
 		params.AdmitQueue = opts.AdmitQueue
 	}
 	model, err := webtier.New(webtier.Options{
-		Calibration: opts.Calibration,
-		Params:      &params,
-		Workload:    ctx.Workload,
-		AppLevel:    ctx.Level,
-		Seed:        opts.Seed,
-		AdmitEpoch:  opts.AdmitEpoch,
-		SLOSeconds:  opts.SLOSeconds,
+		Params:     &params,
+		Workload:   ctx.Workload,
+		AppLevel:   ctx.Level,
+		Seed:       opts.Seed,
+		AdmitEpoch: opts.AdmitEpoch,
+		SLOSeconds: opts.SLOSeconds,
 	})
 	if err != nil {
 		return nil, err

@@ -657,7 +657,7 @@ func (m *Model) issueRequest(i int, t float64) {
 	// thinks again; its response time is deliberately not recorded — the
 	// gate's job is to keep excess arrivals off the latency books, and
 	// Stats.Rejected carries the separate truth.
-	if !m.gate.Admit(m.gateHeld, 0, c.class) {
+	if !m.gate.Admit(m.gateHeld) {
 		m.gate.Observe(true)
 		if m.recording {
 			m.arrivals++

@@ -24,7 +24,7 @@ type Arrival struct {
 // Window is the open-loop contract: it returns the arrivals in [t0, t1),
 // drawing any randomness from rng *sequentially*. Callers own the stream and
 // walk windows in order — one sim.RNG consumed front to back — so what the
-// arrivals are never depends on shard count, worker count or GOMAXPROCS
+// arrivals are never depends on worker count or GOMAXPROCS
 // (which only decide who executes each slot downstream).
 type Source interface {
 	// Duration is the source length in scenario seconds. Lookups past the

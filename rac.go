@@ -305,7 +305,6 @@ var (
 	ErrBadLoadWorkload = loadgen.ErrBadWorkload
 	ErrBadLoadRate     = loadgen.ErrBadRate
 	ErrBadLoadArrival  = loadgen.ErrBadArrival
-	ErrBadLoadShards   = loadgen.ErrBadShards
 	ErrBadLoadInFlight = loadgen.ErrBadInFlight
 	ErrBadLoadTimeout  = loadgen.ErrBadTimeout
 )
@@ -326,7 +325,7 @@ func NewLoadDriver(base string, w Workload, seed uint64) (*LoadDriver, error) {
 }
 
 // NewLoadDriverOptions builds a load generator from full options (open-loop
-// rate, arrival process, shards, admission bound).
+// rate, arrival process, admission bound).
 func NewLoadDriverOptions(opts LoadOptions) (*LoadDriver, error) {
 	return loadgen.New(opts)
 }
