@@ -49,14 +49,17 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# fuzz runs every Fuzz* target in the tree (FuzzLoadPolicy and
-# FuzzRestoreAgentState today) for a fixed 10 s each — ≈25 s in all beside
-# race's 218 s, the rest being compilation. Plain `go test` already runs each
-# target's seeds; this mutates past them. FuzzLoadPolicy seeds from a
-# four-parameter space's 2.4 kB policy: 15 000–50 000 executions per 10 s
-# on two cores, where its 1.5 MB default-space seeds managed 24. Minimizing a new input is capped at
-# 1 s: at go's 60 s default, shrinking one kilobyte-sized snapshot byte by
-# byte would eat the whole budget. A failing input lands in the package's
+# fuzz runs every Fuzz* target in the tree (FuzzLoadPolicy,
+# FuzzRestoreAgentState and FuzzDecodeCheckpoint today) for a fixed 10 s
+# each — ≈40 s in all beside race's 218 s, the rest being compilation.
+# Plain `go test` already runs each target's seeds; this mutates past them.
+# FuzzLoadPolicy seeds from a four-parameter space's 2.4 kB policy:
+# 15 000–50 000 executions per 10 s on two cores, where its 1.5 MB
+# default-space seeds managed 24. FuzzDecodeCheckpoint decodes each input as
+# an envelope and again sealed in a valid one, so mutations also reach the
+# JSON payload past the CRC. Minimizing a new input is capped at 1 s: at
+# go's 60 s default, shrinking one kilobyte-sized snapshot byte by byte
+# would eat the whole budget. A failing input lands in the package's
 # testdata/fuzz/ (git-ignored).
 fuzz:
 	@grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' . | sort | \

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"github.com/rac-project/rac"
+	"github.com/rac-project/rac/internal/atomicfile"
 )
 
 func main() {
@@ -385,15 +386,7 @@ func saveSnapshot(path string, tuner rac.Tuner) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := st.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return atomicfile.Replace(path, st.Save)
 }
 
 // dumpTelemetry writes the end-of-run snapshot (registry state plus the full

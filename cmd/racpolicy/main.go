@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/rac-project/rac"
+	"github.com/rac-project/rac/internal/atomicfile"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/sim"
@@ -99,15 +100,7 @@ func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs in
 	if out == "" {
 		out = ctx.Name + ".policy.json"
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := policy.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := atomicfile.Replace(out, policy.Save); err != nil {
 		return err
 	}
 	fmt.Printf("saved to %s\n", out)

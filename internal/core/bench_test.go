@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -149,5 +150,33 @@ func BenchmarkLearnPolicy(b *testing.B) {
 				benchRow = p.q
 			}
 		})
+	}
+}
+
+// BenchmarkPolicySave writes one trained default-space policy — Table 2's
+// context-1 over the analytic surface, 10 692 group states × 9 actions — as
+// the fleet's registry does on every Put.
+func BenchmarkPolicySave(b *testing.B) {
+	space := config.Default()
+	ctx, err := system.ContextByName("context-1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := LearnPolicyStream(ctx.Name, space, nil, InitOptions{BatchSampler: system.AnalyticSampler(space, ctx, nil)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := p.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

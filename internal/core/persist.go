@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"strconv"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
@@ -16,12 +18,18 @@ import (
 // not serialized; loading requires the same space the policy was trained on
 // (validated structurally via the group lattices).
 type policyJSON struct {
-	Name    string          `json:"name"`
-	SLA     float64         `json:"slaSeconds"`
-	FloorRT float64         `json:"floorRtSeconds"`
-	Groups  []groupJSON     `json:"groups"`
-	Coeffs  []float64       `json:"regressionCoeffs"`
-	QTable  *mdp.QTableJSON `json:"qtable"`
+	policyHeader
+	QTable *mdp.QTableJSON `json:"qtable"`
+}
+
+// policyHeader is every field of a policy document but its Q-table, in the
+// document's order.
+type policyHeader struct {
+	Name    string      `json:"name"`
+	SLA     float64     `json:"slaSeconds"`
+	FloorRT float64     `json:"floorRtSeconds"`
+	Groups  []groupJSON `json:"groups"`
+	Coeffs  []float64   `json:"regressionCoeffs"`
 }
 
 type groupJSON struct {
@@ -35,28 +43,48 @@ type groupJSON struct {
 // Save writes the policy as JSON. Policies embed the offline-trained group
 // Q-table and the regression surface, so a saved policy restores without
 // re-sampling the system.
+//
+// The bytes are the ones json.Encoder writes for the policyJSON document:
+// the header through encoding/json, then a qtable field whose "initial" is
+// always 0 (a full table never serves it) and whose rows, nearly all of the
+// file, are appended by hand (appendRows) in the order the encoder sorts a
+// map's keys. The whole document goes out in one Write; a NaN or infinite
+// value is an error, and then nothing is written.
 func (p *Policy) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(p.document())
+	head, err := json.Marshal(p.header())
+	if err != nil {
+		return fmt.Errorf("core: encode policy: %w", err)
+	}
+	a := p.lattice.Actions()
+	buf := make([]byte, 0, len(head)+64+len(p.q)*saveBytesPerValue)
+	buf = append(buf, head[:len(head)-1]...) // reopen the header object
+	buf = append(buf, `,"qtable":{"actions":`...)
+	buf = strconv.AppendInt(buf, int64(a), 10)
+	buf = append(buf, `,"initial":0,"rows":`...)
+	if buf, err = p.appendRows(buf); err != nil {
+		return err
+	}
+	buf = append(buf, "}}\n"...)
+	_, err = w.Write(buf)
+	return err
 }
 
-// document is the policy's serialized form. The Q-table is one of its fields,
-// so one encoder pass writes the whole file. Its rows are the slab's, keyed by
-// the shared lattice's state keys — the only place the group Q-table is
-// addressed by string — in a map built per call.
-func (p *Policy) document() policyJSON {
-	keys := p.lattice.States()
-	rows := make(map[string][]float64, len(keys))
-	for ord, key := range keys {
-		rows[key] = p.rowAt(ord)
-	}
-	out := policyJSON{
+// saveBytesPerValue sizes Save's buffer: a Q-value's shortest text plus its
+// comma, with the row's share of its key, is about 20 bytes, so the buffer
+// rarely has to grow.
+const saveBytesPerValue = 24
+
+// header is the policy's document without its Q-table.
+func (p *Policy) header() policyHeader {
+	out := policyHeader{
 		Name:    p.name,
 		SLA:     p.sla,
 		FloorRT: p.floorRT,
 		Coeffs:  p.quad.Coeffs(),
-		QTable:  &mdp.QTableJSON{Actions: p.lattice.Actions(), Rows: rows},
 	}
-	for gi, d := range p.groups.Space().Defs() {
+	defs := p.groups.Space().Defs()
+	out.Groups = slices.Grow(out.Groups, len(defs)) // still nil without groups: the encoder writes null
+	for gi, d := range defs {
 		out.Groups = append(out.Groups, groupJSON{
 			Group:   int(d.Group),
 			Members: p.groups.Members(gi),
@@ -66,6 +94,111 @@ func (p *Policy) document() policyJSON {
 		})
 	}
 	return out
+}
+
+// appendRows appends the Q-table's rows as the JSON object encoding/json
+// writes for a map from state key to row: keys in byte-wise order (the
+// lattice's cached keyOrder), each row an array of numbers. A trained policy
+// repeats most of its values — a move's Q-value is fixed by the state it
+// leads to — so each value is formatted once and later copies are taken from
+// the buffer (floatMemo).
+func (p *Policy) appendRows(buf []byte) ([]byte, error) {
+	keys := p.lattice.States()
+	memo := newFloatMemo(len(p.q))
+	buf = append(buf, '{')
+	for i, ord := range p.lattice.keyOrder() {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONString(buf, keys[ord])
+		buf = append(buf, ':', '[')
+		for j, v := range p.rowAt(int(ord)) {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			var ok bool
+			if buf, ok = memo.append(buf, v); !ok {
+				return nil, fmt.Errorf("core: encode policy: state %q holds %v, which JSON cannot represent", keys[ord], v)
+			}
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, '}'), nil
+}
+
+// floatMemo is a direct-mapped table from a float's bits to where in the
+// output buffer its JSON text was first written. A hit compares the whole
+// bit pattern, so a collision costs one more formatting, never a wrong byte.
+type floatMemo struct {
+	slots []floatSlot
+	shift uint
+}
+
+type floatSlot struct {
+	bits   uint64
+	off, n uint32 // n == 0: empty
+}
+
+// newFloatMemo sizes a memo for n values: a power of two near n/4 slots,
+// between 2^6 and 2^15.
+func newFloatMemo(n int) floatMemo {
+	bits := uint(6)
+	for bits < 15 && 1<<bits < n/4 {
+		bits++
+	}
+	return floatMemo{slots: make([]floatSlot, 1<<bits), shift: 64 - bits}
+}
+
+// append appends f's JSON text to buf, copying it from an earlier occurrence
+// when the memo holds one. It reports false, appending nothing, for NaN and
+// ±Inf.
+func (m *floatMemo) append(buf []byte, f float64) ([]byte, bool) {
+	bits := math.Float64bits(f)
+	s := &m.slots[(bits*0x9e3779b97f4a7c15)>>m.shift]
+	if s.n != 0 && s.bits == bits {
+		return append(buf, buf[s.off:s.off+s.n]...), true
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return buf, false
+	}
+	off := len(buf)
+	buf = appendJSONFloat(buf, f)
+	if uint64(len(buf)) <= math.MaxUint32 {
+		*s = floatSlot{bits: bits, off: uint32(off), n: uint32(len(buf) - off)}
+	}
+	return buf, true
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64: the
+// shortest text that reads back to f, in 'f' form unless |f| < 1e-6 or
+// |f| ≥ 1e21, where it is 'e' form with a one-digit negative exponent
+// unpadded (1e-7, not 1e-07).
+func appendJSONFloat(buf []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	buf = strconv.AppendFloat(buf, f, format, -1, 64)
+	if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+		buf[n-2] = buf[n-1]
+		buf = buf[:n-1]
+	}
+	return buf
+}
+
+// appendJSONString appends s as encoding/json writes a string. A string of
+// printable ASCII that needs no escape — every lattice key — is copied
+// between quotes; any other goes through the encoder itself.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always encodes
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // LoadPolicy reads a policy previously written by Save, binding it to the

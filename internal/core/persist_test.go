@@ -40,14 +40,50 @@ func rawQTable(t *testing.T, q *mdp.QTable) json.RawMessage {
 	return buf.Bytes()
 }
 
-// encode is one json.Encoder pass over v, as both Save methods make.
-func encode(t *testing.T, v any) []byte {
+// encode is one json.Encoder pass over v, as AgentState.Save makes and as
+// Policy.Save made before it wrote its rows by hand.
+func encode(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// referenceDocument is the policy's document as the reflection path built
+// it: the rows in a map keyed by the lattice's state keys, for the encoder
+// to sort.
+func referenceDocument(p *Policy) policyJSON {
+	keys := p.lattice.States()
+	rows := make(map[string][]float64, len(keys))
+	for ord, key := range keys {
+		rows[key] = p.rowAt(ord)
+	}
+	return policyJSON{
+		policyHeader: p.header(),
+		QTable:       &mdp.QTableJSON{Actions: p.lattice.Actions(), Rows: rows},
+	}
+}
+
+// referenceSave is Policy.Save by reflection, the oracle for its bytes: one
+// json.Encoder pass over referenceDocument.
+func referenceSave(t testing.TB, p *Policy) []byte {
+	t.Helper()
+	return encode(t, referenceDocument(p))
+}
+
+// checkSaveMatchesReference holds p's Save bytes to referenceSave's.
+func checkSaveMatchesReference(t testing.TB, p *Policy) []byte {
+	t.Helper()
+	var got bytes.Buffer
+	if err := p.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceSave(t, p); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Save differs from the encoding/json reference:\n%s\nvs\n%s", got.Bytes(), want)
+	}
+	return got.Bytes()
 }
 
 // randomValue spans the magnitudes and forms a Q-value's JSON rendering takes:
@@ -97,10 +133,11 @@ func randomKey(rng *sim.RNG, space *config.Space) string {
 }
 
 // TestSaveLoadMatchesRawMessagePath: Policy.Save and AgentState.Save, which
-// encode the Q-table as a field of the document in one pass, write the bytes
-// the RawMessage path wrote, and LoadPolicy and LoadAgentState, which decode
-// it in the same pass, read back the tables and fields that path read — for
-// random tables and random agent states.
+// write the Q-table as a field of the document in one pass, write the bytes
+// the RawMessage path wrote (and Policy.Save the bytes of its encoding/json
+// reference), and LoadPolicy and LoadAgentState, which decode it in the same
+// pass, read back the tables and fields that path read — for random tables
+// and random agent states.
 func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 	space := config.Default()
 	actions := len(config.Actions(space))
@@ -113,14 +150,11 @@ func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 		for k := range p.q {
 			p.q[k] = randomValue(rng)
 		}
-		var got bytes.Buffer
-		if err := p.Save(&got); err != nil {
-			t.Fatal(err)
-		}
+		got := checkSaveMatchesReference(t, p)
 		raw := rawQTable(t, policyTable(p))
-		want := encode(t, rawPolicyJSON{policyJSON: p.document(), QTable: &raw})
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("policy %d: one-pass Save differs from the RawMessage path:\n%s\nvs\n%s", i, got.Bytes(), want)
+		want := encode(t, rawPolicyJSON{policyJSON: referenceDocument(p), QTable: &raw})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("policy %d: one-pass Save differs from the RawMessage path:\n%s\nvs\n%s", i, got, want)
 		}
 		loaded, err := LoadPolicy(bytes.NewReader(want), space)
 		if err != nil {
@@ -197,6 +231,86 @@ func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 		loaded.QTable, old.AgentState.QTable = nil, nil
 		if !reflect.DeepEqual(*loaded, old.AgentState) {
 			t.Fatalf("state %d: LoadAgentState reads %+v, the RawMessage path %+v", i, *loaded, old.AgentState)
+		}
+	}
+}
+
+// jsonFloatEdges are the floats at the edges of encoding/json's number
+// forms: signed zero, the smallest subnormal, both sides of the 1e-6 and
+// 1e21 switches to exponent form, and the largest finite magnitudes.
+var jsonFloatEdges = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 9.99e-7, -9.99e-7, 1e-6, -1e-6,
+	1e-7, 1.5e-10, 1e20, 1e21, -1e21, 1.0000000000000001e21, math.MaxFloat64, -math.MaxFloat64,
+	math.SmallestNonzeroFloat64, 1, -1, 0.1, 123456789.125,
+}
+
+// TestAppendJSONFloat holds Save's float formatting to json.Marshal on the
+// edge table and on random bit patterns (the non-finite ones skipped).
+func TestAppendJSONFloat(t *testing.T) {
+	check := func(f float64) {
+		t.Helper()
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat([]byte("x"), f); string(got[1:]) != string(want) || got[0] != 'x' {
+			t.Fatalf("%b: appended %q, encoding/json writes %q", math.Float64bits(f), got[1:], want)
+		}
+	}
+	for _, f := range jsonFloatEdges {
+		check(f)
+	}
+	rng := sim.NewRNG(0xf10a7)
+	for i := 0; i < 10000; i++ {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			check(f)
+		}
+	}
+}
+
+// TestAppendJSONString holds Save's key writer to json.Marshal on strings
+// that need no escape and on strings with every kind the encoder escapes.
+func TestAppendJSONString(t *testing.T) {
+	for _, s := range []string{
+		"", "150,300,5,15,40,20,50,2000", "a\"b", `a\b`, "a<b", "a>b", "a&b", "\x00", "\x1f",
+		"\x7f", "é", "\u2028", "\u2029", "\xff\xfe", "tab\there", "ctx<1>",
+	} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("%q: appended %s, encoding/json writes %s", s, got, want)
+		}
+	}
+}
+
+// TestSaveEdgeFloats: a policy whose Q-table holds the edge floats, each
+// repeated so the memo serves copies, saves to its reference bytes.
+func TestSaveEdgeFloats(t *testing.T) {
+	space := fuzzSpace()
+	p, _ := trainFlat(t, space)
+	for i := range p.q {
+		p.q[i] = jsonFloatEdges[i%len(jsonFloatEdges)]
+	}
+	checkSaveMatchesReference(t, p)
+}
+
+// TestSaveRejectsNonFinite: a policy holding NaN or ±Inf, in its Q-table or
+// its header, makes Save fail without writing a byte.
+func TestSaveRejectsNonFinite(t *testing.T) {
+	space := fuzzSpace()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p, _ := trainFlat(t, space)
+		p.q[len(p.q)/2] = bad
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err == nil || buf.Len() != 0 {
+			t.Fatalf("Q-value %v: Save wrote %d bytes, error %v", bad, buf.Len(), err)
+		}
+		p, _ = trainFlat(t, space)
+		p.floorRT = bad
+		if err := p.Save(&buf); err == nil || buf.Len() != 0 {
+			t.Fatalf("floor %v: Save wrote %d bytes, error %v", bad, buf.Len(), err)
 		}
 	}
 }

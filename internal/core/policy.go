@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/rac-project/rac/internal/config"
@@ -23,7 +25,17 @@ const groupLatticeCap = 16
 // except in time.
 var groupLattices struct {
 	sync.Mutex
-	m map[string]func() (*mdp.Structure, error)
+	m map[string]func() (*sharedLattice, error)
+}
+
+// sharedLattice is what every policy over one group lattice shape shares:
+// the offline-training MDP, and the order a saved policy lists its rows in.
+type sharedLattice struct {
+	*mdp.Structure
+	// keyOrder returns the state ordinals sorted byte-wise by state key,
+	// the order encoding/json writes a map's keys in. It is built on the
+	// first Save over the lattice and shared read-only after that.
+	keyOrder func() []int32
 }
 
 // groupLattice returns the deterministic MDP over the whole group lattice that
@@ -34,14 +46,14 @@ var groupLattices struct {
 // built once per shape and shared read-only by every policy over one — the
 // ones LearnPolicyStream trains and the ones LoadPolicy reads. Rewards are
 // per policy (trainingMDP).
-func groupLattice(lattice *config.Space) (*mdp.Structure, error) {
+func groupLattice(lattice *config.Space) (*sharedLattice, error) {
 	shape := latticeShape(lattice)
 	groupLattices.Lock()
 	build, ok := groupLattices.m[shape]
 	if !ok {
-		build = sync.OnceValues(func() (*mdp.Structure, error) { return newGroupLattice(lattice) })
+		build = sync.OnceValues(func() (*sharedLattice, error) { return newGroupLattice(lattice) })
 		if groupLattices.m == nil || len(groupLattices.m) >= groupLatticeCap {
-			groupLattices.m = make(map[string]func() (*mdp.Structure, error))
+			groupLattices.m = make(map[string]func() (*sharedLattice, error))
 		}
 		groupLattices.m[shape] = build
 	}
@@ -60,7 +72,7 @@ func latticeShape(lattice *config.Space) string {
 	return string(b)
 }
 
-func newGroupLattice(lattice *config.Space) (*mdp.Structure, error) {
+func newGroupLattice(lattice *config.Space) (*sharedLattice, error) {
 	keys := make([]string, lattice.States())
 	ords := make([]uint64, len(keys))
 	point := make(config.Config, lattice.Len())
@@ -69,7 +81,18 @@ func newGroupLattice(lattice *config.Space) (*mdp.Structure, error) {
 		keys[ord] = lattice.At(uint64(ord), point).Key()
 	}
 	trans := lattice.Transitions(nil, ords, func(ord uint64) int32 { return int32(ord) })
-	return mdp.NewStructureFromTransitions(keys, 2*lattice.Len()+1, trans)
+	st, err := mdp.NewStructureFromTransitions(keys, 2*lattice.Len()+1, trans)
+	if err != nil {
+		return nil, err
+	}
+	return &sharedLattice{Structure: st, keyOrder: sync.OnceValue(func() []int32 {
+		order := make([]int32, len(keys))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+		return order
+	})}, nil
 }
 
 // Policy is an initial configuration policy for one system context: a
@@ -85,7 +108,7 @@ type Policy struct {
 	// (groupLattice), whose state keys by ordinal name the rows only in a
 	// saved policy.
 	groups  *config.Grouping
-	lattice *mdp.Structure
+	lattice *sharedLattice
 	// q is the offline group Q-table as one slab: a row of lattice.Actions()
 	// values per group-lattice state, by ordinal (rowAt). It is dense by
 	// construction — offline training solves every lattice state — so rows
@@ -236,5 +259,5 @@ func (p *Policy) trainingMDP(popts parallel.Options) (*mdp.Structure, []float64)
 		}
 		return nil
 	})
-	return p.lattice, rewards
+	return p.lattice.Structure, rewards
 }

@@ -132,7 +132,7 @@ func TestGroupLatticeShared(t *testing.T) {
 		{Param: config.MaxClients, Name: "a", Group: config.GroupCapacity, Min: 7, Max: 70, Step: 7, Default: 7},
 		{Param: config.KeepAliveTimeout, Name: "b", Group: config.GroupTimeout, Min: 3, Max: 33, Step: 3, Default: 3},
 	}
-	got := make([]*mdp.Structure, 8)
+	got := make([]*sharedLattice, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
@@ -480,26 +480,25 @@ func trainFlat(tb testing.TB, space *config.Space) (*Policy, []byte) {
 	return p, saved.Bytes()
 }
 
-// checkLoadRoundTrip holds a policy LoadPolicy accepted to saving bytes that
-// load again and save identically. It reports whether data loaded.
+// checkLoadRoundTrip holds a policy LoadPolicy accepted to saving its
+// encoding/json reference bytes, which load again and save identically. It
+// reports whether data loaded.
 func checkLoadRoundTrip(t *testing.T, data []byte, space *config.Space) bool {
 	t.Helper()
 	p, err := LoadPolicy(bytes.NewReader(data), space)
 	if err != nil {
 		return false
 	}
-	var first, second bytes.Buffer
-	if err := p.Save(&first); err != nil {
-		t.Fatalf("accepted policy does not save: %v", err)
-	}
-	again, err := LoadPolicy(bytes.NewReader(first.Bytes()), space)
+	first := checkSaveMatchesReference(t, p)
+	again, err := LoadPolicy(bytes.NewReader(first), space)
 	if err != nil {
 		t.Fatalf("saved policy does not load: %v", err)
 	}
+	var second bytes.Buffer
 	if err := again.Save(&second); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+	if !bytes.Equal(first, second.Bytes()) {
 		t.Fatal("a loaded policy saves differently after one more load")
 	}
 	return true

@@ -66,13 +66,18 @@ func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encode checkpoint: %w", err)
 	}
+	return sealCheckpoint(payload), nil
+}
+
+// sealCheckpoint puts a JSON payload in the envelope.
+func sealCheckpoint(payload []byte) []byte {
 	buf := make([]byte, checkpointHeader+len(payload))
 	copy(buf[0:8], checkpointMagic)
 	binary.LittleEndian.PutUint32(buf[8:12], checkpointVersion)
 	binary.LittleEndian.PutUint64(buf[12:20], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(payload))
 	copy(buf[checkpointHeader:], payload)
-	return buf, nil
+	return buf
 }
 
 // decodeCheckpoint validates the envelope and unmarshals the payload. All

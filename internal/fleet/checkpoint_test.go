@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
+	"github.com/rac-project/rac/internal/sim"
 	"github.com/rac-project/rac/internal/system"
 )
 
 // testCheckpoint builds a small but real checkpoint (live agent state).
-func testCheckpoint(t *testing.T, tenant string, interval int) *Checkpoint {
+func testCheckpoint(t testing.TB, tenant string, interval int) *Checkpoint {
 	t.Helper()
 	sys, err := system.NewAnalytic(system.AnalyticOptions{Seed: 7})
 	if err != nil {
@@ -95,6 +99,61 @@ func TestCheckpointEnvelopeRejectsCorruption(t *testing.T) {
 	if _, err := decodeCheckpoint(noAgent); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Errorf("agent-less payload: want ErrCorruptCheckpoint, got %v", err)
 	}
+}
+
+// FuzzDecodeCheckpoint holds decodeCheckpoint, which reads files a crash
+// may have torn, to three properties: no input panics it, every rejection
+// wraps ErrCorruptCheckpoint, and an accepted checkpoint re-encodes to an
+// envelope that decodes to an equal one — equal as the encoder sees it, the
+// second encoding byte for byte the first (an empty slice or map that the
+// encoder omits decodes as nil). Each input is decoded twice: as an
+// envelope, and as the payload of a well-formed envelope, so mutations reach
+// the JSON decoder past the CRC. The seeds are a real checkpoint, a
+// truncation, a flipped CRC, a wrong version and a wrong length.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	buf, err := encodeCheckpoint(testCheckpoint(f, "shop-a", 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	damage := func(mutate func([]byte)) []byte {
+		out := bytes.Clone(buf)
+		mutate(out)
+		return out
+	}
+	f.Add(buf)
+	f.Add(buf[:len(buf)-7])
+	f.Add(damage(func(b []byte) { b[20] ^= 0x01 }))
+	f.Add(damage(func(b []byte) { b[8] = checkpointVersion + 1 }))
+	f.Add(damage(func(b []byte) { b[12]-- }))
+	f.Add(buf[checkpointHeader:])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, sealCheckpoint(data)} {
+			ck, err := decodeCheckpoint(in)
+			if err != nil {
+				if !errors.Is(err, ErrCorruptCheckpoint) {
+					t.Fatalf("rejection does not wrap ErrCorruptCheckpoint: %v", err)
+				}
+				continue
+			}
+			first, err := encodeCheckpoint(ck)
+			if err != nil {
+				t.Fatalf("accepted checkpoint does not encode: %v", err)
+			}
+			again, err := decodeCheckpoint(first)
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			}
+			second, err := encodeCheckpoint(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, second) {
+				t.Fatalf("re-encoded checkpoint decodes to a different one:\n%s\nvs\n%s",
+					first[checkpointHeader:], second[checkpointHeader:])
+			}
+		}
+	})
 }
 
 func TestCheckpointStoreWriteLatestPrune(t *testing.T) {
@@ -216,5 +275,90 @@ func TestPolicyRegistryRoundTrip(t *testing.T) {
 	keys := f2.Registry().Keys()
 	if len(keys) != 1 {
 		t.Fatalf("Keys = %v, want one entry", keys)
+	}
+}
+
+// TestPolicyRegistryConcurrentPutGet runs Puts and Gets of several contexts
+// at once (under -race in make check): two writers per key racing to
+// replace its policy, and readers of the other keys. Afterwards every
+// policy file holds exactly the bytes its cached policy saves to, so the
+// file and the cache agree on the last Put.
+func TestPolicyRegistryConcurrentPutGet(t *testing.T) {
+	space := config.MustSpace([]config.Def{
+		{Param: config.MaxClients, Name: "a", Group: config.GroupCapacity, Min: 50, Max: 250, Step: 50, Default: 150},
+		{Param: config.KeepAliveTimeout, Name: "b", Group: config.GroupTimeout, Min: 1, Max: 21, Step: 5, Default: 6},
+	})
+	reg, err := NewPolicyRegistry(t.TempDir(), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := func(cfg config.Config, _ *sim.RNG) (float64, error) {
+		return 0.5 + float64(cfg[0])/1000 + float64(cfg[1])/100, nil
+	}
+	const keys, writes = 4, 20
+	policies := make([][2]*core.Policy, keys)
+	for k := range policies {
+		for j := range policies[k] {
+			p, err := core.LearnPolicyStream(fmt.Sprintf("ctx-%d-%d", k, j), space, sample,
+				core.InitOptions{CoarseLevels: 2, SLASeconds: float64(1 + k + j)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			policies[k][j] = p
+		}
+		if err := reg.Put(fmt.Sprint("key-", k), policies[k][0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprint("key-", k)
+		for j := range policies[k] {
+			wg.Add(1)
+			go func(p *core.Policy) {
+				defer wg.Done()
+				for i := 0; i < writes; i++ {
+					if err := reg.Put(key, p); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(policies[k][j])
+		}
+		wg.Add(1)
+		go func(other int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				p, err := reg.Get(fmt.Sprint("key-", other))
+				if err != nil || (p != policies[other][0] && p != policies[other][1]) {
+					t.Errorf("Get(key-%d) = %v, %v during concurrent Puts", other, p, err)
+					return
+				}
+			}
+		}((k + 1) % keys)
+	}
+	wg.Wait()
+
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprint("key-", k)
+		onDisk, err := os.ReadFile(reg.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := reg.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := cached.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(onDisk, want.Bytes()) {
+			t.Fatalf("%s: the file is not the cached policy %q's Save bytes", key, cached.Name())
+		}
+	}
+	if entries, err := os.ReadDir(reg.Dir()); err != nil || len(entries) != keys {
+		t.Fatalf("registry directory holds %d entries (%v), want %d policy files", len(entries), err, keys)
 	}
 }

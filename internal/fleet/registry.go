@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/rac-project/rac/internal/atomicfile"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/system"
@@ -84,7 +85,10 @@ func (r *PolicyRegistry) Get(key string) (*core.Policy, error) {
 }
 
 // Put stores p under key, atomically replacing any previous policy for the
-// same context.
+// same context. The policy is encoded into a temporary file without the
+// lock, so Gets of other contexts never wait on it; the lock covers only the
+// rename and the cache update, so after concurrent Puts of one key the file
+// and the cache hold the same, last renamed, policy.
 func (r *PolicyRegistry) Put(key string, p *core.Policy) error {
 	if key == "" {
 		return errors.New("fleet: empty registry key")
@@ -92,24 +96,14 @@ func (r *PolicyRegistry) Put(key string, p *core.Policy) error {
 	if p == nil {
 		return errors.New("fleet: nil policy")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tmp, err := os.CreateTemp(r.dir, "policy-*.tmp")
+	tmp, err := atomicfile.WriteTemp(r.dir, "policy-*.tmp", p.Save)
 	if err != nil {
-		return fmt.Errorf("fleet: registry temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if err := p.Save(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
 		return fmt.Errorf("fleet: registry save %q: %w", key, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("fleet: registry close: %w", err)
-	}
-	if err := os.Rename(tmpName, r.path(key)); err != nil {
-		os.Remove(tmpName)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := os.Rename(tmp, r.path(key)); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("fleet: registry rename: %w", err)
 	}
 	r.cache[key] = p
