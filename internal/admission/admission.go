@@ -1,18 +1,19 @@
 // Package admission implements the SLO gate in front of the web tier: a
 // concurrency cap plus a bounded wait queue with a fast-reject path, and an
-// epoch-adaptive loop that reads the gate's own rejection rate — a free,
-// real-time, self-calibrating signal — to steer between an exploit regime
-// (headroom: open the gate back up) and a spread regime (overload: tighten it
-// to protect latency) *between* the agent's full retrain intervals.
+// epoch-adaptive loop that judges each epoch by the latency of the work the
+// gate admitted, against the paper's 2 s SLA, and by the gate's own
+// rejection rate, to steer between an exploit regime (headroom: open the gate
+// back up) and a spread regime (overload: tighten it to protect latency)
+// *between* the agent's full retrain intervals.
 //
 // The package splits along the repository's two data planes. Controller is
 // the pure, single-goroutine decision logic: every admit/reject outcome ticks
-// an epoch counter, and at each epoch boundary (a fixed request count, never
-// wall clock) the controller compares the epoch's rejection rate against its
-// thresholds and rescales the effective caps. Driving decisions off request
+// an epoch counter, every admitted request's end is counted with its latency,
+// and at each epoch boundary (a fixed request count, never wall clock) the
+// controller rescales the effective caps. Driving decisions off request
 // counts keeps the simulated system byte-identical at any -procs. Gate wraps
 // a Controller with a mutex and an occupancy count for the live concurrent
-// HTTP server, where many goroutines race through Enter/release.
+// HTTP server, where many goroutines race through Enter/Complete/release.
 package admission
 
 import (
@@ -48,24 +49,36 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// The epoch loop's calibration: an epoch whose rejection rate exceeds
-// highThreshold spreads (the cap scale drops one scaleStep toward minScale),
-// one below lowThreshold exploits (the scale rises one scaleStep toward
-// maxScale), and anything between holds.
+// The epoch loop's calibration. An epoch spreads (the cap scale drops one
+// scaleStep toward minScale) when more than highThreshold of its completions
+// are late, or when its rejection rate exceeds highThreshold while the
+// admitted work lacks headroom: at least lowThreshold of its completions
+// slower than headroomSeconds. It exploits (the scale rises one scaleStep
+// toward maxScale) when its rejection rate is below lowThreshold or the
+// admitted work has that headroom, and holds otherwise. An epoch that saw no
+// completion is judged on its rejection rate alone.
 const (
 	lowThreshold  = 0.02
 	highThreshold = 0.10
 	scaleStep     = 0.1
 	minScale      = 0.5
 	maxScale      = 1.5
+
+	// slaSeconds is the paper's response-time SLA: a completion slower than
+	// this is late.
+	slaSeconds = 2.0
+	// headroomSeconds is the headroom cut-off. Refusals alone say nothing
+	// about the server, since the gate causes them; admitted work that stays
+	// well inside the SLA says the server can take more.
+	headroomSeconds = slaSeconds / 4
 )
 
 // EpochConfig tunes the epoch-adaptive loop. The zero value disables it: the
 // configured caps apply unscaled forever.
 type EpochConfig struct {
 	// Size is the epoch length in gate outcomes (admits + rejects). Every
-	// Size outcomes the controller reads its rejection rate and moves the
-	// cap scale one step. Counts, not wall clock, so replays are exact.
+	// Size outcomes the controller judges the epoch and moves the cap scale
+	// one step. Counts, not wall clock, so replays are exact.
 	Size int
 }
 
@@ -96,9 +109,9 @@ func (e EpochConfig) Validate() error {
 // Regime is the epoch loop's current stance.
 type Regime int
 
-// The regimes: Hold between the thresholds, Exploit below lowThreshold
-// (open the gate — rejections are wasted capacity), Spread above
-// highThreshold (tighten the gate — protect the latency of admitted work).
+// The regimes: Exploit opens the gate (rejections are wasted capacity while
+// the admitted work has headroom), Spread tightens it (protect the latency of
+// admitted work), Hold keeps the scale.
 const (
 	RegimeHold Regime = iota
 	RegimeExploit
@@ -123,7 +136,11 @@ type Decision struct {
 	Epoch int
 	// RejectRate is the closed epoch's rejections / outcomes.
 	RejectRate float64
-	// Regime is the stance the rate selected.
+	// LateShare is the share of the epoch's completions over the SLA, and
+	// SlowShare the share over the headroom cut-off (both 0 when the epoch
+	// saw no completion).
+	LateShare, SlowShare float64
+	// Regime is the stance the epoch selected.
 	Regime Regime
 	// Scale is the cap scale in force after the decision.
 	Scale float64
@@ -140,8 +157,11 @@ type Controller struct {
 	scale    float64
 	count    int // outcomes in the running epoch
 	rejected int // rejections in the running epoch
-	epochs   int // closed epochs
-	regime   Regime
+	// Completions in the running epoch: all, over headroomSeconds, and over
+	// slaSeconds.
+	completed, slow, late int
+	epochs                int // closed epochs
+	regime                Regime
 }
 
 // NewController builds a controller. A nil-equivalent Params disables gating;
@@ -201,6 +221,22 @@ func (c *Controller) Admit(occupancy int) bool {
 	return !c.params.Enabled() || occupancy < c.Capacity()
 }
 
+// Complete counts the end of one admitted request, with its latency in
+// paper seconds, toward the running epoch's verdict. A request that failed
+// after admission counts as late: pass +Inf.
+func (c *Controller) Complete(rt float64) {
+	if !c.params.Enabled() || !c.epoch.Enabled() {
+		return
+	}
+	c.completed++
+	if rt > headroomSeconds {
+		c.slow++
+		if rt > slaSeconds {
+			c.late++
+		}
+	}
+}
+
 // Observe counts one gate outcome and, at an epoch boundary, applies the
 // epoch decision to the cap scale. The boolean reports whether a decision
 // was made this call.
@@ -215,20 +251,30 @@ func (c *Controller) Observe(rejected bool) (Decision, bool) {
 	if c.count < c.epoch.Size {
 		return Decision{}, false
 	}
-	rate := float64(c.rejected) / float64(c.count)
+	d := Decision{RejectRate: float64(c.rejected) / float64(c.count)}
+	// Without completions the epoch has no latency to go on: the admitted
+	// work counts as lacking headroom, and the rejection rate decides.
+	headroom := false
+	if c.completed > 0 {
+		d.LateShare = float64(c.late) / float64(c.completed)
+		d.SlowShare = float64(c.slow) / float64(c.completed)
+		headroom = d.SlowShare < lowThreshold
+	}
 	c.count, c.rejected = 0, 0
+	c.completed, c.slow, c.late = 0, 0, 0
 	c.epochs++
 	switch {
-	case rate > highThreshold:
+	case d.LateShare > highThreshold, d.RejectRate > highThreshold && !headroom:
 		c.regime = RegimeSpread
 		c.scale = math.Max(minScale, c.scale-scaleStep)
-	case rate < lowThreshold:
+	case d.RejectRate < lowThreshold, headroom:
 		c.regime = RegimeExploit
 		c.scale = math.Min(maxScale, c.scale+scaleStep)
 	default:
 		c.regime = RegimeHold
 	}
-	return Decision{Epoch: c.epochs, RejectRate: rate, Regime: c.regime, Scale: c.scale}, true
+	d.Epoch, d.Regime, d.Scale = c.epochs, c.regime, c.scale
+	return d, true
 }
 
 // scaled applies the epoch scale to a cap, flooring at 1.

@@ -257,3 +257,160 @@ func TestGateDisabledTracksOccupancy(t *testing.T) {
 		t.Fatalf("occupancy %d, want 0", snap.Occupancy)
 	}
 }
+
+// runEpochs drives the controller through epochs of 100 outcomes: refused
+// of them rejected, the rest admitted and completed with the latency rt
+// returns for the i-th admitted request of the epoch. It returns every
+// decision.
+func runEpochs(c *Controller, epochs, refused int, rt func(i int) float64) []Decision {
+	var decs []Decision
+	for e := 0; e < epochs; e++ {
+		for i := 0; i < 100; i++ {
+			rejected := i < refused
+			if !rejected {
+				c.Complete(rt(i - refused))
+			}
+			if d, ok := c.Observe(rejected); ok {
+				decs = append(decs, d)
+			}
+		}
+	}
+	return decs
+}
+
+// TestControllerHeadroomOpens is the metastable-gate case: sustained demand
+// above the cap keeps the refusals far over highThreshold, but the admitted
+// work finishes well inside the SLA. The gate must open to its maximum and
+// stay there rather than tighten against a server with headroom.
+func TestControllerHeadroomOpens(t *testing.T) {
+	c, err := NewController(Params{MaxConcurrent: 100, MaxQueue: 50}, EpochWith(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decs := runEpochs(c, 20, 65, func(i int) float64 {
+		return headroomSeconds * float64(i%8) / 7 // up to SLA/4, never over
+	})
+	for i, d := range decs {
+		if d.Regime != RegimeExploit || d.RejectRate != 0.65 || d.LateShare != 0 || d.SlowShare != 0 {
+			t.Fatalf("epoch %d: %+v, want exploit at reject rate 0.65 with no slow work", i+1, d)
+		}
+	}
+	if got := decs[len(decs)-1].Scale; got != maxScale {
+		t.Fatalf("scale after 20 epochs with headroom = %g, want %g", got, maxScale)
+	}
+	if conc, queue := c.Limits(); conc != 150 || queue != 75 {
+		t.Fatalf("limits = (%d,%d), want (150,75)", conc, queue)
+	}
+}
+
+// TestControllerLateSpreads: more than highThreshold of the completions over
+// the SLA tightens the gate even with no refusals at all.
+func TestControllerLateSpreads(t *testing.T) {
+	c, err := NewController(Params{MaxConcurrent: 100, MaxQueue: 50}, EpochWith(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decs := runEpochs(c, 20, 0, func(i int) float64 {
+		if i%10 < 2 {
+			return slaSeconds + 0.5 // 20 % late
+		}
+		return 0.1
+	})
+	for i, d := range decs {
+		if d.Regime != RegimeSpread || d.LateShare != 0.2 || d.SlowShare != 0.2 || d.RejectRate != 0 {
+			t.Fatalf("epoch %d: %+v, want spread on a 0.2 late share", i+1, d)
+		}
+	}
+	if got := c.Scale(); got != minScale {
+		t.Fatalf("scale = %g, want %g", got, minScale)
+	}
+}
+
+// TestControllerSlowRefusalsSpread: refusals over highThreshold with admitted
+// work that is slow but not late (no headroom) still tighten the gate, and
+// the same slow work with few refusals holds.
+func TestControllerSlowRefusalsSpread(t *testing.T) {
+	slow := func(i int) float64 {
+		if i%10 == 0 {
+			return 1.5 // over SLA/4, inside the SLA: 10 % slow, none late
+		}
+		return 0.1
+	}
+	c, err := NewController(Params{MaxConcurrent: 100, MaxQueue: 50}, EpochWith(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range runEpochs(c, 20, 65, slow) {
+		if d.Regime != RegimeSpread || d.LateShare != 0 || d.SlowShare < lowThreshold {
+			t.Fatalf("epoch %d: %+v, want spread on refusals without headroom", i+1, d)
+		}
+	}
+	if got := c.Scale(); got != minScale {
+		t.Fatalf("scale = %g, want %g", got, minScale)
+	}
+	for i, d := range runEpochs(c, 3, 5, slow) {
+		if d.Regime != RegimeHold || d.Scale != minScale {
+			t.Fatalf("epoch %d: %+v, want hold between the thresholds", i+1, d)
+		}
+	}
+}
+
+// TestControllerDisabledCountsNoCompletions: completions reported while the
+// gate is disabled leave nothing behind for the first epoch once it is on.
+func TestControllerDisabledCountsNoCompletions(t *testing.T) {
+	c, err := NewController(Params{}, EpochWith(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		c.Complete(slaSeconds * 10)
+	}
+	if err := c.SetParams(Params{MaxConcurrent: 10}); err != nil {
+		t.Fatal(err)
+	}
+	var dec Decision
+	for i := 0; i < 10; i++ {
+		dec, _ = c.Observe(false)
+	}
+	if dec.Regime != RegimeExploit || dec.LateShare != 0 {
+		t.Fatalf("first enabled epoch %+v, want exploit with no late share", dec)
+	}
+}
+
+// TestGateConcurrentComplete races Enter, Complete and release from many
+// goroutines (the admission data-race check under -race) with work that
+// always has headroom: the gate must end open, not tightened.
+func TestGateConcurrentComplete(t *testing.T) {
+	g, err := NewGate(Params{MaxConcurrent: 4, MaxQueue: 2}, EpochWith(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 32
+	const perWorker = 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				release, ok := g.Enter(tpcw.ClassHome)
+				if !ok {
+					continue
+				}
+				g.Complete(headroomSeconds / 2)
+				release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	snap := g.Snapshot()
+	if snap.Occupancy != 0 {
+		t.Errorf("occupancy %d after all releases, want 0", snap.Occupancy)
+	}
+	if got := snap.Admitted + snap.Rejected; got != workers*perWorker {
+		t.Errorf("admitted+rejected = %d, want %d", got, workers*perWorker)
+	}
+	if snap.Scale < 1 {
+		t.Errorf("gate with headroom ended at scale %g, want ≥ 1", snap.Scale)
+	}
+}

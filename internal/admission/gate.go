@@ -8,9 +8,9 @@ import (
 
 // Gate is the live server's concurrent front door: a Controller behind a
 // mutex, tracking its occupancy. The hot path is one short critical section
-// per request boundary (Enter and the returned release), so rejected requests
-// cost a lock acquisition and nothing else — the fast 503 path the web tier's
-// semaphore wait cannot provide.
+// per request boundary (Enter, then Complete and the returned release), so
+// rejected requests cost a lock acquisition and nothing else — the fast 503
+// path the web tier's semaphore wait cannot provide.
 type Gate struct {
 	mu        sync.Mutex
 	ctrl      *Controller
@@ -94,6 +94,15 @@ func (g *Gate) Enter(class tpcw.Class) (release func(), ok bool) {
 			g.mu.Unlock()
 		})
 	}, true
+}
+
+// Complete counts the end of one admitted request, with its latency in paper
+// seconds, toward the running epoch's verdict (Controller.Complete). Call it
+// once per admitted request, beside its release.
+func (g *Gate) Complete(rt float64) {
+	g.mu.Lock()
+	g.ctrl.Complete(rt)
+	g.mu.Unlock()
 }
 
 // Snapshot is the gate's counter state.

@@ -10,8 +10,8 @@ import (
 
 // Admission-gate caps for the gated variant of the overload figure: sized to
 // the web tier's Table 1 defaults (MaxClients 150), with the epoch-adaptive
-// loop steering the effective capacity between exploit and spread from its
-// own rejection rate.
+// loop steering the effective capacity between exploit and spread from the
+// latency of the work it admitted and its own rejection rate.
 const (
 	overloadAdmitConcurrency = 40
 	overloadAdmitQueue       = 20

@@ -131,7 +131,8 @@ func (a *Agent) RestoreState(st *AgentState) error {
 		return fmt.Errorf("core: snapshot references unknown policy %q", st.PolicyName)
 	}
 
-	if st.QTable == nil {
+	// An exported table always carries its rows, if only as {}.
+	if st.QTable == nil || st.QTable.Rows == nil {
 		return errors.New("core: snapshot lacks a Q-table")
 	}
 	q, err := st.QTable.Table()

@@ -319,6 +319,7 @@ func FuzzRestoreAgentState(f *testing.F) {
 		func(st *AgentState) { st.Window = make([]float64, 64) },
 		func(st *AgentState) { st.Samples = map[string]float64{"not-a-key": 1} },
 		func(st *AgentState) { st.QTable = nil },
+		func(st *AgentState) { st.QTable = &mdp.QTableJSON{Actions: st.QTable.Actions} },
 		func(st *AgentState) {
 			st.QTable = &mdp.QTableJSON{Actions: 3, Rows: map[string][]float64{"not-a-key": {1, 2, 3}}}
 		},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/rac-project/rac/internal/sim"
 	"github.com/rac-project/rac/internal/tpcw"
@@ -16,10 +15,12 @@ import (
 // artificial service delay scaled by the VM level, standing in for the
 // MySQL instance of the paper's testbed.
 type bookstore struct {
-	mu     sync.RWMutex
-	level  vmenv.Level
-	items  []item
-	orders []order
+	mu    sync.RWMutex
+	level vmenv.Level
+	items []item
+	// orders is the size of the order table. Nothing reads an order back,
+	// so only the count is kept.
+	orders int
 	nextID int
 	// Catalogue popularity is Zipf-skewed, as in TPC-W's item access
 	// pattern; the sampler is guarded by mu.
@@ -31,13 +32,8 @@ type item struct {
 	Title   string
 	Author  string
 	Subject string
-	PriceC  int // cents
-}
-
-type order struct {
-	ID     int
-	ItemID int
-	When   time.Time
+	PriceC  int    // cents
+	lower   string // Title lower-cased once, what search matches against
 }
 
 func newBookstore(level vmenv.Level) *bookstore {
@@ -45,12 +41,14 @@ func newBookstore(level vmenv.Level) *bookstore {
 	b.zipf = sim.NewZipf(sim.NewRNG(0xB00C), 1.0, 600)
 	subjects := []string{"systems", "databases", "networks", "learning", "queues", "virtualization"}
 	for i := 0; i < 600; i++ {
+		title := fmt.Sprintf("Book %03d on %s", i+1, subjects[i%len(subjects)])
 		b.items = append(b.items, item{
 			ID:      i + 1,
-			Title:   fmt.Sprintf("Book %03d on %s", i+1, subjects[i%len(subjects)]),
+			Title:   title,
 			Author:  fmt.Sprintf("Author %02d", i%37),
 			Subject: subjects[i%len(subjects)],
 			PriceC:  995 + (i%40)*100,
+			lower:   strings.ToLower(title),
 		})
 	}
 	return b
@@ -98,7 +96,7 @@ func (b *bookstore) search(q string) string {
 	q = strings.ToLower(q)
 	hits := 0
 	for i := range b.items {
-		if q == "" || strings.Contains(strings.ToLower(b.items[i].Title), q) {
+		if q == "" || strings.Contains(b.items[i].lower, q) {
 			hits++
 		}
 	}
@@ -118,14 +116,11 @@ func (b *bookstore) placeOrder() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
-	b.orders = append(b.orders, order{
-		ID:     b.nextID,
-		ItemID: b.items[b.nextID%len(b.items)].ID,
-		When:   time.Now(),
-	})
-	// Keep the order table bounded in long-running demos.
-	if len(b.orders) > 10000 {
-		b.orders = append(b.orders[:0], b.orders[5000:]...)
+	b.orders++
+	// Keep the order table bounded in long-running demos: past 10 000 orders
+	// the oldest 5 000 are dropped.
+	if b.orders > 10000 {
+		b.orders -= 5000
 	}
 	return fmt.Sprintf("order=%d", b.nextID)
 }
@@ -133,5 +128,5 @@ func (b *bookstore) placeOrder() string {
 func (b *bookstore) bestSellers() string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return fmt.Sprintf("catalogue=%d orders=%d", len(b.items), len(b.orders))
+	return fmt.Sprintf("catalogue=%d orders=%d", len(b.items), b.orders)
 }

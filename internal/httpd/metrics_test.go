@@ -4,10 +4,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"github.com/rac-project/rac/internal/admission"
 	"github.com/rac-project/rac/internal/telemetry"
+	"github.com/rac-project/rac/internal/tpcw"
+	"github.com/rac-project/rac/internal/vmenv"
+	"github.com/rac-project/rac/internal/webtier"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -82,5 +87,52 @@ func TestAdminTraceEndpoint(t *testing.T) {
 	}
 	if events[0].Seq != 1 || events[1].Seq != 2 {
 		t.Fatalf("sequence numbers = %d, %d", events[0].Seq, events[1].Seq)
+	}
+}
+
+// TestAdminTraceShowsGateSignal checks that each admission event on
+// /admin/trace carries the latency shares behind the gate's verdict.
+func TestAdminTraceShowsGateSignal(t *testing.T) {
+	params := webtier.DefaultParams()
+	params.AdmitConcurrency = 8
+	srv, err := NewServer(params, vmenv.Level1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	srv.SetTrace(telemetry.NewTrace(8))
+
+	// One default epoch of admitted requests, a fifth of them late. The
+	// epoch closes on its last arrival, before that request completes.
+	size := admission.DefaultEpoch().Size
+	for i := 0; i < size; i++ {
+		release, ok := srv.gate.Enter(tpcw.ClassHome)
+		if !ok {
+			t.Fatal("gate refused below its cap")
+		}
+		rt := 0.1
+		if i%5 == 0 {
+			rt = 3
+		}
+		srv.gate.Complete(rt)
+		release()
+	}
+	late := float64(size/5) / float64(size-1)
+
+	_, body := get(t, ts.URL+"/admin/trace")
+	var events []telemetry.Event
+	if err := json.Unmarshal([]byte(body), &events); err != nil {
+		t.Fatalf("trace not JSON: %v\n%s", err, body)
+	}
+	if len(events) != 1 {
+		t.Fatalf("events = %+v, want one admission decision", events)
+	}
+	ev := events[0]
+	if ev.Kind != telemetry.KindAdmission || ev.Detail != "spread" || ev.LateShare != late || ev.SlowShare != late || ev.RejectRate != 0 {
+		t.Fatalf("admission event %+v, want spread on late and slow shares of %g", ev, late)
+	}
+	if !strings.Contains(body, `"late_share":0.2`) || !strings.Contains(body, `"slow_share":0.2`) {
+		t.Fatalf("trace JSON lacks the latency shares: %s", body)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -157,6 +158,8 @@ func (s *Server) onAdmissionDecision(d admission.Decision) {
 			Kind:       telemetry.KindAdmission,
 			Iteration:  d.Epoch,
 			RejectRate: d.RejectRate,
+			LateShare:  d.LateShare,
+			SlowShare:  d.SlowShare,
 			Detail:     d.Regime.String(),
 		})
 	}
@@ -396,7 +399,13 @@ func (s *Server) page(class tpcw.Class) http.HandlerFunc {
 			http.Error(w, "admission gate", http.StatusServiceUnavailable)
 			return
 		}
-		defer release()
+		// The gate judges its epochs by the latency of the work it admitted;
+		// an admitted request that ends in a 503 below counts as late.
+		rt := math.Inf(1)
+		defer func() {
+			s.gate.Complete(rt)
+			release()
+		}()
 		s.admAdmitted.Inc()
 
 		// Web tier admission: MaxClients.
@@ -435,7 +444,8 @@ func (s *Server) page(class tpcw.Class) http.HandlerFunc {
 		s.reqServed[class].Inc()
 		// Latency in paper-scale seconds, directly comparable with the
 		// simulator's response times and the agent's SLA.
-		s.reqLatency[class].Observe(time.Since(start).Seconds() * TimeScale)
+		rt = time.Since(start).Seconds() * TimeScale
+		s.reqLatency[class].Observe(rt)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "class=%s session=%s result=%s\n", class, sid, result)
 	}
@@ -595,19 +605,25 @@ func (s *semaphore) resize(capacity int) {
 	s.cond.Broadcast()
 }
 
-// sessionStore is a TTL'd session table.
+// sessionStore is a TTL'd session table. An expired session is dropped when
+// it is next touched, or by a sweep over the whole table. create sweeps only
+// once the table has doubled since the last sweep, so a client that never
+// returns its cookie costs amortised O(1) per session and the table stays
+// within twice the sessions alive at that sweep.
 type sessionStore struct {
-	mu   sync.Mutex
-	ttl  time.Duration
-	next int64
-	data map[string]time.Time // session id → expiry
+	mu    sync.Mutex
+	ttl   time.Duration
+	next  int64
+	data  map[string]time.Time // session id → expiry
+	swept int                  // len(data) after the last sweep
+	now   func() time.Time
 }
 
 func newSessionStore(ttl time.Duration) *sessionStore {
 	if ttl <= 0 {
 		ttl = time.Second
 	}
-	return &sessionStore{ttl: ttl, data: make(map[string]time.Time)}
+	return &sessionStore{ttl: ttl, data: make(map[string]time.Time), now: time.Now}
 }
 
 func (st *sessionStore) setTTL(ttl time.Duration) {
@@ -624,8 +640,11 @@ func (st *sessionStore) create() string {
 	defer st.mu.Unlock()
 	st.next++
 	id := "s" + strconv.FormatInt(st.next, 36)
-	st.data[id] = time.Now().Add(st.ttl)
-	st.gcLocked()
+	now := st.now()
+	st.data[id] = now.Add(st.ttl)
+	if len(st.data) >= 2*st.swept {
+		st.sweepLocked(now)
+	}
 	return id
 }
 
@@ -634,27 +653,30 @@ func (st *sessionStore) touch(id string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	expiry, ok := st.data[id]
-	if !ok || time.Now().After(expiry) {
+	now := st.now()
+	if !ok || now.After(expiry) {
 		delete(st.data, id)
 		return false
 	}
-	st.data[id] = time.Now().Add(st.ttl)
+	st.data[id] = now.Add(st.ttl)
 	return true
 }
 
+// len returns the number of live sessions; it sweeps, so it is for the
+// stats and scrape paths, not per request.
 func (st *sessionStore) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.gcLocked()
+	st.sweepLocked(st.now())
 	return len(st.data)
 }
 
-// gcLocked drops expired sessions; called with the lock held.
-func (st *sessionStore) gcLocked() {
-	now := time.Now()
+// sweepLocked drops expired sessions; called with the lock held.
+func (st *sessionStore) sweepLocked(now time.Time) {
 	for id, expiry := range st.data {
 		if now.After(expiry) {
 			delete(st.data, id)
 		}
 	}
+	st.swept = len(st.data)
 }

@@ -365,6 +365,47 @@ func TestSessionStoreTTL(t *testing.T) {
 	}
 }
 
+// TestSessionStoreBoundedWithoutCookies streams 20 000 cookie-less requests,
+// one session each, through a store whose clock moves 1 ms per request
+// against a 200 ms TTL: the table must stay within twice the live sessions,
+// and len must equal a recount of them, also after the TTL is lowered.
+func TestSessionStoreBoundedWithoutCookies(t *testing.T) {
+	now := time.Unix(0, 0)
+	st := newSessionStore(200 * time.Millisecond)
+	st.now = func() time.Time { return now }
+	live := func() int {
+		n := 0
+		for _, expiry := range st.data {
+			if !now.After(expiry) {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < 20000; i++ {
+		now = now.Add(time.Millisecond)
+		st.create()
+		if n, l := len(st.data), live(); n > 2*l {
+			t.Fatalf("request %d: table holds %d sessions, %d live", i, n, l)
+		}
+	}
+	if got, want := st.len(), live(); got != want || got != 201 {
+		t.Fatalf("len() = %d, recount %d, want 201", got, want)
+	}
+	st.setTTL(50 * time.Millisecond)
+	for i := 0; i < 100; i++ {
+		now = now.Add(time.Millisecond)
+		st.create()
+	}
+	if got, want := st.len(), live(); got != want {
+		t.Fatalf("after lowering the TTL: len() = %d, recount %d", got, want)
+	}
+	now = now.Add(150 * time.Millisecond)
+	if got, want := st.len(), live(); got != want || got != 0 {
+		t.Fatalf("after every session expired: len() = %d, recount %d", got, want)
+	}
+}
+
 func TestScaled(t *testing.T) {
 	if got := scaled(1.0); got != time.Duration(float64(time.Second)/TimeScale) {
 		t.Fatalf("scaled(1s) = %v", got)

@@ -40,8 +40,9 @@ const (
 const KindWorkload EventKind = "workload"
 
 // Admission event kind: one "admission" event per epoch decision of the SLO
-// gate's adaptive loop, recording the epoch's rejection rate (RejectRate) and
-// the regime it selected (Detail: "exploit", "spread" or "hold").
+// gate's adaptive loop, recording the epoch's rejection rate (RejectRate),
+// the latency shares behind the verdict (LateShare, SlowShare) and the
+// regime it selected (Detail: "exploit", "spread" or "hold").
 const KindAdmission EventKind = "admission"
 
 // Capacity event kind: one "capacity" event per saturation verdict or scale
@@ -90,6 +91,11 @@ type Event struct {
 	// RejectRate is the closed epoch's rejection fraction on "admission"
 	// events.
 	RejectRate float64 `json:"reject_rate,omitempty"`
+	// LateShare and SlowShare are, on "admission" events, the closed
+	// epoch's shares of completions over the SLA and over the gate's
+	// headroom cut-off: the latency signal behind the verdict.
+	LateShare float64 `json:"late_share,omitempty"`
+	SlowShare float64 `json:"slow_share,omitempty"`
 	// Converged reports whether a retrain hit its θ threshold.
 	Converged bool `json:"converged,omitempty"`
 	// Tenant names the fleet tenant an event belongs to (fleet-managed runs

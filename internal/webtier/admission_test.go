@@ -3,6 +3,7 @@ package webtier
 import (
 	"testing"
 
+	"github.com/rac-project/rac/internal/admission"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
 )
@@ -135,21 +136,48 @@ func TestArrivalsBalanceGateHeld(t *testing.T) {
 	}
 }
 
+// TestGateEpochAdaptsUnderOverload: caps of 5/2 refuse much of 600 clients'
+// demand, but the Level-1 server finishes the few requests it admits well
+// inside the SLA. Refusals the gate causes say nothing about the server, so
+// the epoch loop must not end tightened against a server with headroom.
 func TestGateEpochAdaptsUnderOverload(t *testing.T) {
 	m := gatedModel(t, 600, 5, 2, 200, 13)
 	m.Warmup(60)
-	if _, err := m.Run(240); err != nil {
+	st, err := m.Run(240)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale, regime, epochs := m.AdmissionState()
+	if epochs == 0 || st.Rejected == 0 {
+		t.Fatalf("premise broken: %d epochs, %d rejections", epochs, st.Rejected)
+	}
+	if scale < 1 {
+		t.Fatalf("gate ended at scale %g (%v) over a server with headroom, want ≥ 1", scale, regime)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGateEpochTightensOnLateWork: caps far above what the Level-1 server
+// can serve inside the SLA admit work that runs late, so the epoch loop must
+// end tightened.
+func TestGateEpochTightensOnLateWork(t *testing.T) {
+	m := gatedModel(t, 1500, 300, 150, 200, 13)
+	m.Warmup(60)
+	st, err := m.Run(240)
+	if err != nil {
 		t.Fatal(err)
 	}
 	scale, regime, epochs := m.AdmissionState()
 	if epochs == 0 {
 		t.Fatal("epoch loop never decided")
 	}
-	if scale >= 1 {
-		t.Fatalf("sustained overload left scale at %g, want < 1", scale)
+	if st.P99RT <= 2 {
+		t.Fatalf("premise broken: admitted work not late (p99 %.2fs)", st.P99RT)
 	}
-	if regime.String() != "spread" {
-		t.Fatalf("regime %v under sustained overload, want spread", regime)
+	if scale >= 1 || regime != admission.RegimeSpread {
+		t.Fatalf("gate ended at scale %g (%v) over late admitted work, want < 1 and spread", scale, regime)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -987,6 +987,7 @@ func (m *Model) completeRequest(i int, t float64) {
 		m.rts = append(m.rts, t-c.started)
 		m.recordClass(c.class, t-c.started)
 	}
+	m.gate.Complete(t - c.started)
 	// Release resources.
 	m.inDBIO.del(i)
 	m.dbIO--
@@ -1067,8 +1068,10 @@ func (m *Model) abandonRequest(i int, t float64) {
 		m.threads--
 		m.inFlight--
 	}
-	// Every in-flight request, queued or in service, passed the gate.
+	// Every in-flight request, queued or in service, passed the gate; one it
+	// gave up on counts as late.
 	m.gateHeld--
+	m.gate.Complete(math.Inf(1))
 	if c.hasConn {
 		// The connection is torn down; a queued request's connection still
 		// counts as idle-held.
