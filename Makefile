@@ -50,8 +50,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # fuzz runs every Fuzz* target in the tree (FuzzLoadPolicy,
-# FuzzRestoreAgentState and FuzzDecodeCheckpoint today) for a fixed 10 s
-# each — ≈40 s in all beside race's 218 s, the rest being compilation.
+# FuzzRestoreAgentState, FuzzDecodeCheckpoint, FuzzLoadScenario and
+# FuzzLoadFaults today) for a fixed 10 s each — ≈75 s in all beside race's
+# 218 s, the rest being compilation. FuzzLoadScenario and FuzzLoadFaults seed
+# from the shipped examples/scenarios/*.json and examples/faults_*.json.
 # Plain `go test` already runs each target's seeds; this mutates past them.
 # FuzzLoadPolicy seeds from a four-parameter space's 2.4 kB policy:
 # 15 000–50 000 executions per 10 s on two cores, where its 1.5 MB

@@ -183,13 +183,16 @@ func (s Scenario) LastScheduled() int {
 	return last
 }
 
-// Load reads and validates a JSON scenario.
+// Load reads and validates a JSON scenario: exactly one document, then EOF.
 func Load(r io.Reader) (Scenario, error) {
 	var s Scenario
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("faults: decode scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("faults: decode scenario: data after the document")
 	}
 	if err := s.Validate(); err != nil {
 		return Scenario{}, err

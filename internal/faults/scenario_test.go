@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -62,6 +63,8 @@ func TestLoadRejects(t *testing.T) {
 		{"negative magnitude", `{"rules":[{"kind":"latency-spike","magnitude":-2}]}`, "negative magnitude"},
 		{"burst fraction", `{"rules":[{"kind":"error-burst","magnitude":1.5}]}`, "fraction"},
 		{"garbage", `{"rules":`, "decode scenario"},
+		{"trailing junk", `{"rules":[]} trailing junk`, "after the document"},
+		{"second document", `{"rules":[]} {"rules":[]}`, "after the document"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -173,4 +176,39 @@ func TestDeterminismAcrossProcs(t *testing.T) {
 	if reflect.DeepEqual(serial[0], serial[1]) {
 		t.Fatal("distinct seeds produced identical fault sequences")
 	}
+}
+
+// FuzzLoadFaults holds Load, which reads fault scripts from outside the
+// program, to one property: a script it accepts saves and loads again to an
+// equal value. The seeds are the shipped examples/faults_*.json files.
+func FuzzLoadFaults(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "faults_*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example fault scripts to seed from: %v", err)
+	}
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := sc.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("a saved script does not load: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(sc, back) {
+			t.Fatalf("round trip changed the script:\n  %#v\nvs\n  %#v", sc, back)
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rac-project/rac/internal/admission"
 	"github.com/rac-project/rac/internal/sim"
 	"github.com/rac-project/rac/internal/telemetry"
 	"github.com/rac-project/rac/internal/vmenv"
@@ -29,47 +30,74 @@ func TestGateStaysOpenWithHeadroom(t *testing.T) {
 	const headroom = time.Duration(0.5 / TimeScale * float64(time.Second))
 	for _, limit := range []int{6, 8} {
 		t.Run(fmt.Sprintf("cap%d", limit), func(t *testing.T) {
-			params := webtier.DefaultParams()
-			params.AdmitConcurrency = limit
-			srv, err := NewServer(params, vmenv.Level1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trace := telemetry.NewTrace(64)
-			srv.SetTrace(trace)
-			addr, err := srv.Start("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			const conns = 16
-			tp := &http.Transport{MaxIdleConns: conns, MaxIdleConnsPerHost: conns, MaxConnsPerHost: conns}
-			client := &http.Client{Transport: tp, Timeout: 2 * time.Second}
-			res := openLoop(client, "http://"+addr+"/home", sim.NewRNG(uint64(limit)), 6000, 3*time.Second, conns, headroom)
-			tp.CloseIdleConnections()
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = srv.Shutdown(ctx) // a drain cut short still stops the server
-			cancel()
-
-			snap := srv.gate.Snapshot()
-			if res.failed > 0 || res.refused < res.ok/10 || snap.Epochs < 10 {
-				t.Fatalf("premise broken: %+v, %d epochs", res, snap.Epochs)
-			}
-			// The verdict reads wall-clock latency, so the claim needs a host
-			// that leaves the admitted work its headroom: fewer than 2 % of
-			// the 200s slower than SLA/4, in the client's view, which bounds
-			// the server's from above. On a host busy with other work the
-			// gate is right to tighten, and the claim cannot be tested there.
-			if share := float64(res.slow) / float64(res.ok); share >= 0.02 {
-				t.Skipf("host too busy: %.1f %% of the 200s took longer than %v", 100*share, headroom)
-			}
-			if snap.Scale < 1 {
-				for _, ev := range trace.Snapshot() {
-					t.Logf("epoch %d: %s reject %.3f late %.3f slow %.3f", ev.Iteration, ev.Detail, ev.RejectRate, ev.LateShare, ev.SlowShare)
+			// The claim needs a host that can drive the load and leave the
+			// admitted work its headroom. The client must offer enough to be
+			// refused at least one arrival per ten 200s: a client slowed by
+			// other work on the host sends too little to press the cap. And
+			// since the verdict reads wall-clock latency, fewer than 2 % of
+			// the 200s may be slower than SLA/4, in the client's view, which
+			// bounds the server's from above; on a host busy with other work
+			// the gate is right to tighten, and the claim cannot be tested
+			// there. A run short of either is measured again on a fresh
+			// server, as other load on the host comes and goes, before the
+			// test gives up.
+			const attempts = 6 // at most 18 s of open loop
+			for a := 1; ; a++ {
+				res, snap, trace := runGateOpenLoop(t, limit, uint64(limit), headroom)
+				if res.failed > 0 || snap.Epochs < 10 {
+					t.Fatalf("premise broken: %+v, %d epochs", res, snap.Epochs)
 				}
-				t.Errorf("gate ended at scale %g (%v) while its admitted work had headroom", snap.Scale, snap.Regime)
+				pressed := res.refused >= res.ok/10
+				share := float64(res.slow) / float64(res.ok)
+				if (!pressed || share >= 0.02) && a < attempts {
+					t.Logf("attempt %d: host busy: %+v, %.1f %% of the 200s took longer than %v", a, res, 100*share, headroom)
+					continue
+				}
+				if !pressed {
+					t.Fatalf("premise broken: %+v, too few refused to press the cap", res)
+				}
+				if share >= 0.02 {
+					t.Skipf("host too busy: %.1f %% of the 200s took longer than %v", 100*share, headroom)
+				}
+				if snap.Scale < 1 {
+					for _, ev := range trace.Snapshot() {
+						t.Logf("epoch %d: %s reject %.3f late %.3f slow %.3f", ev.Iteration, ev.Detail, ev.RejectRate, ev.LateShare, ev.SlowShare)
+					}
+					t.Errorf("gate ended at scale %g (%v) while its admitted work had headroom", snap.Scale, snap.Regime)
+				}
+				return
 			}
 		})
 	}
+}
+
+// runGateOpenLoop starts a Level-1 server whose gate admits limit requests,
+// drives it open loop for 3 s at 6000 arrivals/s over 16 keep-alive
+// connections, stops it, and returns what the client saw with the gate's
+// final state and its epoch trace.
+func runGateOpenLoop(t *testing.T, limit int, seed uint64, headroom time.Duration) (loopResult, admission.Snapshot, *telemetry.Trace) {
+	t.Helper()
+	params := webtier.DefaultParams()
+	params.AdmitConcurrency = limit
+	srv, err := NewServer(params, vmenv.Level1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := telemetry.NewTrace(64)
+	srv.SetTrace(trace)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conns = 16
+	tp := &http.Transport{MaxIdleConns: conns, MaxIdleConnsPerHost: conns, MaxConnsPerHost: conns}
+	client := &http.Client{Transport: tp, Timeout: 2 * time.Second}
+	res := openLoop(client, "http://"+addr+"/home", sim.NewRNG(seed), 6000, 3*time.Second, conns, headroom)
+	tp.CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	_ = srv.Shutdown(ctx) // a drain cut short still stops the server
+	cancel()
+	return res, srv.gate.Snapshot(), trace
 }
 
 // loopResult counts what an open-loop client saw: 200s (slow of them took

@@ -215,14 +215,15 @@ func (d *Driver) openWorker(ctx context.Context, client *http.Client, sched []ar
 		if d.issued != nil {
 			d.issued.Inc()
 		}
-		t0 := time.Now()
 		status := d.request(ctx, client, a.class)
 		if ctx.Err() != nil {
 			return // do not record requests cut off by cancellation
 		}
 		switch status {
 		case reqOK:
-			ac.hist.Observe(time.Since(t0).Seconds() * httpd.TimeScale)
+			// Timed from when the arrival was due, not from when it left: a
+			// request issued up to shedGrace late keeps its lateness.
+			ac.hist.Observe(time.Since(target).Seconds() * httpd.TimeScale)
 		case reqRejected:
 			ac.rej.Add(1)
 			if d.rejected != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rac-project/rac/internal/httpd"
 	"github.com/rac-project/rac/internal/tpcw"
 )
 
@@ -240,6 +241,56 @@ func TestOpenLoopBackpressureSheds(t *testing.T) {
 	}
 	if res.Completed == 0 {
 		t.Fatalf("nothing completed: %+v", res)
+	}
+}
+
+// TestOpenLoopTimesFromSchedule: a response time runs from when the arrival
+// was due, not from when the engine got round to sending it. Two uniform
+// arrivals g apart share one worker; the first request's handler takes g plus
+// a few milliseconds, so the second leaves late by at least h1 − g (h1 is the
+// first handler's measured time, which can only run long) and its handler
+// returns at once. The first response time is at least h1, so the two sum to
+// at least 2·h1 − g — which timing from the send undercuts by the lateness.
+func TestOpenLoopTimesFromSchedule(t *testing.T) {
+	const (
+		window = 100 * time.Millisecond
+		gap    = window / 2
+	)
+	var first atomic.Bool
+	var h1 atomic.Int64 // nanoseconds
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if first.CompareAndSwap(false, true) {
+			start := time.Now()
+			time.Sleep(gap + 3*time.Millisecond)
+			h1.Store(int64(time.Since(start)))
+		}
+	}))
+	defer srv.Close()
+
+	o := validOptions()
+	o.BaseURL = srv.URL
+	o.ArrivalProcess = ArrivalUniform
+	o.Rate = 0.2 // 0.2·0.1·100 = 2 arrivals, at 25 ms and 75 ms
+	o.MaxInFlight = 1
+	d, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Run(context.Background(), window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Offered != 2 || res.Errors != 0 || res.Rejected != 0 {
+		t.Fatalf("want two clean arrivals: %+v", res)
+	}
+	if res.Shed != 0 {
+		t.Skipf("the late arrival was shed (more than %v late): host too busy to test timing", shedGrace)
+	}
+	late := time.Duration(h1.Load()) - gap
+	sum := time.Duration(2 * res.MeanRT / httpd.TimeScale * float64(time.Second))
+	if want := time.Duration(h1.Load()) + late - time.Microsecond; sum < want {
+		t.Fatalf("response times sum to %v, want at least %v: the second arrival's %v lateness is not counted",
+			sum, want, late)
 	}
 }
 

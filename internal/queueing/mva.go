@@ -32,7 +32,9 @@ type Station struct {
 	// is called. The solvers rely on it to call Rate fewer times than they
 	// need its value — SolveApprox remembers recent rates and skips whole
 	// periods of a repeating iteration. State a Rate reads may change between
-	// solves, never during one.
+	// solves, never during one. WebsiteSolver goes further and reuses whole
+	// solutions across solves, so every piece of its per-call state that a
+	// rate closure reads is part of its memo key or of the memo's scope.
 	Rate func(j int) float64
 }
 

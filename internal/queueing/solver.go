@@ -348,8 +348,23 @@ func sameBits(a, b []float64) bool {
 // WebsiteSolver evaluates the analytic website surface with fully reused
 // machinery: the three stations and their rate closures are bound once to the
 // solver's per-call state, so a sweep over a configuration lattice performs
-// no per-call station or scratch allocation (only the two small slice copies
-// that let the returned WebsiteResult outlive the solver's next call).
+// no per-call station or scratch allocation (only the small slice copy that
+// lets the returned WebsiteResult outlive the solver's next call, and the
+// memo's amortized growth).
+//
+// Each Solve runs five approximate-MVA solves of a network, and a lattice
+// sweep meets the same network many times over: the spare-pool settings reach
+// the model only through clamped pool and memory terms, so on a Table-2
+// context the 1 280 solves of the 256 coarse points have about 400 distinct
+// inputs. The solver therefore keeps an exact memo of its network solutions,
+// keyed by every input one solve reads — the population, the think time, the
+// bits of the three station demands, and the per-call state the rate closures
+// read (the web thrash factor and the MaxClients and MaxThreads caps) — and
+// scoped to one (calibration, level) pair: a call with another pair empties
+// it. A new per-call field a rate closure reads must join the key. The memo
+// holds at most memoLimit networks and empties itself when a new one would
+// exceed that, the rule of surface.NewBounded; its values are pure functions
+// of their keys, so a flush can cost a recomputation but never change a bit.
 //
 // A WebsiteSolver is not safe for concurrent use; parallel sweeps give each
 // worker its own.
@@ -363,7 +378,36 @@ type WebsiteSolver struct {
 	maxClients int
 	maxThreads int
 	thrash     float64
-	ioFactor   float64
+
+	// memo holds the networks solved under cal and level; nil until the
+	// first solve.
+	memo map[networkKey]networkSolution
+
+	// Backing arrays for sv's three-station buffers (see NewWebsiteSolver).
+	scratch [5][3]float64
+	rates   [3]rateMemo
+}
+
+// memoLimit bounds a WebsiteSolver's memo. One sweep of a Table-2 context's
+// 256 coarse points meets 395–415 distinct networks, so the memo holds a
+// whole sweep with room to spare.
+const memoLimit = 1024
+
+// networkKey is every input one approximate-MVA solve of the website network
+// reads inside a (calibration, level) scope. Floats are keyed by their bits,
+// so a hit has the same inputs bit for bit.
+type networkKey struct {
+	n                      int
+	z                      uint64
+	demand                 [3]uint64
+	thrash                 uint64
+	maxClients, maxThreads int
+}
+
+// networkSolution is what the website solve reads from one network solution.
+type networkSolution struct {
+	throughput, responseTime float64
+	residence, utilization   [3]float64
 }
 
 // NewWebsiteSolver returns a website solver with its stations bound.
@@ -393,6 +437,13 @@ func NewWebsiteSolver() *WebsiteSolver {
 			return math.Min(float64(j), ws.cal.DiskCapacity)
 		},
 	}
+	// The network always has three stations, so the scratch buffers live in
+	// the solver itself: a one-shot SolveWebsite pays for its memo with the
+	// allocations this saves.
+	sv := &ws.sv
+	sv.q, sv.seen, sv.resid = ws.scratch[0][:], ws.scratch[1][:], ws.scratch[2][:]
+	sv.residOut, sv.utilOut = ws.scratch[3][:], ws.scratch[4][:]
+	sv.rates = ws.rates[:]
 	return ws
 }
 
@@ -428,45 +479,92 @@ func (ws *WebsiteSolver) Solve(cal webtier.Calibration, p webtier.Params, w tpcw
 	think := shortThink*tpcw.MeanThinkTimeSeconds + cal.LongThinkProb*cal.LongThinkMeanSec
 	z := (1-1/float64(tpcw.MeanSessionLength))*think + 1/float64(tpcw.MeanSessionLength)*cal.LongThinkMeanSec
 
-	ws.cal, ws.level = cal, level
+	ws.scope(cal, level)
 	ws.maxClients, ws.maxThreads = p.MaxClients, p.MaxThreads
 
 	// Fixed-point over occupancy-dependent factors.
 	var (
-		res Result
-		err error
+		net      networkSolution
+		err      error
+		ioFactor float64
 	)
-	ws.ioFactor = 1.0
 	inFlight := math.Min(float64(w.Clients)/4, float64(p.MaxClients))
 	for iter := 0; iter < 5; iter++ {
-		conns := estimateConns(p, w, z, res)
+		conns := estimateConns(p, w, z, net.responseTime)
 		workers := math.Min(inFlight+float64(p.MinSpareServers+p.MaxSpareServers)/2, float64(p.MaxClients))
 		ws.thrash = webThrash(cal, workers, conns)
 
 		threads := math.Min(inFlight+float64(p.MinSpareThreads+p.MaxSpareThreads)/2, float64(p.MaxThreads))
-		sessions := estimateSessions(p, w, z, res)
-		ws.ioFactor = dbIOFactor(cal, level, threads, sessions)
+		sessions := estimateSessions(p, w, z, net.throughput)
+		ioFactor = dbIOFactor(cal, level, threads, sessions)
 
 		ws.stations[0].Demand = webDemand
 		ws.stations[1].Demand = appDemand + demand.DB
-		ws.stations[2].Demand = demand.IO * ws.ioFactor
-		res, err = ws.sv.SolveApprox(w.Clients, z, ws.stations[:])
+		ws.stations[2].Demand = demand.IO * ioFactor
+		net, err = ws.solveNetwork(w.Clients, z)
 		if err != nil {
 			return WebsiteResult{}, err
 		}
-		inFlight = res.Throughput * res.ResponseTime // Little's law
+		inFlight = net.throughput * net.responseTime // Little's law
 	}
 
-	// Detach the network slices from the solver scratch: the WebsiteResult
-	// must survive the solver's next call.
-	res.StationResidence = append([]float64(nil), res.StationResidence...)
-	res.StationUtilization = append([]float64(nil), res.StationUtilization...)
+	// One backing array for both station slices: the WebsiteResult owns it.
+	stationOut := make([]float64, 6)
+	copy(stationOut, net.residence[:])
+	copy(stationOut[3:], net.utilization[:])
 	return WebsiteResult{
-		MeanRT:     res.ResponseTime,
-		Throughput: res.Throughput,
-		Network:    res,
-		IOFactor:   ws.ioFactor,
+		MeanRT:     net.responseTime,
+		Throughput: net.throughput,
+		Network: Result{
+			N:                  w.Clients,
+			Throughput:         net.throughput,
+			ResponseTime:       net.responseTime,
+			StationResidence:   stationOut[:3:3],
+			StationUtilization: stationOut[3:],
+		},
+		IOFactor: ioFactor,
 	}, nil
+}
+
+// scope binds the calibration and level the rate closures read, emptying the
+// memo when either differs from the pair its networks were solved under.
+func (ws *WebsiteSolver) scope(cal webtier.Calibration, level vmenv.Level) {
+	if ws.memo == nil {
+		ws.memo = make(map[networkKey]networkSolution)
+	} else if cal != ws.cal || level != ws.level {
+		clear(ws.memo)
+	}
+	ws.cal, ws.level = cal, level
+}
+
+// solveNetwork returns the approximate-MVA solution of the network the
+// stations and per-call state now describe, solving it only when the memo
+// does not hold it.
+func (ws *WebsiteSolver) solveNetwork(n int, z float64) (networkSolution, error) {
+	st := &ws.stations
+	key := networkKey{
+		n:          n,
+		z:          math.Float64bits(z),
+		demand:     [3]uint64{math.Float64bits(st[0].Demand), math.Float64bits(st[1].Demand), math.Float64bits(st[2].Demand)},
+		thrash:     math.Float64bits(ws.thrash),
+		maxClients: ws.maxClients,
+		maxThreads: ws.maxThreads,
+	}
+	if net, ok := ws.memo[key]; ok {
+		return net, nil
+	}
+	res, err := ws.sv.SolveApprox(n, z, st[:])
+	if err != nil {
+		return networkSolution{}, err
+	}
+	net := networkSolution{throughput: res.Throughput, responseTime: res.ResponseTime}
+	copy(net.residence[:], res.StationResidence)
+	copy(net.utilization[:], res.StationUtilization)
+	if len(ws.memo) >= memoLimit {
+		clear(ws.memo)
+	}
+	ws.memo[key] = net
+	return net, nil
 }
 
 // SolveWebsiteBatch evaluates many configurations of one workload context

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
@@ -169,12 +170,48 @@ func sameResult(got, want Result) string {
 	return ""
 }
 
+// table2Contexts are the six contexts of system.Table2, which this package
+// cannot import; table2Clients is their population.
+var table2Contexts = []struct {
+	mix   tpcw.Mix
+	level vmenv.Level
+}{
+	{tpcw.Shopping, vmenv.Level1}, {tpcw.Ordering, vmenv.Level1}, {tpcw.Ordering, vmenv.Level3},
+	{tpcw.Shopping, vmenv.Level2}, {tpcw.Ordering, vmenv.Level2}, {tpcw.Browsing, vmenv.Level1},
+}
+
+const table2Clients = 1100
+
+// coarsePoints returns the 256 coarse grouped configurations policy training
+// samples on every context, as website parameters.
+func coarsePoints(tb testing.TB) []webtier.Params {
+	tb.Helper()
+	space := config.Default()
+	groups, err := space.Grouping()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfgs, _, err := groups.Coarse(4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ps := make([]webtier.Params, len(cfgs))
+	for i, cfg := range cfgs {
+		if ps[i], err = webtier.ParamsFromConfig(space, cfg); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ps
+}
+
 // TestSolveApproxMatchesReference holds the orbit-skipping SolveApprox to the
 // walk-to-the-cap oracle bit for bit, on the website stations of all six
 // Table-2 contexts at every coarse grouped configuration policy training
 // samples, and on solverStations at several populations and station counts.
 // One warm Solver serves every call, so the saved-iterate buffer is reused
-// across shapes. The grid must reach all three early exits.
+// across shapes. The website solver's memo sends each distinct network of the
+// six trainings through SolveApprox once. The grid must reach all three early
+// exits.
 func TestSolveApproxMatchesReference(t *testing.T) {
 	ws := NewWebsiteSolver()
 	sv := &ws.sv
@@ -190,31 +227,11 @@ func TestSolveApproxMatchesReference(t *testing.T) {
 		}
 	}
 
-	// The six contexts of system.Table2, which this package cannot import.
-	contexts := []struct {
-		mix   tpcw.Mix
-		level vmenv.Level
-	}{
-		{tpcw.Shopping, vmenv.Level1}, {tpcw.Ordering, vmenv.Level1}, {tpcw.Ordering, vmenv.Level3},
-		{tpcw.Shopping, vmenv.Level2}, {tpcw.Ordering, vmenv.Level2}, {tpcw.Browsing, vmenv.Level1},
-	}
-	space := config.Default()
-	groups, err := space.Grouping()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs, _, err := groups.Coarse(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cal := webtier.DefaultCalibration()
-	for _, c := range contexts {
-		w := tpcw.Workload{Mix: c.mix, Clients: 1100}
-		for _, cfg := range cfgs {
-			p, err := webtier.ParamsFromConfig(space, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+	points := coarsePoints(t)
+	for _, c := range table2Contexts {
+		w := tpcw.Workload{Mix: c.mix, Clients: table2Clients}
+		for _, p := range points {
 			if _, err := ws.Solve(cal, p, w, c.level); err != nil {
 				t.Fatal(err)
 			}
@@ -301,9 +318,10 @@ func TestSolveWebsiteBatchMatchesSingles(t *testing.T) {
 }
 
 // TestSolverHotPathAllocFree asserts the scratch buffers actually remove the
-// per-call allocations: warm solver methods must not allocate at all, and a
-// warm website solve performs only the two small copies that detach its
-// result from the scratch.
+// per-call allocations: warm solver methods must not allocate at all, a warm
+// website solve performs only the small copy that detaches its result from
+// the scratch, and a one-shot SolveWebsite (solver, closures, memo, result)
+// stays within the twelve allocations it made before the solver kept a memo.
 func TestSolverHotPathAllocFree(t *testing.T) {
 	sv := NewSolver()
 	stations := solverStations()
@@ -339,8 +357,168 @@ func TestSolverHotPathAllocFree(t *testing.T) {
 	}); allocs > 2 {
 		t.Fatalf("warm WebsiteSolver.Solve allocates %.1f per run, want <= 2 (result detach copies)", allocs)
 	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := SolveWebsite(cal, p, w, vmenv.Level1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 12 {
+		t.Fatalf("one-shot SolveWebsite allocates %.1f per run, want <= 12", allocs)
+	}
 }
 
+// sameWebsiteResult reports the first field in which got and want differ in
+// their bits, or "" when they are identical.
+func sameWebsiteResult(got, want WebsiteResult) string {
+	bits := math.Float64bits
+	switch {
+	case bits(got.MeanRT) != bits(want.MeanRT):
+		return fmt.Sprintf("MeanRT %b != %b", got.MeanRT, want.MeanRT)
+	case bits(got.Throughput) != bits(want.Throughput):
+		return fmt.Sprintf("Throughput %b != %b", got.Throughput, want.Throughput)
+	case bits(got.IOFactor) != bits(want.IOFactor):
+		return fmt.Sprintf("IOFactor %b != %b", got.IOFactor, want.IOFactor)
+	}
+	return sameResult(got.Network, want.Network)
+}
+
+// TestWebsiteMemoMatchesFreshSolver holds one warm WebsiteSolver, memo and
+// all, to a fresh solver per call, bit for bit. It first walks every Table-2
+// context's coarse points in a shuffled order — where at most 35 % of the
+// approximate-MVA solves may reach SolveApprox, so the memo must hold a whole
+// sweep — and then revisits points while the level, the workload or the
+// calibration changes between consecutive calls. The second calibration and
+// level differ from the first only in what the rate functions read, so every
+// network keeps its memo key and only the scope tells them apart. Last come
+// near twins, one pair per key field.
+func TestWebsiteMemoMatchesFreshSolver(t *testing.T) {
+	ws := NewWebsiteSolver()
+	var solved int
+	ws.sv.approxDone = func(int, float64, []Station, Result, approxEnd) { solved++ }
+	check := func(cal webtier.Calibration, p webtier.Params, w tpcw.Workload, level vmenv.Level) {
+		t.Helper()
+		got, err := ws.Solve(cal, p, w, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameWebsiteResult(got, freshSolve(t, cal, p, w, level)); diff != "" {
+			t.Fatalf("%+v %s %+v: %s", w, level.Name, p, diff)
+		}
+	}
+
+	cal := webtier.DefaultCalibration()
+	points := coarsePoints(t)
+	rng := rand.New(rand.NewPCG(39, 1))
+	for _, c := range table2Contexts {
+		w := tpcw.Workload{Mix: c.mix, Clients: table2Clients}
+		for _, i := range rng.Perm(len(points)) {
+			check(cal, points[i], w, c.level)
+		}
+	}
+	calls := 5 * len(table2Contexts) * len(points)
+	t.Logf("sweeps: %d of %d approximate-MVA solves reached SolveApprox", solved, calls)
+	if solved > calls*35/100 {
+		t.Errorf("%d of %d approximate-MVA solves reached SolveApprox, want <= 35%%", solved, calls)
+	}
+
+	slowCal := cal
+	slowCal.CtxSwitchCoeff *= 3
+	slowCal.DiskCapacity /= 2
+	fewerCPUs := vmenv.Level{Name: "Level-1-2cpu", VCPUs: 2, MemoryMB: vmenv.Level1.MemoryMB}
+	shopping := tpcw.Workload{Mix: tpcw.Shopping, Clients: table2Clients}
+	ordering := tpcw.Workload{Mix: tpcw.Ordering, Clients: 700}
+	// Each step changes one of level, workload and calibration; the cycle
+	// returns to every state twice, once after a workload-only change that
+	// keeps the memo and once after a scope change that empties it.
+	steps := []struct {
+		cal   webtier.Calibration
+		w     tpcw.Workload
+		level vmenv.Level
+	}{
+		{cal, shopping, vmenv.Level1}, {cal, ordering, vmenv.Level1}, {cal, shopping, vmenv.Level1},
+		{cal, shopping, fewerCPUs}, {slowCal, shopping, fewerCPUs}, {slowCal, ordering, fewerCPUs},
+		{slowCal, shopping, fewerCPUs}, {slowCal, shopping, vmenv.Level1}, {cal, shopping, vmenv.Level1},
+		{cal, ordering, vmenv.Level1}, {cal, ordering, fewerCPUs}, {slowCal, ordering, fewerCPUs},
+		{slowCal, ordering, vmenv.Level3}, {cal, ordering, vmenv.Level3}, {cal, ordering, vmenv.Level1},
+	}
+	solved = 0
+	for r := 0; r < 40; r++ {
+		p := points[rng.IntN(8)]
+		for _, s := range steps {
+			check(s.cal, p, s.w, s.level)
+		}
+	}
+	calls = 5 * 40 * len(steps)
+	t.Logf("revisits: %d of %d approximate-MVA solves reached SolveApprox", solved, calls)
+	if solved == calls {
+		t.Error("no revisit hit the memo")
+	}
+
+	// Near twins: two points whose networks differ in one memo key field
+	// alone, under a calibration and level where that field still moves the
+	// solution — a key without it would hand the second twin the first one's
+	// networks. Each field but the think time gets a pair; the calibration
+	// alone sets the think time, so only the scope can separate two of those.
+	// A roomy web VM keeps the thrash factor at 1 and a small app VM keeps
+	// the DB cache at its floor, so the pool and session estimates that feed
+	// them move nothing else.
+	tightWeb := cal
+	tightWeb.WebMemMB = 400
+	roomyWeb := cal
+	roomyWeb.WebMemMB = 1 << 20
+	slowWeb := roomyWeb
+	slowWeb.WebVCPUs, slowWeb.ConnectCostSec = 1, 20*cal.ConnectCostSec
+	big := vmenv.Level{Name: "big", VCPUs: 16, MemoryMB: 1 << 16}
+	small := vmenv.Level{Name: "small", VCPUs: 2, MemoryMB: 1024}
+	crowd := tpcw.Workload{Mix: tpcw.Ordering, Clients: 3000}
+	base := webtier.DefaultParams()
+	capped := base
+	capped.MaxClients, capped.MaxThreads = 100, 40
+	with := func(p webtier.Params, edit func(*webtier.Params)) webtier.Params {
+		edit(&p)
+		return p
+	}
+	type point struct {
+		w tpcw.Workload
+		p webtier.Params
+	}
+	for _, tw := range []struct {
+		field string
+		cal   webtier.Calibration
+		level vmenv.Level
+		a, b  point
+	}{
+		{"thrash", tightWeb, vmenv.Level1, point{tpcw.Workload{Mix: tpcw.Shopping, Clients: 400}, base},
+			point{tpcw.Workload{Mix: tpcw.Shopping, Clients: 400}, with(base, func(p *webtier.Params) { p.MaxSpareServers += 30 })}},
+		{"MaxClients", slowWeb, big, point{crowd, capped},
+			point{crowd, with(capped, func(p *webtier.Params) { p.MaxClients = 110 })}},
+		{"MaxThreads", roomyWeb, small, point{crowd, capped},
+			point{crowd, with(capped, func(p *webtier.Params) { p.MaxThreads = 44 })}},
+		{"population", roomyWeb, small, point{crowd, capped},
+			point{tpcw.Workload{Mix: tpcw.Ordering, Clients: 2900}, capped}},
+		{"web demand", roomyWeb, small, point{crowd, capped},
+			point{crowd, with(capped, func(p *webtier.Params) { p.KeepAliveTimeoutSec = 5 })}},
+		{"app/db demand", roomyWeb, small, point{crowd, capped},
+			point{crowd, with(capped, func(p *webtier.Params) { p.SessionTimeoutMin = 10 })}},
+	} {
+		if diff := sameWebsiteResult(freshSolve(t, tw.cal, tw.a.p, tw.a.w, tw.level), freshSolve(t, tw.cal, tw.b.p, tw.b.w, tw.level)); diff == "" {
+			t.Fatalf("%s twins solve alike; they test nothing", tw.field)
+		}
+		check(tw.cal, tw.a.p, tw.a.w, tw.level)
+		check(tw.cal, tw.b.p, tw.b.w, tw.level)
+	}
+}
+
+// freshSolve solves one point on a fresh website solver.
+func freshSolve(t *testing.T, cal webtier.Calibration, p webtier.Params, w tpcw.Workload, level vmenv.Level) WebsiteResult {
+	t.Helper()
+	res, err := NewWebsiteSolver().Solve(cal, p, w, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// BenchmarkWebsiteSolverSolve times one website solve from an empty memo.
 func BenchmarkWebsiteSolverSolve(b *testing.B) {
 	ws := NewWebsiteSolver()
 	cal := webtier.DefaultCalibration()
@@ -349,8 +527,31 @@ func BenchmarkWebsiteSolverSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		clear(ws.memo)
 		if _, err := ws.Solve(cal, p, w, vmenv.Level1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWebsiteSolverSweep times one sweep of context-1's 256 coarse
+// points the way the analytic policy sampler runs it: chunks of 16 points,
+// each on a new solver.
+func BenchmarkWebsiteSolverSweep(b *testing.B) {
+	cal := webtier.DefaultCalibration()
+	points := coarsePoints(b)
+	w := tpcw.Workload{Mix: table2Contexts[0].mix, Clients: table2Clients}
+	level := table2Contexts[0].level
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(points); lo += 16 {
+			ws := NewWebsiteSolver()
+			for _, p := range points[lo:min(lo+16, len(points))] {
+				if _, err := ws.Solve(cal, p, w, level); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }

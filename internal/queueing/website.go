@@ -35,7 +35,7 @@ type WebsiteResult struct {
 // initializer needs.
 // It uses a private WebsiteSolver per call; repeated evaluations (lattice
 // sweeps) should hold a WebsiteSolver and call its Solve method to reuse the
-// station closures and scratch buffers.
+// station closures, the scratch buffers and the memo of solved networks.
 func SolveWebsite(cal webtier.Calibration, p webtier.Params, w tpcw.Workload, level vmenv.Level) (WebsiteResult, error) {
 	return NewWebsiteSolver().Solve(cal, p, w, level)
 }
@@ -62,17 +62,17 @@ func efficiency(cal *webtier.Calibration, active, vcpus int) float64 {
 
 // estimateConns predicts the number of open keep-alive connections from the
 // hold time per cycle.
-func estimateConns(p webtier.Params, w tpcw.Workload, z float64, res Result) float64 {
-	rt := res.ResponseTime // zero on the first iteration
+// rt is the last solution's response time, zero on the first iteration.
+func estimateConns(p webtier.Params, w tpcw.Workload, z, rt float64) float64 {
 	hold := tpcw.MeanThinkTimeSeconds * (1 - math.Exp(-p.KeepAliveTimeoutSec/tpcw.MeanThinkTimeSeconds))
 	return float64(w.Clients) * (hold + rt) / (z + rt)
 }
 
 // estimateSessions predicts live server-side session objects: one per active
-// client plus abandoned sessions lingering until their timeout.
-func estimateSessions(p webtier.Params, w tpcw.Workload, z float64, res Result) float64 {
+// client plus abandoned sessions lingering until their timeout. x is the last
+// solution's throughput, zero on the first iteration.
+func estimateSessions(p webtier.Params, w tpcw.Workload, z, x float64) float64 {
 	live := float64(w.Clients)
-	x := res.Throughput
 	if x <= 0 {
 		x = float64(w.Clients) / (z + 1)
 	}

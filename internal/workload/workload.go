@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"github.com/rac-project/rac/internal/tpcw"
@@ -219,6 +220,11 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("phase %d: %w", i, err)
 		}
 	}
+	// Compile integrates the load on a grid of 512 to 65 536 cells across the
+	// whole scenario, so the span must be finite and a cell wider than zero.
+	if d := s.Duration(); math.IsInf(d, 0) || d/(1<<16) == 0 {
+		return fmt.Errorf("workload: scenario duration %g s is too short or too long to compile", d)
+	}
 	return nil
 }
 
@@ -270,13 +276,16 @@ func (s Scenario) Scale(f float64) Scenario {
 	return out
 }
 
-// Load reads and validates a JSON scenario.
+// Load reads and validates a JSON scenario: exactly one document, then EOF.
 func Load(r io.Reader) (Scenario, error) {
 	var s Scenario
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("workload: decode scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("workload: decode scenario: data after the document")
 	}
 	if err := s.Validate(); err != nil {
 		return Scenario{}, err

@@ -3,8 +3,10 @@ package workload
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/rac-project/rac/internal/telemetry"
@@ -22,6 +24,11 @@ func TestScenarioValidation(t *testing.T) {
 		{"bad mix", Scenario{Phases: []Phase{{DurationSeconds: 60, Rate: 10, Mix: "bursty"}}}, false},
 		{"bad arrival", Scenario{Phases: []Phase{{DurationSeconds: 60, Rate: 10, Mix: "shopping", Arrival: "pareto"}}}, false},
 		{"ok", Scenario{Phases: []Phase{{DurationSeconds: 60, Rate: 10, Mix: "shopping"}}}, true},
+		// Compile's grid cells would be zero wide, and its lookups index out
+		// of range; then a sum of phases that overflows.
+		{"tiny total", Scenario{Phases: []Phase{{DurationSeconds: 1e-323, Rate: 10, Mix: "shopping"}}}, false},
+		{"infinite total", Scenario{Phases: []Phase{{DurationSeconds: 1e308, Rate: 10, Mix: "shopping"},
+			{DurationSeconds: 1e308, Rate: 10, Mix: "shopping"}}}, false},
 		{"bad sinusoid", Scenario{Phases: []Phase{{DurationSeconds: 60, Rate: 10, Mix: "shopping",
 			Modulate: []Modulation{{Op: OpSinusoid, Amplitude: 0.5}}}}}, false},
 		{"amplitude too big", Scenario{Phases: []Phase{{DurationSeconds: 60, Rate: 10, Mix: "shopping",
@@ -67,6 +74,20 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString(`{"phases": [], "burst": 3}`)); err == nil {
 		t.Fatal("expected unknown-field error")
+	}
+}
+
+// TestLoadRejectsTrailingData: a scenario file is one JSON document; a second
+// document or junk after the first is an error, not silently dropped.
+func TestLoadRejectsTrailingData(t *testing.T) {
+	const phase = `{"phases":[{"durationSeconds":600,"rate":10,"mix":"shopping"}]}`
+	if _, err := Load(bytes.NewBufferString(phase + "\n")); err != nil {
+		t.Fatalf("one document: %v", err)
+	}
+	for _, in := range []string{phase + ` {"phases":[]} garbage`, phase + ` trailing junk`, phase + phase} {
+		if _, err := Load(bytes.NewBufferString(in)); err == nil || !strings.Contains(err.Error(), "after the document") {
+			t.Errorf("Load(%q) = %v, want a data-after-the-document error", in, err)
+		}
 	}
 }
 
@@ -361,4 +382,59 @@ func TestExamplesMatchLibrary(t *testing.T) {
 				name, name, got, want)
 		}
 	}
+}
+
+// FuzzLoadScenario holds Load, which reads scenario files from outside the
+// program, to three properties: an accepted scenario compiles; the compiled
+// schedule answers Duration, RateAt, OfferedRate and WorkloadAt without
+// panicking, inside the scenario, at its edges and past its end; and the
+// scenario saves and loads again to an equal value. The seeds are the shipped
+// examples/scenarios/*.json files.
+func FuzzLoadScenario(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example scenarios to seed from: %v", err)
+	}
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		s, err := Compile(sc)
+		if err != nil {
+			t.Fatalf("a loaded scenario does not compile: %v", err)
+		}
+		d := s.Duration()
+		for _, at := range []float64{-1, 0, d / 3, d / 2, d, 2 * d} {
+			s.RateAt(at)
+			s.OfferedRate(at, at+sc.Interval())
+			s.WorkloadAt(at, at+sc.Interval())
+		}
+
+		var buf bytes.Buffer
+		if err := sc.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("a saved scenario does not load: %v\n%s", err, buf.Bytes())
+		}
+		// An empty operator stack is omitted from the file and loads as nil.
+		for i := range sc.Phases {
+			if len(sc.Phases[i].Modulate) == 0 {
+				sc.Phases[i].Modulate = nil
+			}
+		}
+		if !reflect.DeepEqual(sc, back) {
+			t.Fatalf("round trip changed the scenario:\n  %#v\nvs\n  %#v", sc, back)
+		}
+	})
 }
