@@ -50,10 +50,12 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # fuzz runs every Fuzz* target in the tree (FuzzLoadPolicy,
-# FuzzRestoreAgentState, FuzzDecodeCheckpoint, FuzzLoadScenario and
-# FuzzLoadFaults today) for a fixed 10 s each — ≈75 s in all beside race's
-# 218 s, the rest being compilation. FuzzLoadScenario and FuzzLoadFaults seed
-# from the shipped examples/scenarios/*.json and examples/faults_*.json.
+# FuzzRestoreAgentState, FuzzLoadQTable, FuzzDecodeCheckpoint,
+# FuzzLoadScenario, FuzzLoadFaults and FuzzLoadConfig today) for a fixed 10 s
+# each — ≈85 s in all beside race's 218 s, the rest being compilation.
+# FuzzLoadScenario and FuzzLoadFaults seed from the shipped
+# examples/scenarios/*.json and examples/faults_*.json, FuzzLoadConfig from
+# examples/racd_fleet.json.
 # Plain `go test` already runs each target's seeds; this mutates past them.
 # FuzzLoadPolicy seeds from a four-parameter space's 2.4 kB policy:
 # 15 000–50 000 executions per 10 s on two cores, where its 1.5 MB
@@ -89,8 +91,11 @@ loc:
 # racbench and racsim from REV (a `git archive` export under a temp dir —
 # local git only, and nothing is registered in .git) and from the working
 # tree, then compares the SHA-256 of the six Table-2 policies and the sim
-# coarse-2 policy, the four quick figures minus their `(fig in N.Ns)` timing
-# line, and five racsim runs picked to reach every path of the simulator's
+# coarse-2 policy, every simulated figure in quick mode minus its
+# `(fig in N.Ns)` timing line (the ten paper figures of `racbench -all`,
+# diurnal, overload, flashcrowd-capacity and the examples/faults_basic.json
+# recovery figure; only the wall-clock `load` figure is left out), and five
+# racsim runs picked to reach every path of the simulator's
 # tick: the default MaxClients sweep; a SessionTimeout sweep (session expiry
 # order); a MaxThreads sweep at 3000 clients, whose p95 column reads 33.000 —
 # the 30 s browser timeout plus retransmit delay, i.e. the abandon and
@@ -110,16 +115,18 @@ identity:
 		for n in 1 2 3 4 5 6; do ./racpolicy -train context-$$n -o context-$$n.json >/dev/null || exit 1; done && \
 		./racpolicy -train context-1 -backend sim -coarse 2 -seed 1 -o sim-coarse2.json >/dev/null && \
 		sha256sum *.json > policies.sha256 && \
-		for fig in fig5 fig9 overload flashcrowd-capacity; do \
+		./racbench -all -quick | sed '/^  (.* in [0-9.]*s)$$/d' > figs.txt && \
+		for fig in diurnal overload flashcrowd-capacity; do \
 			./racbench -fig $$fig -quick | sed '/^  (.* in [0-9.]*s)$$/d' > $$fig.txt || exit 1; \
 		done && \
+		./racbench -faults $(CURDIR)/examples/faults_basic.json -quick | sed '/^  (.* in [0-9.]*s)$$/d' > fig-faults.txt && \
 		./racsim -sweep MaxClients > sweep.txt && \
 		./racsim -sweep SessionTimeout -clients 800 -mix browsing > sweep-session.txt && \
 		./racsim -sweep MaxThreads -clients 3000 -mix shopping > sweep-threads.txt && \
 		./racsim -scenario flashcrowd > scenario-flashcrowd.txt && \
 		./racsim -faults $(CURDIR)/examples/faults_basic.json -warmup 30 -interval 60 > faults.txt ) || exit 1; \
 	done && \
-	for f in policies.sha256 fig5.txt fig9.txt overload.txt flashcrowd-capacity.txt \
+	for f in policies.sha256 figs.txt diurnal.txt overload.txt flashcrowd-capacity.txt fig-faults.txt \
 			sweep.txt sweep-session.txt sweep-threads.txt scenario-flashcrowd.txt faults.txt; do \
 		diff -u $$tmp/rev/$$f $$tmp/tree/$$f || { echo "identity: $$f differs from $(REV)"; exit 1; }; \
 	done && \

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -80,18 +81,31 @@ type fleetConfig struct {
 }
 
 func loadConfig(path string) (fleetConfig, error) {
-	var cfg fleetConfig
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return cfg, err
+		return fleetConfig{}, err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(buf)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	cfg, err := parseConfig(buf)
+	if err != nil {
 		return cfg, fmt.Errorf("%s: %w", path, err)
 	}
+	return cfg, nil
+}
+
+// parseConfig decodes exactly one fleet config document and fills in the
+// daemon defaults.
+func parseConfig(buf []byte) (fleetConfig, error) {
+	var cfg fleetConfig
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return cfg, errors.New("data after the document")
+	}
 	if len(cfg.Tenants) == 0 {
-		return cfg, fmt.Errorf("%s: no tenants declared", path)
+		return cfg, errors.New("no tenants declared")
 	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:7070"

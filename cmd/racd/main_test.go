@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -100,6 +101,56 @@ func TestExampleConfigLoads(t *testing.T) {
 			t.Errorf("example config has no %s tenant", b)
 		}
 	}
+}
+
+// exampleConfig is the shipped example fleet config's bytes.
+func exampleConfig(tb testing.TB) []byte {
+	tb.Helper()
+	buf, err := os.ReadFile(filepath.Join("..", "..", "examples", "racd_fleet.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf
+}
+
+func TestLoadConfigRejectsTrailingData(t *testing.T) {
+	example := exampleConfig(t)
+	for _, tail := range []string{" junk", `{"tenants":[{"name":"x"}]}`} {
+		path := filepath.Join(t.TempDir(), "fleet.json")
+		if err := os.WriteFile(path, append(bytes.Clone(example), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadConfig(path); err == nil {
+			t.Errorf("config followed by %q loaded", tail)
+		}
+	}
+}
+
+// FuzzLoadConfig: a config racd accepts marshals, and the marshaled bytes
+// load back to an equal config.
+func FuzzLoadConfig(f *testing.F) {
+	example := exampleConfig(f)
+	f.Add(example)
+	f.Add(append(bytes.Clone(example), " junk"...))
+	f.Add([]byte(`{"tenants":[{}]}`))
+	f.Add([]byte(`{"seed":1,"tenants":[{"name":"a","slaSeconds":-0,"rate":1e308}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := parseConfig(data)
+		if err != nil {
+			return
+		}
+		buf, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("accepted config does not marshal: %v", err)
+		}
+		again, err := parseConfig(buf)
+		if err != nil {
+			t.Fatalf("marshaled config does not load: %v\n%s", err, buf)
+		}
+		if !reflect.DeepEqual(cfg, again) {
+			t.Fatalf("config changed across marshal and reload:\n%+v\nvs\n%+v", cfg, again)
+		}
+	})
 }
 
 func TestRunFlagErrors(t *testing.T) {

@@ -48,13 +48,6 @@ type Spec struct {
 	// Surface, when non-nil, memoizes the analytic backend's deterministic
 	// solves (the fleet shares one across its tenants).
 	Surface *surface.Cache
-	// AdmitConcurrency and AdmitQueue set the sim backend's SLO admission
-	// gate when the Space does not already carry the admission parameters
-	// (the lattice wins when it does). Zero both disables the gate.
-	// AdmitEpoch sets the gate's adaptive epoch in requests (0 = static).
-	AdmitConcurrency int
-	AdmitQueue       int
-	AdmitEpoch       int
 
 	// Addr is the live backend's listen address; empty means an ephemeral
 	// localhost port.
@@ -78,9 +71,6 @@ type Spec struct {
 	// layer, so injected faults disturb the capacity controller exactly as
 	// they disturb the agent.
 	Capacity bool
-	// CapacityInitial is the starting capacity ordinal (1 = Level-3 … 3 =
-	// Level-1); 0 starts at the backend's Context level.
-	CapacityInitial int
 	// CapacityDelay is the scale-up provisioning delay in measurement
 	// intervals (scale-downs always apply on the next interval).
 	CapacityDelay int
@@ -141,15 +131,12 @@ func Build(spec Spec) (*Built, error) {
 	switch spec.Backend {
 	case "", "sim":
 		base, err = system.NewSimulated(system.SimulatedOptions{
-			Space:            space,
-			Initial:          initial,
-			Context:          spec.Context,
-			Seed:             spec.Seed,
-			SettleSeconds:    spec.SettleSeconds,
-			MeasureSeconds:   spec.MeasureSeconds,
-			AdmitConcurrency: spec.AdmitConcurrency,
-			AdmitQueue:       spec.AdmitQueue,
-			AdmitEpoch:       spec.AdmitEpoch,
+			Space:          space,
+			Initial:        initial,
+			Context:        spec.Context,
+			Seed:           spec.Seed,
+			SettleSeconds:  spec.SettleSeconds,
+			MeasureSeconds: spec.MeasureSeconds,
 		})
 	case "analytic":
 		base, err = system.NewAnalytic(system.AnalyticOptions{
@@ -243,7 +230,6 @@ func Wrap(base system.System, spec Spec) (*Built, error) {
 			return nil, fmt.Errorf("backend: %q cannot scale capacity", spec.Backend)
 		}
 		c, err := capacity.Wrap(scalable, capacity.Options{
-			Initial:        spec.CapacityInitial,
 			ProvisionDelay: spec.CapacityDelay,
 			Analyzer:       spec.CapacityAnalyzer,
 			FastPath:       true,

@@ -130,8 +130,7 @@ func (h *Harness) runFaultAgent(sc faults.Scenario, label string, res core.Resil
 	sla := o.SLASeconds
 	last := sc.LastScheduled()
 	for i, sr := range run.Results {
-		bad := sr.Invalid || sr.Degraded || sr.MeanRT > sla
-		if bad {
+		if violates(sr, sla) {
 			run.Violations++
 		} else if run.RecoveredAt == 0 && i+1 > last {
 			run.RecoveredAt = i + 1

@@ -21,93 +21,162 @@ func rtSeries(results []core.StepResult) []float64 {
 	return out
 }
 
-// Fig01 reproduces paper Figure 1: no single configuration suits all
-// workload mixes. For each mix the harness finds the best configuration over
-// its test cases (the coarse grouped lattice, on Level-1), then measures
-// every mix under every mix's best configuration.
-func (h *Harness) Fig01() (*Figure, error) {
-	mixes := tpcw.Mixes()
-	best := make([]config.Config, len(mixes))
-	for i, mix := range mixes {
-		cfg, _, err := h.bestGroupedConfig(contextWith(mix, vmenv.Level1))
+// tunerRun is one labelled series of an iteration figure: the tuner driven
+// through the figure's schedule.
+type tunerRun struct {
+	label string
+	mk    TunerFactory
+}
+
+// runSeries drives each run through the phases on an identically salted
+// system and appends its response-time series to the figure.
+func (h *Harness) runSeries(fig *Figure, phases []Phase, salt uint64, runs ...tunerRun) error {
+	for _, r := range runs {
+		results, err := h.RunSchedule(r.mk, phases, salt)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("bench: %s %s: %w", fig.ID, r.label, err)
+		}
+		fig.Series = append(fig.Series, Series{Label: r.label, Values: rtSeries(results)})
+	}
+	return nil
+}
+
+// agent returns a factory for the RAC agent: the harness's hyper-parameters
+// unless o sets its own, and the harness seed folded with the figure's tag.
+func (h *Harness) agent(tag uint64, o core.AgentOptions) TunerFactory {
+	if o.Options == (core.Options{}) {
+		o.Options = h.opts.Agent
+	}
+	o.Seed = h.opts.Seed ^ tag
+	return func(sys system.System) (core.Tuner, error) { return core.NewAgent(sys, o) }
+}
+
+// iterFigure returns an empty figure of response time per iteration.
+func iterFigure(id, title string, iters int) *Figure {
+	return &Figure{
+		ID:     id,
+		Title:  title,
+		XLabel: "iteration",
+		YLabel: "mean response time (s)",
+		X:      seqX(iters),
+	}
+}
+
+// panels fills the layout Figures 6–9 share: for each named context, one
+// single-phase schedule as long as the figure's axis, driven by the runs
+// built from that context's offline policy.
+func (h *Harness) panels(fig *Figure, salt uint64, names []string, runs func(name string, policy *core.Policy) []tunerRun) error {
+	for _, name := range names {
+		ctx, err := system.ContextByName(name)
+		if err != nil {
+			return err
+		}
+		policy, err := h.Policy(ctx)
+		if err != nil {
+			return err
+		}
+		phases := []Phase{{Context: ctx, Iterations: len(fig.X)}}
+		if err := h.runSeries(fig, phases, salt, runs(name, policy)...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// crossBest fills the layout Figures 1 and 3 share: find each context's best
+// configuration over its test cases (the coarse grouped lattice), then
+// measure every context under every context's best configuration.
+func (h *Harness) crossBest(fig *Figure, names []string, ctxs []system.Context) error {
+	best := make([]config.Config, len(ctxs))
+	for i, ctx := range ctxs {
+		cfg, _, err := h.bestGroupedConfig(ctx)
+		if err != nil {
+			return err
 		}
 		best[i] = cfg
 	}
+	seeds := h.averagingSeeds()
+	for bi, name := range names {
+		series := Series{Label: name + "-best"}
+		for _, target := range ctxs {
+			rt, err := h.measureConfig(target, best[bi], seeds)
+			if err != nil {
+				return err
+			}
+			series.Values = append(series.Values, rt)
+		}
+		fig.Series = append(fig.Series, series)
+		fig.Notes = append(fig.Notes, fmt.Sprintf("%s-best config: %s", name, best[bi].Format(h.space)))
+	}
+	return nil
+}
+
+// maxClientsSweep measures the default configuration at every MaxClients
+// level in the context (the sweep of Figures 2 and 4).
+func (h *Harness) maxClientsSweep(ctx system.Context) (xs, ys []float64, err error) {
+	idx, ok := h.space.Lookup(config.MaxClients)
+	if !ok {
+		return nil, nil, fmt.Errorf("bench: space lacks MaxClients")
+	}
+	def := h.space.Def(idx)
+	for l := 0; l < def.Levels(); l++ {
+		cfg := h.space.DefaultConfig()
+		cfg[idx] = def.Value(l)
+		rt, err := h.measureConfig(ctx, cfg, h.averagingSeeds())
+		if err != nil {
+			return nil, nil, err
+		}
+		xs = append(xs, float64(cfg[idx]))
+		ys = append(ys, rt)
+	}
+	return xs, ys, nil
+}
+
+// Fig01 reproduces paper Figure 1: no single configuration suits all
+// workload mixes (each mix's best configuration on Level-1, cross-applied).
+func (h *Harness) Fig01() (*Figure, error) {
 	fig := &Figure{
 		ID:     "fig1",
 		Title:  "Performance under configurations tuned for different workloads (Level-1)",
 		XLabel: "workload",
 		YLabel: "mean response time (s)",
 		X:      []float64{1, 2, 3},
-		Notes: []string{
-			"x: 1=browsing 2=shopping 3=ordering",
-		},
+		Notes:  []string{"x: 1=browsing 2=shopping 3=ordering"},
 	}
-	seeds := h.averagingSeeds()
-	for bi, mix := range mixes {
-		series := Series{Label: fmt.Sprintf("%s-best", mix)}
-		for _, target := range mixes {
-			rt, err := h.measureConfig(contextWith(target, vmenv.Level1), best[bi], seeds)
-			if err != nil {
-				return nil, err
-			}
-			series.Values = append(series.Values, rt)
-		}
-		fig.Series = append(fig.Series, series)
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s-best config: %s", mix, best[bi].Format(h.space)))
+	var names []string
+	var ctxs []system.Context
+	for _, mix := range tpcw.Mixes() {
+		names = append(names, mix.String())
+		ctxs = append(ctxs, contextWith(mix, vmenv.Level1))
 	}
-	return fig, nil
+	return fig, h.crossBest(fig, names, ctxs)
 }
 
 // Fig02 reproduces paper Figure 2: the effect of MaxClients under different
 // VM levels (ordering mix). The optimal MaxClients shifts down as the VM
 // gets stronger.
 func (h *Harness) Fig02() (*Figure, error) {
-	idx, ok := h.space.Lookup(config.MaxClients)
-	if !ok {
-		return nil, fmt.Errorf("bench: space lacks MaxClients")
-	}
-	def := h.space.Def(idx)
 	fig := &Figure{
 		ID:     "fig2",
 		Title:  "Effect of MaxClients on performance per VM level (ordering mix)",
 		XLabel: "MaxClients",
 		YLabel: "mean response time (s)",
 	}
-	for l := 0; l < def.Levels(); l++ {
-		fig.X = append(fig.X, float64(def.Value(l)))
-	}
-	seeds := h.averagingSeeds()
 	for _, level := range vmenv.Levels() {
-		series := Series{Label: level.Name}
-		for l := 0; l < def.Levels(); l++ {
-			cfg := h.space.DefaultConfig()
-			cfg[idx] = def.Value(l)
-			rt, err := h.measureConfig(contextWith(tpcw.Ordering, level), cfg, seeds)
-			if err != nil {
-				return nil, err
-			}
-			series.Values = append(series.Values, rt)
+		xs, ys, err := h.maxClientsSweep(contextWith(tpcw.Ordering, level))
+		if err != nil {
+			return nil, err
 		}
-		fig.Series = append(fig.Series, series)
+		fig.X = xs
+		fig.Series = append(fig.Series, Series{Label: level.Name, Values: ys})
 	}
 	return fig, nil
 }
 
 // Fig03 reproduces paper Figure 3: no single configuration suits all VM
-// levels (ordering mix). Per-level best configurations are cross-applied.
+// levels (each level's best configuration for the ordering mix,
+// cross-applied).
 func (h *Harness) Fig03() (*Figure, error) {
-	levels := vmenv.Levels()
-	best := make([]config.Config, len(levels))
-	for i, level := range levels {
-		cfg, _, err := h.bestGroupedConfig(contextWith(tpcw.Ordering, level))
-		if err != nil {
-			return nil, err
-		}
-		best[i] = cfg
-	}
 	fig := &Figure{
 		ID:     "fig3",
 		Title:  "Performance under configurations tuned for different VM levels (ordering mix)",
@@ -116,44 +185,21 @@ func (h *Harness) Fig03() (*Figure, error) {
 		X:      []float64{1, 2, 3},
 		Notes:  []string{"x: 1=Level-1 2=Level-2 3=Level-3"},
 	}
-	seeds := h.averagingSeeds()
-	for bi, level := range levels {
-		series := Series{Label: fmt.Sprintf("%s-best", level.Name)}
-		for _, target := range levels {
-			rt, err := h.measureConfig(contextWith(tpcw.Ordering, target), best[bi], seeds)
-			if err != nil {
-				return nil, err
-			}
-			series.Values = append(series.Values, rt)
-		}
-		fig.Series = append(fig.Series, series)
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s-best config: %s", level.Name, best[bi].Format(h.space)))
+	var names []string
+	var ctxs []system.Context
+	for _, level := range vmenv.Levels() {
+		names = append(names, level.Name)
+		ctxs = append(ctxs, contextWith(tpcw.Ordering, level))
 	}
-	return fig, nil
+	return fig, h.crossBest(fig, names, ctxs)
 }
 
 // Fig04 reproduces paper Figure 4: the concave-upward effect of MaxClients
 // and its polynomial-regression fit (ordering on Level-1).
 func (h *Harness) Fig04() (*Figure, error) {
-	idx, ok := h.space.Lookup(config.MaxClients)
-	if !ok {
-		return nil, fmt.Errorf("bench: space lacks MaxClients")
-	}
-	def := h.space.Def(idx)
-	ctx := contextWith(tpcw.Ordering, vmenv.Level1)
-	seeds := h.averagingSeeds()
-
-	var xs, ys []float64
-	for l := 0; l < def.Levels(); l++ {
-		v := def.Value(l)
-		cfg := h.space.DefaultConfig()
-		cfg[idx] = v
-		rt, err := h.measureConfig(ctx, cfg, seeds)
-		if err != nil {
-			return nil, err
-		}
-		xs = append(xs, float64(v))
-		ys = append(ys, rt)
+	xs, ys, err := h.maxClientsSweep(contextWith(tpcw.Ordering, vmenv.Level1))
+	if err != nil {
+		return nil, err
 	}
 	// Fit in log space, as policy initialization does: the response time
 	// spans orders of magnitude across the overload cliff and a raw
@@ -167,8 +213,10 @@ func (h *Harness) Fig04() (*Figure, error) {
 		return nil, err
 	}
 	fitted := make([]float64, len(xs))
+	preds := make([]float64, len(xs))
 	for i, x := range xs {
-		fitted[i] = math.Exp(poly.Eval(x))
+		preds[i] = poly.Eval(x)
+		fitted[i] = math.Exp(preds[i])
 	}
 	return &Figure{
 		ID:     "fig4",
@@ -182,100 +230,51 @@ func (h *Harness) Fig04() (*Figure, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("degree-2 fit of log(rt): %s", poly),
-			fmt.Sprintf("R^2 (log space) = %.3f", regression.RSquared(logYs, preds(poly, xs))),
+			fmt.Sprintf("R^2 (log space) = %.3f", regression.RSquared(logYs, preds)),
 		},
 	}, nil
 }
 
-// preds evaluates the polynomial over xs.
-func preds(p *regression.Poly, xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = p.Eval(x)
-	}
-	return out
-}
-
 // fig5Schedule is the context sequence of Figures 5 and 10: context-1 for a
 // third of the run, then context-2 (traffic change), then context-3 (VM
-// reallocation).
-func (h *Harness) fig5Schedule() ([]Phase, []system.Context, error) {
+// reallocation). It also returns the store over those contexts and the
+// context-1 policy the adaptive agent starts from.
+func (h *Harness) fig5Schedule() ([]Phase, *core.PolicyStore, *core.Policy, error) {
+	var phases []Phase
 	var ctxs []system.Context
 	for _, name := range []string{"context-1", "context-2", "context-3"} {
-		c, err := system.ContextByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		ctxs = append(ctxs, c)
+		ctxs = append(ctxs, mustContext(name))
+		phases = append(phases, Phase{Context: ctxs[len(ctxs)-1], Iterations: h.iterations(30)})
 	}
-	per := h.iterations(30)
-	phases := []Phase{
-		{Context: ctxs[0], Iterations: per},
-		{Context: ctxs[1], Iterations: per},
-		{Context: ctxs[2], Iterations: per},
+	store, err := h.Store(ctxs...)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return phases, ctxs, nil
+	initial, err := h.Policy(ctxs[0])
+	return phases, store, initial, err
 }
 
 // Fig05 reproduces paper Figure 5: RAC (with adaptive policy initialization)
 // versus the static default configuration and the trial-and-error tuner
 // across three consecutive system contexts.
 func (h *Harness) Fig05() (*Figure, error) {
-	phases, ctxs, err := h.fig5Schedule()
+	phases, store, initial, err := h.fig5Schedule()
 	if err != nil {
 		return nil, err
 	}
-	store, err := h.Store(ctxs...)
-	if err != nil {
-		return nil, err
-	}
-	initial, err := h.Policy(ctxs[0])
-	if err != nil {
-		return nil, err
-	}
-
-	rac := func(sys system.System) (core.Tuner, error) {
-		return core.NewAgent(sys, core.AgentOptions{
-			Options: h.opts.Agent,
-			Policy:  initial,
-			Store:   store,
-			Seed:    h.opts.Seed ^ 0x5AC,
-		})
-	}
-	static := func(sys system.System) (core.Tuner, error) {
-		return core.NewStaticAgent(sys, h.opts.Agent)
-	}
-	tae := func(sys system.System) (core.Tuner, error) {
-		return core.NewTrialAndErrorAgent(sys, h.opts.Agent)
-	}
-
-	fig := &Figure{
-		ID:     "fig5",
-		Title:  "Online performance of auto-configuration policies across context changes",
-		XLabel: "iteration",
-		YLabel: "mean response time (s)",
-	}
-	for _, run := range []struct {
-		label string
-		mk    TunerFactory
-		salt  uint64
-	}{
-		{"RAC", rac, 11},
-		{"static-default", static, 11},
-		{"trial-and-error", tae, 11},
-	} {
-		results, err := h.RunSchedule(run.mk, phases, run.salt)
-		if err != nil {
-			return nil, fmt.Errorf("bench: fig5 %s: %w", run.label, err)
-		}
-		fig.Series = append(fig.Series, Series{Label: run.label, Values: rtSeries(results)})
-	}
-	fig.X = seqX(len(fig.Series[0].Values))
 	per := phases[0].Iterations
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("context-1 iters 1-%d, context-2 iters %d-%d, context-3 iters %d-%d",
-			per, per+1, 2*per, 2*per+1, 3*per))
-	return fig, nil
+	fig := iterFigure("fig5", "Online performance of auto-configuration policies across context changes", 3*per)
+	fig.Notes = []string{fmt.Sprintf("context-1 iters 1-%d, context-2 iters %d-%d, context-3 iters %d-%d",
+		per, per+1, 2*per, 2*per+1, 3*per)}
+	return fig, h.runSeries(fig, phases, 11,
+		tunerRun{"RAC", h.agent(0x5AC, core.AgentOptions{Policy: initial, Store: store})},
+		tunerRun{"static-default", func(sys system.System) (core.Tuner, error) {
+			return core.NewStaticAgent(sys, h.opts.Agent)
+		}},
+		tunerRun{"trial-and-error", func(sys system.System) (core.Tuner, error) {
+			return core.NewTrialAndErrorAgent(sys, h.opts.Agent)
+		}},
+	)
 }
 
 // Fig06 reproduces paper Figure 6: the effect of online learning. Both
@@ -284,136 +283,40 @@ func (h *Harness) Fig05() (*Figure, error) {
 // added because the offline (analytic-surface) policy misfits the stressed
 // simulator most there, which is exactly the gap online learning closes.
 func (h *Harness) Fig06() (*Figure, error) {
-	iters := h.iterations(40)
-	fig := &Figure{
-		ID:     "fig6",
-		Title:  "Effect of online training (contexts 1 and 3)",
-		XLabel: "iteration",
-		YLabel: "mean response time (s)",
-		X:      seqX(iters),
-	}
-	for _, name := range []string{"context-1", "context-3"} {
-		ctx, err := system.ContextByName(name)
-		if err != nil {
-			return nil, err
+	fig := iterFigure("fig6", "Effect of online training (contexts 1 and 3)", h.iterations(40))
+	return fig, h.panels(fig, 23, []string{"context-1", "context-3"}, func(name string, p *core.Policy) []tunerRun {
+		return []tunerRun{
+			{name + "/with-online-learning", h.agent(0x6F6, core.AgentOptions{Policy: p})},
+			{name + "/without-online-learning", h.agent(0x6F6, core.AgentOptions{Policy: p, Frozen: true})},
 		}
-		policy, err := h.Policy(ctx)
-		if err != nil {
-			return nil, err
-		}
-		phases := []Phase{{Context: ctx, Iterations: iters}}
-		for _, run := range []struct {
-			label  string
-			frozen bool
-		}{
-			{name + "/with-online-learning", false},
-			{name + "/without-online-learning", true},
-		} {
-			frozen := run.frozen
-			mk := func(sys system.System) (core.Tuner, error) {
-				return core.NewAgent(sys, core.AgentOptions{
-					Options: h.opts.Agent,
-					Policy:  policy,
-					Frozen:  frozen,
-					Seed:    h.opts.Seed ^ 0x6F6,
-				})
-			}
-			results, err := h.RunSchedule(mk, phases, 23)
-			if err != nil {
-				return nil, fmt.Errorf("bench: fig6 %s: %w", run.label, err)
-			}
-			fig.Series = append(fig.Series, Series{Label: run.label, Values: rtSeries(results)})
-		}
-	}
-	return fig, nil
+	})
 }
 
 // Fig07 reproduces paper Figures 7(a) and 7(b): RAC with and without policy
 // initialization under context-2 and context-4.
 func (h *Harness) Fig07() (*Figure, error) {
-	iters := h.iterations(40)
-	fig := &Figure{
-		ID:     "fig7",
-		Title:  "Performance with and without policy initialization",
-		XLabel: "iteration",
-		YLabel: "mean response time (s)",
-		X:      seqX(iters),
-	}
-	for _, name := range []string{"context-2", "context-4"} {
-		ctx, err := system.ContextByName(name)
-		if err != nil {
-			return nil, err
+	fig := iterFigure("fig7", "Performance with and without policy initialization", h.iterations(40))
+	return fig, h.panels(fig, 31, []string{"context-2", "context-4"}, func(name string, p *core.Policy) []tunerRun {
+		return []tunerRun{
+			{name + "/with-init", h.agent(0x707, core.AgentOptions{Policy: p})},
+			{name + "/without-init", h.agent(0x707, core.AgentOptions{})},
 		}
-		policy, err := h.Policy(ctx)
-		if err != nil {
-			return nil, err
-		}
-		phases := []Phase{{Context: ctx, Iterations: iters}}
-		for _, run := range []struct {
-			label  string
-			policy *core.Policy
-		}{
-			{name + "/with-init", policy},
-			{name + "/without-init", nil},
-		} {
-			p := run.policy
-			mk := func(sys system.System) (core.Tuner, error) {
-				return core.NewAgent(sys, core.AgentOptions{
-					Options: h.opts.Agent,
-					Policy:  p,
-					Seed:    h.opts.Seed ^ 0x707,
-				})
-			}
-			results, err := h.RunSchedule(mk, phases, 31)
-			if err != nil {
-				return nil, fmt.Errorf("bench: fig7 %s: %w", run.label, err)
-			}
-			fig.Series = append(fig.Series, Series{Label: run.label, Values: rtSeries(results)})
-		}
-	}
-	return fig, nil
+	})
 }
 
 // Fig08 reproduces paper Figure 8: the effect of the online exploration
 // rate (0.05, 0.1, 0.3) in context-1.
 func (h *Harness) Fig08() (*Figure, error) {
-	ctx, err := system.ContextByName("context-1")
-	if err != nil {
-		return nil, err
-	}
-	policy, err := h.Policy(ctx)
-	if err != nil {
-		return nil, err
-	}
-	iters := h.iterations(40)
-	phases := []Phase{{Context: ctx, Iterations: iters}}
-	fig := &Figure{
-		ID:     "fig8",
-		Title:  "Effect of online exploration rate (context-1)",
-		XLabel: "iteration",
-		YLabel: "mean response time (s)",
-		X:      seqX(iters),
-	}
-	for _, eps := range []float64{0.05, 0.1, 0.3} {
-		opts := h.opts.Agent
-		opts.Online.Epsilon = eps
-		mk := func(sys system.System) (core.Tuner, error) {
-			return core.NewAgent(sys, core.AgentOptions{
-				Options: opts,
-				Policy:  policy,
-				Seed:    h.opts.Seed ^ 0x808,
-			})
+	fig := iterFigure("fig8", "Effect of online exploration rate (context-1)", h.iterations(40))
+	return fig, h.panels(fig, 41, []string{"context-1"}, func(_ string, p *core.Policy) []tunerRun {
+		var runs []tunerRun
+		for _, eps := range []float64{0.05, 0.1, 0.3} {
+			o := h.opts.Agent
+			o.Online.Epsilon = eps
+			runs = append(runs, tunerRun{fmt.Sprintf("rate-%.2f", eps), h.agent(0x808, core.AgentOptions{Options: o, Policy: p})})
 		}
-		results, err := h.RunSchedule(mk, phases, 41)
-		if err != nil {
-			return nil, fmt.Errorf("bench: fig8 eps=%v: %w", eps, err)
-		}
-		fig.Series = append(fig.Series, Series{
-			Label:  fmt.Sprintf("rate-%.2f", eps),
-			Values: rtSeries(results),
-		})
-	}
-	return fig, nil
+		return runs
+	})
 }
 
 // Fig09 reproduces paper Figures 9(a) and 9(b): a static initial policy
@@ -424,61 +327,19 @@ func (h *Harness) Fig09() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	iters := h.iterations(40)
-	fig := &Figure{
-		ID:     "fig9",
-		Title:  "Static vs adaptive policy initialization",
-		XLabel: "iteration",
-		YLabel: "mean response time (s)",
-		X:      seqX(iters),
-	}
-	for _, name := range []string{"context-5", "context-6"} {
-		ctx, err := system.ContextByName(name)
-		if err != nil {
-			return nil, err
+	fig := iterFigure("fig9", "Static vs adaptive policy initialization", h.iterations(40))
+	return fig, h.panels(fig, 47, []string{"context-5", "context-6"}, func(name string, p *core.Policy) []tunerRun {
+		return []tunerRun{
+			{name + "/adaptive-init", h.agent(0x909, core.AgentOptions{Policy: p})},
+			{name + "/static-init", h.agent(0x909, core.AgentOptions{Policy: staticPolicy})},
 		}
-		adaptive, err := h.Policy(ctx)
-		if err != nil {
-			return nil, err
-		}
-		phases := []Phase{{Context: ctx, Iterations: iters}}
-		for _, run := range []struct {
-			label  string
-			policy *core.Policy
-		}{
-			{name + "/adaptive-init", adaptive},
-			{name + "/static-init", staticPolicy},
-		} {
-			p := run.policy
-			mk := func(sys system.System) (core.Tuner, error) {
-				return core.NewAgent(sys, core.AgentOptions{
-					Options: h.opts.Agent,
-					Policy:  p,
-					Seed:    h.opts.Seed ^ 0x909,
-				})
-			}
-			results, err := h.RunSchedule(mk, phases, 47)
-			if err != nil {
-				return nil, fmt.Errorf("bench: fig9 %s: %w", run.label, err)
-			}
-			fig.Series = append(fig.Series, Series{Label: run.label, Values: rtSeries(results)})
-		}
-	}
-	return fig, nil
+	})
 }
 
 // Fig10 reproduces paper Figure 10: adaptive initialization vs a fixed
 // static policy vs no initialization under the Figure 5 context schedule.
 func (h *Harness) Fig10() (*Figure, error) {
-	phases, ctxs, err := h.fig5Schedule()
-	if err != nil {
-		return nil, err
-	}
-	store, err := h.Store(ctxs...)
-	if err != nil {
-		return nil, err
-	}
-	initial, err := h.Policy(ctxs[0])
+	phases, store, initial, err := h.fig5Schedule()
 	if err != nil {
 		return nil, err
 	}
@@ -486,40 +347,12 @@ func (h *Harness) Fig10() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	fig := &Figure{
-		ID:     "fig10",
-		Title:  "Online adaptation of RL policies under context changes",
-		XLabel: "iteration",
-		YLabel: "mean response time (s)",
-	}
-	runs := []struct {
-		label  string
-		policy *core.Policy
-		store  *core.PolicyStore
-	}{
-		{"adaptive-init", initial, store},
-		{"static-init", staticPolicy, nil},
-		{"without-init", nil, nil},
-	}
-	for _, run := range runs {
-		p, s := run.policy, run.store
-		mk := func(sys system.System) (core.Tuner, error) {
-			return core.NewAgent(sys, core.AgentOptions{
-				Options: h.opts.Agent,
-				Policy:  p,
-				Store:   s,
-				Seed:    h.opts.Seed ^ 0xA0A,
-			})
-		}
-		results, err := h.RunSchedule(mk, phases, 53)
-		if err != nil {
-			return nil, fmt.Errorf("bench: fig10 %s: %w", run.label, err)
-		}
-		fig.Series = append(fig.Series, Series{Label: run.label, Values: rtSeries(results)})
-	}
-	fig.X = seqX(len(fig.Series[0].Values))
-	return fig, nil
+	fig := iterFigure("fig10", "Online adaptation of RL policies under context changes", 3*phases[0].Iterations)
+	return fig, h.runSeries(fig, phases, 53,
+		tunerRun{"adaptive-init", h.agent(0xA0A, core.AgentOptions{Policy: initial, Store: store})},
+		tunerRun{"static-init", h.agent(0xA0A, core.AgentOptions{Policy: staticPolicy})},
+		tunerRun{"without-init", h.agent(0xA0A, core.AgentOptions{})},
+	)
 }
 
 // mustContext returns a Table 2 context by name; the names are compile-time

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/rac-project/rac/internal/capacity"
 	"github.com/rac-project/rac/internal/core"
-	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
@@ -82,19 +80,8 @@ func (h *Harness) runCapacityVariant(sc workload.Scenario, label string, adaptiv
 	if err != nil {
 		return capacityRun{}, err
 	}
-	seq := workload.NewSequencer(sched, sc.Interval())
-	seq.SetTelemetry(h.tel)
-	first := seq.At(0)
-	smp := scenarioSampling()
 	sla := h.opts.Agent.SLASeconds
-	inner, err := system.NewSimulated(system.SimulatedOptions{
-		Space:          h.space,
-		Context:        system.Context{Name: "flashcrowd-start", Workload: first.Workload, Level: vmenv.Level1},
-		Seed:           h.opts.Seed*2654435761 + 67,
-		SettleSeconds:  smp.settle,
-		MeasureSeconds: smp.measure,
-		SLOSeconds:     sla,
-	})
+	seq, inner, err := h.scenarioStart(sched, sc.Interval(), "flashcrowd-start", 67, sla)
 	if err != nil {
 		return capacityRun{}, err
 	}
@@ -146,57 +133,21 @@ func (h *Harness) runCapacityVariant(sc workload.Scenario, label string, adaptiv
 		if err != nil {
 			return capacityRun{}, err
 		}
-		rec, err := policy.Recommend()
-		if err != nil {
-			return capacityRun{}, err
-		}
-		if err := sys.Apply(context.Background(), rec); err != nil {
-			return capacityRun{}, fmt.Errorf("bench: apply recommended config: %w", err)
-		}
-		// Same resilience stance as the other scenario benches: outlier
-		// rejection off (a load shift is not a bad measurement) and
-		// exploration dialed down (see runScenarioAgent).
-		o.Resilience = core.DefaultResilience()
-		o.Resilience.OutlierFactor = 0
-		o.Online.Epsilon = 0.02
-		agent, err = core.NewAgent(sys, core.AgentOptions{
-			Options:   o,
-			Policy:    policy,
-			Seed:      h.opts.Seed*0x9E3779B97F4A7C15 ^ 0xCAB,
-			Telemetry: h.tel,
-			Trace:     trace,
-		})
+		agent, err = h.scenarioAgent(sys, 0xCAB, core.AgentOptions{Options: o, Policy: policy, Trace: trace})
 		if err != nil {
 			return capacityRun{}, err
 		}
 		tuner = agent
-	} else {
-		tuner, err = core.NewTrialAndErrorAgent(sys, o)
-		if err != nil {
-			return capacityRun{}, err
-		}
+	} else if tuner, err = core.NewTrialAndErrorAgent(sys, o); err != nil {
+		return capacityRun{}, err
 	}
 
 	run := capacityRun{Label: label}
-	for i := 0; i < seq.Len(); i++ {
-		iv := seq.Observe(i)
-		if err := sys.SetWorkload(iv.Workload); err != nil {
-			return capacityRun{}, fmt.Errorf("bench: interval %d workload: %w", i, err)
-		}
-		trace.Add(telemetry.Event{
-			Kind:        telemetry.KindWorkload,
-			Iteration:   i + 1,
-			OfferedRate: iv.OfferedRate,
-			Detail:      iv.PhaseName,
-		})
-		sr, err := tuner.Step(context.Background())
-		if err != nil {
-			return capacityRun{}, fmt.Errorf("bench: interval %d step: %w", i, err)
-		}
+	err = driveScenario(seq, sys, tuner, trace, func(sr core.StepResult) error {
 		if agent != nil && pendingLevel != 0 {
 			p, err := levelPolicy(pendingLevel)
 			if err != nil {
-				return capacityRun{}, err
+				return err
 			}
 			agent.ForcePolicy(p)
 			pendingLevel = 0
@@ -204,13 +155,14 @@ func (h *Harness) runCapacityVariant(sc workload.Scenario, label string, adaptiv
 		run.Goodput = append(run.Goodput, sr.Goodput)
 		run.P99 = append(run.P99, sr.P99RT)
 		run.Cost = append(run.Cost, float64(sys.TotalCost()))
-		if sr.Invalid || sr.Degraded || sr.MeanRT > sla {
+		if violates(sr, sla) {
 			run.Violations++
 		}
-	}
+		return nil
+	})
 	run.ScaleUps = sys.ScaleUps()
 	run.ScaleDowns = sys.ScaleDowns()
-	return run, nil
+	return run, err
 }
 
 // FigFlashcrowdCapacity is the capacity-control figure (beyond the paper):

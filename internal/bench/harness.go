@@ -145,15 +145,42 @@ func (h *Harness) iterations(full int) int {
 	return full
 }
 
-// newSystem builds a simulated system in the context with a derived seed.
+// newSystem builds a simulated system in the context, seeded from the
+// harness seed and salt and measured over the harness's windows.
 func (h *Harness) newSystem(ctx system.Context, salt uint64) (*system.Simulated, error) {
-	settle, measure := h.measureWindows()
+	return h.simulated(ctx, h.seed(salt), h.simSampling(), 0)
+}
+
+// seed derives a system seed from the harness seed and a per-run salt.
+func (h *Harness) seed(salt uint64) uint64 { return h.opts.Seed*2654435761 + salt }
+
+// simulated builds a simulated system in the context, measured over smp's
+// windows, with goodput counted against slo (0 = none).
+func (h *Harness) simulated(ctx system.Context, seed uint64, smp sampling, slo float64) (*system.Simulated, error) {
 	return system.NewSimulated(system.SimulatedOptions{
 		Space:          h.space,
 		Context:        ctx,
-		Seed:           h.opts.Seed*2654435761 + salt,
-		SettleSeconds:  settle,
-		MeasureSeconds: measure,
+		Seed:           seed,
+		SettleSeconds:  smp.settle,
+		MeasureSeconds: smp.measure,
+		SLOSeconds:     slo,
+	})
+}
+
+// measureFresh measures cfg's mean response time on a fresh simulated
+// system. The measurement is a pure function of (context, configuration,
+// seed, windows) — exactly the memo key — so it runs once per key.
+func (h *Harness) measureFresh(tag byte, ctx system.Context, seed uint64, smp sampling, cfg config.Config) (float64, error) {
+	return h.surf.Do(surfaceKey(tag, ctx, seed, smp.settle, smp.measure, cfg), func() (float64, error) {
+		sys, err := h.simulated(ctx, seed, smp, 0)
+		if err != nil {
+			return 0, err
+		}
+		if err := sys.Apply(context.Background(), cfg); err != nil {
+			return 0, err
+		}
+		m, err := sys.Measure(context.Background())
+		return m.MeanRT, err
 	})
 }
 
@@ -166,25 +193,9 @@ func (h *Harness) measureConfig(ctx system.Context, cfg config.Config, seeds int
 	if seeds < 1 {
 		seeds = 1
 	}
-	settle, measure := h.measureWindows()
 	rts, err := parallel.Map(h.Parallel(), seeds, func(s int) (float64, error) {
 		salt := uint64(s)*7919 + uint64(len(cfg))
-		// A fresh system's measurement is a pure function of (context,
-		// configuration, derived seed, windows) — exactly the memo key.
-		return h.surf.Do(surfaceKey('m', ctx, salt, settle, measure, cfg), func() (float64, error) {
-			sys, err := h.newSystem(ctx, salt)
-			if err != nil {
-				return 0, err
-			}
-			if err := sys.Apply(context.Background(), cfg); err != nil {
-				return 0, err
-			}
-			m, err := sys.Measure(context.Background())
-			if err != nil {
-				return 0, err
-			}
-			return m.MeanRT, nil
-		})
+		return h.measureFresh('m', ctx, h.seed(salt), h.simSampling(), cfg)
 	})
 	if err != nil {
 		return 0, err
@@ -201,7 +212,7 @@ func (h *Harness) measureConfig(ctx system.Context, cfg config.Config, seeds int
 // measurement, 'p' simulated policy sample; analytic points are keyed by
 // system.AnalyticSampler), the full context coordinates (the level name alone
 // would alias contexts that differ only in mix or client count), the
-// measurement seed or salt, the sampling windows and the configuration itself.
+// system seed, the sampling windows and the configuration itself.
 // Built with strconv like policyKey: surface lookups sit on the sweep hot path.
 func surfaceKey(tag byte, ctx system.Context, seed uint64, settle, measure float64, cfg config.Config) string {
 	key := make([]byte, 0, len(ctx.Level.Name)+len(cfg)*4+48)
@@ -222,11 +233,6 @@ func surfaceKey(tag byte, ctx system.Context, seed uint64, settle, measure float
 	return string(key)
 }
 
-// policyKey identifies one cached policy training. It must cover every
-// option the training depends on — notably the coarse-lattice granularity —
-// so a future per-call override can never alias a cached policy trained at a
-// different fidelity. Built with strconv: Policy sits on the figure hot path
-// and fmt.Sprintf's reflection is measurable across thousands of lookups.
 // sampling selects a policy-training backend: the analytic queueing surface,
 // or the simulator measured over explicit settle/measure windows.
 type sampling struct {
@@ -251,6 +257,11 @@ func (h *Harness) optsSampling() sampling {
 	return analyticSampling
 }
 
+// policyKey identifies one cached policy training. It must cover every
+// option the training depends on — notably the coarse-lattice granularity —
+// so a future per-call override can never alias a cached policy trained at a
+// different fidelity. Built with strconv: Policy sits on the figure hot path
+// and fmt.Sprintf's reflection is measurable across thousands of lookups.
 func (h *Harness) policyKey(ctx system.Context, smp sampling) string {
 	key := make([]byte, 0, len(ctx.Name)+48)
 	key = append(key, ctx.Name...)
@@ -323,27 +334,7 @@ func (h *Harness) trainPolicy(ctx system.Context, smp sampling) (*core.Policy, e
 			// into the key: a hit and a miss then consume the sample's RNG
 			// stream identically, which is what keeps cached and uncached
 			// sweeps byte-identical.
-			seed := rng.Uint64()
-			return h.surf.Do(surfaceKey('p', ctx, seed, smp.settle, smp.measure, cfg), func() (float64, error) {
-				sys, err := system.NewSimulated(system.SimulatedOptions{
-					Space:          h.space,
-					Context:        ctx,
-					Seed:           seed,
-					SettleSeconds:  smp.settle,
-					MeasureSeconds: smp.measure,
-				})
-				if err != nil {
-					return 0, err
-				}
-				if err := sys.Apply(context.Background(), cfg); err != nil {
-					return 0, err
-				}
-				m, err := sys.Measure(context.Background())
-				if err != nil {
-					return 0, err
-				}
-				return m.MeanRT, nil
-			})
+			return h.measureFresh('p', ctx, rng.Uint64(), smp, cfg)
 		}
 	} else {
 		// The analytic surface sweeps in batches so one solver's scratch

@@ -46,7 +46,7 @@ func (h *Harness) runOverloadVariant(sc workload.Scenario, label string, params 
 		Params:     &params,
 		Workload:   first.Workload,
 		AppLevel:   vmenv.Level1,
-		Seed:       h.opts.Seed*2654435761 + 61,
+		Seed:       h.seed(61),
 		AdmitEpoch: epoch,
 		SLOSeconds: h.opts.Agent.SLASeconds,
 	})

@@ -93,26 +93,90 @@ func scenarioSampling() sampling {
 	return sampling{sim: true, settle: 15, measure: 60}
 }
 
+// scenarioStart returns a sequencer over the compiled scenario and a
+// simulated Level-1 system in its first interval's workload, measured over
+// the scenario windows.
+func (h *Harness) scenarioStart(sched *workload.Schedule, interval float64, name string, salt uint64, slo float64) (*workload.Sequencer, *system.Simulated, error) {
+	seq := workload.NewSequencer(sched, interval)
+	seq.SetTelemetry(h.tel)
+	ctx := system.Context{Name: name, Workload: seq.At(0).Workload, Level: vmenv.Level1}
+	sys, err := h.simulated(ctx, h.seed(salt), scenarioSampling(), slo)
+	return seq, sys, err
+}
+
+// scenarioAgent is the RAC agent every scenario bench runs, seeded from the
+// harness seed and the bench's tag. It first applies
+// the policy's recommended configuration (the paper's deployment: Algorithm
+// 2 hands the operator a good initial configuration, and online learning
+// refines it). Starting at the vendor default instead would cost one
+// reconfiguration per interval to walk out of it — several SLA-violating
+// intervals once a daytime plateau arrives.
+func (h *Harness) scenarioAgent(sys system.System, tag uint64, ao core.AgentOptions) (*core.Agent, error) {
+	rec, err := ao.Policy.Recommend()
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Apply(context.Background(), rec); err != nil {
+		return nil, fmt.Errorf("bench: apply recommended config: %w", err)
+	}
+	ao.Options.Resilience = core.DefaultResilience()
+	// Outlier rejection assumes a stationary workload: under a scenario
+	// schedule a 6× response-time jump is the load shifting, not a bad
+	// measurement, and rejecting it would blind the agent through every
+	// phase transition. The other guards (retry, degraded-interval
+	// rejection, rollback) stay on.
+	ao.Options.Resilience.OutlierFactor = 0
+	// Exploration is also dialed down: under stationary load a stray ε-step
+	// costs one interval, but here a step taken just before a load shift is
+	// learned under the old context's uniformly high rewards and can anchor
+	// the agent in a region the plateau then punishes for several intervals.
+	ao.Options.Online.Epsilon = 0.02
+	ao.Seed = h.opts.Seed*0x9E3779B97F4A7C15 ^ tag
+	ao.Telemetry = h.tel
+	return core.NewAgent(sys, ao)
+}
+
+// driveScenario walks the sequencer one measurement interval at a time:
+// apply the interval's workload, record it in the trace, step the tuner and
+// hand the result to each — the paper's operator changing traffic,
+// scripted.
+func driveScenario(seq *workload.Sequencer, sys system.Adjustable, tuner core.Tuner, trace *telemetry.Trace, each func(core.StepResult) error) error {
+	for i := 0; i < seq.Len(); i++ {
+		iv := seq.Observe(i)
+		if err := sys.SetWorkload(iv.Workload); err != nil {
+			return fmt.Errorf("bench: interval %d workload: %w", i, err)
+		}
+		trace.Add(telemetry.Event{
+			Kind:        telemetry.KindWorkload,
+			Iteration:   i + 1,
+			OfferedRate: iv.OfferedRate,
+			Detail:      iv.PhaseName,
+		})
+		sr, err := tuner.Step(context.Background())
+		if err != nil {
+			return fmt.Errorf("bench: interval %d step: %w", i, err)
+		}
+		if err := each(sr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// violates reports whether an interval was not served within the SLA: its
+// response time exceeded it, or the interval was invalid or degraded.
+func violates(sr core.StepResult, sla float64) bool {
+	return sr.Invalid || sr.Degraded || sr.MeanRT > sla
+}
+
 // runScenarioAgent drives one variant across the schedule on its own
 // sequencer and identically seeded system.
 func (h *Harness) runScenarioAgent(sched *workload.Schedule, interval float64, label string, adaptive bool) (ScenarioRun, error) {
-	seq := workload.NewSequencer(sched, interval)
-	seq.SetTelemetry(h.tel)
-	level := vmenv.Level1
-	first := seq.At(0)
-	smp := scenarioSampling()
-	sys, err := system.NewSimulated(system.SimulatedOptions{
-		Space:          h.space,
-		Context:        system.Context{Name: "scenario-start", Workload: first.Workload, Level: level},
-		Seed:           h.opts.Seed*2654435761 + 47,
-		SettleSeconds:  smp.settle,
-		MeasureSeconds: smp.measure,
-	})
+	seq, sys, err := h.scenarioStart(sched, interval, "scenario-start", 47, 0)
 	if err != nil {
 		return ScenarioRun{}, err
 	}
-
-	trace := telemetry.NewTrace(4096)
+	run := ScenarioRun{Label: label, Trace: telemetry.NewTrace(4096)}
 	var tuner core.Tuner
 	if adaptive {
 		// A store over all three mixes at the scenario's level, so mix drift
@@ -124,6 +188,7 @@ func (h *Harness) runScenarioAgent(sched *workload.Schedule, interval float64, l
 		// fast they drain the backlog a load shift leaves behind, and an
 		// agent seeded with the wrong ranking spends the first plateau
 		// intervals unlearning it one reconfiguration at a time.
+		level := vmenv.Level1
 		store, err := h.storeSampled(scenarioSampling(),
 			contextWith(tpcw.Browsing, level),
 			contextWith(tpcw.Shopping, level),
@@ -132,78 +197,31 @@ func (h *Harness) runScenarioAgent(sched *workload.Schedule, interval float64, l
 		if err != nil {
 			return ScenarioRun{}, err
 		}
-		policy, err := h.policySampled(contextWith(first.Workload.Mix, level), scenarioSampling())
+		policy, err := h.policySampled(contextWith(seq.At(0).Workload.Mix, level), scenarioSampling())
 		if err != nil {
 			return ScenarioRun{}, err
 		}
-		// Start from the policy's recommended configuration (the paper's
-		// deployment: Algorithm 2 hands the operator a good initial
-		// configuration, and online learning refines it). Starting at the
-		// vendor default instead would cost one reconfiguration per interval
-		// to walk out of it — several SLA-violating intervals once the
-		// daytime plateau arrives.
-		rec, err := policy.Recommend()
-		if err != nil {
-			return ScenarioRun{}, err
-		}
-		if err := sys.Apply(context.Background(), rec); err != nil {
-			return ScenarioRun{}, fmt.Errorf("bench: apply recommended config: %w", err)
-		}
-		o := h.opts.Agent
-		o.Resilience = core.DefaultResilience()
-		// Outlier rejection assumes a stationary workload: under a scenario
-		// schedule a 6× response-time jump is the load shifting, not a bad
-		// measurement, and rejecting it would blind the agent through every
-		// phase transition. The other guards (retry, degraded-interval
-		// rejection, rollback) stay on.
-		o.Resilience.OutlierFactor = 0
-		// Exploration is also dialed down: under stationary load a stray
-		// ε-step costs one interval, but here a step taken just before a load
-		// shift is learned under the old context's uniformly high rewards and
-		// can anchor the agent in a region the plateau then punishes for
-		// several intervals.
-		o.Online.Epsilon = 0.02
-		tuner, err = core.NewAgent(sys, core.AgentOptions{
-			Options:   o,
-			Policy:    policy,
-			Store:     store,
-			Seed:      h.opts.Seed*0x9E3779B97F4A7C15 ^ 0xD1A7,
-			Telemetry: h.tel,
-			Trace:     trace,
+		tuner, err = h.scenarioAgent(sys, 0xD1A7, core.AgentOptions{
+			Options: h.opts.Agent,
+			Policy:  policy,
+			Store:   store,
+			Trace:   run.Trace,
 		})
 		if err != nil {
 			return ScenarioRun{}, err
 		}
-	} else {
-		tuner, err = core.NewStaticAgent(sys, h.opts.Agent)
-		if err != nil {
-			return ScenarioRun{}, err
-		}
+	} else if tuner, err = core.NewStaticAgent(sys, h.opts.Agent); err != nil {
+		return ScenarioRun{}, err
 	}
-
-	run := ScenarioRun{Label: label, Trace: trace}
 	sla := h.opts.Agent.SLASeconds
-	for i := 0; i < seq.Len(); i++ {
-		iv := seq.Observe(i)
-		if err := sys.SetWorkload(iv.Workload); err != nil {
-			return ScenarioRun{}, fmt.Errorf("bench: interval %d workload: %w", i, err)
-		}
-		trace.Add(telemetry.Event{
-			Kind:        telemetry.KindWorkload,
-			Iteration:   i + 1,
-			OfferedRate: iv.OfferedRate,
-			Detail:      iv.PhaseName,
-		})
-		sr, err := tuner.Step(context.Background())
-		if err != nil {
-			return ScenarioRun{}, fmt.Errorf("bench: interval %d step: %w", i, err)
-		}
+	err = driveScenario(seq, sys, tuner, run.Trace, func(sr core.StepResult) error {
 		run.Results = append(run.Results, sr)
-		if sr.Invalid || sr.Degraded || sr.MeanRT > sla {
+		if violates(sr, sla) {
 			run.Violations++
 		}
-	}
-	return run, nil
+		return nil
+	})
+	return run, err
 }
 
 // FigWorkload renders a scenario-adaptation figure: per-interval response

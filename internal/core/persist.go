@@ -209,8 +209,12 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 		return nil, errors.New("core: nil space")
 	}
 	var raw policyJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("core: decode policy: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("core: decode policy: data after the document")
 	}
 	groups, err := space.Grouping()
 	if err != nil {

@@ -504,6 +504,19 @@ func checkLoadRoundTrip(t *testing.T, data []byte, space *config.Space) bool {
 	return true
 }
 
+func TestLoadPolicyRejectsTrailingData(t *testing.T) {
+	space := fuzzSpace()
+	_, saved := trainFlat(t, space)
+	if _, err := LoadPolicy(bytes.NewReader(append(slices.Clone(saved), "\n "...)), space); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{" junk", string(saved)} {
+		if _, err := LoadPolicy(bytes.NewReader(append(slices.Clone(saved), tail...)), space); err == nil {
+			t.Errorf("policy followed by %.20q loaded", tail)
+		}
+	}
+}
+
 // TestLoadDefaultSpacePolicy is FuzzLoadPolicy's property on one full
 // default-space document, too large to be worth mutating.
 func TestLoadDefaultSpacePolicy(t *testing.T) {
@@ -533,6 +546,7 @@ func FuzzLoadPolicy(f *testing.F) {
 		f.Add(reencodeQTable(f, saved, mutate))
 	}
 	f.Add(saved[:len(saved)/2])
+	f.Add(append(slices.Clone(saved), " junk"...))
 	f.Add([]byte(`{"name":"x","slaSeconds":2,"groups":[]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -224,8 +224,12 @@ func (st *AgentState) Save(w io.Writer) error {
 // LoadAgentState reads a snapshot previously written by AgentState.Save.
 func LoadAgentState(r io.Reader) (*AgentState, error) {
 	var st AgentState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: decode agent state: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("core: decode agent state: data after the document")
 	}
 	return &st, nil
 }

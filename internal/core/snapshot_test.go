@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/rac-project/rac/internal/mdp"
@@ -283,6 +284,22 @@ func TestForcePolicySwitchesImmediately(t *testing.T) {
 // snapshot must leave the agent able to step, and a snapshot that restores
 // must export again exactly as it decoded. The seeds are a real mid-run
 // export and single-field mutations of it.
+func TestLoadAgentStateRejectsTrailingData(t *testing.T) {
+	a, err := NewAgent(newBowlSystem(bowlTargets), AgentOptions{Policy: bowlPolicy(t, bowlTargets, "trailing"), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := exportJSON(t, a)
+	if _, err := LoadAgentState(bytes.NewReader(append(slices.Clone(saved), "\n "...))); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{" junk", "{}"} {
+		if _, err := LoadAgentState(bytes.NewReader(append(slices.Clone(saved), tail...))); err == nil {
+			t.Errorf("snapshot followed by %q loaded", tail)
+		}
+	}
+}
+
 func FuzzRestoreAgentState(f *testing.F) {
 	policy := bowlPolicy(f, bowlTargets, "fuzz-restore")
 	newAgent := func(tb testing.TB) *Agent {
@@ -329,6 +346,7 @@ func FuzzRestoreAgentState(f *testing.F) {
 		f.Add(encode(st))
 	}
 	f.Add(saved[:len(saved)/2])
+	f.Add(append(slices.Clone(saved), " junk"...))
 	f.Add([]byte(`{}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -4,7 +4,7 @@
 // context-matched policies (exact context first, nearest context as a
 // fallback). Tenants hash onto deterministic shards; each shard advances its
 // tenants sequentially in admission order while the shards run concurrently,
-// and cross-shard admin operations ride per-shard mailboxes instead of a
+// and an admin operation locks only the tenant it touches instead of a
 // fleet-wide lock. The scheduling stays deterministic: each tenant derives
 // every random draw from its own pre-split seed and shared state only
 // changes at round barriers, so a fleet run is byte-identical at any worker
@@ -212,8 +212,8 @@ type Fleet struct {
 	surface *surface.Cache
 
 	// shards own the tenants; admin operations that touch agent internals
-	// (forced policy switches, manual checkpoints) ride the owning shard's
-	// mailbox instead of a fleet-wide lock.
+	// (forced policy switches, manual checkpoints) take the tenant's run
+	// lock instead of a fleet-wide one.
 	shards []*shard
 
 	// roundMu serializes whole scheduling rounds (RunRound, Shutdown).
@@ -347,16 +347,13 @@ type ShardStatus struct {
 	Tenants int `json:"tenants"`
 	// Running is how many of them are in StateRunning.
 	Running int `json:"running"`
-	// PendingOps is the mailbox depth: admin operations queued behind the
-	// shard's current work.
-	PendingOps int `json:"pending_ops"`
 }
 
 // ShardStatuses snapshots every scheduling shard in shard-index order.
 func (f *Fleet) ShardStatuses() []ShardStatus {
 	out := make([]ShardStatus, len(f.shards))
 	for i, sh := range f.shards {
-		st := ShardStatus{ID: sh.id, PendingOps: sh.pendingOps()}
+		st := ShardStatus{ID: sh.id}
 		for _, t := range sh.snapshot() {
 			st.Tenants++
 			if t.State() == StateRunning {
@@ -498,7 +495,6 @@ func (f *Fleet) Admit(spec TenantSpec) (_ *Tenant, err error) {
 		built:       built,
 		agent:       agent,
 		seq:         seq,
-		shard:       sh,
 		trace:       f.trace,
 		stepLogCap:  f.opts.StepLog,
 		warmStarted: pol != nil && warm,
@@ -582,12 +578,8 @@ func (f *Fleet) buildSystem(spec TenantSpec, ctx system.Context, seed uint64, sc
 		MeasureSeconds:   spec.MeasureSeconds,
 		NoiseSigma:       spec.NoiseSigma,
 		Surface:          f.surface,
-		AdmitConcurrency: spec.AdmitConcurrency,
-		AdmitQueue:       spec.AdmitQueue,
-		AdmitEpoch:       spec.AdmitEpoch,
 		Trace:            f.opts.Trace,
 		Capacity:         spec.Capacity,
-		CapacityInitial:  spec.CapacityInitial,
 		CapacityDelay:    spec.CapacityDelay,
 		CapacityAnalyzer: capacity.DefaultConfig(sla),
 		FaultsPath:       spec.Faults,
@@ -598,7 +590,6 @@ func (f *Fleet) buildSystem(spec TenantSpec, ctx system.Context, seed uint64, sc
 		bs.Load = loadgen.Options{
 			Rate:           spec.Rate,
 			ArrivalProcess: loadgen.Arrival(spec.Arrival),
-			MaxInFlight:    spec.LoadInFlight,
 		}
 		if sched != nil { // a nil *Schedule in the interface would select the open loop
 			bs.Load.Schedule = sched
@@ -873,9 +864,9 @@ func (f *Fleet) Run(rounds int) (int, error) {
 	return rounds, firstErr
 }
 
-// checkpoint snapshots one tenant to the store. Call with the tenant's shard
-// runMu held (shard bookkeeping, shard.do jobs) or from the admission path
-// (before the tenant is visible to rounds).
+// checkpoint snapshots one tenant to the store. Call with the tenant's run
+// lock held or from the admission path (before the tenant is visible to
+// rounds).
 func (f *Fleet) checkpoint(t *Tenant, reason string) error {
 	st, err := t.agent.ExportState()
 	if err != nil {
@@ -917,8 +908,8 @@ func (f *Fleet) checkpoint(t *Tenant, reason string) error {
 }
 
 // CheckpointNow snapshots the named tenant immediately, outside the periodic
-// cadence. The snapshot rides the owning shard's mailbox, so it waits only
-// for that shard's current tenant step — never for the whole fleet round.
+// cadence. It takes only the tenant's run lock, so it waits at most for that
+// tenant's current step — never for the rest of its shard or the round.
 func (f *Fleet) CheckpointNow(name string) error {
 	t := f.Tenant(name)
 	if t == nil {
@@ -927,9 +918,9 @@ func (f *Fleet) CheckpointNow(name string) error {
 	if f.ckpts == nil {
 		return ErrCheckpointsDisabled
 	}
-	return t.shard.do(func() error {
-		return f.checkpoint(t, "manual")
-	})
+	t.run.Lock()
+	defer t.run.Unlock()
+	return f.checkpoint(t, "manual")
 }
 
 // Pause holds a running tenant: it keeps its state but is skipped by rounds.
@@ -1002,8 +993,8 @@ func (f *Fleet) traceEvent(ev telemetry.Event) {
 // ForcePolicy installs the registry policy stored under key as the named
 // tenant's initial policy, immediately and regardless of the violation
 // counter — the admin override for operators who know the context changed.
-// The switch rides the owning shard's mailbox, so it lands between that
-// shard's tenant steps without waiting on the rest of the fleet.
+// The switch takes only the tenant's run lock, so it lands between that
+// tenant's steps without waiting on the rest of the fleet.
 func (f *Fleet) ForcePolicy(name, key string) error {
 	t := f.Tenant(name)
 	if t == nil {
@@ -1016,14 +1007,14 @@ func (f *Fleet) ForcePolicy(name, key string) error {
 	if pol == nil {
 		return fmt.Errorf("%w: %q", ErrNoPolicy, key)
 	}
-	return t.shard.do(func() error {
-		switch t.State() {
-		case StateStopped, StateFailed:
-			return fmt.Errorf("%w: tenant %s is %s", ErrBadTransition, name, t.State())
-		}
-		t.agent.ForcePolicy(pol)
-		return nil
-	})
+	t.run.Lock()
+	defer t.run.Unlock()
+	switch st := t.State(); st {
+	case StateStopped, StateFailed:
+		return fmt.Errorf("%w: tenant %s is %s", ErrBadTransition, name, st)
+	}
+	t.agent.ForcePolicy(pol)
+	return nil
 }
 
 // Shutdown drains every active tenant: each gets a final checkpoint (when
@@ -1044,20 +1035,16 @@ func (f *Fleet) Shutdown() error {
 		case StateStopped, StateFailed:
 			continue
 		}
-		tt := t
-		err := tt.shard.do(func() error {
-			var ckErr error
-			if f.ckpts != nil {
-				ckErr = f.checkpoint(tt, "shutdown")
+		t.run.Lock()
+		if f.ckpts != nil {
+			if err := f.checkpoint(t, "shutdown"); err != nil {
+				errs = append(errs, err)
 			}
-			// Stop the tenant even when its final checkpoint failed: shutdown
-			// must converge, and the error still surfaces to the caller.
-			f.transition(tt, StateStopped, "fleet shutdown")
-			return ckErr
-		})
-		if err != nil {
-			errs = append(errs, err)
 		}
+		// Stop the tenant even when its final checkpoint failed: shutdown
+		// must converge, and the error still surfaces to the caller.
+		f.transition(t, StateStopped, "fleet shutdown")
+		t.run.Unlock()
 	}
 	// A canceled measurement can leave requests in flight; past the bound
 	// the server cuts them, which is no failure of the drain.

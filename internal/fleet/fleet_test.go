@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -707,5 +708,69 @@ func TestFleetTransitionTouchesNoOtherTenant(t *testing.T) {
 	}
 	for _, tn := range held {
 		tn.mu.Unlock()
+	}
+}
+
+// stalledSystem is an analytic system whose measurements, once armed, block
+// until released: its tenant's step stays in flight.
+type stalledSystem struct {
+	system.System
+	armed   *atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s stalledSystem) Measure(ctx context.Context) (system.Metrics, error) {
+	if s.armed.Load() {
+		s.entered <- struct{}{}
+		<-s.release
+	}
+	return s.System.Measure(ctx)
+}
+
+// TestCheckpointNowSkipsOtherTenantsStep: an admin checkpoint locks only the
+// tenant it snapshots. With tenants a then b on one shard and b's step stuck
+// in Measure, a manual checkpoint of a returns without waiting for b.
+func TestCheckpointNowSkipsOtherTenantsStep(t *testing.T) {
+	var armed atomic.Bool
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var f *Fleet
+	f, err := New(Options{Seed: 5, Procs: 1, Shards: 1, CheckpointDir: t.TempDir(),
+		NewSystem: func(spec TenantSpec, ctx system.Context, seed uint64) (system.System, error) {
+			sys, err := system.NewAnalytic(system.AnalyticOptions{
+				Space: f.Space(), Context: ctx, Seed: seed, NoiseSigma: spec.NoiseSigma})
+			if err != nil || spec.Name != "b" {
+				return sys, err
+			}
+			return stalledSystem{System: sys, armed: &armed, entered: entered, release: release}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := f.Admit(analyticSpec(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(true)
+	round := make(chan error, 1)
+	go func() { round <- f.RunRound() }()
+	<-entered // a has stepped; b is mid-step
+	done := make(chan error, 1)
+	go func() { done <- f.CheckpointNow("a") }()
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		t.Error("CheckpointNow(a) waited for b's step")
+		defer func() { <-done }()
+	}
+	armed.Store(false)
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-round; err != nil {
+		t.Fatal(err)
 	}
 }

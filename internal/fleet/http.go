@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -127,8 +128,13 @@ func (f *Fleet) handleTenantPage(w http.ResponseWriter, r *http.Request) {
 // is not a spec array.
 func (f *Fleet) handleBulkAdmit(w http.ResponseWriter, r *http.Request) {
 	var specs []TenantSpec
-	if err := json.NewDecoder(r.Body).Decode(&specs); err != nil {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(&specs); err != nil {
 		writeAPIError(w, http.StatusBadRequest, "bad_request", "invalid body: want a JSON array of tenant specs: "+err.Error())
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeAPIError(w, http.StatusBadRequest, "bad_request", "invalid body: data after the spec array")
 		return
 	}
 	results := make([]AdmitResult, len(specs))

@@ -7,31 +7,17 @@ import (
 	"github.com/rac-project/rac/internal/telemetry"
 )
 
-// shardJob is one queued cross-shard operation (checkpoint, drain, policy
-// override) waiting for the shard's scheduling gap.
-type shardJob struct {
-	op   func() error
-	done chan error
-}
-
 // shard owns a deterministic subset of the fleet's tenants: names hash onto
 // shards, and each shard advances its tenants sequentially in admission order
 // while the shards themselves run concurrently on the worker pool. Admin
-// operations targeting a tenant ride the owning shard's mailbox instead of a
-// fleet-wide lock — an idle shard runs them inline, a mid-round shard drains
-// them between tenant steps — so a checkpoint of one tenant never waits for
-// the rest of the fleet.
+// operations lock only the tenant they touch (Tenant.run), so a checkpoint of
+// one tenant waits at most for that tenant's current step — never for the
+// rest of its shard or the fleet.
 type shard struct {
 	id int
 
-	// runMu is held while the shard advances tenants (a round) or runs a
-	// mailbox job inline; it guarantees at most one goroutine touches a
-	// tenant's agent at a time.
-	runMu sync.Mutex
-
 	mu      sync.Mutex
 	tenants []*Tenant // shard admission order — the shard's iteration order
-	mailbox []shardJob
 
 	// stepSeconds is the shard-aggregate step latency histogram serving
 	// tenants past the fleet's per-tenant metric cardinality cap.
@@ -63,90 +49,26 @@ func (s *shard) snapshot() []*Tenant {
 	return out
 }
 
-// pendingOps reports the mailbox depth (admin API diagnostics).
-func (s *shard) pendingOps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mailbox)
-}
-
-// do runs op under the shard's run lock: inline when the shard is idle,
-// otherwise queued on the mailbox and executed by the current lock holder at
-// its next scheduling gap (between tenant steps, or at round end). It returns
-// op's error either way.
-func (s *shard) do(op func() error) error {
-	s.mu.Lock()
-	if s.runMu.TryLock() {
-		s.mu.Unlock()
-		err := op()
-		s.drainMailbox()
-		s.runMu.Unlock()
-		s.flush()
-		return err
-	}
-	job := shardJob{op: op, done: make(chan error, 1)}
-	s.mailbox = append(s.mailbox, job)
-	s.mu.Unlock()
-	return <-job.done
-}
-
-// drainMailbox runs every queued job. Callers must hold runMu.
-func (s *shard) drainMailbox() {
-	for {
-		s.mu.Lock()
-		if len(s.mailbox) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		job := s.mailbox[0]
-		s.mailbox = s.mailbox[1:]
-		s.mu.Unlock()
-		job.done <- job.op()
-	}
-}
-
-// flush clears jobs that slipped into the mailbox after the caller's final
-// pre-unlock drain: whoever holds runMu next is responsible for them, and if
-// nobody does, flush takes the lock and drains itself. Every runMu holder
-// calls flush after unlocking, so no job waits on an idle shard.
-func (s *shard) flush() {
-	for {
-		s.mu.Lock()
-		if len(s.mailbox) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		if !s.runMu.TryLock() {
-			// A new holder owns the lock; its drain/flush picks the jobs up.
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-		s.drainMailbox()
-		s.runMu.Unlock()
-	}
-}
-
 // runRound advances every running tenant of the shard once, sequentially in
-// shard admission order, draining the mailbox between steps so admin
-// operations see bounded latency even mid-round. Post-step bookkeeping
-// (capacity warm starts, due checkpoints, drain completion) also runs here,
-// in the same deterministic order; the shard's errors are returned.
-// Policy-store mutations discovered during bookkeeping are deferred to the
-// fleet's round barrier (Fleet.applyPendingPolicies), so in-flight store
-// reads on other shards never observe a mid-round add.
+// shard admission order, each under its own run lock so an admin operation
+// on it lands between steps. Post-step bookkeeping (capacity warm starts,
+// due checkpoints, drain completion) also runs here, in the same
+// deterministic order; the shard's errors are returned. Policy-store
+// mutations discovered during bookkeeping are deferred to the fleet's round
+// barrier (Fleet.applyPendingPolicies), so in-flight store reads on other
+// shards never observe a mid-round add.
 func (s *shard) runRound(f *Fleet) []error {
 	var errs []error
-	s.runMu.Lock()
-	s.drainMailbox()
 	tenants := s.snapshot()
 	for _, t := range tenants {
+		t.run.Lock()
 		if t.State() == StateRunning {
 			t.step(f.runCtx)
 		}
-		s.drainMailbox()
+		t.run.Unlock()
 	}
 	for _, t := range tenants {
+		t.run.Lock()
 		switch t.State() {
 		case StateRunning:
 			if err := f.capacityWarmStart(t); err != nil {
@@ -165,9 +87,7 @@ func (s *shard) runRound(f *Fleet) []error {
 			}
 			f.transition(t, StateStopped, "drained")
 		}
-		s.drainMailbox()
+		t.run.Unlock()
 	}
-	s.runMu.Unlock()
-	s.flush()
 	return errs
 }

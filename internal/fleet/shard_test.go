@@ -350,6 +350,22 @@ func TestAdminPaginationAndBulkAdmit(t *testing.T) {
 // TestTelemetryCardinalityCap verifies the per-tenant histogram cap: tenants
 // admitted past TenantMetricsLimit fold into per-shard series, bounding the
 // /metrics exposition size as the fleet grows.
+func TestBulkAdmitRejectsTrailingData(t *testing.T) {
+	f, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	body := `[{"name":"a","backend":"analytic"}] junk`
+	f.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/admin/v1/tenants", strings.NewReader(body)))
+	if rec.Code != 400 {
+		t.Fatalf("spec array followed by junk: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if f.Tenant("a") != nil {
+		t.Fatal("spec array followed by junk admitted a tenant")
+	}
+}
+
 func TestTelemetryCardinalityCap(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	f, err := New(Options{Shards: 4, TenantMetricsLimit: 5, Telemetry: reg})

@@ -89,27 +89,12 @@ type TenantSpec struct {
 	// Arrival selects the open-loop arrival process ("poisson" or "uniform";
 	// empty means poisson).
 	Arrival string `json:"arrival,omitempty"`
-	// LoadInFlight bounds the open-loop engine's concurrently outstanding
-	// requests (0 = engine default).
-	LoadInFlight int `json:"loadInFlight,omitempty"`
-	// AdmitConcurrency and AdmitQueue set the SLO admission gate's caps on a
-	// "sim" tenant whose configuration space does not already include the
-	// admission parameters (the lattice wins when it does). Zero both leaves
-	// the gate disabled — byte-identical to a fleet without the gate.
-	AdmitConcurrency int `json:"admitConcurrency,omitempty"`
-	AdmitQueue       int `json:"admitQueue,omitempty"`
-	// AdmitEpoch sets the gate's adaptive epoch in requests (0 = no
-	// epoch-adaptive scaling).
-	AdmitEpoch int `json:"admitEpoch,omitempty"`
 	// Capacity wraps the backend in the elastic capacity decorator: a
 	// saturation analyzer scales the VM level between the agent's retrains,
 	// and each applied scale warm-starts the agent from the registry policy
 	// learned at the new level's context when one exists (SQLR-style
 	// per-level policy memory).
 	Capacity bool `json:"capacity,omitempty"`
-	// CapacityInitial is the starting capacity ordinal (1 = Level-3 … 3 =
-	// Level-1); 0 starts at the tenant context's level.
-	CapacityInitial int `json:"capacityInitial,omitempty"`
 	// CapacityDelay is the scale-up provisioning delay in measurement
 	// intervals (scale-downs always apply on the next interval).
 	CapacityDelay int `json:"capacityDelay,omitempty"`
@@ -138,13 +123,10 @@ func (sp TenantSpec) Validate() error {
 	if sp.CheckpointEvery < 0 {
 		return fmt.Errorf("%w: tenant %s: negative checkpoint interval %d", ErrBadSpec, sp.Name, sp.CheckpointEvery)
 	}
-	if sp.AdmitConcurrency < 0 || sp.AdmitQueue < 0 || sp.AdmitEpoch < 0 {
-		return fmt.Errorf("%w: tenant %s: negative admission gate parameter", ErrBadSpec, sp.Name)
-	}
-	if sp.CapacityInitial < 0 || sp.CapacityDelay < 0 || sp.CapacityCost < 0 {
+	if sp.CapacityDelay < 0 || sp.CapacityCost < 0 {
 		return fmt.Errorf("%w: tenant %s: negative capacity parameter", ErrBadSpec, sp.Name)
 	}
-	if !sp.Capacity && (sp.CapacityInitial != 0 || sp.CapacityDelay != 0 || sp.CapacityCost != 0) {
+	if !sp.Capacity && (sp.CapacityDelay != 0 || sp.CapacityCost != 0) {
 		return fmt.Errorf("%w: tenant %s: capacity parameters set without capacity", ErrBadSpec, sp.Name)
 	}
 	return nil
@@ -192,6 +174,10 @@ type TenantStatus struct {
 // tenant at a time.
 type Tenant struct {
 	mu sync.Mutex
+	// run is held while the tenant's agent is in use: its round step and
+	// bookkeeping, and the admin operations that touch the agent
+	// (CheckpointNow, ForcePolicy, Shutdown's final checkpoint).
+	run sync.Mutex
 
 	spec       TenantSpec
 	contextKey string
@@ -200,7 +186,6 @@ type Tenant struct {
 	built      *backend.Built // the managed system and its decorators
 	agent      *core.Agent
 	seq        *workload.Sequencer // non-nil when spec.Scenario drives the load
-	shard      *shard              // owning scheduling shard (admin ops ride its mailbox)
 	trace      *telemetry.Trace    // fleet trace; receives per-interval workload events
 	capOrdinal int                 // last capacity ordinal the warm-start hook acted on
 

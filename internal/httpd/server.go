@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -475,8 +476,13 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		}
 	case http.MethodPost, http.MethodPut:
 		var params webtier.Params
-		if err := json.NewDecoder(r.Body).Decode(&params); err != nil {
+		dec := json.NewDecoder(r.Body)
+		if err := dec.Decode(&params); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			http.Error(w, "data after the document", http.StatusBadRequest)
 			return
 		}
 		if err := s.Reconfigure(params); err != nil {

@@ -195,6 +195,24 @@ func TestAdminConfigEndpoint(t *testing.T) {
 	}
 }
 
+func TestAdminConfigRejectsTrailingData(t *testing.T) {
+	srv, ts := newTestServer(t)
+	p := srv.Params()
+	p.MaxThreads = 123
+	buf, _ := json.Marshal(p)
+	resp, err := http.Post(ts.URL+"/admin/config", "application/json", strings.NewReader(string(buf)+" junk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("config followed by junk: status %d, want 400", resp.StatusCode)
+	}
+	if srv.Params().MaxThreads == 123 {
+		t.Fatal("config followed by junk was applied")
+	}
+}
+
 func TestAdminLevelEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/admin/level?name=Level-3", "", nil)

@@ -281,8 +281,12 @@ func (q *QTable) Save(w io.Writer) error {
 // LoadQTable reads a table previously written by Save.
 func LoadQTable(r io.Reader) (*QTable, error) {
 	var d QTableJSON
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("mdp: decode qtable: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("mdp: decode qtable: data after the document")
 	}
 	return d.Table()
 }

@@ -3,6 +3,7 @@ package mdp
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -280,4 +281,58 @@ func MaxAbsDiff(a, b *QTable) float64 {
 		}
 	}
 	return max
+}
+
+// savedTable is the two-row table TestQTableSaveLoad round-trips, as Save
+// writes it.
+func savedTable(tb testing.TB) []byte {
+	tb.Helper()
+	q := NewQTable(3, 0.25)
+	q.Set("a", 0, 1.5)
+	q.Set("b", 2, -2)
+	var buf bytes.Buffer
+	if err := q.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestLoadQTableRejectsTrailingData(t *testing.T) {
+	saved := savedTable(t)
+	if _, err := LoadQTable(bytes.NewReader(append(slices.Clone(saved), "\n\t "...))); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{" junk", `{"actions":1,"rows":{}}`} {
+		if _, err := LoadQTable(bytes.NewReader(append(slices.Clone(saved), tail...))); err == nil {
+			t.Errorf("table followed by %q loaded", tail)
+		}
+	}
+}
+
+// FuzzLoadQTable: a table LoadQTable accepts saves, and the saved bytes load
+// back to an equal table.
+func FuzzLoadQTable(f *testing.F) {
+	saved := savedTable(f)
+	f.Add(saved)
+	f.Add(append(slices.Clone(saved), " junk"...))
+	f.Add([]byte(`{"actions":2,"initial":-0,"rows":{"s":[1e308,-5e-324]}}`))
+	f.Add([]byte(`{"actions":2,"rows":{"s":[1]}}`))
+	f.Add([]byte(`{"actions":1,"rows":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := LoadQTable(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := q.Save(&buf); err != nil {
+			t.Fatalf("accepted table does not save: %v", err)
+		}
+		again, err := LoadQTable(&buf)
+		if err != nil {
+			t.Fatalf("saved table does not load: %v", err)
+		}
+		if !reflect.DeepEqual(q, again) {
+			t.Fatalf("table changed across save and reload:\n%+v\nvs\n%+v", q, again)
+		}
+	})
 }

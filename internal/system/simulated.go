@@ -23,11 +23,6 @@ type Simulated struct {
 	settleSeconds  float64
 	measureSeconds float64
 
-	// Fixed admission caps, used only when the space does not carry the gate
-	// parameters (see SimulatedOptions).
-	admitConcurrency int
-	admitQueue       int
-
 	// slo is the goodput threshold (SimulatedOptions.SLOSeconds; 0 = none).
 	slo float64
 }
@@ -46,15 +41,6 @@ type SimulatedOptions struct {
 	// when positive.
 	SettleSeconds  float64
 	MeasureSeconds float64
-	// AdmitConcurrency and AdmitQueue enable the SLO admission gate when the
-	// configuration space does not carry the gate parameters itself (both
-	// zero = gate disabled). When the space includes config.AdmitConcurrency
-	// the lattice value wins and these are ignored.
-	AdmitConcurrency int
-	AdmitQueue       int
-	// AdmitEpoch enables the gate's epoch-adaptive loop with the given epoch
-	// size in requests (0 = no adaptation).
-	AdmitEpoch int
 	// SLOSeconds is the goodput threshold: completions at or under it count
 	// into Metrics.Goodput (0 = goodput untracked, Goodput stays 0).
 	SLOSeconds float64
@@ -86,30 +72,23 @@ func NewSimulated(opts SimulatedOptions) (*Simulated, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, inSpace := space.Lookup(config.AdmitConcurrency); !inSpace {
-		params.AdmitConcurrency = opts.AdmitConcurrency
-		params.AdmitQueue = opts.AdmitQueue
-	}
 	model, err := webtier.New(webtier.Options{
 		Params:     &params,
 		Workload:   ctx.Workload,
 		AppLevel:   ctx.Level,
 		Seed:       opts.Seed,
-		AdmitEpoch: opts.AdmitEpoch,
 		SLOSeconds: opts.SLOSeconds,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s := &Simulated{
-		space:            space,
-		model:            model,
-		cfg:              cfg.Clone(),
-		settleSeconds:    30,
-		measureSeconds:   270,
-		admitConcurrency: opts.AdmitConcurrency,
-		admitQueue:       opts.AdmitQueue,
-		slo:              opts.SLOSeconds,
+		space:          space,
+		model:          model,
+		cfg:            cfg.Clone(),
+		settleSeconds:  30,
+		measureSeconds: 270,
+		slo:            opts.SLOSeconds,
 	}
 	if opts.SettleSeconds > 0 {
 		s.settleSeconds = opts.SettleSeconds
@@ -141,12 +120,6 @@ func (s *Simulated) Apply(ctx context.Context, cfg config.Config) error {
 	params, err := webtier.ParamsFromConfig(s.space, cfg)
 	if err != nil {
 		return err
-	}
-	// A space without the gate parameters keeps the fixed caps across
-	// reconfigurations; a space with them lets the lattice drive the gate.
-	if _, inSpace := s.space.Lookup(config.AdmitConcurrency); !inSpace {
-		params.AdmitConcurrency = s.admitConcurrency
-		params.AdmitQueue = s.admitQueue
 	}
 	if err := s.model.Configure(params); err != nil {
 		return err
