@@ -50,7 +50,7 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # fuzz runs every Fuzz* target in the tree (FuzzLoadPolicy,
-# FuzzRestoreAgentState, FuzzLoadQTable, FuzzDecodeCheckpoint,
+# FuzzRestoreAgentState, FuzzDecodeCheckpoint, FuzzLoadRecipe,
 # FuzzLoadScenario, FuzzLoadFaults and FuzzLoadConfig today) for a fixed 10 s
 # each — ≈85 s in all beside race's 218 s, the rest being compilation.
 # FuzzLoadScenario and FuzzLoadFaults seed from the shipped

@@ -153,10 +153,9 @@ func BenchmarkLearnPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicySave writes one trained default-space policy — Table 2's
-// context-1 over the analytic surface, 10 692 group states × 9 actions — as
-// the fleet's registry does on every Put.
-func BenchmarkPolicySave(b *testing.B) {
+// benchPolicy is one trained default-space policy: Table 2's context-1 over
+// the analytic surface, 10 692 group states × 9 actions.
+func benchPolicy(b *testing.B) *Policy {
 	space := config.Default()
 	ctx, err := system.ContextByName("context-1")
 	if err != nil {
@@ -166,6 +165,12 @@ func BenchmarkPolicySave(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return p
+}
+
+// BenchmarkPolicySave writes benchPolicy's document, as racpolicy -o does.
+func BenchmarkPolicySave(b *testing.B) {
+	p := benchPolicy(b)
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		b.Fatal(err)
@@ -180,3 +185,17 @@ func BenchmarkPolicySave(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPolicyDigest hashes benchPolicy's content, as the fleet registry
+// does on every Put and on every retrain of a recipe.
+func BenchmarkPolicyDigest(b *testing.B) {
+	p := benchPolicy(b)
+	b.SetBytes(int64(8 * len(p.q)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDigest = p.Digest()
+	}
+}
+
+var benchDigest string

@@ -112,6 +112,21 @@ func randomTable(rng *sim.RNG, actions int, keys []string) *mdp.QTable {
 	return q
 }
 
+// decodeQTable is the RawMessage path's table decode: the embedded
+// QTable.Save document, through QTableJSON.Table.
+func decodeQTable(t *testing.T, raw json.RawMessage) *mdp.QTable {
+	t.Helper()
+	var d mdp.QTableJSON
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatal(err)
+	}
+	q, err := d.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // policyTable is the policy's group Q-values as the string-keyed table a
 // policy held before they moved into the ordinal slab: each lattice state's
 // row under its key, initial value zero.
@@ -164,10 +179,7 @@ func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 		if err := json.Unmarshal(want, &old); err != nil {
 			t.Fatal(err)
 		}
-		oldQ, err := mdp.LoadQTable(bytes.NewReader(*old.QTable))
-		if err != nil {
-			t.Fatal(err)
-		}
+		oldQ := decodeQTable(t, *old.QTable)
 		if !bytes.Equal(rawQTable(t, policyTable(loaded)), rawQTable(t, oldQ)) {
 			t.Fatalf("policy %d: LoadPolicy reads a different table than the RawMessage path", i)
 		}
@@ -217,10 +229,7 @@ func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 		if err := json.Unmarshal(want, &old); err != nil {
 			t.Fatal(err)
 		}
-		oldQ, err := mdp.LoadQTable(bytes.NewReader(old.QTable))
-		if err != nil {
-			t.Fatal(err)
-		}
+		oldQ := decodeQTable(t, old.QTable)
 		newQ, err := loaded.QTable.Table()
 		if err != nil {
 			t.Fatal(err)

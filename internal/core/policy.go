@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"slices"
@@ -237,6 +240,18 @@ func (p *Policy) Recommend() (config.Config, error) {
 // that met the threshold before the sweep bound. It is not persisted — a
 // loaded policy reports the zero value.
 func (p *Policy) Training() mdp.BatchResult { return p.training }
+
+// Digest returns the hex SHA-256 of the policy's trained content, its name
+// aside: the group Q-table's values by ordinal, the regression coefficients,
+// the floor RT and the SLA, as little-endian IEEE-754 bits. No document is
+// built.
+func (p *Policy) Digest() string {
+	h := sha256.New()
+	for _, vs := range [][]float64{p.q, p.quad.Coeffs(), {p.floorRT, p.sla}} {
+		binary.Write(h, binary.LittleEndian, vs) // a hash's Write never fails
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // trainingMDP returns the offline training MDP in the form mdp.Solve takes:
 // the shared group lattice (groupLattice) and the reward of entering each of

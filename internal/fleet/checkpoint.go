@@ -145,9 +145,6 @@ func NewCheckpointStore(dir string, keep int) (*CheckpointStore, error) {
 	return &CheckpointStore{dir: dir, keep: keep}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *CheckpointStore) Dir() string { return s.dir }
-
 // tenantDir returns the per-tenant subdirectory, filesystem-safe.
 func (s *CheckpointStore) tenantDir(tenant string) string {
 	return filepath.Join(s.dir, sanitizeName(tenant))

@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
-	"github.com/rac-project/rac/internal/sim"
 	"github.com/rac-project/rac/internal/system"
 )
 
@@ -237,76 +237,74 @@ func TestCheckpointStoreSanitizesTenantNames(t *testing.T) {
 	}
 }
 
+// TestPolicyRegistryRoundTrip publishes the six Table-2 contexts' recipes;
+// a fresh fleet over the directory, with no training schedule of its own,
+// retrains each into the policy that was published, byte for byte.
 func TestPolicyRegistryRoundTrip(t *testing.T) {
 	f, err := New(Options{Seed: 11, RegistryDir: t.TempDir(), TrainInit: fastTrain()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := f.Registry()
+	reg := f.registry
 	if p, err := reg.Get("no-such-context"); err != nil || p != nil {
 		t.Fatalf("missing key Get = (%v, %v), want (nil, nil)", p, err)
 	}
-
-	ctx, err := system.ContextByName("context-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := ContextKey(ctx)
-	pol, err := f.trainPolicy(TenantSpec{Name: "seeded"}, ctx, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Put(key, pol); err != nil {
-		t.Fatal(err)
+	published := make(map[string][]byte)
+	for _, ctx := range system.Table2() {
+		key := ContextKey(ctx)
+		p, err := reg.Put(key, f.recipe(TenantSpec{Name: "seeded"}, ctx, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		published[key] = saveBytes(t, p)
 	}
 
-	// A fresh registry over the same directory loads it from disk.
-	f2, err := New(Options{Seed: 11, RegistryDir: reg.Dir()})
+	f2, err := New(Options{Seed: 11, RegistryDir: reg.dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f2.Registry().Get(key)
-	if err != nil {
-		t.Fatal(err)
+	if keys := f2.registry.Keys(); len(keys) != len(published) {
+		t.Fatalf("Keys = %v, want %d entries", keys, len(published))
 	}
-	if got == nil || got.Name() != key {
-		t.Fatalf("reloaded policy = %v, want name %q", got, key)
-	}
-	keys := f2.Registry().Keys()
-	if len(keys) != 1 {
-		t.Fatalf("Keys = %v, want one entry", keys)
+	for key, want := range published {
+		got, err := f2.registry.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || got.Name() != key || !bytes.Equal(saveBytes(t, got), want) {
+			t.Errorf("%s: the retrained policy is not the published one", key)
+		}
 	}
 }
 
 // TestPolicyRegistryConcurrentPutGet runs Puts and Gets of several contexts
 // at once (under -race in make check): two writers per key racing to
-// replace its policy, and readers of the other keys. Afterwards every
-// policy file holds exactly the bytes its cached policy saves to, so the
-// file and the cache agree on the last Put.
+// replace its recipe, and readers of the other keys. Afterwards every recipe
+// file holds the digest of its cached policy, so the file and the cache
+// agree on the last Put.
 func TestPolicyRegistryConcurrentPutGet(t *testing.T) {
 	space := config.MustSpace([]config.Def{
 		{Param: config.MaxClients, Name: "a", Group: config.GroupCapacity, Min: 50, Max: 250, Step: 50, Default: 150},
 		{Param: config.KeepAliveTimeout, Name: "b", Group: config.GroupTimeout, Min: 1, Max: 21, Step: 5, Default: 6},
 	})
-	reg, err := NewPolicyRegistry(t.TempDir(), space)
+	reg, err := NewPolicyRegistry(t.TempDir(), space, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := func(cfg config.Config, _ *sim.RNG) (float64, error) {
-		return 0.5 + float64(cfg[0])/1000 + float64(cfg[1])/100, nil
-	}
 	const keys, writes = 4, 20
-	policies := make([][2]*core.Policy, keys)
-	for k := range policies {
-		for j := range policies[k] {
-			p, err := core.LearnPolicyStream(fmt.Sprintf("ctx-%d-%d", k, j), space, sample,
-				core.InitOptions{CoarseLevels: 2, SLASeconds: float64(1 + k + j)})
+	recipes := make([][2]Recipe, keys)
+	digests := make([][2]string, keys)
+	for k := range recipes {
+		for j := range recipes[k] {
+			rec := Recipe{Mix: "shopping", Clients: 100 + 50*k, Level: "Level-1",
+				SLASeconds: float64(1 + k + j), CoarseLevels: 2}
+			p, err := reg.train("probe", rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			policies[k][j] = p
+			recipes[k][j], digests[k][j] = rec, p.Digest()
 		}
-		if err := reg.Put(fmt.Sprint("key-", k), policies[k][0]); err != nil {
+		if _, err := reg.Put(fmt.Sprint("key-", k), recipes[k][0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,24 +312,24 @@ func TestPolicyRegistryConcurrentPutGet(t *testing.T) {
 	var wg sync.WaitGroup
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprint("key-", k)
-		for j := range policies[k] {
+		for j := range recipes[k] {
 			wg.Add(1)
-			go func(p *core.Policy) {
+			go func(rec Recipe) {
 				defer wg.Done()
 				for i := 0; i < writes; i++ {
-					if err := reg.Put(key, p); err != nil {
+					if _, err := reg.Put(key, rec); err != nil {
 						t.Error(err)
 						return
 					}
 				}
-			}(policies[k][j])
+			}(recipes[k][j])
 		}
 		wg.Add(1)
 		go func(other int) {
 			defer wg.Done()
 			for i := 0; i < writes; i++ {
 				p, err := reg.Get(fmt.Sprint("key-", other))
-				if err != nil || (p != policies[other][0] && p != policies[other][1]) {
+				if err != nil || p == nil || !slices.Contains(digests[other][:], p.Digest()) {
 					t.Errorf("Get(key-%d) = %v, %v during concurrent Puts", other, p, err)
 					return
 				}
@@ -346,19 +344,19 @@ func TestPolicyRegistryConcurrentPutGet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec, err := loadRecipe(bytes.NewReader(onDisk))
+		if err != nil {
+			t.Fatal(err)
+		}
 		cached, err := reg.Get(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := cached.Save(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(onDisk, want.Bytes()) {
-			t.Fatalf("%s: the file is not the cached policy %q's Save bytes", key, cached.Name())
+		if rec.Digest != cached.Digest() {
+			t.Fatalf("%s: the recipe's digest is not the cached policy %q's", key, cached.Name())
 		}
 	}
-	if entries, err := os.ReadDir(reg.Dir()); err != nil || len(entries) != keys {
-		t.Fatalf("registry directory holds %d entries (%v), want %d policy files", len(entries), err, keys)
+	if entries, err := os.ReadDir(reg.dir); err != nil || len(entries) != keys {
+		t.Fatalf("registry directory holds %d entries (%v), want %d recipe files", len(entries), err, keys)
 	}
 }

@@ -21,6 +21,9 @@ var (
 	ErrBadTransition = errors.New("fleet: illegal lifecycle transition")
 	// ErrNoPolicy marks a context key with no stored policy.
 	ErrNoPolicy = errors.New("fleet: no policy for context")
+	// ErrPolicyDigest marks a registry recipe whose retrained policy is not
+	// the one it was published with (a training change, or space drift).
+	ErrPolicyDigest = errors.New("fleet: retrained policy does not match its recipe digest")
 	// ErrCheckpointsDisabled marks a checkpoint request on a fleet built
 	// without a checkpoint directory.
 	ErrCheckpointsDisabled = errors.New("fleet: checkpointing disabled")

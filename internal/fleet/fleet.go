@@ -12,6 +12,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -69,15 +70,15 @@ type Options struct {
 	// CheckpointKeep is how many snapshots to retain per tenant (minimum 2).
 	CheckpointKeep int
 	// RegistryDir enables the shared policy registry: trained initial
-	// policies are published there keyed by system context, and new tenants
-	// admitted into a matching context warm-start from them. Empty disables
-	// the registry.
+	// policies are published there as recipes keyed by system context, and
+	// new tenants admitted into a matching context warm-start from them.
+	// Empty disables the registry.
 	RegistryDir string
 	// TrainInit overrides the coarse-sampling and offline-training schedule
 	// used when a tenant trains a context policy (TenantSpec.TrainPolicy).
 	// Only CoarseLevels and Batch are honored — seed, SLA, worker count and
 	// telemetry stay fleet-controlled. Nil uses the paper defaults; smoke
-	// tests pass a reduced schedule.
+	// tests pass a reduced schedule. A recipe keeps the schedule it used.
 	TrainInit *core.InitOptions
 	// StepLog is how many recent step records each tenant retains in memory
 	// (default 256; negative disables the log).
@@ -266,7 +267,7 @@ func New(opts Options) (*Fleet, error) {
 		}
 	}
 	if opts.RegistryDir != "" {
-		if f.registry, err = NewPolicyRegistry(opts.RegistryDir, f.space); err != nil {
+		if f.registry, err = NewPolicyRegistry(opts.RegistryDir, f.space, opts.Procs, opts.Telemetry); err != nil {
 			return nil, err
 		}
 	}
@@ -284,12 +285,6 @@ func (f *Fleet) Space() *config.Space { return f.space }
 // Options.NewSystem hooks that build their own system.Analytic
 // (AnalyticOptions.Surface).
 func (f *Fleet) Surface() *surface.Cache { return f.surface }
-
-// Registry returns the shared policy registry (nil when disabled).
-func (f *Fleet) Registry() *PolicyRegistry { return f.registry }
-
-// Checkpoints returns the checkpoint store (nil when disabled).
-func (f *Fleet) Checkpoints() *CheckpointStore { return f.ckpts }
 
 // Rounds returns the number of completed scheduling rounds.
 func (f *Fleet) Rounds() int {
@@ -623,10 +618,7 @@ func (f *Fleet) contextPolicy(spec TenantSpec, ctx system.Context, key string) (
 	}
 	warm := pol != nil
 	if pol == nil && spec.TrainPolicy {
-		if pol, err = f.trainPolicy(spec, ctx, key); err != nil {
-			return nil, false, err
-		}
-		if err = f.registry.Put(key, pol); err != nil {
+		if pol, err = f.registry.Put(key, f.recipe(spec, ctx, key)); err != nil {
 			return nil, false, err
 		}
 	}
@@ -661,30 +653,23 @@ func (f *Fleet) contextPolicy(spec TenantSpec, ctx system.Context, key string) (
 	return pol, warm, nil
 }
 
-// trainPolicy runs the paper's policy initialization for the tenant's context
-// on the analytic queueing surface — fast and deterministic, seeded by the
+// recipe is the registry recipe of the tenant's context policy: the paper's
+// policy initialization on the analytic queueing surface, seeded by the
 // context key so every tenant training the same context produces the same
-// policy bytes. The sweep does not go through the fleet's memo: it solves
-// each coarse grouped point once, and tenants do not measure those points
-// (0 extra hits over 558 lookups in TestFleetAnalyticMemoByteIdentical), so
-// sharing would only add keys and count training as tenant lookups.
-func (f *Fleet) trainPolicy(spec TenantSpec, ctx system.Context, key string) (*core.Policy, error) {
-	sla := f.opts.SLASeconds
-	if spec.SLASeconds > 0 {
-		sla = spec.SLASeconds
-	}
-	io := core.InitOptions{
-		SLASeconds:   sla,
-		Seed:         deriveSeed(f.opts.Seed, "policy:"+key),
-		Procs:        f.opts.Procs,
-		BatchSampler: system.AnalyticSampler(f.space, ctx, nil),
-		Telemetry:    f.opts.Telemetry,
+// policy bytes.
+func (f *Fleet) recipe(spec TenantSpec, ctx system.Context, key string) Recipe {
+	rec := Recipe{
+		Mix:        ctx.Workload.Mix.String(),
+		Clients:    ctx.Workload.Clients,
+		Level:      ctx.Level.Name,
+		SLASeconds: cmp.Or(spec.SLASeconds, f.opts.SLASeconds),
+		Seed:       deriveSeed(f.opts.Seed, "policy:"+key),
 	}
 	if f.opts.TrainInit != nil {
-		io.CoarseLevels = f.opts.TrainInit.CoarseLevels
-		io.Batch = f.opts.TrainInit.Batch
+		rec.CoarseLevels = f.opts.TrainInit.CoarseLevels
+		rec.Batch = f.opts.TrainInit.Batch
 	}
-	return core.LearnPolicyStream(key, f.space, nil, io)
+	return rec
 }
 
 // restore rebuilds a tenant's live state from a checkpoint: re-apply the

@@ -107,7 +107,7 @@ func TestFleetLifecycle(t *testing.T) {
 	if b.State() != StateStopped {
 		t.Fatalf("drained tenant is %s, want stopped", b.State())
 	}
-	if ck, _, err := f.Checkpoints().Latest("shop-b"); err != nil || ck == nil || ck.Interval != 4 {
+	if ck, _, err := f.ckpts.Latest("shop-b"); err != nil || ck == nil || ck.Interval != 4 {
 		t.Fatalf("final checkpoint = (%+v, %v), want interval 4", ck, err)
 	}
 	if err := f.Drain("shop-b"); err == nil {
@@ -127,7 +127,7 @@ func TestFleetLifecycle(t *testing.T) {
 	if f.Active() != 0 {
 		t.Fatalf("Active = %d after shutdown", f.Active())
 	}
-	if ck, _, err := f.Checkpoints().Latest("shop-a"); err != nil || ck == nil {
+	if ck, _, err := f.ckpts.Latest("shop-a"); err != nil || ck == nil {
 		t.Fatalf("shutdown checkpoint missing: %v", err)
 	}
 }
@@ -144,7 +144,7 @@ func TestFleetPeriodicCheckpoints(t *testing.T) {
 	if _, err := f.Run(12); err != nil {
 		t.Fatal(err)
 	}
-	ck, _, err := f.Checkpoints().Latest("shop-a")
+	ck, _, err := f.ckpts.Latest("shop-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestFleetWarmStartFromRegistry(t *testing.T) {
 		t.Fatal("training tenant reported as warm-started")
 	}
 	key := a.ContextKey()
-	if keys := f.Registry().Keys(); len(keys) != 1 {
+	if keys := f.registry.Keys(); len(keys) != 1 {
 		t.Fatalf("registry keys = %v, want the trained context", keys)
 	}
 	if got := reg.Counter("rac_fleet_warm_starts_total", "", nil).Value(); got != 0 {
@@ -305,7 +305,7 @@ func TestFleetRestartFallsBackPastCorruptCheckpoint(t *testing.T) {
 	}
 
 	// Corrupt the newest snapshot (interval 10) in place.
-	_, path, err := f1.Checkpoints().Latest("shop-a")
+	_, path, err := f1.ckpts.Latest("shop-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestFleetAdminHTTP(t *testing.T) {
 	if rec := do("POST", "/admin/v1/tenants/shop-a/checkpoint"); rec.Code != 200 {
 		t.Fatalf("checkpoint: %d %s", rec.Code, rec.Body)
 	}
-	if ck, _, err := f.Checkpoints().Latest("shop-a"); err != nil || ck == nil {
+	if ck, _, err := f.ckpts.Latest("shop-a"); err != nil || ck == nil {
 		t.Fatalf("manual checkpoint not on disk: %v", err)
 	}
 
@@ -559,11 +559,7 @@ func TestFleetCapacityTenant(t *testing.T) {
 	}
 	ctx := system.Context{Workload: tn.ctx.Workload, Level: lvl}
 	key := ContextKey(ctx)
-	pol, err := f.trainPolicy(spec, ctx, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.registry.Put(key, pol); err != nil {
+	if _, err := f.registry.Put(key, f.recipe(spec, ctx, key)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tn.Capacity().SetAppLevel(lvl); err != nil {

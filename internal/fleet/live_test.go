@@ -68,7 +68,7 @@ func TestFleetLiveTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := f.Registry().path(ContextKey(ctx5))
+	corrupt := f.registry.path(ContextKey(ctx5))
 	if err := os.WriteFile(corrupt, []byte("not a policy"), 0o644); err != nil {
 		t.Fatal(err)
 	}

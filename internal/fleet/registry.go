@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,7 +18,9 @@ import (
 	"github.com/rac-project/rac/internal/atomicfile"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
+	"github.com/rac-project/rac/internal/mdp"
 	"github.com/rac-project/rac/internal/system"
+	"github.com/rac-project/rac/internal/telemetry"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
 )
@@ -25,21 +32,75 @@ import (
 // instead of cold initialization — the SQLR observation that learned state
 // pays off when it is retained and reused across instances.
 //
-// Policies are stored one file per context key (core.Policy.Save JSON),
-// written atomically, and cached in memory after first load. All methods are
-// safe for concurrent use.
+// A fleet policy is the output of a cheap, deterministic computation
+// (Algorithm 2 on the analytic surface), so the registry stores one small
+// Recipe file per context key, written atomically. A policy not in memory, as
+// after a restart, is retrained from its recipe and checked against the
+// recipe's digest. All methods are safe for concurrent use.
 type PolicyRegistry struct {
 	dir   string
 	space *config.Space
+	procs int                 // training workers; no policy byte depends on it
+	tel   *telemetry.Registry // the training pool's instruments, or nil
 
-	mu    sync.Mutex
-	cache map[string]*core.Policy
+	mu sync.Mutex
+	// policies resolves each key read or published in this process once: a
+	// Put's policy, or one retrain of the recipe on disk that every
+	// concurrent Get of the key waits for.
+	policies map[string]*policyOnce
 }
 
-// NewPolicyRegistry roots a registry at dir (created if missing). Loaded
-// policies are bound to space, which must structurally match the space they
-// were trained on.
-func NewPolicyRegistry(dir string, space *config.Space) (*PolicyRegistry, error) {
+type policyOnce struct{ get func() (*core.Policy, error) }
+
+// Recipe is everything a fleet policy is trained from: the context, the SLA,
+// the offline schedule (zero values select core's defaults) and the seed.
+// Digest is core.Policy.Digest of the policy it trained when published.
+type Recipe struct {
+	Mix          string          `json:"mix"`
+	Clients      int             `json:"clients"`
+	Level        string          `json:"level"`
+	SLASeconds   float64         `json:"slaSeconds"`
+	CoarseLevels int             `json:"coarseLevels"`
+	Batch        mdp.BatchConfig `json:"batch"`
+	Seed         uint64          `json:"seed"`
+	Digest       string          `json:"digest"`
+}
+
+// context resolves the recipe's context coordinates.
+func (rec Recipe) context() (system.Context, error) {
+	mix, err := tpcw.ParseMix(rec.Mix)
+	if err != nil {
+		return system.Context{}, err
+	}
+	level, err := vmenv.ByName(rec.Level)
+	w := tpcw.Workload{Mix: mix, Clients: rec.Clients}
+	return system.Context{Workload: w, Level: level}, errors.Join(err, w.Validate())
+}
+
+// loadRecipe decodes one recipe document, which must be the whole input, and
+// checks every field that needs no training run to check.
+func loadRecipe(r io.Reader) (Recipe, error) {
+	var rec Recipe
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&rec); err != nil {
+		return Recipe{}, fmt.Errorf("decode recipe: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Recipe{}, errors.New("decode recipe: data after the document")
+	}
+	if _, err := rec.context(); err != nil {
+		return Recipe{}, fmt.Errorf("recipe context: %w", err)
+	}
+	if d, err := hex.DecodeString(rec.Digest); err != nil || len(d) != sha256.Size {
+		return Recipe{}, fmt.Errorf("recipe digest %q is not a hex SHA-256", rec.Digest)
+	}
+	return rec, nil
+}
+
+// NewPolicyRegistry roots a registry at dir (created if missing). Policies
+// are trained over space on a pool of procs workers (core.InitOptions.Procs)
+// reporting to tel, which may be nil.
+func NewPolicyRegistry(dir string, space *config.Space, procs int, tel *telemetry.Registry) (*PolicyRegistry, error) {
 	if dir == "" {
 		return nil, errors.New("fleet: empty registry directory")
 	}
@@ -49,25 +110,65 @@ func NewPolicyRegistry(dir string, space *config.Space) (*PolicyRegistry, error)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: registry dir: %w", err)
 	}
-	return &PolicyRegistry{dir: dir, space: space, cache: make(map[string]*core.Policy)}, nil
+	return &PolicyRegistry{dir: dir, space: space, procs: procs, tel: tel, policies: make(map[string]*policyOnce)}, nil
 }
 
-// Dir returns the registry's root directory.
-func (r *PolicyRegistry) Dir() string { return r.dir }
+const recipeSuffix = ".recipe.json"
 
-// path names the policy file for a context key.
+// path names the recipe file for a context key.
 func (r *PolicyRegistry) path(key string) string {
-	return filepath.Join(r.dir, sanitizeName(key)+".policy.json")
+	return filepath.Join(r.dir, sanitizeName(key)+recipeSuffix)
+}
+
+// train runs the paper's policy initialization for rec on the analytic
+// queueing surface, naming the policy key. The sweep does not go through the
+// fleet's memo: it solves each coarse grouped point once, and tenants do not
+// measure those points (0 extra hits over 558 lookups in
+// TestFleetAnalyticMemoByteIdentical), so sharing would only add keys and
+// count training as tenant lookups.
+func (r *PolicyRegistry) train(key string, rec Recipe) (*core.Policy, error) {
+	ctx, err := rec.context()
+	if err != nil {
+		return nil, err
+	}
+	return core.LearnPolicyStream(key, r.space, nil, core.InitOptions{
+		CoarseLevels: rec.CoarseLevels,
+		Batch:        rec.Batch,
+		SLASeconds:   rec.SLASeconds,
+		Seed:         rec.Seed,
+		Procs:        r.procs,
+		BatchSampler: system.AnalyticSampler(r.space, ctx, nil),
+		Telemetry:    r.tel,
+	})
 }
 
 // Get returns the policy stored under key, or (nil, nil) when the context has
-// no trained policy yet.
+// no recipe. A key not in memory is retrained from its recipe outside the
+// lock, once for every Get waiting on it, so Gets of other keys never wait.
+// A retrained policy whose digest is not the recipe's is an ErrPolicyDigest
+// error, never a different policy. Neither an error nor a missing recipe is
+// remembered.
 func (r *PolicyRegistry) Get(key string) (*core.Policy, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.cache[key]; ok {
-		return p, nil
+	once, ok := r.policies[key]
+	if !ok {
+		once = &policyOnce{sync.OnceValues(func() (*core.Policy, error) { return r.retrain(key) })}
+		r.policies[key] = once
 	}
+	r.mu.Unlock()
+	p, err := once.get()
+	if p == nil {
+		r.mu.Lock()
+		if r.policies[key] == once {
+			delete(r.policies, key)
+		}
+		r.mu.Unlock()
+	}
+	return p, err
+}
+
+// retrain reads key's recipe and trains it, checking the digest.
+func (r *PolicyRegistry) retrain(key string) (*core.Policy, error) {
 	f, err := os.Open(r.path(key))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -75,76 +176,64 @@ func (r *PolicyRegistry) Get(key string) (*core.Policy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: registry read %q: %w", key, err)
 	}
-	defer f.Close()
-	p, err := core.LoadPolicy(f, r.space)
+	rec, err := loadRecipe(f)
+	f.Close()
 	if err != nil {
-		return nil, fmt.Errorf("fleet: registry policy %q: %w", key, err)
+		return nil, fmt.Errorf("fleet: registry %q: %w", key, err)
 	}
-	r.cache[key] = p
+	p, err := r.train(key, rec)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: registry retrain %q: %w", key, err)
+	}
+	if got := p.Digest(); got != rec.Digest {
+		return nil, fmt.Errorf("%w: %q: recipe %s, retrained %s", ErrPolicyDigest, key, rec.Digest, got)
+	}
 	return p, nil
 }
 
-// Put stores p under key, atomically replacing any previous policy for the
-// same context. The policy is encoded into a temporary file without the
-// lock, so Gets of other contexts never wait on it; the lock covers only the
-// rename and the cache update, so after concurrent Puts of one key the file
-// and the cache hold the same, last renamed, policy.
-func (r *PolicyRegistry) Put(key string, p *core.Policy) error {
+// Put trains the policy rec describes, publishes rec under key with that
+// policy's digest, atomically replacing any previous recipe for the context,
+// and returns the policy. Training and the temporary file happen without the
+// lock, so Gets of other contexts never wait on them; the lock covers only
+// the rename and the in-memory update, so after concurrent Puts of one key
+// the file and memory hold the same, last renamed, recipe.
+func (r *PolicyRegistry) Put(key string, rec Recipe) (*core.Policy, error) {
 	if key == "" {
-		return errors.New("fleet: empty registry key")
+		return nil, errors.New("fleet: empty registry key")
 	}
-	if p == nil {
-		return errors.New("fleet: nil policy")
-	}
-	tmp, err := atomicfile.WriteTemp(r.dir, "policy-*.tmp", p.Save)
+	p, err := r.train(key, rec)
 	if err != nil {
-		return fmt.Errorf("fleet: registry save %q: %w", key, err)
+		return nil, fmt.Errorf("fleet: registry train %q: %w", key, err)
+	}
+	rec.Digest = p.Digest()
+	tmp, err := atomicfile.WriteTemp(r.dir, "recipe-*.tmp", func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(rec)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: registry save %q: %w", key, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := os.Rename(tmp, r.path(key)); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("fleet: registry rename: %w", err)
+		return nil, fmt.Errorf("fleet: registry rename: %w", err)
 	}
-	r.cache[key] = p
-	return nil
+	r.policies[key] = &policyOnce{func() (*core.Policy, error) { return p, nil }}
+	return p, nil
 }
 
-// keyCoords are a registry key's context coordinates, recovered from the
-// ContextKey encoding "mix-clients@LevelName".
-type keyCoords struct {
-	mix     tpcw.Mix
-	clients int
-	ordinal int // vmenv capacity rank
-}
-
-// parseContextKey decomposes a ContextKey back into coordinates. Keys that do
-// not follow the encoding (foreign files in the registry directory) report
-// ok=false and are skipped by Nearest.
-func parseContextKey(key string) (keyCoords, bool) {
+// parseContextKey decomposes a ContextKey back into its context. Keys that
+// do not follow the encoding "mix-clients@LevelName" (foreign files in the
+// registry directory) report ok=false and are skipped by Nearest.
+func parseContextKey(key string) (system.Context, bool) {
 	at := strings.LastIndexByte(key, '@')
-	if at < 0 {
-		return keyCoords{}, false
+	dash := strings.LastIndexByte(key[:max(at, 0)], '-')
+	if at < 0 || dash < 0 {
+		return system.Context{}, false
 	}
-	left, levelName := key[:at], key[at+1:]
-	dash := strings.LastIndexByte(left, '-')
-	if dash < 0 {
-		return keyCoords{}, false
-	}
-	mix, err := tpcw.ParseMix(left[:dash])
-	if err != nil {
-		return keyCoords{}, false
-	}
-	clients, err := strconv.Atoi(left[dash+1:])
-	if err != nil || clients <= 0 {
-		return keyCoords{}, false
-	}
-	for _, l := range vmenv.Levels() {
-		if l.Name == levelName {
-			return keyCoords{mix: mix, clients: clients, ordinal: vmenv.Ordinal(l)}, true
-		}
-	}
-	return keyCoords{}, false
+	clients, err := strconv.Atoi(key[dash+1 : at])
+	ctx, cerr := Recipe{Mix: key[:dash], Clients: clients, Level: key[at+1:]}.context()
+	return ctx, err == nil && cerr == nil
 }
 
 // Nearest returns the stored policy whose context is closest to ctx, skipping
@@ -157,56 +246,35 @@ func parseContextKey(key string) (keyCoords, bool) {
 // adjacent context beats cold initialization, and online learning corrects
 // the residual error.
 func (r *PolicyRegistry) Nearest(ctx system.Context, exclude string) (*core.Policy, string, error) {
-	target := keyCoords{
-		mix:     ctx.Workload.Mix,
-		clients: ctx.Workload.Clients,
-		ordinal: vmenv.Ordinal(ctx.Level),
-	}
-	type ranked struct {
-		mixMiss int
-		ordGap  int
-		cliGap  int
-		key     string
-	}
-	abs := func(n int) int {
-		if n < 0 {
-			return -n
-		}
-		return n
-	}
-	var best *ranked
-	for _, key := range r.Keys() {
-		if key == exclude {
-			continue
-		}
+	abs := func(n int) int { return max(n, -n) }
+	var bestKey string
+	var best []int
+	for _, key := range r.Keys() { // sorted, so a tie keeps the smaller key
 		c, ok := parseContextKey(key)
-		if !ok {
+		if !ok || key == exclude {
 			continue
 		}
-		cand := ranked{ordGap: abs(c.ordinal - target.ordinal), cliGap: abs(c.clients - target.clients), key: key}
-		if c.mix != target.mix {
-			cand.mixMiss = 1
+		mixMiss := 0
+		if c.Workload.Mix != ctx.Workload.Mix {
+			mixMiss = 1
 		}
-		if best == nil ||
-			cand.mixMiss < best.mixMiss ||
-			(cand.mixMiss == best.mixMiss && (cand.ordGap < best.ordGap ||
-				(cand.ordGap == best.ordGap && (cand.cliGap < best.cliGap ||
-					(cand.cliGap == best.cliGap && cand.key < best.key))))) {
-			b := cand
-			best = &b
+		rank := []int{mixMiss, abs(vmenv.Ordinal(c.Level) - vmenv.Ordinal(ctx.Level)),
+			abs(c.Workload.Clients - ctx.Workload.Clients)}
+		if best == nil || slices.Compare(rank, best) < 0 {
+			bestKey, best = key, rank
 		}
 	}
 	if best == nil {
 		return nil, "", nil
 	}
-	p, err := r.Get(best.key)
+	p, err := r.Get(bestKey)
 	if err != nil {
 		return nil, "", err
 	}
-	return p, best.key, nil
+	return p, bestKey, nil
 }
 
-// Keys lists the context keys with stored policies, sorted. File names are
+// Keys lists the context keys with stored recipes, sorted. File names are
 // sanitized on write, so keys containing exotic characters list in their
 // sanitized form.
 func (r *PolicyRegistry) Keys() []string {
@@ -216,11 +284,9 @@ func (r *PolicyRegistry) Keys() []string {
 	}
 	var out []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".policy.json") {
-			continue
+		if key, ok := strings.CutSuffix(e.Name(), recipeSuffix); ok && !e.IsDir() {
+			out = append(out, key)
 		}
-		out = append(out, strings.TrimSuffix(name, ".policy.json"))
 	}
 	sort.Strings(out)
 	return out

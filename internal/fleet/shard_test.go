@@ -101,7 +101,7 @@ func runFleetSpecs(t *testing.T, f *Fleet, specs []TenantSpec, rounds int) fleet
 		r.statuses[sp.Name] = st
 		r.logs[sp.Name] = tn.StepLog()
 		r.states[sp.Name] = exportAgent(t, tn)
-		if _, path, err := f.Checkpoints().Latest(sp.Name); err != nil {
+		if _, path, err := f.ckpts.Latest(sp.Name); err != nil {
 			t.Fatal(err)
 		} else if path != "" {
 			buf, err := os.ReadFile(path)
@@ -440,7 +440,7 @@ func TestRegistryNearest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := f.Registry()
+	reg := f.registry
 	train := func(context string) string {
 		t.Helper()
 		ctx, err := system.ContextByName(context)
@@ -448,11 +448,7 @@ func TestRegistryNearest(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := ContextKey(ctx)
-		pol, err := f.trainPolicy(TenantSpec{Name: "seed-" + context}, ctx, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.Put(key, pol); err != nil {
+		if _, err := reg.Put(key, f.recipe(TenantSpec{Name: "seed-" + context}, ctx, key)); err != nil {
 			t.Fatal(err)
 		}
 		return key
@@ -518,7 +514,7 @@ func TestParseContextKey(t *testing.T) {
 	if !ok {
 		t.Fatalf("ContextKey(%s) did not parse", ctx.Name)
 	}
-	if c.mix != ctx.Workload.Mix || c.clients != ctx.Workload.Clients {
+	if c.Workload != ctx.Workload || c.Level != ctx.Level {
 		t.Errorf("parsed %+v from %s", c, ContextKey(ctx))
 	}
 	for _, bad := range []string{"", "no-at-sign", "bogus-12@NoSuchLevel", "mixless@Level-1", "browsing-x@Level-1"} {

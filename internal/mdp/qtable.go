@@ -203,12 +203,6 @@ func (q *QTable) MaxValue(state string) float64 {
 	return v
 }
 
-// Visited reports whether the state has a materialized row.
-func (q *QTable) Visited(state string) bool {
-	_, ok := q.rows[state]
-	return ok
-}
-
 // Clone returns a deep copy of the table, sharing any shared row store.
 func (q *QTable) Clone() *QTable {
 	out := NewQTable(q.actions, q.initial)
@@ -241,10 +235,10 @@ func (q *QTable) States() []string {
 	return keys
 }
 
-// QTableJSON is the serialized form of a QTable: what Save writes and
-// LoadQTable reads. A document embedding a table (a policy, an agent
-// snapshot) carries it as a field, so one encoder pass writes the whole
-// document and one decoder pass reads it.
+// QTableJSON is the serialized form of a QTable, what Save writes. A
+// document embedding a table (a policy, an agent snapshot) carries it as a
+// field, so one encoder pass writes the whole document and one decoder pass
+// reads it; Table turns the decoded form back into a table.
 type QTableJSON struct {
 	Actions int                  `json:"actions"`
 	Initial float64              `json:"initial"`
@@ -276,17 +270,4 @@ func (d *QTableJSON) Table() (*QTable, error) {
 // Save writes the table as JSON.
 func (q *QTable) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(q.JSON())
-}
-
-// LoadQTable reads a table previously written by Save.
-func LoadQTable(r io.Reader) (*QTable, error) {
-	var d QTableJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("mdp: decode qtable: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("mdp: decode qtable: data after the document")
-	}
-	return d.Table()
 }

@@ -49,18 +49,6 @@ func MultiServer(c int) func(int) float64 {
 	}
 }
 
-// Capped returns a rate function equal to inner up to cap jobs in service;
-// beyond the cap the rate stays flat (extra jobs queue). It models admission
-// limits such as MaxClients.
-func Capped(inner func(int) float64, cap int) func(int) float64 {
-	return func(j int) float64 {
-		if j > cap {
-			j = cap
-		}
-		return inner(j)
-	}
-}
-
 // Result is the steady-state solution of the network.
 type Result struct {
 	// N is the population the network was solved for.

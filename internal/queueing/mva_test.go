@@ -146,22 +146,20 @@ func TestMultiServerSaturationThroughput(t *testing.T) {
 	}
 }
 
-func TestCappedRate(t *testing.T) {
-	inner := MultiServer(100)
-	capped := Capped(inner, 10)
-	if capped(5) != 5 {
-		t.Fatal("below cap altered")
-	}
-	if capped(50) != 10 {
-		t.Fatalf("above cap: %v", capped(50))
+// capped returns a rate function equal to inner up to cap jobs in service;
+// beyond the cap the rate stays flat (extra jobs queue), as under an
+// admission limit such as MaxClients.
+func capped(inner func(int) float64, cap int) func(int) float64 {
+	return func(j int) float64 {
+		return inner(min(j, cap))
 	}
 }
 
 func TestCappedStationLimitsThroughput(t *testing.T) {
 	// Admission cap of 4 on a 100-server station behaves like 4 servers.
-	capped := []Station{{Name: "cpu", Demand: 0.1, Rate: Capped(MultiServer(100), 4)}}
+	limited := []Station{{Name: "cpu", Demand: 0.1, Rate: capped(MultiServer(100), 4)}}
 	four := []Station{{Name: "cpu", Demand: 0.1, Rate: MultiServer(4)}}
-	a, err := Solve(200, 1, capped)
+	a, err := Solve(200, 1, limited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +242,7 @@ func TestApproxSaturationWithDegradingRates(t *testing.T) {
 		eff := 1 / (1 + 0.002*float64(j))
 		return 2 * eff
 	}
-	st := []Station{{Name: "cpu", Demand: 0.02, Rate: Capped(degrading, 200)}}
+	st := []Station{{Name: "cpu", Demand: 0.02, Rate: capped(degrading, 200)}}
 	res, err := SolveApprox(800, 10, st)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func solverStations() []Station {
 	return []Station{
 		{Name: "cpu", Demand: 0.010, Rate: MultiServer(4)},
 		{Name: "disk", Demand: 0.006},
-		{Name: "net", Demand: 0.002, Rate: Capped(MultiServer(8), 32)},
+		{Name: "net", Demand: 0.002, Rate: capped(MultiServer(8), 32)},
 	}
 }
 

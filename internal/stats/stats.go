@@ -85,42 +85,6 @@ func (r *Running) Merge(o Running) {
 	r.n, r.mean, r.m2 = n, mean, m2
 }
 
-// EWMA is an exponentially weighted moving average. The zero value with a
-// zero alpha is unusable; construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an average with smoothing factor alpha in (0, 1]; larger
-// alpha weights recent samples more heavily. Alpha is clamped into (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 {
-		alpha = 0.01
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds x into the average. The first sample initializes the value.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value += e.alpha * (x - e.value)
-}
-
-// Value returns the current average, or zero before any sample.
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one sample has been added.
-func (e *EWMA) Initialized() bool { return e.init }
-
 // Window is a fixed-capacity sliding window of float64 samples.
 type Window struct {
 	buf  []float64

@@ -85,36 +85,6 @@ func TestRunningMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA claims initialization")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatalf("first sample: %v", e.Value())
-	}
-	e.Add(20)
-	if !almost(e.Value(), 15, 1e-12) {
-		t.Fatalf("after 20: %v", e.Value())
-	}
-}
-
-func TestEWMAClampsAlpha(t *testing.T) {
-	e := NewEWMA(5)
-	e.Add(1)
-	e.Add(3)
-	if e.Value() != 3 {
-		t.Fatalf("alpha>1 should clamp to 1; got %v", e.Value())
-	}
-	e2 := NewEWMA(-1)
-	e2.Add(1)
-	e2.Add(2)
-	if e2.Value() <= 1 || e2.Value() >= 2 {
-		t.Fatalf("clamped alpha out of range: %v", e2.Value())
-	}
-}
-
 func TestWindow(t *testing.T) {
 	w := NewWindow(3)
 	if w.Len() != 0 || w.Mean() != 0 {
