@@ -1,0 +1,90 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+)
+
+// TestUnreferenced runs the lister over a small module: a package-level
+// identifier counts as used from another file of its package or through an
+// import, a method through any selector outside its file or an interface
+// method of its name; uses inside the declaring file and in test files do
+// not count, and nothing outside internal/ is listed.
+func TestUnreferenced(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		p := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module example.com/m\n\ngo 1.22\n")
+	write("internal/a/a.go", `package a
+
+type T struct{}
+
+func (T) Called()   {}
+func (T) Dispatch() {}
+func (T) Unused()   {}
+
+func Imported()    {}
+func Sibling()     {}
+func SelfOnly()    { SelfOnly() }
+func TestOnly()    {}
+
+const Answer = 42
+
+var Hidden = Answer
+`)
+	write("internal/a/b.go", `package a
+
+type iface interface{ Dispatch() }
+
+func use() { Sibling() }
+`)
+	write("internal/a/a_test.go", `package a
+
+func useInTest() { TestOnly(); T{}.Unused() }
+`)
+	write("internal/a/testdata/x.go", `package x
+
+import "example.com/m/internal/a"
+
+func f() { a.Hidden = 1 }
+`)
+	write("cmd/c/main.go", `package main
+
+import alias "example.com/m/internal/a"
+
+func Exported() {}
+
+func main() { alias.Imported(); var t alias.T; t.Called() }
+`)
+	module, files, err := load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if module != "example.com/m" {
+		t.Fatalf("module %q", module)
+	}
+	var got []string
+	for _, d := range unreferenced(module, files) {
+		got = append(got, d.String())
+	}
+	want := []string{
+		"internal/a.Answer", // used only in its own file
+		"internal/a.Hidden", // used only under testdata
+		"internal/a.SelfOnly",
+		"internal/a.T.Unused", // used only by a test
+		"internal/a.TestOnly",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("unreferenced %v, want %v", got, want)
+	}
+}

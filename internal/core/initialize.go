@@ -184,7 +184,6 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 		quad:    quad,
 		sla:     sla,
 		floorRT: floor,
-		intern:  &policyIntern{},
 	}
 
 	// 4. Offline RL over the group lattice, solved to the fixed point
@@ -193,14 +192,10 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// online agent keeps refreshing, or unvisited states would look
 	// artificially poor and the agent would cling to its visited region.
 	// The Q-values start at zero and are solved in place in the policy's
-	// slab, each state's row bound by ordinal.
+	// slab, state ord's row at ord.
 	structure, rewards := p.trainingMDP(parallel.Options{Procs: opts.Procs})
 	p.q = make([]float64, len(rewards)*structure.Actions())
-	rows := make([][]float64, len(rewards))
-	for ord := range rows {
-		rows[ord] = p.rowAt(ord)
-	}
-	p.training, err = mdp.Solve(rows, structure, rewards, nil, offline)
+	p.training, err = mdp.Solve(p.q, structure, rewards, nil, offline)
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}

@@ -282,6 +282,5 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 		quad:    quad,
 		sla:     raw.SLA,
 		floorRT: raw.FloorRT,
-		intern:  &policyIntern{},
 	}, nil
 }

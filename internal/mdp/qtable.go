@@ -1,15 +1,16 @@
-// Package mdp implements the tabular reinforcement-learning machinery of the
-// paper: a Q-value table keyed by state strings, ε-greedy action selection,
-// and batch training over a deterministic model of the configuration MDP —
-// the fixed point paper Algorithm 1's ε-greedy SARSA estimates, solved rather
-// than sampled (Solve).
+// Package mdp implements the reinforcement-learning machinery of the paper:
+// batch training over a deterministic model of the configuration MDP — the
+// fixed point paper Algorithm 1's ε-greedy SARSA estimates, solved rather
+// than sampled (Solve) in place over a flat Q-value slab — and its
+// hyper-parameters. Offline policy training and the agent's per-interval
+// retraining both run Solve, each over its own slab.
 //
-// The package is independent of web-system specifics: states are opaque
-// string keys and actions are dense indices. Online, the agent's Learner
-// selects actions ε-greedily over its Q-table; offline policy training and the
-// agent's per-interval retraining both run Solve. The TD update
-// (Learner.UpdateSARSA) remains only for the benchmark ledger's update probe
-// and the sampled SARSA oracle the tests hold Solve to.
+// The package is independent of web-system specifics: states are dense
+// indices into a transition table, and actions are dense indices. The
+// string-keyed Q-table (QTable, with its shared seeded-row store), the
+// ε-greedy Learner with its TD update, and BatchTrain serve only the
+// benchmark ledger's probes and the oracles the tests hold Solve and the
+// agent to.
 package mdp
 
 import (
@@ -134,7 +135,7 @@ func (q *QTable) ReadRow(state string) []float64 {
 // materializing the ones it does not own yet as Row would — a copy of the
 // served row, the key interned through the shared store — but with every new
 // row cut from one backing array, and an empty table's map presized for them.
-// It binds a table to Solve: one lookup per state, then indices. The states
+// It binds a table to BatchTrain's slab: one lookup per state. The states
 // must be distinct, or two indices would share a row.
 func (q *QTable) OwnRows(states []string) [][]float64 {
 	rows := make([][]float64, len(states))
@@ -178,29 +179,6 @@ func (q *QTable) Get(state string, action int) float64 {
 // Set assigns Q(state, action).
 func (q *QTable) Set(state string, action int, value float64) {
 	q.Row(state)[action] = value
-}
-
-// Best returns the greedy action for state and its value. Ties break toward
-// the lowest action index so greedy policies are deterministic. Unvisited
-// states are read without materializing a row.
-func (q *QTable) Best(state string) (int, float64) {
-	row, _ := q.served(state)
-	if row == nil {
-		return 0, q.initial
-	}
-	best, bestV := 0, row[0]
-	for i := 1; i < len(row); i++ {
-		if row[i] > bestV {
-			best, bestV = i, row[i]
-		}
-	}
-	return best, bestV
-}
-
-// MaxValue returns max_a Q(state, a).
-func (q *QTable) MaxValue(state string) float64 {
-	_, v := q.Best(state)
-	return v
 }
 
 // Clone returns a deep copy of the table, sharing any shared row store.

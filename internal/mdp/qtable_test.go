@@ -9,6 +9,29 @@ import (
 	"testing"
 )
 
+// Best returns the greedy action for state and its value. Ties break toward
+// the lowest action index so greedy policies are deterministic. Unvisited
+// states are read without materializing a row.
+func (q *QTable) Best(state string) (int, float64) {
+	row, _ := q.served(state)
+	if row == nil {
+		return 0, q.initial
+	}
+	best, bestV := 0, row[0]
+	for i := 1; i < len(row); i++ {
+		if row[i] > bestV {
+			best, bestV = i, row[i]
+		}
+	}
+	return best, bestV
+}
+
+// MaxValue returns max_a Q(state, a).
+func (q *QTable) MaxValue(state string) float64 {
+	_, v := q.Best(state)
+	return v
+}
+
 func TestQTableBasics(t *testing.T) {
 	q := NewQTable(3, 0.5)
 	if q.Actions() != 3 {

@@ -2,13 +2,12 @@ package mdp
 
 import "sync"
 
-// SharedRows is the copy-on-write backing store for Q-tables that share an
-// initialization policy: many tenants tuning the same workload context seed
-// their online tables from the same deterministic Seeder, so the seeded rows
-// are computed once here and served read-only to every table. A QTable with a
-// SharedRows installed (SetShared) materializes a private row only when it
-// writes — per-tenant memory holds learned deltas, the common structure is
-// O(contexts) not O(tenants).
+// SharedRows is a copy-on-write backing store for Q-tables that share an
+// initialization: seeded rows are computed once here and served read-only to
+// every table that installs it, and a table materializes a private row only
+// when it writes. The agent no longer uses it (it holds its own rows and
+// reads a policy's seeding directly); the benchmark ledger's row probes and
+// the tests do.
 //
 // State-key strings are interned alongside the rows, so ten thousand tables
 // keying the same visited states hold one copy of each key.
