@@ -559,8 +559,8 @@ func runScaleSelfcheck(out io.Writer, tenants, shards int) error {
 			firstAvg, lastAvg)
 	}
 
-	// Memory per tenant must stay bounded — the shared Q-structure keeps the
-	// MDP arrays O(contexts), not O(tenants).
+	// Memory per tenant must stay bounded — tenants share their context's
+	// policy read-only and hold rows only for their retraining region.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -306,6 +306,9 @@ func (m oneDeadEnd) NextIndex(s, action int) int {
 	return m.indexedChain.NextIndex(s, action)
 }
 
+// Params returns the hyper-parameters.
+func (l *Learner) Params() Params { return l.params }
+
 // SetEpsilon adjusts the exploration rate (paper §5.5 switches it between
 // batch training and online decision making). Only the tests change it: the
 // agent's rate is fixed by its options.
