@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"maps"
 	"slices"
 	"testing"
 
@@ -240,6 +241,38 @@ func TestAgentRestoreRejectsBadSnapshots(t *testing.T) {
 	bad.QTable = &mdp.QTableJSON{Actions: 3, Rows: map[string][]float64{}}
 	if err := a.RestoreState(&bad); err == nil {
 		t.Error("wrong action count accepted")
+	}
+
+	// The persistence edge takes only what an agent exports: canonical keys
+	// of the space's configurations, initial value 0, and a row for every
+	// state of the region its samples span.
+	key := a.Config().Key()
+	for name, mutate := range map[string]func(st *AgentState){
+		"non-canonical sample key": func(st *AgentState) { st.Samples = map[string]float64{"0" + key: 1} },
+		"sample outside the space": func(st *AgentState) { st.Samples = map[string]float64{"1,2": 1} },
+		"row key outside the space": func(st *AgentState) {
+			st.QTable = &mdp.QTableJSON{Actions: good.QTable.Actions, Rows: map[string][]float64{"garbage": make([]float64, good.QTable.Actions)}}
+		},
+		"short row": func(st *AgentState) {
+			st.QTable = &mdp.QTableJSON{Actions: good.QTable.Actions, Rows: map[string][]float64{key: {1}}}
+		},
+		"nonzero initial value": func(st *AgentState) {
+			st.QTable = &mdp.QTableJSON{Actions: good.QTable.Actions, Initial: 1, Rows: good.QTable.Rows}
+		},
+		"region state without a row": func(st *AgentState) {
+			rows := maps.Clone(good.QTable.Rows)
+			for k := range good.Samples {
+				delete(rows, k)
+				break
+			}
+			st.QTable = &mdp.QTableJSON{Actions: good.QTable.Actions, Rows: rows}
+		},
+	} {
+		bad = *good
+		mutate(&bad)
+		if err := a.RestoreState(&bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 
 	// The pristine snapshot still restores after all the rejected attempts.
