@@ -59,11 +59,12 @@ race:
 
 # fuzz runs every Fuzz* target in the tree (FuzzLoadPolicy,
 # FuzzRestoreAgentState, FuzzDecodeCheckpoint, FuzzLoadRecipe,
-# FuzzLoadScenario, FuzzLoadFaults and FuzzLoadConfig today) for a fixed 10 s
-# each — ≈85 s in all beside race's 218 s, the rest being compilation.
-# FuzzLoadScenario and FuzzLoadFaults seed from the shipped
+# FuzzLoadScenario, FuzzLoadFaults, FuzzLoadConfig and FuzzAdminConfig today)
+# for a fixed 10 s each — ≈100 s in all beside race's 218 s, the rest being
+# compilation. FuzzLoadScenario and FuzzLoadFaults seed from the shipped
 # examples/scenarios/*.json and examples/faults_*.json, FuzzLoadConfig from
-# examples/racd_fleet.json.
+# examples/racd_fleet.json, FuzzAdminConfig (the live server's POST
+# /admin/config) from the default webtier params.
 # Plain `go test` already runs each target's seeds; this mutates past them.
 # FuzzLoadPolicy seeds from a four-parameter space's 2.4 kB policy:
 # 15 000–50 000 executions per 10 s on two cores, where its 1.5 MB
@@ -241,7 +242,8 @@ fleet-scale-smoke:
 
 # The fleet-scale acceptance benchmark: rounds/sec and bytes/tenant at 100,
 # 1k and 10k tenants, pinned in the committed BENCH_fleet.json. bytes/tenant
-# must fall with fleet size (shared Q-structure amortizes); regenerate after
+# must fall with fleet size (each tenant holds its own row slab, but the
+# read-only context policies are shared and amortize); regenerate after
 # intentional changes. Same two-step form as `make bench`.
 bench-fleet:
 	@$(GO) test -run xxx -bench FleetScale -benchtime 3x ./internal/fleet/ > BENCH_fleet.txt || \

@@ -7,10 +7,15 @@
 // It reads the source with go/parser alone, so references are matched by
 // name: a package-level identifier X of package p counts as referenced by a
 // bare X in another non-test file of p, or by n.X in a non-test file that
-// imports p as n; a method M counts as referenced by any selector .M outside
-// its file, or by an interface method named M anywhere in the module (it may
-// be called through the interface). Test files (_test.go) and testdata
-// directories are neither declarations nor references.
+// imports p as n; a method M counts as referenced by any selector x.M outside
+// its file where x is not an imported package's name, or by an interface
+// method named M anywhere in the module (it may be called through the
+// interface). Test files (_test.go) and testdata directories are neither
+// declarations nor references.
+//
+// Matching methods by name under-counts them: a selector of a struct field,
+// or of another type's method, with the same name counts as a use, so the
+// list misses a method that shares its name with a field selected anywhere.
 //
 // It exits non-zero, naming each, when an unreferenced identifier is missing
 // from the allowlist (cmd/deadcode/allowlist.txt, one identifier per line, as
@@ -173,14 +178,15 @@ func unreferenced(module string, files []file) []decl {
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				// The selected name is not a bare use; only X is walked.
-				selected[n.Sel.Name] = append(selected[n.Sel.Name], f.path)
+				// The selected name is not a bare use; only X is walked. A
+				// name selected from an imported package is no method call.
 				if x, ok := n.X.(*ast.Ident); ok {
 					if dir, ok := imports[x.Name]; ok {
 						add(qualified, dir, n.Sel.Name, f.path)
 						return false
 					}
 				}
+				selected[n.Sel.Name] = append(selected[n.Sel.Name], f.path)
 				ast.Inspect(n.X, visit)
 				return false
 			case *ast.Ident:

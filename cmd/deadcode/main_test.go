@@ -11,7 +11,8 @@ import (
 // identifier counts as used from another file of its package or through an
 // import, a method through any selector outside its file or an interface
 // method of its name; uses inside the declaring file and in test files do
-// not count, and nothing outside internal/ is listed.
+// not count, a package-qualified name is no method use, and nothing outside
+// internal/ is listed.
 func TestUnreferenced(t *testing.T) {
 	root := t.TempDir()
 	write := func(name, src string) {
@@ -32,6 +33,9 @@ type T struct{}
 func (T) Called()   {}
 func (T) Dispatch() {}
 func (T) Unused()   {}
+func (T) Name()     {}
+
+func Name() {}
 
 func Imported()    {}
 func Sibling()     {}
@@ -58,6 +62,12 @@ import "example.com/m/internal/a"
 
 func f() { a.Hidden = 1 }
 `)
+	write("internal/d/d.go", `package d
+
+import "example.com/m/internal/a"
+
+func use() { a.Name() }
+`)
 	write("cmd/c/main.go", `package main
 
 import alias "example.com/m/internal/a"
@@ -81,6 +91,7 @@ func main() { alias.Imported(); var t alias.T; t.Called() }
 		"internal/a.Answer", // used only in its own file
 		"internal/a.Hidden", // used only under testdata
 		"internal/a.SelfOnly",
+		"internal/a.T.Name",   // a.Name selects the package's func, not the method
 		"internal/a.T.Unused", // used only by a test
 		"internal/a.TestOnly",
 	}

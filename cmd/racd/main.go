@@ -72,8 +72,6 @@ type fleetConfig struct {
 	CheckpointKeep int `json:"checkpointKeep,omitempty"`
 	// RegistryDir holds trained context policies for warm starts.
 	RegistryDir string `json:"registryDir,omitempty"`
-	// StepLog is the per-tenant in-memory step-record capacity.
-	StepLog int `json:"stepLog,omitempty"`
 	// TickMillis pauses between scheduling rounds (0 = back to back).
 	TickMillis int `json:"tickMillis,omitempty"`
 	// Tenants are the managed systems.
@@ -203,7 +201,6 @@ func newDaemon(cfg fleetConfig, traceCap int) (*daemon, error) {
 		CheckpointEvery:    cfg.CheckpointEvery,
 		CheckpointKeep:     cfg.CheckpointKeep,
 		RegistryDir:        cfg.RegistryDir,
-		StepLog:            cfg.StepLog,
 		Telemetry:          d.tel,
 		Trace:              d.trace,
 	})

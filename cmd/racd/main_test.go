@@ -55,6 +55,12 @@ func TestLoadConfigValidation(t *testing.T) {
 	if _, err := loadConfig(bad); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// The fleet keeps no step log, so a config sizing one is rejected.
+	stepLog := filepath.Join(dir, "steplog.json")
+	os.WriteFile(stepLog, []byte(`{"stepLog": 256, "tenants": [{"name": "x"}]}`), 0o644) //nolint:errcheck
+	if _, err := loadConfig(stepLog); err == nil || !strings.Contains(err.Error(), `unknown field "stepLog"`) {
+		t.Fatalf("stepLog config: got %v, want the unknown-field error", err)
+	}
 
 	empty := filepath.Join(dir, "empty.json")
 	os.WriteFile(empty, []byte(`{"seed": 1}`), 0o644) //nolint:errcheck

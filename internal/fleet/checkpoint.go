@@ -225,9 +225,9 @@ func (s *CheckpointStore) files(tenant string) []string {
 }
 
 // Latest returns the newest checkpoint for the tenant that passes envelope
-// validation, skipping corrupt or truncated files (newest first). It returns
-// (nil, "", nil) when the tenant has no valid snapshot at all — a cold start,
-// not an error.
+// validation and names the tenant, skipping corrupt or truncated files and
+// other tenants' snapshots (newest first). It returns (nil, "", nil) when the
+// tenant has no valid snapshot at all — a cold start, not an error.
 func (s *CheckpointStore) Latest(tenant string) (*Checkpoint, string, error) {
 	files := s.files(tenant)
 	for i := len(files) - 1; i >= 0; i-- {
@@ -238,42 +238,37 @@ func (s *CheckpointStore) Latest(tenant string) (*Checkpoint, string, error) {
 			}
 			return nil, "", err
 		}
+		if ck.Tenant != tenant {
+			continue // another tenant's state never restores this one
+		}
 		return ck, files[i], nil
 	}
 	return nil, "", nil
 }
 
-// Tenants lists tenant names that have at least one snapshot file on disk.
-func (s *CheckpointStore) Tenants() []string {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // sanitizeName maps an arbitrary tenant or registry key to a filesystem-safe
-// file name, preserving the common identifier characters.
+// file name, one to one. Letters, digits, '-', '.' and '@' stand for
+// themselves; any other rune, '_' included, is written "_x" and its
+// lowercase hex code. A leading '.' is escaped too, so no name maps to "." or
+// "..", and so is a hex digit right after an escape, so an escape's code ends
+// where the next rune begins. The empty name maps to "_", which no other
+// name yields.
 func sanitizeName(name string) string {
 	if name == "" {
 		return "_"
 	}
 	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.', r == '@':
+	escaped := false
+	for i, r := range name {
+		keep := r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' ||
+			r == '-' || r == '@' || r == '.' && i > 0
+		if keep && !(escaped && (r >= '0' && r <= '9' || r >= 'a' && r <= 'f')) {
 			b.WriteRune(r)
-		default:
-			b.WriteString("_x" + strconv.FormatInt(int64(r), 16))
+			escaped = false
+			continue
 		}
+		b.WriteString("_x" + strconv.FormatInt(int64(r), 16))
+		escaped = true
 	}
 	return b.String()
 }

@@ -237,6 +237,65 @@ func TestCheckpointStoreSanitizesTenantNames(t *testing.T) {
 	}
 }
 
+// TestCheckpointStoreTenantDirsAreDistinct holds the store to one directory
+// per tenant, directly under its root, for names an admin request may carry:
+// ".." must not write or prune in the root's parent, nor "." in the root
+// itself, and "a/" and "a_x2f" (like "/1" and "\u02f1") must not share a
+// directory, where one tenant would restore the other's learned state.
+// Latest also skips a snapshot that names another tenant, as it skips a
+// corrupt one.
+func TestCheckpointStoreTenantDirsAreDistinct(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewCheckpointStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"..", ".", ".x", "a/", "a_x2f", "a_", "_", "/1", "\u02f1"}
+	owner := map[string]string{}
+	for _, name := range names {
+		path, err := store.Write(testCheckpoint(t, name, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tdir := filepath.Dir(path)
+		if filepath.Dir(tdir) != dir {
+			t.Errorf("tenant %q wrote %s, not in its own directory under the store", name, path)
+		}
+		if prev, ok := owner[tdir]; ok {
+			t.Errorf("tenants %q and %q share %s", prev, name, tdir)
+		}
+		owner[tdir] = name
+	}
+	latest := func(name string) (string, int) {
+		t.Helper()
+		ck, _, err := store.Latest(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck == nil {
+			return "", 0
+		}
+		return ck.Tenant, ck.Interval
+	}
+	for _, name := range names {
+		if got, _ := latest(name); got != name {
+			t.Errorf("Latest(%q) restored tenant %q", name, got)
+		}
+	}
+
+	foreign, err := encodeCheckpoint(testCheckpoint(t, "b", 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.checkpointPath("a/", 9), foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, interval := latest("a/"); got != "a/" || interval != 1 {
+		t.Errorf("with another tenant's newer snapshot in its directory, Latest(%q) = %q at %d, want its own at 1",
+			"a/", got, interval)
+	}
+}
+
 // TestPolicyRegistryRoundTrip publishes the six Table-2 contexts' recipes;
 // a fresh fleet over the directory, with no training schedule of its own,
 // retrains each into the policy that was published, byte for byte.

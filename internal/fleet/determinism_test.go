@@ -9,10 +9,51 @@ import (
 	"testing"
 )
 
+// stepRecord is one completed tenant step as the tenant's status reports it,
+// plus the configuration the agent measured: what the determinism tests
+// compare step by step.
+type stepRecord struct {
+	Interval   int
+	Config     string
+	LastRT     float64
+	LastReward float64
+	Violations int
+	Policy     string
+}
+
+// runRecorded runs rounds of f one at a time and appends, per tenant name, a
+// record for every tenant that completed a step in the round.
+func runRecorded(t *testing.T, f *Fleet, rounds int, logs map[string][]stepRecord) {
+	t.Helper()
+	before := make(map[string]int)
+	for i := 0; i < rounds; i++ {
+		for _, tn := range f.Tenants() {
+			before[tn.Name()] = tn.Interval()
+		}
+		if err := f.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tn := range f.Tenants() {
+			st := tn.Status()
+			if st.Interval == before[st.Name] {
+				continue
+			}
+			logs[st.Name] = append(logs[st.Name], stepRecord{
+				Interval:   st.Interval,
+				Config:     tn.Agent().Config().Key(),
+				LastRT:     st.LastRT,
+				LastReward: st.LastReward,
+				Violations: st.Violations,
+				Policy:     st.Policy,
+			})
+		}
+	}
+}
+
 // runFleet executes a fresh 5-tenant fleet (one with elastic capacity) at
-// the given worker count and returns each tenant's full step log and final
+// the given worker count and returns each tenant's step records and final
 // serialized agent state.
-func runFleet(t *testing.T, procs, rounds int) (map[string][]StepRecord, map[string][]byte) {
+func runFleet(t *testing.T, procs, rounds int) (map[string][]stepRecord, map[string][]byte) {
 	t.Helper()
 	f, err := New(Options{Seed: 1234, Procs: procs, RegistryDir: t.TempDir(), TrainInit: fastTrain()})
 	if err != nil {
@@ -31,21 +72,17 @@ func runFleet(t *testing.T, procs, rounds int) (map[string][]StepRecord, map[str
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Run(rounds); err != nil {
-		t.Fatal(err)
-	}
-	logs := make(map[string][]StepRecord, len(specs))
+	logs := make(map[string][]stepRecord, len(specs))
+	runRecorded(t, f, rounds, logs)
 	states := make(map[string][]byte, len(specs))
 	for _, sp := range specs {
-		tn := f.Tenant(sp.Name)
-		logs[sp.Name] = tn.StepLog()
-		states[sp.Name] = exportAgent(t, tn)
+		states[sp.Name] = exportAgent(t, f.Tenant(sp.Name))
 	}
 	return logs, states
 }
 
 // TestFleetDeterministicAcrossProcs is the fleet determinism regression: a
-// 5-tenant fleet produces identical per-tenant step logs and byte-identical
+// 5-tenant fleet produces identical per-tenant step records and byte-identical
 // final Q-tables whether rounds run on one worker or eight. Tenant streams
 // are pre-split by name and rounds are barrier-synchronized, so scheduling
 // interleaving must not be observable.
@@ -73,11 +110,12 @@ func TestFleetDeterministicAcrossProcs(t *testing.T) {
 // TestFleetStatesPinned pins the fleet's online path across revisions: the
 // SHA-256 of the five tenants' final exported agent states after runFleet's
 // 15 rounds at procs=1, concatenated in name order. It is the one check that
-// reaches Agent.retrain over copy-on-write shared rows — the policy and figure
-// hashes `make identity` compares never do — so a change meant to move no
-// output (a faster retraining solve, say) is held to that here. A change that
-// moves the online path on purpose re-pins it once. amd64 only: other
-// architectures fuse multiply-adds.
+// reaches Agent.retrain over each tenant's own row slab, seeded from a
+// read-only shared policy — the policy and figure hashes `make identity`
+// compares never do — so a change meant to move no output (a faster
+// retraining solve, say) is held to that here. A change that moves the online
+// path on purpose re-pins it once. amd64 only: other architectures fuse
+// multiply-adds.
 func TestFleetStatesPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("agent states are pinned for amd64 floating point")

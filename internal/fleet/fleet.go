@@ -80,9 +80,6 @@ type Options struct {
 	// telemetry stay fleet-controlled. Nil uses the paper defaults; smoke
 	// tests pass a reduced schedule. A recipe keeps the schedule it used.
 	TrainInit *core.InitOptions
-	// StepLog is how many recent step records each tenant retains in memory
-	// (default 256; negative disables the log).
-	StepLog int
 	// Telemetry, when non-nil, receives the fleet gauges and counters plus
 	// per-tenant step latency histograms.
 	Telemetry *telemetry.Registry
@@ -136,9 +133,6 @@ func (o Options) Validate() error {
 func (o Options) withDefaults() Options {
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 5
-	}
-	if o.StepLog == 0 {
-		o.StepLog = 256
 	}
 	if o.Shards == 0 {
 		o.Shards = defaultShards
@@ -491,7 +485,6 @@ func (f *Fleet) Admit(spec TenantSpec) (_ *Tenant, err error) {
 		agent:       agent,
 		seq:         seq,
 		trace:       f.trace,
-		stepLogCap:  f.opts.StepLog,
 		warmStarted: pol != nil && warm,
 		tel:         f.tel,
 	}
@@ -585,9 +578,7 @@ func (f *Fleet) buildSystem(spec TenantSpec, ctx system.Context, seed uint64, sc
 		bs.Load = loadgen.Options{
 			Rate:           spec.Rate,
 			ArrivalProcess: loadgen.Arrival(spec.Arrival),
-		}
-		if sched != nil { // a nil *Schedule in the interface would select the open loop
-			bs.Load.Schedule = sched
+			Schedule:       sched,
 		}
 	}
 	if f.opts.NewSystem == nil {

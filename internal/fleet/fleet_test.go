@@ -172,7 +172,7 @@ func TestFleetWarmStartFromRegistry(t *testing.T) {
 	if a.Status().WarmStarted {
 		t.Fatal("training tenant reported as warm-started")
 	}
-	key := a.ContextKey()
+	key := a.Status().ContextKey
 	if keys := f.registry.Keys(); len(keys) != 1 {
 		t.Fatalf("registry keys = %v, want the trained context", keys)
 	}
@@ -226,9 +226,8 @@ func TestFleetKillRestartMatchesUninterruptedRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ref.Run(totalRounds); err != nil {
-		t.Fatal(err)
-	}
+	refLogs := map[string][]stepRecord{}
+	runRecorded(t, ref, totalRounds, refLogs)
 
 	// Interrupted: run to the kill point and abandon the fleet without any
 	// drain — exactly what SIGKILL leaves behind.
@@ -266,9 +265,8 @@ func TestFleetKillRestartMatchesUninterruptedRun(t *testing.T) {
 	if got := reg.Counter("rac_fleet_restores_total", "", nil).Value(); got != 2 {
 		t.Fatalf("rac_fleet_restores_total = %d, want 2", got)
 	}
-	if _, err := f2.Run(totalRounds - 10); err != nil {
-		t.Fatal(err)
-	}
+	gotLogs := map[string][]stepRecord{}
+	runRecorded(t, f2, totalRounds-10, gotLogs)
 
 	// The resumed tenants must land on byte-identical learned state.
 	for _, sp := range specs {
@@ -277,9 +275,8 @@ func TestFleetKillRestartMatchesUninterruptedRun(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Errorf("tenant %s: resumed state differs from the uninterrupted run", sp.Name)
 		}
-		refLog := ref.Tenant(sp.Name).StepLog()
-		gotLog := f2.Tenant(sp.Name).StepLog()
-		replay := refLog[10:]
+		gotLog := gotLogs[sp.Name]
+		replay := refLogs[sp.Name][10:]
 		if len(gotLog) != len(replay) {
 			t.Fatalf("tenant %s: %d replayed records, want %d", sp.Name, len(gotLog), len(replay))
 		}
@@ -392,7 +389,7 @@ func TestFleetAdminHTTP(t *testing.T) {
 	}
 
 	// Force-switch shop-b onto the policy shop-a trained.
-	key := trainer.ContextKey()
+	key := trainer.Status().ContextKey
 	if rec := do("POST", "/admin/v1/tenants/shop-b/policy?key="+key); rec.Code != 200 {
 		t.Fatalf("policy: %d %s", rec.Code, rec.Body)
 	}
@@ -433,18 +430,17 @@ func TestFleetForcePolicyResetsLearning(t *testing.T) {
 	if _, err := f.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.ForcePolicy("shop-a", tn.ContextKey()); err != nil {
+	key := tn.Status().ContextKey
+	if err := f.ForcePolicy("shop-a", key); err != nil {
 		t.Fatal(err)
 	}
-	if p := tn.Agent().Policy(); p == nil || p.Name() != tn.ContextKey() {
+	if p := tn.Agent().Policy(); p == nil || p.Name() != key {
 		t.Fatalf("policy after force = %v", p)
 	}
-	if _, err := f.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	log := tn.StepLog()
-	if got := log[len(log)-1].Policy; got != tn.ContextKey() {
-		t.Fatalf("step after force reports policy %q", got)
+	logs := map[string][]stepRecord{}
+	runRecorded(t, f, 1, logs)
+	if log := logs["shop-a"]; len(log) != 1 || log[0].Policy != key {
+		t.Fatalf("step after force recorded %+v, want policy %q", log, key)
 	}
 	if err := f.ForcePolicy("shop-a", "never-trained"); err == nil {
 		t.Fatal("unknown context key accepted")

@@ -13,7 +13,7 @@ import (
 // memo can only save time. The reference fleet builds its analytic backends
 // through a NewSystem hook with no cache wired, so every Measure solves; the
 // fleets under test share the memo, at every worker × shard combination
-// (concurrent shards race for the same keys). Statuses, step logs, agent
+// (concurrent shards race for the same keys). Statuses, step records, agent
 // exports and raw checkpoint files must match byte for byte. The population
 // covers each way a tenant re-keys the memo mid-run: noise tenants (the draw
 // sits outside the memo), a capacity tenant (level changes) and a scenario
@@ -32,8 +32,8 @@ func TestFleetAnalyticMemoByteIdentical(t *testing.T) {
 	var plain *Fleet
 	plain = newDeterminismFleet(t, Options{Procs: 1, Shards: 1,
 		NewSystem: func(spec TenantSpec, ctx system.Context, seed uint64) (system.System, error) {
-			// The fleet's own *Space: agents compare space pointers to decide
-			// whether a policy's interned structure may be shared.
+			// The fleet's own *Space: an agent checks a policy trained on
+			// another space object for a matching parameter count.
 			return system.NewAnalytic(system.AnalyticOptions{
 				Space: plain.Space(), Context: ctx, Seed: seed, NoiseSigma: spec.NoiseSigma})
 		}})
@@ -48,7 +48,7 @@ func TestFleetAnalyticMemoByteIdentical(t *testing.T) {
 		t.Fatalf("capacity tenant never changed level (%+v); the run does not exercise level re-keying", st)
 	}
 	if log := want.logs[scenario.Name]; len(log) != rounds {
-		t.Fatalf("scenario tenant logged %d steps, want %d", len(log), rounds)
+		t.Fatalf("scenario tenant recorded %d steps, want %d", len(log), rounds)
 	}
 
 	for _, procs := range []int{1, 8} {
@@ -72,7 +72,7 @@ func TestFleetAnalyticMemoByteIdentical(t *testing.T) {
 				}
 				w, g := want.logs[name], got.logs[name]
 				if len(w) != len(g) {
-					t.Errorf("%s: tenant %s logged %d steps, reference %d", label, name, len(g), len(w))
+					t.Errorf("%s: tenant %s recorded %d steps, reference %d", label, name, len(g), len(w))
 					continue
 				}
 				for i := range w {

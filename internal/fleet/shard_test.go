@@ -41,8 +41,8 @@ func scaledSpecs(n int) []TenantSpec {
 
 // runScaledFleet runs a fresh fleet over the scaled tenant population at the
 // given worker and shard counts, returning every tenant's status JSON, step
-// log, serialized agent state, and newest checkpoint bytes.
-func runScaledFleet(t *testing.T, procs, shards, tenants, rounds int) (map[string][]byte, map[string][]StepRecord, map[string][]byte, map[string][]byte) {
+// records, serialized agent state, and newest checkpoint bytes.
+func runScaledFleet(t *testing.T, procs, shards, tenants, rounds int) (map[string][]byte, map[string][]stepRecord, map[string][]byte, map[string][]byte) {
 	t.Helper()
 	f := newDeterminismFleet(t, Options{Procs: procs, Shards: shards})
 	r := runFleetSpecs(t, f, scaledSpecs(tenants), rounds)
@@ -69,10 +69,10 @@ func newDeterminismFleet(t *testing.T, opts Options) *Fleet {
 // fleetRun is everything a fleet run leaves behind that must not depend on
 // how it was scheduled or served, per tenant name.
 type fleetRun struct {
-	statuses map[string][]byte // Status() as JSON
-	logs     map[string][]StepRecord
-	states   map[string][]byte // Agent.ExportState()
-	cks      map[string][]byte // newest checkpoint file, raw
+	statuses map[string][]byte       // Status() as JSON
+	logs     map[string][]stepRecord // runRecorded's per-step records
+	states   map[string][]byte       // Agent.ExportState()
+	cks      map[string][]byte       // newest checkpoint file, raw
 }
 
 // runFleetSpecs admits specs into f, runs the rounds and collects the run.
@@ -83,15 +83,13 @@ func runFleetSpecs(t *testing.T, f *Fleet, specs []TenantSpec, rounds int) fleet
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Run(rounds); err != nil {
-		t.Fatal(err)
-	}
 	r := fleetRun{
 		statuses: make(map[string][]byte, len(specs)),
-		logs:     make(map[string][]StepRecord, len(specs)),
+		logs:     make(map[string][]stepRecord, len(specs)),
 		states:   make(map[string][]byte, len(specs)),
 		cks:      make(map[string][]byte, len(specs)),
 	}
+	runRecorded(t, f, rounds, r.logs)
 	for _, sp := range specs {
 		tn := f.Tenant(sp.Name)
 		st, err := json.Marshal(tn.Status())
@@ -99,7 +97,6 @@ func runFleetSpecs(t *testing.T, f *Fleet, specs []TenantSpec, rounds int) fleet
 			t.Fatal(err)
 		}
 		r.statuses[sp.Name] = st
-		r.logs[sp.Name] = tn.StepLog()
 		r.states[sp.Name] = exportAgent(t, tn)
 		if _, path, err := f.ckpts.Latest(sp.Name); err != nil {
 			t.Fatal(err)
@@ -115,8 +112,8 @@ func runFleetSpecs(t *testing.T, f *Fleet, specs []TenantSpec, rounds int) fleet
 }
 
 // TestFleetShardedDeterminism is the production-scale determinism regression:
-// a mixed fleet produces byte-identical statuses, step logs, agent states and
-// checkpoint files at every combination of worker count and shard count.
+// a mixed fleet produces byte-identical statuses, step records, agent states
+// and checkpoint files at every combination of worker count and shard count.
 // Tenant streams are pre-split by name, shards advance their tenants
 // sequentially, and shared state (policy store, registry) only changes at
 // round barriers — so neither the pool size nor the shard topology may be

@@ -132,19 +132,6 @@ func (sp TenantSpec) Validate() error {
 	return nil
 }
 
-// StepRecord is one line of a tenant's in-memory step log: the compact,
-// deterministic digest the determinism regression test compares across
-// -procs values.
-type StepRecord struct {
-	Iteration int     `json:"iteration"`
-	Config    string  `json:"config"`
-	MeanRT    float64 `json:"mean_rt"`
-	Reward    float64 `json:"reward"`
-	Invalid   bool    `json:"invalid,omitempty"`
-	Switched  bool    `json:"switched,omitempty"`
-	Policy    string  `json:"policy,omitempty"`
-}
-
 // TenantStatus is the admin API's view of one tenant.
 type TenantStatus struct {
 	Name        string  `json:"name"`
@@ -196,25 +183,12 @@ type Tenant struct {
 	lastStep    core.StepResult
 	lastErr     error
 
-	stepLog    []StepRecord
-	stepLogCap int
-
 	stepSeconds *telemetry.Histogram // per-tenant step latency; nil without telemetry
 	tel         *fleetInstruments    // the fleet's state gauges; nil without telemetry
 }
 
-// Spec returns the tenant's admission spec.
-func (t *Tenant) Spec() TenantSpec {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spec
-}
-
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.spec.Name }
-
-// ContextKey returns the registry key of the tenant's admission context.
-func (t *Tenant) ContextKey() string { return t.contextKey }
 
 // setStateLocked moves the tenant to state to, and between the fleet's
 // per-state gauges. Call with t.mu held; every state change goes through it.
@@ -279,15 +253,6 @@ func (t *Tenant) Status() TenantStatus {
 // Capacity exposes the tenant's elastic decorator (nil without capacity).
 func (t *Tenant) Capacity() *capacity.System { return t.built.Capacity }
 
-// StepLog returns a copy of the retained step records, oldest first.
-func (t *Tenant) StepLog() []StepRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]StepRecord, len(t.stepLog))
-	copy(out, t.stepLog)
-	return out
-}
-
 // step runs one agent iteration and folds the outcome into the tenant's
 // bookkeeping. It is called by the fleet's round scheduler with the tenant in
 // StateRunning; a step error fails the tenant rather than the fleet — unless
@@ -323,23 +288,6 @@ func (t *Tenant) step(ctx context.Context) {
 	t.interval++
 	t.lastStep = res
 	t.lastErr = nil
-	if t.stepLogCap > 0 {
-		rec := StepRecord{
-			Iteration: res.Iteration,
-			Config:    res.Config.Key(),
-			MeanRT:    res.MeanRT,
-			Reward:    res.Reward,
-			Invalid:   res.Invalid,
-			Switched:  res.Switched,
-			Policy:    res.PolicyName,
-		}
-		if len(t.stepLog) >= t.stepLogCap {
-			copy(t.stepLog, t.stepLog[1:])
-			t.stepLog[len(t.stepLog)-1] = rec
-		} else {
-			t.stepLog = append(t.stepLog, rec)
-		}
-	}
 }
 
 // applyScenario moves the backend's workload to the tenant's current

@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -193,6 +194,63 @@ func TestAdminConfigEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage POST: %d", resp.StatusCode)
 	}
+}
+
+// FuzzAdminConfig posts arbitrary bodies to /admin/config through the
+// server's handler. No body may panic it or draw a 5xx; after a 204, GET
+// returns the posted params, and after a 400 the params from before the
+// POST. The seeds are the default params as JSON, alone and followed by
+// junk.
+func FuzzAdminConfig(f *testing.F) {
+	seed, err := json.Marshal(webtier.DefaultParams())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(append(bytes.Clone(seed), " junk"...))
+	srv, err := NewServer(webtier.DefaultParams(), vmenv.Level1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	serve := func(method string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, "/admin/config", bytes.NewReader(body)))
+		return rec
+	}
+	current := func(t *testing.T) webtier.Params {
+		t.Helper()
+		rec := serve(http.MethodGet, nil)
+		var p webtier.Params
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET config: %d %s", rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+			t.Fatalf("GET config: %v", err)
+		}
+		return p
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := current(t)
+		rec := serve(http.MethodPost, body)
+		after := current(t)
+		switch rec.Code {
+		case http.StatusNoContent:
+			var posted webtier.Params
+			if err := json.Unmarshal(body, &posted); err != nil {
+				t.Fatalf("accepted a body that is not one params document: %v", err)
+			}
+			if after != posted {
+				t.Fatalf("after a 204, GET returns %+v, posted %+v", after, posted)
+			}
+		case http.StatusBadRequest:
+			if after != before {
+				t.Fatalf("after a 400, GET returns %+v, was %+v", after, before)
+			}
+		default:
+			t.Fatalf("POST config: status %d %s", rec.Code, rec.Body)
+		}
+	})
 }
 
 func TestAdminConfigRejectsTrailingData(t *testing.T) {

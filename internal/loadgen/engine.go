@@ -86,8 +86,7 @@ type acct struct {
 // out from the per-interval salted stream (every interval offers the same
 // load); a workload Schedule consumes its next window from the driver's one
 // sequential stream, advancing the cursor, so consecutive intervals trace the
-// scenario. Runs under mu: the cursor and stream are driver state a
-// concurrent SetWorkload/SetRate must not tear.
+// scenario. Runs under mu, which guards the cursor and stream.
 func (d *Driver) takeWindow(rate float64, mix tpcw.Mix, duration time.Duration) []arrival {
 	d.mu.Lock()
 	defer d.mu.Unlock()

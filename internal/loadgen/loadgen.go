@@ -13,7 +13,6 @@ package loadgen
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
@@ -59,14 +58,13 @@ type Driver struct {
 	base string
 	seed uint64
 
-	// mu guards the mutable load shape — workload, rate, and the schedule
+	// mu guards the mutable load shape — the workload and the schedule
 	// cursor — against swaps racing an in-flight Run. Run snapshots under mu
 	// once per interval; an in-flight interval keeps the shape it started
 	// with and the next Run sees the swap.
 	mu       sync.Mutex
 	workload tpcw.Workload
-	rate     float64
-	sched    workload.Source
+	sched    *workload.Schedule
 	schedRNG *sim.RNG
 	pos      float64 // scenario seconds already consumed from the schedule
 
@@ -102,11 +100,11 @@ func New(opts Options) (*Driver, error) {
 		return nil, err
 	}
 	d := &Driver{opts: o, base: o.BaseURL, workload: o.Workload, seed: o.Seed,
-		rate: o.Rate, sched: o.Schedule}
+		sched: o.Schedule}
 	if d.sched != nil {
 		// One sequential arrival stream for the whole run: every interval's
-		// window draws from it front to back, so a replay at any in-flight bound
-		// — or from a trace recorded with the same seed — is byte-identical.
+		// window draws from it front to back, so a replay at any in-flight
+		// bound is byte-identical.
 		d.schedRNG = workload.ScheduleRNG(o.Seed)
 	}
 	return d, nil
@@ -150,19 +148,6 @@ func (d *Driver) Workload() tpcw.Workload {
 	return d.workload
 }
 
-// SetRate changes the open-loop offered rate for subsequent runs (ignored
-// while a Schedule drives the rate). A negative rate is rejected; zero drops
-// back to the closed loop.
-func (d *Driver) SetRate(rate float64) error {
-	if rate < 0 {
-		return fmt.Errorf("%w: %g req/s", ErrBadRate, rate)
-	}
-	d.mu.Lock()
-	d.rate = rate
-	d.mu.Unlock()
-	return nil
-}
-
 // Run generates load for the given wall-clock duration and returns interval
 // statistics. It is synchronous; every worker goroutine exits before Run
 // returns. With a positive rate or a Schedule it runs the open-loop engine;
@@ -173,10 +158,8 @@ func (d *Driver) Run(ctx context.Context, duration time.Duration) (Result, error
 	}
 	d.mu.Lock()
 	w := d.workload
-	rate := d.rate
-	open := rate > 0 || d.sched != nil
 	d.mu.Unlock()
-	if open {
+	if rate := d.opts.Rate; rate > 0 || d.sched != nil {
 		return d.runOpen(ctx, duration, w.Mix, rate)
 	}
 	runCtx, cancel := context.WithTimeout(ctx, duration)

@@ -71,12 +71,12 @@ type Options struct {
 	// Zero keeps the closed loop.
 	Rate float64
 	// Schedule also selects the open-loop engine, driving it from a compiled
-	// workload scenario or a replayed trace instead of the static Rate: each
-	// Run consumes the next interval-sized window of the schedule, so offered
-	// load varies across intervals exactly as the scenario scripts. Mutually
-	// exclusive with Rate; the schedule's own per-window mix and arrival
-	// process override Workload.Mix and ArrivalProcess.
-	Schedule workload.Source
+	// workload scenario instead of the static Rate: each Run consumes the
+	// next interval-sized window of the schedule, so offered load varies
+	// across intervals exactly as the scenario scripts. Mutually exclusive
+	// with Rate; the schedule's own per-window mix and arrival process
+	// override Workload.Mix and ArrivalProcess.
+	Schedule *workload.Schedule
 	// ArrivalProcess spaces the open-loop arrivals; empty means Poisson.
 	ArrivalProcess Arrival
 	// MaxInFlight bounds concurrently outstanding requests — the engine's

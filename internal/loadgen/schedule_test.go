@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/rac-project/rac/internal/httpd"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/workload"
 )
@@ -41,7 +40,7 @@ func varyingScenario(t testing.TB) *workload.Schedule {
 // scheduleRun drives the open-loop engine through exec-hook intervals of a
 // workload schedule, returning one Result per interval. Dyadic-rational
 // latencies keep every float sum exact (see openLoopRun).
-func scheduleRun(t testing.TB, src workload.Source, inFlight int) []Result {
+func scheduleRun(t testing.TB, src *workload.Schedule, inFlight int) []Result {
 	t.Helper()
 	o := validOptions()
 	o.Seed = 42
@@ -94,31 +93,8 @@ func TestScheduleShardInvariance(t *testing.T) {
 	}
 }
 
-// TestScheduleTraceRoundTrip records the arrivals a schedule-driven run
-// offers, then replays the trace through a fresh driver: every interval's
-// Result — and therefore the system.Metrics sequence a live system would
-// report — must be identical to the original run's, at any in-flight bound.
-func TestScheduleTraceRoundTrip(t *testing.T) {
-	src := varyingScenario(t)
-	direct := scheduleRun(t, src, 16)
-
-	// Record with the driver's seed and window size: 4 × 1 s wall intervals
-	// = 4 × 100 scenario seconds.
-	tr, err := workload.RecordTrace(src, 42, 1*httpd.TimeScale, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every replay is a fresh driver over the same trace.
-	for _, inFlight := range []int{1, 6, 8, 16, 64, 128} {
-		replayed := scheduleRun(t, tr, inFlight)
-		if !reflect.DeepEqual(replayed, direct) {
-			t.Fatalf("inflight=%d: trace replay diverged:\n%+v\nvs\n%+v", inFlight, replayed, direct)
-		}
-	}
-}
-
-// TestWorkloadSwapDuringRun is the SetWorkload/SetRate race regression: both
-// swaps must be safe against an in-flight Run in either mode. Its value is
+// TestWorkloadSwapDuringRun is the SetWorkload race regression: the swap
+// must be safe against an in-flight Run in either mode. Its value is
 // under `go test -race`, which fails on the unguarded field writes this
 // exercised before the driver mutex.
 func TestWorkloadSwapDuringRun(t *testing.T) {
@@ -134,10 +110,6 @@ func TestWorkloadSwapDuringRun(t *testing.T) {
 			default:
 			}
 			if err := d.SetWorkload(tpcw.Workload{Mix: mixes[i%3], Clients: 4 + i%8}); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := d.SetRate(float64(1 + i%5)); err != nil {
 				t.Error(err)
 				return
 			}

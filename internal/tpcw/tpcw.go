@@ -95,16 +95,6 @@ func (c Class) String() string {
 	}
 }
 
-// ParseClass parses a class name as produced by Class.String.
-func ParseClass(s string) (Class, error) {
-	for _, c := range Classes() {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("tpcw: unknown class %q", s)
-}
-
 // Demand is the work a request needs at each stage: CPU seconds of a single
 // reference vCPU (see vmenv.Level.CPUCapacity) for the three tiers, plus
 // disk I/O seconds for the database tier at a warm buffer cache. The actual

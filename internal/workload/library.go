@@ -217,11 +217,6 @@ func Resolve(arg string) (Scenario, error) {
 	return sc, nil
 }
 
-// LibraryNames lists the built-in scenarios in stable order.
-func LibraryNames() []string {
-	return []string{"diurnal", "flashcrowd", "mixdrift", "overload", "ramp", "steady"}
-}
-
 // Library returns the built-in scenarios by name.
 func Library() map[string]Scenario {
 	return map[string]Scenario{

@@ -16,38 +16,12 @@ type Arrival struct {
 	Class tpcw.Class
 }
 
-// Source produces time-varying offered load for a load plane. Schedule (a
-// compiled scenario) and Trace (a recorded capture) both implement it, so
-// synthesized and captured workloads drive loadgen, the simulator and the
-// analytic backend through one code path.
-//
-// Window is the open-loop contract: it returns the arrivals in [t0, t1),
-// drawing any randomness from rng *sequentially*. Callers own the stream and
-// walk windows in order — one sim.RNG consumed front to back — so what the
-// arrivals are never depends on worker count or GOMAXPROCS
-// (which only decide who executes each slot downstream).
-type Source interface {
-	// Duration is the source length in scenario seconds. Lookups past the
-	// end hold the final load level, so runs may outlast their scenario.
-	Duration() float64
-	// Window returns the arrivals in [t0, t1), times absolute.
-	Window(rng *sim.RNG, t0, t1 float64) []Arrival
-	// OfferedRate is the mean offered load over [t0, t1): requests per
-	// second for rate-driven sources, mean browser population for
-	// population-only ones.
-	OfferedRate(t0, t1 float64) float64
-	// WorkloadAt is the closed-loop/simulated view of [t0, t1): the mean
-	// population over the window under the window's dominant mix.
-	WorkloadAt(t0, t1 float64) tpcw.Workload
-}
-
 // scheduleSeedSalt decorrelates the scenario arrival stream from every other
 // consumer of a run's base seed.
 const scheduleSeedSalt = 0x5CED06AD
 
-// ScheduleRNG returns the arrival stream for a run seeded with seed. The
-// open-loop driver and the trace recorder both derive their stream here, so a
-// recorded trace replays the exact arrivals the driver would generate.
+// ScheduleRNG returns the arrival stream for a run seeded with seed: the one
+// stream the open-loop driver walks a Schedule's windows with.
 func ScheduleRNG(seed uint64) *sim.RNG { return sim.NewRNG(seed ^ scheduleSeedSalt) }
 
 // cphase is one compiled phase: spec fields resolved (mix parsed, drift
@@ -206,7 +180,8 @@ func Compile(sc Scenario) (*Schedule, error) {
 // Scenario returns the compiled scenario spec.
 func (s *Schedule) Scenario() Scenario { return s.sc }
 
-// Duration returns the scenario length in scenario seconds.
+// Duration returns the scenario length in scenario seconds. Lookups past the
+// end hold the final load level, so runs may outlast their scenario.
 func (s *Schedule) Duration() float64 { return s.total }
 
 // phaseAt returns the phase containing t (clamped into the scenario).
@@ -330,7 +305,7 @@ func (s *Schedule) OfferedRate(t0, t1 float64) float64 {
 }
 
 // dominantMix returns the standard mix nearest (L1 on class probabilities) to
-// probs — the discrete mix a blended or empirical distribution rounds to.
+// probs — the discrete mix a blended distribution rounds to.
 func dominantMix(probs []float64) tpcw.Mix {
 	best := tpcw.Browsing
 	bestDist := math.Inf(1)
@@ -377,8 +352,12 @@ func (s *Schedule) WorkloadAt(t0, t1 float64) tpcw.Workload {
 // many sorted uniforms in cumulative-rate space — which is exactly a
 // non-homogeneous Poisson process conditioned on its count — and uniform
 // windows space them evenly in the same space. Classes are then drawn
-// arrival by arrival against the drifting mix. One stream, consumed front to
-// back: shard and worker counts downstream cannot change the result.
+// arrival by arrival against the drifting mix.
+//
+// This is the open-loop contract: callers own rng and walk windows in order,
+// one stream consumed front to back, so what the arrivals are never depends
+// on worker count or GOMAXPROCS (which only decide who executes each slot
+// downstream).
 func (s *Schedule) Window(rng *sim.RNG, t0, t1 float64) []Arrival {
 	if t1 <= t0 {
 		return nil
@@ -416,5 +395,3 @@ func (s *Schedule) Window(rng *sim.RNG, t0, t1 float64) []Arrival {
 	}
 	return out
 }
-
-var _ Source = (*Schedule)(nil)

@@ -7,36 +7,30 @@ import (
 	"github.com/rac-project/rac/internal/tpcw"
 )
 
-// Interval is one measurement interval's slice of a source: its window, the
-// offered load over it, the closed-loop workload equivalent, and (for
-// compiled scenarios) the phase it falls in.
+// Interval is one measurement interval's slice of a schedule: its window, the
+// offered load over it, the closed-loop workload equivalent, and the phase it
+// falls in.
 type Interval struct {
 	// Index is the 0-based interval number.
 	Index int
 	// Start and End bound the window in scenario seconds.
 	Start, End float64
 	// OfferedRate is the mean offered load over the window (see
-	// Source.OfferedRate for units).
+	// Schedule.OfferedRate for units).
 	OfferedRate float64
 	// Workload is the closed-loop/simulated equivalent of the window.
 	Workload tpcw.Workload
-	// Phase and PhaseName identify the scenario phase at the window start;
-	// traces report phase 0 with an empty name.
+	// Phase and PhaseName identify the scenario phase at the window start.
 	Phase     int
 	PhaseName string
 }
 
-// phased is implemented by sources that know their phase structure.
-type phased interface {
-	PhaseAt(t float64) (int, string)
-}
-
-// Sequencer walks a source one measurement interval at a time — the
+// Sequencer walks a schedule one measurement interval at a time — the
 // experiment driver's clock. It is the single place per-interval offered
 // load becomes observable: Observe updates the workload telemetry
 // instruments as the run crosses phase boundaries.
 type Sequencer struct {
-	src      Source
+	src      *Schedule
 	interval float64
 
 	transitions *telemetry.Counter
@@ -47,20 +41,17 @@ type Sequencer struct {
 // NewSequencer returns a sequencer slicing src into intervals of
 // intervalSeconds (0 means DefaultIntervalSeconds; compiled scenarios carry
 // their own preference in Scenario.Interval).
-func NewSequencer(src Source, intervalSeconds float64) *Sequencer {
+func NewSequencer(src *Schedule, intervalSeconds float64) *Sequencer {
 	if intervalSeconds <= 0 {
 		intervalSeconds = DefaultIntervalSeconds
 	}
 	return &Sequencer{src: src, interval: intervalSeconds, lastPhase: -1}
 }
 
-// Source returns the sequenced source.
-func (q *Sequencer) Source() Source { return q.src }
-
 // IntervalSeconds returns the window length.
 func (q *Sequencer) IntervalSeconds() float64 { return q.interval }
 
-// Len returns how many whole intervals cover the source (at least 1).
+// Len returns how many whole intervals cover the schedule (at least 1).
 func (q *Sequencer) Len() int {
 	n := int(math.Ceil(q.src.Duration()/q.interval - 1e-9))
 	if n < 1 {
@@ -83,17 +74,16 @@ func (q *Sequencer) SetTelemetry(reg *telemetry.Registry) {
 func (q *Sequencer) At(i int) Interval {
 	t0 := float64(i) * q.interval
 	t1 := t0 + q.interval
-	iv := Interval{
+	phase, name := q.src.PhaseAt(t0)
+	return Interval{
 		Index:       i,
 		Start:       t0,
 		End:         t1,
 		OfferedRate: q.src.OfferedRate(t0, t1),
 		Workload:    q.src.WorkloadAt(t0, t1),
+		Phase:       phase,
+		PhaseName:   name,
 	}
-	if p, ok := q.src.(phased); ok {
-		iv.Phase, iv.PhaseName = p.PhaseAt(t0)
-	}
-	return iv
 }
 
 // Observe describes interval i and updates the telemetry instruments,

@@ -12,9 +12,7 @@
 // backends take per-interval workloads. All randomness flows through one
 // sequential sim.RNG stream, preserving the loadgen determinism contract:
 // worker count and GOMAXPROCS decide only who executes an arrival, never
-// what the arrivals are, so a replay is byte-identical at any parallelism. A Trace captures the generated arrivals as timestamped
-// records; replaying one drives any backend identically to the run that
-// recorded it.
+// what the arrivals are, so a replay is byte-identical at any parallelism.
 package workload
 
 import (

@@ -252,57 +252,6 @@ func TestUniformWindowIsEvenlySpaced(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	s, err := Compile(FlashCrowd())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := RecordTrace(s, 99, 300, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Arrivals()) == 0 {
-		t.Fatal("recorded no arrivals")
-	}
-
-	// Serialize and parse back: identical header and records.
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr.Header, back.Header) {
-		t.Errorf("header changed: %#v vs %#v", tr.Header, back.Header)
-	}
-	if !reflect.DeepEqual(tr.Arrivals(), back.Arrivals()) {
-		t.Error("records changed across serialization")
-	}
-
-	// Replaying the trace yields exactly the arrivals the schedule generated.
-	rng := ScheduleRNG(99)
-	for i := 0; i < 14; i++ {
-		t0, t1 := float64(i)*300, float64(i+1)*300
-		want := s.Window(rng, t0, t1)
-		got := back.Window(nil, t0, t1)
-		if len(want) == 0 {
-			t.Fatalf("interval %d: schedule offered nothing", i)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("interval %d: replay diverged (%d vs %d arrivals)", i, len(got), len(want))
-		}
-	}
-
-	// The replayed closed-loop view tracks the spike.
-	calm := back.WorkloadAt(0, 300)
-	crowd := back.WorkloadAt(2700, 3000) // inside the 2.5× spike window
-	if crowd.Clients < 2*calm.Clients {
-		t.Errorf("spike window population %d not ≈2.5× calm %d", crowd.Clients, calm.Clients)
-	}
-}
-
 func TestSequencer(t *testing.T) {
 	s, err := Compile(Ramp())
 	if err != nil {

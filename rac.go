@@ -453,11 +453,10 @@ func DefaultCapacityConfig(slaSeconds float64) CapacityConfig {
 
 // Workload engine (package internal/workload): composable, JSON-loadable
 // scenarios (phases with rate/population/mix, sinusoid/ramp/spike modulation,
-// mix drift) compiled into deterministic arrival schedules, plus a trace
-// format recording exact arrivals for bit-identical replay. A compiled
-// schedule or loaded trace plugs into LoadOptions.Schedule to drive the
-// open-loop engine, or into a WorkloadSequencer to drive per-interval
-// context changes on simulated systems.
+// mix drift) compiled into deterministic arrival schedules. A compiled
+// schedule plugs into LoadOptions.Schedule to drive the open-loop engine, or
+// into a WorkloadSequencer to drive per-interval context changes on
+// simulated systems.
 type (
 	// WorkloadScenario is the declarative scenario spec.
 	WorkloadScenario = workload.Scenario
@@ -467,11 +466,7 @@ type (
 	WorkloadModulation = workload.Modulation
 	// WorkloadSchedule is a compiled scenario: a time-varying arrival source.
 	WorkloadSchedule = workload.Schedule
-	// WorkloadSource is the common interface of schedules and traces.
-	WorkloadSource = workload.Source
-	// WorkloadTrace is a recorded arrival stream for exact replay.
-	WorkloadTrace = workload.Trace
-	// WorkloadSequencer walks a source one measurement interval at a time.
+	// WorkloadSequencer walks a schedule one measurement interval at a time.
 	WorkloadSequencer = workload.Sequencer
 	// WorkloadInterval is one interval's offered load and workload.
 	WorkloadInterval = workload.Interval
@@ -492,20 +487,11 @@ func WorkloadLibrary() map[string]WorkloadScenario { return workload.Library() }
 // file path — the shared spelling of every -scenario flag and config field.
 func ResolveWorkloadScenario(arg string) (WorkloadScenario, error) { return workload.Resolve(arg) }
 
-// NewWorkloadSequencer walks a compiled schedule or trace one measurement
-// interval at a time (intervalSeconds 0 uses the scenario's interval).
-func NewWorkloadSequencer(src WorkloadSource, intervalSeconds float64) *WorkloadSequencer {
+// NewWorkloadSequencer walks a compiled schedule one measurement interval at
+// a time (intervalSeconds 0 uses the scenario's interval).
+func NewWorkloadSequencer(src *WorkloadSchedule, intervalSeconds float64) *WorkloadSequencer {
 	return workload.NewSequencer(src, intervalSeconds)
 }
-
-// RecordWorkloadTrace materializes the exact arrivals a seeded driver would
-// offer across the given number of intervals, for replay via LoadOptions.
-func RecordWorkloadTrace(src WorkloadSource, seed uint64, intervalSeconds float64, intervals int) (*WorkloadTrace, error) {
-	return workload.RecordTrace(src, seed, intervalSeconds, intervals)
-}
-
-// LoadWorkloadTrace reads a recorded trace (JSONL) from a file.
-func LoadWorkloadTrace(path string) (*WorkloadTrace, error) { return workload.LoadTraceFile(path) }
 
 // Observability (package internal/telemetry): a dependency-free metrics
 // registry plus a decision-trace ring. The live server exposes its registry
