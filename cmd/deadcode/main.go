@@ -4,18 +4,17 @@
 // be what production runs, and code that only tests call is kept only where
 // the allowlist says so.
 //
-// It reads the source with go/parser alone, so references are matched by
-// name: a package-level identifier X of package p counts as referenced by a
-// bare X in another non-test file of p, or by n.X in a non-test file that
-// imports p as n; a method M counts as referenced by any selector x.M outside
-// its file where x is not an imported package's name, or by an interface
-// method named M anywhere in the module (it may be called through the
-// interface). Test files (_test.go) and testdata directories are neither
+// It type-checks the module's non-test files with go/types, the standard
+// library's packages from their source, and resolves every identifier to
+// the object it denotes: an identifier counts as referenced by a use in a
+// non-test file other than its own that resolves to it, so a method only by
+// a selector of its own type (or a type embedding it), never by a field or
+// another type's method of the same name. A method also counts as used when
+// its type satisfies an interface holding it, declared in the module or in
+// any standard-library package the module imports directly or not (it may
+// be called through the interface: fmt calls String, encoding/json
+// MarshalJSON). Test files (_test.go) and testdata directories are neither
 // declarations nor references.
-//
-// Matching methods by name under-counts them: a selector of a struct field,
-// or of another type's method, with the same name counts as a use, so the
-// list misses a method that shares its name with a field selected anywhere.
 //
 // It exits non-zero, naming each, when an unreferenced identifier is missing
 // from the allowlist (cmd/deadcode/allowlist.txt, one identifier per line, as
@@ -29,23 +28,24 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 )
 
 // decl is an exported identifier: its package's directory (relative to the
-// module root, slash-separated), its name (Type.Method for a method) and the
-// file declaring it.
+// module root, slash-separated), its name (Type.Method for a method), the
+// file declaring it and the object it declares.
 type decl struct {
 	dir, name, file string
-	method          string // the method's name; "" for a package-level identifier
+	obj             types.Object
 }
 
 func (d decl) String() string { return d.dir + "." + d.name }
@@ -56,16 +56,27 @@ type file struct {
 	ast       *ast.File
 }
 
+// module is the module's parsed non-test files.
+type module struct {
+	path  string // from go.mod
+	fset  *token.FileSet
+	files []file
+}
+
 // allowlist is the checked-in list, relative to the module root.
 const allowlist = "cmd/deadcode/allowlist.txt"
 
 func main() {
-	module, files, err := load(".")
+	mod, err := load(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
 		os.Exit(2)
 	}
-	dead := unreferenced(module, files)
+	dead, err := unreferenced(mod)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deadcode:", err)
+		os.Exit(2)
+	}
 	allowed, err := readAllowlist(allowlist)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
@@ -94,24 +105,22 @@ func main() {
 }
 
 // load parses every non-test Go file under root outside testdata and hidden
-// directories, and returns them, named relative to root, with the module path
-// from go.mod.
-func load(root string) (string, []file, error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+// directories, naming them relative to root, and reads the module path from
+// go.mod.
+func load(root string) (*module, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	var module string
-	for _, line := range strings.Split(string(mod), "\n") {
+	mod := &module{fset: token.NewFileSet()}
+	for _, line := range strings.Split(string(gomod), "\n") {
 		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			module = f[1]
+			mod.path = f[1]
 		}
 	}
-	if module == "" {
-		return "", nil, fmt.Errorf("go.mod names no module")
+	if mod.path == "" {
+		return nil, fmt.Errorf("go.mod names no module")
 	}
-	fset := token.NewFileSet()
-	var files []file
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -125,7 +134,7 @@ func load(root string) (string, []file, error) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(mod.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -134,97 +143,162 @@ func load(root string) (string, []file, error) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		files = append(files, file{path: rel, dir: path.Dir(rel), ast: f})
+		mod.files = append(mod.files, file{path: rel, dir: path.Dir(rel), ast: f})
 		return nil
 	})
-	return module, files, err
+	return mod, err
+}
+
+// checker type-checks the module's packages on demand, as the importer of
+// one another; other import paths are the standard library's, checked from
+// source.
+type checker struct {
+	mod  *module
+	dirs map[string][]*ast.File    // import path -> the package's files
+	pkgs map[string]*types.Package // checked, or nil while in progress
+	info *types.Info
+	std  types.Importer
+}
+
+func (c *checker) Import(ipath string) (*types.Package, error) {
+	files, ok := c.dirs[ipath]
+	if !ok {
+		return c.std.Import(ipath)
+	}
+	if pkg, done := c.pkgs[ipath]; done {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", ipath)
+		}
+		return pkg, nil
+	}
+	c.pkgs[ipath] = nil
+	conf := types.Config{Importer: c}
+	pkg, err := conf.Check(ipath, c.mod.fset, files, c.info)
+	if err != nil {
+		return nil, err
+	}
+	c.pkgs[ipath] = pkg
+	return pkg, nil
 }
 
 // unreferenced returns the exported identifiers declared under internal/
 // that no other non-test file references, sorted.
-func unreferenced(module string, files []file) []decl {
-	var decls []decl
-	// bare[dir][name] lists the files of package dir using name unqualified;
-	// qualified[dir][name] those using it through an import of dir; and
-	// selected[name] those selecting name from anything.
-	bare := map[string]map[string][]string{}
-	qualified := map[string]map[string][]string{}
-	selected := map[string][]string{}
-	ifaceMethods := map[string]bool{}
-	add := func(m map[string]map[string][]string, dir, name, path string) {
-		if m[dir] == nil {
-			m[dir] = map[string][]string{}
-		}
-		m[dir][name] = append(m[dir][name], path)
+func unreferenced(mod *module) ([]decl, error) {
+	c := &checker{
+		mod:  mod,
+		dirs: map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		std:  importer.ForCompiler(mod.fset, "source", nil),
 	}
-	for _, f := range files {
+	importPath := func(dir string) string {
+		if dir == "." {
+			return mod.path
+		}
+		return mod.path + "/" + dir
+	}
+	for _, f := range mod.files {
+		c.dirs[importPath(f.dir)] = append(c.dirs[importPath(f.dir)], f.ast)
+	}
+	for ipath := range c.dirs {
+		if _, err := c.Import(ipath); err != nil {
+			return nil, err
+		}
+	}
+
+	// usedIn[obj] lists the files using obj; a method's uses are filed under
+	// its generic origin.
+	usedIn := map[types.Object][]string{}
+	var decls []decl
+	var ifaces []*types.Interface
+	for _, f := range mod.files {
 		if strings.HasPrefix(f.dir, "internal/") {
-			decls = append(decls, exported(f)...)
+			decls = append(decls, exported(f, c.info)...)
 		}
-		imports := map[string]string{} // local name -> package dir
-		for _, imp := range f.ast.Imports {
-			ipath, _ := strconv.Unquote(imp.Path.Value)
-			if !strings.HasPrefix(ipath, module+"/") {
-				continue
-			}
-			dir := strings.TrimPrefix(ipath, module+"/")
-			name := path.Base(dir)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = dir
-		}
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				// The selected name is not a bare use; only X is walked. A
-				// name selected from an imported package is no method call.
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[x.Name]; ok {
-						add(qualified, dir, n.Sel.Name, f.path)
-						return false
-					}
-				}
-				selected[n.Sel.Name] = append(selected[n.Sel.Name], f.path)
-				ast.Inspect(n.X, visit)
-				return false
 			case *ast.Ident:
-				add(bare, f.dir, n.Name, f.path)
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						ifaceMethods[name.Name] = true
+				if obj := c.info.Uses[n]; obj != nil {
+					if fn, ok := obj.(*types.Func); ok {
+						obj = fn.Origin()
 					}
+					usedIn[obj] = append(usedIn[obj], f.path)
+				}
+			case *ast.InterfaceType:
+				if iface, ok := c.info.Types[n].Type.(*types.Interface); ok {
+					ifaces = append(ifaces, iface)
 				}
 			}
 			return true
+		})
+	}
+	// Every interface the module's packages declare or import, transitively.
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		if !seen[pkg] {
+			seen[pkg] = true
+			ifaces = appendInterfaces(ifaces, pkg)
+			for _, dep := range pkg.Imports() {
+				walk(dep)
+			}
 		}
-		ast.Inspect(f.ast, visit)
 	}
-	elsewhere := func(paths []string, self string) bool {
-		return slices.ContainsFunc(paths, func(p string) bool { return p != self })
+	for _, pkg := range c.pkgs {
+		walk(pkg)
 	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+
 	var dead []decl
 	for _, d := range decls {
-		var used bool
-		if d.method != "" {
-			used = ifaceMethods[d.method] || elsewhere(selected[d.method], d.file)
-		} else {
-			used = elsewhere(bare[d.dir][d.name], d.file) || elsewhere(qualified[d.dir][d.name], d.file)
+		if slices.ContainsFunc(usedIn[d.obj], func(p string) bool { return p != d.file }) {
+			continue
 		}
-		if !used {
-			dead = append(dead, d)
+		if fn, ok := d.obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && satisfies(fn, ifaces) {
+			continue
 		}
+		dead = append(dead, d)
 	}
 	slices.SortFunc(dead, func(a, b decl) int { return strings.Compare(a.String(), b.String()) })
-	return dead
+	return dead, nil
+}
+
+// appendInterfaces appends the interfaces pkg declares at package level.
+func appendInterfaces(ifaces []*types.Interface, pkg *types.Package) []*types.Interface {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, iface)
+			}
+		}
+	}
+	return ifaces
+}
+
+// satisfies reports whether the method fn is a method of some interface of
+// ifaces that its receiver type, or a pointer to it, implements.
+func satisfies(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	for _, iface := range ifaces {
+		m, _, _ := types.LookupFieldOrMethod(iface, false, nil, fn.Name())
+		if m != nil && (types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+			return true
+		}
+	}
+	return false
 }
 
 // exported returns f's exported top-level identifiers and the exported
-// methods of its types.
-func exported(f file) []decl {
+// methods of its exported types, with the objects they declare.
+func exported(f file, info *types.Info) []decl {
 	var out []decl
+	add := func(id *ast.Ident, name string) {
+		out = append(out, decl{dir: f.dir, name: name, file: f.path, obj: info.Defs[id]})
+	}
 	for _, d := range f.ast.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
@@ -232,23 +306,23 @@ func exported(f file) []decl {
 				continue
 			}
 			if d.Recv == nil {
-				out = append(out, decl{dir: f.dir, name: d.Name.Name, file: f.path})
+				add(d.Name, d.Name.Name)
 				continue
 			}
 			if recv := receiver(d.Recv.List[0].Type); ast.IsExported(recv) {
-				out = append(out, decl{dir: f.dir, name: recv + "." + d.Name.Name, file: f.path, method: d.Name.Name})
+				add(d.Name, recv+"."+d.Name.Name)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					if s.Name.IsExported() {
-						out = append(out, decl{dir: f.dir, name: s.Name.Name, file: f.path})
+						add(s.Name, s.Name.Name)
 					}
 				case *ast.ValueSpec:
 					for _, name := range s.Names {
 						if name.IsExported() {
-							out = append(out, decl{dir: f.dir, name: name.Name, file: f.path})
+							add(name, name.Name)
 						}
 					}
 				}

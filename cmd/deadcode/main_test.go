@@ -9,10 +9,12 @@ import (
 
 // TestUnreferenced runs the lister over a small module: a package-level
 // identifier counts as used from another file of its package or through an
-// import, a method through any selector outside its file or an interface
-// method of its name; uses inside the declaring file and in test files do
-// not count, a package-qualified name is no method use, and nothing outside
-// internal/ is listed.
+// import, a method through a selector outside its file that resolves to it,
+// or through an interface its type satisfies, declared in the module or in a
+// standard-library package the module imports; uses inside the declaring
+// file and in test files do not count, a package-qualified name is no method
+// use, another type's method or a field of the same name is no use, and
+// nothing outside internal/ is listed.
 func TestUnreferenced(t *testing.T) {
 	root := t.TempDir()
 	write := func(name, src string) {
@@ -30,10 +32,17 @@ func TestUnreferenced(t *testing.T) {
 
 type T struct{}
 
-func (T) Called()   {}
-func (T) Dispatch() {}
-func (T) Unused()   {}
-func (T) Name()     {}
+func (T) Called()        {}
+func (T) Dispatch()      {}
+func (T) Unused()        {}
+func (T) Name()          {}
+func (T) Field()         {}
+func (T) String() string { return "" }
+
+type U struct{ Field int }
+
+func (U) Called()       {}
+func (U) Dispatch(int) {}
 
 func Name() {}
 
@@ -70,30 +79,48 @@ func use() { a.Name() }
 `)
 	write("cmd/c/main.go", `package main
 
-import alias "example.com/m/internal/a"
+import (
+	"fmt"
+
+	alias "example.com/m/internal/a"
+)
 
 func Exported() {}
 
-func main() { alias.Imported(); var t alias.T; t.Called() }
+func main() {
+	alias.Imported()
+	var t alias.T
+	t.Called()
+	var u alias.U
+	u.Field++
+	fmt.Println(t, u)
+}
 `)
-	module, files, err := load(root)
+	mod, err := load(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if module != "example.com/m" {
-		t.Fatalf("module %q", module)
+	if mod.path != "example.com/m" {
+		t.Fatalf("module %q", mod.path)
+	}
+	dead, err := unreferenced(mod)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var got []string
-	for _, d := range unreferenced(module, files) {
+	for _, d := range dead {
 		got = append(got, d.String())
 	}
 	want := []string{
 		"internal/a.Answer", // used only in its own file
 		"internal/a.Hidden", // used only under testdata
 		"internal/a.SelfOnly",
+		"internal/a.T.Field",  // u.Field selects U's field
 		"internal/a.T.Name",   // a.Name selects the package's func, not the method
 		"internal/a.T.Unused", // used only by a test
 		"internal/a.TestOnly",
+		"internal/a.U.Called",   // t.Called() resolves to T's method
+		"internal/a.U.Dispatch", // U does not satisfy iface
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("unreferenced %v, want %v", got, want)

@@ -35,9 +35,6 @@ type Params struct {
 // Enabled reports whether the gate does anything at all.
 func (p Params) Enabled() bool { return p.MaxConcurrent > 0 || p.MaxQueue > 0 }
 
-// Capacity returns the total gate occupancy bound: concurrency plus queue.
-func (p Params) Capacity() int { return p.MaxConcurrent + p.MaxQueue }
-
 // Validate checks the caps.
 func (p Params) Validate() error {
 	if p.MaxConcurrent < 0 {
@@ -95,8 +92,8 @@ func EpochWith(size int) EpochConfig {
 	return e
 }
 
-// Enabled reports whether the epoch loop adapts at all.
-func (e EpochConfig) Enabled() bool { return e.Size > 0 }
+// enabled reports whether the epoch loop adapts at all.
+func (e EpochConfig) enabled() bool { return e.Size > 0 }
 
 // Validate checks the epoch configuration.
 func (e EpochConfig) Validate() error {
@@ -208,8 +205,8 @@ func (c *Controller) Limits() (concurrent, queue int) {
 	return scaled(c.params.MaxConcurrent, c.scale), scaled(c.params.MaxQueue, c.scale)
 }
 
-// Capacity returns the effective total occupancy bound (0 when disabled).
-func (c *Controller) Capacity() int {
+// capacity returns the effective total occupancy bound (0 when disabled).
+func (c *Controller) capacity() int {
 	conc, queue := c.Limits()
 	return conc + queue
 }
@@ -218,14 +215,14 @@ func (c *Controller) Capacity() int {
 // does not count the outcome — callers report it through Observe so shed or
 // abandoned arrivals can be excluded.
 func (c *Controller) Admit(occupancy int) bool {
-	return !c.params.Enabled() || occupancy < c.Capacity()
+	return !c.params.Enabled() || occupancy < c.capacity()
 }
 
 // Complete counts the end of one admitted request, with its latency in
 // paper seconds, toward the running epoch's verdict. A request that failed
 // after admission counts as late: pass +Inf.
 func (c *Controller) Complete(rt float64) {
-	if !c.params.Enabled() || !c.epoch.Enabled() {
+	if !c.params.Enabled() || !c.epoch.enabled() {
 		return
 	}
 	c.completed++
@@ -241,7 +238,7 @@ func (c *Controller) Complete(rt float64) {
 // epoch decision to the cap scale. The boolean reports whether a decision
 // was made this call.
 func (c *Controller) Observe(rejected bool) (Decision, bool) {
-	if !c.params.Enabled() || !c.epoch.Enabled() {
+	if !c.params.Enabled() || !c.epoch.enabled() {
 		return Decision{}, false
 	}
 	c.count++

@@ -93,9 +93,6 @@ func New(opts Options) *Harness {
 	}
 }
 
-// Space returns the harness's configuration space.
-func (h *Harness) Space() *config.Space { return h.space }
-
 // Telemetry returns the harness registry. Experiment commands snapshot it at
 // exit; TunerFactory implementations may also register agent instruments on
 // it to observe Q-learning convergence during a schedule.

@@ -171,9 +171,6 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 	return &Analyzer{cfg: cfg, window: make([]Observation, 0, cfg.Window)}, nil
 }
 
-// Config returns the calibration.
-func (a *Analyzer) Config() Config { return a.cfg }
-
 // Observe folds one interval into the window and returns its decision. Until
 // the window fills, and during a post-verdict cooldown, the verdict is
 // Stable with the reason recording why.

@@ -119,6 +119,9 @@ type Agent struct {
 	// seeded row, or zero without a policy. It is nil until the agent first
 	// holds a row (regionFor), so an agent that never learns holds none.
 	region *region
+	// group is the policy's group row a choice last read (Policy.groupRow),
+	// a buffer kept so reading one allocates nothing.
+	group []float64
 
 	// Resilience state: the last configuration that satisfied the SLA, the
 	// last believable response time (carried into degraded intervals), and
@@ -631,7 +634,8 @@ func (a *Agent) read(ord uint64, cfg config.Config) qRow {
 		return qRow{row: row}
 	}
 	if a.policy != nil {
-		return qRow{group: a.policy.groupRow(cfg), p: a.policy}
+		a.group = a.policy.groupRow(a.group[:0], cfg)
+		return qRow{group: a.group, p: a.policy}
 	}
 	return qRow{}
 }

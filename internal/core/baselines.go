@@ -127,9 +127,6 @@ func (t *TrialAndErrorAgent) Step(ctx context.Context) (StepResult, error) {
 	return res, nil
 }
 
-// Config returns the baseline's current best configuration.
-func (t *TrialAndErrorAgent) Config() config.Config { return t.cur.Clone() }
-
 // HillClimbAgent is an additional baseline beyond the paper's two: steepest
 // descent over one-step lattice neighbours, restarting exploration when no
 // neighbour improves. It probes one neighbour per iteration (a fair

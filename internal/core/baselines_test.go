@@ -252,3 +252,6 @@ func TestTunersReportFullMeasurement(t *testing.T) {
 		})
 	}
 }
+
+// Config returns the baseline's current best configuration.
+func (t *TrialAndErrorAgent) Config() config.Config { return t.cur.Clone() }

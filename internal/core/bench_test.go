@@ -44,13 +44,21 @@ func TestGroupModelHotPathAllocFree(t *testing.T) {
 		t.Fatalf("group MDP transition/reward reads allocate %.1f per run, want 0", allocs)
 	}
 
-	// The seeder reads a configuration's group row straight out of the slab.
-	p.q = make([]float64, len(st.States())*st.Actions())
+	// The seeder derives a configuration's group row from the policy's
+	// values into a buffer it owns, and an agent's choice into one the agent keeps.
+	p.v = make([]float64, 2*len(st.States()))
 	cfg := config.Default().DefaultConfig()
+	row := make([]float64, len(config.Actions(config.Default())))
 	if allocs := testing.AllocsPerRun(200, func() {
-		benchRow = p.groupRow(cfg)
+		p.seedRow(cfg, row)
 	}); allocs != 0 {
 		t.Fatalf("the seeder's group row read allocates %.1f per run, want 0", allocs)
+	}
+	benchRow = make([]float64, 0, st.Actions())
+	if allocs := testing.AllocsPerRun(200, func() {
+		benchRow = p.groupRow(benchRow[:0], cfg)
+	}); allocs != 0 {
+		t.Fatalf("a group row read into a held buffer allocates %.1f per run, want 0", allocs)
 	}
 	// PredictRT prices every frontier state of a retraining region and every
 	// candidate of a policy-store match.
@@ -153,7 +161,7 @@ func BenchmarkLearnPolicy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchRow = p.q
+				benchRow = p.v
 			}
 		})
 	}
@@ -196,7 +204,7 @@ func BenchmarkPolicySave(b *testing.B) {
 // does on every Put and on every retrain of a recipe.
 func BenchmarkPolicyDigest(b *testing.B) {
 	p := benchPolicy(b)
-	b.SetBytes(int64(8 * len(p.q)))
+	b.SetBytes(int64(8 * p.lattice.Len() * p.lattice.Actions()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -191,14 +191,23 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// must sit on the same asymptotic scale (≈ r/(1−γ)) as the values the
 	// online agent keeps refreshing, or unvisited states would look
 	// artificially poor and the agent would cling to its visited region.
-	// The Q-values start at zero and are solved in place in the policy's
-	// slab, state ord's row at ord.
+	// The Q-values start at zero and are solved in place in a slab that is
+	// garbage once the policy has kept what determines it (Policy.v): the
+	// values the last sweep ended with (the solve's val) and began with (the
+	// Keep column, action 0, whose move stays put), and that sweep's
+	// direction — mdp.Solve runs the order forward on its odd-numbered sweeps.
 	structure, rewards := p.trainingMDP(parallel.Options{Procs: opts.Procs})
-	p.q = make([]float64, len(rewards)*structure.Actions())
-	p.training, err = mdp.Solve(p.q, structure, rewards, nil, offline)
+	n, actions := len(rewards), structure.Actions()
+	q := make([]float64, n*actions)
+	p.v = make([]float64, 2*n)
+	p.training, err = mdp.Solve(q, structure, rewards, p.v[n:], offline)
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}
+	for s := range n {
+		p.v[s] = q[s*actions]
+	}
+	p.forward = p.training.Sweeps%2 == 1
 	return p, nil
 }
 

@@ -56,7 +56,7 @@ func (p *Policy) Save(w io.Writer) error {
 		return fmt.Errorf("core: encode policy: %w", err)
 	}
 	a := p.lattice.Actions()
-	buf := make([]byte, 0, len(head)+64+len(p.q)*saveBytesPerValue)
+	buf := make([]byte, 0, len(head)+64+p.lattice.Len()*a*saveBytesPerValue)
 	buf = append(buf, head[:len(head)-1]...) // reopen the header object
 	buf = append(buf, `,"qtable":{"actions":`...)
 	buf = strconv.AppendInt(buf, int64(a), 10)
@@ -98,13 +98,13 @@ func (p *Policy) header() policyHeader {
 
 // appendRows appends the Q-table's rows as the JSON object encoding/json
 // writes for a map from state key to row: keys in byte-wise order (the
-// lattice's cached keyOrder), each row an array of numbers. A trained policy
-// repeats most of its values — a move's Q-value is fixed by the state it
-// leads to — so each value is formatted once and later copies are taken from
-// the buffer (floatMemo).
+// lattice's cached keyOrder), each row an array of numbers. Every feasible
+// entry is one of the values the policy keeps (Policy.v), so each of those
+// is formatted once, where a row first reads it, and later copies are taken
+// from the buffer.
 func (p *Policy) appendRows(buf []byte) ([]byte, error) {
 	keys := p.lattice.States()
-	memo := newFloatMemo(len(p.q))
+	text := make([]span, len(p.v)) // where v[k]'s text sits in buf; n == 0: not yet written
 	buf = append(buf, '{')
 	for i, ord := range p.lattice.keyOrder() {
 		if i > 0 {
@@ -112,13 +112,24 @@ func (p *Policy) appendRows(buf []byte) ([]byte, error) {
 		}
 		buf = appendJSONString(buf, keys[ord])
 		buf = append(buf, ':', '[')
-		for j, v := range p.rowAt(int(ord)) {
-			if j > 0 {
+		for a := range p.lattice.Actions() {
+			if a > 0 {
 				buf = append(buf, ',')
 			}
-			var ok bool
-			if buf, ok = memo.append(buf, v); !ok {
-				return nil, fmt.Errorf("core: encode policy: state %q holds %v, which JSON cannot represent", keys[ord], v)
+			k := p.slot(int(ord), a)
+			switch {
+			case k < 0:
+				buf = append(buf, '0')
+			case text[k].n != 0:
+				buf = append(buf, buf[text[k].off:text[k].off+text[k].n]...)
+			default:
+				v := p.v[k]
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("core: encode policy: state %q holds %v, which JSON cannot represent", keys[ord], v)
+				}
+				off := len(buf)
+				buf = appendJSONFloat(buf, v)
+				text[k] = span{off: off, n: len(buf) - off}
 			}
 		}
 		buf = append(buf, ']')
@@ -126,48 +137,8 @@ func (p *Policy) appendRows(buf []byte) ([]byte, error) {
 	return append(buf, '}'), nil
 }
 
-// floatMemo is a direct-mapped table from a float's bits to where in the
-// output buffer its JSON text was first written. A hit compares the whole
-// bit pattern, so a collision costs one more formatting, never a wrong byte.
-type floatMemo struct {
-	slots []floatSlot
-	shift uint
-}
-
-type floatSlot struct {
-	bits   uint64
-	off, n uint32 // n == 0: empty
-}
-
-// newFloatMemo sizes a memo for n values: a power of two near n/4 slots,
-// between 2^6 and 2^15.
-func newFloatMemo(n int) floatMemo {
-	bits := uint(6)
-	for bits < 15 && 1<<bits < n/4 {
-		bits++
-	}
-	return floatMemo{slots: make([]floatSlot, 1<<bits), shift: 64 - bits}
-}
-
-// append appends f's JSON text to buf, copying it from an earlier occurrence
-// when the memo holds one. It reports false, appending nothing, for NaN and
-// ±Inf.
-func (m *floatMemo) append(buf []byte, f float64) ([]byte, bool) {
-	bits := math.Float64bits(f)
-	s := &m.slots[(bits*0x9e3779b97f4a7c15)>>m.shift]
-	if s.n != 0 && s.bits == bits {
-		return append(buf, buf[s.off:s.off+s.n]...), true
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return buf, false
-	}
-	off := len(buf)
-	buf = appendJSONFloat(buf, f)
-	if uint64(len(buf)) <= math.MaxUint32 {
-		*s = floatSlot{bits: bits, off: uint32(off), n: uint32(len(buf) - off)}
-	}
-	return buf, true
-}
+// span is a run of bytes in a buffer.
+type span struct{ off, n int }
 
 // appendJSONFloat appends a finite f as encoding/json writes a float64: the
 // shortest text that reads back to f, in 'f' form unless |f| < 1e-6 or
@@ -250,9 +221,8 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 	}
 	// The file comes from outside the program (a registry directory): its
 	// Q-table must hold exactly the group lattice's rows, or seeding would
-	// read states the offline pass never trained. Each row is copied into the
-	// slab at its state's ordinal. The table's initial value is not kept: a
-	// table holding every state never serves it.
+	// read states the offline pass never trained. The table's initial value
+	// is not kept: a table holding every state never serves it.
 	lattice, err := groupLattice(groups.Space())
 	if err != nil {
 		return nil, err
@@ -262,7 +232,7 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 		return nil, fmt.Errorf("core: policy Q-table has %d rows, group lattice %d states",
 			len(raw.QTable.Rows), len(keys))
 	}
-	q := make([]float64, len(keys)*a)
+	rows := make([][]float64, len(keys))
 	for ord, key := range keys {
 		row, ok := raw.QTable.Rows[key]
 		if !ok {
@@ -271,16 +241,66 @@ func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 		if len(row) != a {
 			return nil, fmt.Errorf("core: policy Q-table state %q has %d actions, want %d", key, len(row), a)
 		}
-		copy(q[ord*a:], row)
+		rows[ord] = row
 	}
-	return &Policy{
+	p := &Policy{
 		name:    raw.Name,
 		space:   space,
 		groups:  groups,
 		lattice: lattice,
-		q:       q,
 		quad:    quad,
 		sla:     raw.SLA,
 		floorRT: raw.FloorRT,
-	}, nil
+	}
+	if err := p.bindRows(rows); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// bindRows sets the policy's values and sweep direction (Policy.v) to the
+// ones that derive rows, the group Q-table by ordinal: a last sweep run
+// forward, else backward. Each value is the first feasible entry, by
+// ordinal, that holds it; a value no entry holds stays 0. A table that no
+// solve from zeros ends with — a feasible entry that disagrees with an
+// earlier one holding the same value, or an infeasible entry other than 0 —
+// is an error naming, for each direction, the first state whose row the
+// values do not derive.
+func (p *Policy) bindRows(rows [][]float64) error {
+	p.v = make([]float64, 2*len(rows))
+	known := make([]bool, len(p.v))
+	var bad [2]int
+	for i, forward := range []bool{true, false} {
+		p.forward = forward
+		clear(p.v)
+		clear(known)
+		for s, row := range rows {
+			for a, v := range row {
+				if k := p.slot(s, a); k >= 0 && !known[k] {
+					p.v[k], known[k] = v, true
+				}
+			}
+		}
+		if bad[i] = p.firstMismatch(rows); bad[i] < 0 {
+			return nil
+		}
+	}
+	keys := p.lattice.States()
+	return fmt.Errorf("core: policy Q-table is no offline solve's output: state %q differs from a forward last sweep, state %q from a backward one",
+		keys[bad[0]], keys[bad[1]])
+}
+
+// firstMismatch returns the first ordinal whose row rowAt does not derive bit
+// for bit, or -1.
+func (p *Policy) firstMismatch(rows [][]float64) int {
+	derived := make([]float64, 0, p.lattice.Actions())
+	for s, row := range rows {
+		derived = p.rowAt(derived[:0], s)
+		for a, v := range row {
+			if math.Float64bits(v) != math.Float64bits(derived[a]) {
+				return s
+			}
+		}
+	}
+	return -1
 }

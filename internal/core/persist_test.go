@@ -58,7 +58,7 @@ func referenceDocument(p *Policy) policyJSON {
 	keys := p.lattice.States()
 	rows := make(map[string][]float64, len(keys))
 	for ord, key := range keys {
-		rows[key] = p.rowAt(ord)
+		rows[key] = p.rowAt(nil, ord)
 	}
 	return policyJSON{
 		policyHeader: p.header(),
@@ -133,7 +133,7 @@ func decodeQTable(t *testing.T, raw json.RawMessage) *mdp.QTable {
 func policyTable(p *Policy) *mdp.QTable {
 	q := mdp.NewQTable(p.lattice.Actions(), 0)
 	for ord, key := range p.lattice.States() {
-		copy(q.Row(key), p.rowAt(ord))
+		copy(q.Row(key), p.rowAt(nil, ord))
 	}
 	return q
 }
@@ -158,13 +158,16 @@ func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 	actions := len(config.Actions(space))
 	rng := sim.NewRNG(0x5a7e)
 	p := bowlPolicyForPersist(t, space)
-	trained := p.q
+	trained := *p
 
 	for i := 0; i < 3; i++ {
-		p.q = make([]float64, len(trained))
-		for k := range p.q {
-			p.q[k] = randomValue(rng)
+		// Random value vectors, each sweep direction: the table they derive
+		// is a solve's output in form, with random values.
+		p.v = make([]float64, len(trained.v))
+		for k := range p.v {
+			p.v[k] = randomValue(rng)
 		}
+		p.forward = i%2 == 0
 		got := checkSaveMatchesReference(t, p)
 		raw := rawQTable(t, policyTable(p))
 		want := encode(t, rawPolicyJSON{policyJSON: referenceDocument(p), QTable: &raw})
@@ -184,7 +187,7 @@ func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 			t.Fatalf("policy %d: LoadPolicy reads a different table than the RawMessage path", i)
 		}
 	}
-	p.q = trained
+	*p = trained
 
 	for i := 0; i < 24; i++ {
 		keys := make([]string, rng.Intn(40))
@@ -299,8 +302,8 @@ func TestAppendJSONString(t *testing.T) {
 func TestSaveEdgeFloats(t *testing.T) {
 	space := fuzzSpace()
 	p, _ := trainFlat(t, space)
-	for i := range p.q {
-		p.q[i] = jsonFloatEdges[i%len(jsonFloatEdges)]
+	for i := range p.v {
+		p.v[i] = jsonFloatEdges[i%len(jsonFloatEdges)]
 	}
 	checkSaveMatchesReference(t, p)
 }
@@ -311,7 +314,7 @@ func TestSaveRejectsNonFinite(t *testing.T) {
 	space := fuzzSpace()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		p, _ := trainFlat(t, space)
-		p.q[len(p.q)/2] = bad
+		p.v[len(p.v)/4] = bad // a value before the last sweep: its state's Keep entry
 		var buf bytes.Buffer
 		if err := p.Save(&buf); err == nil || buf.Len() != 0 {
 			t.Fatalf("Q-value %v: Save wrote %d bytes, error %v", bad, buf.Len(), err)

@@ -112,17 +112,22 @@ type Policy struct {
 	// saved policy.
 	groups  *config.Grouping
 	lattice *sharedLattice
-	// q is the offline group Q-table as one slab: a row of lattice.Actions()
-	// values per group-lattice state, by ordinal (rowAt). It is dense by
-	// construction — offline training solves every lattice state — so rows
-	// are addressed by arithmetic, never by key.
-	q    []float64
-	quad *regression.Quadratic
-	sla  float64
+	// v is the offline group Q-table in the form the solve's last sweep
+	// leaves it, and rowAt derives a row from it: the value of entering each
+	// lattice state, by ordinal, before that sweep (v[:n], the Keep column)
+	// and after it (v[n:], the solve's val), n states; forward says the sweep
+	// ran in ordinal order. mdp.Solve is Gauss–Seidel from zeros, so its last
+	// sweep set each feasible entry Q(s,a) to the value of s′ = Next(s,a) as
+	// that sweep found it — after the sweep when s′ came before s, else
+	// before it (Keep, s′ = s, included) — and left each infeasible one 0.
+	v       []float64
+	forward bool
+	quad    *regression.Quadratic
+	sla     float64
 	// floorRT guards against regression extrapolation below zero.
 	floorRT float64
-	// training is how the offline solve that produced q converged; zero for a
-	// policy loaded from disk (it is not persisted).
+	// training is how the offline solve that produced the table converged;
+	// zero for a policy loaded from disk (it is not persisted).
 	training mdp.BatchResult
 }
 
@@ -150,25 +155,54 @@ func (p *Policy) predict(vec []float64) float64 {
 	return math.Max(math.Exp(p.quad.Eval(vec)), p.floorRT)
 }
 
-// groupRow returns the offline Q row of the group lattice point the
-// configuration snaps to, a read-only view into the slab: the
-// allocation-free core of the seeding hot path.
-func (p *Policy) groupRow(cfg config.Config) []float64 {
-	return p.rowAt(int(p.groups.Ordinal(cfg)))
+// groupRow appends to dst the offline Q row of the group lattice point the
+// configuration snaps to (rowAt): the allocation-free core of the seeding
+// hot path when dst has room for it.
+func (p *Policy) groupRow(dst []float64, cfg config.Config) []float64 {
+	return p.rowAt(dst, int(p.groups.Ordinal(cfg)))
 }
 
-// rowAt returns group-lattice state ord's row of the slab.
-func (p *Policy) rowAt(ord int) []float64 {
-	a := p.lattice.Actions()
-	return p.q[ord*a : (ord+1)*a : (ord+1)*a]
+// rowAt appends group-lattice state ord's Q row to dst, one value per
+// action of the lattice (see Policy.v).
+func (p *Policy) rowAt(dst []float64, ord int) []float64 {
+	for a := range p.lattice.Actions() {
+		dst = append(dst, p.entry(ord, a))
+	}
+	return dst
 }
+
+// entry returns the Q-value of action a at group-lattice state ord.
+func (p *Policy) entry(ord, a int) float64 {
+	if k := p.slot(ord, a); k >= 0 {
+		return p.v[k]
+	}
+	return 0
+}
+
+// slot returns the index into v of the value the entry for action a of
+// state ord holds, or -1 for an infeasible entry, which holds 0.
+func (p *Policy) slot(ord, a int) int {
+	to := p.lattice.Next(ord, a)
+	switch {
+	case to < 0:
+		return -1
+	case p.forward && to < ord, !p.forward && to > ord: // the last sweep reached to first
+		return p.lattice.Len() + to
+	}
+	return to
+}
+
+// maxGroupActions sizes the stack buffer seedRow reads a group row into: a
+// lattice of up to 15 groups needs no allocation.
+const maxGroupActions = 31
 
 // seedRow writes into row (one value per action of the full space) the Q row
 // the group-level policy gives configuration cfg: each action's value is the
 // group row's at seedIndex. It does not allocate: an agent seeds every state
 // joining its retraining region this way.
 func (p *Policy) seedRow(cfg config.Config, row []float64) {
-	gRow := p.groupRow(cfg)
+	var buf [maxGroupActions]float64
+	gRow := p.groupRow(buf[:0], cfg)
 	for a := range row {
 		row[a] = gRow[p.seedIndex(a)]
 	}
@@ -235,12 +269,28 @@ func (p *Policy) Training() mdp.BatchResult { return p.training }
 // Digest returns the hex SHA-256 of the policy's trained content, its name
 // aside: the group Q-table's values by ordinal, the regression coefficients,
 // the floor RT and the SLA, as little-endian IEEE-754 bits. No document is
-// built.
+// built: the table's entries go through the hash via one small buffer.
 func (p *Policy) Digest() string {
 	h := sha256.New()
-	for _, vs := range [][]float64{p.q, p.quad.Coeffs(), {p.floorRT, p.sla}} {
-		binary.Write(h, binary.LittleEndian, vs) // a hash's Write never fails
+	b := make([]byte, 0, 512)
+	put := func(v float64) {
+		if len(b) == cap(b) {
+			h.Write(b) // a hash's Write never fails
+			b = b[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
+	for ord := range p.lattice.Len() {
+		for a := range p.lattice.Actions() {
+			put(p.entry(ord, a))
+		}
+	}
+	for _, c := range p.quad.Coeffs() {
+		put(c)
+	}
+	put(p.floorRT)
+	put(p.sla)
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -530,8 +530,9 @@ func TestLoadDefaultSpacePolicy(t *testing.T) {
 // FuzzLoadPolicy holds LoadPolicy, which reads files from outside the program,
 // to two properties: it never panics, and a policy it accepts saves to bytes
 // that load again and save identically. The seeds are a coarse-2 policy's
-// Save bytes over fuzzSpace, five damaged copies and a document without a
-// Q-table; they run under plain go test.
+// Save bytes over fuzzSpace, eight damaged copies (two of them tables no
+// solve ends with, nonSolveTables) and a document without a Q-table; they
+// run under plain go test.
 func FuzzLoadPolicy(f *testing.F) {
 	space := fuzzSpace()
 	p, saved := trainFlat(f, space)
@@ -544,6 +545,10 @@ func FuzzLoadPolicy(f *testing.F) {
 		func(qtable, _ map[string]json.RawMessage) { qtable["actions"] = json.RawMessage("0") },
 	} {
 		f.Add(reencodeQTable(f, saved, mutate))
+	}
+	damaged, _ := nonSolveTables(f, p, saved)
+	for _, doc := range damaged {
+		f.Add(doc)
 	}
 	f.Add(saved[:len(saved)/2])
 	f.Add(append(slices.Clone(saved), " junk"...))

@@ -51,15 +51,6 @@ func (s *PolicyStore) Len() int {
 	return len(s.policies)
 }
 
-// Policies returns the stored policies.
-func (s *PolicyStore) Policies() []*Policy {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*Policy, len(s.policies))
-	copy(out, s.policies)
-	return out
-}
-
 // Match returns the policy whose predicted response time at cfg is closest
 // to the measured value.
 func (s *PolicyStore) Match(cfg config.Config, measuredRT float64) (*Policy, error) {

@@ -57,3 +57,12 @@ func TestPolicyStoreConcurrentPublish(t *testing.T) {
 		t.Fatal("published policy not visible")
 	}
 }
+
+// Policies returns the stored policies.
+func (s *PolicyStore) Policies() []*Policy {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*Policy, len(s.policies))
+	copy(out, s.policies)
+	return out
+}

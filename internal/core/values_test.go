@@ -1,0 +1,151 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"github.com/rac-project/rac/internal/config"
+	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/parallel"
+	"github.com/rac-project/rac/internal/surface"
+	"github.com/rac-project/rac/internal/system"
+)
+
+// TestPolicyRowsMatchSolve: every row a trained policy derives from its two
+// value vectors is, bit for bit, the row of the slab mdp.Solve computes from
+// zeros over the same training MDP, and the policy's digest is the SHA-256
+// of that slab (then the coefficients, floor and SLA) as the slab's bits —
+// for the six Table-2 contexts over the analytic surface, at sweep bounds
+// whose last sweep runs forward (1, 3, and the converged solve under 400)
+// and backward (2, 30). Saved, each policy loads back to the same bytes.
+func TestPolicyRowsMatchSolve(t *testing.T) {
+	space := config.Default()
+	for _, ctx := range system.Table2() {
+		surf := surface.New(nil) // the five trainings of a context sample it once
+		for _, sweeps := range []int{1, 2, 3, 30, 400} {
+			batch := DefaultOfflineBatch()
+			batch.MaxSweeps = sweeps
+			if sweeps < 400 {
+				batch.Theta = 0 // run exactly the bound
+			}
+			p, err := LearnPolicyStream(ctx.Name, space, nil,
+				InitOptions{Batch: batch, BatchSampler: system.AnalyticSampler(space, ctx, surf)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/sweeps=%d", ctx.Name, sweeps)
+			st, rewards := p.trainingMDP(parallel.Options{Procs: 1})
+			q := make([]float64, st.Len()*st.Actions())
+			res, err := mdp.Solve(q, st, rewards, nil, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != p.Training() {
+				t.Fatalf("%s: the policy's solve reports %+v, the oracle's %+v", name, p.Training(), res)
+			}
+			a := st.Actions()
+			var row []float64
+			for ord := range st.Len() {
+				row = p.rowAt(row[:0], ord)
+				for i, v := range row {
+					if want := q[ord*a+i]; math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("%s: state %s action %d reads %v, the solved slab holds %v",
+							name, st.States()[ord], i, v, want)
+					}
+				}
+			}
+			h := sha256.New()
+			for _, vs := range [][]float64{q, p.quad.Coeffs(), {p.floorRT, p.sla}} {
+				binary.Write(h, binary.LittleEndian, vs)
+			}
+			if got, want := p.Digest(), hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Fatalf("%s: digest %s, the slab's %s", name, got, want)
+			}
+			if sweeps == 2 || sweeps == 400 {
+				saved := checkSaveMatchesReference(t, p)
+				if !checkLoadRoundTrip(t, saved, space) {
+					t.Fatalf("%s: a saved policy does not load", name)
+				}
+			}
+		}
+	}
+}
+
+// nonSolveTables returns p's saved document with its table damaged in two
+// ways no solve from zeros produces, each with the state it damaged: one
+// entry moved off the value the earlier entries reading the same state hold
+// (the last one read, by ordinal, of an interior state's), and a nonzero
+// infeasible entry (the first group's decrease at the lattice's lowest
+// corner).
+func nonSolveTables(tb testing.TB, p *Policy, saved []byte) (docs [][]byte, states []string) {
+	tb.Helper()
+	keys, a := p.lattice.States(), p.lattice.Actions()
+	interior := -1
+	for s := range keys {
+		inside := true
+		for act := range a {
+			inside = inside && p.lattice.Next(s, act) >= 0
+		}
+		if inside {
+			interior = s
+			break
+		}
+	}
+	if interior < 0 || p.lattice.Next(0, 2) >= 0 {
+		tb.Fatal("the lattice has no interior state, or its lowest corner can decrease")
+	}
+	last, lastAct := interior, 0
+	for act := range a {
+		if r := p.lattice.Next(interior, act); r > last {
+			last = r
+		}
+	}
+	for act := range a {
+		if p.lattice.Next(last, act) == interior {
+			lastAct = act
+		}
+	}
+	edit := func(ord, act int, to func(float64) float64) []byte {
+		return reencodeQTable(tb, saved, func(_, rows map[string]json.RawMessage) {
+			var row []float64
+			if err := json.Unmarshal(rows[keys[ord]], &row); err != nil {
+				tb.Fatal(err)
+			}
+			row[act] = to(row[act])
+			var err error
+			if rows[keys[ord]], err = json.Marshal(row); err != nil {
+				tb.Fatal(err)
+			}
+		})
+	}
+	docs = append(docs,
+		edit(last, lastAct, func(v float64) float64 { return v + 1 }),
+		edit(0, 2, func(float64) float64 { return 1 }))
+	return docs, []string{keys[last], keys[0]}
+}
+
+// TestLoadPolicyRejectsNonSolveTables: LoadPolicy refuses a table that is
+// not a last sweep's output and, for the direction the policy's last sweep
+// ran, names the state it was damaged at.
+func TestLoadPolicyRejectsNonSolveTables(t *testing.T) {
+	space := fuzzSpace()
+	p, saved := trainFlat(t, space)
+	if _, err := LoadPolicy(bytes.NewReader(saved), space); err != nil {
+		t.Fatalf("the undamaged policy: %v", err)
+	}
+	naming := map[bool]string{true: "state %q differs from a forward", false: "state %q from a backward"}[p.forward]
+	docs, states := nonSolveTables(t, p, saved)
+	for i, doc := range docs {
+		_, err := LoadPolicy(bytes.NewReader(doc), space)
+		if want := fmt.Sprintf(naming, states[i]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("table damaged at %s: error %v, want one containing %s", states[i], err, want)
+		}
+	}
+}

@@ -107,10 +107,6 @@ func (s *System) Injected() []Injection {
 	return out
 }
 
-// Intervals returns how many measurement intervals have elapsed, counting
-// intervals lost to injected measurement faults.
-func (s *System) Intervals() int { return s.intervals }
-
 // upcoming is the 1-based interval the next Measure call records.
 func (s *System) upcoming() int { return s.intervals + 1 }
 

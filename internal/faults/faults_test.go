@@ -364,3 +364,7 @@ func ExampleSystem() {
 	fmt.Printf("rt=%.0f injections=%d\n", m.MeanRT, len(s.Injected()))
 	// Output: rt=3 injections=1
 }
+
+// Intervals returns how many measurement intervals have elapsed, counting
+// intervals lost to injected measurement faults.
+func (s *System) Intervals() int { return s.intervals }

@@ -125,8 +125,8 @@ func (r Rule) magnitude() float64 {
 	}
 }
 
-// Validate checks the rule.
-func (r Rule) Validate() error {
+// validate checks the rule.
+func (r Rule) validate() error {
 	if !r.Kind.valid() {
 		return fmt.Errorf("faults: unknown kind %q", r.Kind)
 	}
@@ -163,7 +163,7 @@ type Scenario struct {
 // Validate checks every rule.
 func (s Scenario) Validate() error {
 	for i, r := range s.Rules {
-		if err := r.Validate(); err != nil {
+		if err := r.validate(); err != nil {
 			return fmt.Errorf("rule %d: %w", i, err)
 		}
 	}
@@ -212,11 +212,4 @@ func LoadFile(path string) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("faults: %s: %w", path, err)
 	}
 	return s, nil
-}
-
-// Save writes the scenario as indented JSON.
-func (s Scenario) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -3,6 +3,8 @@ package faults
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -211,4 +213,11 @@ func FuzzLoadFaults(f *testing.F) {
 			t.Fatalf("round trip changed the script:\n  %#v\nvs\n  %#v", sc, back)
 		}
 	})
+}
+
+// Save writes the scenario as indented JSON.
+func (s Scenario) Save(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s)
 }

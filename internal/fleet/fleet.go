@@ -109,8 +109,8 @@ const defaultTenantMetricsLimit = 512
 // set is unbounded; at ~200 bytes an entry the cap holds the memo near 13 MB.
 const surfaceLimit = 1 << 16
 
-// Validate checks the Options fields, wrapping one sentinel per failure.
-func (o Options) Validate() error {
+// validate checks the Options fields, wrapping one sentinel per failure.
+func (o Options) validate() error {
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("%w: negative checkpoint cadence %d", ErrBadOptions, o.CheckpointEvery)
 	}
@@ -237,7 +237,7 @@ type Fleet struct {
 
 // New builds an empty fleet.
 func New(opts Options) (*Fleet, error) {
-	if err := opts.Validate(); err != nil {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
@@ -274,11 +274,6 @@ func New(opts Options) (*Fleet, error) {
 // Space returns the configuration space shared by every tenant, registry
 // policy and checkpoint in this fleet.
 func (f *Fleet) Space() *config.Space { return f.space }
-
-// Surface returns the fleet-wide analytic response-surface memo, for
-// Options.NewSystem hooks that build their own system.Analytic
-// (AnalyticOptions.Surface).
-func (f *Fleet) Surface() *surface.Cache { return f.surface }
 
 // Rounds returns the number of completed scheduling rounds.
 func (f *Fleet) Rounds() int {

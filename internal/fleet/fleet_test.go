@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rac-project/rac/internal/capacity"
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/mdp"
 	"github.com/rac-project/rac/internal/sim"
@@ -766,3 +767,19 @@ func TestCheckpointNowSkipsOtherTenantsStep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Name returns the tenant's name.
+func (t *Tenant) Name() string { return t.spec.Name }
+
+// Agent exposes the tenant's agent for diagnostics and tests.
+func (t *Tenant) Agent() *core.Agent { return t.agent }
+
+// Interval returns the number of completed measurement intervals.
+func (t *Tenant) Interval() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.interval
+}
+
+// Capacity exposes the tenant's elastic decorator (nil without capacity).
+func (t *Tenant) Capacity() *capacity.System { return t.built.Capacity }

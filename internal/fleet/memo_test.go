@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
 )
@@ -91,3 +92,8 @@ func TestFleetAnalyticMemoByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// Surface returns the fleet-wide analytic response-surface memo, for
+// Options.NewSystem hooks that build their own system.Analytic
+// (AnalyticOptions.Surface).
+func (f *Fleet) Surface() *surface.Cache { return f.surface }

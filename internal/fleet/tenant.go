@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/rac-project/rac/internal/backend"
-	"github.com/rac-project/rac/internal/capacity"
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
@@ -187,9 +186,6 @@ type Tenant struct {
 	tel         *fleetInstruments    // the fleet's state gauges; nil without telemetry
 }
 
-// Name returns the tenant's name.
-func (t *Tenant) Name() string { return t.spec.Name }
-
 // setStateLocked moves the tenant to state to, and between the fleet's
 // per-state gauges. Call with t.mu held; every state change goes through it.
 func (t *Tenant) setStateLocked(to State) {
@@ -202,19 +198,6 @@ func (t *Tenant) State() State {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.state
-}
-
-// Agent exposes the tenant's agent for diagnostics and tests.
-func (t *Tenant) Agent() *core.Agent { return t.agent }
-
-// System exposes the tenant's managed system for diagnostics and tests.
-func (t *Tenant) System() system.System { return t.built.System }
-
-// Interval returns the number of completed measurement intervals.
-func (t *Tenant) Interval() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.interval
 }
 
 // Status snapshots the tenant for the admin API.
@@ -249,9 +232,6 @@ func (t *Tenant) Status() TenantStatus {
 	}
 	return st
 }
-
-// Capacity exposes the tenant's elastic decorator (nil without capacity).
-func (t *Tenant) Capacity() *capacity.System { return t.built.Capacity }
 
 // step runs one agent iteration and folds the outcome into the tenant's
 // bookkeeping. It is called by the fleet's round scheduler with the tenant in

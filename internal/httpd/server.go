@@ -105,7 +105,7 @@ func NewServer(params webtier.Params, level vmenv.Level) (*Server, error) {
 		level:      level,
 		webSlots:   newSemaphore(params.MaxClients),
 		appThreads: newSemaphore(params.MaxThreads),
-		sessions:   newSessionStore(time.Duration(params.SessionTimeoutMin * float64(time.Minute) / TimeScale)),
+		sessions:   newSessionStore(sessionTTL(params)),
 		db:         newBookstore(level),
 		done:       make(chan struct{}),
 		tel:        telemetry.NewRegistry(),
@@ -255,6 +255,12 @@ func (s *Server) keepAlive() time.Duration {
 	return time.Duration(s.params.KeepAliveTimeoutSec * float64(time.Second) / TimeScale)
 }
 
+// sessionTTL is the live session lifetime of valid params: the session
+// timeout compressed by TimeScale, at least a nanosecond.
+func sessionTTL(params webtier.Params) time.Duration {
+	return max(time.Duration(params.SessionTimeoutMin*float64(time.Minute)/TimeScale), 1)
+}
+
 // Params returns the current configuration.
 func (s *Server) Params() webtier.Params {
 	s.mu.Lock()
@@ -280,7 +286,7 @@ func (s *Server) Reconfigure(params webtier.Params) error {
 	s.params = params
 	s.webSlots.resize(params.MaxClients)
 	s.appThreads.resize(params.MaxThreads)
-	s.sessions.setTTL(time.Duration(params.SessionTimeoutMin * float64(time.Minute) / TimeScale))
+	s.sessions.setTTL(sessionTTL(params))
 	// The keep-alive change applies to connections that go idle from now on
 	// via the per-connection reaper timers.
 	return s.gate.SetParams(admission.Params{
@@ -626,16 +632,10 @@ type sessionStore struct {
 }
 
 func newSessionStore(ttl time.Duration) *sessionStore {
-	if ttl <= 0 {
-		ttl = time.Second
-	}
 	return &sessionStore{ttl: ttl, data: make(map[string]time.Time), now: time.Now}
 }
 
 func (st *sessionStore) setTTL(ttl time.Duration) {
-	if ttl <= 0 {
-		return
-	}
 	st.mu.Lock()
 	st.ttl = ttl
 	st.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
@@ -198,9 +199,10 @@ func TestAdminConfigEndpoint(t *testing.T) {
 
 // FuzzAdminConfig posts arbitrary bodies to /admin/config through the
 // server's handler. No body may panic it or draw a 5xx; after a 204, GET
-// returns the posted params, and after a 400 the params from before the
-// POST. The seeds are the default params as JSON, alone and followed by
-// junk.
+// returns the posted params and the live session TTL and keep-alive are
+// theirs (checkLiveTimeouts), and after a 400 GET returns the params from
+// before the POST. The seeds are the default params as JSON, alone,
+// followed by junk, and with a session timeout of 1e300 minutes.
 func FuzzAdminConfig(f *testing.F) {
 	seed, err := json.Marshal(webtier.DefaultParams())
 	if err != nil {
@@ -208,6 +210,7 @@ func FuzzAdminConfig(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(append(bytes.Clone(seed), " junk"...))
+	f.Add(bytes.Replace(seed, []byte(`"SessionTimeoutMin":30`), []byte(`"SessionTimeoutMin":1e300`), 1))
 	srv, err := NewServer(webtier.DefaultParams(), vmenv.Level1)
 	if err != nil {
 		f.Fatal(err)
@@ -243,6 +246,7 @@ func FuzzAdminConfig(f *testing.F) {
 			if after != posted {
 				t.Fatalf("after a 204, GET returns %+v, posted %+v", after, posted)
 			}
+			checkLiveTimeouts(t, srv, posted)
 		case http.StatusBadRequest:
 			if after != before {
 				t.Fatalf("after a 400, GET returns %+v, was %+v", after, before)
@@ -251,6 +255,64 @@ func FuzzAdminConfig(f *testing.F) {
 			t.Fatalf("POST config: status %d %s", rec.Code, rec.Body)
 		}
 	})
+}
+
+// checkLiveTimeouts fails unless the server's session TTL and connection
+// keep-alive are the ones p sets, compressed by TimeScale, to the
+// nanosecond (a session lives at least one).
+func checkLiveTimeouts(t *testing.T, srv *Server, p webtier.Params) {
+	t.Helper()
+	srv.sessions.mu.Lock()
+	ttl := srv.sessions.ttl
+	srv.sessions.mu.Unlock()
+	if want := p.SessionTimeoutMin * float64(time.Minute) / TimeScale; ttl < 1 || math.Abs(float64(ttl)-want) > 1 {
+		t.Fatalf("session timeout %v min: live TTL %v, want %v ns", p.SessionTimeoutMin, ttl, want)
+	}
+	keep := srv.keepAliveLocked()
+	if want := p.KeepAliveTimeoutSec * float64(time.Second) / TimeScale; keep < 0 || math.Abs(float64(keep)-want) > 1 {
+		t.Fatalf("keep-alive %v s: live timeout %v, want %v ns", p.KeepAliveTimeoutSec, keep, want)
+	}
+}
+
+// TestAdminConfigRejectsHugeTimeouts: a timeout too large for a
+// time.Duration is refused with a 400, leaving the configuration and the
+// live timeouts as they were; a day-long one, the largest allowed, is live
+// as posted.
+func TestAdminConfigRejectsHugeTimeouts(t *testing.T) {
+	srv, err := NewServer(webtier.DefaultParams(), vmenv.Level1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(p webtier.Params) int {
+		body, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/config", bytes.NewReader(body)))
+		return rec.Code
+	}
+	before := srv.Params()
+	for _, set := range []func(*webtier.Params){
+		func(p *webtier.Params) { p.SessionTimeoutMin = 1e300 },
+		func(p *webtier.Params) { p.KeepAliveTimeoutSec = 1e300 },
+	} {
+		p := before
+		set(&p)
+		if code := post(p); code != http.StatusBadRequest {
+			t.Fatalf("POST %+v: status %d, want 400", p, code)
+		}
+		if srv.Params() != before {
+			t.Fatalf("a refused POST changed the configuration to %+v", srv.Params())
+		}
+		checkLiveTimeouts(t, srv, before)
+	}
+	day := before
+	day.SessionTimeoutMin, day.KeepAliveTimeoutSec = 24*60, 24*60*60
+	if code := post(day); code != http.StatusNoContent {
+		t.Fatalf("POST day-long timeouts: status %d, want 204", code)
+	}
+	checkLiveTimeouts(t, srv, day)
 }
 
 func TestAdminConfigRejectsTrailingData(t *testing.T) {

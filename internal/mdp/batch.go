@@ -330,20 +330,26 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 // reward received on entering state s.
 //
 // q is the Q-value slab, state s's row being q[s*A:(s+1)*A] for A actions,
-// solved in place from the values it holds: a policy's slab (offline
+// solved in place from the values it holds: a slab of zeros (offline
 // training), the rows an agent's retraining region holds across intervals,
 // or a table's rows copied in by BatchTrain. The solve is Gauss–Seidel: a
 // state's row is re-evaluated from the newest values of its successors,
 // sweeps alternate the structure's order (index order unless it grew with
-// one) and its reverse, and the solve stops once a sweep changes no entry by
-// Theta or more, with MaxSweeps as the bound. Each sweep is a γ-contraction
-// in the max norm, so after a sweep whose largest change is below Theta the
-// Bellman residual is below γ·Theta. The sweep walks each state's row of the
+// one) and its reverse — the first sweep, and every odd-numbered one, runs
+// it forward — and the solve stops once a sweep changes no entry by Theta or
+// more, with MaxSweeps as the bound. Each sweep is a γ-contraction in the
+// max norm, so after a sweep whose largest change is below Theta the Bellman
+// residual is below γ·Theta. The sweep walks each state's row of the
 // transition table, visiting only the feasible entries (the structure's live
-// bits) in action order; infeasible entries keep their value. val is scratch for one value per state, overwritten; Solve allocates
-// its own when val is shorter. No random number is drawn, so the result
-// depends on the inputs alone. cfg.StepsPerState and cfg.Params.Alpha are not
-// used.
+// bits) in action order, setting each to the current value of the state it
+// leads to; infeasible entries keep their value.
+//
+// val holds one value per state: what entering it is worth, r(s) plus γ
+// times the ε-greedy backup of its row. Its contents on entry are
+// overwritten; on return it holds the values the last sweep left (an
+// offline policy keeps them, and the values that sweep began with, in place
+// of its slab). Solve allocates its own when val is shorter. No random number is drawn, so the result depends on
+// the inputs alone. cfg.StepsPerState and cfg.Params.Alpha are not used.
 func Solve(q []float64, st *Structure, rewards, val []float64, cfg BatchConfig) (BatchResult, error) {
 	if st == nil {
 		return BatchResult{}, errors.New("mdp: nil structure")

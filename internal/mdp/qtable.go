@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // QTable maps state keys to per-action Q values. All rows have the same
@@ -52,9 +51,6 @@ func NewQTable(actions int, initial float64) *QTable {
 
 // Actions returns the per-state action count.
 func (q *QTable) Actions() int { return q.actions }
-
-// Len returns the number of materialized state rows.
-func (q *QTable) Len() int { return len(q.rows) }
 
 // SetShared installs (or clears, with nil) a shared copy-on-write row store.
 // With a store installed the table serves unvisited states from the store's
@@ -181,14 +177,6 @@ func (q *QTable) Set(state string, action int, value float64) {
 	q.Row(state)[action] = value
 }
 
-// Clone returns a deep copy of the table, sharing any shared row store.
-func (q *QTable) Clone() *QTable {
-	out := NewQTable(q.actions, q.initial)
-	out.shared = q.shared
-	out.rows = copyRows(q.rows, q.actions)
-	return out
-}
-
 // copyRows returns a deep copy of rows, each of actions entries, with every
 // row cut from one backing array.
 func copyRows(rows map[string][]float64, actions int) map[string][]float64 {
@@ -201,16 +189,6 @@ func copyRows(rows map[string][]float64, actions int) map[string][]float64 {
 		out[k] = cp
 	}
 	return out
-}
-
-// States returns the materialized state keys in sorted order.
-func (q *QTable) States() []string {
-	keys := make([]string, 0, len(q.rows))
-	for k := range q.rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // QTableJSON is the serialized form of a QTable, what Save writes. A

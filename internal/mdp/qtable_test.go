@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -315,4 +316,25 @@ func MaxAbsDiff(a, b *QTable) float64 {
 		}
 	}
 	return max
+}
+
+// Len returns the number of materialized state rows.
+func (q *QTable) Len() int { return len(q.rows) }
+
+// Clone returns a deep copy of the table, sharing any shared row store.
+func (q *QTable) Clone() *QTable {
+	out := NewQTable(q.actions, q.initial)
+	out.shared = q.shared
+	out.rows = copyRows(q.rows, q.actions)
+	return out
+}
+
+// States returns the materialized state keys in sorted order.
+func (q *QTable) States() []string {
+	keys := make([]string, 0, len(q.rows))
+	for k := range q.rows {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -41,17 +41,6 @@ func NewSharedRows(actions int, seeder Seeder) *SharedRows {
 	}
 }
 
-// Actions returns the per-state action count.
-func (s *SharedRows) Actions() int { return s.actions }
-
-// Len returns the number of memoized seeded rows (including negative entries
-// for states the seeder declined).
-func (s *SharedRows) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.rows)
-}
-
 // Intern returns the canonical copy of state, so every table sharing the
 // store keys its rows by the same string backing array.
 func (s *SharedRows) Intern(state string) string {

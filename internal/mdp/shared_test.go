@@ -84,3 +84,11 @@ func TestSharedRowsActionMismatch(t *testing.T) {
 	q := NewQTable(2, 0)
 	q.SetShared(NewSharedRows(3, func(string) []float64 { return []float64{1, 2, 3} }))
 }
+
+// Len returns the number of memoized seeded rows (including negative entries
+// for states the seeder declined).
+func (s *SharedRows) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.rows)
+}

@@ -64,13 +64,6 @@ func (p *Poly) Eval(x float64) float64 {
 // Degree returns the fitted polynomial degree.
 func (p *Poly) Degree() int { return len(p.coeffs) - 1 }
 
-// Coeffs returns a copy of the coefficients, constant term first.
-func (p *Poly) Coeffs() []float64 {
-	out := make([]float64, len(p.coeffs))
-	copy(out, p.coeffs)
-	return out
-}
-
 // String renders the polynomial for diagnostics.
 func (p *Poly) String() string {
 	var b strings.Builder

@@ -300,3 +300,10 @@ func TestQuadraticEvalMatchesFeatureSum(t *testing.T) {
 		t.Fatalf("Eval allocates %.1f per call, want 0", allocs)
 	}
 }
+
+// Coeffs returns a copy of the coefficients, constant term first.
+func (p *Poly) Coeffs() []float64 {
+	out := make([]float64, len(p.coeffs))
+	copy(out, p.coeffs)
+	return out
+}

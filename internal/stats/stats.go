@@ -42,12 +42,6 @@ func (r *Running) Count() int { return r.n }
 // Mean returns the sample mean, or zero when empty.
 func (r *Running) Mean() float64 { return r.mean }
 
-// Min returns the smallest sample, or zero when empty.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample, or zero when empty.
-func (r *Running) Max() float64 { return r.max }
-
 // Variance returns the unbiased sample variance, or zero with fewer than two
 // samples.
 func (r *Running) Variance() float64 {
@@ -59,9 +53,6 @@ func (r *Running) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Reset clears the accumulator.
-func (r *Running) Reset() { *r = Running{} }
 
 // Merge folds another accumulator into r (parallel Welford merge).
 func (r *Running) Merge(o Running) {

@@ -215,3 +215,9 @@ func TestRelChange(t *testing.T) {
 		}
 	}
 }
+
+// Min returns the smallest sample, or zero when empty.
+func (r *Running) Min() float64 { return r.min }
+
+// Max returns the largest sample, or zero when empty.
+func (r *Running) Max() float64 { return r.max }

@@ -335,3 +335,17 @@ func TestSnapshotJSONShape(t *testing.T) {
 		t.Errorf("counters not label-sorted: %+v", s.Counters)
 	}
 }
+
+// Len returns the number of buffered events.
+func (t *Trace) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.buf)
+}
+
+// Total returns how many events were ever added (≥ Len after wraparound).
+func (t *Trace) Total() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.seq
+}

@@ -145,20 +145,6 @@ func (t *Trace) Add(ev Event) uint64 {
 	return ev.Seq
 }
 
-// Len returns the number of buffered events.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
-// Total returns how many events were ever added (≥ Len after wraparound).
-func (t *Trace) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}
-
 // Snapshot copies the buffered events, oldest first.
 func (t *Trace) Snapshot() []Event {
 	t.mu.Lock()

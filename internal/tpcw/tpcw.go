@@ -107,9 +107,6 @@ type Demand struct {
 	IO  float64
 }
 
-// Total returns the summed demand across stages.
-func (d Demand) Total() float64 { return d.Web + d.App + d.DB + d.IO }
-
 // Scale returns the demand multiplied by f on every stage.
 func (d Demand) Scale(f float64) Demand {
 	return Demand{Web: d.Web * f, App: d.App * f, DB: d.DB * f, IO: d.IO * f}
@@ -231,9 +228,6 @@ func NewGenerator(mix Mix, rng *sim.RNG) (*Generator, error) {
 	}
 	return &Generator{mix: mix, probs: probs, rng: rng, classes: Classes()}, nil
 }
-
-// Mix returns the generator's traffic mix.
-func (g *Generator) Mix() Mix { return g.mix }
 
 // NextClass samples an interaction class according to the mix probabilities.
 func (g *Generator) NextClass() Class {

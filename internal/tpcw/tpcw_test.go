@@ -185,3 +185,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// Total returns the summed demand across stages.
+func (d Demand) Total() float64 { return d.Web + d.App + d.DB + d.IO }

@@ -223,9 +223,6 @@ func NewVM(name string, level Level) (*VM, error) {
 	return &VM{name: name, level: level}, nil
 }
 
-// Name returns the VM's name.
-func (v *VM) Name() string { return v.name }
-
 // Level returns the current allocation.
 func (v *VM) Level() Level { return v.level }
 

@@ -197,3 +197,6 @@ func TestElasticRejectsBadInputs(t *testing.T) {
 		t.Fatal("ordinal 9 accepted")
 	}
 }
+
+// Name returns the VM's name.
+func (v *VM) Name() string { return v.name }

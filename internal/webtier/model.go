@@ -337,17 +337,11 @@ func (m *Model) resetPopulation() {
 	m.nextStall = m.now + m.rng.ExpFloat64(m.cal.StallMeanIntervalSec)
 }
 
-// Params returns the current configuration.
-func (m *Model) Params() Params { return m.params }
-
 // Workload returns the current workload.
 func (m *Model) Workload() tpcw.Workload { return m.workload }
 
 // AppLevel returns the current app/db VM allocation.
 func (m *Model) AppLevel() vmenv.Level { return m.appVM.Level() }
-
-// Now returns the virtual time in seconds since construction.
-func (m *Model) Now() float64 { return m.now }
 
 // Configure applies a new configuration to the running system. Pools shrink
 // gracefully: spawned workers above the new cap are reaped down to the busy
@@ -1097,48 +1091,6 @@ func (m *Model) abandonRequest(i int, t float64) {
 // recordClass folds a response time into its class accumulator.
 func (m *Model) recordClass(class tpcw.Class, rt float64) {
 	m.classRT[class].Add(rt)
-}
-
-// Snapshot exposes internal occupancy counters for tests and diagnostics.
-type Snapshot struct {
-	InFlight   int
-	WebActive  int
-	AppActive  int
-	DBCPU      int
-	DBIO       int
-	Threads    int
-	DBConns    int
-	Conns      int
-	IdleConns  int
-	WebSpawned int
-	AppSpawned int
-	WebQueue   int
-	AppQueue   int
-	DBQueue    int
-	Sessions   int
-	GateHeld   int
-}
-
-// Snapshot returns the current occupancy counters.
-func (m *Model) Snapshot() Snapshot {
-	return Snapshot{
-		InFlight:   m.inFlight,
-		WebActive:  m.webActive,
-		AppActive:  m.appActive,
-		DBCPU:      m.dbCPU,
-		DBIO:       m.dbIO,
-		Threads:    m.threads,
-		DBConns:    m.dbConns,
-		Conns:      m.conns,
-		IdleConns:  m.idleConns,
-		WebSpawned: m.webSpawned,
-		AppSpawned: m.appSpawned,
-		WebQueue:   m.webQueue.len(),
-		AppQueue:   m.appQueue.len(),
-		DBQueue:    m.dbQueue.len(),
-		Sessions:   m.liveSessions(),
-		GateHeld:   m.gateHeld,
-	}
 }
 
 // AdmissionState reports the gate's epoch-adaptive state: the current cap

@@ -1,6 +1,7 @@
 package webtier
 
 import (
+	"math"
 	"testing"
 
 	"github.com/rac-project/rac/internal/tpcw"
@@ -377,6 +378,27 @@ func TestParamsValidateBounds(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("zero MaxThreads accepted")
 	}
+	// The timeouts are bounded at one day: beyond that a time.Duration of
+	// them can overflow.
+	day := p
+	day.KeepAliveTimeoutSec, day.SessionTimeoutMin = 24*60*60, 24*60
+	if err := day.Validate(); err != nil {
+		t.Fatalf("day-long timeouts rejected: %v", err)
+	}
+	for _, v := range []float64{day.KeepAliveTimeoutSec + 1, 1e300, math.NaN()} {
+		bad = p
+		bad.KeepAliveTimeoutSec = v
+		if bad.Validate() == nil {
+			t.Fatalf("keepalive %v s accepted", v)
+		}
+	}
+	for _, v := range []float64{day.SessionTimeoutMin + 1, 1e300, math.NaN()} {
+		bad = p
+		bad.SessionTimeoutMin = v
+		if bad.Validate() == nil {
+			t.Fatalf("session timeout %v min accepted", v)
+		}
+	}
 }
 
 func TestAbandonmentBoundsJam(t *testing.T) {
@@ -458,5 +480,53 @@ func TestPerClassBreakdown(t *testing.T) {
 		st.PerClass[tpcw.ClassBuyConfirm].Completed) / float64(total)
 	if orderShare < 0.35 || orderShare > 0.65 {
 		t.Fatalf("ordering share %v, want ~0.5", orderShare)
+	}
+}
+
+// Params returns the current configuration.
+func (m *Model) Params() Params { return m.params }
+
+// Now returns the virtual time in seconds since construction.
+func (m *Model) Now() float64 { return m.now }
+
+// Snapshot exposes internal occupancy counters for tests and diagnostics.
+type Snapshot struct {
+	InFlight   int
+	WebActive  int
+	AppActive  int
+	DBCPU      int
+	DBIO       int
+	Threads    int
+	DBConns    int
+	Conns      int
+	IdleConns  int
+	WebSpawned int
+	AppSpawned int
+	WebQueue   int
+	AppQueue   int
+	DBQueue    int
+	Sessions   int
+	GateHeld   int
+}
+
+// Snapshot returns the current occupancy counters.
+func (m *Model) Snapshot() Snapshot {
+	return Snapshot{
+		InFlight:   m.inFlight,
+		WebActive:  m.webActive,
+		AppActive:  m.appActive,
+		DBCPU:      m.dbCPU,
+		DBIO:       m.dbIO,
+		Threads:    m.threads,
+		DBConns:    m.dbConns,
+		Conns:      m.conns,
+		IdleConns:  m.idleConns,
+		WebSpawned: m.webSpawned,
+		AppSpawned: m.appSpawned,
+		WebQueue:   m.webQueue.len(),
+		AppQueue:   m.appQueue.len(),
+		DBQueue:    m.dbQueue.len(),
+		Sessions:   m.liveSessions(),
+		GateHeld:   m.gateHeld,
 	}
 }

@@ -81,13 +81,21 @@ func DefaultParams() Params {
 	}
 }
 
+// maxKeepAliveSec and maxSessionTimeoutMin bound the two timeouts at one
+// day, far above the lattice's (21 s, 35 min) and short enough that either,
+// turned into a time.Duration, cannot overflow.
+const (
+	maxKeepAliveSec      = 24 * 60 * 60
+	maxSessionTimeoutMin = 24 * 60
+)
+
 // Validate checks the parameters are individually sane.
 func (p Params) Validate() error {
 	if p.MaxClients < 1 {
 		return fmt.Errorf("webtier: MaxClients %d < 1", p.MaxClients)
 	}
-	if p.KeepAliveTimeoutSec < 0 {
-		return fmt.Errorf("webtier: negative KeepAliveTimeout %v", p.KeepAliveTimeoutSec)
+	if !(p.KeepAliveTimeoutSec >= 0 && p.KeepAliveTimeoutSec <= maxKeepAliveSec) {
+		return fmt.Errorf("webtier: KeepAliveTimeout %v outside [0, %d] s", p.KeepAliveTimeoutSec, maxKeepAliveSec)
 	}
 	if p.MinSpareServers < 0 || p.MaxSpareServers < 0 {
 		return fmt.Errorf("webtier: negative spare-server bound")
@@ -95,8 +103,8 @@ func (p Params) Validate() error {
 	if p.MaxThreads < 1 {
 		return fmt.Errorf("webtier: MaxThreads %d < 1", p.MaxThreads)
 	}
-	if p.SessionTimeoutMin <= 0 {
-		return fmt.Errorf("webtier: SessionTimeout %v <= 0", p.SessionTimeoutMin)
+	if !(p.SessionTimeoutMin > 0 && p.SessionTimeoutMin <= maxSessionTimeoutMin) {
+		return fmt.Errorf("webtier: SessionTimeout %v outside (0, %d] min", p.SessionTimeoutMin, maxSessionTimeoutMin)
 	}
 	if p.MinSpareThreads < 0 || p.MaxSpareThreads < 0 {
 		return fmt.Errorf("webtier: negative spare-thread bound")

@@ -70,8 +70,8 @@ type Modulation struct {
 	Factor float64 `json:"factor,omitempty"`
 }
 
-// Validate checks the modulation.
-func (m Modulation) Validate() error {
+// validate checks the modulation.
+func (m Modulation) validate() error {
 	switch m.Op {
 	case OpSinusoid:
 		if m.PeriodSeconds <= 0 {
@@ -140,8 +140,8 @@ type Phase struct {
 	MixDrift *MixDrift `json:"mixDrift,omitempty"`
 }
 
-// Validate checks the phase.
-func (p Phase) Validate() error {
+// validate checks the phase.
+func (p Phase) validate() error {
 	if p.DurationSeconds <= 0 {
 		return fmt.Errorf("workload: phase needs durationSeconds > 0, got %g", p.DurationSeconds)
 	}
@@ -163,7 +163,7 @@ func (p Phase) Validate() error {
 		return fmt.Errorf("workload: unknown arrival process %q (want poisson or uniform)", p.Arrival)
 	}
 	for i, m := range p.Modulate {
-		if err := m.Validate(); err != nil {
+		if err := m.validate(); err != nil {
 			return fmt.Errorf("modulation %d: %w", i, err)
 		}
 		if m.Op == OpSpike && m.AtSeconds >= p.DurationSeconds {
@@ -214,7 +214,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("workload: negative intervalSeconds %g", s.IntervalSeconds)
 	}
 	for i, p := range s.Phases {
-		if err := p.Validate(); err != nil {
+		if err := p.validate(); err != nil {
 			return fmt.Errorf("phase %d: %w", i, err)
 		}
 	}
@@ -303,11 +303,4 @@ func LoadFile(path string) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("workload: %s: %w", path, err)
 	}
 	return s, nil
-}
-
-// Save writes the scenario as indented JSON.
-func (s Scenario) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -386,4 +388,11 @@ func FuzzLoadScenario(f *testing.F) {
 			t.Fatalf("round trip changed the scenario:\n  %#v\nvs\n  %#v", sc, back)
 		}
 	})
+}
+
+// Save writes the scenario as indented JSON.
+func (s Scenario) Save(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s)
 }
