@@ -159,6 +159,14 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	if err != nil {
 		return nil, err
 	}
+	// A response time that is NaN or +Inf would poison the fit below, and
+	// with it every prediction and reward; zero and negative ones are
+	// clamped there instead.
+	for i, y := range ys {
+		if math.IsNaN(y) || math.IsInf(y, 1) {
+			return nil, fmt.Errorf("core: sample %s measured a response time of %v", cfgs[i].Key(), y)
+		}
+	}
 
 	// 3. Regression-based prediction of unvisited configurations. The fit is
 	// done in log space: response times span orders of magnitude once a
@@ -191,21 +199,16 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	// must sit on the same asymptotic scale (≈ r/(1−γ)) as the values the
 	// online agent keeps refreshing, or unvisited states would look
 	// artificially poor and the agent would cling to its visited region.
-	// The Q-values start at zero and are solved in place in a slab that is
-	// garbage once the policy has kept what determines it (Policy.v): the
-	// values the last sweep ended with (the solve's val) and began with (the
-	// Keep column, action 0, whose move stays put), and that sweep's
-	// direction — mdp.Solve runs the order forward on its odd-numbered sweeps.
+	// The Q-values start at zero, and the solve needs no slab: it sweeps the
+	// state values the policy keeps (Policy.v) — those its last sweep began
+	// with (prev) and ended with (val) — and the policy notes that sweep's
+	// direction (mdp.Solve runs the order forward on its odd-numbered sweeps).
 	structure, rewards := p.trainingMDP(parallel.Options{Procs: opts.Procs})
-	n, actions := len(rewards), structure.Actions()
-	q := make([]float64, n*actions)
+	n := len(rewards)
 	p.v = make([]float64, 2*n)
-	p.training, err = mdp.Solve(q, structure, rewards, p.v[n:], offline)
+	p.training, err = mdp.Solve(nil, structure, rewards, p.v[:n], p.v[n:], offline)
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
-	}
-	for s := range n {
-		p.v[s] = q[s*actions]
 	}
 	p.forward = p.training.Sweeps%2 == 1
 	return p, nil

@@ -114,8 +114,8 @@ type Policy struct {
 	lattice *sharedLattice
 	// v is the offline group Q-table in the form the solve's last sweep
 	// leaves it, and rowAt derives a row from it: the value of entering each
-	// lattice state, by ordinal, before that sweep (v[:n], the Keep column)
-	// and after it (v[n:], the solve's val), n states; forward says the sweep
+	// lattice state, by ordinal, before that sweep (v[:n], the solve's prev)
+	// and after it (v[n:], its val), n states; forward says the sweep
 	// ran in ordinal order. mdp.Solve is Gauss–Seidel from zeros, so its last
 	// sweep set each feasible entry Q(s,a) to the value of s′ = Next(s,a) as
 	// that sweep found it — after the sweep when s′ came before s, else

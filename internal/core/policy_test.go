@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -269,6 +270,40 @@ func TestLearnPolicyValidation(t *testing.T) {
 	noSweeps.MaxSweeps = 0
 	if _, err := learnPolicy("x", space, ok, InitOptions{Batch: noSweeps}); err == nil {
 		t.Fatal("offline schedule with MaxSweeps 0 accepted")
+	}
+}
+
+// TestLearnPolicyRejectsNonFiniteSamples: a sampler that measures NaN or +Inf
+// for one coarse configuration yields an error naming it and the value, not a
+// policy whose fit, predictions and rewards are NaN; zero, negative and −Inf
+// samples are clamped as before and still train.
+func TestLearnPolicyRejectsNonFiniteSamples(t *testing.T) {
+	space := fuzzSpace()
+	cfgs, _, err := mustGrouping(t, space).Coarse(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cfgs[len(cfgs)/2].Key()
+	for _, y := range []float64{math.NaN(), math.Inf(1), 0, -3, math.Inf(-1)} {
+		sampler := func(cfg config.Config) (float64, error) {
+			if cfg.Key() == bad {
+				return y, nil
+			}
+			return 1, nil
+		}
+		p, err := learnPolicy("x", space, sampler, InitOptions{CoarseLevels: 2})
+		if math.IsNaN(y) || math.IsInf(y, 1) {
+			if want := fmt.Sprintf("sample %s measured a response time of %v", bad, y); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("sample %v: error %v, want one containing %q", y, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("sample %v: %v", y, err)
+		}
+		if rt := p.PredictRT(space.DefaultConfig()); math.IsNaN(rt) || math.IsInf(rt, 0) {
+			t.Errorf("sample %v: PredictRT %v", y, rt)
+		}
 	}
 }
 

@@ -361,5 +361,5 @@ func (r *region) solve(cfg mdp.BatchConfig) (mdp.BatchResult, error) {
 	if err := r.bind(); err != nil {
 		return mdp.BatchResult{}, err
 	}
-	return mdp.Solve(r.rows, &r.structure.Structure, r.rewards, r.val, cfg)
+	return mdp.Solve(r.rows, &r.structure.Structure, r.rewards, nil, r.val, cfg)
 }

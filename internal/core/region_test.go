@@ -447,7 +447,7 @@ func checkRegionTrail(t *testing.T, space *config.Space, trail []string) {
 		if sh.structErr != nil {
 			continue
 		}
-		got, err := mdp.Solve(r.rows, &r.structure.Structure, r.rewards, r.val, cfg)
+		got, err := mdp.Solve(r.rows, &r.structure.Structure, r.rewards, nil, r.val, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +456,7 @@ func checkRegionTrail(t *testing.T, space *config.Space, trail []string) {
 		for s, row := range rows {
 			copy(slab[s*actions:], row)
 		}
-		want, err := mdp.Solve(slab, sh.structure, sh.rewards(samples, fakePredict, sla), nil, cfg)
+		want, err := mdp.Solve(slab, sh.structure, sh.rewards(samples, fakePredict, sla), nil, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 )
 
 // TestPolicyRowsMatchSolve: every row a trained policy derives from its two
-// value vectors is, bit for bit, the row of the slab mdp.Solve computes from
+// value vectors is, bit for bit, the row of the slab solveSlab computes from
 // zeros over the same training MDP, and the policy's digest is the SHA-256
 // of that slab (then the coefficients, floor and SLA) as the slab's bits —
 // for the six Table-2 contexts over the analytic surface, at sweep bounds
@@ -43,12 +43,8 @@ func TestPolicyRowsMatchSolve(t *testing.T) {
 			name := fmt.Sprintf("%s/sweeps=%d", ctx.Name, sweeps)
 			st, rewards := p.trainingMDP(parallel.Options{Procs: 1})
 			q := make([]float64, st.Len()*st.Actions())
-			res, err := mdp.Solve(q, st, rewards, nil, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res != p.Training() {
-				t.Fatalf("%s: the policy's solve reports %+v, the oracle's %+v", name, p.Training(), res)
+			if res := solveSlab(q, st, rewards, batch); res != p.Training() {
+				t.Fatalf("%s: the policy's solve reports %+v, the slab oracle's %+v", name, p.Training(), res)
 			}
 			a := st.Actions()
 			var row []float64
@@ -76,6 +72,62 @@ func TestPolicyRowsMatchSolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// solveSlab is mdp.Solve over a whole structure as it ran before it swept
+// state values, from a slab q of zeros: Gauss–Seidel in place over q, every
+// feasible entry compared against, then set to, the current value of the
+// state it leads to, sweeps alternating index order and its reverse. It is
+// the oracle mdp's tests keep as solveSlab in batch_test.go, restated over
+// the exported Structure because test files do not cross packages.
+func solveSlab(q []float64, st *mdp.Structure, rewards []float64, cfg mdp.BatchConfig) mdp.BatchResult {
+	n, actions := st.Len(), st.Actions()
+	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
+	val := make([]float64, n)
+	backup := func(s int) float64 { // over s's row, feasible entries in action order
+		var best, sum float64
+		k := 0
+		for a := range actions {
+			if st.Next(s, a) < 0 {
+				continue
+			}
+			v := q[s*actions+a]
+			sum += v
+			if k == 0 || v > best {
+				best = v
+			}
+			k++
+		}
+		return float64((1-eps)*best + eps*sum/float64(k))
+	}
+	for s := range n {
+		val[s] = rewards[s] + gamma*backup(s)
+	}
+	var res mdp.BatchResult
+	for sweep := 0; sweep < max(cfg.MaxSweeps, 1); sweep++ {
+		var maxErr float64
+		for i := range n {
+			s := i
+			if sweep%2 == 1 {
+				s = n - 1 - i
+			}
+			for a := range actions {
+				if to := st.Next(s, a); to >= 0 {
+					if d := math.Abs(val[to] - q[s*actions+a]); d > maxErr {
+						maxErr = d
+					}
+					q[s*actions+a] = val[to]
+				}
+			}
+			val[s] = rewards[s] + gamma*backup(s)
+		}
+		res.Sweeps, res.FinalErr = sweep+1, maxErr
+		if maxErr < cfg.Theta {
+			res.Converged = true
+			break
+		}
+	}
+	return res
 }
 
 // nonSolveTables returns p's saved document with its table damaged in two

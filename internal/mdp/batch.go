@@ -80,7 +80,10 @@ type BatchResult struct {
 // back every retraining pass over the same region. A Structure built whole
 // (NewStructure, NewStructureFromTransitions) is immutable and may be shared
 // read-only across agents tuning the same context; only a GrowingStructure
-// changes, and only it has a sweep order.
+// changes, and only it has a sweep order. A whole structure is solved by
+// sweeping state values (Solve), so at construction it also lists each
+// state's feasible successors and fixes its role bits; a growing one is
+// solved over its caller's slab.
 type Structure struct {
 	// states are a whole structure's keys, by index; a growing structure
 	// keeps none — its owner names its states.
@@ -88,7 +91,7 @@ type Structure struct {
 	actions int
 	// trans[s*actions+a] is the index reached by taking a in s, or -1 when
 	// infeasible. A whole structure's lattice is dense, and Solve walks its
-	// table directly. A growing structure's is sparse — an agent's region is
+	// successor lists. A growing structure's is sparse — an agent's region is
 	// mostly frontier states, whose moves mostly leave it — so it also keeps
 	// live, one bit per feasible entry in words() words per state, and Solve
 	// visits only those, in action order.
@@ -97,7 +100,29 @@ type Structure struct {
 	// order is a growing structure's sweep order, every index once, set by
 	// Compile; a whole structure has none and sweeps in index order.
 	order []int32
+	// succ is a whole structure's successor lists, fixed by trans at
+	// construction (index); a growing structure has none, and an agent's
+	// region, one per tenant, pays one pointer for it.
+	succ *successors
 }
+
+// successors lists a whole structure's feasible successors: state s's are
+// next[off[s]:off[s+1]], in action order, and role[s] holds s's role bits.
+type successors struct {
+	off, next []int32
+	role      []uint8
+}
+
+// A whole structure's role bits say which entries read state s's value: its
+// own moves to itself, and moves to it from states of higher index (those a
+// forward sweep visits after s) or of lower index (a backward sweep's). A
+// value sweep counts an entry's change in its largest change only through
+// these (Solve).
+const (
+	selfMove  uint8 = 1 << iota // a feasible move of s stays at s
+	readAbove                   // a state of higher index moves to s
+	readBelow                   // a state of lower index moves to s
+)
 
 // States returns a whole structure's state keys in index order (nil for a
 // growing one). The slice is shared; callers must not mutate it.
@@ -171,7 +196,37 @@ func NewStructureFromTransitions(states []string, actions int, trans []int32) (*
 	if err := st.check(); err != nil {
 		return nil, err
 	}
+	st.index()
 	return st, nil
+}
+
+// index builds a whole structure's successor lists and role bits.
+func (st *Structure) index() {
+	n, actions := st.Len(), st.actions
+	feasible := 0
+	for _, to := range st.trans {
+		if to >= 0 {
+			feasible++
+		}
+	}
+	sc := &successors{off: make([]int32, n+1), next: make([]int32, 0, feasible), role: make([]uint8, n)}
+	for s := range n {
+		for _, to := range st.trans[s*actions : (s+1)*actions] {
+			switch {
+			case to < 0:
+				continue
+			case int(to) == s:
+				sc.role[s] |= selfMove
+			case int(to) < s:
+				sc.role[to] |= readAbove
+			default:
+				sc.role[to] |= readBelow
+			}
+			sc.next = append(sc.next, to)
+		}
+		sc.off[s+1] = int32(len(sc.next))
+	}
+	st.succ = sc
 }
 
 // GrowingStructure is a Structure one owner grows in place — Append, Link,
@@ -310,15 +365,15 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 	for s, row := range rows {
 		copy(q[s*a:], row)
 	}
-	res, err := Solve(q, st, rewards, nil, cfg)
+	res, err := Solve(q, st, rewards, nil, nil, cfg)
 	for s, row := range rows {
 		copy(row, q[s*a:])
 	}
 	return res, err
 }
 
-// Solve computes, in place, the action values that Algorithm 1's ε-greedy
-// SARSA sweep estimates over the MDP (st, rewards): the fixed point of
+// Solve computes the action values that Algorithm 1's ε-greedy SARSA sweep
+// estimates over the MDP (st, rewards): the fixed point of
 //
 //	Q(s,a) = r(s′) + γ·[(1−ε)·max Q(s′,·) + ε·mean Q(s′,·)],   s′ = Next(s,a),
 //
@@ -330,33 +385,51 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 // reward received on entering state s.
 //
 // q is the Q-value slab, state s's row being q[s*A:(s+1)*A] for A actions,
-// solved in place from the values it holds: a slab of zeros (offline
-// training), the rows an agent's retraining region holds across intervals,
-// or a table's rows copied in by BatchTrain. The solve is Gauss–Seidel: a
-// state's row is re-evaluated from the newest values of its successors,
-// sweeps alternate the structure's order (index order unless it grew with
-// one) and its reverse — the first sweep, and every odd-numbered one, runs
-// it forward — and the solve stops once a sweep changes no entry by Theta or
-// more, with MaxSweeps as the bound. Each sweep is a γ-contraction in the
-// max norm, so after a sweep whose largest change is below Theta the Bellman
-// residual is below γ·Theta. The sweep walks each state's row of the
-// transition table, visiting only the feasible entries (the structure's live
-// bits) in action order, setting each to the current value of the state it
+// solved from the values it holds: the rows an agent's retraining region
+// holds across intervals, or a table's rows copied in by BatchTrain. Over a
+// whole structure q may be empty, which stands for a slab of zeros that
+// Solve neither reads nor writes (offline training). The solve is
+// Gauss–Seidel: a state's row is re-evaluated from the newest values of its
+// successors, sweeps alternate the structure's order (index order unless it
+// grew with one) and its reverse — the first sweep, and every odd-numbered
+// one, runs it forward — and the solve stops once a sweep changes no entry
+// by Theta or more, with MaxSweeps as the bound. Each sweep is a
+// γ-contraction in the max norm, so after a sweep whose largest change is
+// below Theta the Bellman residual is below γ·Theta. A sweep sets each
+// feasible entry, in action order, to the current value of the state it
 // leads to; infeasible entries keep their value.
 //
 // val holds one value per state: what entering it is worth, r(s) plus γ
 // times the ε-greedy backup of its row. Its contents on entry are
-// overwritten; on return it holds the values the last sweep left (an
-// offline policy keeps them, and the values that sweep began with, in place
-// of its slab). Solve allocates its own when val is shorter. No random number is drawn, so the result depends on
-// the inputs alone. cfg.StepsPerState and cfg.Params.Alpha are not used.
-func Solve(q []float64, st *Structure, rewards, val []float64, cfg BatchConfig) (BatchResult, error) {
+// overwritten; on return it holds the values the last sweep left. Over a
+// whole structure prev likewise receives the values that sweep began with
+// (an offline policy keeps the two in place of its slab); a growing
+// structure's solve neither reads nor writes it. Solve allocates its own
+// val or prev when the one passed is shorter than the state count.
+//
+// Over a whole structure the sweeps write val and prev, never q. After a
+// sweep each entry (s,a) → t holds t's value after that sweep when it reached
+// t before s, else t's value before it (a move to s itself included). So the
+// next sweep, which runs the other way, changes the entry by exactly 0 when
+// it reaches t after s, and by the change in t's value across both sweeps
+// when it reaches t before s; a move to s itself changes by the change in
+// s's value across the previous sweep. A sweep's largest change is therefore
+// a maximum over states of two differences against prev, selected by the
+// structure's role bits. The first sweep compares each entry against q, read
+// only (against 0 when q is empty: every entry then changes by what it is set
+// to). On return each feasible entry of a non-empty q is written once from
+// prev, val and the last sweep's direction — what the sweep would have left
+// there — and infeasible entries are untouched. With q empty and val and prev
+// long enough, Solve allocates nothing. No random number is drawn, so the
+// result depends on the inputs alone. cfg.StepsPerState and
+// cfg.Params.Alpha are not used.
+func Solve(q []float64, st *Structure, rewards, prev, val []float64, cfg BatchConfig) (BatchResult, error) {
 	if st == nil {
 		return BatchResult{}, errors.New("mdp: nil structure")
 	}
 	n, actions := st.Len(), st.actions
 	switch {
-	case len(q) != n*actions:
+	case len(q) != 0 && len(q) != n*actions, len(q) == 0 && st.live != nil:
 		return BatchResult{}, fmt.Errorf("mdp: a slab of %d values for %d states x %d actions", len(q), n, actions)
 	case len(rewards) != n:
 		return BatchResult{}, fmt.Errorf("mdp: %d rewards for %d states", len(rewards), n)
@@ -375,66 +448,74 @@ func Solve(q []float64, st *Structure, rewards, val []float64, cfg BatchConfig) 
 	// val[s] is what entering s is worth: r(s) + γ·backup(s), where backup is
 	// the expected value of the ε-greedy choice over s's row, given its max and
 	// sum over the feasible actions (k of them). It is refreshed whenever s's
-	// row is, so every target is one load. The two sweeps below differ only in
-	// how they reach a state's feasible entries; each is its own function so
-	// neither carries the other's per-state branch.
-	if st.live == nil {
-		return st.solveDense(q, rewards, val[:n], cfg), nil
+	// row is, so every target is one load. The two sweeps below differ in
+	// what they keep; each is its own function so neither carries the other's
+	// per-state branch.
+	if st.live != nil {
+		return st.solveLive(q, rewards, val[:n], cfg), nil
 	}
-	return st.solveLive(q, rewards, val[:n], cfg), nil
+	if len(prev) < n {
+		prev = make([]float64, n)
+	}
+	res := st.solveDense(q, rewards, prev[:n], val[:n], cfg)
+	if len(q) != 0 {
+		st.writeBack(q, prev[:n], val[:n], res.Sweeps%2 == 1)
+	}
+	return res, nil
 }
 
-// solveDense is Solve over a whole structure: states in index order, each
-// row's transitions walked directly, skipping the negative entries.
-func (st *Structure) solveDense(q, rewards, val []float64, cfg BatchConfig) BatchResult {
-	n, actions, trans := len(val), st.actions, st.trans
-	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
+// solveDense is Solve's value sweep over a whole structure: states in index
+// order, each one's feasible successors read from succ, val and prev
+// updated in place.
+func (st *Structure) solveDense(q, rewards, prev, val []float64, cfg BatchConfig) BatchResult {
+	actions, gamma, eps := st.actions, cfg.Params.Gamma, cfg.Params.Epsilon
 	for s := range val {
-		row, next := q[s*actions:(s+1)*actions], trans[s*actions:(s+1)*actions]
-		var best, sum float64
+		var best, sum float64 // over a row of zeros when q is empty
 		k := 0
-		for a, to := range next {
+		for a, to := range st.trans[s*actions : (s+1)*actions] {
 			if to < 0 {
 				continue
 			}
-			v := row[a]
-			sum += v
-			if k == 0 || v > best {
-				best = v
+			if len(q) != 0 {
+				v := q[s*actions+a]
+				sum += v
+				if k == 0 || v > best {
+					best = v
+				}
 			}
 			k++
 		}
 		backup := float64((1-eps)*best + eps*sum/float64(k))
 		val[s] = rewards[s] + gamma*backup
 	}
+	clear(prev)
 	var res BatchResult
 	for sweep := 0; sweep < cfg.MaxSweeps; sweep++ {
-		var maxErr float64
-		for i := 0; i < n; i++ {
-			s := i
-			if sweep%2 == 1 {
-				s = n - 1 - i
-			}
-			row, next := q[s*actions:(s+1)*actions], trans[s*actions:(s+1)*actions]
-			var best, sum float64
-			k := 0
-			for a, to := range next {
+		// An entry whose target the sweep reaches first changes by the
+		// target's new value against its prev (fresh); a move to s itself by
+		// s's old value against its prev (stale), as does, in a first sweep
+		// from zeros (prev all +0), every entry whose target the sweep
+		// reaches last.
+		backward := sweep%2 == 1
+		fresh, stale := readAbove, selfMove
+		if backward {
+			fresh = readBelow
+		} else if sweep == 0 {
+			stale |= readBelow
+		}
+		maxErr := st.valueSweep(rewards, prev, val, backward, fresh, stale, cfg.Params)
+		if sweep == 0 && len(q) != 0 {
+			// A caller's slab is no slab of zeros: compare each entry, read
+			// only, against what the sweep set it to.
+			maxErr = 0
+			for i, to := range st.trans {
 				if to < 0 {
 					continue
 				}
-				target := val[to]
-				if d := math.Abs(target - row[a]); d > maxErr {
+				if d := math.Abs(left(prev, val, i/actions, to, true) - q[i]); d > maxErr {
 					maxErr = d
 				}
-				row[a] = target
-				sum += target
-				if k == 0 || target > best {
-					best = target
-				}
-				k++
 			}
-			backup := float64((1-eps)*best + eps*sum/float64(k))
-			val[s] = rewards[s] + gamma*backup
 		}
 		res.Sweeps = sweep + 1
 		res.FinalErr = maxErr
@@ -446,9 +527,71 @@ func (st *Structure) solveDense(q, rewards, val []float64, cfg BatchConfig) Batc
 	return res
 }
 
+// valueSweep runs one sweep over a whole structure (backward: in reverse
+// index order) and returns its largest change: the largest |old−prev| over
+// states with a stale role bit and |new−prev| over those with a fresh one.
+// Each state's prev becomes its old value and its val the new one.
+func (st *Structure) valueSweep(rewards, prev, val []float64, backward bool, fresh, stale uint8, p Params) float64 {
+	n, off, succ, role := len(val), st.succ.off, st.succ.next, st.succ.role
+	gamma, eps := p.Gamma, p.Epsilon
+	var maxErr float64
+	for i := 0; i < n; i++ {
+		s := i
+		if backward {
+			s = n - 1 - i
+		}
+		next := succ[off[s]:off[s+1]]
+		var best, sum float64
+		for j, to := range next {
+			v := val[to]
+			sum += v
+			if j == 0 || v > best {
+				best = v
+			}
+		}
+		backup := float64((1-eps)*best + eps*sum/float64(len(next)))
+		old, was := val[s], prev[s]
+		val[s] = rewards[s] + gamma*backup
+		prev[s] = old
+		if role[s]&stale != 0 {
+			if d := math.Abs(old - was); d > maxErr {
+				maxErr = d
+			}
+		}
+		if role[s]&fresh != 0 {
+			if d := math.Abs(val[s] - was); d > maxErr {
+				maxErr = d
+			}
+		}
+	}
+	return maxErr
+}
+
+// left returns what a whole structure's sweep (forward: in index order) that
+// began with prev and ended with val leaves in a feasible entry of state s
+// leading to state to: to's value after the sweep when the sweep reached to
+// before s, else its value before the sweep.
+func left(prev, val []float64, s int, to int32, forward bool) float64 {
+	if forward && int(to) < s || !forward && int(to) > s {
+		return val[to]
+	}
+	return prev[to]
+}
+
+// writeBack sets each feasible entry of q to what the last sweep (forward:
+// in index order) left there.
+func (st *Structure) writeBack(q, prev, val []float64, forward bool) {
+	for i, to := range st.trans {
+		if to >= 0 {
+			q[i] = left(prev, val, i/st.actions, to, forward)
+		}
+	}
+}
+
 // solveLive is Solve over a growing structure: states in its sweep order,
 // each row's feasible entries reached through its live bits, in action order
-// — the same entries solveDense visits, in the same order.
+// — the slab sweep whole structures ran before their value sweep
+// (solveDense), over the same entries in the same order.
 func (st *Structure) solveLive(q, rewards, val []float64, cfg BatchConfig) BatchResult {
 	n, actions, trans, live, words := len(val), st.actions, st.trans, st.live, st.words()
 	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon

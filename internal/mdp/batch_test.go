@@ -210,7 +210,7 @@ func solveTable(q *QTable, st *Structure, rewards []float64, cfg BatchConfig) (B
 	for s, row := range rows {
 		copy(slab[s*st.actions:], row)
 	}
-	res, err := Solve(slab, st, rewards, nil, cfg)
+	res, err := Solve(slab, st, rewards, nil, nil, cfg)
 	for s, row := range rows {
 		copy(row, slab[s*st.actions:])
 	}
@@ -613,7 +613,7 @@ func TestSolveValidation(t *testing.T) {
 		rewards []float64
 		cfg     BatchConfig
 	}{
-		{"nil slab", nil, st, rewards, good},
+		{"nil slab over a growing structure", nil, grownWhole(t, st, []int32{3, 1, 0, 2}), rewards, good},
 		{"nil structure", q, nil, rewards, good},
 		{"short slab", q[:len(q)-3], st, rewards, good},
 		{"ragged slab", q[:len(q)-1], st, rewards, good},
@@ -625,7 +625,7 @@ func TestSolveValidation(t *testing.T) {
 		{"negative epsilon", q, st, rewards, bad(func(p *Params) { p.Epsilon = -0.1 })},
 	}
 	for _, tc := range cases {
-		if _, err := Solve(tc.q, tc.st, tc.rewards, nil, tc.cfg); err == nil {
+		if _, err := Solve(tc.q, tc.st, tc.rewards, nil, nil, tc.cfg); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
@@ -641,8 +641,12 @@ func TestSolveValidation(t *testing.T) {
 			t.Errorf("BatchTrain: %s: rejected call materialized %d rows", name, q.Len())
 		}
 	}
+	// A whole structure solves without a slab.
+	if _, err := Solve(nil, st, rewards, nil, nil, good); err != nil {
+		t.Fatalf("no slab over a whole structure: %v", err)
+	}
 	// A non-positive sweep bound is clamped to one, not rejected.
-	res, err := Solve(q, st, rewards, nil, BatchConfig{Params: DefaultOffline()})
+	res, err := Solve(q, st, rewards, nil, nil, BatchConfig{Params: DefaultOffline()})
 	if err != nil || res.Sweeps != 1 {
 		t.Fatalf("zero schedule: %+v, %v; want one sweep", res, err)
 	}
@@ -801,10 +805,10 @@ func (m structureModel) Next(state string, action int) (string, bool) {
 func (m structureModel) Reward(state string) float64 { return m.rewards[m.index[state]] }
 
 // BenchmarkSolveGroupLattice times one offline training pass over context-1's
-// group lattice at the offline schedule: the solve into a zeroed slab, as the
-// offline trainer runs it, and the sampled SARSA
-// sweep it replaced (the string-keyed reference loop, which runs to the
-// 400-sweep bound).
+// group lattice at the offline schedule: the value sweep with no slab, as the
+// offline trainer runs it, the slab sweep it replaced (solveSlab, from a
+// zeroed slab), and the sampled SARSA sweep before that (the string-keyed
+// reference loop, which runs to the 400-sweep bound).
 func BenchmarkSolveGroupLattice(b *testing.B) {
 	ctx, err := system.ContextByName("context-1")
 	if err != nil {
@@ -812,11 +816,19 @@ func BenchmarkSolveGroupLattice(b *testing.B) {
 	}
 	st, rewards := table2Lattice(b, ctx)
 	cfg := offlineSchedule()
+	prev, val := make([]float64, st.Len()), make([]float64, st.Len())
 	b.Run("solve", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Solve(make([]float64, st.Len()*st.Actions()), st, rewards, nil, cfg); err != nil {
+			if _, err := Solve(nil, st, rewards, prev, val, cfg); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("slab", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			solveSlab(make([]float64, st.Len()*st.Actions()), st, rewards, prev, val, cfg)
 		}
 	})
 	b.Run("sarsa-reference", func(b *testing.B) {
@@ -1216,4 +1228,246 @@ func (c duplicateChain) States() []string {
 	states := c.indexedChain.States()
 	states[len(states)-1] = states[0]
 	return states
+}
+
+// solveSlab is Solve over a whole structure as it ran before it swept state
+// values: Gauss–Seidel in place over the slab q, every feasible entry
+// compared against, then set to, the current value of the state it leads to,
+// the row's backup taken over what it now holds. prev receives the values
+// the last sweep began with. Its inputs are Solve's, already validated. It is
+// the oracle FuzzSolve and TestSolveMatchesSlab hold Solve to.
+func solveSlab(q []float64, st *Structure, rewards, prev, val []float64, cfg BatchConfig) BatchResult {
+	n, actions, trans := st.Len(), st.actions, st.trans
+	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
+	for s := range n {
+		row, next := q[s*actions:(s+1)*actions], trans[s*actions:(s+1)*actions]
+		var best, sum float64
+		k := 0
+		for a, to := range next {
+			if to < 0 {
+				continue
+			}
+			v := row[a]
+			sum += v
+			if k == 0 || v > best {
+				best = v
+			}
+			k++
+		}
+		backup := float64((1-eps)*best + eps*sum/float64(k))
+		val[s] = rewards[s] + gamma*backup
+	}
+	var res BatchResult
+	for sweep := 0; sweep < max(cfg.MaxSweeps, 1); sweep++ {
+		copy(prev[:n], val[:n])
+		var maxErr float64
+		for i := 0; i < n; i++ {
+			s := i
+			if sweep%2 == 1 {
+				s = n - 1 - i
+			}
+			row, next := q[s*actions:(s+1)*actions], trans[s*actions:(s+1)*actions]
+			var best, sum float64
+			k := 0
+			for a, to := range next {
+				if to < 0 {
+					continue
+				}
+				target := val[to]
+				if d := math.Abs(target - row[a]); d > maxErr {
+					maxErr = d
+				}
+				row[a] = target
+				sum += target
+				if k == 0 || target > best {
+					best = target
+				}
+				k++
+			}
+			backup := float64((1-eps)*best + eps*sum/float64(k))
+			val[s] = rewards[s] + gamma*backup
+		}
+		res.Sweeps = sweep + 1
+		res.FinalErr = maxErr
+		if maxErr < cfg.Theta {
+			res.Converged = true
+			break
+		}
+	}
+	return res
+}
+
+// checkSolveMatchesSlab holds Solve over the whole structure st to solveSlab
+// bit for bit: the BatchResult, val, prev and, when warm is non-nil, the slab
+// Solve writes back from warm. With warm nil, Solve runs with no slab and
+// then again over a slab of zeros, each against solveSlab from zeros.
+func checkSolveMatchesSlab(t *testing.T, st *Structure, rewards, warm []float64, cfg BatchConfig) {
+	t.Helper()
+	n := st.Len()
+	wantQ := slices.Clone(warm)
+	if warm == nil {
+		wantQ = make([]float64, n*st.actions)
+	}
+	wantPrev, wantVal := make([]float64, n), make([]float64, n)
+	want := solveSlab(wantQ, st, rewards, wantPrev, wantVal, cfg)
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, the slab oracle's %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	slabs := [][]float64{slices.Clone(warm)}
+	if warm == nil {
+		slabs = append(slabs, make([]float64, n*st.actions))
+	}
+	for _, q := range slabs {
+		prev, val := make([]float64, n), make([]float64, n)
+		got, err := Solve(q, st, rewards, prev, val, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Sweeps != want.Sweeps || got.Converged != want.Converged ||
+			math.Float64bits(got.FinalErr) != math.Float64bits(want.FinalErr) {
+			t.Fatalf("slab of %d values: Solve %+v, the slab oracle %+v", len(q), got, want)
+		}
+		same("val", val, wantVal)
+		same("prev", prev, wantPrev)
+		if q != nil {
+			same("slab", q, wantQ)
+		}
+	}
+}
+
+// TestSolveMatchesSlab holds Solve to solveSlab on the offline MDP of every
+// Table-2 context, at sweep bounds whose last sweep runs forward (1, 3, and
+// the converged solve under 400) and backward (2, 30).
+func TestSolveMatchesSlab(t *testing.T) {
+	for _, ctx := range system.Table2() {
+		st, rewards := table2Lattice(t, ctx)
+		for _, sweeps := range []int{1, 2, 3, 30, 400} {
+			cfg := offlineSchedule()
+			cfg.MaxSweeps = sweeps
+			if sweeps < 400 {
+				cfg.Theta = 0
+			}
+			t.Run(fmt.Sprintf("%s/sweeps=%d", ctx.Name, sweeps), func(t *testing.T) {
+				checkSolveMatchesSlab(t, st, rewards, nil, cfg)
+			})
+		}
+	}
+}
+
+// TestSolveNoSlabAllocFree: over a whole structure, with no slab and val and
+// prev of the state count, Solve allocates nothing.
+func TestSolveNoSlabAllocFree(t *testing.T) {
+	ctx, err := system.ContextByName("context-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, rewards := table2Lattice(t, ctx)
+	prev, val := make([]float64, st.Len()), make([]float64, st.Len())
+	cfg := offlineSchedule()
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Solve(nil, st, rewards, prev, val, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a solve with no slab allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// fuzzBytes reads a fuzz input one byte at a time, 0 once it runs out.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// value decodes a float64 from the input: ±0, ±Inf, NaN or a finite value
+// in [−512, 512).
+func (b *fuzzBytes) value() float64 {
+	switch c := b.next(); c % 8 {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Inf(1)
+	case 3:
+		return math.Inf(-1)
+	case 4:
+		return math.NaN()
+	default:
+		return float64(int16(uint16(b.next())<<8|uint16(c))) / 64
+	}
+}
+
+// FuzzSolve holds Solve to solveSlab bit for bit over small whole structures
+// decoded from the input: up to 8 states and 5 actions, moves infeasible,
+// to the state itself (under any action) or to any state; rewards and warm
+// slab entries ±0, ±Inf, NaN or finite; no slab or a warm one; a sweep bound
+// of 1–6 and Theta zero or positive; γ in [0, 0.99] and ε in [0, 1].
+func FuzzSolve(f *testing.F) {
+	f.Add([]byte{})
+	// Two states that move to each other, one sweep from no slab: its
+	// largest change is what state 0 sets its entry to, state 1's value
+	// before the sweep.
+	f.Add([]byte{1, 0, 6, 2, 0, 5, 1, 0, 0, 0, 50, 10})
+	f.Add([]byte{7, 4, 9, 13, 2, 6, 10, 14, 1, 5, 3, 7, 11, 15, 21, 33, 45, 57, 69, 81, 93, 105, 117, 129, 5, 90, 10, 1, 3})
+	f.Add([]byte{3, 2, 5, 5, 5, 5, 6, 6, 6, 6, 0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(bytes.Repeat([]byte{0x9d, 0x42, 0x17, 0xe8}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		n, actions := 1+int(in.next()%8), 1+int(in.next()%5)
+		trans := make([]int32, n*actions)
+		states := make([]string, n)
+		for s := range n {
+			states[s] = strconv.Itoa(s)
+			row := trans[s*actions : (s+1)*actions]
+			for a := range row {
+				switch c := in.next(); {
+				case c%4 == 0:
+					row[a] = -1
+				case c%4 == 1:
+					row[a] = int32(s)
+				default:
+					row[a] = int32(int(c/4) % n)
+				}
+			}
+			if !slices.ContainsFunc(row, func(to int32) bool { return to >= 0 }) {
+				row[0] = int32(s)
+			}
+		}
+		st, err := NewStructureFromTransitions(states, actions, trans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewards := make([]float64, n)
+		for s := range rewards {
+			rewards[s] = in.value()
+		}
+		var warm []float64
+		if in.next()%2 == 1 {
+			warm = make([]float64, n*actions)
+			for i := range warm {
+				warm[i] = in.value()
+			}
+		}
+		cfg := DefaultBatchConfig()
+		cfg.MaxSweeps = 1 + int(in.next()%6)
+		cfg.Theta = 0
+		if c := in.next(); c%2 == 1 {
+			cfg.Theta = float64(c) / 64
+		}
+		cfg.Params.Gamma = float64(in.next()%100) / 100
+		cfg.Params.Epsilon = float64(in.next()%101) / 100
+		checkSolveMatchesSlab(t, st, rewards, warm, cfg)
+	})
 }

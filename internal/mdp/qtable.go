@@ -1,9 +1,9 @@
 // Package mdp implements the reinforcement-learning machinery of the paper:
 // batch training over a deterministic model of the configuration MDP — the
 // fixed point paper Algorithm 1's ε-greedy SARSA estimates, solved rather
-// than sampled (Solve) in place over a flat Q-value slab — and its
-// hyper-parameters. Offline policy training and the agent's per-interval
-// retraining both run Solve, each over its own slab.
+// than sampled (Solve) — and its hyper-parameters. Offline policy training
+// runs Solve over the whole group lattice, sweeping state values alone; the
+// agent's per-interval retraining runs it over its region's Q-value slab.
 //
 // The package is independent of web-system specifics: states are dense
 // indices into a transition table, and actions are dense indices. The
