@@ -68,9 +68,9 @@ race:
 # examples/racd_fleet.json, FuzzAdminConfig (the live server's POST
 # /admin/config) from the default webtier params.
 # Plain `go test` already runs each target's seeds; this mutates past them.
-# FuzzLoadPolicy seeds from a four-parameter space's 2.4 kB policy:
-# 15 000–50 000 executions per 10 s on two cores, where its 1.5 MB
-# default-space seeds managed 24. FuzzDecodeCheckpoint decodes each input as
+# FuzzLoadPolicy seeds from a four-parameter space's policy in both formats
+# (a 0.5 kB document and its 2.4 kB first-format twin) and the committed
+# compatibility corpus: ≈90 000 executions per 10 s on two cores. FuzzDecodeCheckpoint decodes each input as
 # an envelope and again sealed in a valid one, so mutations also reach the
 # JSON payload past the CRC. Minimizing a new input is capped at 1 s: at
 # go's 60 s default, shrinking one kilobyte-sized snapshot byte by byte
@@ -97,24 +97,26 @@ loc:
 	done; \
 	printf '%-22s %6d\n' total "$$total"
 
-# Byte identity against another revision, the protocol a PR that must move
+# Identity against another revision, the protocol a PR that must move
 # nothing observable runs: `make identity REV=HEAD~1` builds racpolicy,
 # racbench and racsim from REV (a `git archive` export under a temp dir —
 # local git only, and nothing is registered in .git) and from the working
-# tree, then compares the SHA-256 of the six Table-2 policies and the sim
-# coarse-2 policy, every simulated figure in quick mode minus its
-# `(fig in N.Ns)` timing line (the ten paper figures of `racbench -all`,
-# diurnal, overload, flashcrowd-capacity and the examples/faults_basic.json
-# recovery figure; only the wall-clock `load` figure is left out), and five
-# racsim runs picked to reach every path of the simulator's
-# tick: the default MaxClients sweep; a SessionTimeout sweep (session expiry
-# order); a MaxThreads sweep at 3000 clients, whose p95 column reads 33.000 —
-# the 30 s browser timeout plus retransmit delay, i.e. the abandon and
-# SYN-retransmit paths; the flashcrowd scenario (SetWorkload mid-run); and a
-# fault replay, the one deterministic run whose system goes through
-# rac.BuildSystem (sim plus the fault layer, internal/backend). Exits non-zero
-# on any difference. Not part of `make check`: it needs a revision to compare
-# against.
+# tree, then compares: the six Table-2 policies and the sim coarse-2 policy
+# each side trains, by content — the working tree's `racpolicy -inspect` of
+# each file (digest, offline solve, predictions, greedy walk), so REV's files
+# also go through the loader of their format; every simulated figure in quick
+# mode minus its `(fig in N.Ns)` timing line (the ten paper figures of
+# `racbench -all`, diurnal, overload, flashcrowd-capacity and the
+# examples/faults_basic.json recovery figure; only the wall-clock `load`
+# figure is left out); and five racsim runs picked to reach every path of the
+# simulator's tick: the default MaxClients sweep; a SessionTimeout sweep
+# (session expiry order); a MaxThreads sweep at 3000 clients, whose p95
+# column reads 33.000 — the 30 s browser timeout plus retransmit delay, i.e.
+# the abandon and SYN-retransmit paths; the flashcrowd scenario (SetWorkload
+# mid-run); and a fault replay, the one deterministic run whose system goes
+# through rac.BuildSystem (sim plus the fault layer, internal/backend). Exits
+# non-zero on any difference. Not part of `make check`: it needs a revision
+# to compare against.
 identity:
 	@test -n "$(REV)" || { echo "usage: make identity REV=<rev>"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -125,7 +127,6 @@ identity:
 	for side in rev tree; do ( cd $$tmp/$$side && \
 		for n in 1 2 3 4 5 6; do ./racpolicy -train context-$$n -o context-$$n.json >/dev/null || exit 1; done && \
 		./racpolicy -train context-1 -backend sim -coarse 2 -seed 1 -o sim-coarse2.json >/dev/null && \
-		sha256sum *.json > policies.sha256 && \
 		./racbench -all -quick | sed '/^  (.* in [0-9.]*s)$$/d' > figs.txt && \
 		for fig in diurnal overload flashcrowd-capacity; do \
 			./racbench -fig $$fig -quick | sed '/^  (.* in [0-9.]*s)$$/d' > $$fig.txt || exit 1; \
@@ -137,11 +138,16 @@ identity:
 		./racsim -scenario flashcrowd > scenario-flashcrowd.txt && \
 		./racsim -faults $(CURDIR)/examples/faults_basic.json -warmup 30 -interval 60 > faults.txt ) || exit 1; \
 	done && \
-	for f in policies.sha256 figs.txt diurnal.txt overload.txt flashcrowd-capacity.txt fig-faults.txt \
+	for side in rev tree; do \
+		for p in context-1 context-2 context-3 context-4 context-5 context-6 sim-coarse2; do \
+			$$tmp/tree/racpolicy -inspect $$tmp/$$side/$$p.json || exit 1; \
+		done > $$tmp/$$side/policies.txt || exit 1; \
+	done && \
+	for f in policies.txt figs.txt diurnal.txt overload.txt flashcrowd-capacity.txt fig-faults.txt \
 			sweep.txt sweep-session.txt sweep-threads.txt scenario-flashcrowd.txt faults.txt; do \
 		diff -u $$tmp/rev/$$f $$tmp/tree/$$f || { echo "identity: $$f differs from $(REV)"; exit 1; }; \
 	done && \
-	cat $$tmp/tree/policies.sha256 && echo "identity: byte-identical to $(REV)"
+	grep '^digest:' $$tmp/tree/policies.txt && echo "identity: no difference from $(REV)"
 
 # Quick benchmark pass over every package: one iteration per benchmark with
 # allocation stats, summarised into BENCH_quick.json via cmd/benchjson. The

@@ -93,9 +93,7 @@ func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs in
 		return err
 	}
 	fmt.Printf("trained in %.1fs\n", time.Since(start).Seconds())
-	tr, schedule := policy.Training(), core.DefaultOfflineBatch()
-	fmt.Printf("offline solve: sweeps %d/%d converged=%v (last sweep's largest change %.4g, threshold %g)\n",
-		tr.Sweeps, schedule.MaxSweeps, tr.Converged, tr.FinalErr, schedule.Theta)
+	printSolve(policy)
 
 	if out == "" {
 		out = ctx.Name + ".policy.json"
@@ -111,6 +109,15 @@ func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs in
 	return nil
 }
 
+// printSolve prints how the policy's offline solve converged under its
+// schedule; LoadPolicy runs the solve again, so a loaded policy prints what
+// the trained one did.
+func printSolve(policy *core.Policy) {
+	tr, schedule := policy.Training(), policy.Schedule()
+	fmt.Printf("offline solve: sweeps %d/%d converged=%v (last sweep's largest change %.4g, threshold %g)\n",
+		tr.Sweeps, schedule.MaxSweeps, tr.Converged, tr.FinalErr, schedule.Theta)
+}
+
 func inspectPolicy(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -123,8 +130,10 @@ func inspectPolicy(path string) error {
 		return err
 	}
 	fmt.Printf("policy:   %s\n", policy.Name())
+	fmt.Printf("digest:   %s\n", policy.Digest())
 	fmt.Printf("SLA:      %.2fs\n", policy.SLA())
-	// A loaded policy holds one Q row per group-lattice state.
+	printSolve(policy)
+	// A loaded policy derives one Q row per group-lattice state.
 	groups, err := space.Grouping()
 	if err != nil {
 		return err

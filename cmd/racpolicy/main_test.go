@@ -3,12 +3,81 @@ package main
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/rac-project/rac/internal/config"
+	"github.com/rac-project/rac/internal/core"
+	"github.com/rac-project/rac/internal/system"
 )
+
+// runOutput runs racpolicy with args and returns what it printed.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(args)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := out.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	printed, err := io.ReadAll(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed)
+}
+
+// offlineSolveLine returns the "offline solve:" line of racpolicy's output.
+func offlineSolveLine(t *testing.T, printed string) string {
+	t.Helper()
+	for _, line := range strings.Split(printed, "\n") {
+		if strings.HasPrefix(line, "offline solve:") {
+			return line
+		}
+	}
+	t.Fatalf("no offline solve line in:\n%s", printed)
+	return ""
+}
+
+// TestInspectPrintsDigest: -inspect of a -train output prints the digest of
+// the policy the same training computes in process, and the offline solve
+// line -train printed: a loaded policy solves its table again.
+func TestInspectPrintsDigest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "policy.json")
+	trained := runOutput(t, "-train", "context-2", "-coarse", "3", "-o", path)
+	inspected := runOutput(t, "-inspect", path)
+
+	space := config.Default()
+	ctx, err := system.ContextByName("context-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.LearnPolicyStream(ctx.Name, space, nil, core.InitOptions{
+		CoarseLevels: 3, Seed: 1, BatchSampler: system.AnalyticSampler(space, ctx, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "digest:   " + p.Digest() + "\n"; !strings.Contains(inspected, want) {
+		t.Errorf("-inspect printed\n%s\nwithout %q", inspected, want)
+	}
+	if got, want := offlineSolveLine(t, inspected), offlineSolveLine(t, trained); got != want {
+		t.Errorf("-inspect prints %q, -train printed %q", got, want)
+	}
+}
 
 // TestNoCacheFlagIsGone: the memo switch was deleted (its two positions
 // printed the same bytes); the flag must not drift back.
@@ -21,8 +90,10 @@ func TestNoCacheFlagIsGone(t *testing.T) {
 // TestPolicyBytesPinned pins the policy files racpolicy writes, so a change
 // meant to move nothing observable is checked by the suite, not by hand. The
 // hashes were re-pinned when offline training became a deterministic solve
-// (mdp.Solve) and two-level fits stopped fitting curvature; a change that
-// moves them on purpose re-pins them once. amd64 only: other architectures
+// (mdp.Solve) and two-level fits stopped fitting curvature, and when a policy
+// file came to hold its surface, schedule and digest in place of its Q-table
+// rows (the digests did not move); a change that moves them on purpose
+// re-pins them once. amd64 only: other architectures
 // fuse multiply-adds.
 func TestPolicyBytesPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -32,9 +103,9 @@ func TestPolicyBytesPinned(t *testing.T) {
 		name, want string
 		args       []string
 	}{
-		{"context-1", "23db5a6734d362684f64a6439e831eea8dab2f42ee4bb4b67bd5400f4a6bb23a", nil},
-		{"context-3", "3d629eb88347bb60a2761864f125cda1e4c19d8f50c623661bde9e2b33a8046f", nil},
-		{"context-1", "c6fbdacd28e2ebfbd354d6e2edbb37d54692f715e0ca5315f4900397190f8335",
+		{"context-1", "a56df7664ab9807fa25775ad7154765f8c69d2a9d19a63ec1a2c71bb010f61c6", nil},
+		{"context-3", "2b0c988b02063c58a0585939da1d063a4a28b8f5d680a2142e7af4a7a3b3ffd6", nil},
+		{"context-1", "927ca1e0ddaa35b18371408c25ab74eeaebf73c37eb216bcb6ae5039c723bfa4",
 			[]string{"-backend", "sim", "-coarse", "2", "-seed", "1"}},
 	} {
 		out := filepath.Join(t.TempDir(), "policy.json")

@@ -200,6 +200,34 @@ func BenchmarkPolicySave(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadPolicy reads benchPolicy's document back, as racpolicy
+// -inspect does (load), beside what a load cannot avoid: the reward pass and
+// the offline solve it runs again (solve).
+func BenchmarkLoadPolicy(b *testing.B) {
+	p := benchPolicy(b)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("load", func(b *testing.B) {
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := LoadPolicy(bytes.NewReader(buf.Bytes()), p.Space()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("solve", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := p.solve(p.Schedule(), parallel.Options{Procs: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkPolicyDigest hashes benchPolicy's content, as the fleet registry
 // does on every Put and on every retrain of a recipe.
 func BenchmarkPolicyDigest(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
@@ -45,7 +46,8 @@ type InitOptions struct {
 	// group (paper §4.1 "coarse granularity"); at least 2, default 4.
 	CoarseLevels int
 	// Batch configures the offline RL pass over the group lattice. The zero
-	// value uses DefaultOfflineBatch; any other value needs MaxSweeps ≥ 1.
+	// value uses DefaultOfflineBatch; any other value needs valid Params and
+	// MaxSweeps in [1, 400] (checkSchedule).
 	Batch mdp.BatchConfig
 	// SLASeconds is the reward reference; default 2 s (DefaultOptions).
 	SLASeconds float64
@@ -79,6 +81,21 @@ func DefaultOfflineBatch() mdp.BatchConfig {
 	return batch
 }
 
+// checkSchedule refuses an offline schedule the solve cannot run in bounded
+// time: hyper-parameters out of range, or a sweep bound outside
+// [1, DefaultOfflineBatch().MaxSweeps]. A schedule can come from outside the
+// program — a policy document, a fleet registry recipe — so both training
+// and loading check it before any work.
+func checkSchedule(batch mdp.BatchConfig) error {
+	if err := batch.Params.Validate(); err != nil {
+		return fmt.Errorf("core: offline schedule: %w", err)
+	}
+	if bound := DefaultOfflineBatch().MaxSweeps; batch.MaxSweeps < 1 || batch.MaxSweeps > bound {
+		return fmt.Errorf("core: offline schedule needs MaxSweeps in [1, %d], got %d", bound, batch.MaxSweeps)
+	}
+	return nil
+}
+
 // LearnPolicyStream runs the paper's policy-initialization procedure
 // (Algorithm 2) for one system context:
 //
@@ -110,8 +127,9 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	offline := opts.Batch
 	if offline == (mdp.BatchConfig{}) {
 		offline = DefaultOfflineBatch()
-	} else if offline.MaxSweeps < 1 {
-		return nil, fmt.Errorf("core: offline schedule needs MaxSweeps >= 1, got %d", offline.MaxSweeps)
+	}
+	if err := checkSchedule(offline); err != nil {
+		return nil, err
 	}
 	k := opts.CoarseLevels
 	if k == 0 {
@@ -131,10 +149,6 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	groups, err := space.Grouping()
 	if err != nil {
 		return nil, err
-	}
-	lattice, err := groupLattice(groups.Space())
-	if err != nil {
-		return nil, fmt.Errorf("core: offline training: %w", err)
 	}
 
 	// 1–2. Enumerate the coarse grouped sublattice, then sample it in chunks
@@ -180,49 +194,19 @@ func LearnPolicyStream(name string, space *config.Space, sample StreamSampler, o
 	if err != nil {
 		return nil, fmt.Errorf("core: regression fit: %w", err)
 	}
-	floor := minSample(ys) * 0.25
+	floor := slices.Min(ys) * 0.25
 	if floor <= 0 {
 		floor = 0.01
 	}
-	p := &Policy{
-		name:    name,
-		space:   space,
-		groups:  groups,
-		lattice: lattice,
-		quad:    quad,
-		sla:     sla,
-		floorRT: floor,
-	}
+	p := &Policy{name: name, space: space, groups: groups, quad: quad, sla: sla, floorRT: floor}
 
 	// 4. Offline RL over the group lattice, solved to the fixed point
-	// Algorithm 1's ε-greedy SARSA estimates (mdp.Solve). Seeded Q values
+	// Algorithm 1's ε-greedy SARSA estimates (Policy.solve). Seeded Q values
 	// must sit on the same asymptotic scale (≈ r/(1−γ)) as the values the
 	// online agent keeps refreshing, or unvisited states would look
 	// artificially poor and the agent would cling to its visited region.
-	// The Q-values start at zero, and the solve needs no slab: it sweeps the
-	// state values the policy keeps (Policy.v) — those its last sweep began
-	// with (prev) and ended with (val) — and the policy notes that sweep's
-	// direction (mdp.Solve runs the order forward on its odd-numbered sweeps).
-	structure, rewards := p.trainingMDP(parallel.Options{Procs: opts.Procs})
-	n := len(rewards)
-	p.v = make([]float64, 2*n)
-	p.training, err = mdp.Solve(nil, structure, rewards, p.v[:n], p.v[n:], offline)
-	if err != nil {
-		return nil, fmt.Errorf("core: offline training: %w", err)
+	if err := p.solve(offline, parallel.Options{Procs: opts.Procs}); err != nil {
+		return nil, err
 	}
-	p.forward = p.training.Sweeps%2 == 1
 	return p, nil
-}
-
-func minSample(ys []float64) float64 {
-	if len(ys) == 0 {
-		return 0
-	}
-	m := ys[0]
-	for _, y := range ys[1:] {
-		if y < m {
-			m = y
-		}
-	}
-	return m
 }

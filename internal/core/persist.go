@@ -7,29 +7,41 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strconv"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/regression"
 )
 
-// policyJSON is the serialized form of a Policy. The configuration space is
-// not serialized; loading requires the same space the policy was trained on
-// (validated structurally via the group lattices).
-type policyJSON struct {
-	policyHeader
-	QTable *mdp.QTableJSON `json:"qtable"`
-}
+// policyVersion is the policy document format Save writes. A document with
+// no version is the first format, which held the group Q-table's rows in
+// place of a schedule and digest; LoadPolicy still reads it.
+const policyVersion = 2
 
-// policyHeader is every field of a policy document but its Q-table, in the
-// document's order.
-type policyHeader struct {
-	Name    string      `json:"name"`
-	SLA     float64     `json:"slaSeconds"`
-	FloorRT float64     `json:"floorRtSeconds"`
-	Groups  []groupJSON `json:"groups"`
-	Coeffs  []float64   `json:"regressionCoeffs"`
+// ErrPolicyDigest marks a policy whose offline solve is not the one it was
+// recorded with: a policy document whose digest, or whose Q-table rows, the
+// solve of its own surface and schedule does not reproduce, or a fleet
+// registry recipe whose retrained policy's digest is not the published one.
+var ErrPolicyDigest = errors.New("core: policy does not match its recorded solve")
+
+// policyJSON is the serialized form of a Policy: what determines its group
+// Q-table, not the table. The regression surface (coefficients, floor RT)
+// and the SLA price each group state's reward; Batch is the offline schedule
+// the table was solved under; Digest is Policy.Digest, which the solve on
+// load must reproduce. The configuration space is not serialized; loading
+// requires the same space the policy was trained on (validated structurally
+// via the group lattices). QTable is read from first-format documents only.
+type policyJSON struct {
+	Version int              `json:"version,omitempty"`
+	Name    string           `json:"name"`
+	SLA     float64          `json:"slaSeconds"`
+	FloorRT float64          `json:"floorRtSeconds"`
+	Groups  []groupJSON      `json:"groups"`
+	Coeffs  []float64        `json:"regressionCoeffs"`
+	Batch   *mdp.BatchConfig `json:"batch,omitempty"`
+	Digest  string           `json:"digest,omitempty"`
+	QTable  *mdp.QTableJSON  `json:"qtable,omitempty"`
 }
 
 type groupJSON struct {
@@ -40,254 +52,132 @@ type groupJSON struct {
 	Step    int   `json:"step"`
 }
 
-// Save writes the policy as JSON. Policies embed the offline-trained group
-// Q-table and the regression surface, so a saved policy restores without
-// re-sampling the system.
-//
-// The bytes are the ones json.Encoder writes for the policyJSON document:
-// the header through encoding/json, then a qtable field whose "initial" is
-// always 0 (a full table never serves it) and whose rows, nearly all of the
-// file, are appended by hand (appendRows) in the order the encoder sorts a
-// map's keys. The whole document goes out in one Write; a NaN or infinite
-// value is an error, and then nothing is written.
-func (p *Policy) Save(w io.Writer) error {
-	head, err := json.Marshal(p.header())
-	if err != nil {
-		return fmt.Errorf("core: encode policy: %w", err)
-	}
-	a := p.lattice.Actions()
-	buf := make([]byte, 0, len(head)+64+p.lattice.Len()*a*saveBytesPerValue)
-	buf = append(buf, head[:len(head)-1]...) // reopen the header object
-	buf = append(buf, `,"qtable":{"actions":`...)
-	buf = strconv.AppendInt(buf, int64(a), 10)
-	buf = append(buf, `,"initial":0,"rows":`...)
-	if buf, err = p.appendRows(buf); err != nil {
-		return err
-	}
-	buf = append(buf, "}}\n"...)
-	_, err = w.Write(buf)
-	return err
-}
-
-// saveBytesPerValue sizes Save's buffer: a Q-value's shortest text plus its
-// comma, with the row's share of its key, is about 20 bytes, so the buffer
-// rarely has to grow.
-const saveBytesPerValue = 24
-
-// header is the policy's document without its Q-table.
-func (p *Policy) header() policyHeader {
-	out := policyHeader{
-		Name:    p.name,
-		SLA:     p.sla,
-		FloorRT: p.floorRT,
-		Coeffs:  p.quad.Coeffs(),
-	}
-	defs := p.groups.Space().Defs()
-	out.Groups = slices.Grow(out.Groups, len(defs)) // still nil without groups: the encoder writes null
+// groupsJSON is a grouping's groups as a policy document lists them.
+func groupsJSON(groups *config.Grouping) []groupJSON {
+	defs := groups.Space().Defs()
+	out := make([]groupJSON, len(defs))
 	for gi, d := range defs {
-		out.Groups = append(out.Groups, groupJSON{
-			Group:   int(d.Group),
-			Members: p.groups.Members(gi),
-			Min:     d.Min,
-			Max:     d.Max,
-			Step:    d.Step,
-		})
+		out[gi] = groupJSON{Group: int(d.Group), Members: groups.Members(gi), Min: d.Min, Max: d.Max, Step: d.Step}
 	}
 	return out
 }
 
-// appendRows appends the Q-table's rows as the JSON object encoding/json
-// writes for a map from state key to row: keys in byte-wise order (the
-// lattice's cached keyOrder), each row an array of numbers. Every feasible
-// entry is one of the values the policy keeps (Policy.v), so each of those
-// is formatted once, where a row first reads it, and later copies are taken
-// from the buffer.
-func (p *Policy) appendRows(buf []byte) ([]byte, error) {
-	keys := p.lattice.States()
-	text := make([]span, len(p.v)) // where v[k]'s text sits in buf; n == 0: not yet written
-	buf = append(buf, '{')
-	for i, ord := range p.lattice.keyOrder() {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONString(buf, keys[ord])
-		buf = append(buf, ':', '[')
-		for a := range p.lattice.Actions() {
-			if a > 0 {
-				buf = append(buf, ',')
-			}
-			k := p.slot(int(ord), a)
-			switch {
-			case k < 0:
-				buf = append(buf, '0')
-			case text[k].n != 0:
-				buf = append(buf, buf[text[k].off:text[k].off+text[k].n]...)
-			default:
-				v := p.v[k]
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("core: encode policy: state %q holds %v, which JSON cannot represent", keys[ord], v)
-				}
-				off := len(buf)
-				buf = appendJSONFloat(buf, v)
-				text[k] = span{off: off, n: len(buf) - off}
-			}
-		}
-		buf = append(buf, ']')
+// Save writes the policy as a JSON document of what determines it: the
+// regression surface, the SLA, the groups, the offline schedule and the
+// digest (policyJSON). LoadPolicy solves the group Q-table again from those,
+// so a saved policy restores without re-sampling the system. A NaN or
+// infinite value is an error, and then nothing is written.
+func (p *Policy) Save(w io.Writer) error {
+	doc := policyJSON{
+		Version: policyVersion,
+		Name:    p.name,
+		SLA:     p.sla,
+		FloorRT: p.floorRT,
+		Groups:  groupsJSON(p.groups),
+		Coeffs:  p.quad.Coeffs(),
+		Batch:   &p.schedule,
+		Digest:  p.Digest(),
 	}
-	return append(buf, '}'), nil
-}
-
-// span is a run of bytes in a buffer.
-type span struct{ off, n int }
-
-// appendJSONFloat appends a finite f as encoding/json writes a float64: the
-// shortest text that reads back to f, in 'f' form unless |f| < 1e-6 or
-// |f| ≥ 1e21, where it is 'e' form with a one-digit negative exponent
-// unpadded (1e-7, not 1e-07).
-func appendJSONFloat(buf []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if err := json.NewEncoder(w).Encode(doc); err != nil {
+		return fmt.Errorf("core: encode policy: %w", err)
 	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
-		buf[n-2] = buf[n-1]
-		buf = buf[:n-1]
-	}
-	return buf
-}
-
-// appendJSONString appends s as encoding/json writes a string. A string of
-// printable ASCII that needs no escape — every lattice key — is copied
-// between quotes; any other goes through the encoder itself.
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always encodes
-			return append(buf, b...)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"')
+	return nil
 }
 
 // LoadPolicy reads a policy previously written by Save, binding it to the
 // given configuration space. The space must structurally match the one the
-// policy was trained on (same parameters and group lattices).
+// policy was trained on (same parameters and group lattices). The group
+// Q-table is solved again from the document's surface under its schedule
+// (Policy.solve); a solve whose digest is not the stored one is an
+// ErrPolicyDigest error. A first-format document, which stores rows instead,
+// is solved under DefaultOfflineBatch and must hold exactly the solved rows.
 func LoadPolicy(r io.Reader, space *config.Space) (*Policy, error) {
 	if space == nil {
 		return nil, errors.New("core: nil space")
 	}
-	var raw policyJSON
+	var doc policyJSON
 	dec := json.NewDecoder(r)
-	if err := dec.Decode(&raw); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("core: decode policy: %w", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, errors.New("core: decode policy: data after the document")
 	}
+	batch := DefaultOfflineBatch()
+	switch doc.Version {
+	case 0: // the first format
+		if doc.Batch != nil || doc.Digest != "" || doc.QTable == nil {
+			return nil, errors.New("core: a policy without a version holds a Q-table, and no schedule or digest")
+		}
+	case policyVersion:
+		if doc.Batch == nil || doc.Digest == "" || doc.QTable != nil {
+			return nil, fmt.Errorf("core: a version %d policy holds a schedule and a digest, and no Q-table", policyVersion)
+		}
+		batch = *doc.Batch
+	default:
+		return nil, fmt.Errorf("core: policy version %d, want %d", doc.Version, policyVersion)
+	}
+	if err := checkSchedule(batch); err != nil {
+		return nil, err
+	}
 	groups, err := space.Grouping()
 	if err != nil {
 		return nil, err
 	}
-	defs := groups.Space().Defs()
-	if len(defs) != len(raw.Groups) {
-		return nil, fmt.Errorf("core: policy has %d groups, space %d", len(raw.Groups), len(defs))
+	if want := groupsJSON(groups); !slices.EqualFunc(doc.Groups, want, func(a, b groupJSON) bool {
+		return a.Group == b.Group && a.Min == b.Min && a.Max == b.Max && a.Step == b.Step && slices.Equal(a.Members, b.Members)
+	}) {
+		return nil, fmt.Errorf("core: policy groups %+v, space %+v", doc.Groups, want)
 	}
-	for i, g := range raw.Groups {
-		d := defs[i]
-		if int(d.Group) != g.Group || d.Min != g.Min || d.Max != g.Max || d.Step != g.Step {
-			return nil, fmt.Errorf("core: group %d lattice mismatch (policy %+v, space %+v)", i, g, d)
-		}
-		if !slices.Equal(groups.Members(i), g.Members) {
-			return nil, fmt.Errorf("core: group %d member mismatch (policy %v, space %v)",
-				i, g.Members, groups.Members(i))
-		}
+	if doc.SLA <= 0 {
+		return nil, fmt.Errorf("core: policy SLA %v", doc.SLA)
 	}
-	if raw.SLA <= 0 {
-		return nil, fmt.Errorf("core: policy SLA %v", raw.SLA)
-	}
-	quad, err := regression.QuadraticFromCoeffs(len(defs), raw.Coeffs)
+	quad, err := regression.QuadraticFromCoeffs(len(doc.Groups), doc.Coeffs)
 	if err != nil {
 		return nil, err
 	}
-	if raw.QTable == nil {
-		return nil, errors.New("core: policy lacks a Q-table")
-	}
-	a := raw.QTable.Actions
-	if a != 2*len(defs)+1 {
-		return nil, fmt.Errorf("core: policy Q-table has %d actions, want %d", a, 2*len(defs)+1)
-	}
-	// The file comes from outside the program (a registry directory): its
-	// Q-table must hold exactly the group lattice's rows, or seeding would
-	// read states the offline pass never trained. The table's initial value
-	// is not kept: a table holding every state never serves it.
-	lattice, err := groupLattice(groups.Space())
-	if err != nil {
+	p := &Policy{name: doc.Name, space: space, groups: groups, quad: quad, sla: doc.SLA, floorRT: doc.FloorRT}
+	if err := p.solve(batch, parallel.Options{Procs: 1}); err != nil {
 		return nil, err
 	}
-	keys := lattice.States()
-	if len(raw.QTable.Rows) != len(keys) {
-		return nil, fmt.Errorf("core: policy Q-table has %d rows, group lattice %d states",
-			len(raw.QTable.Rows), len(keys))
-	}
-	rows := make([][]float64, len(keys))
-	for ord, key := range keys {
-		row, ok := raw.QTable.Rows[key]
-		if !ok {
-			return nil, fmt.Errorf("core: policy Q-table lacks group state %q", key)
+	if doc.QTable != nil {
+		rows, err := latticeRows(doc.QTable, p.lattice)
+		if err != nil {
+			return nil, err
 		}
-		if len(row) != a {
-			return nil, fmt.Errorf("core: policy Q-table state %q has %d actions, want %d", key, len(row), a)
+		if bad := p.firstMismatch(rows); bad >= 0 {
+			return nil, fmt.Errorf("%w: state %q's Q row is not the solve of the policy's surface", ErrPolicyDigest, p.lattice.States()[bad])
 		}
-		rows[ord] = row
-	}
-	p := &Policy{
-		name:    raw.Name,
-		space:   space,
-		groups:  groups,
-		lattice: lattice,
-		quad:    quad,
-		sla:     raw.SLA,
-		floorRT: raw.FloorRT,
-	}
-	if err := p.bindRows(rows); err != nil {
-		return nil, err
+	} else if got := p.Digest(); got != doc.Digest {
+		return nil, fmt.Errorf("%w: the document records %s, its surface solves to %s", ErrPolicyDigest, doc.Digest, got)
 	}
 	return p, nil
 }
 
-// bindRows sets the policy's values and sweep direction (Policy.v) to the
-// ones that derive rows, the group Q-table by ordinal: a last sweep run
-// forward, else backward. Each value is the first feasible entry, by
-// ordinal, that holds it; a value no entry holds stays 0. A table that no
-// solve from zeros ends with — a feasible entry that disagrees with an
-// earlier one holding the same value, or an infeasible entry other than 0 —
-// is an error naming, for each direction, the first state whose row the
-// values do not derive.
-func (p *Policy) bindRows(rows [][]float64) error {
-	p.v = make([]float64, 2*len(rows))
-	known := make([]bool, len(p.v))
-	var bad [2]int
-	for i, forward := range []bool{true, false} {
-		p.forward = forward
-		clear(p.v)
-		clear(known)
-		for s, row := range rows {
-			for a, v := range row {
-				if k := p.slot(s, a); k >= 0 && !known[k] {
-					p.v[k], known[k] = v, true
-				}
-			}
-		}
-		if bad[i] = p.firstMismatch(rows); bad[i] < 0 {
-			return nil
-		}
+// latticeRows returns a first-format document's Q-table rows by lattice
+// ordinal. The file comes from outside the program: its table must hold
+// exactly the group lattice's rows, each one value per action. The table's
+// initial value is not read: a table holding every state never serves it.
+func latticeRows(table *mdp.QTableJSON, lattice *mdp.Structure) ([][]float64, error) {
+	if a := lattice.Actions(); table.Actions != a {
+		return nil, fmt.Errorf("core: policy Q-table has %d actions, want %d", table.Actions, a)
 	}
-	keys := p.lattice.States()
-	return fmt.Errorf("core: policy Q-table is no offline solve's output: state %q differs from a forward last sweep, state %q from a backward one",
-		keys[bad[0]], keys[bad[1]])
+	keys := lattice.States()
+	if len(table.Rows) != len(keys) {
+		return nil, fmt.Errorf("core: policy Q-table has %d rows, group lattice %d states", len(table.Rows), len(keys))
+	}
+	rows := make([][]float64, len(keys))
+	for ord, key := range keys {
+		row, ok := table.Rows[key]
+		if !ok {
+			return nil, fmt.Errorf("core: policy Q-table lacks group state %q", key)
+		}
+		if len(row) != table.Actions {
+			return nil, fmt.Errorf("core: policy Q-table state %q has %d actions, want %d", key, len(row), table.Actions)
+		}
+		rows[ord] = row
+	}
+	return rows, nil
 }
 
 // firstMismatch returns the first ordinal whose row rowAt does not derive bit

@@ -3,28 +3,29 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/regression"
 	"github.com/rac-project/rac/internal/sim"
 )
 
-// rawPolicyJSON and rawAgentState are the documents Policy.Save and
-// AgentState.Save wrote before the Q-table became a field of the document:
-// the table written on its own by mdp.QTable.Save and embedded as a
-// json.RawMessage, which the encoder scanned again and compacted, and read
-// back by decoding the RawMessage and then LoadQTable. The qtable field
-// shadows the embedded document's and, like it, comes last, so the field
-// order is the one the old documents had. TestSaveLoadMatchesRawMessagePath
-// holds the one-pass path to them byte for byte.
-type rawPolicyJSON struct {
-	policyJSON
-	QTable *json.RawMessage `json:"qtable"`
-}
-
+// rawAgentState is the document AgentState.Save wrote before the Q-table
+// became a field of the document: the table written on its own by
+// mdp.QTable.Save and embedded as a json.RawMessage, which the encoder
+// scanned again and compacted, and read back by decoding the RawMessage and
+// then LoadQTable. The qtable field shadows the embedded document's and,
+// like it, comes last, so the field order is the one the old documents had.
+// TestSaveLoadMatchesRawMessagePath holds the one-pass path to it byte for
+// byte.
 type rawAgentState struct {
 	AgentState
 	QTable json.RawMessage `json:"qtable"`
@@ -40,8 +41,8 @@ func rawQTable(t *testing.T, q *mdp.QTable) json.RawMessage {
 	return buf.Bytes()
 }
 
-// encode is one json.Encoder pass over v, as AgentState.Save makes and as
-// Policy.Save made before it wrote its rows by hand.
+// encode is one json.Encoder pass over v, as AgentState.Save and
+// Policy.Save make.
 func encode(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -51,39 +52,33 @@ func encode(t testing.TB, v any) []byte {
 	return buf.Bytes()
 }
 
-// referenceDocument is the policy's document as the reflection path built
-// it: the rows in a map keyed by the lattice's state keys, for the encoder
-// to sort.
-func referenceDocument(p *Policy) policyJSON {
+// firstFormat is p's document in the first policy format, the bytes its
+// Save wrote then: the header, no version, schedule or digest, and every row
+// of the group Q-table in a map keyed by state, through encoding/json.
+func firstFormat(t testing.TB, p *Policy) []byte {
+	t.Helper()
+	var doc policyJSON
+	if err := json.Unmarshal(saveBytes(t, p), &doc); err != nil {
+		t.Fatal(err)
+	}
 	keys := p.lattice.States()
 	rows := make(map[string][]float64, len(keys))
 	for ord, key := range keys {
 		rows[key] = p.rowAt(nil, ord)
 	}
-	return policyJSON{
-		policyHeader: p.header(),
-		QTable:       &mdp.QTableJSON{Actions: p.lattice.Actions(), Rows: rows},
-	}
+	doc.Version, doc.Batch, doc.Digest = 0, nil, ""
+	doc.QTable = &mdp.QTableJSON{Actions: p.lattice.Actions(), Rows: rows}
+	return encode(t, doc)
 }
 
-// referenceSave is Policy.Save by reflection, the oracle for its bytes: one
-// json.Encoder pass over referenceDocument.
-func referenceSave(t testing.TB, p *Policy) []byte {
+// saveBytes is p's Save output.
+func saveBytes(t testing.TB, p *Policy) []byte {
 	t.Helper()
-	return encode(t, referenceDocument(p))
-}
-
-// checkSaveMatchesReference holds p's Save bytes to referenceSave's.
-func checkSaveMatchesReference(t testing.TB, p *Policy) []byte {
-	t.Helper()
-	var got bytes.Buffer
-	if err := p.Save(&got); err != nil {
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if want := referenceSave(t, p); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("Save differs from the encoding/json reference:\n%s\nvs\n%s", got.Bytes(), want)
-	}
-	return got.Bytes()
+	return buf.Bytes()
 }
 
 // randomValue spans the magnitudes and forms a Q-value's JSON rendering takes:
@@ -127,17 +122,6 @@ func decodeQTable(t *testing.T, raw json.RawMessage) *mdp.QTable {
 	return q
 }
 
-// policyTable is the policy's group Q-values as the string-keyed table a
-// policy held before they moved into the ordinal slab: each lattice state's
-// row under its key, initial value zero.
-func policyTable(p *Policy) *mdp.QTable {
-	q := mdp.NewQTable(p.lattice.Actions(), 0)
-	for ord, key := range p.lattice.States() {
-		copy(q.Row(key), p.rowAt(nil, ord))
-	}
-	return q
-}
-
 // randomKey is a state key, now and then with characters the encoder escapes.
 func randomKey(rng *sim.RNG, space *config.Space) string {
 	key := randomConfig(space, rng).Key()
@@ -147,48 +131,15 @@ func randomKey(rng *sim.RNG, space *config.Space) string {
 	return key
 }
 
-// TestSaveLoadMatchesRawMessagePath: Policy.Save and AgentState.Save, which
-// write the Q-table as a field of the document in one pass, write the bytes
-// the RawMessage path wrote (and Policy.Save the bytes of its encoding/json
-// reference), and LoadPolicy and LoadAgentState, which decode it in the same
-// pass, read back the tables and fields that path read — for random tables
-// and random agent states.
+// TestSaveLoadMatchesRawMessagePath: AgentState.Save, which writes the
+// Q-table as a field of the document in one pass, writes the bytes the
+// RawMessage path wrote, and LoadAgentState, which decodes it in the same
+// pass, reads back the table and fields that path read — for random agent
+// states.
 func TestSaveLoadMatchesRawMessagePath(t *testing.T) {
 	space := config.Default()
 	actions := len(config.Actions(space))
 	rng := sim.NewRNG(0x5a7e)
-	p := bowlPolicyForPersist(t, space)
-	trained := *p
-
-	for i := 0; i < 3; i++ {
-		// Random value vectors, each sweep direction: the table they derive
-		// is a solve's output in form, with random values.
-		p.v = make([]float64, len(trained.v))
-		for k := range p.v {
-			p.v[k] = randomValue(rng)
-		}
-		p.forward = i%2 == 0
-		got := checkSaveMatchesReference(t, p)
-		raw := rawQTable(t, policyTable(p))
-		want := encode(t, rawPolicyJSON{policyJSON: referenceDocument(p), QTable: &raw})
-		if !bytes.Equal(got, want) {
-			t.Fatalf("policy %d: one-pass Save differs from the RawMessage path:\n%s\nvs\n%s", i, got, want)
-		}
-		loaded, err := LoadPolicy(bytes.NewReader(want), space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var old rawPolicyJSON
-		if err := json.Unmarshal(want, &old); err != nil {
-			t.Fatal(err)
-		}
-		oldQ := decodeQTable(t, *old.QTable)
-		if !bytes.Equal(rawQTable(t, policyTable(loaded)), rawQTable(t, oldQ)) {
-			t.Fatalf("policy %d: LoadPolicy reads a different table than the RawMessage path", i)
-		}
-	}
-	*p = trained
-
 	for i := 0; i < 24; i++ {
 		keys := make([]string, rng.Intn(40))
 		for k := range keys {
@@ -256,73 +207,172 @@ var jsonFloatEdges = []float64{
 	math.SmallestNonzeroFloat64, 1, -1, 0.1, 123456789.125,
 }
 
-// TestAppendJSONFloat holds Save's float formatting to json.Marshal on the
-// edge table and on random bit patterns (the non-finite ones skipped).
-func TestAppendJSONFloat(t *testing.T) {
-	check := func(f float64) {
-		t.Helper()
-		want, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONFloat([]byte("x"), f); string(got[1:]) != string(want) || got[0] != 'x' {
-			t.Fatalf("%b: appended %q, encoding/json writes %q", math.Float64bits(f), got[1:], want)
-		}
-	}
-	for _, f := range jsonFloatEdges {
-		check(f)
-	}
-	rng := sim.NewRNG(0xf10a7)
-	for i := 0; i < 10000; i++ {
-		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
-			check(f)
-		}
-	}
-}
-
-// TestAppendJSONString holds Save's key writer to json.Marshal on strings
-// that need no escape and on strings with every kind the encoder escapes.
-func TestAppendJSONString(t *testing.T) {
-	for _, s := range []string{
-		"", "150,300,5,15,40,20,50,2000", "a\"b", `a\b`, "a<b", "a>b", "a&b", "\x00", "\x1f",
-		"\x7f", "é", "\u2028", "\u2029", "\xff\xfe", "tab\there", "ctx<1>",
-	} {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Fatalf("%q: appended %s, encoding/json writes %s", s, got, want)
-		}
-	}
-}
-
-// TestSaveEdgeFloats: a policy whose Q-table holds the edge floats, each
-// repeated so the memo serves copies, saves to its reference bytes.
+// TestSaveEdgeFloats: every header float Save writes reads back to the same
+// bits — the edge floats as regression coefficients and floor RT — so a
+// loaded policy prices the rewards, and solves to the digest, it was saved
+// with.
 func TestSaveEdgeFloats(t *testing.T) {
 	space := fuzzSpace()
 	p, _ := trainFlat(t, space)
-	for i := range p.v {
-		p.v[i] = jsonFloatEdges[i%len(jsonFloatEdges)]
+	dim := p.groups.Space().Len()
+	n := 1 + dim + dim*(dim+1)/2
+	for i, f := range jsonFloatEdges {
+		coeffs := make([]float64, n)
+		for k := range coeffs {
+			coeffs[k] = jsonFloatEdges[(i+k)%len(jsonFloatEdges)]
+		}
+		quad, err := regression.QuadraticFromCoeffs(dim, coeffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.quad, p.floorRT = quad, f
+		var doc policyJSON
+		if err := json.Unmarshal(saveBytes(t, p), &doc); err != nil {
+			t.Fatal(err)
+		}
+		for k, c := range append(coeffs, f) {
+			got := append(doc.Coeffs, doc.FloorRT)[k]
+			if math.Float64bits(got) != math.Float64bits(c) {
+				t.Fatalf("header float %d: saved %v reads back as %v", k, c, got)
+			}
+		}
 	}
-	checkSaveMatchesReference(t, p)
 }
 
-// TestSaveRejectsNonFinite: a policy holding NaN or ±Inf, in its Q-table or
-// its header, makes Save fail without writing a byte.
+// TestSaveRejectsNonFinite: a policy whose header holds NaN or ±Inf — its
+// floor RT, SLA or a regression coefficient — makes Save fail without
+// writing a byte, and a document whose surface solves to a non-finite value
+// does not load.
 func TestSaveRejectsNonFinite(t *testing.T) {
 	space := fuzzSpace()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		p, _ := trainFlat(t, space)
-		p.v[len(p.v)/4] = bad // a value before the last sweep: its state's Keep entry
-		var buf bytes.Buffer
-		if err := p.Save(&buf); err == nil || buf.Len() != 0 {
-			t.Fatalf("Q-value %v: Save wrote %d bytes, error %v", bad, buf.Len(), err)
+		for name, spoil := range map[string]func(p *Policy){
+			"floor": func(p *Policy) { p.floorRT = bad },
+			"SLA":   func(p *Policy) { p.sla = bad },
+			"coefficient": func(p *Policy) {
+				coeffs := p.quad.Coeffs()
+				coeffs[1] = bad
+				p.quad, _ = regression.QuadraticFromCoeffs(p.quad.Dim(), coeffs)
+			},
+		} {
+			p, _ := trainFlat(t, space)
+			spoil(p)
+			var buf bytes.Buffer
+			if err := p.Save(&buf); err == nil || buf.Len() != 0 {
+				t.Fatalf("%s %v: Save wrote %d bytes, error %v", name, bad, buf.Len(), err)
+			}
 		}
-		p, _ = trainFlat(t, space)
-		p.floorRT = bad
-		if err := p.Save(&buf); err == nil || buf.Len() != 0 {
-			t.Fatalf("floor %v: Save wrote %d bytes, error %v", bad, buf.Len(), err)
+	}
+	// A constant term of 1000 predicts e^1000 = +Inf for every state: each
+	// reward and value is -Inf.
+	_, saved := trainFlat(t, space)
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(saved, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["regressionCoeffs"] = json.RawMessage("[1000,0,0,0,0,0]")
+	_, err := LoadPolicy(bytes.NewReader(encode(t, doc)), space)
+	if err == nil || !strings.Contains(err.Error(), "solves to -Inf") {
+		t.Fatalf("a surface predicting +Inf everywhere: error %v, want a non-finite solve", err)
+	}
+}
+
+// TestLoadPolicyRejectsTamperedDocument: a version-2 document whose digest,
+// regression coefficient, floor RT or SLA was changed is refused with
+// ErrPolicyDigest.
+func TestLoadPolicyRejectsTamperedDocument(t *testing.T) {
+	space := fuzzSpace()
+	_, saved := trainFlat(t, space)
+	for name, tamper := range map[string]func(doc *policyJSON){
+		"digest":      func(doc *policyJSON) { doc.Digest = strings.Repeat("0", len(doc.Digest)) },
+		"coefficient": func(doc *policyJSON) { doc.Coeffs[0] += 1e-9 },
+		"floor RT":    func(doc *policyJSON) { doc.FloorRT *= 1.5 },
+		"SLA":         func(doc *policyJSON) { doc.SLA *= 1.5 },
+	} {
+		var doc policyJSON
+		if err := json.Unmarshal(saved, &doc); err != nil {
+			t.Fatal(err)
+		}
+		tamper(&doc)
+		if _, err := LoadPolicy(bytes.NewReader(encode(t, doc)), space); !errors.Is(err, ErrPolicyDigest) {
+			t.Errorf("tampered %s: error %v, want ErrPolicyDigest", name, err)
+		}
+	}
+}
+
+// TestOfflineScheduleBounded: an offline schedule that would not solve in
+// bounded time — a sweep bound of 2^40 with a threshold of 0, or γ = 1 — is
+// refused before any sampling or sweep, by training and by a policy
+// document alike (a fleet registry recipe trains through the first).
+func TestOfflineScheduleBounded(t *testing.T) {
+	space := fuzzSpace()
+	_, saved := trainFlat(t, space)
+	forever, undiscounted := DefaultOfflineBatch(), DefaultOfflineBatch()
+	forever.MaxSweeps, forever.Theta = 1<<40, 0
+	undiscounted.Params.Gamma = 1
+	for name, batch := range map[string]mdp.BatchConfig{"2^40 sweeps": forever, "γ = 1": undiscounted} {
+		sampled := false
+		_, err := learnPolicy("x", space, func(config.Config) (float64, error) {
+			sampled = true
+			return 1, nil
+		}, InitOptions{CoarseLevels: 2, Batch: batch})
+		if err == nil || sampled {
+			t.Errorf("%s: training returned error %v after sampling: %t", name, err, sampled)
+		}
+		var doc policyJSON
+		if err := json.Unmarshal(saved, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc.Batch = &batch
+		if _, err := LoadPolicy(bytes.NewReader(encode(t, doc)), space); err == nil || !strings.Contains(err.Error(), "offline schedule") {
+			t.Errorf("%s: a policy document loads with error %v", name, err)
+		}
+	}
+}
+
+// compatPolicyVersions are the policy formats of the committed corpus,
+// testdata/compat/policy/<version>/policy.json: v1 is a first-format
+// document as that format's Save wrote it, v2 Save's document. Both hold one
+// policy: coarse-3 over a bowl on fuzzSpace under the default schedule. A
+// format change adds a version and edits none; deleting one drops support
+// for it.
+var compatPolicyVersions = []string{"v1", "v2"}
+
+// readCompatPolicy returns the corpus's document of one format version.
+func readCompatPolicy(tb testing.TB, version string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "compat", "policy", version, "policy.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestPolicyCompatCorpus: each committed policy format loads to the pinned
+// digest and writes its own bytes back — Save for v2, firstFormat for v1.
+// amd64 only: other architectures fuse multiply-adds, so a solve there need
+// not reproduce the rows or digest an amd64 build recorded.
+func TestPolicyCompatCorpus(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the corpus's digest is pinned for amd64 floating point")
+	}
+	const digest = "2b6445dd5a798fe693fe43b52f10e75714f8785b75610c30aefb5870ce0fab26"
+	space := fuzzSpace()
+	for _, version := range compatPolicyVersions {
+		data := readCompatPolicy(t, version)
+		p, err := LoadPolicy(bytes.NewReader(data), space)
+		if err != nil {
+			t.Fatalf("%s: %v", version, err)
+		}
+		if got := p.Digest(); got != digest {
+			t.Errorf("%s: digest %s, want %s", version, got, digest)
+		}
+		again := saveBytes(t, p)
+		if version == "v1" {
+			again = firstFormat(t, p)
+		}
+		if !bytes.Equal(again, data) {
+			t.Errorf("%s: the loaded policy writes\n%s\nnot\n%s", version, again, data)
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"sync"
 
 	"github.com/rac-project/rac/internal/config"
@@ -28,17 +26,7 @@ const groupLatticeCap = 16
 // except in time.
 var groupLattices struct {
 	sync.Mutex
-	m map[string]func() (*sharedLattice, error)
-}
-
-// sharedLattice is what every policy over one group lattice shape shares:
-// the offline-training MDP, and the order a saved policy lists its rows in.
-type sharedLattice struct {
-	*mdp.Structure
-	// keyOrder returns the state ordinals sorted byte-wise by state key,
-	// the order encoding/json writes a map's keys in. It is built on the
-	// first Save over the lattice and shared read-only after that.
-	keyOrder func() []int32
+	m map[string]func() (*mdp.Structure, error)
 }
 
 // groupLattice returns the deterministic MDP over the whole group lattice that
@@ -49,14 +37,14 @@ type sharedLattice struct {
 // built once per shape and shared read-only by every policy over one — the
 // ones LearnPolicyStream trains and the ones LoadPolicy reads. Rewards are
 // per policy (trainingMDP).
-func groupLattice(lattice *config.Space) (*sharedLattice, error) {
+func groupLattice(lattice *config.Space) (*mdp.Structure, error) {
 	shape := latticeShape(lattice)
 	groupLattices.Lock()
 	build, ok := groupLattices.m[shape]
 	if !ok {
-		build = sync.OnceValues(func() (*sharedLattice, error) { return newGroupLattice(lattice) })
+		build = sync.OnceValues(func() (*mdp.Structure, error) { return newGroupLattice(lattice) })
 		if groupLattices.m == nil || len(groupLattices.m) >= groupLatticeCap {
-			groupLattices.m = make(map[string]func() (*sharedLattice, error))
+			groupLattices.m = make(map[string]func() (*mdp.Structure, error))
 		}
 		groupLattices.m[shape] = build
 	}
@@ -75,7 +63,7 @@ func latticeShape(lattice *config.Space) string {
 	return string(b)
 }
 
-func newGroupLattice(lattice *config.Space) (*sharedLattice, error) {
+func newGroupLattice(lattice *config.Space) (*mdp.Structure, error) {
 	keys := make([]string, lattice.States())
 	ords := make([]uint64, len(keys))
 	point := make(config.Config, lattice.Len())
@@ -84,18 +72,7 @@ func newGroupLattice(lattice *config.Space) (*sharedLattice, error) {
 		keys[ord] = lattice.At(uint64(ord), point).Key()
 	}
 	trans := lattice.Transitions(nil, ords, func(ord uint64) int32 { return int32(ord) })
-	st, err := mdp.NewStructureFromTransitions(keys, 2*lattice.Len()+1, trans)
-	if err != nil {
-		return nil, err
-	}
-	return &sharedLattice{Structure: st, keyOrder: sync.OnceValue(func() []int32 {
-		order := make([]int32, len(keys))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
-		return order
-	})}, nil
+	return mdp.NewStructureFromTransitions(keys, 2*lattice.Len()+1, trans)
 }
 
 // Policy is an initial configuration policy for one system context: a
@@ -108,10 +85,9 @@ type Policy struct {
 	space *config.Space
 	// groups is the space's grouping; the offline Q-table's states are the
 	// points of its lattice. lattice is that lattice's shared training MDP
-	// (groupLattice), whose state keys by ordinal name the rows only in a
-	// saved policy.
+	// (groupLattice).
 	groups  *config.Grouping
-	lattice *sharedLattice
+	lattice *mdp.Structure
 	// v is the offline group Q-table in the form the solve's last sweep
 	// leaves it, and rowAt derives a row from it: the value of entering each
 	// lattice state, by ordinal, before that sweep (v[:n], the solve's prev)
@@ -126,8 +102,9 @@ type Policy struct {
 	sla     float64
 	// floorRT guards against regression extrapolation below zero.
 	floorRT float64
-	// training is how the offline solve that produced the table converged;
-	// zero for a policy loaded from disk (it is not persisted).
+	// schedule is the offline schedule the table was solved under, and
+	// training how that solve converged (solve).
+	schedule mdp.BatchConfig
 	training mdp.BatchResult
 }
 
@@ -262,9 +239,13 @@ func (p *Policy) Recommend() (config.Config, error) {
 
 // Training reports how the offline solve that produced the group Q-table
 // converged: sweeps run, the largest change of the last sweep, and whether
-// that met the threshold before the sweep bound. It is not persisted — a
-// loaded policy reports the zero value.
+// that met the threshold before the sweep bound. LoadPolicy runs that solve
+// again, so a loaded policy reports what the trained one did.
 func (p *Policy) Training() mdp.BatchResult { return p.training }
+
+// Schedule returns the offline schedule the group Q-table was solved under
+// (InitOptions.Batch, or DefaultOfflineBatch when that was zero).
+func (p *Policy) Schedule() mdp.BatchConfig { return p.schedule }
 
 // Digest returns the hex SHA-256 of the policy's trained content, its name
 // aside: the group Q-table's values by ordinal, the regression coefficients,
@@ -315,5 +296,35 @@ func (p *Policy) trainingMDP(popts parallel.Options) (*mdp.Structure, []float64)
 		}
 		return nil
 	})
-	return p.lattice.Structure, rewards
+	return p.lattice, rewards
+}
+
+// solve is Algorithm 2's offline RL pass over the group lattice, the one
+// LearnPolicyStream ends with and LoadPolicy runs again: it binds the policy
+// to its grouping's shared training MDP (groupLattice), prices each lattice
+// state's reward from the policy's surface (trainingMDP, on popts's workers)
+// and solves the MDP from zeros under batch (mdp.Solve). The solve needs no
+// slab: it sweeps the state values the policy keeps (Policy.v) — those its
+// last sweep began with (prev) and ended with (val) — and the policy notes
+// that sweep's direction (mdp.Solve runs the order forward on its
+// odd-numbered sweeps). A value that is NaN or infinite is an error, so no
+// policy seeds an agent with one.
+func (p *Policy) solve(batch mdp.BatchConfig, popts parallel.Options) (err error) {
+	if p.lattice, err = groupLattice(p.groups.Space()); err != nil {
+		return fmt.Errorf("core: offline training: %w", err)
+	}
+	structure, rewards := p.trainingMDP(popts)
+	n := len(rewards)
+	p.v = make([]float64, 2*n)
+	res, err := mdp.Solve(nil, structure, rewards, p.v[:n], p.v[n:], batch)
+	if err != nil {
+		return fmt.Errorf("core: offline training: %w", err)
+	}
+	for k, v := range p.v {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: offline training: state %q solves to %v", structure.States()[k%n], v)
+		}
+	}
+	p.schedule, p.training, p.forward = batch, res, res.Sweeps%2 == 1
+	return nil
 }

@@ -133,7 +133,7 @@ func TestGroupLatticeShared(t *testing.T) {
 		{Param: config.MaxClients, Name: "a", Group: config.GroupCapacity, Min: 7, Max: 70, Step: 7, Default: 7},
 		{Param: config.KeepAliveTimeout, Name: "b", Group: config.GroupTimeout, Min: 3, Max: 33, Step: 3, Default: 3},
 	}
-	got := make([]*sharedLattice, 8)
+	got := make([]*mdp.Structure, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
@@ -341,8 +341,14 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	if loaded.Name() != p.Name() || loaded.SLA() != p.SLA() {
 		t.Fatalf("metadata changed: %q/%v", loaded.Name(), loaded.SLA())
 	}
-	if p.Training().Sweeps == 0 || loaded.Training() != (mdp.BatchResult{}) {
-		t.Fatalf("training result: trained %+v, loaded %+v; it is not persisted", p.Training(), loaded.Training())
+	// The load solves the table again: the same schedule, convergence and
+	// digest.
+	if p.Training().Sweeps == 0 || loaded.Training() != p.Training() || loaded.Schedule() != p.Schedule() {
+		t.Fatalf("offline solve: trained %+v under %+v, loaded %+v under %+v",
+			p.Training(), p.Schedule(), loaded.Training(), loaded.Schedule())
+	}
+	if loaded.Digest() != p.Digest() {
+		t.Fatalf("digest changed: %s vs %s", loaded.Digest(), p.Digest())
 	}
 	// Predictions and seeds must survive the round trip exactly.
 	probe := space.DefaultConfig()
@@ -369,7 +375,7 @@ func bowlPolicyForPersist(t *testing.T, space *config.Space) *Policy {
 		}
 		return rt, nil
 	}
-	p, err := learnPolicy("persist", space, sampler, InitOptions{CoarseLevels: 3, Seed: 9, Batch: mdp.DefaultBatchConfig()})
+	p, err := learnPolicy("persist", space, sampler, InitOptions{CoarseLevels: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,15 +394,51 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 		t.Fatal("nil space accepted")
 	}
 
-	// A Q-table that is not exactly the group lattice's rows: truncated (a row
-	// Seeder would silently read as zeros) or foreign (a row nothing reads).
-	var saved bytes.Buffer
-	if err := bowlPolicyForPersist(t, space).Save(&saved); err != nil {
+	// A version-2 document holds a schedule and a digest and no Q-table; a
+	// document without a version holds a Q-table and neither.
+	p := bowlPolicyForPersist(t, space)
+	saved, first := saveBytes(t, p), firstFormat(t, p)
+	edit := func(doc []byte, key, value string) []byte {
+		t.Helper()
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(doc, &m); err != nil {
+			t.Fatal(err)
+		}
+		if value == "" {
+			delete(m, key)
+		} else {
+			m[key] = json.RawMessage(value)
+		}
+		return encode(t, m)
+	}
+	var v1, v2 map[string]json.RawMessage
+	if err := json.Unmarshal(first, &v1); err != nil {
 		t.Fatal(err)
 	}
+	if err := json.Unmarshal(saved, &v2); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"version 3":                    edit(saved, "version", "3"),
+		"version 1":                    edit(saved, "version", "1"),
+		"version 2 without a digest":   edit(saved, "digest", ""),
+		"version 2 without a schedule": edit(saved, "batch", ""),
+		"version 2 with a Q-table":     edit(saved, "qtable", string(v1["qtable"])),
+		"no version, with a schedule":  edit(first, "batch", string(v2["batch"])),
+		"no version, with a digest":    edit(first, "digest", string(v2["digest"])),
+		"no version, no Q-table":       edit(first, "qtable", ""),
+	} {
+		if _, err := LoadPolicy(bytes.NewReader(bad), space); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+	}
+
+	// A first-format Q-table that is not exactly the group lattice's rows:
+	// truncated (a row Seeder would silently read as zeros) or foreign (a row
+	// nothing reads).
 	reencode := func(mutate func(rows map[string]json.RawMessage)) *bytes.Reader {
 		t.Helper()
-		return bytes.NewReader(reencodeQTable(t, saved.Bytes(), func(_, rows map[string]json.RawMessage) { mutate(rows) }))
+		return bytes.NewReader(reencodeQTable(t, first, func(_, rows map[string]json.RawMessage) { mutate(rows) }))
 	}
 	onLattice := flatPolicy(t, space).lattice.States()[0]
 	if _, err := LoadPolicy(reencode(func(rows map[string]json.RawMessage) {
@@ -427,7 +469,7 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 	}), space); err == nil {
 		t.Fatal("Q-table with a row of 8 actions loaded")
 	}
-	if _, err := LoadPolicy(bytes.NewReader(reencodeQTable(t, saved.Bytes(), func(qtable, _ map[string]json.RawMessage) {
+	if _, err := LoadPolicy(bytes.NewReader(reencodeQTable(t, first, func(qtable, _ map[string]json.RawMessage) {
 		qtable["actions"] = json.RawMessage("0")
 	})), space); err == nil {
 		t.Fatal("Q-table of 0 actions loaded")
@@ -435,24 +477,12 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 
 	// Groups whose members name other parameters than the space's grouping:
 	// the Q-table's action columns would seed the wrong parameters.
-	var doc map[string]json.RawMessage
 	var groups []map[string]json.RawMessage
-	if err := json.Unmarshal(saved.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(doc["groups"], &groups); err != nil {
+	if err := json.Unmarshal(v2["groups"], &groups); err != nil {
 		t.Fatal(err)
 	}
 	groups[0]["members"], groups[1]["members"] = groups[1]["members"], groups[0]["members"]
-	var err error
-	if doc["groups"], err = json.Marshal(groups); err != nil {
-		t.Fatal(err)
-	}
-	swapped, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadPolicy(bytes.NewReader(swapped), space); err == nil {
+	if _, err := LoadPolicy(bytes.NewReader(edit(saved, "groups", string(encode(t, groups)))), space); err == nil {
 		t.Fatal("policy whose groups 0 and 1 swapped members loaded")
 	}
 }
@@ -497,43 +527,37 @@ func fuzzSpace() *config.Space {
 	})
 }
 
-// trainFlat trains a coarse-2 policy over a flat surface in two sweeps and
+// trainFlat trains a coarse-2 policy over a flat surface under the default
+// offline schedule, the one a first-format document is solved under, and
 // returns it with its Save bytes.
 func trainFlat(tb testing.TB, space *config.Space) (*Policy, []byte) {
 	tb.Helper()
 	flat := func(config.Config) (float64, error) { return 1, nil }
-	batch := mdp.DefaultBatchConfig()
-	batch.MaxSweeps = 2
-	p, err := learnPolicy("fuzz", space, flat, InitOptions{CoarseLevels: 2, Batch: batch})
+	p, err := learnPolicy("fuzz", space, flat, InitOptions{CoarseLevels: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var saved bytes.Buffer
-	if err := p.Save(&saved); err != nil {
-		tb.Fatal(err)
-	}
-	return p, saved.Bytes()
+	return p, saveBytes(tb, p)
 }
 
-// checkLoadRoundTrip holds a policy LoadPolicy accepted to saving its
-// encoding/json reference bytes, which load again and save identically. It
-// reports whether data loaded.
+// checkLoadRoundTrip holds a policy LoadPolicy accepted to saving bytes that
+// load again to the same digest and save identically. It reports whether
+// data loaded.
 func checkLoadRoundTrip(t *testing.T, data []byte, space *config.Space) bool {
 	t.Helper()
 	p, err := LoadPolicy(bytes.NewReader(data), space)
 	if err != nil {
 		return false
 	}
-	first := checkSaveMatchesReference(t, p)
+	first := saveBytes(t, p)
 	again, err := LoadPolicy(bytes.NewReader(first), space)
 	if err != nil {
 		t.Fatalf("saved policy does not load: %v", err)
 	}
-	var second bytes.Buffer
-	if err := again.Save(&second); err != nil {
-		t.Fatal(err)
+	if again.Digest() != p.Digest() {
+		t.Fatalf("a loaded policy's digest moves on one more load: %s, then %s", p.Digest(), again.Digest())
 	}
-	if !bytes.Equal(first, second.Bytes()) {
+	if !bytes.Equal(first, saveBytes(t, again)) {
 		t.Fatal("a loaded policy saves differently after one more load")
 	}
 	return true
@@ -553,24 +577,29 @@ func TestLoadPolicyRejectsTrailingData(t *testing.T) {
 }
 
 // TestLoadDefaultSpacePolicy is FuzzLoadPolicy's property on one full
-// default-space document, too large to be worth mutating.
+// default-space policy in both formats; the first-format document is too
+// large to be worth mutating.
 func TestLoadDefaultSpacePolicy(t *testing.T) {
 	space := config.Default()
-	_, saved := trainFlat(t, space)
-	if !checkLoadRoundTrip(t, saved, space) {
-		t.Fatal("a saved default-space policy does not load")
+	p, saved := trainFlat(t, space)
+	for _, doc := range [][]byte{saved, firstFormat(t, p)} {
+		if !checkLoadRoundTrip(t, doc, space) {
+			t.Fatal("a saved default-space policy does not load")
+		}
 	}
 }
 
 // FuzzLoadPolicy holds LoadPolicy, which reads files from outside the program,
 // to two properties: it never panics, and a policy it accepts saves to bytes
-// that load again and save identically. The seeds are a coarse-2 policy's
-// Save bytes over fuzzSpace, eight damaged copies (two of them tables no
-// solve ends with, nonSolveTables) and a document without a Q-table; they
-// run under plain go test.
+// that load again and save identically. The seeds are a coarse-2 policy over
+// fuzzSpace in both formats — its Save bytes and its first-format document —
+// six damaged first-format copies (two of them tables no solve ends with,
+// nonSolveTables), two damaged version-2 ones, a document without a Q-table,
+// and the committed compatibility corpus; they run under plain go test.
 func FuzzLoadPolicy(f *testing.F) {
 	space := fuzzSpace()
 	p, saved := trainFlat(f, space)
+	first := firstFormat(f, p)
 	key := p.lattice.States()[0]
 	f.Add(saved)
 	for _, mutate := range []func(qtable, rows map[string]json.RawMessage){
@@ -579,15 +608,21 @@ func FuzzLoadPolicy(f *testing.F) {
 		func(_, rows map[string]json.RawMessage) { rows[key] = json.RawMessage("[1,2,3,4,5,6,7,8]") },
 		func(qtable, _ map[string]json.RawMessage) { qtable["actions"] = json.RawMessage("0") },
 	} {
-		f.Add(reencodeQTable(f, saved, mutate))
+		f.Add(reencodeQTable(f, first, mutate))
 	}
-	damaged, _ := nonSolveTables(f, p, saved)
+	damaged, _ := nonSolveTables(f, p, first)
 	for _, doc := range damaged {
 		f.Add(doc)
 	}
 	f.Add(saved[:len(saved)/2])
 	f.Add(append(slices.Clone(saved), " junk"...))
 	f.Add([]byte(`{"name":"x","slaSeconds":2,"groups":[]}`))
+	f.Add(first)
+	f.Add(bytes.Replace(saved, []byte(p.Digest()), []byte(strings.Repeat("0", 64)), 1))
+	f.Add(bytes.Replace(saved, []byte(`"MaxSweeps":400`), []byte(`"MaxSweeps":1099511627776`), 1))
+	for _, version := range compatPolicyVersions {
+		f.Add(readCompatPolicy(f, version))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLoadRoundTrip(t, data, space)

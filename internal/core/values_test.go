@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
 	"github.com/rac-project/rac/internal/parallel"
+	"github.com/rac-project/rac/internal/sim"
 	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
 )
@@ -24,7 +26,9 @@ import (
 // of that slab (then the coefficients, floor and SLA) as the slab's bits —
 // for the six Table-2 contexts over the analytic surface, at sweep bounds
 // whose last sweep runs forward (1, 3, and the converged solve under 400)
-// and backward (2, 30). Saved, each policy loads back to the same bytes.
+// and backward (2, 30). Saved, each policy loads back to the same bytes and
+// digest; its first-format document loads only under the default schedule,
+// the one such a document is solved under.
 func TestPolicyRowsMatchSolve(t *testing.T) {
 	space := config.Default()
 	for _, ctx := range system.Table2() {
@@ -65,9 +69,11 @@ func TestPolicyRowsMatchSolve(t *testing.T) {
 				t.Fatalf("%s: digest %s, the slab's %s", name, got, want)
 			}
 			if sweeps == 2 || sweeps == 400 {
-				saved := checkSaveMatchesReference(t, p)
-				if !checkLoadRoundTrip(t, saved, space) {
+				if !checkLoadRoundTrip(t, saveBytes(t, p), space) {
 					t.Fatalf("%s: a saved policy does not load", name)
+				}
+				if _, err := LoadPolicy(bytes.NewReader(firstFormat(t, p)), space); (err == nil) != (batch == DefaultOfflineBatch()) {
+					t.Fatalf("%s: its first-format document loads with error %v", name, err)
 				}
 			}
 		}
@@ -183,21 +189,56 @@ func nonSolveTables(tb testing.TB, p *Policy, saved []byte) (docs [][]byte, stat
 	return docs, []string{keys[last], keys[0]}
 }
 
-// TestLoadPolicyRejectsNonSolveTables: LoadPolicy refuses a table that is
-// not a last sweep's output and, for the direction the policy's last sweep
-// ran, names the state it was damaged at.
+// TestLoadPolicyRejectsNonSolveTables: LoadPolicy refuses a first-format
+// table that is not a last sweep's output with ErrPolicyDigest, naming the
+// state it was damaged at.
 func TestLoadPolicyRejectsNonSolveTables(t *testing.T) {
 	space := fuzzSpace()
-	p, saved := trainFlat(t, space)
+	p, _ := trainFlat(t, space)
+	saved := firstFormat(t, p)
 	if _, err := LoadPolicy(bytes.NewReader(saved), space); err != nil {
 		t.Fatalf("the undamaged policy: %v", err)
 	}
-	naming := map[bool]string{true: "state %q differs from a forward", false: "state %q from a backward"}[p.forward]
 	docs, states := nonSolveTables(t, p, saved)
 	for i, doc := range docs {
 		_, err := LoadPolicy(bytes.NewReader(doc), space)
-		if want := fmt.Sprintf(naming, states[i]); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("table damaged at %s: error %v, want one containing %s", states[i], err, want)
+		if want := fmt.Sprintf("state %q", states[i]); !errors.Is(err, ErrPolicyDigest) || !strings.Contains(err.Error(), want) {
+			t.Errorf("table damaged at %s: error %v, want an ErrPolicyDigest containing %s", states[i], err, want)
+		}
+	}
+}
+
+// TestLoadPolicyRejectsRowsOfAnotherSurface: a first-format document whose
+// rows have the form a solve leaves — each derived from two value vectors —
+// but are not the solve of the document's own surface is refused with
+// ErrPolicyDigest: rows from random value vectors, in each sweep direction,
+// and the rows of a policy trained on another surface under this one's
+// header.
+func TestLoadPolicyRejectsRowsOfAnotherSurface(t *testing.T) {
+	space := fuzzSpace()
+	p, _ := trainFlat(t, space)
+	rng := sim.NewRNG(0x5a7e)
+	var docs [][]byte
+	for _, forward := range []bool{true, false} {
+		q := *p
+		q.v, q.forward = make([]float64, len(p.v)), forward
+		for k := range q.v {
+			q.v[k] = randomValue(rng)
+		}
+		docs = append(docs, firstFormat(t, &q))
+	}
+	other, err := learnPolicy("fuzz", space, func(cfg config.Config) (float64, error) {
+		return 0.5 + float64(cfg[0])/250, nil
+	}, InitOptions{CoarseLevels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := *other
+	q.quad, q.floorRT, q.sla = p.quad, p.floorRT, p.sla
+	docs = append(docs, firstFormat(t, &q))
+	for i, doc := range docs {
+		if _, err := LoadPolicy(bytes.NewReader(doc), space); !errors.Is(err, ErrPolicyDigest) {
+			t.Errorf("document %d: error %v, want ErrPolicyDigest", i, err)
 		}
 	}
 }

@@ -4,8 +4,9 @@ import "errors"
 
 // Validation and operation sentinels. Callers branch on these with errors.Is
 // instead of matching message strings; every fleet API error wraps exactly
-// one (the loadgen.Options idiom). The admin HTTP layer maps them onto
-// status codes and structured error bodies.
+// one (the loadgen.Options idiom), or core.ErrPolicyDigest for a registry
+// recipe whose retrained policy is not the published one. The admin HTTP
+// layer maps them onto status codes and structured error bodies.
 var (
 	// ErrBadOptions marks an invalid fleet Options field.
 	ErrBadOptions = errors.New("fleet: invalid options")
@@ -21,9 +22,6 @@ var (
 	ErrBadTransition = errors.New("fleet: illegal lifecycle transition")
 	// ErrNoPolicy marks a context key with no stored policy.
 	ErrNoPolicy = errors.New("fleet: no policy for context")
-	// ErrPolicyDigest marks a registry recipe whose retrained policy is not
-	// the one it was published with (a training change, or space drift).
-	ErrPolicyDigest = errors.New("fleet: retrained policy does not match its recipe digest")
 	// ErrCheckpointsDisabled marks a checkpoint request on a fleet built
 	// without a checkpoint directory.
 	ErrCheckpointsDisabled = errors.New("fleet: checkpointing disabled")

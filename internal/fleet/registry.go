@@ -145,9 +145,9 @@ func (r *PolicyRegistry) train(key string, rec Recipe) (*core.Policy, error) {
 // Get returns the policy stored under key, or (nil, nil) when the context has
 // no recipe. A key not in memory is retrained from its recipe outside the
 // lock, once for every Get waiting on it, so Gets of other keys never wait.
-// A retrained policy whose digest is not the recipe's is an ErrPolicyDigest
-// error, never a different policy. Neither an error nor a missing recipe is
-// remembered.
+// A retrained policy whose digest is not the recipe's is a
+// core.ErrPolicyDigest error, never a different policy. Neither an error nor
+// a missing recipe is remembered.
 func (r *PolicyRegistry) Get(key string) (*core.Policy, error) {
 	r.mu.Lock()
 	once, ok := r.policies[key]
@@ -186,7 +186,7 @@ func (r *PolicyRegistry) retrain(key string) (*core.Policy, error) {
 		return nil, fmt.Errorf("fleet: registry retrain %q: %w", key, err)
 	}
 	if got := p.Digest(); got != rec.Digest {
-		return nil, fmt.Errorf("%w: %q: recipe %s, retrained %s", ErrPolicyDigest, key, rec.Digest, got)
+		return nil, fmt.Errorf("%w: registry %q: recipe %s, retrained %s", core.ErrPolicyDigest, key, rec.Digest, got)
 	}
 	return p, nil
 }

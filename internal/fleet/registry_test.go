@@ -44,7 +44,7 @@ func publishContext(t testing.TB, dir string) (*Fleet, string) {
 }
 
 // TestRegistryDigestMismatch: a recipe whose digest is not its retrained
-// policy's is an ErrPolicyDigest naming both digests, from Get and from
+// policy's is a core.ErrPolicyDigest naming both digests, from Get and from
 // admission alike.
 func TestRegistryDigestMismatch(t *testing.T) {
 	dir := t.TempDir()
@@ -68,7 +68,7 @@ func TestRegistryDigestMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := fresh.Get(key)
-	if !errors.Is(err, ErrPolicyDigest) {
+	if !errors.Is(err, core.ErrPolicyDigest) {
 		t.Fatalf("Get with a tampered digest: err %v, policy returned %t; want ErrPolicyDigest", err, got != nil)
 	}
 	if msg := err.Error(); !strings.Contains(msg, real) || !strings.Contains(msg, tampered) {
@@ -79,8 +79,43 @@ func TestRegistryDigestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f2.Admit(TenantSpec{Name: "t", Backend: "analytic", Context: "context-1"}); !errors.Is(err, ErrPolicyDigest) {
+	if _, err := f2.Admit(TenantSpec{Name: "t", Backend: "analytic", Context: "context-1"}); !errors.Is(err, core.ErrPolicyDigest) {
 		t.Fatalf("Admit over a tampered recipe = %v, want ErrPolicyDigest", err)
+	}
+}
+
+// TestRegistryRefusesUnboundedSchedule: a recipe whose offline schedule
+// would sweep practically forever — 2^40 sweeps, threshold 0 — is refused
+// by the cold Get that reads it, before any training.
+func TestRegistryRefusesUnboundedSchedule(t *testing.T) {
+	dir := t.TempDir()
+	f, key := publishContext(t, dir)
+	data, err := os.ReadFile(f.registry.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := loadRecipe(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Batch.MaxSweeps, rec.Batch.Theta = 1<<40, 0
+	data, err = json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(f.registry.path(key), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.NewRegistry()
+	fresh, err := NewPolicyRegistry(dir, f.Space(), 1, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := fresh.Get(key); err == nil || !strings.Contains(err.Error(), "offline schedule") {
+		t.Fatalf("Get of an unbounded recipe: policy returned %t, error %v", p != nil, err)
+	}
+	if n := tel.Counter("rac_parallel_tasks_total", "Work units dispatched through the parallel pool.", nil).Value(); n != 0 {
+		t.Errorf("the refused recipe dispatched %d sampling tasks", n)
 	}
 }
 

@@ -228,7 +228,10 @@ func LearnPolicy(name string, space *Space, sample Sampler, opts InitOptions) (*
 func NewPolicyStore(policies ...*Policy) *PolicyStore { return core.NewPolicyStore(policies...) }
 
 // LoadPolicy reads a policy previously written with Policy.Save, binding it
-// to the configuration space it was trained on.
+// to the configuration space it was trained on. The file holds the fitted
+// surface, the offline schedule and the policy's digest; the group Q-table
+// is solved again from them, and a solve that does not reproduce the digest
+// is refused. Files of the earlier row-bearing format still load.
 func LoadPolicy(r io.Reader, space *Space) (*Policy, error) { return core.LoadPolicy(r, space) }
 
 // SystemSampler adapts a System into a policy-initialization Sampler
