@@ -17,11 +17,10 @@ import (
 	"os"
 	"time"
 
-	"github.com/rac-project/rac"
 	"github.com/rac-project/rac/internal/atomicfile"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
-	"github.com/rac-project/rac/internal/sim"
+	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/system"
 )
 
@@ -67,28 +66,17 @@ func trainPolicy(ctxName, out, backend string, coarse int, seed uint64, procs in
 	// so the coarse sweep can fan out, deriving its seed from the sample's
 	// pre-split RNG stream; the analytic surface is pure. Either way the saved
 	// policy is independent of -procs and of sampling order.
-	opts := core.InitOptions{CoarseLevels: coarse, Seed: seed, Procs: procs}
-	var sampler core.StreamSampler
-	switch backend {
-	case "analytic":
-		opts.BatchSampler = system.AnalyticSampler(space, ctx, nil)
-	case "sim":
-		sampler = func(cfg config.Config, rng *sim.RNG) (float64, error) {
-			sys, err := system.NewSimulated(system.SimulatedOptions{
-				Space: space, Context: ctx, Seed: rng.Uint64(),
-			})
-			if err != nil {
-				return 0, err
-			}
-			return rac.SystemSampler(sys)(cfg)
-		}
-	default:
+	if backend != "analytic" && backend != "sim" {
 		return fmt.Errorf("unknown backend %q", backend)
 	}
+	rec := core.RecipeFor(ctx)
+	rec.CoarseLevels = coarse
+	rec.Seed = seed
+	rec.Sampling.Simulator = backend == "sim"
 
 	start := time.Now()
 	fmt.Printf("training policy for %s (%s backend, %d coarse levels)...\n", ctx, backend, coarse)
-	policy, err := core.LearnPolicyStream(ctx.Name, space, sampler, opts)
+	policy, err := rec.Train(ctx.Name, space, parallel.Options{Procs: procs}, nil)
 	if err != nil {
 		return err
 	}

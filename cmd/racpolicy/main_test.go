@@ -10,8 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rac-project/rac/internal/bench"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
+	"github.com/rac-project/rac/internal/fleet"
 	"github.com/rac-project/rac/internal/system"
 )
 
@@ -119,5 +121,60 @@ func TestPolicyBytesPinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tt.want {
 			t.Errorf("racpolicy -train %s %v: SHA-256 %s, want %s", tt.name, tt.args, got, tt.want)
 		}
+	}
+}
+
+// TestTrainersAgree trains context-1 the three ways the tree does — a fleet
+// registry with no schedule override, the figure harness at full fidelity on
+// the analytic surface, and racpolicy -train — and requires one digest. Each
+// builds its own recipe (their seeds differ, and the analytic sweep draws
+// nothing), so the test holds them to one description of the training.
+func TestTrainersAgree(t *testing.T) {
+	ctx, err := system.ContextByName("context-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	f, err := fleet.New(fleet.Options{Seed: 3, RegistryDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown()
+	if _, err := f.Admit(fleet.TenantSpec{Name: "t", Backend: "analytic", Context: ctx.Name, TrainPolicy: true}); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := fleet.NewPolicyRegistry(dir, f.Space(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFleet, err := reg.Get(fleet.ContextKey(ctx))
+	if err != nil || fromFleet == nil {
+		t.Fatalf("registry Get after a training admission: %v, %v", fromFleet, err)
+	}
+
+	fromHarness, err := bench.New(bench.Options{Seed: 9}).Policy(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "policy.json")
+	runOutput(t, "-train", ctx.Name, "-o", path)
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	fromCLI, err := core.LoadPolicy(file, config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	digests := []string{fromFleet.Digest(), fromHarness.Digest(), fromCLI.Digest()}
+	if digests[0] != digests[1] || digests[0] != digests[2] {
+		t.Fatalf("context-1 digests: registry %s, harness %s, racpolicy %s", digests[0], digests[1], digests[2])
+	}
+	const pinned = "a8746628685418e112fc01187421f6064364c645aa1c801a3df8360f5d563046"
+	if runtime.GOARCH == "amd64" && digests[0] != pinned {
+		t.Errorf("context-1 digest %s, want %s", digests[0], pinned)
 	}
 }

@@ -7,13 +7,11 @@ package bench
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
 	"github.com/rac-project/rac/internal/parallel"
-	"github.com/rac-project/rac/internal/sim"
 	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
@@ -45,7 +43,7 @@ type Options struct {
 }
 
 // policyEntry is one cached (or in-flight) policy training. The once gate
-// dedups concurrent requests for the same context so parallel figure
+// dedups concurrent requests for the same training so parallel figure
 // generation never trains a policy twice.
 type policyEntry struct {
 	once sync.Once
@@ -58,8 +56,11 @@ type Harness struct {
 	opts  Options
 	space *config.Space
 
-	mu       sync.Mutex
-	policies map[string]*policyEntry
+	mu sync.Mutex
+	// policies caches trainings by policy name and recipe, every input a
+	// policy's bytes depend on, so two different trainings never share an
+	// entry.
+	policies map[namedRecipe]*policyEntry
 
 	// surf memoizes response-surface evaluations: figures that revisit a
 	// (context, configuration) point — across sweeps, seeds and figures —
@@ -81,7 +82,7 @@ func New(opts Options) *Harness {
 	return &Harness{
 		opts:     opts,
 		space:    config.Default(),
-		policies: make(map[string]*policyEntry),
+		policies: make(map[namedRecipe]*policyEntry),
 		surf:     surface.New(tel),
 		tel:      tel,
 		policyTrains: tel.Counter("bench_policy_trainings_total",
@@ -103,14 +104,6 @@ func (h *Harness) Telemetry() *telemetry.Registry { return h.tel }
 // whole figures — under the same Procs bound and pool telemetry.
 func (h *Harness) Parallel() parallel.Options {
 	return parallel.Options{Procs: h.opts.Procs, Telemetry: h.tel}
-}
-
-// measureWindows returns (settle, measure) in virtual seconds.
-func (h *Harness) measureWindows() (float64, float64) {
-	if h.opts.Quick {
-		return 15, 60
-	}
-	return 30, 270
 }
 
 // averagingSeeds returns how many independent seeds sweeps average over.
@@ -153,31 +146,14 @@ func (h *Harness) seed(salt uint64) uint64 { return h.opts.Seed*2654435761 + sal
 
 // simulated builds a simulated system in the context, measured over smp's
 // windows, with goodput counted against slo (0 = none).
-func (h *Harness) simulated(ctx system.Context, seed uint64, smp sampling, slo float64) (*system.Simulated, error) {
+func (h *Harness) simulated(ctx system.Context, seed uint64, smp core.Sampling, slo float64) (*system.Simulated, error) {
 	return system.NewSimulated(system.SimulatedOptions{
 		Space:          h.space,
 		Context:        ctx,
 		Seed:           seed,
-		SettleSeconds:  smp.settle,
-		MeasureSeconds: smp.measure,
+		SettleSeconds:  smp.SettleSeconds,
+		MeasureSeconds: smp.MeasureSeconds,
 		SLOSeconds:     slo,
-	})
-}
-
-// measureFresh measures cfg's mean response time on a fresh simulated
-// system. The measurement is a pure function of (context, configuration,
-// seed, windows) — exactly the memo key — so it runs once per key.
-func (h *Harness) measureFresh(tag byte, ctx system.Context, seed uint64, smp sampling, cfg config.Config) (float64, error) {
-	return h.surf.Do(surfaceKey(tag, ctx, seed, smp.settle, smp.measure, cfg), func() (float64, error) {
-		sys, err := h.simulated(ctx, seed, smp, 0)
-		if err != nil {
-			return 0, err
-		}
-		if err := sys.Apply(context.Background(), cfg); err != nil {
-			return 0, err
-		}
-		m, err := sys.Measure(context.Background())
-		return m.MeanRT, err
 	})
 }
 
@@ -190,9 +166,10 @@ func (h *Harness) measureConfig(ctx system.Context, cfg config.Config, seeds int
 	if seeds < 1 {
 		seeds = 1
 	}
+	smp := h.simSampling()
 	rts, err := parallel.Map(h.Parallel(), seeds, func(s int) (float64, error) {
 		salt := uint64(s)*7919 + uint64(len(cfg))
-		return h.measureFresh('m', ctx, h.seed(salt), h.simSampling(), cfg)
+		return system.MeasureSimulated(h.space, ctx, h.seed(salt), smp.SettleSeconds, smp.MeasureSeconds, cfg, h.surf)
 	})
 	if err != nil {
 		return 0, err
@@ -204,86 +181,27 @@ func (h *Harness) measureConfig(ctx system.Context, cfg config.Config, seeds int
 	return sum / float64(seeds), nil
 }
 
-// surfaceKey renders the memo key of one surface evaluation. Every input the
-// evaluation depends on is folded in: the backend tag ('m' simulated
-// measurement, 'p' simulated policy sample; analytic points are keyed by
-// system.AnalyticSampler), the full context coordinates (the level name alone
-// would alias contexts that differ only in mix or client count), the
-// system seed, the sampling windows and the configuration itself.
-// Built with strconv like policyKey: surface lookups sit on the sweep hot path.
-func surfaceKey(tag byte, ctx system.Context, seed uint64, settle, measure float64, cfg config.Config) string {
-	key := make([]byte, 0, len(ctx.Level.Name)+len(cfg)*4+48)
-	key = append(key, tag, '|')
-	key = strconv.AppendInt(key, int64(ctx.Workload.Mix), 10)
-	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(ctx.Workload.Clients), 10)
-	key = append(key, '/')
-	key = append(key, ctx.Level.Name...)
-	key = append(key, '|')
-	key = strconv.AppendUint(key, seed, 10)
-	key = append(key, '|')
-	key = strconv.AppendFloat(key, settle, 'g', -1, 64)
-	key = append(key, '/')
-	key = strconv.AppendFloat(key, measure, 'g', -1, 64)
-	key = append(key, '|')
-	key = append(key, cfg.Key()...)
-	return string(key)
-}
-
-// sampling selects a policy-training backend: the analytic queueing surface,
-// or the simulator measured over explicit settle/measure windows.
-type sampling struct {
-	sim             bool
-	settle, measure float64
-}
-
-// analyticSampling is the default backend (Options.SimSampling false).
-var analyticSampling = sampling{}
-
-// simSampling returns the simulator backend at the harness's windows.
-func (h *Harness) simSampling() sampling {
-	settle, measure := h.measureWindows()
-	return sampling{sim: true, settle: settle, measure: measure}
+// simSampling returns the simulator backend at the harness's measurement
+// windows.
+func (h *Harness) simSampling() core.Sampling {
+	if h.opts.Quick {
+		return core.Sampling{Simulator: true, SettleSeconds: 15, MeasureSeconds: 60}
+	}
+	return core.Sampling{Simulator: true, SettleSeconds: 30, MeasureSeconds: 270}
 }
 
 // optsSampling returns the backend selected by Options.SimSampling.
-func (h *Harness) optsSampling() sampling {
+func (h *Harness) optsSampling() core.Sampling {
 	if h.opts.SimSampling {
 		return h.simSampling()
 	}
-	return analyticSampling
+	return core.Sampling{}
 }
 
-// policyKey identifies one cached policy training. It must cover every
-// option the training depends on — notably the coarse-lattice granularity —
-// so a future per-call override can never alias a cached policy trained at a
-// different fidelity. Built with strconv: Policy sits on the figure hot path
-// and fmt.Sprintf's reflection is measurable across thousands of lookups.
-func (h *Harness) policyKey(ctx system.Context, smp sampling) string {
-	key := make([]byte, 0, len(ctx.Name)+48)
-	key = append(key, ctx.Name...)
-	key = append(key, "|c"...)
-	key = strconv.AppendInt(key, int64(h.coarseLevels()), 10)
-	key = append(key, "|q"...)
-	key = strconv.AppendBool(key, h.opts.Quick)
-	key = append(key, "|s"...)
-	key = strconv.AppendBool(key, smp.sim)
-	if smp.sim {
-		// Sim-sampled policies depend on the measurement windows too (the
-		// scenario benches train at their own fixed windows).
-		key = append(key, '/')
-		key = strconv.AppendFloat(key, smp.settle, 'g', -1, 64)
-		key = append(key, '/')
-		key = strconv.AppendFloat(key, smp.measure, 'g', -1, 64)
-	}
-	// Training rewards are SLA-relative: a harness-level option today, but
-	// folding it in now means a future per-call override can never serve a
-	// policy trained against a different SLA.
-	key = append(key, "|l"...)
-	key = strconv.AppendFloat(key, h.opts.Agent.SLASeconds, 'g', -1, 64)
-	key = append(key, '|')
-	key = strconv.AppendUint(key, h.opts.Seed, 10)
-	return string(key)
+// namedRecipe is one cached policy training: the policy's name and recipe.
+type namedRecipe struct {
+	name string
+	core.Recipe
 }
 
 // Policy returns (training and caching on first use) the initial policy for
@@ -296,8 +214,15 @@ func (h *Harness) Policy(ctx system.Context) (*core.Policy, error) {
 // scenario benches always sim-sample their warm start (the schedule replays
 // on the simulator, so Algorithm 2 must coarsely sample that same system —
 // the analytic surface ranks configurations differently near the knee).
-func (h *Harness) policySampled(ctx system.Context, smp sampling) (*core.Policy, error) {
-	key := h.policyKey(ctx, smp)
+// Both backends fan the coarse sweep out on the harness pool through the
+// harness memo.
+func (h *Harness) policySampled(ctx system.Context, smp core.Sampling) (*core.Policy, error) {
+	rec := core.RecipeFor(ctx)
+	rec.SLASeconds = h.opts.Agent.SLASeconds
+	rec.CoarseLevels = h.coarseLevels()
+	rec.Seed = h.opts.Seed ^ 0xBEEF
+	rec.Sampling = smp
+	key := namedRecipe{ctx.Name, rec}
 	h.mu.Lock()
 	e, ok := h.policies[key]
 	if !ok {
@@ -310,47 +235,11 @@ func (h *Harness) policySampled(ctx system.Context, smp sampling) (*core.Policy,
 	}
 	e.once.Do(func() {
 		h.policyTrains.Inc()
-		e.p, e.err = h.trainPolicy(ctx, smp)
+		if e.p, e.err = key.Train(key.name, h.space, h.Parallel(), h.surf); e.err != nil {
+			e.err = fmt.Errorf("bench: learn policy for %s: %w", key.name, e.err)
+		}
 	})
 	return e.p, e.err
-}
-
-// trainPolicy runs paper Algorithm 2 for one context. Both sampling backends
-// fan the coarse sweep out on the harness pool: the analytic surface is pure,
-// and the simulator backend builds a fresh system per sample whose seed comes
-// from the sample's own pre-split RNG stream, keeping the sweep independent
-// of worker count and sampling order.
-func (h *Harness) trainPolicy(ctx system.Context, smp sampling) (*core.Policy, error) {
-	var (
-		sampler core.StreamSampler
-		batch   core.BatchSampler
-	)
-	if smp.sim {
-		sampler = func(cfg config.Config, rng *sim.RNG) (float64, error) {
-			// Draw the system seed before consulting the memo and fold it
-			// into the key: a hit and a miss then consume the sample's RNG
-			// stream identically, which is what keeps cached and uncached
-			// sweeps byte-identical.
-			return h.measureFresh('p', ctx, rng.Uint64(), smp, cfg)
-		}
-	} else {
-		// The analytic surface sweeps in batches so one solver's scratch
-		// serves each chunk.
-		batch = system.AnalyticSampler(h.space, ctx, h.surf)
-	}
-
-	p, err := core.LearnPolicyStream(ctx.Name, h.space, sampler, core.InitOptions{
-		CoarseLevels: h.coarseLevels(),
-		SLASeconds:   h.opts.Agent.SLASeconds,
-		Seed:         h.opts.Seed ^ 0xBEEF,
-		Procs:        h.opts.Procs,
-		BatchSampler: batch,
-		Telemetry:    h.tel,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench: learn policy for %s: %w", ctx.Name, err)
-	}
-	return p, nil
 }
 
 // Store builds a policy store covering the given contexts, training them
@@ -362,7 +251,7 @@ func (h *Harness) Store(contexts ...system.Context) (*core.PolicyStore, error) {
 
 // storeSampled is Store with an explicit sampling backend (see
 // policySampled).
-func (h *Harness) storeSampled(smp sampling, contexts ...system.Context) (*core.PolicyStore, error) {
+func (h *Harness) storeSampled(smp core.Sampling, contexts ...system.Context) (*core.PolicyStore, error) {
 	policies, err := parallel.Map(h.Parallel(), len(contexts), func(i int) (*core.Policy, error) {
 		return h.policySampled(contexts[i], smp)
 	})

@@ -60,8 +60,8 @@ func (h *Harness) runOverloadVariant(sc workload.Scenario, label string, params 
 		if err := m.SetWorkload(iv.Workload); err != nil {
 			return overloadRun{}, fmt.Errorf("bench: overload interval %d: %w", i, err)
 		}
-		m.Warmup(smp.settle)
-		st, err := m.Run(smp.measure)
+		m.Warmup(smp.SettleSeconds)
+		st, err := m.Run(smp.MeasureSeconds)
 		if err != nil {
 			return overloadRun{}, fmt.Errorf("bench: overload interval %d: %w", i, err)
 		}

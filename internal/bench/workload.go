@@ -89,8 +89,8 @@ func (h *Harness) RunWorkloadScenario(sc workload.Scenario) (*ScenarioComparison
 // and plays more intervals instead. The warm-start policies sample the
 // simulator over the same windows, so Algorithm 2 ranks configurations in
 // the regime the agent will actually measure.
-func scenarioSampling() sampling {
-	return sampling{sim: true, settle: 15, measure: 60}
+func scenarioSampling() core.Sampling {
+	return core.Sampling{Simulator: true, SettleSeconds: 15, MeasureSeconds: 60}
 }
 
 // scenarioStart returns a sequencer over the compiled scenario and a

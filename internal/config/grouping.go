@@ -131,6 +131,19 @@ func (g *Grouping) expand(point Config) Config {
 	return c
 }
 
+// coarsePoints returns k^groups, the size of a coarse sweep, and whether it
+// is at most limit; it never overflows.
+func coarsePoints(k, groups, limit int) (int, bool) {
+	n := 1
+	for range groups {
+		if n > limit/k {
+			return 0, false
+		}
+		n *= k
+	}
+	return n, true
+}
+
 // coarseValue returns the j-th of k representative values of group gi, spread
 // evenly over the intersection of its members' ranges (paper §4.1: "coarse
 // granularity ... during training data collection").
@@ -144,14 +157,25 @@ func (g *Grouping) coarseValue(gi, j, k int) int {
 // varying fastest. cfgs[i] is the expanded configuration of combination i and
 // values[i] its per-group values — the regression's feature vector. Callers
 // index samples, RNG streams and tie-breaks by this order, so it is part of
-// the contract. k must be at least 2.
+// the contract. k must be at least 2, and the sweep's k^G points no more than
+// the group lattice's states: a larger k only samples lattice values twice,
+// and k comes from outside the program (a registry recipe, racpolicy
+// -coarse), so it is refused before anything is allocated.
 func (g *Grouping) Coarse(k int) (cfgs []Config, values [][]float64, err error) {
 	if k < 2 {
 		return nil, nil, fmt.Errorf("config: need at least 2 coarse values, got %d", k)
 	}
-	n := 1
-	for range g.members {
-		n *= k
+	states := g.groups.States()
+	n, ok := coarsePoints(k, len(g.members), states)
+	if !ok {
+		most := 1
+		for {
+			if _, fits := coarsePoints(most+1, len(g.members), states); !fits {
+				break
+			}
+			most++
+		}
+		return nil, nil, fmt.Errorf("config: %d coarse values per group sweep more points than the group lattice's %d states; at most %d", k, states, most)
 	}
 	cfgs = make([]Config, n)
 	values = make([][]float64, n)

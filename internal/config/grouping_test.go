@@ -1,6 +1,10 @@
 package config
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestGroupMembersCoversAllParams(t *testing.T) {
 	s := Default()
@@ -60,6 +64,16 @@ func TestCoarseValues(t *testing.T) {
 func TestCoarseValuesErrors(t *testing.T) {
 	if _, _, err := defaultGrouping(t).Coarse(1); err == nil {
 		t.Fatal("k=1 accepted")
+	}
+	// The sweep may hold at most the group lattice's 10 692 states: 10^4
+	// does, 11^4 does not, and 65 536^4 would wrap an int to 0.
+	if cfgs, _, err := defaultGrouping(t).Coarse(10); err != nil || len(cfgs) != 10_000 {
+		t.Fatalf("k=10: %d points, %v", len(cfgs), err)
+	}
+	for _, k := range []int{11, 65536, math.MaxInt} {
+		if _, _, err := defaultGrouping(t).Coarse(k); err == nil || !strings.Contains(err.Error(), "10692 states; at most 10") {
+			t.Errorf("k=%d: error %v, want the bound", k, err)
+		}
 	}
 	disjoint := MustSpace([]Def{
 		{Param: MaxClients, Name: "a", Group: GroupCapacity, Min: 0, Max: 10, Step: 5},

@@ -19,12 +19,12 @@ import (
 // dispatched (one per coarse configuration, in enumeration order), so a
 // sampler that derives all of its randomness — simulator seeds included —
 // from the supplied stream produces bit-identical results for any
-// InitOptions.Procs, including 1. LearnPolicyStream runs it as a BatchSampler
+// InitOptions.Procs, including 1. LearnPolicyStream runs it as a batch sampler
 // over chunks of one, so each configuration is its own unit on the worker
 // pool; it must not touch shared mutable state when Procs exceeds 1.
 type StreamSampler func(cfg config.Config, rng *sim.RNG) (float64, error)
 
-// BatchSampler measures a contiguous chunk of coarse configurations in one
+// batchSampler measures a contiguous chunk of coarse configurations in one
 // call, writing out[i] for cfgs[i] (len(out) == len(cfgs) == len(streams)).
 // Batching exists so array-shaped backends — the analytic queueing surface
 // above all — can reuse solver scratch buffers across a whole chunk instead
@@ -32,7 +32,7 @@ type StreamSampler func(cfg config.Config, rng *sim.RNG) (float64, error)
 // values the equivalent StreamSampler would (bit for bit): chunk boundaries
 // are an implementation detail of the dispatch and must never show in the
 // output. streams[i] is cfgs[i]'s pre-split RNG stream, as in StreamSampler.
-type BatchSampler func(cfgs []config.Config, streams []*sim.RNG, out []float64) error
+type batchSampler func(cfgs []config.Config, streams []*sim.RNG, out []float64) error
 
 // batchChunkSize is the number of coarse configurations handed to one
 // InitOptions.BatchSampler call. Small enough that even a quick-mode sweep
@@ -63,7 +63,7 @@ type InitOptions struct {
 	// chunks of batchChunkSize configurations, one call per chunk on the
 	// worker pool. It is the alternative to LearnPolicyStream's
 	// StreamSampler argument, which must then be nil.
-	BatchSampler BatchSampler
+	BatchSampler batchSampler
 	// Telemetry, when non-nil, receives the parallel pool's instruments
 	// (rac_parallel_*) for the sampling sweep.
 	Telemetry *telemetry.Registry

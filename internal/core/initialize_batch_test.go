@@ -120,6 +120,25 @@ func TestLearnPolicyBatchErrors(t *testing.T) {
 	}
 }
 
+// TestLearnPolicyRefusesOversizedSweep: a coarse sweep larger than the group
+// lattice — k = 11 is 14 641 points on the default space's 10 692 states,
+// and k = 65 536 wraps k^4 to 0 in int arithmetic — is refused with the
+// bound before anything is sampled.
+func TestLearnPolicyRefusesOversizedSweep(t *testing.T) {
+	for _, k := range []int{11, 65536} {
+		_, err := LearnPolicyStream("x", config.Default(), nil, InitOptions{
+			CoarseLevels: k,
+			BatchSampler: func([]config.Config, []*sim.RNG, []float64) error {
+				t.Fatalf("k=%d sampled", k)
+				return nil
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), "at most 10") {
+			t.Errorf("k=%d: error %v, want one naming the bound of 10", k, err)
+		}
+	}
+}
+
 // TestLearnPolicyProcsInvariant: the whole of Algorithm 2 — the coarse sweep,
 // the reward pass split into one ordinal range per worker, and the solve into
 // the slab — saves the same bytes and converges the same way at any worker

@@ -14,6 +14,7 @@ import (
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
+	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/system"
 )
 
@@ -351,13 +352,13 @@ func TestPolicyRegistryConcurrentPutGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	const keys, writes = 4, 20
-	recipes := make([][2]Recipe, keys)
+	recipes := make([][2]core.Recipe, keys)
 	digests := make([][2]string, keys)
 	for k := range recipes {
 		for j := range recipes[k] {
-			rec := Recipe{Mix: "shopping", Clients: 100 + 50*k, Level: "Level-1",
+			rec := core.Recipe{Mix: "shopping", Clients: 100 + 50*k, Level: "Level-1",
 				SLASeconds: float64(1 + k + j), CoarseLevels: 2}
-			p, err := reg.train("probe", rec)
+			p, err := rec.Train("probe", space, parallel.Options{Procs: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,7 +374,7 @@ func TestPolicyRegistryConcurrentPutGet(t *testing.T) {
 		key := fmt.Sprint("key-", k)
 		for j := range recipes[k] {
 			wg.Add(1)
-			go func(rec Recipe) {
+			go func(rec core.Recipe) {
 				defer wg.Done()
 				for i := 0; i < writes; i++ {
 					if _, err := reg.Put(key, rec); err != nil {

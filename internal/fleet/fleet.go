@@ -643,14 +643,10 @@ func (f *Fleet) contextPolicy(spec TenantSpec, ctx system.Context, key string) (
 // policy initialization on the analytic queueing surface, seeded by the
 // context key so every tenant training the same context produces the same
 // policy bytes.
-func (f *Fleet) recipe(spec TenantSpec, ctx system.Context, key string) Recipe {
-	rec := Recipe{
-		Mix:        ctx.Workload.Mix.String(),
-		Clients:    ctx.Workload.Clients,
-		Level:      ctx.Level.Name,
-		SLASeconds: cmp.Or(spec.SLASeconds, f.opts.SLASeconds),
-		Seed:       deriveSeed(f.opts.Seed, "policy:"+key),
-	}
+func (f *Fleet) recipe(spec TenantSpec, ctx system.Context, key string) core.Recipe {
+	rec := core.RecipeFor(ctx)
+	rec.SLASeconds = cmp.Or(spec.SLASeconds, f.opts.SLASeconds)
+	rec.Seed = deriveSeed(f.opts.Seed, "policy:"+key)
 	if f.opts.TrainInit != nil {
 		rec.CoarseLevels = f.opts.TrainInit.CoarseLevels
 		rec.Batch = f.opts.TrainInit.Batch

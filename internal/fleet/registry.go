@@ -18,10 +18,9 @@ import (
 	"github.com/rac-project/rac/internal/atomicfile"
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/core"
-	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/system"
 	"github.com/rac-project/rac/internal/telemetry"
-	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
 )
 
@@ -34,14 +33,18 @@ import (
 //
 // A fleet policy is the output of a cheap, deterministic computation
 // (Algorithm 2 on the analytic surface), so the registry stores one small
-// Recipe file per context key, written atomically. A policy not in memory, as
-// after a restart, is retrained from its recipe and checked against the
-// recipe's digest. All methods are safe for concurrent use.
+// recipe file per context key, written atomically. A policy not in memory, as
+// after a restart, is retrained from its recipe (core.Recipe) and checked
+// against the recipe's digest. All methods are safe for concurrent use.
 type PolicyRegistry struct {
 	dir   string
 	space *config.Space
-	procs int                 // training workers; no policy byte depends on it
-	tel   *telemetry.Registry // the training pool's instruments, or nil
+	// pool trains policies; no policy byte depends on it. Training passes no
+	// memo: it solves each coarse grouped point once, and tenants do not
+	// measure those points (0 extra hits over 558 lookups in
+	// TestFleetAnalyticMemoByteIdentical), so sharing the fleet's would only
+	// add keys and count training as tenant lookups.
+	pool parallel.Options
 
 	mu sync.Mutex
 	// policies resolves each key read or published in this process once: a
@@ -52,47 +55,29 @@ type PolicyRegistry struct {
 
 type policyOnce struct{ get func() (*core.Policy, error) }
 
-// Recipe is everything a fleet policy is trained from: the context, the SLA,
-// the offline schedule (zero values select core's defaults) and the seed.
-// Digest is core.Policy.Digest of the policy it trained when published.
-type Recipe struct {
-	Mix          string          `json:"mix"`
-	Clients      int             `json:"clients"`
-	Level        string          `json:"level"`
-	SLASeconds   float64         `json:"slaSeconds"`
-	CoarseLevels int             `json:"coarseLevels"`
-	Batch        mdp.BatchConfig `json:"batch"`
-	Seed         uint64          `json:"seed"`
-	Digest       string          `json:"digest"`
-}
-
-// context resolves the recipe's context coordinates.
-func (rec Recipe) context() (system.Context, error) {
-	mix, err := tpcw.ParseMix(rec.Mix)
-	if err != nil {
-		return system.Context{}, err
-	}
-	level, err := vmenv.ByName(rec.Level)
-	w := tpcw.Workload{Mix: mix, Clients: rec.Clients}
-	return system.Context{Workload: w, Level: level}, errors.Join(err, w.Validate())
+// recipeFile is a registry file: the recipe a policy was trained from and
+// core.Policy.Digest of the policy it trained when published.
+type recipeFile struct {
+	core.Recipe
+	Digest string `json:"digest"`
 }
 
 // loadRecipe decodes one recipe document, which must be the whole input, and
 // checks every field that needs no training run to check.
-func loadRecipe(r io.Reader) (Recipe, error) {
-	var rec Recipe
+func loadRecipe(r io.Reader) (recipeFile, error) {
+	var rec recipeFile
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&rec); err != nil {
-		return Recipe{}, fmt.Errorf("decode recipe: %w", err)
+		return recipeFile{}, fmt.Errorf("decode recipe: %w", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return Recipe{}, errors.New("decode recipe: data after the document")
+		return recipeFile{}, errors.New("decode recipe: data after the document")
 	}
-	if _, err := rec.context(); err != nil {
-		return Recipe{}, fmt.Errorf("recipe context: %w", err)
+	if _, err := rec.Context(); err != nil {
+		return recipeFile{}, fmt.Errorf("recipe context: %w", err)
 	}
 	if d, err := hex.DecodeString(rec.Digest); err != nil || len(d) != sha256.Size {
-		return Recipe{}, fmt.Errorf("recipe digest %q is not a hex SHA-256", rec.Digest)
+		return recipeFile{}, fmt.Errorf("recipe digest %q is not a hex SHA-256", rec.Digest)
 	}
 	return rec, nil
 }
@@ -110,7 +95,8 @@ func NewPolicyRegistry(dir string, space *config.Space, procs int, tel *telemetr
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: registry dir: %w", err)
 	}
-	return &PolicyRegistry{dir: dir, space: space, procs: procs, tel: tel, policies: make(map[string]*policyOnce)}, nil
+	pool := parallel.Options{Procs: procs, Telemetry: tel}
+	return &PolicyRegistry{dir: dir, space: space, pool: pool, policies: make(map[string]*policyOnce)}, nil
 }
 
 const recipeSuffix = ".recipe.json"
@@ -118,28 +104,6 @@ const recipeSuffix = ".recipe.json"
 // path names the recipe file for a context key.
 func (r *PolicyRegistry) path(key string) string {
 	return filepath.Join(r.dir, sanitizeName(key)+recipeSuffix)
-}
-
-// train runs the paper's policy initialization for rec on the analytic
-// queueing surface, naming the policy key. The sweep does not go through the
-// fleet's memo: it solves each coarse grouped point once, and tenants do not
-// measure those points (0 extra hits over 558 lookups in
-// TestFleetAnalyticMemoByteIdentical), so sharing would only add keys and
-// count training as tenant lookups.
-func (r *PolicyRegistry) train(key string, rec Recipe) (*core.Policy, error) {
-	ctx, err := rec.context()
-	if err != nil {
-		return nil, err
-	}
-	return core.LearnPolicyStream(key, r.space, nil, core.InitOptions{
-		CoarseLevels: rec.CoarseLevels,
-		Batch:        rec.Batch,
-		SLASeconds:   rec.SLASeconds,
-		Seed:         rec.Seed,
-		Procs:        r.procs,
-		BatchSampler: system.AnalyticSampler(r.space, ctx, nil),
-		Telemetry:    r.tel,
-	})
 }
 
 // Get returns the policy stored under key, or (nil, nil) when the context has
@@ -181,7 +145,7 @@ func (r *PolicyRegistry) retrain(key string) (*core.Policy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: registry %q: %w", key, err)
 	}
-	p, err := r.train(key, rec)
+	p, err := rec.Train(key, r.space, r.pool, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: registry retrain %q: %w", key, err)
 	}
@@ -196,18 +160,22 @@ func (r *PolicyRegistry) retrain(key string) (*core.Policy, error) {
 // and returns the policy. Training and the temporary file happen without the
 // lock, so Gets of other contexts never wait on them; the lock covers only
 // the rename and the in-memory update, so after concurrent Puts of one key
-// the file and memory hold the same, last renamed, recipe.
-func (r *PolicyRegistry) Put(key string, rec Recipe) (*core.Policy, error) {
+// the file and memory hold the same, last renamed, recipe. A recipe file
+// holds no sampling backend, so a recipe that samples the simulator is
+// refused.
+func (r *PolicyRegistry) Put(key string, rec core.Recipe) (*core.Policy, error) {
 	if key == "" {
 		return nil, errors.New("fleet: empty registry key")
 	}
-	p, err := r.train(key, rec)
+	if rec.Sampling != (core.Sampling{}) {
+		return nil, fmt.Errorf("fleet: registry %q: a recipe file holds analytic trainings only", key)
+	}
+	p, err := rec.Train(key, r.space, r.pool, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: registry train %q: %w", key, err)
 	}
-	rec.Digest = p.Digest()
 	tmp, err := atomicfile.WriteTemp(r.dir, "recipe-*.tmp", func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(rec)
+		return json.NewEncoder(w).Encode(recipeFile{rec, p.Digest()})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: registry save %q: %w", key, err)
@@ -232,7 +200,7 @@ func parseContextKey(key string) (system.Context, bool) {
 		return system.Context{}, false
 	}
 	clients, err := strconv.Atoi(key[dash+1 : at])
-	ctx, cerr := Recipe{Mix: key[:dash], Clients: clients, Level: key[at+1:]}.context()
+	ctx, cerr := core.Recipe{Mix: key[:dash], Clients: clients, Level: key[at+1:]}.Context()
 	return ctx, err == nil && cerr == nil
 }
 

@@ -87,16 +87,16 @@ func NewAnalytic(opts AnalyticOptions) (*Analytic, error) {
 		surf:     opts.Surface,
 	}
 	if a.surf != nil {
-		a.surfPrefix = surfacePrefix(space)
+		a.surfPrefix = surfacePrefix("analytic", space)
 	}
 	return a, nil
 }
 
-// surfacePrefix is the space's part of the memo key. ParamsFromConfig reads
-// values by parameter identity, so which parameter sits at which position is
-// an input of the solve.
-func surfacePrefix(space *config.Space) string {
-	prefix := []byte("analytic")
+// surfacePrefix is the backend's and the space's part of the memo key.
+// ParamsFromConfig reads values by parameter identity, so which parameter
+// sits at which position is an input of every measurement.
+func surfacePrefix(backend string, space *config.Space) string {
+	prefix := []byte(backend)
 	for _, d := range space.Defs() {
 		prefix = append(prefix, ':')
 		prefix = strconv.AppendInt(prefix, int64(d.Param), 10)
@@ -112,7 +112,7 @@ func surfacePrefix(space *config.Space) string {
 // trains for share solved points. surf may be nil. The sampler is safe for
 // concurrent use and ignores its RNG streams.
 func AnalyticSampler(space *config.Space, ctx Context, surf *surface.Cache) func([]config.Config, []*sim.RNG, []float64) error {
-	cal, prefix := webtier.DefaultCalibration(), surfacePrefix(space)
+	cal, prefix := webtier.DefaultCalibration(), surfacePrefix("analytic", space)
 	return func(cfgs []config.Config, _ []*sim.RNG, out []float64) error {
 		ws := queueing.NewWebsiteSolver()
 		for i, cfg := range cfgs {
@@ -211,8 +211,17 @@ func solvePoint(surf *surface.Cache, prefix string, solve websiteSolve, space *c
 	if surf == nil {
 		return solveNow()
 	}
-	key := make([]byte, 0, 96)
-	key = append(key, prefix...)
+	key := appendPoint(append(make([]byte, 0, 96), prefix...), w, level, cfg)
+	v, err := surf.DoValue(string(key), func() (any, error) { return solveNow() })
+	if err != nil {
+		return solvedPoint{}, err
+	}
+	return v.(solvedPoint), nil
+}
+
+// appendPoint appends a measured point to a memo key: the workload, all three
+// level fields and the configuration.
+func appendPoint(key []byte, w tpcw.Workload, level vmenv.Level, cfg config.Config) []byte {
 	key = append(key, '|')
 	key = strconv.AppendInt(key, int64(w.Mix), 10)
 	key = append(key, '/')
@@ -227,11 +236,7 @@ func solvePoint(surf *surface.Cache, prefix string, solve websiteSolve, space *c
 		key = append(key, ',')
 		key = strconv.AppendInt(key, int64(v), 10)
 	}
-	v, err := surf.DoValue(string(key), func() (any, error) { return solveNow() })
-	if err != nil {
-		return solvedPoint{}, err
-	}
-	return v.(solvedPoint), nil
+	return key
 }
 
 // SetWorkload changes the traffic (driver-side context change).

@@ -3,8 +3,11 @@ package system
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"github.com/rac-project/rac/internal/config"
+	"github.com/rac-project/rac/internal/sim"
+	"github.com/rac-project/rac/internal/surface"
 	"github.com/rac-project/rac/internal/tpcw"
 	"github.com/rac-project/rac/internal/vmenv"
 	"github.com/rac-project/rac/internal/webtier"
@@ -97,6 +100,48 @@ func NewSimulated(opts SimulatedOptions) (*Simulated, error) {
 		s.measureSeconds = opts.MeasureSeconds
 	}
 	return s, nil
+}
+
+// MeasureSimulated returns cfg's mean response time on a fresh simulated
+// system in ctx, seeded with seed and measured over settle then measure
+// virtual seconds (zero selects NewSimulated's defaults). That is a pure
+// function of its inputs, so through surf, which may be nil, it runs once per
+// key, and the key holds them all: the space's layout, the seed, both
+// windows, the full context coordinates and the configuration.
+func MeasureSimulated(space *config.Space, ctx Context, seed uint64, settle, measure float64, cfg config.Config, surf *surface.Cache) (float64, error) {
+	measureNow := func() (float64, error) {
+		sys, err := NewSimulated(SimulatedOptions{
+			Space: space, Context: ctx, Seed: seed, SettleSeconds: settle, MeasureSeconds: measure,
+		})
+		if err != nil {
+			return 0, err
+		}
+		if err := sys.Apply(context.Background(), cfg); err != nil {
+			return 0, err
+		}
+		m, err := sys.Measure(context.Background())
+		return m.MeanRT, err
+	}
+	key := []byte(surfacePrefix("simulated", space))
+	key = append(key, '|')
+	key = strconv.AppendUint(key, seed, 10)
+	key = append(key, '|')
+	key = strconv.AppendFloat(key, settle, 'g', -1, 64)
+	key = append(key, '/')
+	key = strconv.AppendFloat(key, measure, 'g', -1, 64)
+	return surf.Do(string(appendPoint(key, ctx.Workload, ctx.Level, cfg)), measureNow)
+}
+
+// SimulatedSampler returns the stream sampler (core.StreamSampler) policy
+// initialization drives over the simulator in one context: MeasureSimulated
+// of each configuration, seeded from the sample's pre-split RNG stream. The
+// seed is drawn before the memo lookup, so a hit and a miss consume the
+// stream alike and a memoized sweep is byte-identical to an unmemoized one.
+// surf may be nil; the sampler is safe for concurrent use.
+func SimulatedSampler(space *config.Space, ctx Context, settle, measure float64, surf *surface.Cache) func(config.Config, *sim.RNG) (float64, error) {
+	return func(cfg config.Config, rng *sim.RNG) (float64, error) {
+		return MeasureSimulated(space, ctx, rng.Uint64(), settle, measure, cfg, surf)
+	}
 }
 
 // Space returns the configuration space.
