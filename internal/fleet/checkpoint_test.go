@@ -110,7 +110,8 @@ func TestCheckpointEnvelopeRejectsCorruption(t *testing.T) {
 // encoder omits decodes as nil). Each input is decoded twice: as an
 // envelope, and as the payload of a well-formed envelope, so mutations reach
 // the JSON decoder past the CRC. The seeds are a real checkpoint, a
-// truncation, a flipped CRC, a wrong version and a wrong length.
+// truncation, a flipped CRC, a wrong version and a wrong length, and every
+// file of the committed checkpoint corpus.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	buf, err := encodeCheckpoint(testCheckpoint(f, "shop-a", 1))
 	if err != nil {
@@ -127,6 +128,17 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(damage(func(b []byte) { b[8] = checkpointVersion + 1 }))
 	f.Add(damage(func(b []byte) { b[12]-- }))
 	f.Add(buf[checkpointHeader:])
+	corpus, err := filepath.Glob(filepath.Join("testdata", "compat", "checkpoint", "*", "*", "*"+checkpointExt))
+	if err != nil || len(corpus) == 0 {
+		f.Fatalf("no checkpoint corpus (%v)", err)
+	}
+	for _, name := range corpus {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, sealCheckpoint(data)} {
