@@ -324,18 +324,8 @@ func (h *Harness) bestGroupedConfig(ctx system.Context) (config.Config, float64,
 	if err != nil {
 		return nil, 0, err
 	}
-	sample := system.AnalyticSampler(h.space, ctx, h.surf)
-	const chunk = 16
 	rts := make([]float64, len(cfgs))
-	nChunks := (len(cfgs) + chunk - 1) / chunk
-	if err := parallel.ForEach(h.Parallel(), nChunks, func(c int) error {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > len(cfgs) {
-			hi = len(cfgs)
-		}
-		return sample(cfgs[lo:hi], nil, rts[lo:hi])
-	}); err != nil {
+	if err := core.SampleCoarse(h.Parallel(), system.AnalyticSampler(h.space, ctx, h.surf), cfgs, nil, rts); err != nil {
 		return nil, 0, err
 	}
 	best := 0
