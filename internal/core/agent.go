@@ -119,9 +119,10 @@ type Agent struct {
 	// seeded row, or zero without a policy. It is nil until the agent first
 	// holds a row (regionFor), so an agent that never learns holds none.
 	region *region
-	// group is the policy's group row a choice last read (Policy.groupRow),
-	// a buffer kept so reading one allocates nothing.
-	group []float64
+	// seeded is the policy's row a choice last read at a state the agent
+	// holds no row for (Policy.seedRow), a buffer kept so reading one
+	// allocates nothing.
+	seeded []float64
 
 	// Resilience state: the last configuration that satisfied the SLA, the
 	// last believable response time (carried into degraded intervals), and
@@ -594,58 +595,47 @@ func (a *Agent) choose(cfg config.Config) int {
 	}
 	ord := a.space.Ordinal(cfg)
 	q := a.read(ord, cfg)
-	if q.row == nil && q.group == nil {
-		q.row = a.regionFor().hold(ord)
+	if q == nil {
+		q = a.regionFor().hold(ord)
 	}
 	best, bestV := -1, 0.0
 	for i, act := range a.actions {
 		if !act.Feasible(a.space, cfg) {
 			continue
 		}
-		if v := q.at(i); best < 0 || v > bestV {
+		if v := q[i]; best < 0 || v > bestV {
 			best, bestV = i, v
 		}
 	}
 	return best
 }
 
-// qRow is the Q row the agent reads for a state: the row it holds, else the
-// policy's group row, whose values a full row inherits (Policy.seedRow), else
-// neither — a row of zeros.
-type qRow struct {
-	row, group []float64
-	p          *Policy
-}
-
-// at returns the row's value for action a.
-func (q qRow) at(a int) float64 {
-	switch {
-	case q.row != nil:
-		return q.row[a]
-	case q.group != nil:
-		return q.group[q.p.seedIndex(a)]
-	}
-	return 0
-}
-
-// read returns the row the agent reads for cfg (lattice ordinal ord).
-func (a *Agent) read(ord uint64, cfg config.Config) qRow {
+// read returns the row the agent reads for cfg (lattice ordinal ord): the row
+// it holds, else the row the policy seeds, which it does not keep, else nil,
+// a row of zeros. The row is valid until the next read.
+func (a *Agent) read(ord uint64, cfg config.Config) []float64 {
 	if row := a.region.held(ord); row != nil {
-		return qRow{row: row}
+		return row
 	}
-	if a.policy != nil {
-		a.group = a.policy.groupRow(a.group[:0], cfg)
-		return qRow{group: a.group, p: a.policy}
+	if a.policy == nil {
+		return nil
 	}
-	return qRow{}
+	if a.seeded == nil {
+		a.seeded = make([]float64, len(a.actions))
+	}
+	a.policy.seedRow(cfg, a.seeded)
+	return a.seeded
 }
 
 // maxValue returns max_a Q(cfg, a) over every action, feasible or not.
 func (a *Agent) maxValue(ord uint64, cfg config.Config) float64 {
 	q := a.read(ord, cfg)
-	best := q.at(0)
-	for i := 1; i < len(a.actions); i++ {
-		if v := q.at(i); v > best {
+	if q == nil {
+		return 0
+	}
+	best := q[0]
+	for _, v := range q[1:] {
+		if v > best {
 			best = v
 		}
 	}
