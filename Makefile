@@ -63,7 +63,9 @@ race:
 # FuzzSolve today) for a fixed 10 s each — ≈110 s in all beside race's 218 s,
 # the rest being compilation. FuzzSolve holds mdp.Solve's value sweep to the
 # slab sweep it replaced (solveSlab) on generated structures of up to eight
-# states, ≈30 000 executions per second on two cores. FuzzLoadScenario and FuzzLoadFaults seed from the shipped
+# states, and GrowingStructure.Solve to the region's old slab sweep
+# (solveLive) on the same structures grown state by state, ≈20 000
+# executions per second on two cores. FuzzLoadScenario and FuzzLoadFaults seed from the shipped
 # examples/scenarios/*.json and examples/faults_*.json, FuzzLoadConfig from
 # examples/racd_fleet.json, FuzzAdminConfig (the live server's POST
 # /admin/config) from the default webtier params.
@@ -250,9 +252,9 @@ fleet-scale-smoke:
 
 # The fleet-scale acceptance benchmark: rounds/sec and bytes/tenant at 100,
 # 1k and 10k tenants, pinned in the committed BENCH_fleet.json. bytes/tenant
-# must fall with fleet size (each tenant holds its own row slab, but the
-# read-only context policies are shared and amortize); regenerate after
-# intentional changes. Same two-step form as `make bench`.
+# must fall with fleet size (each tenant holds its own region's state
+# values, but the read-only context policies are shared and amortize);
+# regenerate after intentional changes. Same two-step form as `make bench`.
 bench-fleet:
 	@$(GO) test -run xxx -bench FleetScale -benchtime 3x ./internal/fleet/ > BENCH_fleet.txt || \
 		{ cat BENCH_fleet.txt; rm -f BENCH_fleet.txt; exit 1; }
