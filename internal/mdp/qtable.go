@@ -3,10 +3,11 @@
 // fixed point paper Algorithm 1's ε-greedy SARSA estimates, solved rather
 // than sampled (Solve) — and its hyper-parameters. Offline policy training
 // runs Solve over the whole group lattice, sweeping state values alone; the
-// agent's per-interval retraining runs it over its region's Q-value slab.
+// agent's per-interval retraining runs the same solve over its region's
+// GrowingStructure, which keeps its state values and derives the Q-values.
 //
-// The package is independent of web-system specifics: states are dense
-// indices into a transition table, and actions are dense indices. The
+// The package is independent of web-system specifics: states and actions
+// are dense indices, and each state lists its feasible moves. The
 // string-keyed Q-table (QTable, with its shared seeded-row store), the
 // ε-greedy Learner with its TD update, and BatchTrain serve only the
 // benchmark ledger's probes and the oracles the tests hold Solve and the
