@@ -163,11 +163,11 @@ func TestGroupModelTransitions(t *testing.T) {
 
 	const start = 0 // all-minimum state
 	// Keep stays.
-	if next := st.Next(start, 0); next != start {
+	if next := nextOf(st, start, 0); next != start {
 		t.Fatal("keep moved")
 	}
 	// Increase group 0 moves one step.
-	next := st.Next(start, 1)
+	next := nextOf(st, start, 1)
 	if next < 0 {
 		t.Fatal("increase infeasible at minimum")
 	}
@@ -184,7 +184,7 @@ func TestGroupModelTransitions(t *testing.T) {
 		}
 	}
 	// Decrease group 0 at minimum is infeasible.
-	if st.Next(start, 2) >= 0 {
+	if nextOf(st, start, 2) >= 0 {
 		t.Fatal("decrease below minimum allowed")
 	}
 	// Rewards reflect the predictor: SLA − rt.

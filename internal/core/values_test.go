@@ -94,7 +94,7 @@ func solveSlab(q []float64, st *mdp.Structure, rewards []float64, cfg mdp.BatchC
 		var best, sum float64
 		k := 0
 		for a := range actions {
-			if st.Next(s, a) < 0 {
+			if nextOf(st, s, a) < 0 {
 				continue
 			}
 			v := q[s*actions+a]
@@ -118,7 +118,7 @@ func solveSlab(q []float64, st *mdp.Structure, rewards []float64, cfg mdp.BatchC
 				s = n - 1 - i
 			}
 			for a := range actions {
-				if to := st.Next(s, a); to >= 0 {
+				if to := nextOf(st, s, a); to >= 0 {
 					if d := math.Abs(val[to] - q[s*actions+a]); d > maxErr {
 						maxErr = d
 					}
@@ -149,24 +149,24 @@ func nonSolveTables(tb testing.TB, p *Policy, saved []byte) (docs [][]byte, stat
 	for s := range keys {
 		inside := true
 		for act := range a {
-			inside = inside && p.lattice.Next(s, act) >= 0
+			inside = inside && nextOf(p.lattice, s, act) >= 0
 		}
 		if inside {
 			interior = s
 			break
 		}
 	}
-	if interior < 0 || p.lattice.Next(0, 2) >= 0 {
+	if interior < 0 || nextOf(p.lattice, 0, 2) >= 0 {
 		tb.Fatal("the lattice has no interior state, or its lowest corner can decrease")
 	}
 	last, lastAct := interior, 0
 	for act := range a {
-		if r := p.lattice.Next(interior, act); r > last {
+		if r := nextOf(p.lattice, interior, act); r > last {
 			last = r
 		}
 	}
 	for act := range a {
-		if p.lattice.Next(last, act) == interior {
+		if nextOf(p.lattice, last, act) == interior {
 			lastAct = act
 		}
 	}
