@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -132,11 +134,85 @@ func TestLoadConfigRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// compatConfig is the path of version v of the config compat corpus: a
+// config written by the build that introduced the version, using every
+// field the format then had. Add a version when the format gains a field;
+// never edit one.
+func compatConfig(v int) string {
+	return filepath.Join("testdata", "compat", "config", fmt.Sprintf("v%d", v), "fleet.json")
+}
+
+// compatConfigVersions is the newest version of the config compat corpus.
+const compatConfigVersions = 1
+
+// TestConfigCompatCorpus loads every committed config through loadConfig,
+// requires each to marshal back to its bytes — so no JSON tag the corpus
+// uses was renamed or dropped — and every tenant to validate, and requires
+// the newest to set every field of fleetConfig and, over its tenants, of
+// TenantSpec.
+func TestConfigCompatCorpus(t *testing.T) {
+	for v := 1; v <= compatConfigVersions; v++ {
+		path := compatConfig(v)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := loadConfig(path)
+		if err != nil {
+			t.Fatalf("v%d: %v", v, err)
+		}
+		got, err := json.MarshalIndent(cfg, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = append(got, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("v%d marshals back to\n%s\nwant\n%s", v, got, want)
+		}
+		for _, sp := range cfg.Tenants {
+			if err := sp.Validate(); err != nil {
+				t.Errorf("v%d: %v", v, err)
+			}
+		}
+		if v < compatConfigVersions {
+			continue
+		}
+		unset := zeroFields(reflect.ValueOf(cfg))
+		tenants := make([]reflect.Value, len(cfg.Tenants))
+		for i, sp := range cfg.Tenants {
+			tenants[i] = reflect.ValueOf(sp)
+		}
+		unset = append(unset, zeroFields(tenants...)...)
+		if len(unset) > 0 {
+			t.Errorf("v%d leaves %v unset; a field the format gained needs a new version", v, unset)
+		}
+	}
+}
+
+// zeroFields returns the names of the struct fields that are zero in every
+// one of values, which share a type.
+func zeroFields(values ...reflect.Value) []string {
+	var zero []string
+	typ := values[0].Type()
+	for i := range typ.NumField() {
+		if !slices.ContainsFunc(values, func(v reflect.Value) bool { return !v.Field(i).IsZero() }) {
+			zero = append(zero, typ.Name()+"."+typ.Field(i).Name)
+		}
+	}
+	return zero
+}
+
 // FuzzLoadConfig: a config racd accepts marshals, and the marshaled bytes
 // load back to an equal config.
 func FuzzLoadConfig(f *testing.F) {
 	example := exampleConfig(f)
 	f.Add(example)
+	for v := 1; v <= compatConfigVersions; v++ {
+		corpus, err := os.ReadFile(compatConfig(v))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(corpus)
+	}
 	f.Add(append(bytes.Clone(example), " junk"...))
 	f.Add([]byte(`{"tenants":[{}]}`))
 	f.Add([]byte(`{"seed":1,"tenants":[{"name":"a","slaSeconds":-0,"rate":1e308}]}`))

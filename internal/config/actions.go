@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Direction is the per-parameter reconfiguration move of the paper's action
@@ -43,16 +44,26 @@ type Action struct {
 
 // Actions enumerates the action set for a space: keep first, then for each
 // parameter an increase and a decrease. The ordering is stable so action
-// indices are portable across runs and serialized Q-tables.
+// indices are portable across runs and serialized Q-tables. The set depends
+// only on the parameter count, so every space shares one: callers must not
+// mutate it.
 func Actions(s *Space) []Action {
-	acts := make([]Action, 0, 2*s.Len()+1)
-	acts = append(acts, Action{Dir: Keep})
-	for i := 0; i < s.Len(); i++ {
-		acts = append(acts, Action{ParamIndex: i, Dir: Increase})
-		acts = append(acts, Action{ParamIndex: i, Dir: Decrease})
+	n := 2*s.Len() + 1
+	actionSet.Lock()
+	defer actionSet.Unlock()
+	for i := len(actionSet.all) / 2; len(actionSet.all) < n; i++ {
+		actionSet.all = append(actionSet.all, Action{ParamIndex: i, Dir: Increase}, Action{ParamIndex: i, Dir: Decrease})
 	}
-	return acts
+	return actionSet.all[:n:n]
 }
+
+// actionSet is the action set of the largest space Actions was asked for;
+// a smaller space's is a prefix of it. It only grows, never rewriting an
+// action it holds, so the prefixes Actions returned stay valid.
+var actionSet = struct {
+	sync.Mutex
+	all []Action
+}{all: []Action{{Dir: Keep}}}
 
 // Transitions appends to dst the transition table of the action set
 // restricted to the lattice points ords: entry s*(2·Len()+1)+a of the

@@ -1,6 +1,8 @@
 package config
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +36,26 @@ func TestActionsOrderingStable(t *testing.T) {
 		if a[2+2*i].ParamIndex != i || a[2+2*i].Dir != Decrease {
 			t.Fatalf("action %d is not decrease(param %d)", 2+2*i, i)
 		}
+	}
+}
+
+// TestActionsSharedAcrossSpaces: every space of one parameter count reads
+// the same action set, and a smaller space's set is the larger one's prefix
+// and stays as it was when a larger set is built after it.
+func TestActionsSharedAcrossSpaces(t *testing.T) {
+	small := MustSpace(Table1()[:1])
+	few := slices.Clone(Actions(small))
+	a, b := Actions(Default()), Actions(Default())
+	if &a[0] != &b[0] || len(a) != len(b) {
+		t.Fatal("two default spaces read different action sets")
+	}
+	wide := make([]Def, 12)
+	for i := range wide {
+		wide[i] = Def{Param: Param(100 + i), Name: fmt.Sprint("p", i), Min: 0, Max: 2, Step: 1, Default: 1}
+	}
+	many := Actions(MustSpace(wide))
+	if len(many) != 25 || !slices.Equal(many[:len(a)], a) || !slices.Equal(Actions(small), few) || !slices.Equal(few, a[:3]) {
+		t.Fatalf("sets of 1, %d and 12 parameters: %v, %v, %v", Default().Len(), few, a, many)
 	}
 }
 

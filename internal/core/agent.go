@@ -119,10 +119,10 @@ type Agent struct {
 	// seeded row, or zero without a policy. It is nil until the agent first
 	// holds a row (regionFor), so an agent that never learns holds none.
 	region *region
-	// seeded is the policy's row a choice last read at a state the agent
-	// holds no row for (Policy.seedRow), a buffer kept so reading one
-	// allocates nothing.
-	seeded []float64
+	// row is the buffer a read derives a row into — the region's held row
+	// or the policy's seeded one (Policy.seedRow), never both at once — so
+	// reading one allocates nothing.
+	row []float64
 
 	// Resilience state: the last configuration that satisfied the SLA, the
 	// last believable response time (carried into degraded intervals), and
@@ -236,6 +236,7 @@ func NewAgent(sys system.System, opts AgentOptions) (*Agent, error) {
 		}
 	}
 	rng := sim.NewRNG(opts.Seed | 1)
+	actions := config.Actions(space)
 	if opts.Frozen {
 		o.Online.Epsilon = 0
 	}
@@ -243,7 +244,8 @@ func NewAgent(sys system.System, opts AgentOptions) (*Agent, error) {
 		sys:     sys,
 		space:   space,
 		opts:    o,
-		actions: config.Actions(space),
+		actions: actions,
+		row:     make([]float64, len(actions)),
 		rng:     rng,
 		policy:  opts.Policy,
 		store:   opts.Store,
@@ -271,7 +273,7 @@ func (a *Agent) resetQ() {
 // regionFor returns the agent's region, creating it empty if need be.
 func (a *Agent) regionFor() *region {
 	if a.region == nil {
-		a.region = newRegion(a.space, a.actions, a.policy, a.opts.SLASeconds)
+		a.region = newRegion(a.space, a.actions, a.policy, a.opts.SLASeconds, a.row)
 	}
 	return a.region
 }
@@ -620,11 +622,8 @@ func (a *Agent) read(ord uint64, cfg config.Config) []float64 {
 	if a.policy == nil {
 		return nil
 	}
-	if a.seeded == nil {
-		a.seeded = make([]float64, len(a.actions))
-	}
-	a.policy.seedRow(cfg, a.seeded)
-	return a.seeded
+	a.policy.seedRow(cfg, a.row)
+	return a.row
 }
 
 // maxValue returns max_a Q(cfg, a) over every action, feasible or not.

@@ -95,7 +95,7 @@ func BenchmarkRegionInsert(b *testing.B) {
 	}
 	last := cfgs[len(cfgs)-1]
 	grown := func() *region {
-		r := newRegion(space, config.Actions(space), nil, 2)
+		r := emptyRegion(space, 2)
 		for _, cfg := range cfgs[:len(cfgs)-1] {
 			if !cfg.Equal(last) {
 				r.record(space.Ordinal(cfg), cfg, 1)

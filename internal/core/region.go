@@ -8,6 +8,7 @@ import (
 
 	"github.com/rac-project/rac/internal/config"
 	"github.com/rac-project/rac/internal/mdp"
+	"github.com/rac-project/rac/internal/parallel"
 )
 
 // region is the agent's Q-table and the bounded configuration MDP it retrains
@@ -48,22 +49,21 @@ type region struct {
 	predict func(config.Config) float64
 	sla     float64
 
-	// samples are the sampled states' lattice ordinals, sorted by key, and
-	// sampleIdx the state of each; ords are every state's lattice ordinal,
-	// ascending, and ordIdx the state of each.
+	// samples are the sampled states' lattice ordinals, sorted by key,
+	// sampleIdx the state of each and rt its measured mean response time;
+	// ords are every state's lattice ordinal, ascending, and ordIdx the
+	// state of each.
 	samples   []uint64
 	sampleIdx []int32
+	rt        []float64
 	ords      []uint64
 	ordIdx    []int32
 
 	// By state index: the structure, grown in place and compiled when a
-	// sample joins, with the values the last solve left; whether the state
-	// is a sample, and its measured mean response time if so; the reward of
+	// sample joins, with the values the last solve left; the reward of
 	// entering the state — measured where sampled, the prior elsewhere — and
 	// the key of its seeded row.
 	structure *mdp.GrowingStructure
-	sampled   []bool
-	rt        []float64
 	rewards   []float64
 	keys      []int32
 
@@ -75,26 +75,35 @@ type region struct {
 	stored map[uint64][]float64
 	joined map[int32][]float64
 
-	// row is the row held last derived.
+	// row is the buffer held derives a row into: its agent's (Agent.row).
 	row []float64
 
-	// Scratch reused across joins and compiles: a neighbour's configuration,
-	// a joining state's transitions, two rendered keys; the discovery order,
-	// which the structure keeps as its sweep order, and the states it found.
+	// order is the discovery order, which the structure keeps as its sweep
+	// order; stale says a sample joined since the last compile.
+	order []int32
+	stale bool
+}
+
+// regionScratch is what one record or one compile works in and no region
+// keeps: a neighbour's configuration, a joining state's transitions, two
+// rendered keys, and the states a compile's discovery found.
+type regionScratch struct {
 	cfg        config.Config
 	next       []int32
 	key, probe []byte
-	order      []int32
 	found      []uint64
-	stale      bool // a sample joined since the last compile
 }
 
+// lent lends scratch to whichever goroutine runs a record or a compile; no
+// region keeps any of it.
+var lent parallel.Lender[regionScratch]
+
 // newRegion returns an empty region over space, whose actions are
-// config.Actions(space). p seeds joining rows and prices their reward priors;
-// nil seeds zero rows with SLA-neutral priors.
-func newRegion(space *config.Space, actions []config.Action, p *Policy, sla float64) *region {
-	r := &region{space: space, actions: actions, sla: sla, structure: mdp.NewGrowingStructure(len(actions)),
-		row: make([]float64, len(actions)), cfg: make(config.Config, space.Len())}
+// config.Actions(space), deriving held rows into row, one entry per action.
+// p seeds joining rows and prices their reward priors; nil seeds zero rows
+// with SLA-neutral priors.
+func newRegion(space *config.Space, actions []config.Action, p *Policy, sla float64, row []float64) *region {
+	r := &region{space: space, actions: actions, sla: sla, structure: mdp.NewGrowingStructure(len(actions)), row: row}
 	if p != nil {
 		r.seedKey, r.seed, r.predict = p.groupOf, p.seedEntry, p.PredictRT
 	}
@@ -143,29 +152,32 @@ func (r *region) hold(ord uint64) []float64 {
 // configuration and ord its lattice ordinal.
 func (r *region) record(ord uint64, cfg config.Config, rt float64) {
 	i := r.index(ord)
-	if i >= 0 && r.sampled[i] {
-		r.rt[i] = 0.5*r.rt[i] + 0.5*rt
+	if k := slices.Index(r.sampleIdx, i); k >= 0 {
+		r.rt[k] = 0.5*r.rt[k] + 0.5*rt
 		return
 	}
-	r.key = appendKey(r.key[:0], cfg)
-	k, _ := slices.BinarySearchFunc(r.samples, r.key, func(s uint64, key []byte) int {
-		r.probe = appendKey(r.probe[:0], r.space.At(s, r.cfg))
-		return bytes.Compare(r.probe, key)
+	w := lent.Borrow()
+	defer lent.GiveBack(w)
+	w.cfg = slices.Grow(w.cfg[:0], r.space.Len())[:r.space.Len()]
+	w.key = appendKey(w.key[:0], cfg)
+	k, _ := slices.BinarySearchFunc(r.samples, w.key, func(s uint64, key []byte) int {
+		w.probe = appendKey(w.probe[:0], r.space.At(s, w.cfg))
+		return bytes.Compare(w.probe, key)
 	})
 	if i < 0 {
-		i = r.join(ord, cfg)
+		i = r.join(ord, cfg, w)
 	}
-	r.sampled[i], r.rt[i] = true, rt
 	r.samples = slices.Insert(r.samples, k, ord)
 	r.sampleIdx = slices.Insert(r.sampleIdx, k, i)
-	next := r.cfg
+	r.rt = slices.Insert(r.rt, k, rt)
+	next := w.cfg
 	for _, act := range r.actions[1:] {
 		if !act.Feasible(r.space, cfg) {
 			continue
 		}
 		copy(next, cfg)
 		next[act.ParamIndex] += int(act.Dir) * r.space.Def(act.ParamIndex).Step
-		r.join(r.space.Ordinal(next), next)
+		r.join(r.space.Ordinal(next), next, w)
 	}
 	r.stale = true
 }
@@ -197,7 +209,7 @@ func (r *region) export() (rows map[string][]float64, samples map[string]float64
 	if len(r.samples) > 0 {
 		samples = make(map[string]float64, len(r.samples))
 		for k, ord := range r.samples {
-			samples[r.space.At(ord, cfg).Key()] = r.rt[r.sampleIdx[k]]
+			samples[r.space.At(ord, cfg).Key()] = r.rt[k]
 		}
 	}
 	return rows, samples
@@ -288,8 +300,8 @@ func inverse(a int) int { return (a - 1) ^ 1 + 1 }
 
 // join returns the state at lattice ordinal ord, adding it when the region
 // lacks it: its reward prior and transitions, with its neighbours' edges back
-// to it.
-func (r *region) join(ord uint64, cfg config.Config) int32 {
+// to it. w is the calling record's scratch.
+func (r *region) join(ord uint64, cfg config.Config, w *regionScratch) int32 {
 	k, held := slices.BinarySearch(r.ords, ord)
 	if held {
 		return r.ordIdx[k]
@@ -312,12 +324,10 @@ func (r *region) join(ord uint64, cfg config.Config) int32 {
 	if r.seedKey != nil {
 		r.keys = append(r.keys, r.seedKey(cfg))
 	}
-	r.sampled = append(r.sampled, false)
-	r.rt = append(r.rt, 0)
-	r.next = r.space.Transitions(r.next[:0], []uint64{ord}, r.index)
-	r.next[0] = idx // Transitions numbers Keep by position in its argument
-	r.structure.Append(r.next)
-	for a, to := range r.next[1:] {
+	w.next = r.space.Transitions(w.next[:0], []uint64{ord}, r.index)
+	w.next[0] = idx // Transitions numbers Keep by position in its argument
+	r.structure.Append(w.next)
+	for a, to := range w.next[1:] {
 		if to >= 0 {
 			r.structure.Link(int(to), inverse(a+1), idx)
 		}
@@ -329,14 +339,17 @@ func (r *region) join(ord uint64, cfg config.Config) int32 {
 // it.
 func (r *region) compile() error {
 	st, n := r.structure, len(r.rewards)
-	r.found = slices.Grow(r.found[:0], (n+63)/64)[:(n+63)/64]
-	clear(r.found)
+	w := lent.Borrow()
+	defer lent.GiveBack(w)
+	found := slices.Grow(w.found[:0], (n+63)/64)[:(n+63)/64]
+	w.found = found
+	clear(found)
 	r.order = r.order[:0]
 	for _, s := range r.sampleIdx {
 		next, _ := st.Moves(int(s))
 		for _, to := range next {
-			if r.found[to/64]&(1<<(to%64)) == 0 {
-				r.found[to/64] |= 1 << (to % 64)
+			if found[to/64]&(1<<(to%64)) == 0 {
+				found[to/64] |= 1 << (to % 64)
 				r.order = append(r.order, to)
 			}
 		}
@@ -356,8 +369,8 @@ func (r *region) bind() error {
 			return err
 		}
 	}
-	for _, s := range r.sampleIdx {
-		r.rewards[s] = r.sla - r.rt[s]
+	for k, s := range r.sampleIdx {
+		r.rewards[s] = r.sla - r.rt[k]
 	}
 	return nil
 }

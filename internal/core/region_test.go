@@ -365,10 +365,17 @@ func fakeSeeder(actions int) mdp.Seeder {
 	}
 }
 
+// emptyRegion returns an empty policy-less region over space, with a row
+// buffer of its own.
+func emptyRegion(space *config.Space, sla float64) *region {
+	actions := config.Actions(space)
+	return newRegion(space, actions, nil, sla, make([]float64, len(actions)))
+}
+
 // fakeRegion returns an empty region seeding its rows from fakeSeeder and its
 // reward priors from fakePredict, in place of a policy's.
 func fakeRegion(space *config.Space, sla float64) *region {
-	r := newRegion(space, config.Actions(space), nil, sla)
+	r := emptyRegion(space, sla)
 	seedFake(r, "")
 	r.predict = fakePredict
 	return r
@@ -579,28 +586,17 @@ func compareRegion(t *testing.T, r *region, samples map[string]float64) *regionS
 	sampled := make([]string, len(r.samples))
 	for i, ord := range r.samples {
 		sampled[i] = r.space.At(ord, make(config.Config, r.space.Len())).Key()
-		if s := r.sampleIdx[i]; ordOf[s] != ord || !r.sampled[s] || r.rt[s] != samples[sampled[i]] {
-			t.Fatalf("sample %s indexes state %s (sampled %v, rt %v; want %v)",
-				sampled[i], key(s), r.sampled[s], r.rt[s], samples[sampled[i]])
+		if s := r.sampleIdx[i]; ordOf[s] != ord || r.rt[i] != samples[sampled[i]] {
+			t.Fatalf("sample %s indexes state %s (rt %v; want %v)", sampled[i], key(s), r.rt[i], samples[sampled[i]])
 		}
 	}
 	if !slices.Equal(sampled, keys) {
 		t.Fatalf("samples %v, want %v", sampled, keys)
 	}
-	if countTrue(r.sampled) != len(keys) {
-		t.Fatalf("%d states are marked sampled, want %d", countTrue(r.sampled), len(keys))
+	if len(r.sampleIdx) != len(keys) || len(r.rt) != len(keys) {
+		t.Fatalf("%d sample states and %d response times, want %d", len(r.sampleIdx), len(r.rt), len(keys))
 	}
 	return sh
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 // steppedAgent returns an agent warm-started from the bowl policy after steps
@@ -660,7 +656,7 @@ func TestFirstVisitAllocs(t *testing.T) {
 			fresh = append(fresh, cfg)
 		}
 	}
-	r := newRegion(space, config.Actions(space), nil, 2)
+	r := emptyRegion(space, 2)
 	r.predict = fakePredict
 	for _, cfg := range fresh[:40] {
 		r.record(space.Ordinal(cfg), cfg, 1)
@@ -689,13 +685,14 @@ func TestFirstVisitAllocs(t *testing.T) {
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(i)
 	joined := float64(len(r.rewards)-held) / float64(i)
 	// Per visit: at most 2 allocations, amortized, for buffer growth, and
-	// 12 000 bytes. A joining state of a 17-action space holds ≈245 bytes
-	// (its row, transitions, reward, sample, scratch and ordinal index); a
-	// visit joins ≈12, and the copies made while the buffers grow bring that
-	// to ≈11 000. A table that allocates a key, a row or a map entry per
-	// state exceeds it: the string-keyed table with its own-row map took
-	// ≈13 800.
-	const bound = 12000.0
+	// 3 500 bytes. A joining state keeps no row: only its feasible moves
+	// with their actions, its reward, its ordinal index and its place in the
+	// sweep order, the join's and the compile's scratch being borrowed. A
+	// visit joins ≈12, and with the copies made while the buffers grow that
+	// comes to ≈2 850 bytes (≈3 030 under -race). Keeping a row per joining
+	// state exceeds the bound: the row slab this region replaced took
+	// ≈11 300, a per-region scratch and response time per state ≈3 200.
+	const bound = 3500.0
 	if allocs > 2 {
 		t.Errorf("a first visit allocates %.1f times (%.1f joining states on average), want at most 2", allocs, joined)
 	}
@@ -770,4 +767,52 @@ func TestChooseMatchesSelectAction(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAgentRetainedBytes bounds what a learning agent keeps between steps:
+// bowl agents over one space, stepped for a fleet's warm-up and timed
+// rounds, then collected twice, hold at most retainedPerState bytes of live
+// heap per state their regions hold — the region, the structure, the agent
+// and its system together. What only one solve, compile or record works in
+// comes from shared scratch and is not counted: an agent that keeps its own
+// (two spare value vectors, a second positions vector, a response time per
+// state, a record scratch, a second row buffer) and its own action set
+// retains ≈194 bytes per state here, one that does not ≈131.
+func TestAgentRetainedBytes(t *testing.T) {
+	const agents, steps, retainedPerState = 64, 33, 160.0
+	policy := bowlPolicy(t, bowlTargets, "retained")
+	space := config.Default()
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	held := make([]*Agent, agents)
+	for i := range held {
+		sys := &bowlSystem{space: space, cfg: space.DefaultConfig(), targets: bowlTargets}
+		a, err := NewAgent(sys, AgentOptions{Policy: policy, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range steps {
+			if _, err := a.Step(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held[i] = a
+	}
+	after := live()
+	states := 0
+	for _, a := range held {
+		states += len(a.region.rewards)
+	}
+	perState := float64(int64(after)-int64(before)) / float64(states)
+	t.Logf("%d agents after %d steps hold %d states, %.1f bytes of live heap per state", agents, steps, states, perState)
+	if perState > retainedPerState {
+		t.Errorf("%.1f bytes of live heap per held state, want at most %.0f", perState, retainedPerState)
+	}
+	runtime.KeepAlive(held)
 }

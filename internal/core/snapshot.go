@@ -140,7 +140,7 @@ func (a *Agent) RestoreState(st *AgentState) error {
 		return fmt.Errorf("core: snapshot Q-table has %d actions, agent %d",
 			st.QTable.Actions, len(a.actions))
 	}
-	r := newRegion(a.space, a.actions, policy, a.opts.SLASeconds)
+	r := newRegion(a.space, a.actions, policy, a.opts.SLASeconds, a.row)
 	if err := r.restore(st.QTable, st.Samples); err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 
+	"github.com/rac-project/rac/internal/parallel"
 	"github.com/rac-project/rac/internal/sim"
 )
 
@@ -222,15 +223,14 @@ func (sc *successors) index(pos []int32, name func(s int) string) error {
 // itself included), so per state it keeps those two values and the state's
 // position in the sweep, and Row derives the entries. An entry no solve has
 // set — of a state that joined since, or a move to one — holds what the
-// owner says (held).
+// owner says (held). What a solve or a compile only works in is borrowed
+// scratch (lent), so a structure at rest holds its moves, its order and
+// the last solve's values, each sized to its states.
 type GrowingStructure struct {
-	successors // role bits in the positions pos gives
-	// order is the next solve's sweep order, every index once (Compile), and
-	// pos the position of each state in it.
-	order, pos []int32
-	last       solved // what the last solve left
-	// spare receives a solve's values while the last solve's are still read.
-	spare [2][]float64
+	successors // role bits in the positions of order
+	// order is the next solve's sweep order, every index once (Compile).
+	order []int32
+	last  solved // what the last solve left
 }
 
 // solved is what a solve left: by state, prev and val, the values before and
@@ -242,6 +242,27 @@ type solved struct {
 	pos       []int32
 	n         int
 	forward   bool
+}
+
+// scratch is what one solve or one compile works in and no structure keeps:
+// a solve's two value vectors, written while the last solve's are still
+// read, and a compile's positions.
+type scratch struct {
+	prev, val []float64
+	pos       []int32
+}
+
+// lent lends scratch to whichever goroutine runs a solve or a compile; no
+// structure keeps any of it.
+var lent parallel.Lender[scratch]
+
+// fit returns s resized to n entries, reallocated at exactly n when its
+// capacity is short.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // entry returns what the solve left in a feasible entry of state s leading
@@ -309,17 +330,19 @@ func (g *GrowingStructure) Compile(order []int32) error {
 	if len(order) != n {
 		return fmt.Errorf("mdp: sweep order lists %d states, want %d", len(order), n)
 	}
-	g.pos = slices.Grow(g.pos[:0], n)[:n]
-	for i := range g.pos {
-		g.pos[i] = -1
+	w := lent.Borrow()
+	defer lent.GiveBack(w)
+	w.pos = slices.Grow(w.pos[:0], n)[:n]
+	for i := range w.pos {
+		w.pos[i] = -1
 	}
 	for p, s := range order {
-		if s < 0 || int(s) >= n || g.pos[s] >= 0 {
+		if s < 0 || int(s) >= n || w.pos[s] >= 0 {
 			return fmt.Errorf("mdp: sweep order lists state %d out of range or twice", s)
 		}
-		g.pos[s] = int32(p)
+		w.pos[s] = int32(p)
 	}
-	if err := g.index(g.pos, func(s int) string { return "state " + strconv.Itoa(s) }); err != nil {
+	if err := g.index(w.pos, func(s int) string { return "state " + strconv.Itoa(s) }); err != nil {
 		return err
 	}
 	g.order = order
@@ -347,9 +370,10 @@ func (g *GrowingStructure) Row(s int, row []float64, held func(s, a int) float64
 // entering state s): mdp.Solve's solve over the order Compile installed,
 // from the entries the structure holds — those the last solve set (Row),
 // and held(s, a) for every other feasible one. The last solve's values are
-// read until the first sweep ends, so the solve writes spare ones, which
-// then change places with them; it allocates only to grow them when states
-// joined since the last solve.
+// read until the first sweep ends, so the solve writes scratch ones and
+// then copies them, with each state's position in the order, into the
+// structure's own; it allocates only to grow those when states joined since
+// the last solve, and then at exactly the state count.
 func (g *GrowingStructure) Solve(rewards []float64, held func(s, a int) float64, cfg BatchConfig) (BatchResult, error) {
 	n := g.Len()
 	switch {
@@ -361,11 +385,16 @@ func (g *GrowingStructure) Solve(rewards []float64, held func(s, a int) float64,
 	if err := cfg.Params.Validate(); err != nil {
 		return BatchResult{}, err
 	}
-	prev, val := slices.Grow(g.spare[0][:0], n)[:n], slices.Grow(g.spare[1][:0], n)[:n]
-	res := g.solve(g.order, rewards, prev, val, &g.last, held, cfg)
-	g.spare[0], g.last.prev = g.last.prev, prev
-	g.spare[1], g.last.val = g.last.val, val
-	g.last.pos = append(g.last.pos[:0], g.pos...)
+	w := lent.Borrow()
+	w.prev, w.val = slices.Grow(w.prev[:0], n)[:n], slices.Grow(w.val[:0], n)[:n]
+	res := g.solve(g.order, rewards, w.prev, w.val, &g.last, held, cfg)
+	g.last.prev, g.last.val, g.last.pos = fit(g.last.prev, n), fit(g.last.val, n), fit(g.last.pos, n)
+	copy(g.last.prev, w.prev)
+	copy(g.last.val, w.val)
+	lent.GiveBack(w)
+	for p, s := range g.order {
+		g.last.pos[s] = int32(p)
+	}
 	g.last.n, g.last.forward = n, res.Sweeps%2 == 1
 	return res, nil
 }

@@ -1411,95 +1411,149 @@ func solveLive(q []float64, g *GrowingStructure, rewards, prev, val []float64, c
 	return res
 }
 
-// checkGrowingMatchesLive grows a structure over trans (n states, actions
-// wide) one state at a time in an order the input picks, each joining
-// state's moves to states not yet joined infeasible until those join, and
-// solves it at points the input picks, each over a sweep order it picks —
-// recompiled, or the last one kept when no state joined since — with fresh
-// rewards. Every entry starts as warm's value, which GrowingStructure.Solve
-// reads through held until a solve sets it. After each solve the result,
-// val, prev and every entry the structure holds (Entry, else warm's) must
-// equal solveLive's over one slab carried across the solves, bit for bit.
+// checkGrowingMatchesLive grows two structures over trans (n states,
+// actions wide), each one state at a time in a join order the input picks,
+// each joining state's moves to states not yet joined infeasible until those
+// join. The two take turns, so their solves and compiles share one scratch.
+// A structure solves at points the input picks, each over a sweep order it
+// picks — recompiled, or the last one kept when no state joined since — with
+// fresh rewards. Every entry starts as warm's value, which
+// GrowingStructure.Solve reads through held until a solve sets it. After
+// each solve of either, both structures' values and entries must equal
+// solveLive's over a slab each carries across its solves, bit for bit: a
+// solve that left its scratch in a structure would rewrite the other's.
 func checkGrowingMatchesLive(t *testing.T, in *fuzzBytes, n, actions int, trans []int32, warm []float64, cfg BatchConfig) {
 	t.Helper()
-	at := make([]int32, n) // the grown index of each state, −1 before it joins
-	for s := range at {
-		at[s] = -1
+	growers := [2]*grower{newGrower(in, n, actions, trans, warm), newGrower(in, n, actions, trans, warm)}
+	for k := range n {
+		for i, gr := range growers {
+			gr.join(k)
+			for solves := 0; solves < 2 && in.next()%2 == 1; solves++ {
+				if !gr.solve(t, in, cfg) {
+					break // a state with no feasible move yet
+				}
+				for _, other := range growers {
+					other.check(t, fmt.Sprintf("after grower %d solved %d states", i, k+1))
+				}
+			}
+		}
 	}
-	join := make([]int, n)
-	for s := range join {
-		join[s] = s
+}
+
+// grower is one structure checkGrowingMatchesLive grows, with the slab and
+// values of the solveLive oracle it is held to.
+type grower struct {
+	n, actions int
+	trans      []int32
+	at         []int32 // the grown index of each state, −1 before it joins
+	joins      []int   // the states in join order
+	g          *GrowingStructure
+	q          []float64 // the oracle's slab, by grown index
+	held       func(s, a int) float64
+	next       []int32
+	prev, val  []float64 // the oracle's values after its last solve
+	solved     int       // states the last solve took part in
+	compiled   bool
+}
+
+// newGrower returns an empty grower whose join order the input picks.
+func newGrower(in *fuzzBytes, n, actions int, trans []int32, warm []float64) *grower {
+	gr := &grower{n: n, actions: actions, trans: trans, at: make([]int32, n), joins: make([]int, n),
+		g: NewGrowingStructure(actions), q: slices.Clone(warm), next: make([]int32, actions),
+		prev: make([]float64, n), val: make([]float64, n)}
+	gr.held = func(s, a int) float64 { return warm[s*actions+a] }
+	for s := range n {
+		gr.at[s], gr.joins[s] = -1, s
 	}
 	for k := n - 1; k > 0; k-- {
 		j := int(in.next()) % (k + 1)
-		join[k], join[j] = join[j], join[k]
+		gr.joins[k], gr.joins[j] = gr.joins[j], gr.joins[k]
 	}
-	g := NewGrowingStructure(actions)
-	q := slices.Clone(warm) // the oracle's slab, by grown index
-	held := func(s, a int) float64 { return warm[s*actions+a] }
-	next := make([]int32, actions)
-	prev, val := make([]float64, n), make([]float64, n)
-	compiled := false
-	for k, s := range join {
-		at[s] = int32(k)
-		for a := range next {
-			next[a] = -1
-			if to := trans[s*actions+a]; to >= 0 {
-				next[a] = at[to]
+	return gr
+}
+
+// join appends the k-th state of the join order and links the moves of the
+// states already joined that lead to it.
+func (gr *grower) join(k int) {
+	s := gr.joins[k]
+	gr.at[s] = int32(k)
+	for a := range gr.next {
+		gr.next[a] = -1
+		if to := gr.trans[s*gr.actions+a]; to >= 0 {
+			gr.next[a] = gr.at[to]
+		}
+	}
+	gr.g.Append(gr.next)
+	for _, h := range gr.joins[:k] {
+		for a := range gr.actions {
+			if gr.trans[h*gr.actions+a] == int32(s) {
+				gr.g.Link(int(gr.at[h]), a, int32(k))
 			}
 		}
-		g.Append(next)
-		for _, h := range join[:k] {
-			for a := range actions {
-				if trans[h*actions+a] == int32(s) {
-					g.Link(int(at[h]), a, int32(k))
-				}
-			}
+	}
+	gr.compiled = false
+}
+
+// solve compiles the structure over an order the input picks, unless it is
+// compiled and the input keeps its order, and solves it with rewards the
+// input picks, beside solveLive; it reports false when Compile refused.
+func (gr *grower) solve(t *testing.T, in *fuzzBytes, cfg BatchConfig) bool {
+	t.Helper()
+	m := gr.g.Len()
+	if !gr.compiled || in.next()%2 == 1 {
+		order := make([]int32, m)
+		for d := range order {
+			order[d] = int32(d)
 		}
-		compiled = false
-		for solves := 0; solves < 2 && in.next()%2 == 1; solves++ {
-			m := k + 1
-			if !compiled || in.next()%2 == 1 {
-				order := make([]int32, m)
-				for d := range order {
-					order[d] = int32(d)
-				}
-				for d := m - 1; d > 0; d-- {
-					j := int(in.next()) % (d + 1)
-					order[d], order[j] = order[j], order[d]
-				}
-				if err := g.Compile(order); err != nil {
-					break // a state with no feasible move yet
-				}
-				compiled = true
+		for d := m - 1; d > 0; d-- {
+			j := int(in.next()) % (d + 1)
+			order[d], order[j] = order[j], order[d]
+		}
+		if err := gr.g.Compile(order); err != nil {
+			return false
+		}
+		gr.compiled = true
+	}
+	rewards := make([]float64, m)
+	for i := range rewards {
+		rewards[i] = in.value()
+	}
+	got, err := gr.g.Solve(rewards, gr.held, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solveLive(gr.q[:m*gr.actions], gr.g, rewards, gr.prev, gr.val, cfg)
+	if got.Sweeps != want.Sweeps || got.Converged != want.Converged ||
+		math.Float64bits(got.FinalErr) != math.Float64bits(want.FinalErr) {
+		t.Fatalf("%d states: Solve %+v, solveLive %+v", m, got, want)
+	}
+	gr.solved = m
+	return true
+}
+
+// check requires the values the structure keeps and every entry it holds
+// (Entry, else warm's) to equal the oracle's, bit for bit.
+func (gr *grower) check(t *testing.T, when string) {
+	t.Helper()
+	m, g := gr.solved, gr.g
+	if cap(g.last.val) != m || cap(g.last.prev) != m || cap(g.last.pos) != m {
+		t.Fatalf("%s: %d states solved, the structure keeps room for %d, %d values and %d positions",
+			when, m, cap(g.last.prev), cap(g.last.val), cap(g.last.pos))
+	}
+	for i := range m {
+		if math.Float64bits(g.last.val[i]) != math.Float64bits(gr.val[i]) ||
+			math.Float64bits(g.last.prev[i]) != math.Float64bits(gr.prev[i]) {
+			t.Fatalf("%s: %d states: state %d values %v, %v; solveLive's %v, %v",
+				when, m, i, g.last.prev[i], g.last.val[i], gr.prev[i], gr.val[i])
+		}
+		for a := range gr.actions {
+			v, ok := g.Entry(i, a)
+			if !ok {
+				v = gr.held(i, a)
 			}
-			rewards := make([]float64, m)
-			for i := range rewards {
-				rewards[i] = in.value()
-			}
-			got, err := g.Solve(rewards, held, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := solveLive(q[:m*actions], g, rewards, prev, val, cfg)
-			if got.Sweeps != want.Sweeps || got.Converged != want.Converged ||
-				math.Float64bits(got.FinalErr) != math.Float64bits(want.FinalErr) {
-				t.Fatalf("%d states: Solve %+v, solveLive %+v", m, got, want)
-			}
-			for i := range m {
-				if math.Float64bits(g.last.val[i]) != math.Float64bits(val[i]) ||
-					math.Float64bits(g.last.prev[i]) != math.Float64bits(prev[i]) {
-					t.Fatalf("%d states: state %d values %v, %v; solveLive's %v, %v", m, i, g.last.prev[i], g.last.val[i], prev[i], val[i])
-				}
-				for a := range actions {
-					v, ok := g.Entry(i, a)
-					if !ok {
-						v = held(i, a)
-					}
-					if math.Float64bits(v) != math.Float64bits(q[i*actions+a]) {
-						t.Fatalf("%d states: entry (%d, %d) holds %v, solveLive's slab %v", m, i, a, v, q[i*actions+a])
-					}
-				}
+			if math.Float64bits(v) != math.Float64bits(gr.q[i*gr.actions+a]) {
+				t.Fatalf("%s: %d states: entry (%d, %d) holds %v, solveLive's slab %v",
+					when, m, i, a, v, gr.q[i*gr.actions+a])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -131,4 +132,44 @@ func TestPoolTelemetry(t *testing.T) {
 	if snap := h.Snapshot(); snap.Count != 32 {
 		t.Fatalf("queue-wait observations = %d", snap.Count)
 	}
+}
+
+// TestLenderLendsEachScratchOnce: scratch borrowed at once is distinct, is
+// lent again once given back, and the lender keeps at most lenderKeeps.
+func TestLenderLendsEachScratchOnce(t *testing.T) {
+	var l Lender[[]int]
+	out := make([]*[]int, lenderKeeps+4)
+	for i := range out {
+		out[i] = l.Borrow()
+		for _, w := range out[:i] {
+			if w == out[i] {
+				t.Fatalf("borrow %d lent scratch already out", i)
+			}
+		}
+	}
+	for _, w := range out {
+		l.GiveBack(w)
+	}
+	if len(l.free) != lenderKeeps {
+		t.Fatalf("the lender keeps %d, want %d", len(l.free), lenderKeeps)
+	}
+	w := l.Borrow()
+	*w = append(*w, 1)
+	l.GiveBack(w)
+	if again := l.Borrow(); again != w || len(*again) != 1 {
+		t.Fatal("scratch given back was not lent again as it was left")
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				w := l.Borrow()
+				*w = append((*w)[:0], 1, 2)
+				l.GiveBack(w)
+			}
+		}()
+	}
+	wg.Wait()
 }

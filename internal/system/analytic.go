@@ -21,7 +21,6 @@ import (
 // simulation time).
 type Analytic struct {
 	space    *config.Space
-	cal      webtier.Calibration
 	cfg      config.Config
 	workload tpcw.Workload
 	level    vmenv.Level
@@ -32,6 +31,11 @@ type Analytic struct {
 	surf       *surface.Cache
 	surfPrefix string
 }
+
+// analyticCalibration is the calibration every Analytic measures under and
+// every AnalyticSampler samples under: the default one, which the memo key
+// leaves out (solvePoint).
+var analyticCalibration = webtier.DefaultCalibration()
 
 // AnalyticOptions configure NewAnalytic.
 type AnalyticOptions struct {
@@ -78,7 +82,6 @@ func NewAnalytic(opts AnalyticOptions) (*Analytic, error) {
 	}
 	a := &Analytic{
 		space:    space,
-		cal:      webtier.DefaultCalibration(),
 		cfg:      cfg.Clone(),
 		workload: ctx.Workload,
 		level:    ctx.Level,
@@ -112,11 +115,11 @@ func surfacePrefix(backend string, space *config.Space) string {
 // trains for share solved points. surf may be nil. The sampler is safe for
 // concurrent use and ignores its RNG streams.
 func AnalyticSampler(space *config.Space, ctx Context, surf *surface.Cache) func([]config.Config, []*sim.RNG, []float64) error {
-	cal, prefix := webtier.DefaultCalibration(), surfacePrefix("analytic", space)
+	prefix := surfacePrefix("analytic", space)
 	return func(cfgs []config.Config, _ []*sim.RNG, out []float64) error {
 		ws := queueing.NewWebsiteSolver()
 		for i, cfg := range cfgs {
-			pt, err := solvePoint(surf, prefix, ws.Solve, space, cal, cfg, ctx.Workload, ctx.Level)
+			pt, err := solvePoint(surf, prefix, ws.Solve, space, analyticCalibration, cfg, ctx.Workload, ctx.Level)
 			if err != nil {
 				return fmt.Errorf("system: analytic sample %s: %w", cfg.Key(), err)
 			}
@@ -182,7 +185,7 @@ type solvedPoint struct {
 // solve returns the queueing network's solution for the current
 // configuration and context, through the shared memo when one is wired.
 func (a *Analytic) solve() (solvedPoint, error) {
-	return solvePoint(a.surf, a.surfPrefix, queueing.SolveWebsite, a.space, a.cal, a.cfg, a.workload, a.level)
+	return solvePoint(a.surf, a.surfPrefix, queueing.SolveWebsite, a.space, analyticCalibration, a.cfg, a.workload, a.level)
 }
 
 // websiteSolve is the signature queueing.SolveWebsite and a held
@@ -286,7 +289,9 @@ func (a *Analytic) ExportState() ([]byte, error) {
 	})
 }
 
-// ImportState restores state captured by ExportState.
+// ImportState restores state captured by ExportState. It checks the whole
+// blob first — the workload as SetWorkload would, the level, the
+// configuration — and changes nothing when any part is refused.
 func (a *Analytic) ImportState(blob []byte) error {
 	var st analyticState
 	if err := json.Unmarshal(blob, &st); err != nil {
@@ -294,6 +299,10 @@ func (a *Analytic) ImportState(blob []byte) error {
 	}
 	mix, err := tpcw.ParseMix(st.Mix)
 	if err != nil {
+		return fmt.Errorf("analytic state: %w", err)
+	}
+	w := tpcw.Workload{Mix: mix, Clients: st.Clients}
+	if err := w.Validate(); err != nil {
 		return fmt.Errorf("analytic state: %w", err)
 	}
 	level, err := vmenv.ByName(st.Level)
@@ -305,7 +314,7 @@ func (a *Analytic) ImportState(blob []byte) error {
 		return fmt.Errorf("analytic state: %w", err)
 	}
 	a.cfg = cfg.Clone()
-	a.workload = tpcw.Workload{Mix: mix, Clients: st.Clients}
+	a.workload = w
 	a.level = level
 	a.rng = sim.RestoreRNG(st.RNG)
 	return nil

@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -225,6 +226,45 @@ func TestAnalyticValidation(t *testing.T) {
 	}
 	if err := sys.SetAppLevel(vmenv.Level{}); err == nil {
 		t.Fatal("bad level accepted")
+	}
+}
+
+// TestAnalyticImportRefusesBadWorkload: a state blob whose client population
+// SetWorkload would refuse is refused whole, so the system keeps measuring
+// what it measured before — a restore that fails here falls back to a cold
+// start instead of a tenant whose every Measure fails.
+func TestAnalyticImportRefusesBadWorkload(t *testing.T) {
+	sys, err := NewAnalytic(AnalyticOptions{Context: smallContext(tpcw.Shopping, vmenv.Level1), NoiseSigma: 0.1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := sys.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, clients := range []int{0, -3} {
+		var st analyticState
+		if err := json.Unmarshal(good, &st); err != nil {
+			t.Fatal(err)
+		}
+		st.Clients, st.Level, st.Config = clients, vmenv.Level3.Name, sys.Space().DefaultConfig()
+		st.Config[0] += sys.Space().Def(0).Step
+		bad, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.ImportState(bad); err == nil || !strings.Contains(err.Error(), "client population") {
+			t.Fatalf("clients %d: import returned %v, want the workload's error", clients, err)
+		}
+		if now, err := sys.ExportState(); err != nil || string(now) != string(good) {
+			t.Fatalf("clients %d: a refused import changed the state to %s (%v), want %s", clients, now, err, good)
+		}
+		if _, err := sys.Measure(context.Background()); err != nil {
+			t.Fatalf("clients %d: measure after a refused import: %v", clients, err)
+		}
+		if err := sys.ImportState(good); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
