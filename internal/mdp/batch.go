@@ -256,11 +256,13 @@ type scratch struct {
 // structure keeps any of it.
 var lent parallel.Lender[scratch]
 
-// fit returns s resized to n entries, reallocated at exactly n when its
-// capacity is short.
+// fit returns s resized to n entries. When its capacity is short it
+// reallocates, with room for n rounded up to the allocator's size class: the
+// heap holds those bytes either way, and a structure that keeps growing
+// reallocates only once it outgrows them.
 func fit[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return slices.Grow([]T(nil), n)[:n]
 	}
 	return s[:n]
 }
@@ -373,7 +375,7 @@ func (g *GrowingStructure) Row(s int, row []float64, held func(s, a int) float64
 // read until the first sweep ends, so the solve writes scratch ones and
 // then copies them, with each state's position in the order, into the
 // structure's own; it allocates only to grow those when states joined since
-// the last solve, and then at exactly the state count.
+// the last solve and outgrew the allocator's size class.
 func (g *GrowingStructure) Solve(rewards []float64, held func(s, a int) float64, cfg BatchConfig) (BatchResult, error) {
 	n := g.Len()
 	switch {

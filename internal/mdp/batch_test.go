@@ -1412,28 +1412,44 @@ func solveLive(q []float64, g *GrowingStructure, rewards, prev, val []float64, c
 }
 
 // checkGrowingMatchesLive grows two structures over trans (n states,
-// actions wide), each one state at a time in a join order the input picks,
-// each joining state's moves to states not yet joined infeasible until those
-// join. The two take turns, so their solves and compiles share one scratch.
-// A structure solves at points the input picks, each over a sweep order it
-// picks — recompiled, or the last one kept when no state joined since — with
-// fresh rewards. Every entry starts as warm's value, which
-// GrowingStructure.Solve reads through held until a solve sets it. After
-// each solve of either, both structures' values and entries must equal
-// solveLive's over a slab each carries across its solves, bit for bit: a
-// solve that left its scratch in a structure would rewrite the other's.
+// actions wide), each one state at a time, each joining state's moves to
+// states not yet joined infeasible until those join. The first reads its
+// join order and then its solves from in; the second joins in the reverse
+// order and reads its solves from a copy of what follows the first's join
+// order, so the first reads the input as a single structure would. The two
+// take turns, so their solves and compiles share one scratch. A structure
+// solves at points the input picks, each over a sweep order it picks —
+// recompiled, or the last one kept when no state joined since — with fresh
+// rewards. Every entry starts as warm's value, which GrowingStructure.Solve
+// reads through held until a solve sets it. After each solve of either,
+// both structures' values and entries must equal solveLive's over a slab
+// each carries across its solves, bit for bit: a solve that left its
+// scratch in a structure would rewrite the other's.
 func checkGrowingMatchesLive(t *testing.T, in *fuzzBytes, n, actions int, trans []int32, warm []float64, cfg BatchConfig) {
 	t.Helper()
-	growers := [2]*grower{newGrower(in, n, actions, trans, warm), newGrower(in, n, actions, trans, warm)}
+	first := newGrower(n, actions, trans, warm)
+	for k := n - 1; k > 0; k-- {
+		j := int(in.next()) % (k + 1)
+		first.joins[k], first.joins[j] = first.joins[j], first.joins[k]
+	}
+	second := newGrower(n, actions, trans, warm)
+	for k, s := range first.joins {
+		second.joins[n-1-k] = s
+	}
+	rest := *in
+	growers := [2]struct {
+		gr *grower
+		in *fuzzBytes
+	}{{first, in}, {second, &rest}}
 	for k := range n {
-		for i, gr := range growers {
-			gr.join(k)
-			for solves := 0; solves < 2 && in.next()%2 == 1; solves++ {
-				if !gr.solve(t, in, cfg) {
+		for i, x := range growers {
+			x.gr.join(k)
+			for solves := 0; solves < 2 && x.in.next()%2 == 1; solves++ {
+				if !x.gr.solve(t, x.in, cfg) {
 					break // a state with no feasible move yet
 				}
 				for _, other := range growers {
-					other.check(t, fmt.Sprintf("after grower %d solved %d states", i, k+1))
+					other.gr.check(t, fmt.Sprintf("after grower %d solved %d states", i, k+1))
 				}
 			}
 		}
@@ -1456,18 +1472,14 @@ type grower struct {
 	compiled   bool
 }
 
-// newGrower returns an empty grower whose join order the input picks.
-func newGrower(in *fuzzBytes, n, actions int, trans []int32, warm []float64) *grower {
+// newGrower returns an empty grower that joins states in index order.
+func newGrower(n, actions int, trans []int32, warm []float64) *grower {
 	gr := &grower{n: n, actions: actions, trans: trans, at: make([]int32, n), joins: make([]int, n),
 		g: NewGrowingStructure(actions), q: slices.Clone(warm), next: make([]int32, actions),
 		prev: make([]float64, n), val: make([]float64, n)}
 	gr.held = func(s, a int) float64 { return warm[s*actions+a] }
 	for s := range n {
 		gr.at[s], gr.joins[s] = -1, s
-	}
-	for k := n - 1; k > 0; k-- {
-		j := int(in.next()) % (k + 1)
-		gr.joins[k], gr.joins[j] = gr.joins[j], gr.joins[k]
 	}
 	return gr
 }
@@ -1531,14 +1543,21 @@ func (gr *grower) solve(t *testing.T, in *fuzzBytes, cfg BatchConfig) bool {
 	return true
 }
 
-// check requires the values the structure keeps and every entry it holds
-// (Entry, else warm's) to equal the oracle's, bit for bit.
+// check requires the values the structure keeps, one of each per state
+// solved in no more room than the allocator gives that many, and every
+// entry it holds (Entry, else warm's) to equal the oracle's, bit for bit. A
+// structure that kept a borrowed vector would keep the room of the largest
+// solve it served.
 func (gr *grower) check(t *testing.T, when string) {
 	t.Helper()
 	m, g := gr.solved, gr.g
-	if cap(g.last.val) != m || cap(g.last.prev) != m || cap(g.last.pos) != m {
-		t.Fatalf("%s: %d states solved, the structure keeps room for %d, %d values and %d positions",
-			when, m, cap(g.last.prev), cap(g.last.val), cap(g.last.pos))
+	if len(g.last.val) != m || len(g.last.prev) != m || len(g.last.pos) != m {
+		t.Fatalf("%s: %d states solved, the structure keeps %d, %d values and %d positions",
+			when, m, len(g.last.prev), len(g.last.val), len(g.last.pos))
+	}
+	if rv, rp := room[float64](m), room[int32](m); cap(g.last.val) > rv || cap(g.last.prev) > rv || cap(g.last.pos) > rp {
+		t.Fatalf("%s: %d states solved, the structure keeps room for %d, %d values and %d positions; the allocator gives %d and %d",
+			when, m, cap(g.last.prev), cap(g.last.val), cap(g.last.pos), rv, rp)
 	}
 	for i := range m {
 		if math.Float64bits(g.last.val[i]) != math.Float64bits(gr.val[i]) ||
@@ -1558,6 +1577,10 @@ func (gr *grower) check(t *testing.T, when string) {
 		}
 	}
 }
+
+// room returns the capacity the allocator gives a new slice of m entries
+// of T: m rounded up to its size class.
+func room[T any](m int) int { return cap(slices.Grow([]T(nil), m)) }
 
 // checkSolveMatchesSlab holds Solve over the whole structure st to solveSlab
 // bit for bit: the BatchResult, val, prev and, when warm is non-nil, the slab
@@ -1676,8 +1699,9 @@ func (b *fuzzBytes) value() float64 {
 // to the state itself (under any action) or to any state; rewards and warm
 // slab entries ±0, ±Inf, NaN or finite; no slab or a warm one; a sweep bound
 // of 1–6 and Theta zero or positive; γ in [0, 0.99] and ε in [0, 1]. The
-// rest of the input grows the same structure state by state and holds
-// GrowingStructure.Solve to solveLive over it (checkGrowingMatchesLive):
+// rest of the input grows the same structure state by state, twice in two
+// join orders, and holds GrowingStructure.Solve to solveLive over both
+// (checkGrowingMatchesLive):
 // warm entries held before any solve, frontier entries linked between
 // solves, and solves with and without a new order.
 func FuzzSolve(f *testing.F) {

@@ -2,18 +2,14 @@ package parallel
 
 import "sync"
 
-// lenderKeeps bounds the scratch a Lender keeps: more than the goroutines
-// that ever borrow at once in a fleet round, few enough that what it keeps
-// stays small beside what the borrowers own.
-const lenderKeeps = 16
-
 // Lender lends scratch — a value one call works in and nothing keeps — to
-// whichever goroutine asks, and keeps up to 16 that were given back, each as
-// large as the largest use it served. The zero Lender is ready to use and
-// safe for concurrent use. Unlike a sync.Pool it keeps its scratch across
-// garbage collections, and the race detector does not drop what it is
-// given, so a path that borrows allocates nothing once its scratch has
-// grown.
+// whichever goroutine asks, and keeps every value given back, each as large
+// as the largest use it served. Every value it keeps came from an earlier
+// Borrow, so it never keeps more than were out at once. The zero Lender is
+// ready to use and safe for concurrent use. Unlike a sync.Pool it keeps its
+// scratch across garbage collections, and the race detector does not drop
+// what it is given, so a path that borrows allocates nothing once its
+// scratch has grown.
 type Lender[T any] struct {
 	mu   sync.Mutex
 	free []*T
@@ -32,12 +28,10 @@ func (l *Lender[T]) Borrow() *T {
 	return new(T)
 }
 
-// GiveBack returns scratch to the lender, which drops it when it already
-// keeps 16. The caller must not use w afterwards.
+// GiveBack returns scratch borrowed from l, which lends it again. The
+// caller must not use w afterwards.
 func (l *Lender[T]) GiveBack(w *T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.free) < lenderKeeps {
-		l.free = append(l.free, w)
-	}
+	l.free = append(l.free, w)
 }

@@ -135,10 +135,11 @@ func TestPoolTelemetry(t *testing.T) {
 }
 
 // TestLenderLendsEachScratchOnce: scratch borrowed at once is distinct, is
-// lent again once given back, and the lender keeps at most lenderKeeps.
+// lent again once given back, and the lender never keeps more than were out
+// at once.
 func TestLenderLendsEachScratchOnce(t *testing.T) {
 	var l Lender[[]int]
-	out := make([]*[]int, lenderKeeps+4)
+	out := make([]*[]int, 40)
 	for i := range out {
 		out[i] = l.Borrow()
 		for _, w := range out[:i] {
@@ -150,8 +151,8 @@ func TestLenderLendsEachScratchOnce(t *testing.T) {
 	for _, w := range out {
 		l.GiveBack(w)
 	}
-	if len(l.free) != lenderKeeps {
-		t.Fatalf("the lender keeps %d, want %d", len(l.free), lenderKeeps)
+	if len(l.free) != len(out) {
+		t.Fatalf("the lender keeps %d of the %d given back", len(l.free), len(out))
 	}
 	w := l.Borrow()
 	*w = append(*w, 1)
@@ -159,8 +160,10 @@ func TestLenderLendsEachScratchOnce(t *testing.T) {
 	if again := l.Borrow(); again != w || len(*again) != 1 {
 		t.Fatal("scratch given back was not lent again as it was left")
 	}
+	l.GiveBack(w)
+	const workers = 8
 	var wg sync.WaitGroup
-	for range 8 {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -172,4 +175,8 @@ func TestLenderLendsEachScratchOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// 40 were out at once before, at most 8 since: the lender keeps 40.
+	if len(l.free) != len(out) {
+		t.Fatalf("after %d workers the lender keeps %d, want the %d once out at once", workers, len(l.free), len(out))
+	}
 }
