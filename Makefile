@@ -106,7 +106,9 @@ loc:
 # tree, then compares: the six Table-2 policies and the sim coarse-2 policy
 # each side trains, by content — the working tree's `racpolicy -inspect` of
 # each file (digest, offline solve, predictions, greedy walk), so REV's files
-# also go through the loader of their format; every simulated figure in quick
+# also go through the loader of their format, and each side's own
+# `racpolicy -inspect` of its own files, so a change to what -inspect prints
+# shows too; every simulated figure in quick
 # mode minus its `(fig in N.Ns)` timing line (the ten paper figures of
 # `racbench -all`, diurnal, overload, flashcrowd-capacity and the
 # examples/faults_basic.json recovery figure; only the wall-clock `load`
@@ -144,8 +146,11 @@ identity:
 		for p in context-1 context-2 context-3 context-4 context-5 context-6 sim-coarse2; do \
 			$$tmp/tree/racpolicy -inspect $$tmp/$$side/$$p.json || exit 1; \
 		done > $$tmp/$$side/policies.txt || exit 1; \
+		for p in context-1 context-2 context-3 context-4 context-5 context-6 sim-coarse2; do \
+			$$tmp/$$side/racpolicy -inspect $$tmp/$$side/$$p.json || exit 1; \
+		done > $$tmp/$$side/self-inspect.txt || exit 1; \
 	done && \
-	for f in policies.txt figs.txt diurnal.txt overload.txt flashcrowd-capacity.txt fig-faults.txt \
+	for f in policies.txt self-inspect.txt figs.txt diurnal.txt overload.txt flashcrowd-capacity.txt fig-faults.txt \
 			sweep.txt sweep-session.txt sweep-threads.txt scenario-flashcrowd.txt faults.txt; do \
 		diff -u $$tmp/rev/$$f $$tmp/tree/$$f || { echo "identity: $$f differs from $(REV)"; exit 1; }; \
 	done && \

@@ -133,13 +133,10 @@ func inspectPolicy(path string) error {
 	// Walk the greedy group policy from the default configuration.
 	fmt.Println("\ngreedy walk from the Table-1 defaults:")
 	cur := def.Clone()
-	seeder := policy.Seeder()
 	acts := config.Actions(space)
+	row := make([]float64, len(acts))
 	for step := 0; step < 12; step++ {
-		row := seeder(cur.Key())
-		if row == nil {
-			break
-		}
+		policy.SeedRow(cur, row)
 		best, bestV := 0, row[0]
 		for i, a := range acts {
 			if _, ok := a.Apply(space, cur); !ok {

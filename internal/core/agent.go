@@ -120,7 +120,7 @@ type Agent struct {
 	// holds a row (regionFor), so an agent that never learns holds none.
 	region *region
 	// row is the buffer a read derives a row into — the region's held row
-	// or the policy's seeded one (Policy.seedRow), never both at once — so
+	// or the policy's seeded one (Policy.SeedRow), never both at once — so
 	// reading one allocates nothing.
 	row []float64
 
@@ -622,7 +622,7 @@ func (a *Agent) read(ord uint64, cfg config.Config) []float64 {
 	if a.policy == nil {
 		return nil
 	}
-	a.policy.seedRow(cfg, a.row)
+	a.policy.SeedRow(cfg, a.row)
 	return a.row
 }
 

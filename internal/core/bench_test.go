@@ -46,11 +46,11 @@ func TestGroupModelHotPathAllocFree(t *testing.T) {
 
 	// The seeder derives a configuration's row from the policy's values into
 	// a buffer its caller keeps (a region's or an agent's).
-	p.v = make([]float64, 2*len(st.States()))
+	p.values = mdp.Values{Prev: make([]float64, len(st.States())), Val: make([]float64, len(st.States()))}
 	cfg := config.Default().DefaultConfig()
 	row := make([]float64, len(config.Actions(config.Default())))
 	if allocs := testing.AllocsPerRun(200, func() {
-		p.seedRow(cfg, row)
+		p.SeedRow(cfg, row)
 	}); allocs != 0 {
 		t.Fatalf("the seeder's group row read allocates %.1f per run, want 0", allocs)
 	}
@@ -161,7 +161,7 @@ func BenchmarkLearnPolicy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchRow = p.v
+				benchRow = p.values.Val
 			}
 		})
 	}

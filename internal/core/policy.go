@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/rac-project/rac/internal/config"
@@ -88,15 +89,13 @@ type Policy struct {
 	// (groupLattice).
 	groups  *config.Grouping
 	lattice *mdp.Structure
-	// v is the offline group Q-table in the form the solve's last sweep
-	// leaves it, and rowAt derives a row from it (mdp.Left): the value of
-	// entering each lattice state, by ordinal, before that sweep (v[:n], the
-	// solve's prev) and after it (v[n:], its val), n states; forward says the
-	// sweep ran in ordinal order. Infeasible entries hold 0.
-	v       []float64
-	forward bool
-	quad    *regression.Quadratic
-	sla     float64
+	// values is the offline group Q-table in the form the solve leaves it,
+	// from which rowAt derives a row (lattice.Row): the value of entering
+	// each lattice state, by ordinal, before and after the last sweep.
+	// Infeasible entries hold 0.
+	values mdp.Values
+	quad   *regression.Quadratic
+	sla    float64
 	// floorRT guards against regression extrapolation below zero.
 	floorRT float64
 	// schedule is the offline schedule the table was solved under, and
@@ -130,28 +129,23 @@ func (p *Policy) predict(vec []float64) float64 {
 }
 
 // rowAt appends group-lattice state ord's Q row to dst, one value per
-// action of the lattice (see Policy.v).
+// action of the lattice (see Policy.values).
 func (p *Policy) rowAt(dst []float64, ord int) []float64 {
-	n := len(p.v) / 2
-	next, act := p.lattice.Moves(ord)
-	for a := range p.lattice.Actions() {
-		v := 0.0
-		if len(act) > 0 && int(act[0]) == a {
-			v = mdp.Left(p.v[:n], p.v[n:], ord, next[0], p.forward)
-			next, act = next[1:], act[1:]
-		}
-		dst = append(dst, v)
-	}
+	n, a := len(dst), p.lattice.Actions()
+	dst = slices.Grow(dst, a)[:n+a]
+	clear(dst[n:])
+	p.lattice.Row(&p.values, ord, dst[n:])
 	return dst
 }
 
-// seedRow writes into row (one value per action of the full space) the Q row
+// SeedRow writes into row (one value per action of the full space) the Q row
 // the group-level policy gives configuration cfg: each action's value is the
-// group row's at seedIndex (seedEntry). It does not allocate.
-func (p *Policy) seedRow(cfg config.Config, row []float64) {
-	g := p.groupOf(cfg)
+// group row's at seedIndex. It does not allocate.
+func (p *Policy) SeedRow(cfg config.Config, row []float64) {
+	var buf [16]float64 // a space has at most five groups, so eleven group actions
+	group := p.rowAt(buf[:0], int(p.groupOf(cfg)))
 	for a := range row {
-		row[a] = p.seedEntry(g, a)
+		row[a] = group[p.seedIndex(a)]
 	}
 }
 
@@ -162,15 +156,7 @@ func (p *Policy) groupOf(cfg config.Config) int32 { return int32(p.groups.Ordina
 // configuration in group-lattice state g: the group row's at seedIndex(a).
 // An agent's region reads an entry no retrain has set this way.
 func (p *Policy) seedEntry(g int32, a int) float64 {
-	ga := p.seedIndex(a)
-	next, act := p.lattice.Moves(int(g))
-	for j, x := range act {
-		if int(x) == ga {
-			n := len(p.v) / 2
-			return mdp.Left(p.v[:n], p.v[n:], int(g), next[j], p.forward)
-		}
-	}
-	return 0
+	return p.lattice.Entry(&p.values, int(g), p.seedIndex(a))
 }
 
 // seedIndex maps an action of the full space to the group action whose value
@@ -182,21 +168,6 @@ func (p *Policy) seedIndex(a int) int {
 		return 0
 	}
 	return 1 + 2*p.groups.Of((a-1)/2) + (a-1)%2
-}
-
-// Seeder returns an mdp.Seeder yielding seedRow's row for a state key, or nil
-// for a key that is not a configuration of the policy's space.
-func (p *Policy) Seeder() mdp.Seeder {
-	nActions := 2*p.space.Len() + 1
-	return func(state string) []float64 {
-		cfg, err := config.ParseKey(state)
-		if err != nil || len(cfg) != p.space.Len() {
-			return nil
-		}
-		row := make([]float64, nActions)
-		p.seedRow(cfg, row)
-		return row
-	}
 }
 
 // Recommend returns the configuration the offline policy considers best: the
@@ -293,27 +264,24 @@ func (p *Policy) trainingMDP(popts parallel.Options) (*mdp.Structure, []float64)
 // to its grouping's shared training MDP (groupLattice), prices each lattice
 // state's reward from the policy's surface (trainingMDP, on popts's workers)
 // and solves the MDP from zeros under batch (mdp.Solve). The solve needs no
-// slab: it sweeps the state values the policy keeps (Policy.v) — those its
-// last sweep began with (prev) and ended with (val) — and the policy notes
-// that sweep's direction (mdp.Solve runs the order forward on its
-// odd-numbered sweeps). A value that is NaN or infinite is an error, so no
-// policy seeds an agent with one.
+// slab: it sweeps the state values the policy keeps (Policy.values). A value
+// that is NaN or infinite is an error, so no policy seeds an agent with one.
 func (p *Policy) solve(batch mdp.BatchConfig, popts parallel.Options) (err error) {
 	if p.lattice, err = groupLattice(p.groups.Space()); err != nil {
 		return fmt.Errorf("core: offline training: %w", err)
 	}
 	structure, rewards := p.trainingMDP(popts)
-	n := len(rewards)
-	p.v = make([]float64, 2*n)
-	res, err := mdp.Solve(nil, structure, rewards, p.v[:n], p.v[n:], batch)
+	res, err := mdp.Solve(nil, structure, rewards, &p.values, batch)
 	if err != nil {
 		return fmt.Errorf("core: offline training: %w", err)
 	}
-	for k, v := range p.v {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: offline training: state %q solves to %v", structure.States()[k%n], v)
+	for _, vs := range [][]float64{p.values.Prev, p.values.Val} {
+		for s, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: offline training: state %q solves to %v", structure.States()[s], v)
+			}
 		}
 	}
-	p.schedule, p.training, p.forward = batch, res, res.Sweeps%2 == 1
+	p.schedule, p.training = batch, res
 	return nil
 }

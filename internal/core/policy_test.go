@@ -47,6 +47,21 @@ func flatPolicy(tb testing.TB, space *config.Space) *Policy {
 	return &Policy{space: space, groups: groups, lattice: lattice, quad: quad, sla: 2}
 }
 
+// seeder returns an mdp.Seeder yielding p.SeedRow's row for a state key, or
+// nil for a key that is not a configuration of p's space: the string-keyed
+// form the mdp oracles seed a table with.
+func seeder(p *Policy) mdp.Seeder {
+	return func(state string) []float64 {
+		cfg, err := config.ParseKey(state)
+		if err != nil || len(cfg) != p.space.Len() {
+			return nil
+		}
+		row := make([]float64, 2*p.space.Len()+1)
+		p.SeedRow(cfg, row)
+		return row
+	}
+}
+
 func TestGroupDefs(t *testing.T) {
 	defs := mustGrouping(t, config.Default()).Space().Defs()
 	if len(defs) != 4 {
@@ -227,7 +242,7 @@ func TestLearnPolicyAndSeeder(t *testing.T) {
 	}
 
 	// The seeder produces full-width rows steering toward the optimum.
-	seeder := p.Seeder()
+	seeder := seeder(p)
 	row := seeder(far.Key())
 	if len(row) != 2*space.Len()+1 {
 		t.Fatalf("seed row has %d actions", len(row))
@@ -355,8 +370,8 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	if got, want := loaded.PredictRT(probe), p.PredictRT(probe); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("PredictRT changed: %v vs %v", got, want)
 	}
-	s1 := p.Seeder()(probe.Key())
-	s2 := loaded.Seeder()(probe.Key())
+	s1 := seeder(p)(probe.Key())
+	s2 := seeder(loaded)(probe.Key())
 	for i := range s1 {
 		if math.Abs(s1[i]-s2[i]) > 1e-12 {
 			t.Fatalf("seed row changed at %d: %v vs %v", i, s1[i], s2[i])
@@ -434,7 +449,7 @@ func TestLoadPolicyRejectsGarbage(t *testing.T) {
 	}
 
 	// A first-format Q-table that is not exactly the group lattice's rows:
-	// truncated (a row Seeder would silently read as zeros) or foreign (a row
+	// truncated (a row a seeder would silently read as zeros) or foreign (a row
 	// nothing reads).
 	reencode := func(mutate func(rows map[string]json.RawMessage)) *bytes.Reader {
 		t.Helper()

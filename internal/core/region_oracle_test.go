@@ -69,7 +69,7 @@ func newSlabRegion(space *config.Space, actions []config.Action, p *Policy, sla 
 	r := &slabRegion{space: space, actions: actions, sla: sla,
 		structure: mdp.NewGrowingStructure(len(actions)), cfg: make(config.Config, space.Len())}
 	if p != nil {
-		r.seed, r.predict = p.seedRow, p.PredictRT
+		r.seed, r.predict = p.SeedRow, p.PredictRT
 	}
 	return r
 }

@@ -349,7 +349,7 @@ func fakePredict(cfg config.Config) float64 {
 	return float64(sum%97) / 32
 }
 
-// fakeSeeder stands in for Policy.Seeder: a deterministic row per key, so a
+// fakeSeeder stands in for a policy's seeder: a deterministic row per key, so a
 // row seeded for the wrong state shows.
 func fakeSeeder(actions int) mdp.Seeder {
 	return func(state string) []float64 {
@@ -473,7 +473,7 @@ func checkRegionTrail(t *testing.T, space *config.Space, trail []string) {
 		for s, row := range rows {
 			copy(slab[s*actions:], row)
 		}
-		want, err := mdp.Solve(slab, sh.structure, sh.rewards(samples, fakePredict, sla), nil, nil, cfg)
+		want, err := mdp.Solve(slab, sh.structure, sh.rewards(samples, fakePredict, sla), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -706,7 +706,7 @@ func TestFirstVisitAllocs(t *testing.T) {
 
 // TestChooseMatchesSelectAction holds the agent's ε-greedy choice to
 // mdp.Learner.SelectAction draw for draw: a learner over a Q-table holding
-// the rows the agent exports — seeded by the policy's Seeder elsewhere —
+// the rows the agent exports — seeded by the policy's SeedRow elsewhere —
 // with its RNG in the agent's exploration state picks the same action at
 // held and unheld states, with and without a policy. Without one, both end
 // up holding the same zero rows for the unheld states they read.
@@ -730,7 +730,7 @@ func TestChooseMatchesSelectAction(t *testing.T) {
 			}
 			q := mdp.NewQTable(len(a.actions), 0)
 			if p != nil {
-				q.SetShared(mdp.NewSharedRows(len(a.actions), p.Seeder()))
+				q.SetShared(mdp.NewSharedRows(len(a.actions), seeder(p)))
 			}
 			held := make([]config.Config, 0, len(st.QTable.Rows))
 			for key, row := range st.QTable.Rows {

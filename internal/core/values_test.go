@@ -219,11 +219,13 @@ func TestLoadPolicyRejectsRowsOfAnotherSurface(t *testing.T) {
 	p, _ := trainFlat(t, space)
 	rng := sim.NewRNG(0x5a7e)
 	var docs [][]byte
-	for _, forward := range []bool{true, false} {
+	for _, sweeps := range []int{1, 2} { // the last sweep runs forward, then backward
 		q := *p
-		q.v, q.forward = make([]float64, len(p.v)), forward
-		for k := range q.v {
-			q.v[k] = randomValue(rng)
+		q.values = valuesOfSweeps(t, p, sweeps)
+		for _, vs := range [][]float64{q.values.Prev, q.values.Val} {
+			for k := range vs {
+				vs[k] = randomValue(rng)
+			}
 		}
 		docs = append(docs, firstFormat(t, &q))
 	}
@@ -241,4 +243,19 @@ func TestLoadPolicyRejectsRowsOfAnotherSurface(t *testing.T) {
 			t.Errorf("document %d: error %v, want ErrPolicyDigest", i, err)
 		}
 	}
+}
+
+// valuesOfSweeps returns the values a solve of p's training MDP under its
+// schedule leaves after exactly sweeps sweeps; the last one runs forward
+// when sweeps is odd.
+func valuesOfSweeps(tb testing.TB, p *Policy, sweeps int) mdp.Values {
+	tb.Helper()
+	st, rewards := p.trainingMDP(parallel.Options{Procs: 1})
+	batch := p.schedule
+	batch.MaxSweeps, batch.Theta = sweeps, 0
+	var v mdp.Values
+	if _, err := mdp.Solve(nil, st, rewards, &v, batch); err != nil {
+		tb.Fatal(err)
+	}
+	return v
 }

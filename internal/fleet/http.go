@@ -50,6 +50,11 @@ const defaultPageLimit = 100
 // fleet in a single page.
 const maxPageLimit = 1000
 
+// maxAdmitBody bounds a bulk-admission body. The largest the tree sends is
+// racd's scale smoke's batch of 500 analytic specs, 33 001 bytes; the cap is
+// about 30 times that.
+const maxAdmitBody = 1 << 20
+
 // Handler returns the versioned admin HTTP API, intended to be mounted at /
 // next to the live server's /metrics and /admin/trace endpoints:
 //
@@ -125,16 +130,17 @@ func (f *Fleet) handleTenantPage(w http.ResponseWriter, r *http.Request) {
 // handleBulkAdmit admits a JSON array of TenantSpec in order. Each spec
 // succeeds or fails independently; the response mirrors the request order.
 // 201 when every spec was admitted, 207 when some failed, 400 when the body
-// is not a spec array.
+// is not a spec array, 413 when it is longer than maxAdmitBody, and then no
+// spec is admitted.
 func (f *Fleet) handleBulkAdmit(w http.ResponseWriter, r *http.Request) {
 	var specs []TenantSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdmitBody))
 	if err := dec.Decode(&specs); err != nil {
-		writeAPIError(w, http.StatusBadRequest, "bad_request", "invalid body: want a JSON array of tenant specs: "+err.Error())
+		refuseBody(w, err, "invalid body: want a JSON array of tenant specs: "+err.Error())
 		return
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		writeAPIError(w, http.StatusBadRequest, "bad_request", "invalid body: data after the spec array")
+		refuseBody(w, err, "invalid body: data after the spec array")
 		return
 	}
 	results := make([]AdmitResult, len(specs))
@@ -239,6 +245,18 @@ func writeAPIError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(apiError{Error: msg, Code: code})
+}
+
+// refuseBody answers a request whose body did not read as one document: 413
+// when reading it hit the body's cap (err), else 400 with msg.
+func refuseBody(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeAPIError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			"invalid body: longer than "+strconv.FormatInt(tooLarge.Limit, 10)+" bytes")
+		return
+	}
+	writeAPIError(w, http.StatusBadRequest, "bad_request", msg)
 }
 
 // queryInt parses an optional integer query parameter.

@@ -363,6 +363,35 @@ func TestBulkAdmitRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestBulkAdmitBodyCap: POST /admin/v1/tenants reads at most maxAdmitBody
+// bytes. A spec array padded to the cap is admitted; one byte more is
+// refused with 413 and the structured error body, and admits nothing.
+func TestBulkAdmitBodyCap(t *testing.T) {
+	doc := []byte(`[{"name":"a","backend":"analytic"}]`)
+	for _, size := range []int{maxAdmitBody + 1, maxAdmitBody} {
+		f, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := append(bytes.Repeat([]byte(" "), size-len(doc)), doc...)
+		rec := httptest.NewRecorder()
+		f.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/admin/v1/tenants", bytes.NewReader(body)))
+		if size <= maxAdmitBody {
+			if rec.Code != 201 || f.Tenant("a") == nil {
+				t.Fatalf("a %d-byte body: status %d %s, want 201 and tenant a", size, rec.Code, rec.Body)
+			}
+			continue
+		}
+		var apiErr apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || rec.Code != 413 || apiErr.Code != "body_too_large" {
+			t.Fatalf("a %d-byte body: status %d %s (%v), want 413 body_too_large", size, rec.Code, rec.Body, err)
+		}
+		if f.Tenant("a") != nil {
+			t.Fatalf("a %d-byte body admitted a tenant", size)
+		}
+	}
+}
+
 func TestTelemetryCardinalityCap(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	f, err := New(Options{Shards: 4, TenantMetricsLimit: 5, Telemetry: reg})

@@ -470,6 +470,22 @@ func (s *Server) sessionFor(w http.ResponseWriter, r *http.Request) (string, boo
 	return sid, true
 }
 
+// maxConfigBody bounds a POST /admin/config body: one webtier.Params
+// document, 201 bytes at the defaults, so the cap leaves room for an
+// indented one many times over.
+const maxConfigBody = 64 << 10
+
+// refuseBody answers a request whose body did not read as one document: 413
+// when reading it hit the body's cap (err), else 400 with msg.
+func refuseBody(w http.ResponseWriter, err error, msg string) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status, msg = http.StatusRequestEntityTooLarge, "body longer than "+strconv.FormatInt(tooLarge.Limit, 10)+" bytes"
+	}
+	http.Error(w, msg, status)
+}
+
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -482,13 +498,13 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		}
 	case http.MethodPost, http.MethodPut:
 		var params webtier.Params
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxConfigBody))
 		if err := dec.Decode(&params); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			refuseBody(w, err, err.Error())
 			return
 		}
 		if _, err := dec.Token(); err != io.EOF {
-			http.Error(w, "data after the document", http.StatusBadRequest)
+			refuseBody(w, err, "data after the document")
 			return
 		}
 		if err := s.Reconfigure(params); err != nil {

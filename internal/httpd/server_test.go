@@ -251,10 +251,46 @@ func FuzzAdminConfig(f *testing.F) {
 			if after != before {
 				t.Fatalf("after a 400, GET returns %+v, was %+v", after, before)
 			}
+		case http.StatusRequestEntityTooLarge:
+			if len(body) <= maxConfigBody || after != before {
+				t.Fatalf("a 413 for a body of %d bytes (cap %d), GET returns %+v, was %+v",
+					len(body), maxConfigBody, after, before)
+			}
 		default:
 			t.Fatalf("POST config: status %d %s", rec.Code, rec.Body)
 		}
 	})
+}
+
+// TestAdminConfigBodyCap: POST /admin/config reads at most maxConfigBody
+// bytes. A params document padded to the cap is applied; one byte more is
+// refused with 413 and changes nothing.
+func TestAdminConfigBodyCap(t *testing.T) {
+	srv, err := NewServer(webtier.DefaultParams(), vmenv.Level1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := webtier.DefaultParams()
+	posted.MaxClients = 250
+	doc, err := json.Marshal(posted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{maxConfigBody + 1, maxConfigBody} {
+		body := append(bytes.Clone(doc), bytes.Repeat([]byte(" "), size-len(doc))...)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/config", bytes.NewReader(body)))
+		want, applied := http.StatusNoContent, posted
+		if size > maxConfigBody {
+			want, applied = http.StatusRequestEntityTooLarge, webtier.DefaultParams()
+		}
+		if rec.Code != want {
+			t.Fatalf("a %d-byte body: status %d %s, want %d", size, rec.Code, rec.Body, want)
+		}
+		if got := srv.Params(); got != applied {
+			t.Fatalf("after a %d-byte body the server runs %+v, want %+v", size, got, applied)
+		}
+	}
 }
 
 // checkLiveTimeouts fails unless the server's session TTL and connection

@@ -217,44 +217,36 @@ func (sc *successors) index(pos []int32, name func(s int) string) error {
 
 // GrowingStructure is a structure one owner grows in place and solves over
 // values it keeps — Append, Link, Compile, then Solve. It keeps no state
-// keys, since its owner identifies the states, and no Q-table: a solve's
-// last sweep sets each feasible entry (s,a) → t to t's value after that
-// sweep when the sweep reached t before s, else before it (a move to s
-// itself included), so per state it keeps those two values and the state's
-// position in the sweep, and Row derives the entries. An entry no solve has
-// set — of a state that joined since, or a move to one — holds what the
-// owner says (held). What a solve or a compile only works in is borrowed
-// scratch (lent), so a structure at rest holds its moves, its order and
+// keys, since its owner identifies the states, and no Q-table: it keeps the
+// Values its last solve left, and Row derives the entries from them. An
+// entry no solve has set — of a state that joined since, or a move to one —
+// holds what the owner says (held). What a solve or a compile only works in
+// is borrowed (lent), so a structure at rest holds its moves, its order and
 // the last solve's values, each sized to its states.
 type GrowingStructure struct {
 	successors // role bits in the positions of order
 	// order is the next solve's sweep order, every index once (Compile).
 	order []int32
-	last  solved // what the last solve left
+	last  Values
 }
 
-// solved is what a solve left: by state, prev and val, the values before and
-// after its last sweep, and pos, the position in its order; the first n
-// states took part, and forward says the last sweep ran the order forward. A
-// whole structure's solve starts from none.
-type solved struct {
-	prev, val []float64
+// Values is what a solve leaves, by state: Prev and Val, the values before
+// and after its last sweep, and pos, the position in its sweep order (nil:
+// index order, a whole structure's); forward says the last sweep ran that
+// order forward. The last sweep set each feasible entry (s,a) → t to t's
+// value after the sweep when it reached t before s, else before it (a move
+// to s itself included): entry is that rule, and every Q row is derived by
+// it (successors.row). The states a solve took part in are the first
+// len(Val).
+type Values struct {
+	Prev, Val []float64
 	pos       []int32
-	n         int
 	forward   bool
 }
 
-// scratch is what one solve or one compile works in and no structure keeps:
-// a solve's two value vectors, written while the last solve's are still
-// read, and a compile's positions.
-type scratch struct {
-	prev, val []float64
-	pos       []int32
-}
-
-// lent lends scratch to whichever goroutine runs a solve or a compile; no
-// structure keeps any of it.
-var lent parallel.Lender[scratch]
+// lent lends the values one solve works in, and the positions one compile
+// does, to whichever goroutine runs it; no structure keeps any of it.
+var lent parallel.Lender[Values]
 
 // fit returns s resized to n entries. When its capacity is short it
 // reallocates, with room for n rounded up to the allocator's size class: the
@@ -270,14 +262,53 @@ func fit[T any](s []T, n int) []T {
 // entry returns what the solve left in a feasible entry of state s leading
 // to state to, and false when it did not set it: it swept only one end, or
 // none.
-func (w *solved) entry(s int, to int32) (float64, bool) {
-	if s >= w.n || int(to) >= w.n {
+func (v *Values) entry(s int, to int32) (float64, bool) {
+	if n := len(v.Val); s >= n || int(to) >= n {
 		return 0, false
 	}
-	if ps, pt := w.pos[s], w.pos[to]; w.forward && pt < ps || !w.forward && pt > ps {
-		return w.val[to], true
+	ps, pt := int32(s), to
+	if v.pos != nil {
+		ps, pt = v.pos[s], v.pos[to]
 	}
-	return w.prev[to], true
+	if v.forward && pt < ps || !v.forward && pt > ps {
+		return v.Val[to], true
+	}
+	return v.Prev[to], true
+}
+
+// row writes state s's entries into row, one per action: those v set, and
+// held(s, a) for every other (nil: every other is left as it is).
+func (sc *successors) row(v *Values, s int, row []float64, held func(s, a int) float64) {
+	j, hi := sc.off[s], sc.off[s+1]
+	for a := range row {
+		x, ok := 0.0, false
+		if j < hi && int(sc.act[j]) == a {
+			x, ok = v.entry(s, sc.next[j])
+			j++
+		}
+		if ok {
+			row[a] = x
+		} else if held != nil {
+			row[a] = held(s, a)
+		}
+	}
+}
+
+// Row writes into row, one value per action, the entries of state s that a
+// solve of st leaving v set: its feasible ones. The others are left as they
+// are.
+func (st *Structure) Row(v *Values, s int, row []float64) { st.row(v, s, row, nil) }
+
+// Entry returns the entry for action a of state s that a solve of st leaving
+// v set, and 0 when a is infeasible there: Row's entry a, read alone.
+func (st *Structure) Entry(v *Values, s, a int) float64 {
+	for j := st.off[s]; j < st.off[s+1]; j++ {
+		if int(st.act[j]) == a {
+			x, _ := v.entry(s, st.next[j])
+			return x
+		}
+	}
+	return 0
 }
 
 // NewGrowingStructure returns an empty structure of the given action count,
@@ -309,7 +340,7 @@ func (g *GrowingStructure) Append(next []int32) int32 {
 // have been appended since the last solve: a move the last solve set stays
 // derived from its values.
 func (g *GrowingStructure) Link(s, a int, to int32) {
-	if int(to) < g.last.n || int(to) >= g.Len() {
+	if int(to) < len(g.last.Val) || int(to) >= g.Len() {
 		panic("mdp: Link to a state the last solve swept, or to none")
 	}
 	j, hi := int(g.off[s]), int(g.off[s+1])
@@ -354,18 +385,7 @@ func (g *GrowingStructure) Compile(order []int32) error {
 // Row writes state s's entries into row, one per action: those the last
 // solve set, derived from its values, and held(s, a) for every other.
 func (g *GrowingStructure) Row(s int, row []float64, held func(s, a int) float64) {
-	j, hi := g.off[s], g.off[s+1]
-	for a := range row {
-		v, ok := 0.0, false
-		if j < hi && int(g.act[j]) == a {
-			v, ok = g.last.entry(s, g.next[j])
-			j++
-		}
-		if !ok {
-			v = held(s, a)
-		}
-		row[a] = v
-	}
+	g.row(&g.last, s, row, held)
 }
 
 // Solve retrains the structure's values with rewards (rewards[s] for
@@ -388,16 +408,16 @@ func (g *GrowingStructure) Solve(rewards []float64, held func(s, a int) float64,
 		return BatchResult{}, err
 	}
 	w := lent.Borrow()
-	w.prev, w.val = slices.Grow(w.prev[:0], n)[:n], slices.Grow(w.val[:0], n)[:n]
-	res := g.solve(g.order, rewards, w.prev, w.val, &g.last, held, cfg)
-	g.last.prev, g.last.val, g.last.pos = fit(g.last.prev, n), fit(g.last.val, n), fit(g.last.pos, n)
-	copy(g.last.prev, w.prev)
-	copy(g.last.val, w.val)
+	w.Prev, w.Val = slices.Grow(w.Prev[:0], n)[:n], slices.Grow(w.Val[:0], n)[:n]
+	res := g.solve(g.order, rewards, w, &g.last, held, cfg)
+	g.last.Prev, g.last.Val, g.last.pos = fit(g.last.Prev, n), fit(g.last.Val, n), fit(g.last.pos, n)
+	copy(g.last.Prev, w.Prev)
+	copy(g.last.Val, w.Val)
+	g.last.forward = w.forward
 	lent.GiveBack(w)
 	for p, s := range g.order {
 		g.last.pos[s] = int32(p)
 	}
-	g.last.n, g.last.forward = n, res.Sweeps%2 == 1
 	return res, nil
 }
 
@@ -431,7 +451,7 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 	for s, row := range rows {
 		copy(q[s*a:], row)
 	}
-	res, err := Solve(q, st, rewards, nil, nil, cfg)
+	res, err := Solve(q, st, rewards, nil, cfg)
 	for s, row := range rows {
 		copy(row, q[s*a:])
 	}
@@ -463,14 +483,14 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 // feasible entry, in action order, to the current value of the state it
 // leads to; infeasible entries keep their value.
 //
-// val holds one value per state: what entering it is worth, r(s) plus γ
-// times the ε-greedy backup of its row. Its contents on entry are
-// overwritten; on return it holds the values the last sweep left. prev
-// likewise receives the values that sweep began with (an offline policy
-// keeps the two in place of its slab). Solve allocates its own val or prev
-// when the one passed is shorter than the state count.
+// The solve leaves its Values in v (nil: Solve uses its own): Val holds one
+// value per state, what entering it is worth — r(s) plus γ times the
+// ε-greedy backup of its row — after the last sweep, and Prev the values
+// that sweep began with (an offline policy keeps v in place of its slab).
+// Their contents on entry are overwritten; they are allocated, in one
+// piece, only when either is short of the state count.
 //
-// The sweeps write val and prev, never q. After a
+// The sweeps write Val and Prev, never q. After a
 // sweep each entry (s,a) → t holds t's value after that sweep when it reached
 // t before s, else t's value before it (a move to s itself included). So the
 // next sweep, which runs the other way, changes the entry by exactly 0 when
@@ -481,12 +501,11 @@ func BatchTrain(table *QTable, model Model, cfg BatchConfig, _ *sim.RNG) (BatchR
 // structure's role bits. The first sweep compares each entry against q, read
 // only (against 0 when q is empty: every entry then changes by what it is set
 // to). On return each feasible entry of a non-empty q is written once from
-// prev, val and the last sweep's direction — what the sweep would have left
-// there — and infeasible entries are untouched. With q empty and val and prev
-// long enough, Solve allocates nothing. No random number is drawn, so the
-// result depends on the inputs alone. cfg.StepsPerState and
-// cfg.Params.Alpha are not used.
-func Solve(q []float64, st *Structure, rewards, prev, val []float64, cfg BatchConfig) (BatchResult, error) {
+// v (Row) — what the sweep would have left there — and infeasible entries
+// are untouched. With q empty and v's values long enough, Solve allocates
+// nothing. No random number is drawn, so the result depends on the inputs
+// alone. cfg.StepsPerState and cfg.Params.Alpha are not used.
+func Solve(q []float64, st *Structure, rewards []float64, v *Values, cfg BatchConfig) (BatchResult, error) {
 	if st == nil {
 		return BatchResult{}, errors.New("mdp: nil structure")
 	}
@@ -500,31 +519,34 @@ func Solve(q []float64, st *Structure, rewards, prev, val []float64, cfg BatchCo
 	if err := cfg.Params.Validate(); err != nil {
 		return BatchResult{}, err
 	}
-	if len(val) < n {
-		val = make([]float64, n)
+	if v == nil {
+		v = new(Values)
 	}
-	if len(prev) < n {
-		prev = make([]float64, n)
+	if cap(v.Prev) < n || cap(v.Val) < n {
+		both := make([]float64, 2*n)
+		v.Prev, v.Val = both[:n:n], both[n:]
 	}
+	v.Prev, v.Val, v.pos = v.Prev[:n], v.Val[:n], nil
 	var held func(s, a int) float64
 	if len(q) != 0 {
 		held = func(s, a int) float64 { return q[s*actions+a] }
 	}
-	res := st.solve(nil, rewards, prev[:n], val[:n], &solved{}, held, cfg)
-	if len(q) != 0 {
-		st.writeBack(q, prev[:n], val[:n], res.Sweeps%2 == 1)
+	res := st.solve(nil, rewards, v, &Values{}, held, cfg)
+	for s := 0; len(q) != 0 && s < n; s++ {
+		st.Row(v, s, q[s*actions:(s+1)*actions])
 	}
 	return res, nil
 }
 
 // solve is the solve both kinds of structure run (Solve), over the moves in
 // sc and the states in order (nil: index order), from the entries last set
-// and, for every other feasible entry (s,a), held(s, a) (nil: zeros).
-// val[s] is what entering s is worth: r(s) plus γ times the ε-greedy backup
-// of its row.
-func (sc *successors) solve(order []int32, rewards, prev, val []float64, last *solved,
+// and, for every other feasible entry (s,a), held(s, a) (nil: zeros). It
+// leaves in out, whose values it overwrites, what its last sweep began and
+// ended with and that sweep's direction. Val[s] is what entering s is worth:
+// r(s) plus γ times the ε-greedy backup of its row.
+func (sc *successors) solve(order []int32, rewards []float64, out, last *Values,
 	held func(s, a int) float64, cfg BatchConfig) BatchResult {
-	gamma, eps := cfg.Params.Gamma, cfg.Params.Epsilon
+	gamma, eps, prev, val := cfg.Params.Gamma, cfg.Params.Epsilon, out.Prev, out.Val
 	for s := range val {
 		lo, hi := int(sc.off[s]), int(sc.off[s+1])
 		var best, sum float64 // over a row of zeros when held is nil
@@ -586,6 +608,7 @@ func (sc *successors) solve(order []int32, rewards, prev, val []float64, last *s
 		maxErr = sc.valueSweep(order, rewards, prev, val, backward, fresh, selfMove, cfg.Params)
 		res = BatchResult{Sweeps: sweep + 1, FinalErr: maxErr, Converged: maxErr < cfg.Theta}
 	}
+	out.forward = res.Sweeps%2 == 1 // the first sweep, and every odd-numbered one, runs forward
 	return res
 }
 
@@ -652,25 +675,4 @@ func raise(maxErr float64, bits uint8, v, was float64) float64 {
 		return d
 	}
 	return maxErr
-}
-
-// Left returns what a sweep over a whole structure (forward: in index order)
-// that began with prev and ended with val leaves in a feasible entry of
-// state s leading to state to: to's value after the sweep when the sweep
-// reached to before s, else its value before the sweep.
-func Left(prev, val []float64, s int, to int32, forward bool) float64 {
-	if forward && int(to) < s || !forward && int(to) > s {
-		return val[to]
-	}
-	return prev[to]
-}
-
-// writeBack sets each feasible entry of q to what the last sweep (forward:
-// in index order) left there.
-func (st *Structure) writeBack(q, prev, val []float64, forward bool) {
-	for s := range st.Len() {
-		for j := st.off[s]; j < st.off[s+1]; j++ {
-			q[s*st.actions+int(st.act[j])] = Left(prev, val, s, st.next[j], forward)
-		}
-	}
 }

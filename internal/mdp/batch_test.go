@@ -210,7 +210,7 @@ func solveTable(q *QTable, st *Structure, rewards []float64, cfg BatchConfig) (B
 	for s, row := range rows {
 		copy(slab[s*st.actions:], row)
 	}
-	res, err := Solve(slab, st, rewards, nil, nil, cfg)
+	res, err := Solve(slab, st, rewards, nil, cfg)
 	for s, row := range rows {
 		copy(row, slab[s*st.actions:])
 	}
@@ -624,7 +624,7 @@ func TestSolveValidation(t *testing.T) {
 		{"negative epsilon", q, st, rewards, bad(func(p *Params) { p.Epsilon = -0.1 })},
 	}
 	for _, tc := range cases {
-		if _, err := Solve(tc.q, tc.st, tc.rewards, nil, nil, tc.cfg); err == nil {
+		if _, err := Solve(tc.q, tc.st, tc.rewards, nil, tc.cfg); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
@@ -660,15 +660,15 @@ func TestSolveValidation(t *testing.T) {
 			t.Errorf("GrowingStructure.Solve: %s accepted", name)
 		}
 	}
-	if g.last.n != 0 {
+	if len(g.last.Val) != 0 {
 		t.Error("a rejected GrowingStructure.Solve set values")
 	}
 	// A whole structure solves without a slab.
-	if _, err := Solve(nil, st, rewards, nil, nil, good); err != nil {
+	if _, err := Solve(nil, st, rewards, nil, good); err != nil {
 		t.Fatalf("no slab over a whole structure: %v", err)
 	}
 	// A non-positive sweep bound is clamped to one, not rejected.
-	res, err := Solve(q, st, rewards, nil, nil, BatchConfig{Params: DefaultOffline()})
+	res, err := Solve(q, st, rewards, nil, BatchConfig{Params: DefaultOffline()})
 	if err != nil || res.Sweeps != 1 {
 		t.Fatalf("zero schedule: %+v, %v; want one sweep", res, err)
 	}
@@ -839,10 +839,11 @@ func BenchmarkSolveGroupLattice(b *testing.B) {
 	st, rewards := table2Lattice(b, ctx)
 	cfg := offlineSchedule()
 	prev, val := make([]float64, st.Len()), make([]float64, st.Len())
+	var v Values
 	b.Run("solve", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Solve(nil, st, rewards, prev, val, cfg); err != nil {
+			if _, err := Solve(nil, st, rewards, &v, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1551,19 +1552,19 @@ func (gr *grower) solve(t *testing.T, in *fuzzBytes, cfg BatchConfig) bool {
 func (gr *grower) check(t *testing.T, when string) {
 	t.Helper()
 	m, g := gr.solved, gr.g
-	if len(g.last.val) != m || len(g.last.prev) != m || len(g.last.pos) != m {
+	if len(g.last.Val) != m || len(g.last.Prev) != m || len(g.last.pos) != m {
 		t.Fatalf("%s: %d states solved, the structure keeps %d, %d values and %d positions",
-			when, m, len(g.last.prev), len(g.last.val), len(g.last.pos))
+			when, m, len(g.last.Prev), len(g.last.Val), len(g.last.pos))
 	}
-	if rv, rp := room[float64](m), room[int32](m); cap(g.last.val) > rv || cap(g.last.prev) > rv || cap(g.last.pos) > rp {
+	if rv, rp := room[float64](m), room[int32](m); cap(g.last.Val) > rv || cap(g.last.Prev) > rv || cap(g.last.pos) > rp {
 		t.Fatalf("%s: %d states solved, the structure keeps room for %d, %d values and %d positions; the allocator gives %d and %d",
-			when, m, cap(g.last.prev), cap(g.last.val), cap(g.last.pos), rv, rp)
+			when, m, cap(g.last.Prev), cap(g.last.Val), cap(g.last.pos), rv, rp)
 	}
 	for i := range m {
-		if math.Float64bits(g.last.val[i]) != math.Float64bits(gr.val[i]) ||
-			math.Float64bits(g.last.prev[i]) != math.Float64bits(gr.prev[i]) {
+		if math.Float64bits(g.last.Val[i]) != math.Float64bits(gr.val[i]) ||
+			math.Float64bits(g.last.Prev[i]) != math.Float64bits(gr.prev[i]) {
 			t.Fatalf("%s: %d states: state %d values %v, %v; solveLive's %v, %v",
-				when, m, i, g.last.prev[i], g.last.val[i], gr.prev[i], gr.val[i])
+				when, m, i, g.last.Prev[i], g.last.Val[i], gr.prev[i], gr.val[i])
 		}
 		for a := range gr.actions {
 			v, ok := g.Entry(i, a)
@@ -1608,8 +1609,8 @@ func checkSolveMatchesSlab(t *testing.T, st *Structure, rewards, warm []float64,
 		slabs = append(slabs, make([]float64, n*st.actions))
 	}
 	for _, q := range slabs {
-		prev, val := make([]float64, n), make([]float64, n)
-		got, err := Solve(q, st, rewards, prev, val, cfg)
+		var v Values
+		got, err := Solve(q, st, rewards, &v, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1617,8 +1618,8 @@ func checkSolveMatchesSlab(t *testing.T, st *Structure, rewards, warm []float64,
 			math.Float64bits(got.FinalErr) != math.Float64bits(want.FinalErr) {
 			t.Fatalf("slab of %d values: Solve %+v, the slab oracle %+v", len(q), got, want)
 		}
-		same("val", val, wantVal)
-		same("prev", prev, wantPrev)
+		same("val", v.Val, wantVal)
+		same("prev", v.Prev, wantPrev)
 		if q != nil {
 			same("slab", q, wantQ)
 		}
@@ -1652,14 +1653,61 @@ func TestSolveNoSlabAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, rewards := table2Lattice(t, ctx)
-	prev, val := make([]float64, st.Len()), make([]float64, st.Len())
+	v := Values{Prev: make([]float64, st.Len()), Val: make([]float64, st.Len())}
 	cfg := offlineSchedule()
 	if allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Solve(nil, st, rewards, prev, val, cfg); err != nil {
+		if _, err := Solve(nil, st, rewards, &v, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("a solve with no slab allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestGrowingFirstSweepMatchesWhole holds the two first sweeps to each other:
+// a whole structure's from zeros (Solve with no slab) and a grown one's from
+// held entries (GrowingStructure.Solve). Each Table-2 group lattice, grown
+// state by state in index order and solved with every entry held at zero,
+// leaves the BatchResult and the values the whole lattice's solve leaves, bit
+// for bit, at sweep bounds whose last sweep runs forward (1, 3, and the
+// converged solve under 400) and backward (2, 30).
+func TestGrowingFirstSweepMatchesWhole(t *testing.T) {
+	zero := func(int, int) float64 { return 0 }
+	for _, ctx := range system.Table2() {
+		st, rewards := table2Lattice(t, ctx)
+		order := make([]int32, st.Len())
+		for s := range order {
+			order[s] = int32(s)
+		}
+		for _, sweeps := range []int{1, 2, 3, 30, 400} {
+			cfg := offlineSchedule()
+			cfg.MaxSweeps = sweeps
+			if sweeps < 400 {
+				cfg.Theta = 0
+			}
+			var want Values
+			wantRes, err := Solve(nil, st, rewards, &want, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := grownWhole(t, st, order)
+			got, err := g.Solve(rewards, zero, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Sweeps != wantRes.Sweeps || got.Converged != wantRes.Converged ||
+				math.Float64bits(got.FinalErr) != math.Float64bits(wantRes.FinalErr) || g.last.forward != want.forward {
+				t.Fatalf("%s/sweeps=%d: grown %+v (forward %v), whole %+v (forward %v)",
+					ctx.Name, sweeps, got, g.last.forward, wantRes, want.forward)
+			}
+			for s := range want.Val {
+				if math.Float64bits(g.last.Prev[s]) != math.Float64bits(want.Prev[s]) ||
+					math.Float64bits(g.last.Val[s]) != math.Float64bits(want.Val[s]) {
+					t.Fatalf("%s/sweeps=%d: state %d grown %v, %v; whole %v, %v",
+						ctx.Name, sweeps, s, g.last.Prev[s], g.last.Val[s], want.Prev[s], want.Val[s])
+				}
+			}
+		}
 	}
 }
 
@@ -1710,6 +1758,10 @@ func FuzzSolve(f *testing.F) {
 	// largest change is what state 0 sets its entry to, state 1's value
 	// before the sweep.
 	f.Add([]byte{1, 0, 6, 2, 0, 5, 1, 0, 0, 0, 50, 10})
+	// One Keep-only state, reward 325/64, one sweep from no slab: its move
+	// to itself reads its own value, so the sweep's largest change is the
+	// reward, which the sweep from zeros counts through the self-move bit.
+	f.Add([]byte{0, 0, 1, 0x45, 0x01, 0, 0, 0, 50, 10})
 	f.Add([]byte{7, 4, 9, 13, 2, 6, 10, 14, 1, 5, 3, 7, 11, 15, 21, 33, 45, 57, 69, 81, 93, 105, 117, 129, 5, 90, 10, 1, 3})
 	f.Add([]byte{3, 2, 5, 5, 5, 5, 6, 6, 6, 6, 0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(bytes.Repeat([]byte{0x9d, 0x42, 0x17, 0xe8}, 40))
