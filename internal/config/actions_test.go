@@ -27,7 +27,7 @@ func TestActionsOrderingStable(t *testing.T) {
 			t.Fatalf("action ordering unstable at %d", i)
 		}
 	}
-	// Convention relied on by core.Policy.Seeder: index 1+2i increases
+	// Convention relied on by core.Policy.SeedRow: index 1+2i increases
 	// parameter i, index 2+2i decreases it.
 	for i := 0; i < s.Len(); i++ {
 		if a[1+2*i].ParamIndex != i || a[1+2*i].Dir != Increase {
