@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -44,56 +45,58 @@ func analyticAgent(t *testing.T, space *config.Space, cfg config.Config, opts Ag
 	return a
 }
 
-func stepN(t *testing.T, a *Agent, n int) {
+// stepN steps a n times and appends each step's result to log.
+func stepN(t *testing.T, a *Agent, n int, log *[]StepResult) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := a.Step(context.Background()); err != nil {
+		res, err := a.Step(context.Background())
+		if err != nil {
 			t.Fatal(err)
 		}
+		*log = append(*log, res)
 	}
 }
 
-// TestExportStatePinned pins the ExportState JSON of five agents after 40
-// steps on the noise-free analytic backend: one seeded by a policy; one with
-// no policy, whose ε-greedy choice reads zero rows for unsampled states; one
-// that switches policy at step 20; one restored from its own step-20
-// checkpoint into a fresh agent and system; and a frozen agent with no
-// policy, whose snapshot holds only the zero rows its choices materialized.
-// The persistence edge renders every state key, so any change in the rows an
-// agent holds, their values or the sample table moves a hash.
-func TestExportStatePinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("agent states are pinned for amd64 floating point")
-	}
+// pinnedAgents steps five agents 40 times each on the noise-free analytic
+// backend and returns each one's final ExportState JSON and step results:
+// one seeded by a policy; one with no policy, whose ε-greedy choice reads
+// zero rows for unsampled states; one that switches policy at step 20; one
+// restored from its own step-20 checkpoint into a fresh agent and system
+// (its first 20 results are the exporting agent's); and a frozen agent with
+// no policy. The restored agent must end in the uninterrupted one's state.
+func pinnedAgents(t *testing.T) (states map[string][]byte, steps map[string][]StepResult) {
+	t.Helper()
 	space := config.Default()
 	p1, p3 := analyticPolicy(t, space, "context-1"), analyticPolicy(t, space, "context-3")
 	store := NewPolicyStore(p1, p3)
-	export := func(a *Agent) []byte {
+	states, steps = map[string][]byte{}, map[string][]StepResult{}
+	run := func(name string, a *Agent, n int) {
 		t.Helper()
-		return exportJSON(t, a)
+		log := steps[name]
+		stepN(t, a, n, &log)
+		steps[name] = log
 	}
-	states := map[string][]byte{}
 	// A wide exploration rate spreads each 40-step run over tens of states.
 	explore := DefaultOptions()
 	explore.Online.Epsilon = 0.3
 
 	seeded := analyticAgent(t, space, nil, AgentOptions{Options: explore, Policy: p1, Store: store, Seed: 21})
-	stepN(t, seeded, 40)
-	states["seeded"] = export(seeded)
+	run("seeded", seeded, 40)
+	states["seeded"] = exportJSON(t, seeded)
 
 	cold := analyticAgent(t, space, nil, AgentOptions{Options: explore, Seed: 22})
-	stepN(t, cold, 40)
-	states["cold"] = export(cold)
+	run("cold", cold, 40)
+	states["cold"] = exportJSON(t, cold)
 
 	switched := analyticAgent(t, space, nil, AgentOptions{Options: explore, Policy: p1, Store: store, Seed: 23})
-	stepN(t, switched, 20)
+	run("switched", switched, 20)
 	switched.ForcePolicy(p3)
-	stepN(t, switched, 20)
-	states["switched"] = export(switched)
+	run("switched", switched, 20)
+	states["switched"] = exportJSON(t, switched)
 
 	first := analyticAgent(t, space, nil, AgentOptions{Options: explore, Policy: p1, Store: store, Seed: 24})
-	stepN(t, first, 20)
-	st, err := LoadAgentState(bytes.NewReader(export(first)))
+	run("restored", first, 20)
+	st, err := LoadAgentState(bytes.NewReader(exportJSON(t, first)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +104,28 @@ func TestExportStatePinned(t *testing.T) {
 	if err := restored.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	stepN(t, restored, 20)
-	stepN(t, first, 20)
-	if got, want := export(restored), export(first); !bytes.Equal(got, want) {
+	run("restored", restored, 20)
+	var rest []StepResult
+	stepN(t, first, 20, &rest)
+	if got, want := exportJSON(t, restored), exportJSON(t, first); !bytes.Equal(got, want) {
 		t.Fatal("the agent restored at step 20 ends in another state than the uninterrupted one")
 	}
-	states["restored"] = export(restored)
+	states["restored"] = exportJSON(t, restored)
 
 	frozen := analyticAgent(t, space, nil, AgentOptions{Frozen: true, Seed: 25})
-	stepN(t, frozen, 40)
-	states["frozen"] = export(frozen)
+	run("frozen", frozen, 40)
+	states["frozen"] = exportJSON(t, frozen)
+	return states, steps
+}
 
+// TestExportStatePinned pins the ExportState JSON of pinnedAgents' five
+// agents. The persistence edge renders every state key, so any change in the
+// agent's learned state or the sample table, or in the format, moves a hash.
+func TestExportStatePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("agent states are pinned for amd64 floating point")
+	}
+	states, _ := pinnedAgents(t)
 	want := map[string]string{
 		"seeded":   "89668f731a8bb43286e9fbea2a0b387857353e3df4dd26db4c53f921ddbe9512",
 		"cold":     "3bb8762fdca613ba83bb31315c019812e06c845c3cbde02cacf1d8e98250b17a",
@@ -123,6 +137,36 @@ func TestExportStatePinned(t *testing.T) {
 		sum := sha256.Sum256(blob)
 		if got := hex.EncodeToString(sum[:]); got != want[name] {
 			t.Errorf("%s: ExportState JSON hash %s, pinned %s", name, got, want[name])
+		}
+	}
+}
+
+// TestStepResultsPinned pins what pinnedAgents' five agents do, not how they
+// store it: the SHA-256 of every StepResult, printed with %+v (shortest
+// round-tripping floats), per agent. A change of the snapshot format leaves
+// it alone; a change of what the agent chooses, measures or learns moves it.
+func TestStepResultsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("step results are pinned for amd64 floating point")
+	}
+	_, steps := pinnedAgents(t)
+	want := map[string]string{
+		"seeded":   "ec312cae689394c98aefdd902398409a3d14044257a6e226a658749450f042b5",
+		"cold":     "f1b90be5a985e347823800269195cde08a5a9046f52fb9ced6b45d3261f6e8b4",
+		"switched": "28c72cfcb988429b9c6def4c67691609e02213834c84467c94b4a6b702077194",
+		"restored": "af6a3c05a09825dc1aebc6d11c66bcd4237f3a09fa5f174fbfc7b9d0715a35fe",
+		"frozen":   "2c4021f619da044c99ca39e245c8aacf85ccb86de987ac81cac9e5e00271f71d",
+	}
+	if len(steps) != len(want) {
+		t.Fatalf("%d agents stepped, %d pinned", len(steps), len(want))
+	}
+	for name, log := range steps {
+		h := sha256.New()
+		for _, res := range log {
+			fmt.Fprintf(h, "%+v\n", res)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("%s: %d step results hash %s, pinned %s", name, len(log), got, want[name])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -133,5 +134,33 @@ func TestFleetStatesPinned(t *testing.T) {
 	const want = "f8318eb0f8ea258510a409750274a819d5b452171ac03f5aa900aa39e145dc8e"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("final agent states hash %s, pinned %s", got, want)
+	}
+}
+
+// TestFleetStepRecordsPinned pins what runFleet's five tenants do over 15
+// rounds at procs=1, not how their agents store it: the SHA-256 of every
+// step record, printed with %+v (shortest round-tripping floats), tenant by
+// tenant in name order. A change of the snapshot format leaves it alone; a
+// change of what a tenant chooses, measures or learns moves it. amd64 only,
+// as TestFleetStatesPinned.
+func TestFleetStepRecordsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("step records are pinned for amd64 floating point")
+	}
+	logs, _ := runFleet(t, 1, 15)
+	names := make([]string, 0, len(logs))
+	for name := range logs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		for _, rec := range logs[name] {
+			fmt.Fprintf(h, "%s %+v\n", name, rec)
+		}
+	}
+	const want = "82f32661bcc9bbf51fa779c2a106c4ed141065897747d9f5e419034bfdcdb096"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("%d tenants' step records hash %s, pinned %s", len(names), got, want)
 	}
 }
