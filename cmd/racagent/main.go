@@ -56,7 +56,7 @@ func run(args []string) error {
 		procs      = fs.Int("procs", 0, "cap the OS threads running the in-process server, load generator and agent (0 = all CPUs)")
 		faultsPath = fs.String("faults", "", "inject faults from this JSON scenario (see examples/faults_basic.json); enables the agent's resilience policy")
 		quick      = fs.Bool("quick", false, "smoke-test sizing: 8 iterations, 300ms intervals, 20 browsers")
-		snapshot   = fs.String("snapshot", "", "save the final agent state (policy + Q-table) to this file at exit (-agent rac only)")
+		snapshot   = fs.String("snapshot", "", "save the final agent state (policy name, samples and learned values) to this file at exit (-agent rac only)")
 		openLoop   = fs.Bool("open", false, "open-loop load: offer a fixed arrival schedule instead of emulated browsers (defaults -rate to 30)")
 		rate       = fs.Float64("rate", 0, "open-loop offered load in paper-scale req/s (>0 implies -open; 0 keeps the closed loop)")
 		scenario   = fs.String("scenario", "", "drive a time-varying workload scenario: a library name (diurnal|flashcrowd|mixdrift|ramp|steady) or a JSON file (see examples/scenarios/)")

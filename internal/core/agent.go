@@ -114,10 +114,9 @@ type Agent struct {
 	iteration  int
 
 	// region is the agent's Q-table and sample table: the retraining region,
-	// grown in place as states are first measured, with the rows the agent
-	// holds outside it. A state it holds no row for reads as the policy's
-	// seeded row, or zero without a policy. It is nil until the agent first
-	// holds a row (regionFor), so an agent that never learns holds none.
+	// grown in place as states are first measured. A state outside it reads
+	// as the policy's seeded row, or zeros without a policy. It is nil until
+	// the agent first learns, so an agent that never learns holds none.
 	region *region
 	// row is the buffer a read derives a row into — the region's held row
 	// or the policy's seeded one (Policy.SeedRow), never both at once — so
@@ -268,14 +267,6 @@ func NewAgent(sys system.System, opts AgentOptions) (*Agent, error) {
 func (a *Agent) resetQ() {
 	a.region = nil
 	a.explore = a.rng.Split()
-}
-
-// regionFor returns the agent's region, creating it empty if need be.
-func (a *Agent) regionFor() *region {
-	if a.region == nil {
-		a.region = newRegion(a.space, a.actions, a.policy, a.opts.SLASeconds, a.row)
-	}
-	return a.region
 }
 
 // Policy returns the active initial policy (nil when uninitialized).
@@ -574,9 +565,8 @@ func (a *Agent) traceKey(cfg config.Config) string {
 // choose picks the action to take at cfg: ε-greedy over the feasible
 // actions, drawing from the exploration stream exactly as mdp.Learner's
 // SelectAction does, the greedy branch reading the row the agent holds for
-// cfg — or the one the policy seeds, which it does not keep. Without a policy
-// the agent holds a zero row from then on, as a Q-table that materializes on
-// read would.
+// cfg — or the one the policy seeds, or zeros without a policy, neither of
+// which it keeps.
 func (a *Agent) choose(cfg config.Config) int {
 	n := 0
 	for _, act := range a.actions {
@@ -595,11 +585,7 @@ func (a *Agent) choose(cfg config.Config) int {
 			}
 		}
 	}
-	ord := a.space.Ordinal(cfg)
-	q := a.read(ord, cfg)
-	if q == nil {
-		q = a.regionFor().hold(ord)
-	}
+	q := a.read(a.space.Ordinal(cfg), cfg)
 	best, bestV := -1, 0.0
 	for i, act := range a.actions {
 		if !act.Feasible(a.space, cfg) {
@@ -613,25 +599,22 @@ func (a *Agent) choose(cfg config.Config) int {
 }
 
 // read returns the row the agent reads for cfg (lattice ordinal ord): the row
-// it holds, else the row the policy seeds, which it does not keep, else nil,
-// a row of zeros. The row is valid until the next read.
+// it holds, else the row the policy seeds, else zeros, neither of which it
+// keeps. The row is valid until the next read.
 func (a *Agent) read(ord uint64, cfg config.Config) []float64 {
 	if row := a.region.held(ord); row != nil {
 		return row
 	}
-	if a.policy == nil {
-		return nil
+	clear(a.row)
+	if a.policy != nil {
+		a.policy.SeedRow(cfg, a.row)
 	}
-	a.policy.SeedRow(cfg, a.row)
 	return a.row
 }
 
 // maxValue returns max_a Q(cfg, a) over every action, feasible or not.
 func (a *Agent) maxValue(ord uint64, cfg config.Config) float64 {
 	q := a.read(ord, cfg)
-	if q == nil {
-		return 0
-	}
 	best := q[0]
 	for _, v := range q[1:] {
 		if v > best {
@@ -646,7 +629,10 @@ func (a *Agent) maxValue(ord uint64, cfg config.Config) float64 {
 // gauge, trace event). It returns the change of the visited state's best
 // Q-value for the step's own trace event.
 func (a *Agent) learn(ord uint64, cfg config.Config, rt float64) (float64, error) {
-	a.regionFor().record(ord, cfg, rt)
+	if a.region == nil {
+		a.region = newRegion(a.space, a.actions, a.policy, a.opts.SLASeconds, a.row)
+	}
+	a.region.record(ord, cfg, rt)
 	qBefore := a.maxValue(ord, cfg)
 	batch, err := a.retrain()
 	if err != nil {

@@ -656,8 +656,7 @@ func TestAgentQTableGrowsOnlyWithVisits(t *testing.T) {
 	}
 	// The rows the agent holds cover the visited region (visited states plus
 	// their one-step frontier), far below the full lattice.
-	rows, _ := agent.region.export()
-	if n := len(rows); n == 0 || n > 11*(2*8+1)+11 {
+	if n := len(agent.region.rewards); n == 0 || n > 11*(2*8+1)+11 {
 		t.Fatalf("q-table has %d rows", n)
 	}
 }

@@ -127,11 +127,11 @@ func TestExportStatePinned(t *testing.T) {
 	}
 	states, _ := pinnedAgents(t)
 	want := map[string]string{
-		"seeded":   "89668f731a8bb43286e9fbea2a0b387857353e3df4dd26db4c53f921ddbe9512",
-		"cold":     "3bb8762fdca613ba83bb31315c019812e06c845c3cbde02cacf1d8e98250b17a",
-		"switched": "b7983dcf6088f9ac08e11744bf756ba1aab1f44eb660c3dd315b1ca5289a1f1a",
-		"restored": "31f210370cb7f3f321e153483e2ffb81aa62f2ab907a83a0f596061f138f851d",
-		"frozen":   "dc7d0ce8cbb33d47ec1044294b894af31fa7d2d80ed1f3ce8bbfa8d93bb19c7d",
+		"seeded":   "545f321a84f776cfb3160d2e0538febbdd010493a0650b8408202da32d925e60",
+		"cold":     "913465aae4f4d4fc5371e171502c88f78369539948fd55dbf8e7b7c0ef333c36",
+		"switched": "99d13b9db402d71078749e3fa62d6cb7fd78eac03abc4f56db82ba3a17690d7e",
+		"restored": "b7d40713ea94bab04887ff73ed2902852e4225617d5ad7b10764f9d4f20774ca",
+		"frozen":   "07ee2070581a096ec0c223eda71f9939d65456371b9bbb411b7c6c6ddcd78e8d",
 	}
 	for name, blob := range states {
 		sum := sha256.Sum256(blob)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"github.com/rac-project/rac/internal/config"
@@ -185,11 +184,8 @@ func latticeRows(table *mdp.QTableJSON, lattice *mdp.Structure) ([][]float64, er
 func (p *Policy) firstMismatch(rows [][]float64) int {
 	derived := make([]float64, 0, p.lattice.Actions())
 	for s, row := range rows {
-		derived = p.rowAt(derived[:0], s)
-		for a, v := range row {
-			if math.Float64bits(v) != math.Float64bits(derived[a]) {
-				return s
-			}
+		if derived = p.rowAt(derived[:0], s); !sameBits(row, derived) {
+			return s
 		}
 	}
 	return -1

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -30,8 +32,9 @@ import (
 //
 // The region stores no rows: its structure keeps the values the last
 // retrain left (mdp.GrowingStructure) and derives the entries it set. Any
-// other entry holds what it held when its state joined — a stored row, else
-// the policy's seeded row, else zeros — derived again on reading.
+// other entry reads the policy's seeded row, else zeros, derived again on
+// reading. Those values and the sample table are all it learns, and all a
+// snapshot of it holds (export, restore).
 //
 // The solve sweeps the states in discovery order — each sample in key order
 // followed by its feasible neighbours in action order (Keep first, so a sample
@@ -66,14 +69,6 @@ type region struct {
 	structure *mdp.GrowingStructure
 	rewards   []float64
 	keys      []int32
-
-	// stored are the rows no policy derives held for states outside the
-	// region, by lattice ordinal: restored rows not yet joined, and the zero
-	// rows an agent without a policy reads when it chooses at a state it has
-	// not measured. A joining state takes its stored row into joined, by
-	// index, as the row it joined with.
-	stored map[uint64][]float64
-	joined map[int32][]float64
 
 	// row is the buffer held derives a row into: its agent's (Agent.row).
 	row []float64
@@ -110,9 +105,9 @@ func newRegion(space *config.Space, actions []config.Action, p *Policy, sla floa
 	return r
 }
 
-// held returns the row the agent holds for the state at lattice ordinal ord —
-// the region's, derived into a buffer the next call reuses, else a stored
-// one — or nil; a nil region holds none.
+// held returns the row the region holds for the state at lattice ordinal
+// ord, derived into a buffer the next call reuses, or nil when it lacks the
+// state; a nil region holds none.
 func (r *region) held(ord uint64) []float64 {
 	if r == nil {
 		return nil
@@ -121,29 +116,16 @@ func (r *region) held(ord uint64) []float64 {
 		r.structure.Row(int(i), r.row, r.fallback)
 		return r.row
 	}
-	return r.stored[ord]
+	return nil
 }
 
 // fallback returns what entry a of state i holds while no solve sets it: the
-// entry of the row the state joined with.
+// policy's seeded entry, else 0.
 func (r *region) fallback(i, a int) float64 {
-	if row, ok := r.joined[int32(i)]; ok {
-		return row[a]
-	}
 	if r.seed == nil {
 		return 0
 	}
 	return r.seed(r.keys[i], a)
-}
-
-// hold returns a zero stored row for ord, a state the agent holds no row for.
-func (r *region) hold(ord uint64) []float64 {
-	if r.stored == nil {
-		r.stored = make(map[uint64][]float64)
-	}
-	row := make([]float64, len(r.actions))
-	r.stored[ord] = row
-	return row
 }
 
 // record folds a measured mean response time into the sample table: a repeat
@@ -182,80 +164,125 @@ func (r *region) record(ord uint64, cfg config.Config, rt float64) {
 	r.stale = true
 }
 
-// export renders the rows the agent holds and its sample table at the
-// persistence edge, keyed by configuration key and sharing no storage with
-// the region; samples is nil when there are none, and a nil region exports
-// an empty table.
-func (r *region) export() (rows map[string][]float64, samples map[string]float64) {
+// export writes the region's sample table into st, by configuration key,
+// and the values its last retrain left, listed in the sweep order: every
+// state took part in it, as after every step. A nil region writes nothing.
+func (r *region) export(st *AgentState) error {
 	if r == nil {
-		return map[string][]float64{}, nil
+		return nil
 	}
-	a := len(r.actions)
-	rows = make(map[string][]float64, len(r.ords)+len(r.stored))
-	slab := make([]float64, 0, (len(r.ords)+len(r.stored))*a)
+	prev, val, forward := r.structure.Solved()
+	if n := len(r.rewards); r.stale || len(val) != n {
+		return fmt.Errorf("core: export: %d of the region's %d states took part in its last retrain", len(val), n)
+	}
+	st.Prev, st.Val, st.Forward = make([]float64, len(val)), make([]float64, len(val)), forward
+	for p, s := range r.order {
+		st.Prev[p], st.Val[p] = prev[s], val[s]
+	}
 	cfg := make(config.Config, r.space.Len())
-	put := func(ord uint64) []float64 {
-		slab = slab[:len(slab)+a]
-		row := slab[len(slab)-a : len(slab) : len(slab)]
-		rows[r.space.At(ord, cfg).Key()] = row
-		return row
+	st.Samples = make(map[string]float64, len(r.samples))
+	for k, ord := range r.samples {
+		st.Samples[r.space.At(ord, cfg).Key()] = r.rt[k]
 	}
-	for k, ord := range r.ords {
-		r.structure.Row(int(r.ordIdx[k]), put(ord), r.fallback)
-	}
-	for ord, row := range r.stored {
-		copy(put(ord), row)
-	}
-	if len(r.samples) > 0 {
-		samples = make(map[string]float64, len(r.samples))
-		for k, ord := range r.samples {
-			samples[r.space.At(ord, cfg).Key()] = r.rt[k]
-		}
-	}
-	return rows, samples
+	return nil
 }
 
-// restore fills an empty region from a snapshot's Q-table and sample table:
-// the rows become the agent's stored rows, then every sample joins with its
-// neighbours, each joining state keeping its row. A snapshot is the
-// persistence edge, so it is checked where the string keys turn into lattice
-// ordinals: every key must be the canonical key of a configuration of the
-// space, the table's initial value must be the 0 an agent's table has, and
-// every state of the region must have a row — an agent exports the rows of
-// every state its region holds.
-func (r *region) restore(table *mdp.QTableJSON, samples map[string]float64) error {
-	if table.Initial != 0 {
-		return fmt.Errorf("core: snapshot Q-table initial value %v, want 0", table.Initial)
-	}
-	r.stored = make(map[uint64][]float64, len(table.Rows))
-	backing := make([]float64, len(table.Rows)*len(r.actions))
-	for key, row := range table.Rows {
-		cfg, err := snapshotKey(r.space, key)
-		if err != nil {
-			return fmt.Errorf("core: restore qtable: %w", err)
-		}
-		if len(row) != len(r.actions) {
-			return fmt.Errorf("core: restore qtable: state %q has %d actions, want %d", key, len(row), len(r.actions))
-		}
-		own := backing[:len(row):len(row)]
-		backing = backing[len(row):]
-		copy(own, row)
-		r.stored[r.space.Ordinal(cfg)] = own
-	}
-	for key, rt := range samples {
+// restore fills an empty region from a snapshot: every sample joins with its
+// neighbours and the region compiles, then the values of the exporting
+// region's last retrain install, so every row derives as it did there. A
+// version-2 snapshot lists them in the sweep order, which the samples alone
+// determine; a version-1 one held rows instead (restoreRows).
+func (r *region) restore(st *AgentState) error {
+	for key, rt := range st.Samples {
 		cfg, err := snapshotKey(r.space, key)
 		if err != nil {
 			return fmt.Errorf("core: restore samples: %w", err)
 		}
 		r.record(r.space.Ordinal(cfg), cfg, rt)
 	}
-	if seeded := len(r.ords) - len(r.joined); seeded != 0 {
-		return fmt.Errorf("core: snapshot lacks the rows of %d of its region's %d states", seeded, len(r.ords))
+	n := len(r.rewards)
+	if err := r.compile(); err != nil && n > 0 { // an empty region has nothing to compile
+		return fmt.Errorf("core: restore: %w", err)
 	}
-	if len(r.stored) == 0 {
-		r.stored = nil
+	if st.QTable != nil {
+		return r.restoreRows(st.QTable)
 	}
-	return nil
+	if len(st.Prev) != n || len(st.Val) != n {
+		return fmt.Errorf("core: snapshot holds %d and %d values for its region's %d states", len(st.Prev), len(st.Val), n)
+	}
+	prev, val := make([]float64, n), make([]float64, n)
+	for p, s := range r.order {
+		prev[s], val[s] = st.Prev[p], st.Val[p]
+	}
+	return r.structure.Install(prev, val, st.Forward)
+}
+
+// restoreRows installs the values a version-1 snapshot's rows derive from.
+// Every state took part in the exporting region's last retrain, so a row's
+// Keep entry is its state's Prev, and an entry leading to a state the last
+// sweep reached first is that state's Val (0 where none does: nothing reads
+// it). In one direction of that sweep the values, with the seeded row
+// (zeros without a policy) where no retrain sets an entry, must derive every
+// row bit for bit, outside the region too; else the snapshot is refused.
+func (r *region) restoreRows(table *mdp.QTableJSON) error {
+	if table.Actions != len(r.actions) || table.Initial != 0 {
+		return fmt.Errorf("core: snapshot Q-table of %d actions, initial value %v; want %d, 0", table.Actions, table.Initial, len(r.actions))
+	}
+	n := len(r.rewards)
+	rows, seeded := make([][]float64, n), make([]float64, len(r.actions))
+	for key, row := range table.Rows {
+		cfg, err := snapshotKey(r.space, key)
+		if err != nil {
+			return fmt.Errorf("core: restore qtable: %w", err)
+		}
+		if i := r.index(r.space.Ordinal(cfg)); i >= 0 {
+			rows[i] = row
+			continue
+		}
+		for a := range seeded {
+			if seeded[a] = 0; r.seed != nil {
+				seeded[a] = r.seed(r.seedKey(cfg), a)
+			}
+		}
+		if !sameBits(row, seeded) {
+			return fmt.Errorf("core: restore qtable: state %q outside the region holds %v, not %v", key, row, seeded)
+		}
+	}
+	prev, val, pos := make([]float64, n), make([]float64, n), make([]int32, n)
+	for p, s := range r.order {
+		if len(rows[s]) != len(r.actions) {
+			return fmt.Errorf("core: restore qtable: a state of the region has %d entries, want %d", len(rows[s]), len(r.actions))
+		}
+		pos[s], prev[s] = int32(p), rows[s][0]
+	}
+	for _, forward := range []bool{true, false} {
+		for s := range n {
+			next, act := r.structure.Moves(s)
+			for j, to := range next {
+				if forward && pos[to] < pos[s] || !forward && pos[to] > pos[s] {
+					val[to] = rows[s][act[j]]
+				}
+			}
+		}
+		if err := r.structure.Install(prev, val, forward); err != nil {
+			return err
+		}
+		derived := true
+		for s := 0; derived && s < n; s++ {
+			r.structure.Row(s, r.row, r.fallback)
+			derived = sameBits(r.row, rows[s])
+		}
+		if derived {
+			return nil
+		}
+		clear(val)
+	}
+	return errors.New("core: restore qtable: no retrain over the snapshot's samples leaves its rows")
+}
+
+// sameBits reports whether x and y hold the same values, bit for bit.
+func sameBits(x, y []float64) bool {
+	return slices.EqualFunc(x, y, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 }
 
 // snapshotKey parses a snapshot's state key: the canonical key of a
@@ -309,13 +336,6 @@ func (r *region) join(ord uint64, cfg config.Config, w *regionScratch) int32 {
 	idx := int32(len(r.rewards))
 	r.ords = slices.Insert(r.ords, k, ord)
 	r.ordIdx = slices.Insert(r.ordIdx, k, idx)
-	if row, ok := r.stored[ord]; ok {
-		if r.joined == nil {
-			r.joined = make(map[int32][]float64)
-		}
-		r.joined[idx] = row
-		delete(r.stored, ord)
-	}
 	prior := 0.0
 	if r.predict != nil {
 		prior = r.sla - r.predict(cfg)

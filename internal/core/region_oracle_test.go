@@ -46,10 +46,8 @@ type slabRegion struct {
 	rewards   []float64
 	val       []float64
 
-	// loose are the rows the agent holds for states outside the region: the
-	// zero rows an agent without a policy reads when it chooses at a state it
-	// has not measured, and restored rows not yet joined. A joining state
-	// takes its loose row.
+	// loose are the restored rows of states outside the region, not yet
+	// joined. A joining state takes its loose row.
 	loose map[uint64][]float64
 
 	// Scratch reused across joins and compiles: a neighbour's configuration,
@@ -93,16 +91,6 @@ func (r *slabRegion) held(ord uint64) []float64 {
 		return r.row(i)
 	}
 	return r.loose[ord]
-}
-
-// hold returns a zero loose row for ord, a state the agent holds no row for.
-func (r *slabRegion) hold(ord uint64) []float64 {
-	if r.loose == nil {
-		r.loose = make(map[uint64][]float64)
-	}
-	row := make([]float64, r.width())
-	r.loose[ord] = row
-	return row
 }
 
 // record folds a measured mean response time into the sample table: a repeat
@@ -389,10 +377,12 @@ type mover interface {
 // TestRegionMatchesSlab steps the region in lockstep with slabRegion, the
 // slab region it replaced, and requires every read of either to be equal bit
 // for bit: the row an agent's choice reads, the rows both maxValue reads
-// around a retrain read (so qDelta), the retrain's BatchResult and the
-// exported table — on an agent tuning the bowl system with and without a
-// policy, and on every trail TestRegionMatchesReference measures. Each run
-// goes on after a restore from the exported state and after a policy switch.
+// around a retrain read (so qDelta), the retrain's BatchResult, every row
+// held and the sample table — on an agent tuning the bowl system with and
+// without a policy, and on every trail TestRegionMatchesReference measures.
+// Each run goes on after a restore from the exported state, again after a
+// restore from the slab region's rows (a version-1 snapshot), and after a
+// policy switch.
 func TestRegionMatchesSlab(t *testing.T) {
 	for name, p := range map[string]*Policy{"seeded": bowlPolicy(t, bowlTargets, "slab"), "cold": nil} {
 		t.Run("bowl/"+name, func(t *testing.T) { checkAgentMatchesSlab(t, p) })
@@ -450,23 +440,23 @@ func sameRow(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// sameExport fails unless r and o export the same rows and samples, bit for
-// bit.
+// sameExport fails unless r holds the rows o does and exports the samples
+// it does, bit for bit.
 func sameExport(t *testing.T, what string, r *region, o *slabRegion) {
 	t.Helper()
-	rows, samples := r.export()
+	var st AgentState
+	if err := r.export(&st); err != nil {
+		t.Fatal(err)
+	}
 	wantRows, wantSamples := o.export()
-	if len(rows) != len(wantRows) {
-		t.Fatalf("%s: %d rows exported, the slab region %d", what, len(rows), len(wantRows))
+	if diff := sameRows(r, wantRows); diff != "" {
+		t.Fatalf("%s: %s", what, diff)
 	}
-	for key, want := range wantRows {
-		sameRow(t, what+": row "+key, rows[key], want)
-	}
-	if len(samples) != len(wantSamples) {
+	if samples := st.Samples; len(samples) != len(wantSamples) {
 		t.Fatalf("%s: %d samples exported, the slab region %d", what, len(samples), len(wantSamples))
 	}
 	for key, want := range wantSamples {
-		if got, ok := samples[key]; !ok || math.Float64bits(got) != math.Float64bits(want) {
+		if got, ok := st.Samples[key]; !ok || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: sample %s is %v, the slab region's %v", what, key, got, want)
 		}
 	}
@@ -484,9 +474,10 @@ func sameSolve(t *testing.T, what string, got, want mdp.BatchResult, gotErr, wan
 // checkAgentMatchesSlab steps an agent over the bowl system the way Step
 // learns — the ε-greedy choice, recording the measurement, maxValue, the
 // retrain, maxValue again — beside a slab region fed the same measurements,
-// then restores a second agent and slab region from the first agent's
-// exported state and steps on, then switches the second agent's policy and
-// steps on again.
+// then restores a second agent from the first agent's exported state, and a
+// slab region from the rows it held, and steps on; then does the same with
+// a third agent restored from those rows as a version-1 snapshot, switches
+// its policy and steps on again.
 func checkAgentMatchesSlab(t *testing.T, p *Policy) {
 	opts := DefaultOptions()
 	opts.Online.Epsilon = 0.3
@@ -506,12 +497,6 @@ func checkAgentMatchesSlab(t *testing.T, p *Policy) {
 			ord := a.space.Ordinal(cfg)
 			sameRow(t, what+": choice", a.region.held(ord), o.held(ord))
 			act := a.choose(cfg)
-			if a.region != nil && a.region.held(ord) != nil && o.held(ord) == nil {
-				if o == nil {
-					o = newSlabRegion(a.space, a.actions, a.policy, a.opts.SLASeconds)
-				}
-				o.hold(ord) // the choice held a zero row
-			}
 			next, _ := a.actions[act].Apply(a.space, cfg)
 			if err := a.sys.Apply(context.Background(), next); err != nil {
 				t.Fatal(err)
@@ -524,7 +509,10 @@ func checkAgentMatchesSlab(t *testing.T, p *Policy) {
 			if o == nil {
 				o = newSlabRegion(a.space, a.actions, a.policy, a.opts.SLASeconds)
 			}
-			a.regionFor().record(nord, next, m.MeanRT)
+			if a.region == nil {
+				a.region = newRegion(a.space, a.actions, a.policy, a.opts.SLASeconds, a.row)
+			}
+			a.region.record(nord, next, m.MeanRT)
 			o.record(nord, next, m.MeanRT)
 			sameRow(t, what+": before the retrain", a.region.held(nord), o.held(nord))
 			before, oBefore := a.maxValue(nord, next), slabMax(o, nord)
@@ -545,16 +533,23 @@ func checkAgentMatchesSlab(t *testing.T, p *Policy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a = newAgent()
-	if err := a.RestoreState(st); err != nil {
-		t.Fatal(err)
+	rows, samples := o.export()
+	v1 := *st
+	v1.Version, v1.Prev, v1.Val, v1.Forward = 1, nil, nil, false
+	v1.QTable = &mdp.QTableJSON{Actions: len(a.actions), Rows: rows}
+	for _, st := range []*AgentState{st, &v1} {
+		phase := fmt.Sprintf("restored from version %d", st.Version)
+		a = newAgent()
+		if err := a.RestoreState(st); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		o = newSlabRegion(a.space, a.actions, a.policy, a.opts.SLASeconds)
+		if err := o.restore(v1.QTable, samples); err != nil {
+			t.Fatal(err)
+		}
+		sameExport(t, phase, a.region, o)
+		run(phase, 15)
 	}
-	o = newSlabRegion(a.space, a.actions, a.policy, a.opts.SLASeconds)
-	if err := o.restore(st.QTable, st.Samples); err != nil {
-		t.Fatal(err)
-	}
-	sameExport(t, "restored", a.region, o)
-	run("restored", 15)
 
 	a.ForcePolicy(bowlPolicy(t, []float64{100, 3, 15, 85}, "slab-switched"))
 	o = nil
@@ -565,9 +560,10 @@ func checkAgentMatchesSlab(t *testing.T, p *Policy) {
 // region and a slab region side by side, comparing the row read at the last
 // state (a choice), at the measured state before and after each retrain,
 // the retrain and the export. It goes on over the second half of the trail
-// from a region and slab region restored from the first half's export, then
-// over the first half again from fresh ones seeding other rows (a policy
-// switch).
+// from a region restored from the first half's export and a slab region
+// restored from its rows, again from a region restored from those rows (a
+// version-1 snapshot), then over the first half again from fresh ones
+// seeding other rows (a policy switch).
 func checkTrailMatchesSlab(t *testing.T, space *config.Space, trail []string) {
 	const sla = 2.0
 	cfg := mdp.BatchConfig{Params: mdp.DefaultOnline(), MaxSweeps: 12, Theta: 0.01}
@@ -605,17 +601,26 @@ func checkTrailMatchesSlab(t *testing.T, space *config.Space, trail []string) {
 	r, o := pair("")
 	run("fresh", r, o, trail[:half])
 
+	var st AgentState
+	if err := r.export(&st); err != nil {
+		t.Fatal(err)
+	}
 	rows, samples := o.export()
 	table := &mdp.QTableJSON{Actions: len(r.actions), Rows: rows}
-	r, o = pair("")
-	if err := r.restore(table, samples); err != nil {
-		t.Fatal(err)
+	for version, restore := range map[string]func(*region) error{
+		"values": func(to *region) error { return to.restore(&st) },
+		"rows":   func(to *region) error { return to.restore(&AgentState{Samples: samples, QTable: table}) },
+	} {
+		r, o = pair("")
+		if err := restore(r); err != nil {
+			t.Fatalf("restored from its %s: %v", version, err)
+		}
+		if err := o.restore(table, samples); err != nil {
+			t.Fatal(err)
+		}
+		sameExport(t, "restored from its "+version, r, o)
+		run("restored from its "+version, r, o, trail[half:])
 	}
-	if err := o.restore(table, samples); err != nil {
-		t.Fatal(err)
-	}
-	sameExport(t, "restored", r, o)
-	run("restored", r, o, trail[half:])
 
 	r, o = pair("switched:")
 	run("switched", r, o, trail[:half])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -407,8 +408,9 @@ func recordKey(r *region, key string, rt float64) {
 // mdp.Structure, the same rewards (measurement where sampled, prediction
 // elsewhere) and samples. Its slab retrained every interval stays
 // bit-identical to a Q-table retrained over the rebuilt shape, and a region
-// restored from the final rows and sample table — what RestoreState does —
-// equals the grown one. The trails cover every shipped space: random walks
+// restored from the final sample table and values — what RestoreState does —
+// equals the grown one, as does one restored from its rows (a version-1
+// snapshot). The trails cover every shipped space: random walks
 // from the default and both lattice corners, repeated keys, scattered states,
 // and corrupt keys among valid ones.
 func TestRegionMatchesReference(t *testing.T) {
@@ -492,30 +494,58 @@ func checkRegionTrail(t *testing.T, space *config.Space, trail []string) {
 	for _, key := range keys {
 		valid[key] = samples[key]
 	}
-	held, _ := r.export()
-	restored := fakeRegion(space, sla)
-	if err := restored.restore(&mdp.QTableJSON{Actions: actions, Rows: held}, valid); err != nil {
+	var st AgentState
+	if err := r.export(&st); err != nil {
 		t.Fatal(err)
 	}
-	compareRegion(t, restored, samples)
-	if diff := sameRows(restored, held); diff != "" {
-		t.Fatalf("restored region: %s", diff)
+	held := heldRows(r)
+	for version, restore := range map[string]func(*region) error{
+		"values": func(to *region) error { return to.restore(&st) },
+		"rows": func(to *region) error {
+			return to.restore(&AgentState{Samples: valid, QTable: &mdp.QTableJSON{Actions: actions, Rows: held}})
+		},
+	} {
+		restored := fakeRegion(space, sla)
+		if err := restore(restored); err != nil {
+			t.Fatalf("restored from its %s: %v", version, err)
+		}
+		compareRegion(t, restored, samples)
+		if diff := sameRows(restored, held); diff != "" {
+			t.Fatalf("restored from its %s: %s", version, diff)
+		}
 	}
 }
 
+// heldRows renders every row r holds by state key, sharing no storage with
+// it: what a version-1 snapshot held.
+func heldRows(r *region) map[string][]float64 {
+	rows := map[string][]float64{}
+	if r == nil {
+		return rows
+	}
+	cfg := make(config.Config, r.space.Len())
+	for _, ord := range r.ords {
+		rows[r.space.At(ord, cfg).Key()] = slices.Clone(r.held(ord))
+	}
+	return rows
+}
+
 // sameRows reports the first difference between the rows r holds and want,
-// by key, bit for bit, or "" when they are identical.
+// by key, bit for bit, or "" when they are identical. A zero row of want
+// may stand for a state r lacks: what an agent without a policy reads there.
 func sameRows(r *region, want map[string][]float64) string {
-	got, _ := r.export()
-	if len(got) != len(want) {
-		return fmt.Sprintf("the region holds %d rows, want %d", len(got), len(want))
+	got := heldRows(r)
+	for key := range got {
+		if _, ok := want[key]; !ok {
+			return fmt.Sprintf("the region holds the row of %s, which is not wanted", key)
+		}
 	}
 	for key, row := range want {
 		g, ok := got[key]
-		if !ok {
+		if !ok && slices.ContainsFunc(row, func(v float64) bool { return v != 0 }) {
 			return fmt.Sprintf("the region lacks the row of %s", key)
 		}
-		for a := range row {
+		for a := 0; ok && a < len(row); a++ {
 			if math.Float64bits(g[a]) != math.Float64bits(row[a]) {
 				return fmt.Sprintf("state %s action %d: %v, want %v", key, a, g[a], row[a])
 			}
@@ -706,10 +736,11 @@ func TestFirstVisitAllocs(t *testing.T) {
 
 // TestChooseMatchesSelectAction holds the agent's ε-greedy choice to
 // mdp.Learner.SelectAction draw for draw: a learner over a Q-table holding
-// the rows the agent exports — seeded by the policy's SeedRow elsewhere —
+// the rows the agent holds — seeded by the policy's SeedRow elsewhere —
 // with its RNG in the agent's exploration state picks the same action at
-// held and unheld states, with and without a policy. Without one, both end
-// up holding the same zero rows for the unheld states they read.
+// held and unheld states, with and without a policy. Without one, the
+// learner ends up holding zero rows for the unheld states it read, which
+// the agent reads there without keeping.
 func TestChooseMatchesSelectAction(t *testing.T) {
 	for name, p := range map[string]*Policy{"seeded": bowlPolicy(t, bowlTargets, "choose"), "cold": nil} {
 		t.Run(name, func(t *testing.T) {
@@ -724,16 +755,13 @@ func TestChooseMatchesSelectAction(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			st, err := a.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
 			q := mdp.NewQTable(len(a.actions), 0)
 			if p != nil {
 				q.SetShared(mdp.NewSharedRows(len(a.actions), seeder(p)))
 			}
-			held := make([]config.Config, 0, len(st.QTable.Rows))
-			for key, row := range st.QTable.Rows {
+			rows := heldRows(a.region)
+			held := make([]config.Config, 0, len(rows))
+			for key, row := range rows {
 				copy(q.Row(key), row)
 				cfg, err := config.ParseKey(key)
 				if err != nil {
@@ -777,7 +805,10 @@ func TestChooseMatchesSelectAction(t *testing.T) {
 // comes from shared scratch and is not counted: an agent that keeps its own
 // (two spare value vectors, a second positions vector, a response time per
 // state, a record scratch, a second row buffer) and its own action set
-// retains ≈194 bytes per state here, one that does not ≈131.
+// retains ≈194 bytes per state here, one that does not ≈131. An agent
+// restored from its snapshot, in either version, keeps what the
+// uninterrupted one does; a restore that kept a version-1 snapshot's rows
+// as the rows its states joined with held ≈311 bytes per state here.
 func TestAgentRetainedBytes(t *testing.T) {
 	const agents, steps, retainedPerState = 64, 33, 160.0
 	policy := bowlPolicy(t, bowlTargets, "retained")
@@ -789,30 +820,59 @@ func TestAgentRetainedBytes(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	before := live()
-	held := make([]*Agent, agents)
-	for i := range held {
+	newAgent := func(seed int) *Agent {
 		sys := &bowlSystem{space: space, cfg: space.DefaultConfig(), targets: bowlTargets}
-		a, err := NewAgent(sys, AgentOptions{Policy: policy, Seed: uint64(i + 1)})
+		a, err := NewAgent(sys, AgentOptions{Policy: policy, Seed: uint64(seed)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for range steps {
-			if _, err := a.Step(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+		return a
+	}
+	restore := func(seed int, st *AgentState) *Agent {
+		loaded, err := LoadAgentState(bytes.NewReader(encode(t, st)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		held[i] = a
+		a := newAgent(seed)
+		if err := a.RestoreState(loaded); err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
-	after := live()
-	states := 0
-	for _, a := range held {
-		states += len(a.region.rewards)
+	for _, how := range []string{"uninterrupted", "restored from version 2", "restored from version 1"} {
+		t.Run(how, func(t *testing.T) {
+			before := live()
+			held := make([]*Agent, agents)
+			for i := range held {
+				a := newAgent(i + 1)
+				for range steps {
+					if _, err := a.Step(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				switch how {
+				case "restored from version 2":
+					st, err := a.ExportState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					a = restore(i+1, st)
+				case "restored from version 1":
+					a = restore(i+1, versionOne(t, a))
+				}
+				held[i] = a
+			}
+			after := live()
+			states := 0
+			for _, a := range held {
+				states += len(a.region.rewards)
+			}
+			perState := float64(int64(after)-int64(before)) / float64(states)
+			t.Logf("%d agents after %d steps hold %d states, %.1f bytes of live heap per state", agents, steps, states, perState)
+			if perState > retainedPerState {
+				t.Errorf("%.1f bytes of live heap per held state, want at most %.0f", perState, retainedPerState)
+			}
+			runtime.KeepAlive(held)
+		})
 	}
-	perState := float64(int64(after)-int64(before)) / float64(states)
-	t.Logf("%d agents after %d steps hold %d states, %.1f bytes of live heap per state", agents, steps, states, perState)
-	if perState > retainedPerState {
-		t.Errorf("%.1f bytes of live heap per held state, want at most %.0f", perState, retainedPerState)
-	}
-	runtime.KeepAlive(held)
 }

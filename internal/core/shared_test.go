@@ -58,8 +58,8 @@ func TestAgentsSharePolicyStructureWithoutCrosstalk(t *testing.T) {
 		}
 	}
 
-	// The snapshot of a fresh shared-policy agent stays delta-only: its
-	// Q-table serialization must not embed the policy's full seeded table.
+	// The snapshot of a fresh shared-policy agent stays delta-only: it must
+	// not embed the policy's seeded values, only what the agent learned.
 	sysFresh := newBowlSystem(bowlTargets)
 	fresh, err := NewAgent(sysFresh, AgentOptions{Policy: shared, Seed: 5})
 	if err != nil {
@@ -73,8 +73,8 @@ func TestAgentsSharePolicyStructureWithoutCrosstalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.QTable.Rows) >= len(stA.QTable.Rows) {
-		t.Errorf("fresh agent snapshot carries %d qtable rows, learner %d — deltas are not sparse",
-			len(st.QTable.Rows), len(stA.QTable.Rows))
+	if len(st.Val) >= len(stA.Val) {
+		t.Errorf("fresh agent snapshot carries %d state values, learner %d — deltas are not sparse",
+			len(st.Val), len(stA.Val))
 	}
 }

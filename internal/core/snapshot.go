@@ -12,19 +12,20 @@ import (
 	"github.com/rac-project/rac/internal/telemetry"
 )
 
-// AgentStateVersion is the current AgentState schema version. Restore rejects
-// snapshots from a different version instead of guessing at field meanings.
-const AgentStateVersion = 1
+// AgentStateVersion is the current AgentState schema version. Restore also
+// reads version 1 and rejects any other instead of guessing at its fields.
+const AgentStateVersion = 2
 
 // AgentState is the complete learned and procedural state of an Agent,
 // captured mid-run so a restarted process can resume the exact trajectory an
-// uninterrupted run would have taken: the online Q-table, the per-state
-// sample table, the context-detection window and counters, the resilience
-// bookkeeping (last-known-good configuration, SLA streak), and both RNG
-// streams (action selection and retraining) mid-sequence.
+// uninterrupted run would have taken: the per-state sample table and the
+// values the last retrain over it left, from which every Q row derives; the
+// context-detection window and counters; the resilience bookkeeping
+// (last-known-good configuration, SLA streak); and both RNG streams (action
+// selection and retraining) mid-sequence.
 //
-// The active initial policy travels by name only — Q-tables embed everything
-// learned from it, and policies themselves are persisted separately (policy
+// The active initial policy travels by name only — it seeds every entry no
+// retrain sets, and policies themselves are persisted separately (policy
 // registry, PolicyStore). RestoreState re-binds the name against the agent's
 // store.
 type AgentState struct {
@@ -37,6 +38,13 @@ type AgentState struct {
 	// Samples is the per-state response-time table feeding retraining, by
 	// state key.
 	Samples map[string]float64 `json:"samples,omitempty"`
+	// Prev and Val are the values the last retrain's last sweep began and
+	// ended with, one per state of the region (the samples and their
+	// neighbours) in its sweep order, which the samples determine; Forward
+	// says that sweep ran forward.
+	Prev    []float64 `json:"prev,omitempty"`
+	Val     []float64 `json:"val,omitempty"`
+	Forward bool      `json:"forward,omitempty"`
 	// Window holds the context-detection window samples, oldest first.
 	Window []float64 `json:"window,omitempty"`
 	// Violations is the consecutive-violation counter.
@@ -52,10 +60,10 @@ type AgentState struct {
 	// AgentRNG and LearnerRNG are the two exploration streams mid-sequence.
 	AgentRNG   uint64 `json:"agent_rng"`
 	LearnerRNG uint64 `json:"learner_rng"`
-	// QTable holds every row the agent holds, by state key, in a
-	// string-keyed Q-table's serialized form (initial value 0); it is
-	// encoded and decoded in the same pass as the rest of the snapshot.
-	QTable *mdp.QTableJSON `json:"qtable"`
+	// QTable is a version-1 snapshot's every row, by state key (initial
+	// value 0), in place of Prev, Val and Forward: RestoreState derives the
+	// values from it, and ExportState never writes it.
+	QTable *mdp.QTableJSON `json:"qtable,omitempty"`
 }
 
 // ExportState captures the agent's complete resumable state. The returned
@@ -74,9 +82,10 @@ func (a *Agent) ExportState() (*AgentState, error) {
 		SLAStreak:  a.slaStreak,
 		AgentRNG:   a.rng.State(),
 		LearnerRNG: a.explore.State(),
-		QTable:     &mdp.QTableJSON{Actions: len(a.actions)},
 	}
-	st.QTable.Rows, st.Samples = a.region.export()
+	if err := a.region.export(st); err != nil {
+		return nil, err
+	}
 	if a.policy != nil {
 		st.PolicyName = a.policy.Name()
 	}
@@ -99,8 +108,8 @@ func (a *Agent) RestoreState(st *AgentState) error {
 	if st == nil {
 		return errors.New("core: nil agent state")
 	}
-	if st.Version != AgentStateVersion {
-		return fmt.Errorf("core: agent state version %d, want %d", st.Version, AgentStateVersion)
+	if st.Version != AgentStateVersion && st.Version != 1 {
+		return fmt.Errorf("core: agent state version %d, want %d or 1", st.Version, AgentStateVersion)
 	}
 	cur := config.Config(st.Config)
 	if err := a.space.Validate(cur); err != nil {
@@ -118,8 +127,8 @@ func (a *Agent) RestoreState(st *AgentState) error {
 			len(st.Window), a.opts.Window)
 	}
 
-	// Re-bind the initial policy by name before rebuilding the Q-table so the
-	// restored table seeds future states from the right policy.
+	// Re-bind the initial policy by name before rebuilding the region: it
+	// seeds every entry no retrain sets.
 	policy := a.policy
 	switch {
 	case st.PolicyName == "":
@@ -132,17 +141,15 @@ func (a *Agent) RestoreState(st *AgentState) error {
 		return fmt.Errorf("core: snapshot references unknown policy %q", st.PolicyName)
 	}
 
-	// An exported table always carries its rows, if only as {}.
-	if st.QTable == nil || st.QTable.Rows == nil {
-		return errors.New("core: snapshot lacks a Q-table")
-	}
-	if st.QTable.Actions != len(a.actions) {
-		return fmt.Errorf("core: snapshot Q-table has %d actions, agent %d",
-			st.QTable.Actions, len(a.actions))
+	if (st.Version == 1) != (st.QTable != nil) {
+		return fmt.Errorf("core: version %d snapshot, Q-table present: %t; version 1 holds rows, version 2 values", st.Version, st.QTable != nil)
 	}
 	r := newRegion(a.space, a.actions, policy, a.opts.SLASeconds, a.row)
-	if err := r.restore(st.QTable, st.Samples); err != nil {
+	if err := r.restore(st); err != nil {
 		return err
+	}
+	if len(r.rewards) == 0 {
+		r = nil // an agent holds no region until it first learns
 	}
 
 	a.policy = policy

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"maps"
+	"math"
 	"slices"
 	"testing"
 
@@ -231,41 +232,19 @@ func TestAgentRestoreRejectsBadSnapshots(t *testing.T) {
 		t.Error("wrong-arity config accepted")
 	}
 
-	bad = *good
-	bad.QTable = nil
-	if err := a.RestoreState(&bad); err == nil {
-		t.Error("missing Q-table accepted")
-	}
-
-	bad = *good
-	bad.QTable = &mdp.QTableJSON{Actions: 3, Rows: map[string][]float64{}}
-	if err := a.RestoreState(&bad); err == nil {
-		t.Error("wrong action count accepted")
-	}
-
 	// The persistence edge takes only what an agent exports: canonical keys
-	// of the space's configurations, initial value 0, and a row for every
-	// state of the region its samples span.
+	// of the space's configurations and, for version 2, a value pair for
+	// every state of the region its samples span and no rows.
 	key := a.Config().Key()
 	for name, mutate := range map[string]func(st *AgentState){
 		"non-canonical sample key": func(st *AgentState) { st.Samples = map[string]float64{"0" + key: 1} },
 		"sample outside the space": func(st *AgentState) { st.Samples = map[string]float64{"1,2": 1} },
-		"row key outside the space": func(st *AgentState) {
-			st.QTable = &mdp.QTableJSON{Actions: good.QTable.Actions, Rows: map[string][]float64{"garbage": make([]float64, good.QTable.Actions)}}
-		},
-		"short row": func(st *AgentState) {
-			st.QTable = &mdp.QTableJSON{Actions: good.QTable.Actions, Rows: map[string][]float64{key: {1}}}
-		},
-		"nonzero initial value": func(st *AgentState) {
-			st.QTable = &mdp.QTableJSON{Actions: good.QTable.Actions, Initial: 1, Rows: good.QTable.Rows}
-		},
-		"region state without a row": func(st *AgentState) {
-			rows := maps.Clone(good.QTable.Rows)
-			for k := range good.Samples {
-				delete(rows, k)
-				break
-			}
-			st.QTable = &mdp.QTableJSON{Actions: good.QTable.Actions, Rows: rows}
+		"values without samples":   func(st *AgentState) { st.Samples = nil },
+		"one value short":          func(st *AgentState) { st.Val = st.Val[1:] },
+		"one value too many":       func(st *AgentState) { st.Prev = append(slices.Clone(st.Prev), 0) },
+		"samples without values":   func(st *AgentState) { st.Prev, st.Val = nil, nil },
+		"a Q-table beside the values": func(st *AgentState) {
+			st.QTable = &mdp.QTableJSON{Actions: len(a.actions), Rows: map[string][]float64{}}
 		},
 	} {
 		bad = *good
@@ -275,10 +254,86 @@ func TestAgentRestoreRejectsBadSnapshots(t *testing.T) {
 		}
 	}
 
+	// A version-1 snapshot holds rows: canonical keys, initial value 0, a row
+	// for every state of the region, each the one the values derived from
+	// them derive, and a state outside the region the zero row an agent
+	// without a policy reads there.
+	v1 := versionOne(t, a)
+	if err := a.RestoreState(v1); err != nil {
+		t.Fatalf("version-1 snapshot rejected: %v", err)
+	}
+	rows := v1.QTable.Rows
+	outside := a.space.DefaultConfig()
+	outside[0] = a.space.Def(0).Min
+	for name, mutate := range map[string]func(rows map[string][]float64) map[string][]float64{
+		"missing Q-table": func(map[string][]float64) map[string][]float64 { return nil },
+		"row key outside the space": func(rows map[string][]float64) map[string][]float64 {
+			rows["garbage"] = make([]float64, len(a.actions))
+			return rows
+		},
+		"short row": func(rows map[string][]float64) map[string][]float64 {
+			rows[key] = rows[key][:1]
+			return rows
+		},
+		"region state without a row": func(rows map[string][]float64) map[string][]float64 {
+			delete(rows, key)
+			return rows
+		},
+		"a row one ulp off": func(rows map[string][]float64) map[string][]float64 {
+			row := slices.Clone(rows[key])
+			row[0] = math.Nextafter(row[0], math.Inf(1))
+			rows[key] = row
+			return rows
+		},
+		"a nonzero row outside the region": func(rows map[string][]float64) map[string][]float64 {
+			row := make([]float64, len(a.actions))
+			row[0] = 1
+			rows[outside.Key()] = row
+			return rows
+		},
+	} {
+		bad = *v1
+		table := *v1.QTable
+		table.Rows = mutate(maps.Clone(rows))
+		bad.QTable = &table
+		if table.Rows == nil {
+			bad.QTable = nil
+		}
+		if err := a.RestoreState(&bad); err == nil {
+			t.Errorf("version 1: %s accepted", name)
+		}
+	}
+	for name, table := range map[string]mdp.QTableJSON{
+		"wrong action count":    {Actions: 3, Rows: rows},
+		"nonzero initial value": {Actions: len(a.actions), Initial: 1, Rows: rows},
+	} {
+		bad = *v1
+		bad.QTable = &table
+		if err := a.RestoreState(&bad); err == nil {
+			t.Errorf("version 1: %s accepted", name)
+		}
+	}
+	if _, ok := rows[outside.Key()]; ok {
+		t.Fatalf("state %s is in the region; the test needs one outside it", outside.Key())
+	}
+
 	// The pristine snapshot still restores after all the rejected attempts.
 	if err := a.RestoreState(good); err != nil {
 		t.Fatalf("good snapshot rejected after failed restores: %v", err)
 	}
+}
+
+// versionOne returns a's state as a version-1 snapshot held it: every row of
+// its region in place of the values.
+func versionOne(tb testing.TB, a *Agent) *AgentState {
+	tb.Helper()
+	st, err := a.ExportState()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st.Version, st.Prev, st.Val, st.Forward = 1, nil, nil, false
+	st.QTable = &mdp.QTableJSON{Actions: len(a.actions), Rows: heldRows(a.region)}
+	return st
 }
 
 func TestForcePolicySwitchesImmediately(t *testing.T) {
@@ -311,12 +366,6 @@ func TestForcePolicySwitchesImmediately(t *testing.T) {
 	}
 }
 
-// FuzzRestoreAgentState feeds arbitrary bytes through the checkpoint path a
-// restarted agent takes: LoadAgentState, RestoreState on a bowl-system agent
-// bound to a trained policy, then two Steps. No input may panic, a rejected
-// snapshot must leave the agent able to step, and a snapshot that restores
-// must export again exactly as it decoded. The seeds are a real mid-run
-// export and single-field mutations of it.
 func TestLoadAgentStateRejectsTrailingData(t *testing.T) {
 	a, err := NewAgent(newBowlSystem(bowlTargets), AgentOptions{Policy: bowlPolicy(t, bowlTargets, "trailing"), Seed: 5})
 	if err != nil {
@@ -333,6 +382,13 @@ func TestLoadAgentStateRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// FuzzRestoreAgentState feeds arbitrary bytes through the checkpoint path a
+// restarted agent takes: LoadAgentState, RestoreState on a bowl-system agent
+// bound to a trained policy, then two Steps. No input may panic, a rejected
+// snapshot must leave the agent able to step, and a snapshot that restores
+// must export again exactly as it decoded — a version-1 one as another
+// agent restored from that export exports again. The seeds are a real
+// mid-run export in both versions and single-field mutations of each.
 func FuzzRestoreAgentState(f *testing.F) {
 	policy := bowlPolicy(f, bowlTargets, "fuzz-restore")
 	newAgent := func(tb testing.TB) *Agent {
@@ -360,7 +416,9 @@ func FuzzRestoreAgentState(f *testing.F) {
 		return buf.Bytes()
 	}
 	saved := encode(*good)
+	v1 := versionOne(f, a)
 	f.Add(saved)
+	f.Add(encode(*v1))
 	for _, mutate := range []func(st *AgentState){
 		func(st *AgentState) { st.Version++ },
 		func(st *AgentState) { st.Config = st.Config[:2] },
@@ -368,13 +426,23 @@ func FuzzRestoreAgentState(f *testing.F) {
 		func(st *AgentState) { st.PolicyName = "never-trained" },
 		func(st *AgentState) { st.Window = make([]float64, 64) },
 		func(st *AgentState) { st.Samples = map[string]float64{"not-a-key": 1} },
+		func(st *AgentState) { st.Val = st.Val[1:] },
+		func(st *AgentState) { st.Forward = !st.Forward },
+		func(st *AgentState) { st.QTable = v1.QTable },
+	} {
+		st := *good
+		mutate(&st)
+		f.Add(encode(st))
+	}
+	for _, mutate := range []func(st *AgentState){
 		func(st *AgentState) { st.QTable = nil },
 		func(st *AgentState) { st.QTable = &mdp.QTableJSON{Actions: st.QTable.Actions} },
 		func(st *AgentState) {
 			st.QTable = &mdp.QTableJSON{Actions: 3, Rows: map[string][]float64{"not-a-key": {1, 2, 3}}}
 		},
+		func(st *AgentState) { st.Samples = nil },
 	} {
-		st := *good
+		st := *v1
 		mutate(&st)
 		f.Add(encode(st))
 	}
@@ -388,6 +456,19 @@ func FuzzRestoreAgentState(f *testing.F) {
 		if err == nil {
 			if err := a.RestoreState(st); err == nil {
 				var want bytes.Buffer
+				if st.Version == 1 {
+					// A version-1 snapshot exports as version 2, which must
+					// restore to the same state again.
+					b := newAgent(t)
+					st, err = LoadAgentState(bytes.NewReader(exportJSON(t, a)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := b.RestoreState(st); err != nil {
+						t.Fatalf("a restored version-1 snapshot exports a state that does not restore: %v", err)
+					}
+					a = b
+				}
 				if err := st.Save(&want); err != nil {
 					t.Fatal(err)
 				}

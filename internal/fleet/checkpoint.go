@@ -17,9 +17,11 @@ import (
 
 // Checkpoint is one tenant's durable snapshot: everything the fleet needs to
 // warm-restart the tenant after a crash or planned restart. The agent state
-// carries the live Q-table, the last-known-good configuration, the violation
-// counters and the context-detector window; the system blob (when the backend
-// is snapshottable) carries the measurement stream mid-sequence.
+// carries the sample table and the values its last retrain left, from which
+// the agent derives its Q-table again, the last-known-good configuration,
+// the violation counters and the context-detector window; the system blob
+// (when the backend is snapshottable) carries the measurement stream
+// mid-sequence.
 type Checkpoint struct {
 	// Tenant is the owning tenant's name.
 	Tenant string `json:"tenant"`

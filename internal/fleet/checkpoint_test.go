@@ -111,7 +111,7 @@ func TestCheckpointEnvelopeRejectsCorruption(t *testing.T) {
 // envelope, and as the payload of a well-formed envelope, so mutations reach
 // the JSON decoder past the CRC. The seeds are a real checkpoint, a
 // truncation, a flipped CRC, a wrong version and a wrong length, and every
-// file of the committed checkpoint corpus.
+// file of the committed checkpoint corpus, every version of it.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	buf, err := encodeCheckpoint(testCheckpoint(f, "shop-a", 1))
 	if err != nil {

@@ -3,20 +3,24 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/rac-project/rac/internal/core"
 )
 
-// The checkpoint corpus (testdata/compat/checkpoint/v<AgentStateVersion>)
-// holds what a two-tenant analytic fleet (compatCheckpointOptions, Seed 48)
-// wrote after 5 rounds, and statuses.json the step records its uninterrupted
-// run produced over the next 10 rounds. shop_a warm-starts from a trained
-// context-1 policy and its name exercises sanitizeName's escape; shop-b runs
-// cold, so it holds the zero rows an agent without a policy reads.
+// The checkpoint corpus holds, per agent state version
+// (testdata/compat/checkpoint/v<N>), what a two-tenant analytic fleet
+// (compatCheckpointOptions, Seed 48) built at that version wrote after 5
+// rounds, and statuses.json the step records its uninterrupted run produced
+// over the next 10 rounds, the same for every version. shop_a warm-starts
+// from a trained context-1 policy and its name exercises sanitizeName's
+// escape; shop-b runs cold, so every entry no retrain sets reads zero.
+// A version's directory is never edited; a new version adds one.
 const compatCheckpointRounds = 10
 
 func compatCheckpointSpecs() []TenantSpec {
@@ -30,15 +34,31 @@ func compatCheckpointOptions(tb testing.TB, dir string) Options {
 	return Options{Seed: 48, RegistryDir: tb.TempDir(), TrainInit: fastTrain(), CheckpointDir: dir, CheckpointEvery: 5}
 }
 
-// TestCheckpointCompatCorpus restores every tenant of the committed
-// checkpoint corpus, requires a checkpoint taken right after the restore to
-// be the committed file byte for byte, and the restored fleet's next
-// compatCheckpointRounds step records to be the pinned ones.
+// TestCheckpointCompatCorpus restores every tenant of every version of the
+// committed checkpoint corpus and requires the restored fleet's next
+// compatCheckpointRounds step records to be the pinned ones; for the current
+// version it also requires a checkpoint taken right after the restore to be
+// the committed file byte for byte.
 func TestCheckpointCompatCorpus(t *testing.T) {
-	corpus := filepath.Join("testdata", "compat", "checkpoint", "v1")
-	if core.AgentStateVersion != 1 {
-		t.Fatalf("AgentStateVersion %d has no corpus entry; add testdata/compat/checkpoint/v%d", core.AgentStateVersion, core.AgentStateVersion)
+	versions, err := filepath.Glob(filepath.Join("testdata", "compat", "checkpoint", "v*"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	current := fmt.Sprintf("v%d", core.AgentStateVersion)
+	if !slices.Contains(versions, filepath.Join("testdata", "compat", "checkpoint", current)) {
+		t.Fatalf("AgentStateVersion %d has no corpus entry; add testdata/compat/checkpoint/%s", core.AgentStateVersion, current)
+	}
+	for _, corpus := range versions {
+		t.Run(filepath.Base(corpus), func(t *testing.T) {
+			checkCheckpointCorpus(t, corpus, filepath.Base(corpus) == current)
+		})
+	}
+}
+
+// checkCheckpointCorpus restores the fleet of one version's corpus
+// directory and checks it as TestCheckpointCompatCorpus says; rewrite asks
+// for the byte-for-byte checkpoint.
+func checkCheckpointCorpus(t *testing.T, corpus string, rewrite bool) {
 	dir := t.TempDir()
 	for _, sp := range compatCheckpointSpecs() {
 		name := filepath.Join(sanitizeName(sp.Name), "ckpt-0000000005"+checkpointExt)
@@ -64,6 +84,9 @@ func TestCheckpointCompatCorpus(t *testing.T) {
 		}
 		if !tn.Status().Restored || tn.Interval() != 5 {
 			t.Fatalf("tenant %s restored=%v at interval %d, want restored at 5", sp.Name, tn.Status().Restored, tn.Interval())
+		}
+		if !rewrite {
+			continue
 		}
 		name := filepath.Join(sanitizeName(sp.Name), "ckpt-0000000005"+checkpointExt)
 		want, err := os.ReadFile(filepath.Join(corpus, name))

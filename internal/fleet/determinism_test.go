@@ -111,7 +111,7 @@ func TestFleetDeterministicAcrossProcs(t *testing.T) {
 // TestFleetStatesPinned pins the fleet's online path across revisions: the
 // SHA-256 of the five tenants' final exported agent states after runFleet's
 // 15 rounds at procs=1, concatenated in name order. It is the one check that
-// reaches Agent.retrain over each tenant's own row slab, seeded from a
+// reaches Agent.retrain over each tenant's own region values, seeded from a
 // read-only shared policy — the policy and figure hashes `make identity`
 // compares never do — so a change meant to move no output (a faster
 // retraining solve, say) is held to that here. A change that moves the online
@@ -131,7 +131,7 @@ func TestFleetStatesPinned(t *testing.T) {
 	for _, name := range names {
 		h.Write(states[name])
 	}
-	const want = "f8318eb0f8ea258510a409750274a819d5b452171ac03f5aa900aa39e145dc8e"
+	const want = "f35cc52cc3fdd5a519776ffda467d4d3cfad70183440bbb6f27c6b47ec66d0f0"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("final agent states hash %s, pinned %s", got, want)
 	}

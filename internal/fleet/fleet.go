@@ -431,7 +431,7 @@ func (f *Fleet) Admit(spec TenantSpec) (_ *Tenant, err error) {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", spec.Name, err)
 	}
 	defer func() {
-		if err != nil {
+		if err != nil && built != nil {
 			_ = built.Close(context.Background())
 		}
 	}()
@@ -458,14 +458,15 @@ func (f *Fleet) Admit(spec TenantSpec) (_ *Tenant, err error) {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", spec.Name, err)
 	}
 
-	agent, err := core.NewAgent(sys, core.AgentOptions{
+	agentOpts := core.AgentOptions{
 		Options:   o,
 		Policy:    pol,
 		Store:     f.policies,
 		Seed:      seed,
 		Telemetry: f.opts.Telemetry,
 		Trace:     f.opts.Trace,
-	})
+	}
+	agent, err := core.NewAgent(sys, agentOpts)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", spec.Name, err)
 	}
@@ -494,17 +495,26 @@ func (f *Fleet) Admit(spec TenantSpec) (_ *Tenant, err error) {
 	}
 
 	if ck != nil {
-		if err := f.restore(t, ck, ckPath); err != nil {
+		if rerr := f.restore(t, ck, ckPath); rerr != nil {
 			// A snapshot that decodes but no longer matches the tenant (policy
-			// gone from the registry, space drift) falls back to a cold start;
-			// the trace records why.
+			// gone from the registry, space drift) falls back to a cold start
+			// on a backend and agent built afresh, since the restore may have
+			// moved the backend; the trace records why.
 			f.traceEvent(telemetry.Event{
 				Kind:   telemetry.KindCheckpoint,
 				Tenant: spec.Name,
-				Detail: "restore failed, cold start: " + err.Error(),
+				Detail: "restore failed, cold start: " + rerr.Error(),
 			})
-			if aerr := sys.Apply(context.Background(), agent.Config()); aerr != nil {
-				return nil, fmt.Errorf("fleet: tenant %s: reset after failed restore: %w", spec.Name, aerr)
+			_ = built.Close(context.Background())
+			if built, err = f.buildSystem(spec, ctx, seed, sched, o.SLASeconds); err != nil {
+				return nil, fmt.Errorf("fleet: tenant %s: rebuild after failed restore: %w", spec.Name, err)
+			}
+			if agent, err = core.NewAgent(built.System, agentOpts); err != nil {
+				return nil, fmt.Errorf("fleet: tenant %s: %w", spec.Name, err)
+			}
+			t.built, t.agent = built, agent
+			if built.Capacity != nil {
+				t.capOrdinal = built.Capacity.Ordinal()
 			}
 		}
 	}

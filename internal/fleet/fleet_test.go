@@ -289,6 +289,58 @@ func TestFleetKillRestartMatchesUninterruptedRun(t *testing.T) {
 	}
 }
 
+// TestRefusedRestoreIsAColdStart holds a tenant whose checkpoint the agent
+// refuses — here, one naming a policy the fleet does not know — to a cold
+// start: a noisy analytic tenant admitted over it must step exactly as a
+// fresh tenant of the same name does, its measurement stream, workload and
+// configuration untouched by the checkpoint it could not use.
+func TestRefusedRestoreIsAColdStart(t *testing.T) {
+	spec := TenantSpec{Name: "noisy", Backend: "analytic", Context: "context-2", NoiseSigma: 0.2, NoWarmStart: true}
+	newFleet := func(dir string) *Fleet {
+		f, err := New(Options{Seed: 31, CheckpointDir: dir, CheckpointEvery: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Admit(spec); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	dir := t.TempDir()
+	first := newFleet(dir)
+	if _, err := first.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	ck, path, err := first.ckpts.Latest(spec.Name)
+	if err != nil || ck == nil {
+		t.Fatalf("no checkpoint after 3 rounds (%v)", err)
+	}
+	ck.Agent.PolicyName = "never-trained"
+	buf, err := encodeCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	refused, fresh := newFleet(dir), newFleet(t.TempDir())
+	if tn := refused.Tenant(spec.Name); tn.Status().Restored || tn.Interval() != 0 {
+		t.Fatalf("restored=%v at interval %d from a refused checkpoint, want a cold start", tn.Status().Restored, tn.Interval())
+	}
+	got, want := map[string][]stepRecord{}, map[string][]stepRecord{}
+	runRecorded(t, refused, 5, got)
+	runRecorded(t, fresh, 5, want)
+	if len(got[spec.Name]) != 5 || len(want[spec.Name]) != 5 {
+		t.Fatalf("%d and %d step records, want 5 each", len(got[spec.Name]), len(want[spec.Name]))
+	}
+	for i, w := range want[spec.Name] {
+		if g := got[spec.Name][i]; g != w {
+			t.Errorf("step %d after a refused restore: %+v, a fresh tenant's %+v", i, g, w)
+		}
+	}
+}
+
 func TestFleetRestartFallsBackPastCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	f1, err := New(Options{Seed: 5, CheckpointDir: dir, CheckpointEvery: 5})

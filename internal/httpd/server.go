@@ -87,7 +87,7 @@ type Server struct {
 	trace   *telemetry.Trace
 
 	// extra routes mounted by the embedding process (e.g. the fleet admin
-	// API at /admin/fleet), registered before Start.
+	// API under /admin/v1), registered before Start.
 	extraMu sync.Mutex
 	extra   map[string]http.Handler
 }

@@ -393,9 +393,9 @@ func (g *GrowingStructure) Row(s int, row []float64, held func(s, a int) float64
 // from the entries the structure holds — those the last solve set (Row),
 // and held(s, a) for every other feasible one. The last solve's values are
 // read until the first sweep ends, so the solve writes scratch ones and
-// then copies them, with each state's position in the order, into the
-// structure's own; it allocates only to grow those when states joined since
-// the last solve and outgrew the allocator's size class.
+// then installs them (Install); it allocates only to grow the structure's
+// own when states joined since the last solve and outgrew the allocator's
+// size class.
 func (g *GrowingStructure) Solve(rewards []float64, held func(s, a int) float64, cfg BatchConfig) (BatchResult, error) {
 	n := g.Len()
 	switch {
@@ -410,15 +410,33 @@ func (g *GrowingStructure) Solve(rewards []float64, held func(s, a int) float64,
 	w := lent.Borrow()
 	w.Prev, w.Val = slices.Grow(w.Prev[:0], n)[:n], slices.Grow(w.Val[:0], n)[:n]
 	res := g.solve(g.order, rewards, w, &g.last, held, cfg)
-	g.last.Prev, g.last.Val, g.last.pos = fit(g.last.Prev, n), fit(g.last.Val, n), fit(g.last.pos, n)
-	copy(g.last.Prev, w.Prev)
-	copy(g.last.Val, w.Val)
-	g.last.forward = w.forward
+	err := g.Install(w.Prev, w.Val, w.forward)
 	lent.GiveBack(w)
+	return res, err
+}
+
+// Solved returns the values the last solve left, by state, and whether its
+// last sweep ran forward; callers must not mutate them.
+func (g *GrowingStructure) Solved() (prev, val []float64, forward bool) {
+	return g.last.Prev, g.last.Val, g.last.forward
+}
+
+// Install copies prev and val, by state, into the structure as the values a
+// solve over the order Compile installed left, its last sweep running
+// forward or not: what Solved returns, for a structure of the same moves.
+func (g *GrowingStructure) Install(prev, val []float64, forward bool) error {
+	if n := g.Len(); len(g.order) != n || len(prev) != n || len(val) != n {
+		return fmt.Errorf("mdp: %d and %d values for %d states, %d of them in the sweep order", len(prev), len(val), n, len(g.order))
+	}
+	n := len(prev)
+	g.last.Prev, g.last.Val, g.last.pos = fit(g.last.Prev, n), fit(g.last.Val, n), fit(g.last.pos, n)
+	copy(g.last.Prev, prev)
+	copy(g.last.Val, val)
+	g.last.forward = forward
 	for p, s := range g.order {
 		g.last.pos[s] = int32(p)
 	}
-	return res, nil
+	return nil
 }
 
 // BatchTrain is Solve for an ad-hoc model: it materializes the model's

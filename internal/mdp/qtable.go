@@ -16,7 +16,6 @@ package mdp
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -178,24 +177,9 @@ func (q *QTable) Set(state string, action int, value float64) {
 	q.Row(state)[action] = value
 }
 
-// copyRows returns a deep copy of rows, each of actions entries, with every
-// row cut from one backing array.
-func copyRows(rows map[string][]float64, actions int) map[string][]float64 {
-	out := make(map[string][]float64, len(rows))
-	backing := make([]float64, len(rows)*actions)
-	for k, row := range rows {
-		cp := backing[:actions:actions]
-		backing = backing[actions:]
-		copy(cp, row)
-		out[k] = cp
-	}
-	return out
-}
-
-// QTableJSON is the serialized form of a QTable, what Save writes. A
-// document embedding a table (a policy, an agent snapshot) carries it as a
-// field, so one encoder pass writes the whole document and one decoder pass
-// reads it; Table turns the decoded form back into a table.
+// QTableJSON is the serialized form of a QTable, what Save writes. The
+// documents that embedded a table as a field — a first-format policy, a
+// version-1 agent snapshot — are still read through it.
 type QTableJSON struct {
 	Actions int                  `json:"actions"`
 	Initial float64              `json:"initial"`
@@ -206,22 +190,6 @@ type QTableJSON struct {
 // encode it before the table is written again.
 func (q *QTable) JSON() *QTableJSON {
 	return &QTableJSON{Actions: q.actions, Initial: q.initial, Rows: q.rows}
-}
-
-// Table validates a decoded form and returns the table it describes, sharing
-// no storage with it.
-func (d *QTableJSON) Table() (*QTable, error) {
-	if d.Actions < 1 {
-		return nil, fmt.Errorf("mdp: qtable with %d actions", d.Actions)
-	}
-	for k, row := range d.Rows {
-		if len(row) != d.Actions {
-			return nil, fmt.Errorf("mdp: state %q has %d actions, want %d", k, len(row), d.Actions)
-		}
-	}
-	q := NewQTable(d.Actions, d.Initial)
-	q.rows = copyRows(d.Rows, d.Actions)
-	return q, nil
 }
 
 // Save writes the table as JSON.

@@ -3,6 +3,7 @@ package mdp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -337,4 +338,34 @@ func (q *QTable) States() []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// Table validates a decoded form and returns the table it describes, sharing
+// no storage with it.
+func (d *QTableJSON) Table() (*QTable, error) {
+	if d.Actions < 1 {
+		return nil, fmt.Errorf("mdp: qtable with %d actions", d.Actions)
+	}
+	for k, row := range d.Rows {
+		if len(row) != d.Actions {
+			return nil, fmt.Errorf("mdp: state %q has %d actions, want %d", k, len(row), d.Actions)
+		}
+	}
+	q := NewQTable(d.Actions, d.Initial)
+	q.rows = copyRows(d.Rows, d.Actions)
+	return q, nil
+}
+
+// copyRows returns a deep copy of rows, each of actions entries, with every
+// row cut from one backing array.
+func copyRows(rows map[string][]float64, actions int) map[string][]float64 {
+	out := make(map[string][]float64, len(rows))
+	backing := make([]float64, len(rows)*actions)
+	for k, row := range rows {
+		cp := backing[:actions:actions]
+		backing = backing[actions:]
+		copy(cp, row)
+		out[k] = cp
+	}
+	return out
 }

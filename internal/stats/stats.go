@@ -54,28 +54,6 @@ func (r *Running) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Merge folds another accumulator into r (parallel Welford merge).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	mean := r.mean + delta*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n, r.mean, r.m2 = n, mean, m2
-}
-
 // Window is a fixed-capacity sliding window of float64 samples.
 type Window struct {
 	buf  []float64

@@ -221,3 +221,26 @@ func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest sample, or zero when empty.
 func (r *Running) Max() float64 { return r.max }
+
+// Merge folds another accumulator into r (parallel Welford merge); no
+// production path merges accumulators, so it lives beside its tests.
+func (r *Running) Merge(o Running) {
+	if o.n == 0 {
+		return
+	}
+	if r.n == 0 {
+		*r = o
+		return
+	}
+	n := r.n + o.n
+	delta := o.mean - r.mean
+	mean := r.mean + delta*float64(o.n)/float64(n)
+	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
+	if o.min < r.min {
+		r.min = o.min
+	}
+	if o.max > r.max {
+		r.max = o.max
+	}
+	r.n, r.mean, r.m2 = n, mean, m2
+}
